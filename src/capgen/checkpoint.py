@@ -10,11 +10,17 @@ Layout, all little-endian:
         u32       rank
         rank*u32  dims
         float64   payload, row-major
+
+A save writes a temporary file next to ``path`` and renames it onto
+``path``, so a save that fails midway leaves the previous checkpoint
+intact and no temporary file behind.
 """
 
 from __future__ import annotations
 
+import os
 import struct
+import threading
 
 import numpy as np
 
@@ -26,21 +32,33 @@ __all__ = ["MAGIC", "save_checkpoint", "load_checkpoint"]
 
 
 def save_checkpoint(path, variant: str, arrays: dict[str, np.ndarray]) -> None:
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        tag = variant.encode("utf-8")
-        fh.write(struct.pack("<I", len(tag)))
-        fh.write(tag)
-        fh.write(struct.pack("<I", len(arrays)))
-        for name, arr in arrays.items():
-            arr = np.asarray(arr, dtype=np.float64)
-            nb = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(nb)))
-            fh.write(nb)
-            fh.write(struct.pack("<I", arr.ndim))
-            for d in arr.shape:
-                fh.write(struct.pack("<I", d))
-            fh.write(arr.astype("<f8").tobytes())
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            _write(fh, variant, arrays)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
+def _write(fh, variant: str, arrays: dict[str, np.ndarray]) -> None:
+    fh.write(MAGIC)
+    tag = variant.encode("utf-8")
+    fh.write(struct.pack("<I", len(tag)))
+    fh.write(tag)
+    fh.write(struct.pack("<I", len(arrays)))
+    for name, arr in arrays.items():
+        arr = np.asarray(arr, dtype=np.float64)
+        nb = name.encode("utf-8")
+        fh.write(struct.pack("<I", len(nb)))
+        fh.write(nb)
+        fh.write(struct.pack("<I", arr.ndim))
+        for d in arr.shape:
+            fh.write(struct.pack("<I", d))
+        fh.write(arr.astype("<f8").tobytes())
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:

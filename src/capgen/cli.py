@@ -14,7 +14,7 @@ from . import metrics
 from .attention import write_trace_csv
 from .checkpoint import load_checkpoint
 from .data import Dataset, Vocabulary, build_vocab, synth_dataset, tokenize
-from .errors import CapgenError, ConfigError
+from .errors import CapgenError, ConfigError, ContractError
 from .search import beam_search, greedy_decode, write_generations
 from .training import TrainConfig, train, _build_decoder
 
@@ -144,11 +144,18 @@ def _dispatch(args) -> int:
     raise ConfigError(f"unknown command {args.command!r}")
 
 
+def _split(dataset, name: str):
+    if name not in dataset.splits:
+        raise ConfigError(f"split {name!r} is not in the dataset "
+                          f"(splits: {sorted(dataset.splits)})")
+    return dataset.splits[name]
+
+
 def _restore(data_dir, checkpoint):
     dataset = Dataset.load(data_dir)
     vocab = Vocabulary.load(Path(data_dir) / "vocab.json")
     variant, arrays = load_checkpoint(checkpoint)
-    probe = dataset.features(dataset.splits["train"][0])
+    probe = dataset.features(_split(dataset, "train")[0])
     values = {"variant": variant, "data_dir": str(data_dir), "dropout": 0.0}
     for dim in ("hidden_dim", "embed_dim", "attn_dim"):
         if f"meta/{dim}" in arrays:
@@ -162,11 +169,12 @@ def _restore(data_dir, checkpoint):
 
 def _generate(args) -> int:
     dataset, vocab, decoder = _restore(args.data_dir, args.checkpoint)
+    samples = _split(dataset, args.split)
     results = []
     trace_dir = Path(args.trace_dir) if args.trace_dir else None
     if trace_dir:
         trace_dir.mkdir(parents=True, exist_ok=True)
-    for sample in dataset.splits[args.split]:
+    for sample in samples:
         feats = dataset.features(sample)
         want_trace = trace_dir is not None
         if args.beam == 1:
@@ -200,6 +208,9 @@ def _evaluate(args) -> int:
                 obj = json.loads(line)
                 refs[obj["id"]] = obj["refs"]
     ids = sorted(cands)
+    for i in ids:
+        if i not in refs:
+            raise ContractError(f"candidate id {i!r} has no references in {args.refs}")
     corpus = metrics.TokenizedCorpus(
         [tokenize(cands[i], args.tokenizer) for i in ids],
         [[tokenize(r, args.tokenizer) for r in refs[i]] for i in ids])
@@ -229,10 +240,11 @@ def _gradcheck(args) -> int:
 
 def _trace(args) -> int:
     dataset, vocab, decoder = _restore(args.data_dir, args.checkpoint)
+    samples = _split(dataset, args.split)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     n = 0
-    for sample in dataset.splits[args.split]:
+    for sample in samples:
         feats = dataset.features(sample)
         gen = greedy_decode(decoder, feats, args.max_len, record_trace=True)
         words = vocab.decode(gen.tokens)

@@ -61,8 +61,10 @@ def beam_search(decoder, features, k: int = 5, max_len: int = 30,
 
     Each step keeps the k best expansions overall; those that emit EOS are
     frozen into a completed pool capped at k.  The search stops early once
-    the best live hypothesis can no longer beat the worst pooled one
-    (scores only decrease with length).  Hypotheses still alive at max_len
+    no live hypothesis can still beat the worst pooled one.  Raw scores
+    only fall as a caption grows, so a live score is its own bound; a
+    length-normalized score can rise, so its bound is logprob / max_len,
+    the best any extension can reach.  Hypotheses still alive at max_len
     compete with the pool on score, which is also the fallback when
     nothing finished.  Tokens the model gives zero probability are never
     expanded.
@@ -76,6 +78,9 @@ def beam_search(decoder, features, k: int = 5, max_len: int = 30,
         if length_normalize:
             return hyp.logprob / max(1, len(hyp.tokens))
         return hyp.logprob
+
+    def bound(hyp: _Hyp) -> float:
+        return hyp.logprob / max_len if length_normalize else hyp.logprob
 
     live = [_Hyp((), 0.0, decoder.init_state(features, record_trace=record_trace))]
     completed: list[_Hyp] = []
@@ -103,7 +108,8 @@ def beam_search(decoder, features, k: int = 5, max_len: int = 30,
         live = new_live
         if not live:
             break
-        if completed and rank(live[0]) <= rank(completed[-1]):
+        # live is sorted by raw score, so live[0] has the highest bound
+        if completed and bound(live[0]) <= rank(completed[-1]):
             break
     best = max(completed + live, key=lambda h: (rank(h), tuple(-t for t in h.tokens)))
     return GenerationResult(list(best.tokens), best.logprob,

@@ -7,6 +7,18 @@ gradients into every ``requires_grad`` leaf.  Ops executed with no active
 tape are plain forward arithmetic, which keeps inference and
 finite-difference probing cheap.
 
+Leaf gradients from rank-1 products and row gathers are deferred.  A
+``matmul`` with a vector on one side hands back the two factors of its
+outer-product weight gradient, and ``take_row``/``take_rows`` hand back
+the gathered row ids with their gradient rows.  When the input is a
+recorded node the factors are expanded into a dense array on the spot,
+so every other op sees plain ndarrays.  When the input is a leaf,
+``backward()`` collects the factors during the reverse sweep and adds
+them once at the end: one ``(m, T) @ (T, n)`` product per weight and one
+``np.add.at`` scatter per gathered matrix, instead of a dense ``(m, n)``
+array per time step.  ``.grad`` is a dense ndarray once ``backward()``
+returns, and repeated calls keep accumulating into it.
+
 Conventions:
   * float64 everywhere; at desk scale precision is worth more than speed.
   * no implicit broadcasting.  Binary ops demand identical shapes; the
@@ -155,10 +167,64 @@ def _record(out: Tensor, inputs: tuple, grad_fn: Callable) -> Tensor:
     return out
 
 
+class _Factor:
+    """A leaf gradient kept in factored form until the end of ``backward``."""
+
+    __slots__ = ()
+
+
+class _Outer(_Factor):
+    """``np.outer(u, v)``: the gradient of the matrix in a matrix-vector product."""
+
+    __slots__ = ("u", "v")
+
+    def __init__(self, u: np.ndarray, v: np.ndarray):
+        self.u = u
+        self.v = v
+
+    def dense(self, shape) -> np.ndarray:
+        return np.outer(self.u, self.v)
+
+
+class _Rows(_Factor):
+    """Zero except for rows ``idx`` of the source, which receive ``g``."""
+
+    __slots__ = ("idx", "g")
+
+    def __init__(self, idx, g: np.ndarray):
+        self.idx = idx
+        self.g = g
+
+    def dense(self, shape) -> np.ndarray:
+        out = np.zeros(shape, dtype=np.float64)
+        np.add.at(out, self.idx, self.g)
+        return out
+
+
+def _add_factors(t: Tensor, factors: list) -> None:
+    """Sum one leaf's factors into its grad: one GEMM and one scatter."""
+    outers = [f for f in factors if type(f) is _Outer]
+    rows = [f for f in factors if type(f) is _Rows]
+    if outers:
+        ww = np.stack([f.u for f in outers], axis=1) @ np.stack([f.v for f in outers])
+        if t.grad is None:
+            t.grad = ww
+        else:
+            t.grad += ww
+    if rows:
+        if t.grad is None:
+            t.grad = np.zeros_like(t.data)
+        tail = t.data.shape[1:]
+        np.add.at(t.grad, np.concatenate([np.reshape(f.idx, -1) for f in rows]),
+                  np.concatenate([np.reshape(f.g, (-1,) + tail) for f in rows]))
+
+
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(leaf) into every requires_grad leaf.
 
-    Repeated calls keep accumulating until the leaves' grads are zeroed.
+    Deferred leaf factors (see the module docstring) are summed once per
+    leaf after the sweep.  Repeated calls keep accumulating until the
+    leaves' grads are zeroed.
     """
     if loss.data.shape != ():
         raise ContractError(f"backward requires a scalar loss, got shape {loss.data.shape}")
@@ -166,6 +232,7 @@ def backward(loss: Tensor) -> None:
     if node is None:
         raise ContractError("loss tensor is not recorded on a tape")
     pending = {id(loss): np.ones((), dtype=np.float64)}
+    deferred: dict[int, tuple[Tensor, list]] = {}
     for n in reversed(node.tape.nodes[: node.index + 1]):
         g = pending.pop(id(n.out), None)
         if g is None:
@@ -174,15 +241,22 @@ def backward(loss: Tensor) -> None:
             if gt is None:
                 continue
             if t.node is not None:
+                if isinstance(gt, _Factor):
+                    gt = gt.dense(t.data.shape)
                 k = id(t)
                 if k in pending:
                     pending[k] = pending[k] + gt
                 else:
                     pending[k] = gt
             elif t.requires_grad:
+                if isinstance(gt, _Factor):
+                    deferred.setdefault(id(t), (t, []))[1].append(gt)
+                    continue
                 if t.grad is None:
                     t.grad = np.zeros_like(t.data)
                 t.grad += gt
+    for t, factors in deferred.values():
+        _add_factors(t, factors)
 
 
 def zeros(*shape, requires_grad: bool = False) -> Tensor:
@@ -316,14 +390,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             if bd.ndim == 2:
                 ga = g @ bd.T
             elif ad.ndim == 2:          # (m,k) @ (k,) -> (m,)
-                ga = np.outer(g, bd)
+                ga = _Outer(g, bd)
             else:                       # (k,) @ (k,) -> ()
                 ga = g * bd
         if b.requires_grad:
             if ad.ndim == 2:
                 gb = ad.T @ g
             elif bd.ndim == 2:          # (k,) @ (k,n) -> (n,)
-                gb = np.outer(ad, g)
+                gb = _Outer(ad, g)
             else:
                 gb = g * ad
         return ga, gb
@@ -456,25 +530,13 @@ def take_rows(a: Tensor, ids) -> Tensor:
     """Gather rows of a matrix; backward scatter-adds into the source."""
     idx = np.asarray(ids, dtype=np.intp)
     out = Tensor(a.data[idx])
-
-    def grad_fn(g):
-        ga = np.zeros_like(a.data)
-        np.add.at(ga, idx, g)
-        return (ga,)
-
-    return _record(out, (a,), grad_fn)
+    return _record(out, (a,), lambda g: (_Rows(idx, g),))
 
 
 def take_row(a: Tensor, i: int) -> Tensor:
     """Single row of a matrix as a (d,) vector."""
     out = Tensor(a.data[i])
-
-    def grad_fn(g):
-        ga = np.zeros_like(a.data)
-        ga[i] = g
-        return (ga,)
-
-    return _record(out, (a,), grad_fn)
+    return _record(out, (a,), lambda g: (_Rows(i, g),))
 
 
 def at(a: Tensor, i: int) -> Tensor:

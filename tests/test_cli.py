@@ -103,3 +103,29 @@ class TestErrors:
         assert main(["train", "--data-dir", str(tmp_path / "nowhere"),
                      "--epochs", "1"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_generate_missing_split_fails_cleanly(self, workspace, capsys):
+        root, data, ckpt = workspace
+        assert main(["generate", "--data-dir", str(data), "--checkpoint", str(ckpt),
+                     "--split", "nosuch", "--out", str(root / "none.jsonl")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'nosuch'" in err
+        assert not (root / "none.jsonl").exists()
+
+    def test_trace_missing_split_fails_cleanly(self, workspace, capsys):
+        root, data, ckpt = workspace
+        assert main(["trace", "--data-dir", str(data), "--checkpoint", str(ckpt),
+                     "--split", "nosuch", "--out-dir", str(root / "none")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'nosuch'" in err
+        assert not (root / "none").exists()
+
+    def test_evaluate_candidate_without_refs_fails_cleanly(self, tmp_path, capsys):
+        cands = tmp_path / "cands.jsonl"
+        cands.write_text('{"id": "a", "caption": "a dog"}\n'
+                         '{"id": "b", "caption": "a cat"}\n')
+        refs = tmp_path / "refs.jsonl"
+        refs.write_text('{"id": "a", "refs": ["a dog runs"]}\n')
+        assert main(["evaluate", "--candidates", str(cands), "--refs", str(refs)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'b'" in err

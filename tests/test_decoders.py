@@ -8,6 +8,7 @@ from capgen.decoders import (
 )
 from capgen.errors import ConfigError, ContractError, ShapeError, VocabularyError
 from capgen.tensor import Tape, Tensor, backward
+from capgen.testkit import GRADCHECK_VARIANTS, decoder_gradcheck
 from capgen.training import mle_loss
 
 
@@ -174,6 +175,11 @@ class TestTeacherForcing:
         loss_padded = float(mle_loss(lp_padded, padded).data)
         loss_bare = float(mle_loss(lp_bare, bare).data)
         assert loss_padded == pytest.approx(loss_bare, abs=1e-12)
+
+
+@pytest.mark.parametrize("variant", GRADCHECK_VARIANTS)
+def test_teacher_forced_gradcheck(variant):
+    assert decoder_gradcheck(variant, hidden=4, vocab_size=6, frames=3) < 1e-4
 
 
 class TestGateAblation:

@@ -153,3 +153,16 @@ class TestCheckpoint:
         path.write_bytes(data[:-12])
         with pytest.raises(FormatError, match="expected"):
             load_checkpoint(path)
+
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, rng):
+        path = tmp_path / "model.ckpt"
+        good = {"w": rng.standard_normal((2, 3))}
+        save_checkpoint(path, "basic", good)
+        # the first array is written before the second fails to convert
+        bad = {"w": np.zeros((2, 3)), "v": np.array(["not a number"], dtype=object)}
+        with pytest.raises(ValueError):
+            save_checkpoint(path, "basic", bad)
+        variant, loaded = load_checkpoint(path)
+        assert variant == "basic"
+        np.testing.assert_array_equal(loaded["w"], good["w"])
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]

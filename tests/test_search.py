@@ -151,6 +151,25 @@ class TestBeam:
         b = beam_search(dec, feats, k=3, max_len=5)
         assert a.tokens == b.tokens and a.logprob == b.logprob
 
+    def test_length_normalized_search_does_not_stop_on_a_rising_score(self):
+        # from BOS: EOS 0.6, word 4 0.4; after word 4: word 4 with certainty.
+        # The empty caption ranks log(0.6) = -0.511, but [4, 4, 4, 4] ranks
+        # log(0.4) / 4 = -0.229 although its raw score falls first.
+        probs = np.zeros((5, 8, 5))
+        probs[BOS_ID, :, EOS_ID] = 0.6
+        probs[BOS_ID, :, 4] = 0.4
+        probs[4, :, 4] = 1.0
+
+        class RisingDecoder(ContextualDecoder):
+            def __init__(self):
+                self.probs = probs
+
+        got = beam_search(RisingDecoder(), None, k=2, max_len=4, length_normalize=True)
+        assert got.tokens == [4, 4, 4, 4]
+        assert got.logprob == pytest.approx(np.log(0.4), abs=1e-12)
+        raw = beam_search(RisingDecoder(), None, k=2, max_len=4)
+        assert raw.tokens == [] and raw.logprob == pytest.approx(np.log(0.6), abs=1e-12)
+
     def test_invalid_width(self):
         with pytest.raises(ContractError):
             beam_search(ScriptedDecoder([np.ones(4) / 4]), None, k=0)

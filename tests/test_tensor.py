@@ -239,6 +239,65 @@ class TestBackward:
         assert y.node is None and not y.requires_grad
 
 
+class TestDeferredLeafGradients:
+    """Leaf gradients of matrix @ vector, vector @ matrix and row gathers
+    are summed once per backward; mixed with dense ones they must agree
+    with finite differences."""
+
+    def test_weight_used_as_matvec_and_matmat(self, rng):
+        w = leaf(rng.standard_normal((3, 4)))
+        v1, v2 = leaf(rng.standard_normal(4)), leaf(rng.standard_normal(4))
+        u = leaf(rng.standard_normal(3))
+        m = leaf(rng.standard_normal((4, 2)))
+        params = {"w": w, "v1": v1, "v2": v2, "u": u, "m": m}
+
+        def build():
+            return concat([
+                matmul(w, v1),                        # deferred, two steps
+                matmul(w, v2),
+                matmul(u, w),                         # deferred, vector on the left
+                reshape(matmul(w, m), (6,)),          # dense
+                matmul(tanh(w), v1),                  # node input: expanded on the spot
+            ])
+
+        assert op_gradcheck(build, params) < 1e-6
+
+    def test_embedding_read_by_take_row_and_take_rows(self, rng):
+        e = leaf(rng.standard_normal((5, 3)))
+        params = {"e": e}
+
+        def build():
+            return concat([
+                take_row(e, 2),
+                reshape(take_rows(e, [2, 0, 2]), (9,)),
+                take_row(e, 4),
+                take_row(tanh(e), 2),                 # node input: expanded on the spot
+                reshape(take_rows(e, [1]) * take_rows(e, [3]), (3,)),
+            ])
+
+        assert op_gradcheck(build, params) < 1e-6
+
+    def test_two_backward_calls_keep_accumulating(self, rng):
+        w = leaf(rng.standard_normal((3, 4)))
+        e = leaf(rng.standard_normal((6, 4)))
+        b = leaf(rng.standard_normal(3))
+        params = {"w": w, "e": e, "b": b}
+
+        def loss():
+            h = tanh(matmul(w, take_row(e, 1)) + b)
+            return sum_all(tanh(matmul(w, take_row(e, 4)) + h))
+
+        with Tape():
+            backward(loss())
+        with Tape():
+            out = loss()
+            backward(out)
+            backward(out)
+        analytic = {k: p.grad / 3.0 for k, p in params.items()}
+        numeric = fd_gradients(lambda: float(loss().data), params)
+        assert max_relative_error(analytic, numeric, floor=1e-6) < 1e-6
+
+
 class TestStructuralOps:
     def test_indexing_ops_values(self):
         m = Tensor([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
