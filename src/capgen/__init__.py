@@ -7,8 +7,7 @@ BLEU / ROUGE-L / CIDEr evaluation.
 """
 
 from .attention import (
-    AdaptiveGate, AdditiveAttention, adaptive_blend, mean_pool,
-    parallel_adaptive_blend, spatial_attend, temporal_attend,
+    AdaptiveGate, AdditiveAttention, adaptive_blend, mean_pool, parallel_adaptive_blend,
 )
 from .da import DaConfig, DeliberateDecoder, da_first_pass_distribution, da_step
 from .data import (
@@ -24,9 +23,6 @@ from .metrics import TokenizedCorpus, bleu, cider, evaluate_corpus, rouge_l
 from .optim import adadelta_update, adam_lr, adam_update, clip_gradients
 from .search import beam_search, greedy_decode
 from .tensor import Tape, Tensor, backward
-from .training import (
-    ContrastiveEncoder, RewardConfig, TrainConfig, contrastive_loss, mle_loss,
-    reward_gradient_step, train,
-)
+from .training import RewardConfig, TrainConfig, mle_loss, reward_gradient_step, train
 
 __version__ = "0.1.0"

@@ -11,14 +11,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import EmptyInputError, ShapeError
-from .layers import glorot
+from .layers import Module, glorot
 from .tensor import (
     Tensor, add_rowvec, at, matmul, mean_rows, sigmoid, softmax, tanh, transpose,
 )
 
 __all__ = [
     "AdditiveAttention", "AdaptiveGate", "TraceRow",
-    "mean_pool", "temporal_attend", "spatial_attend",
+    "mean_pool",
     "adaptive_blend", "parallel_adaptive_blend", "write_trace_csv",
 ]
 
@@ -30,7 +30,7 @@ def mean_pool(feats: Tensor) -> Tensor:
     return mean_rows(feats)
 
 
-class AdditiveAttention:
+class AdditiveAttention(Module):
     """Single-layer additive attention.
 
     Scores each feature row v against a query state h as
@@ -66,21 +66,8 @@ class AdditiveAttention:
         ctx = matmul(transpose(feats), alpha)              # (d,)
         return ctx, alpha
 
-    def parameters(self) -> dict[str, Tensor]:
-        return {"W_a": self.W_a, "U_a": self.U_a, "b_a": self.b_a, "w": self.w}
 
-
-def temporal_attend(att: AdditiveAttention, h: Tensor, frames: Tensor):
-    """Attend over frame-level features."""
-    return att.attend(h, frames)
-
-
-def spatial_attend(att: AdditiveAttention, h: Tensor, regions: Tensor):
-    """Attend over region-level features; same scorer, different rows."""
-    return att.attend(h, regions)
-
-
-class AdaptiveGate:
+class AdaptiveGate(Module):
     """Learned gate mixing attended context with the language state.
 
     arity 1: a sigmoid scalar blends two vectors.
@@ -93,9 +80,6 @@ class AdaptiveGate:
         self.hidden_dim = hidden_dim
         self.arity = arity
         self.W_s = glorot(rng, arity, hidden_dim)
-
-    def parameters(self) -> dict[str, Tensor]:
-        return {"W_s": self.W_s}
 
 
 def adaptive_blend(gate: AdaptiveGate, h: Tensor, ctx: Tensor, h_lang: Tensor,

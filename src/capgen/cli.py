@@ -8,8 +8,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import metrics
 from .attention import write_trace_csv
 from .checkpoint import load_checkpoint

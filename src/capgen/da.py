@@ -17,12 +17,13 @@ from typing import Optional
 import numpy as np
 
 from .attention import TraceRow
-from .data import BOS_ID, FeatureSet
+from .data import FeatureSet
+from .decoders import _teacher_forced
 from .errors import ConfigError, ContractError
-from .layers import Embedding, Linear, LstmCell, dropout, glorot
+from .layers import Embedding, Linear, LstmCell, Module, dropout, glorot
 from .tensor import (
-    Tensor, add_rowvec, at, concat, log, matmul, narrow, reshape, sigmoid,
-    softmax, stack_rows, tanh, transpose, zeros,
+    Tensor, add_rowvec, at, concat, matmul, narrow, reshape, sigmoid, softmax, tanh,
+    transpose, zeros,
 )
 
 __all__ = ["DaConfig", "DaState", "DeliberateDecoder", "da_step",
@@ -58,7 +59,7 @@ class DaState:
     draft: Optional[tuple] = None  # (h1_tilde, v1_hat) of the latest step
 
 
-class _ScoredAttention:
+class _ScoredAttention(Module):
     """Bias-free additive scorer w . tanh(W_v v + W_h h) over region rows."""
 
     def __init__(self, query_dim, feature_dim, attn_dim, rng):
@@ -70,11 +71,8 @@ class _ScoredAttention:
         proj = matmul(feats, transpose(self.W_v))
         return matmul(tanh(add_rowvec(proj, matmul(self.W_h, h))), self.w)
 
-    def parameters(self):
-        return {"W_v": self.W_v, "W_h": self.W_h, "w": self.w}
 
-
-class DeliberateDecoder:
+class DeliberateDecoder(Module):
     """Deliberate-attention decoder (variant tag "DA" in checkpoints)."""
 
     variant = "da"
@@ -125,57 +123,11 @@ class DeliberateDecoder:
         v_g, regions = state.feats
         return da_step(self, state, token_id, v_g, regions, training=training, rng=rng)
 
-    def parameters(self) -> dict[str, Tensor]:
-        out = {}
-        for k, v in self.embed.parameters().items():
-            out[f"embed.{k}"] = v
-        for k, v in self.lstm1.parameters().items():
-            out[f"lstm1.{k}"] = v
-        for k, v in self.W_rd.parameters().items():
-            out[f"W_rd.{k}"] = v
-        for k, v in self.attn1.parameters().items():
-            out[f"attn1.{k}"] = v
-        if self.first_head is not None:
-            for k, v in self.first_head.parameters().items():
-                out[f"first_head.{k}"] = v
-        if self.config.deliberate:
-            for k, v in self.lstm2.parameters().items():
-                out[f"lstm2.{k}"] = v
-            out["W_x"] = self.W_x
-            out["W_h"] = self.W_h
-            for k, v in self.attn2.parameters().items():
-                out[f"attn2.{k}"] = v
-            out["W_s"] = self.W_s
-            out["W_h3"] = self.W_h3
-            out["w_a"] = self.w_a
-            if self.sentinel_proj is not None:
-                for k, v in self.sentinel_proj.parameters().items():
-                    out[f"sentinel_proj.{k}"] = v
-            for k, v in self.W_sd.parameters().items():
-                out[f"W_sd.{k}"] = v
-            for k, v in self.out.parameters().items():
-                out[f"out.{k}"] = v
-        return out
-
     def forward_teacher_forced(self, features, tokens, training=False, rng=None,
                                with_aux: bool = False):
         """Log-probs (T, vocab); with_aux also returns the draft head's rows."""
-        tokens = [int(t) for t in tokens]
-        if not tokens or tokens[0] != BOS_ID:
-            raise ContractError("teacher forcing requires a caption starting with BOS")
-        if len(tokens) < 2:
-            raise ContractError("caption has no prediction steps")
-        state = self.init_state(features)
-        rows, aux_rows = [], []
-        for t in range(1, len(tokens)):
-            p, state = self.step(state, tokens[t - 1], training, rng)
-            rows.append(log(p))
-            if with_aux:
-                aux_rows.append(log(da_first_pass_distribution(self, state)))
-        main = stack_rows(rows)
-        if with_aux:
-            return main, stack_rows(aux_rows)
-        return main
+        aux = (lambda state: da_first_pass_distribution(self, state)) if with_aux else None
+        return _teacher_forced(self, features, tokens, training, rng, aux)
 
 
 def da_step(dec: DeliberateDecoder, state: DaState, token_id: int,

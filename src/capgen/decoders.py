@@ -22,7 +22,7 @@ from .attention import (
 )
 from .data import BOS_ID, FeatureSet
 from .errors import ConfigError, ContractError, ShapeError
-from .layers import Embedding, Linear, LstmCell, dropout
+from .layers import Embedding, Linear, LstmCell, Module, dropout
 from .tensor import Tensor, concat, log, softmax, stack_rows, tanh, zeros
 
 __all__ = [
@@ -74,30 +74,13 @@ def _nearest_segment_rows(frames: np.ndarray, segments: np.ndarray) -> np.ndarra
     return segments[idx]
 
 
-class _MlpHead:
-    """Word MLP: softmax(U_p tanh(W_p x + b_p) + d)."""
-
-    def __init__(self, in_dim, hidden_dim, vocab_size, rng):
-        self.out_hidden = Linear(in_dim, hidden_dim, rng)
-        self.out_vocab = Linear(hidden_dim, vocab_size, rng)
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return softmax(self.out_vocab(tanh(self.out_hidden(x))))
-
-    def parameters(self):
-        out = {}
-        for k, v in self.out_hidden.parameters().items():
-            out[f"out_hidden.{k}"] = v
-        for k, v in self.out_vocab.parameters().items():
-            out[f"out_vocab.{k}"] = v
-        return out
+def _word_head(dec, x: Tensor) -> Tensor:
+    """Word MLP: softmax(U_p tanh(W_p x + b_p) + d) over the decoder's
+    ``out_hidden`` and ``out_vocab`` layers."""
+    return softmax(dec.out_vocab(tanh(dec.out_hidden(x))))
 
 
-def _merge(prefix: str, params: dict) -> dict:
-    return {f"{prefix}.{k}": v for k, v in params.items()}
-
-
-class BasicDecoder:
+class BasicDecoder(Module):
     """Single-LSTM baseline: the mean-pooled feature vector is concatenated
     to the word embedding at every step; no attention, no gate."""
 
@@ -108,8 +91,9 @@ class BasicDecoder:
         rng = config.rng()
         c = config
         self.embed = Embedding(c.vocab_size, c.embed_dim, rng)
-        self.cell = LstmCell(c.embed_dim + c.feature_dim, c.hidden_dim, rng)
-        self.head = _MlpHead(c.hidden_dim, c.hidden_dim, c.vocab_size, rng)
+        self.lstm = LstmCell(c.embed_dim + c.feature_dim, c.hidden_dim, rng)
+        self.out_hidden = Linear(c.hidden_dim, c.hidden_dim, rng)
+        self.out_vocab = Linear(c.hidden_dim, c.vocab_size, rng)
 
     def init_state(self, features: FeatureSet, record_trace: bool = False) -> DecoderState:
         frames = Tensor(features.require("temporal"))
@@ -123,9 +107,9 @@ class BasicDecoder:
         c = self.config
         (vbar,) = state.feats
         y = concat([self.embed.lookup_one(token_id), vbar])
-        out = self.cell.step(y, state.h, state.m)
+        out = self.lstm.step(y, state.h, state.m)
         h_d = dropout(out.h, c.dropout, training, rng)
-        p = self.head(h_d)
+        p = _word_head(self, h_d)
         trace = state.trace
         if trace is not None:
             trace = trace + (TraceRow(np.ones(1), np.ones(1)),)
@@ -133,18 +117,11 @@ class BasicDecoder:
                            state.feats, trace)
         return p, new
 
-    def parameters(self) -> dict[str, Tensor]:
-        out = {}
-        out.update(_merge("embed", self.embed.parameters()))
-        out.update(_merge("lstm", self.cell.parameters()))
-        out.update(self.head.parameters())
-        return out
-
     def forward_teacher_forced(self, features, tokens, training=False, rng=None):
         return _teacher_forced(self, features, tokens, training, rng)
 
 
-class HierarchicalDecoder:
+class HierarchicalDecoder(Module):
     """Two-LSTM decoder with additive attention and the adaptive gate.
 
     ``attend_kind`` picks the attention source: "temporal" frames,
@@ -179,7 +156,8 @@ class HierarchicalDecoder:
         self.init_m = Linear(ctx_dim, c.hidden_dim, rng, bias=False)
         self.attn = AdditiveAttention(c.hidden_dim, ctx_dim, c.attn_dim, rng)
         self.gate = AdaptiveGate(c.hidden_dim, rng) if c.use_adaptive_gate else None
-        self.head = _MlpHead(c.hidden_dim + ctx_dim, c.hidden_dim, c.vocab_size, rng)
+        self.out_hidden = Linear(c.hidden_dim + ctx_dim, c.hidden_dim, rng)
+        self.out_vocab = Linear(c.hidden_dim, c.vocab_size, rng)
         # ablation hook: force the gate to a constant (e.g. 1.0 = visual only)
         self.gate_override: float | None = None
 
@@ -219,7 +197,7 @@ class HierarchicalDecoder:
             blended = ctx
             beta_val = np.ones(1)
         out_h = h_d if c.output_hidden == "bottom" else ht_d
-        p = self.head(concat([out_h, blended]))
+        p = _word_head(self, concat([out_h, blended]))
         trace = state.trace
         if trace is not None:
             trace = trace + (TraceRow(alpha.data.copy(), beta_val),)
@@ -227,24 +205,11 @@ class HierarchicalDecoder:
                            state.feats, trace)
         return p, new
 
-    def parameters(self) -> dict[str, Tensor]:
-        out = {}
-        out.update(_merge("embed", self.embed.parameters()))
-        out.update(_merge("bottom", self.bottom.parameters()))
-        out.update(_merge("top", self.top.parameters()))
-        out.update(_merge("init_h", self.init_h.parameters()))
-        out.update(_merge("init_m", self.init_m.parameters()))
-        out.update(_merge("attn", self.attn.parameters()))
-        if self.gate is not None:
-            out.update(_merge("gate", self.gate.parameters()))
-        out.update(self.head.parameters())
-        return out
-
     def forward_teacher_forced(self, features, tokens, training=False, rng=None):
         return _teacher_forced(self, features, tokens, training, rng)
 
 
-class ParallelDecoder:
+class ParallelDecoder(Module):
     """Shared decoder with two attention branches and a three-way gate.
 
     Appearance and motion features each get their own additive attention;
@@ -273,7 +238,8 @@ class ParallelDecoder:
         self.attn_static = AdditiveAttention(c.hidden_dim, c.feature_dim, c.attn_dim, rng)
         self.attn_motion = AdditiveAttention(c.hidden_dim, c.motion_dim, c.attn_dim, rng)
         self.gate = AdaptiveGate(c.hidden_dim, rng, arity=3)
-        self.head = _MlpHead(c.hidden_dim + c.feature_dim, c.hidden_dim, c.vocab_size, rng)
+        self.out_hidden = Linear(c.hidden_dim + c.feature_dim, c.hidden_dim, rng)
+        self.out_vocab = Linear(c.hidden_dim, c.vocab_size, rng)
 
     def init_state(self, features: FeatureSet, record_trace: bool = False) -> DecoderState:
         static = Tensor(features.require("temporal"))
@@ -298,26 +264,13 @@ class ParallelDecoder:
         ctx2, alpha2 = self.attn_motion.attend(h_d, motion)
         blended, betas = parallel_adaptive_blend(self.gate, h_d, ctx1, ctx2, ht_d)
         out_h = h_d if c.output_hidden == "bottom" else ht_d
-        p = self.head(concat([out_h, blended]))
+        p = _word_head(self, concat([out_h, blended]))
         trace = state.trace
         if trace is not None:
             trace = trace + (TraceRow(alpha1.data.copy(), betas.data.copy()),)
         new = DecoderState(bot.h, bot.m, top.h, top.m, state.step + 1,
                            state.feats, trace)
         return p, new
-
-    def parameters(self) -> dict[str, Tensor]:
-        out = {}
-        out.update(_merge("embed", self.embed.parameters()))
-        out.update(_merge("bottom", self.bottom.parameters()))
-        out.update(_merge("top", self.top.parameters()))
-        out.update(_merge("init_h", self.init_h.parameters()))
-        out.update(_merge("init_m", self.init_m.parameters()))
-        out.update(_merge("attn_static", self.attn_static.parameters()))
-        out.update(_merge("attn_motion", self.attn_motion.parameters()))
-        out.update(_merge("gate", self.gate.parameters()))
-        out.update(self.head.parameters())
-        return out
 
     def forward_teacher_forced(self, features, tokens, training=False, rng=None):
         return _teacher_forced(self, features, tokens, training, rng)
@@ -341,7 +294,7 @@ class TwoStreamState:
         return self.s1.trace
 
 
-class TwoStreamDecoder:
+class TwoStreamDecoder(Module):
     """Two independently trained decoders whose distributions are averaged.
 
     Each stream is a full hierarchical decoder over one feature kind.
@@ -354,25 +307,24 @@ class TwoStreamDecoder:
 
     def __init__(self, stream1: HierarchicalDecoder, stream2: HierarchicalDecoder,
                  features1: str = "temporal", features2: str = "motion"):
-        self.streams = (stream1, stream2)
+        self.stream1 = stream1
+        self.stream2 = stream2
         self.sources = (features1, features2)
 
+    @property
+    def streams(self) -> tuple[HierarchicalDecoder, HierarchicalDecoder]:
+        return self.stream1, self.stream2
+
     def init_state(self, features: FeatureSet, record_trace: bool = False) -> TwoStreamState:
-        s1 = self.streams[0].init_state(_select(features, self.sources[0]), record_trace)
-        s2 = self.streams[1].init_state(_select(features, self.sources[1]), record_trace)
+        s1 = self.stream1.init_state(_select(features, self.sources[0]), record_trace)
+        s2 = self.stream2.init_state(_select(features, self.sources[1]), record_trace)
         return TwoStreamState(s1, s2, 0)
 
     def step(self, state: TwoStreamState, token_id: int,
              training: bool = False, rng=None):
-        p1, s1 = self.streams[0].step(state.s1, token_id, training, rng)
-        p2, s2 = self.streams[1].step(state.s2, token_id, training, rng)
+        p1, s1 = self.stream1.step(state.s1, token_id, training, rng)
+        p2, s2 = self.stream2.step(state.s2, token_id, training, rng)
         return two_stream_fuse(p1, p2), TwoStreamState(s1, s2, state.step + 1)
-
-    def parameters(self) -> dict[str, Tensor]:
-        out = {}
-        out.update(_merge("stream1", self.streams[0].parameters()))
-        out.update(_merge("stream2", self.streams[1].parameters()))
-        return out
 
     def forward_teacher_forced(self, features, tokens, training=False, rng=None):
         """Per-step log-probs of the fused distribution (joint mode)."""
@@ -395,19 +347,27 @@ def _select(features: FeatureSet, kind: str) -> FeatureSet:
     return FeatureSet(temporal=arr)
 
 
-def _teacher_forced(decoder, features, tokens, training=False, rng=None) -> Tensor:
-    """Log-probs (T, vocab): step t consumes ground-truth token t-1."""
+def _teacher_forced(decoder, features, tokens, training=False, rng=None, aux=None):
+    """Log-probs (T, vocab): step t consumes ground-truth token t-1.
+
+    With ``aux``, a distribution-valued function of the state after each
+    step, also returns the (T, vocab) log-probs of that distribution.
+    """
     tokens = [int(t) for t in tokens]
     if not tokens or tokens[0] != BOS_ID:
         raise ContractError("teacher forcing requires a caption starting with BOS")
     if len(tokens) < 2:
         raise ContractError("caption has no prediction steps")
     state = decoder.init_state(features)
-    rows = []
+    rows, aux_rows = [], []
     for t in range(1, len(tokens)):
         p, state = decoder.step(state, tokens[t - 1], training, rng)
         rows.append(log(p))
-    return stack_rows(rows)
+        if aux is not None:
+            aux_rows.append(log(aux(state)))
+    if aux is None:
+        return stack_rows(rows)
+    return stack_rows(rows), stack_rows(aux_rows)
 
 
 def build_variant(kind: str, config: DecoderConfig):

@@ -11,7 +11,7 @@ from .tensor import (
     Tensor, add_rowvec, matmul, sigmoid, take_row, take_rows, tanh, transpose,
 )
 
-__all__ = ["LstmCell", "LstmOut", "Embedding", "Linear", "dropout", "glorot"]
+__all__ = ["Module", "LstmCell", "LstmOut", "Embedding", "Linear", "dropout", "glorot"]
 
 
 def glorot(rng: np.random.Generator, rows: int, cols: int) -> Tensor:
@@ -24,6 +24,28 @@ def _zeros_param(n: int) -> Tensor:
     return Tensor(np.zeros(n), requires_grad=True)
 
 
+class Module:
+    """Anything that owns trainable tensors.
+
+    ``parameters()`` walks ``vars(self)`` in assignment order.  A
+    ``Tensor`` with ``requires_grad`` is a parameter named by its
+    attribute; a ``Module`` attribute is walked in turn and its names get
+    the prefix ``"<attribute>."``; any other value, ``None`` included, is
+    skipped.  Checkpoint records are stored under these names, so renaming
+    or reordering attributes changes which checkpoints load.
+    """
+
+    def parameters(self) -> dict[str, Tensor]:
+        out = {}
+        for name, value in vars(self).items():
+            if isinstance(value, Tensor) and value.requires_grad:
+                out[name] = value
+            elif isinstance(value, Module):
+                for sub, p in value.parameters().items():
+                    out[f"{name}.{sub}"] = p
+        return out
+
+
 class LstmOut(NamedTuple):
     """One LSTM step with its gate activations kept for tracing."""
     h: Tensor
@@ -34,7 +56,7 @@ class LstmOut(NamedTuple):
     g: Tensor
 
 
-class LstmCell:
+class LstmCell(Module):
     """Single LSTM cell with separate per-gate weight blocks.
 
     i/f/o are sigmoid gates, g the tanh candidate; the memory update is
@@ -75,16 +97,8 @@ class LstmCell:
         h = o * tanh(m)
         return LstmOut(h, m, i, f, o, g)
 
-    def parameters(self) -> dict[str, Tensor]:
-        out = {}
-        for gate in self.GATES:
-            for block in ("W", "U", "b"):
-                name = f"{block}_{gate}"
-                out[name] = getattr(self, name)
-        return out
 
-
-class Embedding:
+class Embedding(Module):
     """Row-lookup word embedding E of shape (vocab_size, dim)."""
 
     def __init__(self, vocab_size: int, dim: int, rng: np.random.Generator):
@@ -107,11 +121,8 @@ class Embedding:
         self._check((idx,))
         return take_row(self.E, int(idx))
 
-    def parameters(self) -> dict[str, Tensor]:
-        return {"E": self.E}
 
-
-class Linear:
+class Linear(Module):
     """Affine map y = W x (+ b); also applies row-wise to matrices."""
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator,
@@ -127,12 +138,6 @@ class Linear:
             return y + self.b if self.b is not None else y
         y = matmul(x, transpose(self.W))
         return add_rowvec(y, self.b) if self.b is not None else y
-
-    def parameters(self) -> dict[str, Tensor]:
-        out = {"W": self.W}
-        if self.b is not None:
-            out["b"] = self.b
-        return out
 
 
 def dropout(x: Tensor, rate: float, training: bool,

@@ -76,18 +76,6 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data)
-
-    def zero_grad(self):
-        self.grad = None
-
-    def backward(self):
-        backward(self)
-
-    def sum(self) -> "Tensor":
-        return sum_all(self)
-
     # operator sugar; scalars are the one allowed mixed form
     def __add__(self, other):
         return add(self, other)
@@ -110,9 +98,6 @@ class Tensor:
 
     def __neg__(self):
         return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"

@@ -10,7 +10,7 @@ import numpy as np
 
 from .da import DaConfig, DeliberateDecoder
 from .data import BOS_ID, EOS_ID, CaptionBatch, FeatureSet
-from .decoders import DecoderConfig, TwoStreamDecoder, build_variant
+from .decoders import DecoderConfig, build_variant
 from .gradcheck import check_gradients
 from .training import mle_loss
 

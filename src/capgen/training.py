@@ -12,7 +12,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -23,18 +23,16 @@ from .data import (
     BOS_ID, EOS_ID, CaptionBatch, Dataset, FeatureSet, Vocabulary, tokenize,
 )
 from .decoders import DecoderConfig, TwoStreamDecoder, build_variant
-from .errors import ConfigError, ContractError, EmptyInputError, ShapeError
-from .layers import Embedding, Linear, LstmCell
+from .errors import ConfigError, EmptyInputError, ShapeError
 from .optim import (
     adadelta_update, adam_lr, adam_update, clip_gradients, opt_state_arrays,
     opt_state_from_arrays, zero_grads,
 )
 from .search import greedy_decode
-from .tensor import Tape, Tensor, at, backward, log, matmul, pick_per_row, relu, sqrt, sum_all, zeros
+from .tensor import Tape, Tensor, at, backward, log, pick_per_row, sum_all
 
 __all__ = [
-    "mle_loss", "ContrastiveEncoder", "contrastive_loss",
-    "RewardConfig", "reward_gradient_step", "make_cider_reward",
+    "mle_loss", "RewardConfig", "reward_gradient_step", "make_cider_reward",
     "TrainConfig", "TrainResult", "train", "parse_config_file",
 ]
 
@@ -61,71 +59,6 @@ def mle_loss(log_probs, targets: CaptionBatch) -> Tensor:
     return total * (1.0 / len(targets))
 
 
-class ContrastiveEncoder:
-    """Caption/image encoders with projections into a shared cosine space."""
-
-    def __init__(self, vocab_size: int, embed_dim: int, rnn_hidden: int,
-                 image_dim: int, joint_dim: int = 1024, margin: float = 0.2,
-                 seed: int = 0):
-        rng = np.random.default_rng(seed)
-        self.margin = margin
-        self.rnn_hidden = rnn_hidden
-        self.embed = Embedding(vocab_size, embed_dim, rng)
-        self.cell = LstmCell(embed_dim, rnn_hidden, rng)
-        self.W_v = Linear(image_dim, joint_dim, rng, bias=False)
-        self.W_c = Linear(rnn_hidden, joint_dim, rng, bias=False)
-
-    def encode_caption(self, token_ids) -> Tensor:
-        h = zeros(self.rnn_hidden)
-        m = zeros(self.rnn_hidden)
-        for t in token_ids:
-            out = self.cell.step(self.embed.lookup_one(int(t)), h, m)
-            h, m = out.h, out.m
-        return self.W_c(h)
-
-    def encode_image(self, image_vec) -> Tensor:
-        v = image_vec if isinstance(image_vec, Tensor) else Tensor(image_vec)
-        return self.W_v(v)
-
-    def parameters(self) -> dict[str, Tensor]:
-        out = {}
-        for prefix, layer in (("embed", self.embed), ("rnn", self.cell),
-                              ("W_v", self.W_v), ("W_c", self.W_c)):
-            for k, v in layer.parameters().items():
-                out[f"{prefix}.{k}"] = v
-        return out
-
-
-def _cosine(a: Tensor, b: Tensor) -> Tensor:
-    num = matmul(a, b)
-    return num / (sqrt(sum_all(a * a)) * sqrt(sum_all(b * b)))
-
-
-def contrastive_loss(enc: ContrastiveEncoder, images, captions) -> Tensor:
-    """Two hinge losses against the hardest in-batch negatives, batch mean.
-
-    ``images`` are feature vectors, ``captions`` token-id sequences; the
-    pair (images[i], captions[i]) is the positive for sample i.
-    """
-    n = len(images)
-    if n != len(captions):
-        raise ShapeError(f"{n} images vs {len(captions)} captions")
-    if n < 2:
-        raise ContractError("contrastive loss needs a batch of at least 2")
-    fx = [enc.encode_image(v) for v in images]
-    fc = [enc.encode_caption(c) for c in captions]
-    sims = [[_cosine(fx[i], fc[j]) for j in range(n)] for i in range(n)]
-    total = None
-    for i in range(n):
-        pos = sims[i][i]
-        hard_c = max((j for j in range(n) if j != i), key=lambda j: float(sims[i][j].data))
-        hard_x = max((j for j in range(n) if j != i), key=lambda j: float(sims[j][i].data))
-        term = (relu(enc.margin + sims[i][hard_c] - pos)
-                + relu(enc.margin + sims[hard_x][i] - pos))
-        total = term if total is None else total + term
-    return total * (1.0 / n)
-
-
 @dataclass
 class RewardConfig:
     """How to score sampled captions during reward fine-tuning.
@@ -140,21 +73,16 @@ class RewardConfig:
     max_len: int = 30
 
 
-def make_cider_reward(vocab: Vocabulary, corpus_refs: list[list[str]],
-                      contrastive: Callable[[list[int]], float] | None = None):
+def make_cider_reward(vocab: Vocabulary, corpus_refs: list[list[str]]):
     """Reward = CIDEr of the caption against its references, with document
-    frequencies taken from the whole reference corpus; optionally minus a
-    contrastive penalty."""
+    frequencies taken from the whole reference corpus."""
     ref_tokens = [[tokenize(r) for r in refs] for refs in corpus_refs]
 
     def reward(tokens: list[int], refs: list[str]) -> float:
         cand = vocab.decode(tokens)
         here = [tokenize(r) for r in refs]
         corpus = metrics.TokenizedCorpus([cand], [here], df_refs=ref_tokens)
-        value = metrics.cider(corpus)
-        if contrastive is not None:
-            value -= contrastive(tokens)
-        return value
+        return metrics.cider(corpus)
 
     return reward
 
@@ -407,12 +335,14 @@ def train(cfg: TrainConfig) -> TrainResult:
             break
 
     if cfg.rl_epochs > 0:
-        _reward_stage(cfg, decoder, params, dataset, vocab, history, ckpt_path)
+        ckpt_path = _reward_stage(cfg, decoder, params, dataset, vocab, history, ckpt_path)
 
     return TrainResult(history, best_val, ckpt_path, decoder, vocab)
 
 
-def _reward_stage(cfg, decoder, params, dataset, vocab, history, ckpt_path):
+def _reward_stage(cfg, decoder, params, dataset, vocab, history, ckpt_path) -> str:
+    """Self-critical fine-tuning; saves to ``<ckpt_path>.rl`` with its Adam
+    state, leaving the best MLE checkpoint in place, and returns that path."""
     reward = make_cider_reward(vocab, [s.refs for s in dataset.splits["train"]])
     opt_state: dict = {}
     train_samples = dataset.splits["train"]
@@ -434,8 +364,10 @@ def _reward_stage(cfg, decoder, params, dataset, vocab, history, ckpt_path):
         if cfg.log_path:
             with open(cfg.log_path, "a") as fh:
                 fh.write(json.dumps(entry) + "\n")
-    _save(ckpt_path, cfg, decoder, params, {}, cfg.epochs + cfg.rl_epochs - 1,
+    rl_path = f"{ckpt_path}.rl"
+    _save(rl_path, cfg, decoder, params, opt_state, cfg.epochs + cfg.rl_epochs - 1,
           history[-1]["val_metric"], 0)
+    return rl_path
 
 
 def _save(path, cfg, decoder, params, opt_state, epoch, best_val, stale):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from capgen.attention import (
     AdaptiveGate, AdditiveAttention, TraceRow, adaptive_blend, mean_pool,
-    parallel_adaptive_blend, spatial_attend, temporal_attend, write_trace_csv,
+    parallel_adaptive_blend, write_trace_csv,
 )
 from capgen.errors import EmptyInputError, ShapeError
 from capgen.gradcheck import check_gradients
@@ -42,7 +42,7 @@ class TestTemporalAttend:
     def test_single_frame_gets_all_weight(self, rng):
         att = make_attention(rng)
         v = rng.standard_normal((1, 3))
-        ctx, alpha = temporal_attend(att, Tensor(rng.standard_normal(4)), Tensor(v))
+        ctx, alpha = att.attend(Tensor(rng.standard_normal(4)), Tensor(v))
         np.testing.assert_array_equal(alpha.data, [1.0])
         np.testing.assert_allclose(ctx.data, v[0], atol=1e-15)
 
@@ -51,14 +51,14 @@ class TestTemporalAttend:
         for p in att.parameters().values():
             p.data[:] = 0.0
         v = rng.standard_normal((6, 3))
-        ctx, alpha = temporal_attend(att, Tensor(rng.standard_normal(4)), Tensor(v))
+        ctx, alpha = att.attend(Tensor(rng.standard_normal(4)), Tensor(v))
         np.testing.assert_allclose(alpha.data, np.full(6, 1 / 6), atol=1e-15)
         np.testing.assert_allclose(ctx.data, mean_pool(Tensor(v)).data, atol=1e-15)
 
     def test_context_matches_explicit_weighted_sum(self, rng):
         att = make_attention(rng)
         v = rng.standard_normal((5, 3))
-        ctx, alpha = temporal_attend(att, Tensor(rng.standard_normal(4)), Tensor(v))
+        ctx, alpha = att.attend(Tensor(rng.standard_normal(4)), Tensor(v))
         manual = sum(alpha.data[l] * v[l] for l in range(5))
         np.testing.assert_allclose(ctx.data, manual, atol=1e-12)
 
@@ -89,18 +89,9 @@ class TestSpatialAttend:
     def test_single_region(self, rng):
         att = make_attention(rng)
         r = rng.standard_normal((1, 3))
-        ctx, alpha = spatial_attend(att, Tensor(rng.standard_normal(4)), Tensor(r))
+        ctx, alpha = att.attend(Tensor(rng.standard_normal(4)), Tensor(r))
         np.testing.assert_array_equal(alpha.data, [1.0])
         np.testing.assert_allclose(ctx.data, r[0], atol=1e-15)
-
-    def test_agrees_with_temporal_on_same_input(self, rng):
-        att = make_attention(rng)
-        h = Tensor(rng.standard_normal(4))
-        feats = Tensor(rng.standard_normal((6, 3)))
-        ctx_t, alpha_t = temporal_attend(att, h, feats)
-        ctx_s, alpha_s = spatial_attend(att, h, feats)
-        np.testing.assert_array_equal(ctx_t.data, ctx_s.data)
-        np.testing.assert_array_equal(alpha_t.data, alpha_s.data)
 
 
 class TestAdaptiveBlend:

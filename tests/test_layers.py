@@ -4,7 +4,7 @@ import pytest
 from capgen.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from capgen.errors import ContractError, FormatError, ShapeError, VocabularyError
 from capgen.gradcheck import check_gradients
-from capgen.layers import Embedding, Linear, LstmCell, dropout
+from capgen.layers import Embedding, Linear, LstmCell, Module, dropout
 from capgen.tensor import Tape, Tensor, backward, sum_all, zeros
 
 
@@ -166,3 +166,24 @@ class TestCheckpoint:
         assert variant == "basic"
         np.testing.assert_array_equal(loaded["w"], good["w"])
         assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+
+def test_module_parameters_walk_attributes_in_assignment_order():
+    class Inner(Module):
+        def __init__(self):
+            self.W = Tensor(np.ones(2), requires_grad=True)
+            self.fixed = Tensor(np.ones(2))
+
+    class Outer(Module):
+        def __init__(self):
+            self.z = Tensor(np.zeros(1), requires_grad=True)
+            self.inner = Inner()
+            self.absent = None
+            self.width = 3
+            self.proj = Linear(2, 3, np.random.default_rng(0), bias=False)
+            self.a = Tensor(np.zeros(1), requires_grad=True)
+
+    outer = Outer()
+    params = outer.parameters()
+    assert list(params) == ["z", "inner.W", "proj.W", "a"]
+    assert params["inner.W"] is outer.inner.W
