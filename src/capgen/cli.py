@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from pathlib import Path
 
 from . import metrics
@@ -175,13 +176,17 @@ def _generate(args) -> int:
     for sample in samples:
         feats = dataset.features(sample)
         want_trace = trace_dir is not None
+        t0 = time.perf_counter()
         if args.beam == 1:
             gen = greedy_decode(decoder, feats, args.max_len, record_trace=want_trace)
         else:
             gen = beam_search(decoder, feats, args.beam, args.max_len,
                               record_trace=want_trace)
+        latency_ms = (time.perf_counter() - t0) * 1e3
         words = vocab.decode(gen.tokens)
-        entry = {"id": sample.id, "caption": " ".join(words), "logprob": gen.logprob}
+        entry = {"id": sample.id, "caption": " ".join(words), "logprob": gen.logprob,
+                 "latency_ms": latency_ms, "steps": gen.steps,
+                 "stopped_early": gen.stopped_early, "finished": gen.finished}
         if want_trace and gen.trace:
             path = trace_dir / f"{sample.id}.csv"
             write_trace_csv(path, words + ["<eos>"], gen.trace)

@@ -36,17 +36,37 @@ def _check_grad(name: str, p: Tensor) -> np.ndarray | None:
 
 def adadelta_update(params: dict[str, Tensor], state: dict, rho: float = 0.95,
                     eps: float = 1e-6) -> None:
-    """Adaptive-learning-rate update with squared-grad and squared-step EMAs."""
+    """Adaptive-learning-rate update with squared-grad and squared-step EMAs.
+
+    Computed in place with two scratch arrays, keeping the operands and
+    order of ``Eg = rho*Eg + (1-rho)*g*g``,
+    ``dx = -sqrt(Ex+eps) / sqrt(Eg+eps) * g``, ``Ex = rho*Ex + (1-rho)*dx*dx``
+    and ``p += dx``, so the result has the same bits as those expressions.
+    """
     for name, p in params.items():
         g = _check_grad(name, p)
         if g is None:
             continue
+        dx, tmp = np.empty_like(p.data), np.empty_like(p.data)
         st = state.get(name)
         if st is None:
             st = state[name] = {"Eg": np.zeros_like(p.data), "Ex": np.zeros_like(p.data)}
-        st["Eg"] = rho * st["Eg"] + (1.0 - rho) * g * g
-        dx = -np.sqrt(st["Ex"] + eps) / np.sqrt(st["Eg"] + eps) * g
-        st["Ex"] = rho * st["Ex"] + (1.0 - rho) * dx * dx
+        Eg, Ex = st["Eg"], st["Ex"]
+        Eg *= rho
+        np.multiply(g, 1.0 - rho, out=tmp)
+        tmp *= g
+        Eg += tmp
+        np.add(Ex, eps, out=dx)
+        np.sqrt(dx, out=dx)
+        np.negative(dx, out=dx)
+        np.add(Eg, eps, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        dx /= tmp
+        dx *= g
+        Ex *= rho
+        np.multiply(dx, 1.0 - rho, out=tmp)
+        tmp *= dx
+        Ex += tmp
         p.data += dx
 
 
@@ -57,19 +77,33 @@ def adam_lr(base_lr: float, epoch: int, factor: float = 0.8, every: int = 15) ->
 
 def adam_update(params: dict[str, Tensor], state: dict, lr: float,
                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
+    """Bias-corrected Adam, computed in place like ``adadelta_update``, from
+    ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g`` and
+    ``p -= lr * (m / (1-b1**t)) / (sqrt(v / (1-b2**t)) + eps)``."""
     state["step"] = t = state.get("step", 0) + 1
     for name, p in params.items():
         g = _check_grad(name, p)
         if g is None:
             continue
+        step, tmp = np.empty_like(p.data), np.empty_like(p.data)
         st = state.get(name)
         if st is None:
             st = state[name] = {"m": np.zeros_like(p.data), "v": np.zeros_like(p.data)}
-        st["m"] = beta1 * st["m"] + (1.0 - beta1) * g
-        st["v"] = beta2 * st["v"] + (1.0 - beta2) * g * g
-        m_hat = st["m"] / (1.0 - beta1 ** t)
-        v_hat = st["v"] / (1.0 - beta2 ** t)
-        p.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        m, v = st["m"], st["v"]
+        m *= beta1
+        np.multiply(g, 1.0 - beta1, out=tmp)
+        m += tmp
+        v *= beta2
+        np.multiply(g, 1.0 - beta2, out=tmp)
+        tmp *= g
+        v += tmp
+        np.divide(m, 1.0 - beta1 ** t, out=step)
+        step *= lr
+        np.divide(v, 1.0 - beta2 ** t, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += eps
+        step /= tmp
+        p.data -= step
 
 
 def opt_state_arrays(state: dict) -> dict[str, np.ndarray]:

@@ -255,6 +255,9 @@ def _val_score(cfg, decoder, dataset, vocab, split="val") -> float:
 def train(cfg: TrainConfig) -> TrainResult:
     """Stage-1 MLE training with early stopping; optional stage-2 rewards.
 
+    The reward stage and the returned decoder start from the best
+    checkpoint's weights, not from the last epoch's.
+
     Seeded end to end: parameter init, sample order and dropout masks all
     derive from cfg.seed, so one configuration reproduces bit-identical
     epoch losses.
@@ -289,6 +292,8 @@ def train(cfg: TrainConfig) -> TrainResult:
 
     history: list[dict] = []
     ckpt_path = cfg.checkpoint or str(Path(cfg.data_dir) / "model.ckpt")
+    best_path = cfg.resume or None  # the file that holds the best weights so far
+    stale_weights = False           # the weights in params are not the best
 
     for epoch in range(start_epoch, cfg.epochs):
         t0 = time.perf_counter()
@@ -322,8 +327,10 @@ def train(cfg: TrainConfig) -> TrainResult:
             best_val = val
             stale = 0
             _save(ckpt_path, cfg, decoder, params, opt_state, epoch, best_val, stale)
+            best_path = ckpt_path
         else:
             stale += 1
+        stale_weights = not improved
         entry = {"epoch": epoch, "loss": epoch_loss, "val_metric": val,
                  "lr": lr if cfg.optimizer == "adam" else None,
                  "wall_time": time.perf_counter() - t0}
@@ -333,6 +340,11 @@ def train(cfg: TrainConfig) -> TrainResult:
                 fh.write(json.dumps(entry) + "\n")
         if cfg.patience and stale >= cfg.patience:
             break
+
+    if stale_weights and best_path:
+        _, arrays = load_checkpoint(best_path)
+        for name, p in params.items():
+            p.data[...] = arrays[name]
 
     if cfg.rl_epochs > 0:
         ckpt_path = _reward_stage(cfg, decoder, params, dataset, vocab, history, ckpt_path)

@@ -4,7 +4,6 @@ import json
 import pytest
 
 from capgen.cli import main
-from capgen.data import Dataset
 
 
 @pytest.fixture(scope="module")
@@ -35,6 +34,11 @@ class TestPipeline:
         rows = [json.loads(l) for l in out.read_text().splitlines()]
         assert len(rows) == 3
         assert all({"id", "caption", "logprob"} <= set(r) for r in rows)
+        for r in rows:  # per-caption latency and beam statistics
+            assert r["latency_ms"] > 0
+            assert 1 <= r["steps"] <= 6 and isinstance(r["stopped_early"], bool)
+            assert 0 <= r["finished"] <= 2
+            assert r["stopped_early"] or r["steps"] == 6
 
     def test_generate_with_traces(self, workspace):
         root, data, ckpt = workspace

@@ -4,7 +4,6 @@ import pytest
 from capgen.da import DaConfig, DeliberateDecoder, da_first_pass_distribution, da_step
 from capgen.data import BOS_ID, EOS_ID, CaptionBatch, FeatureSet
 from capgen.errors import ConfigError, ContractError
-from capgen.tensor import Tensor
 from capgen.testkit import decoder_gradcheck
 from capgen.training import mle_loss
 

@@ -1,11 +1,9 @@
-import json
-
 import numpy as np
 import pytest
 
 from capgen.data import (
-    BOS_ID, EOS_ID, PAD_ID, UNK_ID, CaptionBatch, Dataset, FeatureSet,
-    Vocabulary, build_vocab, load_features, read_feature_file, synth_dataset,
+    BOS_ID, EOS_ID, PAD_ID, UNK_ID, CaptionBatch, Dataset, Vocabulary,
+    build_vocab, load_features, read_feature_file, synth_dataset,
     tokenize, truncate_captions, write_feature_file,
 )
 from capgen.errors import ContractError, EmptyInputError, FormatError, VocabularyError

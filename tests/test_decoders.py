@@ -3,7 +3,7 @@ import pytest
 
 from capgen.data import BOS_ID, EOS_ID, CaptionBatch, FeatureSet
 from capgen.decoders import (
-    DecoderConfig, HierarchicalDecoder, ParallelDecoder, TwoStreamDecoder,
+    DecoderConfig, HierarchicalDecoder, ParallelDecoder,
     build_variant, two_stream_fuse,
 )
 from capgen.errors import ConfigError, ContractError, ShapeError, VocabularyError

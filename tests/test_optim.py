@@ -77,6 +77,61 @@ class TestAdam:
         assert abs(p.data[0] - 0.5) < 1e-6
 
 
+def reference_adadelta(params, state, rho=0.95, eps=1e-6):
+    for name, p in params.items():
+        g = p.grad
+        if g is None:
+            continue
+        st = state.setdefault(name, {"Eg": np.zeros_like(p.data), "Ex": np.zeros_like(p.data)})
+        st["Eg"] = rho * st["Eg"] + (1.0 - rho) * g * g
+        dx = -np.sqrt(st["Ex"] + eps) / np.sqrt(st["Eg"] + eps) * g
+        st["Ex"] = rho * st["Ex"] + (1.0 - rho) * dx * dx
+        p.data += dx
+
+
+def reference_adam(params, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    state["step"] = t = state.get("step", 0) + 1
+    for name, p in params.items():
+        g = p.grad
+        if g is None:
+            continue
+        st = state.setdefault(name, {"m": np.zeros_like(p.data), "v": np.zeros_like(p.data)})
+        st["m"] = beta1 * st["m"] + (1.0 - beta1) * g
+        st["v"] = beta2 * st["v"] + (1.0 - beta2) * g * g
+        m_hat = st["m"] / (1.0 - beta1 ** t)
+        v_hat = st["v"] / (1.0 - beta2 ** t)
+        p.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+@pytest.mark.parametrize("update,reference", [
+    (adadelta_update, reference_adadelta),
+    (lambda ps, st: adam_update(ps, st, lr=0.003), lambda ps, st: reference_adam(ps, st, 0.003)),
+], ids=["adadelta", "adam"])
+def test_in_place_update_matches_reference_formulas(rng, update, reference):
+    shapes = {"w": (7, 5), "b": (7,), "frozen": (3,), "e": (11, 4)}
+    init = {k: rng.standard_normal(s) for k, s in shapes.items()}
+    got = {k: param(v.copy()) for k, v in init.items()}
+    want = {k: param(v.copy()) for k, v in init.items()}
+    got_state, want_state = {}, {}
+    for _ in range(3):  # Adam's bias correction differs at every step
+        for k, s in shapes.items():
+            g = None if k == "frozen" else rng.standard_normal(s) * 3.0
+            got[k].grad = None if g is None else g.copy()
+            want[k].grad = None if g is None else g.copy()
+        update(got, got_state)
+        reference(want, want_state)
+        for k in shapes:
+            assert np.array_equal(got[k].data, want[k].data), k
+    assert got_state.keys() == want_state.keys()
+    for key, val in want_state.items():
+        if isinstance(val, dict):
+            assert val.keys() == got_state[key].keys()
+            for slot, arr in val.items():
+                assert np.array_equal(got_state[key][slot], arr), (key, slot)
+        else:
+            assert got_state[key] == val
+
+
 class TestClip:
     def test_within_threshold_untouched(self):
         p = param([1.0])

@@ -3,11 +3,15 @@ import itertools
 import numpy as np
 import pytest
 
+import capgen.search
+import oracle_search
+from capgen.da import DaConfig, DeliberateDecoder
 from capgen.data import BOS_ID, EOS_ID, FeatureSet
 from capgen.decoders import DecoderConfig, HierarchicalDecoder
 from capgen.errors import ContractError
 from capgen.search import beam_search, greedy_decode, write_generations
 from capgen.tensor import Tensor
+from capgen.testkit import GRADCHECK_VARIANTS, tiny_decoder, tiny_features
 
 
 class ScriptedDecoder:
@@ -173,6 +177,87 @@ class TestBeam:
     def test_invalid_width(self):
         with pytest.raises(ContractError):
             beam_search(ScriptedDecoder([np.ones(4) / 4]), None, k=0)
+
+
+class QuantisedDecoder(ContextualDecoder):
+    """Distributions from a few integer levels, many of them zero, so that
+    equal scores, ties at the k-th place and rows with fewer than k
+    positive tokens are common."""
+
+    def __init__(self, vocab, seed):
+        rng = np.random.default_rng(seed)
+        counts = rng.integers(1, 4, size=(vocab, 8, vocab)).astype(np.float64)
+        counts[rng.random(counts.shape) < 0.45] = 0.0
+        counts[..., EOS_ID] += counts.sum(axis=2) == 0  # no row without a token
+        self.probs = counts / counts.sum(axis=2, keepdims=True)
+
+
+class TestMatchesOracle:
+    """Captions and log-probs equal the candidate-list search exactly."""
+
+    def test_tie_heavy_toys(self, monkeypatch):
+        seen = {"tie_at_cut": 0, "fewer_than_k": 0, "zeros": 0}
+        expand = capgen.search._expand
+
+        def counting_expand(live, P, k):
+            with np.errstate(divide="ignore"):
+                scores = np.array([h.logprob for h in live])[:, None] + np.log(P)
+            finite = np.sort(scores[P > 0])[::-1]
+            seen["zeros"] += int((P <= 0).any())
+            seen["fewer_than_k"] += int(finite.size < k)
+            seen["tie_at_cut"] += int(finite.size > k and finite[k - 1] == finite[k])
+            return expand(live, P, k)
+
+        monkeypatch.setattr(capgen.search, "_expand", counting_expand)
+        for seed in range(150):
+            dec = QuantisedDecoder(vocab=5 + seed % 8, seed=seed)
+            for k in (1, 2, 3, 5, 8):
+                for norm in (False, True):
+                    want = oracle_search.beam_search(dec, None, k, 7, norm)
+                    got = beam_search(dec, None, k=k, max_len=7, length_normalize=norm)
+                    assert (got.tokens, got.logprob) == want, (seed, k, norm)
+        assert min(seen.values()) > 0, seen
+
+    @pytest.mark.parametrize("variant", GRADCHECK_VARIANTS + ("da_plain",))
+    def test_tiny_decoders(self, variant):
+        rng = np.random.default_rng(3)
+        if variant == "da_plain":  # DA without the first-pass head
+            dec = DeliberateDecoder(DaConfig(vocab_size=12, hidden_dim=8, embed_dim=8,
+                                             attn_dim=7, region_dim=6, global_dim=5))
+            dims = {"dim": 8, "motion_dim": 8, "region_dim": 6, "global_dim": 5}
+        else:
+            dec, dims = tiny_decoder(variant)
+        feats = tiny_features(rng, 4, dims["dim"], dims["motion_dim"],
+                              dims["region_dim"], dims["global_dim"])
+        for k in (2, 5):
+            for norm in (False, True):
+                want = oracle_search.beam_search(dec, feats, k, 6, norm)
+                got = beam_search(dec, feats, k=k, max_len=6, length_normalize=norm)
+                assert (got.tokens, got.logprob) == want, (k, norm)
+
+
+class TestStatistics:
+    def test_finished_pool_and_early_stop(self):
+        eos = np.zeros(6)
+        eos[EOS_ID] = 1.0
+        gen = beam_search(ScriptedDecoder([eos]), None, k=3, max_len=5)
+        assert (gen.steps, gen.stopped_early, gen.finished) == (1, True, 1)
+
+    def test_max_len_cap(self):
+        row = np.zeros(6)
+        row[4] = row[5] = 0.5  # never emits EOS
+        gen = beam_search(ScriptedDecoder([row]), None, k=2, max_len=4)
+        assert (gen.steps, gen.stopped_early, gen.finished) == (4, False, 0)
+
+    def test_greedy(self):
+        row = np.zeros(6)
+        row[4] = 1.0
+        eos = np.zeros(6)
+        eos[EOS_ID] = 1.0
+        gen = greedy_decode(ScriptedDecoder([row, row, eos]), None, max_len=5)
+        assert (gen.steps, gen.stopped_early, gen.finished) == (3, True, 1)
+        capped = greedy_decode(ScriptedDecoder([row]), None, max_len=5)
+        assert (capped.steps, capped.stopped_early, capped.finished) == (5, False, 0)
 
 
 class TestOutput:

@@ -6,9 +6,8 @@ import pytest
 
 from capgen.checkpoint import load_checkpoint
 from capgen.data import BOS_ID, EOS_ID, CaptionBatch, synth_dataset
-from capgen.decoders import DecoderConfig, HierarchicalDecoder
 from capgen.errors import ConfigError, ShapeError
-from capgen.tensor import Tape, Tensor, at, backward, softmax
+from capgen.tensor import Tensor, softmax
 from capgen.training import (
     RewardConfig, TrainConfig, mle_loss, parse_config_file, reward_gradient_step, train,
 )
@@ -204,6 +203,17 @@ class TestTrainDriver:
         result = train(cfg)
         # first epoch improves over -inf, then exactly `patience` stale epochs
         assert len(result.history) == 4
+
+    def test_returns_best_checkpoint_weights(self, tiny_dataset, tmp_path, monkeypatch):
+        import capgen.training as tr
+        scores = iter([0.1, 0.5, 0.3, 0.2])  # best at epoch 1 of 4
+        monkeypatch.setattr(tr, "_val_score", lambda *a, **k: next(scores))
+        ckpt = tmp_path / "m.ckpt"
+        result = train(self.base_config(tiny_dataset, epochs=4, checkpoint=str(ckpt)))
+        _, arrays = load_checkpoint(ckpt)
+        assert int(arrays["meta/epoch"]) == 1 and result.best_val == 0.5
+        for name, p in result.decoder.parameters().items():
+            assert np.array_equal(p.data, arrays[name]), name
 
     def test_resume_reproduces_next_epoch_loss(self, tiny_dataset, tmp_path):
         full = train(self.base_config(tiny_dataset, epochs=4, val_metric="loss",
