@@ -12,7 +12,7 @@ from .attention import (
 from .da import DaConfig, DeliberateDecoder, da_first_pass_distribution, da_step
 from .data import (
     BOS_ID, EOS_ID, PAD_ID, UNK_ID, CaptionBatch, Dataset, FeatureSet,
-    Vocabulary, build_vocab, load_features, synth_dataset, truncate_captions,
+    Vocabulary, build_vocab, load_features, synth_dataset,
 )
 from .decoders import (
     DecoderConfig, HierarchicalDecoder, TwoStreamDecoder, build_variant,

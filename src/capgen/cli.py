@@ -150,25 +150,27 @@ def _split(dataset, name: str):
     return dataset.splits[name]
 
 
-def _restore(data_dir, checkpoint):
+def _restore(data_dir, checkpoint, split: str):
+    """Dataset, vocabulary, decoder and ``split``'s samples; the decoder is
+    sized from the first sample of the split it decodes."""
     dataset = Dataset.load(data_dir)
     vocab = Vocabulary.load(Path(data_dir) / "vocab.json")
     variant, arrays = load_checkpoint(checkpoint)
-    probe = dataset.features(_split(dataset, "train")[0])
+    samples = _split(dataset, split)
+    if not samples:
+        raise ConfigError(f"split {split!r} has no samples")
+    probe = dataset.features(samples[0])
     values = {"variant": variant, "data_dir": str(data_dir), "dropout": 0.0}
     for dim in ("hidden_dim", "embed_dim", "attn_dim"):
         if f"meta/{dim}" in arrays:
             values[dim] = int(arrays[f"meta/{dim}"])
     decoder = _build_decoder(TrainConfig(values), vocab, probe)
-    params = decoder.parameters()
-    for name, p in params.items():
-        p.data[...] = arrays[name]
-    return dataset, vocab, decoder
+    decoder.load_arrays(arrays)
+    return dataset, vocab, decoder, samples
 
 
 def _generate(args) -> int:
-    dataset, vocab, decoder = _restore(args.data_dir, args.checkpoint)
-    samples = _split(dataset, args.split)
+    dataset, vocab, decoder, samples = _restore(args.data_dir, args.checkpoint, args.split)
     results = []
     trace_dir = Path(args.trace_dir) if args.trace_dir else None
     if trace_dir:
@@ -242,8 +244,7 @@ def _gradcheck(args) -> int:
 
 
 def _trace(args) -> int:
-    dataset, vocab, decoder = _restore(args.data_dir, args.checkpoint)
-    samples = _split(dataset, args.split)
+    dataset, vocab, decoder, samples = _restore(args.data_dir, args.checkpoint, args.split)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     n = 0

@@ -53,10 +53,9 @@ class DaState:
     m1: Tensor
     h2: Tensor
     m2: Tensor
-    step: int
-    feats: tuple                 # (global vector, region matrix)
-    trace: Optional[tuple]
+    feats: tuple                   # (global vector, region matrix)
     draft: Optional[tuple] = None  # (h1_tilde, v1_hat) of the latest step
+    row: Optional[TraceRow] = None  # the latest step's trace row
 
 
 class _ScoredAttention(Module):
@@ -110,14 +109,14 @@ class DeliberateDecoder(Module):
             self.W_sd = Linear(2 * c.hidden_dim + c.region_dim, c.hidden_dim, rng, bias=False)
             self.out = Linear(c.hidden_dim, c.vocab_size, rng)
 
-    def init_state(self, features: FeatureSet, record_trace: bool = False) -> DaState:
+    def init_state(self, features: FeatureSet) -> DaState:
         v_g = Tensor(features.require("global"))
         regions = Tensor(features.require("spatial"))
         c = self.config
         if v_g.shape != (c.global_dim,):
             raise ConfigError(f"global feature dim {v_g.shape} != configured {c.global_dim}")
         z = zeros(c.hidden_dim)
-        return DaState(z, z, z, z, 0, (v_g, regions), () if record_trace else None)
+        return DaState(z, z, z, z, (v_g, regions))
 
     def step(self, state: DaState, token_id: int, training: bool = False, rng=None):
         v_g, regions = state.feats
@@ -150,12 +149,8 @@ def da_step(dec: DeliberateDecoder, state: DaState, token_id: int,
 
     if not c.deliberate:
         p = softmax(dec.first_head(concat([h1_tilde, v1_hat])))
-        trace = state.trace
-        if trace is not None:
-            trace = trace + (TraceRow(alpha1.data.copy(), np.ones(1)),)
-        new = DaState(out1.h, out1.m, state.h2, state.m2, state.step + 1,
-                      state.feats, trace, draft=(h1_tilde, v1_hat))
-        return p, new
+        return p, DaState(out1.h, out1.m, state.h2, state.m2, state.feats,
+                          draft=(h1_tilde, v1_hat), row=TraceRow(alpha1.data, np.ones(1)))
 
     # second pass: sentinel-augmented attention over regions + language slot
     y2 = concat([v_g, h1_tilde, v1_hat])
@@ -170,14 +165,8 @@ def da_step(dec: DeliberateDecoder, state: DaState, token_id: int,
     v2_hat = matmul(transpose(regions), narrow(alpha2, 0, L)) + s_vis * at(alpha2, L)
     h2_tilde = dec.W_sd(concat([h1_tilde, h2_d, v2_hat]))
     p = softmax(dec.out(h2_tilde))
-
-    trace = state.trace
-    if trace is not None:
-        trace = trace + (TraceRow(alpha2.data.copy(),
-                                  np.asarray([alpha2.data[L]])),)
-    new = DaState(out1.h, out1.m, out2.h, out2.m, state.step + 1,
-                  state.feats, trace, draft=(h1_tilde, v1_hat))
-    return p, new
+    return p, DaState(out1.h, out1.m, out2.h, out2.m, state.feats,
+                      draft=(h1_tilde, v1_hat), row=TraceRow(alpha2.data, alpha2.data[L:]))
 
 
 def da_first_pass_distribution(dec: DeliberateDecoder, state: DaState) -> Tensor:

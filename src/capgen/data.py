@@ -36,7 +36,7 @@ _PUNCT = re.compile(r"[^\w\s]")
 
 __all__ = [
     "PAD_ID", "BOS_ID", "EOS_ID", "UNK_ID", "PAD", "BOS", "EOS", "UNK",
-    "FEATURE_MAGIC", "KIND_CODES", "tokenize", "truncate_captions",
+    "FEATURE_MAGIC", "KIND_CODES", "tokenize",
     "Vocabulary", "CaptionBatch", "FeatureSet",
     "write_feature_file", "read_feature_file", "load_features",
     "Sample", "Dataset", "synth_dataset", "build_vocab",
@@ -54,14 +54,6 @@ def tokenize(text: str, mode: str = "default") -> list[str]:
     if mode == "whitespace":
         return text.split()
     raise ContractError(f"unknown tokenizer mode {mode!r}")
-
-
-def truncate_captions(captions: list[str], max_len: int = 16,
-                      mode: str = "default") -> list[str]:
-    """Clip each caption to its first max_len tokens (before BOS/EOS wrapping)."""
-    if max_len < 1:
-        raise ContractError(f"max_len must be >= 1, got {max_len}")
-    return [" ".join(tokenize(c, mode)[:max_len]) for c in captions]
 
 
 class Vocabulary:
@@ -217,12 +209,8 @@ def read_feature_file(path) -> tuple[str, np.ndarray]:
 
 
 def load_features(paths) -> FeatureSet:
-    """Assemble a FeatureSet from one path or a {kind: path} mapping."""
-    if isinstance(paths, (str, Path)):
-        kind, arr = read_feature_file(paths)
-        fs = FeatureSet()
-        _set_kind(fs, kind, arr)
-        return fs
+    """Assemble a FeatureSet from a {kind: path} mapping; each file must
+    declare the kind it is listed under."""
     fs = FeatureSet()
     for expect_kind, p in paths.items():
         kind, arr = read_feature_file(p)

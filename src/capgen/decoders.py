@@ -7,6 +7,13 @@ mixes the attended context with the top hidden state, and a two-layer MLP
 emits the word distribution.  ``build_variant`` wires the six published
 configurations: a single-LSTM baseline, temporal/spatial attention,
 concatenation fusion, parallel adaptive attention, and two fused streams.
+
+Every decoder (``da.DeliberateDecoder`` too) follows one protocol:
+``init_state(features)`` builds the first state, and
+``step(state, token_id, training, rng) -> (p, state)`` returns the word
+distribution and a fresh state whose ``row`` is that step's
+``TraceRow(alpha, beta)``.  States never collect rows; the search in
+``search.py`` gathers them along a caption.
 """
 
 from __future__ import annotations
@@ -59,9 +66,8 @@ class DecoderState:
     m: Tensor
     h_top: Tensor
     m_top: Tensor
-    step: int
     feats: tuple
-    trace: Optional[tuple]
+    row: Optional[TraceRow] = None  # the latest step's trace row
 
 
 def _nearest_segment_rows(frames: np.ndarray, segments: np.ndarray) -> np.ndarray:
@@ -95,12 +101,12 @@ class BasicDecoder(Module):
         self.out_hidden = Linear(c.hidden_dim, c.hidden_dim, rng)
         self.out_vocab = Linear(c.hidden_dim, c.vocab_size, rng)
 
-    def init_state(self, features: FeatureSet, record_trace: bool = False) -> DecoderState:
+    def init_state(self, features: FeatureSet) -> DecoderState:
         frames = Tensor(features.require("temporal"))
         vbar = mean_pool(frames)
         h = zeros(self.config.hidden_dim)
         m = zeros(self.config.hidden_dim)
-        return DecoderState(h, m, h, m, 0, (vbar,), () if record_trace else None)
+        return DecoderState(h, m, h, m, (vbar,))
 
     def step(self, state: DecoderState, token_id: int,
              training: bool = False, rng=None):
@@ -110,12 +116,8 @@ class BasicDecoder(Module):
         out = self.lstm.step(y, state.h, state.m)
         h_d = dropout(out.h, c.dropout, training, rng)
         p = _word_head(self, h_d)
-        trace = state.trace
-        if trace is not None:
-            trace = trace + (TraceRow(np.ones(1), np.ones(1)),)
-        new = DecoderState(out.h, out.m, out.h, out.m, state.step + 1,
-                           state.feats, trace)
-        return p, new
+        row = TraceRow(np.ones(1), np.ones(1))
+        return p, DecoderState(out.h, out.m, out.h, out.m, state.feats, row)
 
     def forward_teacher_forced(self, features, tokens, training=False, rng=None):
         return _teacher_forced(self, features, tokens, training, rng)
@@ -170,40 +172,22 @@ class HierarchicalDecoder(Module):
         motion = features.require("motion")
         return np.concatenate([frames, _nearest_segment_rows(frames, motion)], axis=1)
 
-    def init_state(self, features: FeatureSet, record_trace: bool = False) -> DecoderState:
+    def init_state(self, features: FeatureSet) -> DecoderState:
         source = Tensor(self._source(features))
-        vbar = mean_pool(source)
-        h = self.init_h(vbar)
-        m = self.init_m(vbar)
-        c = self.config
-        return DecoderState(h, m, zeros(c.hidden_dim), zeros(c.hidden_dim), 0,
-                            (source,), () if record_trace else None)
+        return _two_lstm_init(self, mean_pool(source), (source,))
 
     def step(self, state: DecoderState, token_id: int,
              training: bool = False, rng=None):
-        c = self.config
         (source,) = state.feats
-        y = self.embed.lookup_one(token_id)
-        bot = self.bottom.step(y, state.h, state.m)
-        h_d = dropout(bot.h, c.dropout, training, rng)
-        top = self.top.step(h_d, state.h_top, state.m_top)
-        ht_d = dropout(top.h, c.dropout, training, rng)
-        ctx, alpha = self.attn.attend(h_d, source)
-        if self.gate is not None:
+        def attend(h_d, ht_d):
+            ctx, alpha = self.attn.attend(h_d, source)
+            if self.gate is None:
+                return ctx, TraceRow(alpha.data, np.ones(1))
             blended, beta = adaptive_blend(self.gate, h_d, ctx, ht_d,
                                            force=self.gate_override)
-            beta_val = beta.data.reshape(-1).copy()
-        else:
-            blended = ctx
-            beta_val = np.ones(1)
-        out_h = h_d if c.output_hidden == "bottom" else ht_d
-        p = _word_head(self, concat([out_h, blended]))
-        trace = state.trace
-        if trace is not None:
-            trace = trace + (TraceRow(alpha.data.copy(), beta_val),)
-        new = DecoderState(bot.h, bot.m, top.h, top.m, state.step + 1,
-                           state.feats, trace)
-        return p, new
+            return blended, TraceRow(alpha.data, beta.data.reshape(-1))
+
+        return _two_lstm_step(self, state, token_id, training, rng, attend)
 
     def forward_teacher_forced(self, features, tokens, training=False, rng=None):
         return _teacher_forced(self, features, tokens, training, rng)
@@ -241,39 +225,48 @@ class ParallelDecoder(Module):
         self.out_hidden = Linear(c.hidden_dim + c.feature_dim, c.hidden_dim, rng)
         self.out_vocab = Linear(c.hidden_dim, c.vocab_size, rng)
 
-    def init_state(self, features: FeatureSet, record_trace: bool = False) -> DecoderState:
+    def init_state(self, features: FeatureSet) -> DecoderState:
         static = Tensor(features.require("temporal"))
         motion = Tensor(features.require("motion"))
         pooled = concat([mean_pool(static), mean_pool(motion)])
-        h = self.init_h(pooled)
-        m = self.init_m(pooled)
-        c = self.config
-        return DecoderState(h, m, zeros(c.hidden_dim), zeros(c.hidden_dim), 0,
-                            (static, motion), () if record_trace else None)
+        return _two_lstm_init(self, pooled, (static, motion))
 
     def step(self, state: DecoderState, token_id: int,
              training: bool = False, rng=None):
-        c = self.config
         static, motion = state.feats
-        y = self.embed.lookup_one(token_id)
-        bot = self.bottom.step(y, state.h, state.m)
-        h_d = dropout(bot.h, c.dropout, training, rng)
-        top = self.top.step(h_d, state.h_top, state.m_top)
-        ht_d = dropout(top.h, c.dropout, training, rng)
-        ctx1, alpha1 = self.attn_static.attend(h_d, static)
-        ctx2, alpha2 = self.attn_motion.attend(h_d, motion)
-        blended, betas = parallel_adaptive_blend(self.gate, h_d, ctx1, ctx2, ht_d)
-        out_h = h_d if c.output_hidden == "bottom" else ht_d
-        p = _word_head(self, concat([out_h, blended]))
-        trace = state.trace
-        if trace is not None:
-            trace = trace + (TraceRow(alpha1.data.copy(), betas.data.copy()),)
-        new = DecoderState(bot.h, bot.m, top.h, top.m, state.step + 1,
-                           state.feats, trace)
-        return p, new
+        def attend(h_d, ht_d):
+            ctx1, alpha1 = self.attn_static.attend(h_d, static)
+            ctx2, _ = self.attn_motion.attend(h_d, motion)
+            blended, betas = parallel_adaptive_blend(self.gate, h_d, ctx1, ctx2, ht_d)
+            return blended, TraceRow(alpha1.data, betas.data)
+
+        return _two_lstm_step(self, state, token_id, training, rng, attend)
 
     def forward_teacher_forced(self, features, tokens, training=False, rng=None):
         return _teacher_forced(self, features, tokens, training, rng)
+
+
+def _two_lstm_init(dec, pooled: Tensor, feats: tuple) -> DecoderState:
+    """Bottom LSTM from projections of the pooled features, top from zeros."""
+    c = dec.config
+    return DecoderState(dec.init_h(pooled), dec.init_m(pooled),
+                        zeros(c.hidden_dim), zeros(c.hidden_dim), feats)
+
+
+def _two_lstm_step(dec, state: DecoderState, token_id: int, training, rng, attend):
+    """One step of a two-LSTM decoder: embed, bottom LSTM, dropout, top LSTM,
+    dropout, then ``attend(h_d, ht_d) -> (blended context, TraceRow)`` and
+    the word head over [output hidden; blended context]."""
+    c = dec.config
+    y = dec.embed.lookup_one(token_id)
+    bot = dec.bottom.step(y, state.h, state.m)
+    h_d = dropout(bot.h, c.dropout, training, rng)
+    top = dec.top.step(h_d, state.h_top, state.m_top)
+    ht_d = dropout(top.h, c.dropout, training, rng)
+    blended, row = attend(h_d, ht_d)
+    out_h = h_d if c.output_hidden == "bottom" else ht_d
+    p = _word_head(dec, concat([out_h, blended]))
+    return p, DecoderState(bot.h, bot.m, top.h, top.m, state.feats, row)
 
 
 def two_stream_fuse(p1: Tensor, p2: Tensor) -> Tensor:
@@ -287,11 +280,10 @@ def two_stream_fuse(p1: Tensor, p2: Tensor) -> Tensor:
 class TwoStreamState:
     s1: DecoderState
     s2: DecoderState
-    step: int
 
     @property
-    def trace(self):
-        return self.s1.trace
+    def row(self) -> Optional[TraceRow]:
+        return self.s1.row
 
 
 class TwoStreamDecoder(Module):
@@ -315,16 +307,16 @@ class TwoStreamDecoder(Module):
     def streams(self) -> tuple[HierarchicalDecoder, HierarchicalDecoder]:
         return self.stream1, self.stream2
 
-    def init_state(self, features: FeatureSet, record_trace: bool = False) -> TwoStreamState:
-        s1 = self.stream1.init_state(_select(features, self.sources[0]), record_trace)
-        s2 = self.stream2.init_state(_select(features, self.sources[1]), record_trace)
-        return TwoStreamState(s1, s2, 0)
+    def init_state(self, features: FeatureSet) -> TwoStreamState:
+        s1 = self.stream1.init_state(_select(features, self.sources[0]))
+        s2 = self.stream2.init_state(_select(features, self.sources[1]))
+        return TwoStreamState(s1, s2)
 
     def step(self, state: TwoStreamState, token_id: int,
              training: bool = False, rng=None):
         p1, s1 = self.stream1.step(state.s1, token_id, training, rng)
         p2, s2 = self.stream2.step(state.s2, token_id, training, rng)
-        return two_stream_fuse(p1, p2), TwoStreamState(s1, s2, state.step + 1)
+        return two_stream_fuse(p1, p2), TwoStreamState(s1, s2)
 
     def forward_teacher_forced(self, features, tokens, training=False, rng=None):
         """Per-step log-probs of the fused distribution (joint mode)."""

@@ -6,7 +6,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ContractError, ShapeError, VocabularyError
+from .errors import ContractError, FormatError, ShapeError, VocabularyError
 from .tensor import (
     Tensor, add_rowvec, matmul, sigmoid, take_row, take_rows, tanh, transpose,
 )
@@ -44,6 +44,20 @@ class Module:
                 for sub, p in value.parameters().items():
                     out[f"{name}.{sub}"] = p
         return out
+
+    def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
+        """Copy each parameter's record from ``arrays``, ignoring extra ones.
+        A missing record or a shape mismatch raises ``FormatError`` naming
+        the record, before any parameter is written."""
+        params = self.parameters()
+        for name, p in params.items():
+            if name not in arrays:
+                raise FormatError(f"checkpoint has no record {name!r}")
+            if arrays[name].shape != p.data.shape:
+                raise FormatError(f"checkpoint record {name!r} has shape {arrays[name].shape}, "
+                                  f"the model expects {p.data.shape}")
+        for name, p in params.items():
+            p.data[...] = arrays[name]
 
 
 class LstmOut(NamedTuple):

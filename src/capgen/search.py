@@ -5,7 +5,10 @@ default).  Both procedures are deterministic: argmax ties resolve to the
 lowest token id, and beam candidates with equal scores order by token
 sequence.  Beam search selects each step's k best expansions from the
 (k, V) log-prob matrix of its live hypotheses with one partition and one
-lexsort, so no per-candidate Python object is built.
+lexsort, so no per-candidate Python object is built.  The search alone
+records traces: with ``record_trace`` it collects each step's
+``state.row`` along the returned caption, the EOS step included, into
+``GenerationResult.trace``.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ __all__ = ["GenerationResult", "greedy_decode", "beam_search", "write_generation
 class GenerationResult:
     tokens: list[int]            # generated ids, BOS/EOS stripped
     logprob: float               # cumulative log-prob including the EOS step
-    trace: Optional[tuple] = None
+    trace: Optional[tuple] = None  # one TraceRow per step, with record_trace
     steps: int = 0               # decoder steps run per hypothesis
     stopped_early: bool = False  # ended by its own stop rule, not by max_len
     finished: int = 0            # captions that emitted EOS (beam: pool size)
@@ -37,13 +40,16 @@ def greedy_decode(decoder, features, max_len: int = 30,
     """Argmax decoding until EOS or max_len; ties go to the lowest id."""
     if max_len < 1:
         raise ContractError(f"max_len must be >= 1, got {max_len}")
-    state = decoder.init_state(features, record_trace=record_trace)
+    state = decoder.init_state(features)
     tok = BOS_ID
     tokens: list[int] = []
+    rows = []
     logprob = 0.0
     finished = 0
     for steps in range(1, max_len + 1):
         p, state = decoder.step(state, tok)
+        if record_trace:
+            rows.append(state.row)
         nxt = int(np.argmax(p.data))
         logprob += float(np.log(p.data[nxt]))
         if nxt == EOS_ID:
@@ -51,7 +57,7 @@ def greedy_decode(decoder, features, max_len: int = 30,
             break
         tokens.append(nxt)
         tok = nxt
-    return GenerationResult(tokens, logprob, getattr(state, "trace", None),
+    return GenerationResult(tokens, logprob, tuple(rows) if record_trace else None,
                             steps=steps, stopped_early=bool(finished),
                             finished=finished)
 
@@ -61,6 +67,7 @@ class _Hyp:
     tokens: tuple
     logprob: float
     state: object
+    rows: Optional[tuple]  # trace rows along this caption; None when not recorded
 
 
 def _expand(live: list[_Hyp], P: np.ndarray, k: int) -> list[tuple[float, int, int]]:
@@ -108,8 +115,11 @@ def beam_search(decoder, features, k: int = 5, max_len: int = 30,
     the best any extension can reach.  Hypotheses still alive at max_len
     compete with the pool on score, which is also the fallback when
     nothing finished.  Tokens the model gives zero probability are never
-    expanded.  The result records the steps run, whether the search
-    stopped before max_len, and the size of the completed pool.
+    expanded; if no token can be expanded and nothing finished, the search
+    fails with ``ContractError``.  The result records the steps run,
+    whether the search stopped before max_len, and the size of the
+    completed pool.  Each hypothesis carries its own trace rows, so the
+    returned trace follows the returned caption's lineage.
     """
     if k < 1:
         raise ContractError(f"beam width must be >= 1, got {k}")
@@ -124,7 +134,7 @@ def beam_search(decoder, features, k: int = 5, max_len: int = 30,
     def bound(hyp: _Hyp) -> float:
         return hyp.logprob / max_len if length_normalize else hyp.logprob
 
-    live = [_Hyp((), 0.0, decoder.init_state(features, record_trace=record_trace))]
+    live = [_Hyp((), 0.0, decoder.init_state(features), () if record_trace else None)]
     completed: list[_Hyp] = []
     stopped_early = False
     for steps in range(1, max_len + 1):
@@ -136,10 +146,11 @@ def beam_search(decoder, features, k: int = 5, max_len: int = 30,
         # the step keeps the k best candidates overall; EOS ones freeze
         new_live = []
         for score, i, tok in _expand(live, np.stack(rows), k):
+            trace = None if live[i].rows is None else live[i].rows + (states[i].row,)
             if tok == EOS_ID:
-                completed.append(_Hyp(live[i].tokens, score, states[i]))
+                completed.append(_Hyp(live[i].tokens, score, states[i], trace))
             else:
-                new_live.append(_Hyp(live[i].tokens + (tok,), score, states[i]))
+                new_live.append(_Hyp(live[i].tokens + (tok,), score, states[i], trace))
         completed.sort(key=lambda h: (-rank(h), h.tokens))
         del completed[k:]
         live = new_live
@@ -147,9 +158,11 @@ def beam_search(decoder, features, k: int = 5, max_len: int = 30,
         if not live or (completed and bound(live[0]) <= rank(completed[-1])):
             stopped_early = True
             break
+    if not completed and not live:
+        raise ContractError(f"beam search: no token had positive probability at step {steps}, "
+                            "so no caption can be expanded")
     best = max(completed + live, key=lambda h: (rank(h), tuple(-t for t in h.tokens)))
-    return GenerationResult(list(best.tokens), best.logprob,
-                            getattr(best.state, "trace", None), steps=steps,
+    return GenerationResult(list(best.tokens), best.logprob, best.rows, steps=steps,
                             stopped_early=stopped_early, finished=len(completed))
 
 

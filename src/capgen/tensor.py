@@ -248,10 +248,6 @@ def zeros(*shape, requires_grad: bool = False) -> Tensor:
     return Tensor(np.zeros(shape, dtype=np.float64), requires_grad=requires_grad)
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 def _is_scalar_tensor(t: Tensor) -> bool:
     return t.data.size == 1
 

@@ -133,14 +133,13 @@ _CONFIG_DEFAULTS = {
     "epochs": 500, "patience": 20, "batch_size": 64,
     "dropout": 0.5, "clip": 10.0, "seed": 0,
     "val_metric": "cider",  # cider | bleu4 | loss
-    "max_len": 30, "beam_size": 5,
+    "max_len": 30,
     "checkpoint": "", "log_path": "", "resume": "",
     "rl_epochs": 0, "rl_lr": 5e-4,
 }
 
 _INT_KEYS = {"hidden_dim", "embed_dim", "attn_dim", "epochs", "patience",
-             "batch_size", "seed", "max_len", "beam_size", "rl_epochs",
-             "lr_decay_every"}
+             "batch_size", "seed", "max_len", "rl_epochs", "lr_decay_every"}
 _FLOAT_KEYS = {"lr", "rho", "eps", "dropout", "clip", "rl_lr", "lr_decay"}
 
 
@@ -277,10 +276,9 @@ def train(cfg: TrainConfig) -> TrainResult:
     stale = 0
     if cfg.resume:
         variant, arrays = load_checkpoint(cfg.resume)
-        if variant != getattr(decoder, "variant", cfg.variant):
+        if variant != decoder.variant:
             raise ConfigError(f"checkpoint variant {variant!r} != configured {cfg.variant!r}")
-        for name, p in params.items():
-            p.data[...] = arrays[name]
+        decoder.load_arrays(arrays)
         opt_state = opt_state_from_arrays(
             {k[len("opt/"):]: v for k, v in arrays.items() if k.startswith("opt/")})
         start_epoch = int(arrays["meta/epoch"]) + 1
@@ -342,23 +340,22 @@ def train(cfg: TrainConfig) -> TrainResult:
             break
 
     if stale_weights and best_path:
-        _, arrays = load_checkpoint(best_path)
-        for name, p in params.items():
-            p.data[...] = arrays[name]
+        decoder.load_arrays(load_checkpoint(best_path)[1])
 
     if cfg.rl_epochs > 0:
-        ckpt_path = _reward_stage(cfg, decoder, params, dataset, vocab, history, ckpt_path)
+        ckpt_path = _reward_stage(cfg, decoder, params, train_samples, feats_cache, vocab,
+                                  history, ckpt_path)
 
     return TrainResult(history, best_val, ckpt_path, decoder, vocab)
 
 
-def _reward_stage(cfg, decoder, params, dataset, vocab, history, ckpt_path) -> str:
-    """Self-critical fine-tuning; saves to ``<ckpt_path>.rl`` with its Adam
-    state, leaving the best MLE checkpoint in place, and returns that path."""
-    reward = make_cider_reward(vocab, [s.refs for s in dataset.splits["train"]])
+def _reward_stage(cfg, decoder, params, train_samples, feats_cache, vocab, history,
+                  ckpt_path) -> str:
+    """Self-critical fine-tuning over the MLE stage's train samples and
+    their loaded features; saves to ``<ckpt_path>.rl`` with its Adam state,
+    leaving the best MLE checkpoint in place, and returns that path."""
+    reward = make_cider_reward(vocab, [s.refs for s in train_samples])
     opt_state: dict = {}
-    train_samples = dataset.splits["train"]
-    feats_cache = [dataset.features(s) for s in train_samples]
     for epoch in range(cfg.rl_epochs):
         rng = _epoch_rng(cfg.seed + 1_000_003, epoch)
         rcfg = RewardConfig(reward_fn=reward, rng=rng, max_len=cfg.max_len)
@@ -391,4 +388,4 @@ def _save(path, cfg, decoder, params, opt_state, epoch, best_val, stale):
     arrays["meta/stale"] = np.asarray(float(stale))
     for dim in ("hidden_dim", "embed_dim", "attn_dim"):
         arrays[f"meta/{dim}"] = np.asarray(float(getattr(cfg, dim)))
-    save_checkpoint(path, getattr(decoder, "variant", "unknown"), arrays)
+    save_checkpoint(path, decoder.variant, arrays)

@@ -1,8 +1,10 @@
 import csv
 import json
+import shutil
 
 import pytest
 
+from capgen.checkpoint import load_checkpoint, save_checkpoint
 from capgen.cli import main
 
 
@@ -22,6 +24,16 @@ def workspace(tmp_path_factory):
                  "--checkpoint", str(ckpt), "--seed", "1",
                  "--batch-size", "2"]) == 0
     return root, data, ckpt
+
+
+def edited_copy(data, dest, name, edit):
+    """Copy the dataset directory to ``dest``, pass the JSON file ``name``
+    through ``edit`` in place, and return the edited payload."""
+    shutil.copytree(data, dest)
+    payload = json.loads((dest / name).read_text())
+    edit(payload)
+    (dest / name).write_text(json.dumps(payload))
+    return payload
 
 
 class TestPipeline:
@@ -123,6 +135,51 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "'nosuch'" in err
         assert not (root / "none").exists()
+
+    def test_generate_with_another_vocabulary_fails_cleanly(self, workspace, tmp_path,
+                                                            capsys):
+        _, data, ckpt = workspace
+        other = tmp_path / "data"
+        edited_copy(data, other, "vocab.json",
+                    lambda vocab: vocab["words"].extend(["extraone", "extratwo"]))
+        assert main(["generate", "--data-dir", str(other), "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path / "gen.jsonl"), "--beam", "1"]) == 1
+        err = capsys.readouterr().err
+        rows, dim = load_checkpoint(ckpt)[1]["embed.E"].shape
+        assert err.startswith("error:") and "'embed.E'" in err
+        assert str((rows, dim)) in err and str((rows + 2, dim)) in err
+
+    def test_generate_checkpoint_without_a_record_fails_cleanly(self, workspace, tmp_path,
+                                                               capsys):
+        _, data, ckpt = workspace
+        variant, arrays = load_checkpoint(ckpt)
+        del arrays["attn.w"]
+        partial = tmp_path / "partial.ckpt"
+        save_checkpoint(partial, variant, arrays)
+        assert main(["generate", "--data-dir", str(data), "--checkpoint", str(partial),
+                     "--out", str(tmp_path / "gen.jsonl"), "--beam", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'attn.w'" in err
+
+    def test_generate_without_train_split(self, workspace, tmp_path):
+        _, data, ckpt = workspace
+        other = tmp_path / "data"
+        manifest = edited_copy(data, other, "manifest.json",
+                               lambda m: m["splits"].pop("train"))
+        out = tmp_path / "gen.jsonl"
+        assert main(["generate", "--data-dir", str(other), "--checkpoint", str(ckpt),
+                     "--split", "test", "--out", str(out), "--max-len", "6"]) == 0
+        rows = [json.loads(l) for l in out.read_text().splitlines()]
+        assert [r["id"] for r in rows] == [e["id"] for e in manifest["splits"]["test"]]
+
+    def test_trace_empty_split_fails_cleanly(self, workspace, tmp_path, capsys):
+        _, data, ckpt = workspace
+        other = tmp_path / "data"
+        edited_copy(data, other, "manifest.json", lambda m: m["splits"]["test"].clear())
+        assert main(["trace", "--data-dir", str(other), "--checkpoint", str(ckpt),
+                     "--out-dir", str(tmp_path / "none")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "split 'test' has no samples" in err
 
     def test_evaluate_candidate_without_refs_fails_cleanly(self, tmp_path, capsys):
         cands = tmp_path / "cands.jsonl"

@@ -68,9 +68,9 @@ class TestDaStep:
     def test_alpha2_covers_regions_plus_sentinel(self, rng):
         dec = small_da()
         feats = da_features(rng, dec.config, regions=4)
-        state = dec.init_state(feats, record_trace=True)
+        state = dec.init_state(feats)
         p, state = dec.step(state, BOS_ID)
-        alpha = state.trace[-1].alpha
+        alpha = state.row.alpha
         assert alpha.shape == (5,)
         assert abs(alpha.sum() - 1.0) <= 1e-9
         assert abs(p.data.sum() - 1.0) <= 1e-9
@@ -89,9 +89,9 @@ class TestDaStep:
         dec.attn2.w.data[:] = -50.0 / attn
         dec.W_s.data[:] = 0.0
         dec.W_h3.data[:] = 0.0
-        state = dec.init_state(feats, record_trace=True)
+        state = dec.init_state(feats)
         _, state = dec.step(state, BOS_ID)
-        alpha = state.trace[-1].alpha
+        alpha = state.row.alpha
         assert alpha[-1] > 1.0 - 1e-9
         assert alpha[:-1].max() < 1e-9
         # with all the mass on the sentinel slot, the attended vector is the

@@ -4,7 +4,7 @@ import pytest
 from capgen.data import (
     BOS_ID, EOS_ID, PAD_ID, UNK_ID, CaptionBatch, Dataset, Vocabulary,
     build_vocab, load_features, read_feature_file, synth_dataset,
-    tokenize, truncate_captions, write_feature_file,
+    tokenize, write_feature_file,
 )
 from capgen.errors import ContractError, EmptyInputError, FormatError, VocabularyError
 
@@ -119,16 +119,15 @@ class TestFeatureFiles:
         with pytest.raises(FormatError, match="trailing"):
             read_feature_file(path)
 
-    def test_load_features_single_and_mapping(self, tmp_path, rng):
+    def test_load_features_mapping(self, tmp_path, rng):
         g = rng.standard_normal(5)
         t = rng.standard_normal((3, 4))
         write_feature_file(tmp_path / "g.feat", "global", g)
         write_feature_file(tmp_path / "t.feat", "temporal", t)
-        fs = load_features(tmp_path / "g.feat")
-        np.testing.assert_allclose(fs.global_vec, g, atol=1e-6)
         fs = load_features({"global": tmp_path / "g.feat",
                             "temporal": tmp_path / "t.feat"})
         assert fs.temporal.shape == (3, 4) and fs.global_vec.shape == (5,)
+        np.testing.assert_allclose(fs.global_vec, g, atol=1e-6)
 
     def test_kind_mismatch_against_manifest(self, tmp_path, rng):
         write_feature_file(tmp_path / "x.feat", "motion", rng.standard_normal((2, 3)))
@@ -181,22 +180,3 @@ class TestSynthDataset:
         next(iter((root / "features").glob("*.feat"))).unlink()
         with pytest.raises(FormatError, match="missing feature file"):
             Dataset.load(root)
-
-
-class TestTruncate:
-    def test_short_caption_unchanged(self):
-        assert truncate_captions(["one two three"], 16) == ["one two three"]
-
-    def test_clips_to_sixteen_words(self):
-        words = [f"w{i}" for i in range(20)]
-        out = truncate_captions([" ".join(words)], 16)
-        assert out[0].split() == words[:16]
-
-    def test_idempotent(self):
-        caps = ["alpha beta gamma delta epsilon zeta eta theta"]
-        once = truncate_captions(caps, 5)
-        assert truncate_captions(once, 5) == once
-
-    def test_invalid_max_len(self):
-        with pytest.raises(ContractError):
-            truncate_captions(["x"], 0)

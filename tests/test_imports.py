@@ -1,4 +1,5 @@
-"""No module of the package or of its tests imports a name it never uses."""
+"""No module of the package or of its tests imports a name it never uses,
+and the package defines no private helper that nothing names."""
 
 import ast
 from pathlib import Path
@@ -33,3 +34,36 @@ def test_no_unused_imports(path):
 def test_detects_unused_import():
     assert unused_imports("import os\nfrom typing import Optional\nos.sep\n") == [
         "Optional (line 2)"]
+
+
+def unnamed_private_definitions(sources: dict[str, str]) -> list[str]:
+    """Module-level ``def _name`` / ``class _Name`` in ``sources`` (file name
+    -> text) whose name no module of ``sources`` mentions: not as a name,
+    an attribute or an imported name."""
+    defined, named = [], set()
+    for file, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")):
+                defined.append((file, node.name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+    return [f"{file}: {name}" for file, name in defined if name not in named]
+
+
+def test_no_unnamed_private_definitions():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert unnamed_private_definitions(sources) == []
+
+
+def test_detects_unnamed_private_definition():
+    sources = {"a.py": "def _kept():\n    pass\n\ndef _dead():\n    pass\n\n"
+                       "class _Gone:\n    pass\n",
+               "b.py": "from a import _kept\n"}
+    assert unnamed_private_definitions(sources) == ["a.py: _dead", "a.py: _Gone"]

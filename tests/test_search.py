@@ -20,7 +20,7 @@ class ScriptedDecoder:
     def __init__(self, table):
         self.table = np.asarray(table, dtype=np.float64)
 
-    def init_state(self, features, record_trace=False):
+    def init_state(self, features):
         return 0
 
     def step(self, state, token_id, training=False, rng=None):
@@ -34,11 +34,26 @@ class ContextualDecoder:
         rng = np.random.default_rng(seed)
         self.probs = rng.dirichlet(np.ones(vocab), size=(vocab, 8))
 
-    def init_state(self, features, record_trace=False):
+    def init_state(self, features):
         return 0
 
     def step(self, state, token_id, training=False, rng=None):
         return Tensor(self.probs[token_id][min(state, 7)]), state + 1
+
+
+def tiny_case(variant):
+    """A ``tiny_decoder`` of ``variant`` and matching features; "da_plain"
+    is DA without the first-pass head."""
+    rng = np.random.default_rng(3)
+    if variant == "da_plain":
+        dec = DeliberateDecoder(DaConfig(vocab_size=12, hidden_dim=8, embed_dim=8,
+                                         attn_dim=7, region_dim=6, global_dim=5))
+        dims = {"dim": 8, "motion_dim": 8, "region_dim": 6, "global_dim": 5}
+    else:
+        dec, dims = tiny_decoder(variant)
+    feats = tiny_features(rng, 4, dims["dim"], dims["motion_dim"],
+                          dims["region_dim"], dims["global_dim"])
+    return dec, feats
 
 
 def real_decoder(rng, vocab=8, hidden=5):
@@ -178,6 +193,12 @@ class TestBeam:
         with pytest.raises(ContractError):
             beam_search(ScriptedDecoder([np.ones(4) / 4]), None, k=0)
 
+    def test_nothing_expandable_is_contract_error(self):
+        # every token has probability 0 at the first step: no hypothesis
+        # reaches the pool or the live beam
+        with pytest.raises(ContractError, match="no token had positive probability"):
+            beam_search(ScriptedDecoder([np.zeros(6)]), None, k=3, max_len=4)
+
 
 class QuantisedDecoder(ContextualDecoder):
     """Distributions from a few integer levels, many of them zero, so that
@@ -220,20 +241,69 @@ class TestMatchesOracle:
 
     @pytest.mark.parametrize("variant", GRADCHECK_VARIANTS + ("da_plain",))
     def test_tiny_decoders(self, variant):
-        rng = np.random.default_rng(3)
-        if variant == "da_plain":  # DA without the first-pass head
-            dec = DeliberateDecoder(DaConfig(vocab_size=12, hidden_dim=8, embed_dim=8,
-                                             attn_dim=7, region_dim=6, global_dim=5))
-            dims = {"dim": 8, "motion_dim": 8, "region_dim": 6, "global_dim": 5}
-        else:
-            dec, dims = tiny_decoder(variant)
-        feats = tiny_features(rng, 4, dims["dim"], dims["motion_dim"],
-                              dims["region_dim"], dims["global_dim"])
+        dec, feats = tiny_case(variant)
         for k in (2, 5):
             for norm in (False, True):
                 want = oracle_search.beam_search(dec, feats, k, 6, norm)
                 got = beam_search(dec, feats, k=k, max_len=6, length_normalize=norm)
                 assert (got.tokens, got.logprob) == want, (k, norm)
+
+
+class TestTraceRows:
+    """With record_trace, the search returns the row of every step along
+    the returned caption, equal to the rows of replaying that caption."""
+
+    MAX_LEN = 6
+
+    @pytest.mark.parametrize("variant", GRADCHECK_VARIANTS + ("da_plain",))
+    def test_rows_follow_the_returned_caption(self, variant):
+        dec, feats = tiny_case(variant)
+        finished = set()
+        for search in ("greedy", "beam"):
+            for eos_bias in (-40.0, 0.0, 2.0):
+                _bias_eos(dec, eos_bias)
+                if search == "greedy":
+                    gen = greedy_decode(dec, feats, self.MAX_LEN, record_trace=True)
+                else:
+                    gen = beam_search(dec, feats, k=3, max_len=self.MAX_LEN,
+                                      record_trace=True)
+                # a finished caption spent one more step, on EOS
+                done = len(gen.tokens) < self.MAX_LEN
+                finished.add(done)
+                want, logprob = _replay(dec, feats, gen.tokens, done)
+                assert gen.logprob == logprob, (search, eos_bias)
+                assert len(gen.trace) == len(gen.tokens) + done
+                for got, row in zip(gen.trace, want):
+                    assert np.array_equal(got.alpha, row.alpha)
+                    assert np.array_equal(got.beta, row.beta)
+        assert finished == {True, False}  # both row counts were checked
+
+    def test_no_trace_unless_recorded(self):
+        dec, feats = tiny_case("hlstmat_temporal")
+        assert greedy_decode(dec, feats, 4).trace is None
+        assert beam_search(dec, feats, k=3, max_len=4).trace is None
+
+
+def _bias_eos(dec, bias):
+    """Set the EOS logit bias of every word head of ``dec``."""
+    heads = [getattr(d, name) for d in getattr(dec, "streams", (dec,))
+             for name in ("out_vocab", "out", "first_head") if getattr(d, name, None)]
+    for head in heads:
+        head.b.data[EOS_ID] = bias
+
+
+def _replay(dec, feats, tokens, finished):
+    """Step ``dec`` along BOS + tokens; return each step's row and the
+    caption's log-prob, with the EOS step when ``finished``."""
+    fed = [BOS_ID] + tokens if finished else [BOS_ID] + tokens[:-1]
+    targets = tokens + [EOS_ID] if finished else tokens
+    state = dec.init_state(feats)
+    rows, logprob = [], 0.0
+    for tok, nxt in zip(fed, targets):
+        p, state = dec.step(state, tok)
+        rows.append(state.row)
+        logprob += float(np.log(p.data[nxt]))
+    return rows, logprob
 
 
 class TestStatistics:

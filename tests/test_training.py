@@ -65,7 +65,7 @@ class _BanditPolicy:
             logits[t] = 0.0
         self.theta = Tensor(logits, requires_grad=True)
 
-    def init_state(self, features, record_trace=False):
+    def init_state(self, features):
         return 0
 
     def step(self, state, token_id, training=False, rng=None):
