@@ -143,22 +143,13 @@ def _dispatch(args) -> int:
     raise ConfigError(f"unknown command {args.command!r}")
 
 
-def _split(dataset, name: str):
-    if name not in dataset.splits:
-        raise ConfigError(f"split {name!r} is not in the dataset "
-                          f"(splits: {sorted(dataset.splits)})")
-    return dataset.splits[name]
-
-
 def _restore(data_dir, checkpoint, split: str):
     """Dataset, vocabulary, decoder and ``split``'s samples; the decoder is
     sized from the first sample of the split it decodes."""
     dataset = Dataset.load(data_dir)
     vocab = Vocabulary.load(Path(data_dir) / "vocab.json")
     variant, arrays = load_checkpoint(checkpoint)
-    samples = _split(dataset, split)
-    if not samples:
-        raise ConfigError(f"split {split!r} has no samples")
+    samples = dataset.split(split)
     probe = dataset.features(samples[0])
     values = {"variant": variant, "data_dir": str(data_dir), "dropout": 0.0}
     for dim in ("hidden_dim", "embed_dim", "attn_dim"):

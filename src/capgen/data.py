@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractError, EmptyInputError, FormatError, VocabularyError
+from .errors import ConfigError, ContractError, EmptyInputError, FormatError, VocabularyError
 
 PAD_ID, BOS_ID, EOS_ID, UNK_ID = 0, 1, 2, 3
 PAD, BOS, EOS, UNK = "<pad>", "<bos>", "<eos>", "<unk>"
@@ -261,6 +261,15 @@ class Dataset:
                 samples.append(s)
             ds.splits[split] = samples
         return ds
+
+    def split(self, name: str) -> list[Sample]:
+        """The samples of split ``name``; a missing or empty split is a ConfigError."""
+        if name not in self.splits:
+            raise ConfigError(f"split {name!r} is not in the dataset "
+                              f"(splits: {sorted(self.splits)})")
+        if not self.splits[name]:
+            raise ConfigError(f"split {name!r} has no samples")
+        return self.splits[name]
 
     def features(self, sample: Sample) -> FeatureSet:
         return load_features({k: self.root / rel for k, rel in sample.feature_paths.items()})

@@ -4,34 +4,38 @@ All three operate on a TokenizedCorpus: one candidate token list per
 sample plus one or more reference token lists.  They are pure functions
 of the match structure, so consistently relabeling tokens leaves every
 score unchanged.
+
+Each metric is one pass with fixed constants: ``bleu`` returns BLEU-1..4
+from one count of clipped matches, and a ``CiderD`` scorer counts its
+document frequencies once, so the self-critical reward builds one over
+the training references and then scores each caption alone.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .errors import ContractError, EmptyInputError
 from .data import tokenize
 
-__all__ = ["TokenizedCorpus", "bleu", "rouge_l", "cider", "evaluate_corpus"]
+__all__ = ["TokenizedCorpus", "bleu", "rouge_l", "CiderD", "cider", "evaluate_corpus"]
+
+MAX_N = 4          # n-gram orders counted by BLEU and CIDEr-D
+ROUGE_BETA = 1.2   # ROUGE-L recall weight
+CIDER_SIGMA = 6.0  # CIDEr-D Gaussian length-penalty width
 
 
 @dataclass
 class TokenizedCorpus:
-    """Aligned candidates and references, already tokenized.
-
-    ``df_refs`` optionally supplies a larger reference corpus from which
-    CIDEr document frequencies are computed (used when scoring single
-    samples against training-corpus statistics, e.g. as a reward).
-    """
+    """Aligned candidates and references, already tokenized."""
 
     candidates: list[list[str]]
     references: list[list[list[str]]]
-    df_refs: list[list[list[str]]] | None = None
 
     def __post_init__(self):
         if len(self.candidates) != len(self.references):
@@ -53,49 +57,49 @@ class TokenizedCorpus:
                    [[tokenize(r, mode) for r in refs] for refs in references])
 
 
-def _ngram_counts(tokens: list[str], max_n: int) -> Counter:
-    counts: Counter = Counter()
-    for n in range(1, max_n + 1):
-        for i in range(len(tokens) - n + 1):
-            counts[tuple(tokens[i:i + n])] += 1
-    return counts
+def _ngrams(tokens: list[str]):
+    """Every 1..MAX_N-gram of ``tokens`` as a tuple, lower orders first."""
+    return chain.from_iterable(zip(*(tokens[i:] for i in range(n)))
+                               for n in range(1, MAX_N + 1))
 
 
-def bleu(corpus: TokenizedCorpus, n: int = 4) -> float:
-    """Corpus-level BLEU-n.
+def bleu(corpus: TokenizedCorpus) -> tuple[float, float, float, float]:
+    """Corpus-level BLEU-1..4 from one pass of clipped match counts.
 
-    Modified n-gram precision with per-reference clipping, geometric mean
-    over orders 1..n, and the brevity penalty exp(1 - r/c) for c < r using
-    the closest reference length per sample (ties favor the shorter
-    reference).  No smoothing: a zero count at any order gives 0.0.
+    BLEU-n is the modified n-gram precision with per-reference clipping,
+    geometric mean over orders 1..n, and the brevity penalty exp(1 - r/c)
+    for c < r using the closest reference length per sample (ties favor
+    the shorter reference).  No smoothing: a zero count at any of those
+    orders gives 0.0.
     """
-    if not 1 <= n <= 4:
-        raise ContractError(f"BLEU order must be in 1..4, got {n}")
-    matched = [0] * n
-    total = [0] * n
+    matched = [0] * MAX_N
+    total = [0] * MAX_N
     cand_len = 0
     ref_len = 0
     for cand, refs in zip(corpus.candidates, corpus.references):
-        counts = _ngram_counts(cand, n)
         max_ref: dict = {}
         for ref in refs:
-            for gram, c in _ngram_counts(ref, n).items():
+            for gram, c in Counter(_ngrams(ref)).items():
                 if c > max_ref.get(gram, 0):
                     max_ref[gram] = c
-        for gram, c in counts.items():
+        for gram, c in Counter(_ngrams(cand)).items():
             order = len(gram) - 1
             total[order] += c
             matched[order] += min(c, max_ref.get(gram, 0))
         cand_len += len(cand)
         ref_len += min((len(r) for r in refs),
                        key=lambda rl: (abs(rl - len(cand)), rl))
-    if cand_len == 0 or any(t == 0 for t in total):
-        return 0.0
-    if any(m == 0 for m in matched):
-        return 0.0
-    log_prec = sum(math.log(m / t) for m, t in zip(matched, total)) / n
+    if cand_len == 0:
+        return (0.0,) * MAX_N
     bp = 1.0 if cand_len >= ref_len else math.exp(1.0 - ref_len / cand_len)
-    return bp * math.exp(log_prec)
+    scores = []
+    for n in range(1, MAX_N + 1):
+        if 0 in total[:n] or 0 in matched[:n]:
+            scores.append(0.0)
+        else:
+            log_prec = sum(math.log(m / t) for m, t in zip(matched[:n], total[:n])) / n
+            scores.append(bp * math.exp(log_prec))
+    return tuple(scores)
 
 
 def _lcs_len(a: list[str], b: list[str]) -> int:
@@ -110,7 +114,7 @@ def _lcs_len(a: list[str], b: list[str]) -> int:
     return prev[-1]
 
 
-def rouge_l(corpus: TokenizedCorpus, beta: float = 1.2) -> float:
+def rouge_l(corpus: TokenizedCorpus) -> float:
     """Mean LCS F-measure; per sample, precision and recall each take their
     max over the references before combining."""
     scores = []
@@ -122,69 +126,68 @@ def rouge_l(corpus: TokenizedCorpus, beta: float = 1.2) -> float:
             rec.append(lcs / len(ref) if ref else 0.0)
         p, r = max(prec), max(rec)
         if p != 0 and r != 0:
-            scores.append(((1 + beta ** 2) * p * r) / (r + beta ** 2 * p))
+            scores.append(((1 + ROUGE_BETA ** 2) * p * r) / (r + ROUGE_BETA ** 2 * p))
         else:
             scores.append(0.0)
     return float(np.mean(scores))
 
 
-def _cider_vec(counts: Counter, doc_freq, log_n_docs: float, max_n: int):
-    vec = [defaultdict(float) for _ in range(max_n)]
-    norm = [0.0] * max_n
-    length = 0
-    for gram, tf in counts.items():
-        order = len(gram) - 1
-        idf = log_n_docs - math.log(max(1.0, doc_freq[gram]))
-        vec[order][gram] = tf * idf
-        norm[order] += vec[order][gram] ** 2
-        if order == 0:
-            length += tf
-    return vec, [math.sqrt(x) for x in norm], length
+class CiderD:
+    """CIDEr-D with document frequencies counted once over ``ref_sets``.
 
+    ``score`` is one sample's TF-IDF n-gram cosine against each reference,
+    with candidate count clipping and a Gaussian length penalty, averaged
+    over references and orders, scaled by 10.
+    """
 
-def cider(corpus: TokenizedCorpus, max_n: int = 4, sigma: float = 6.0) -> float:
-    """CIDEr-D: TF-IDF n-gram cosine against each reference with candidate
-    count clipping and a Gaussian length penalty, averaged over references
-    and orders, scaled by 10."""
-    df_source = corpus.df_refs if corpus.df_refs is not None else corpus.references
-    if len(df_source) == 0:
-        raise EmptyInputError("CIDEr needs reference sets for document frequencies")
-    doc_freq: Counter = Counter()
-    for refs in df_source:
-        seen = set()
+    def __init__(self, ref_sets: list[list[list[str]]]):
+        if len(ref_sets) == 0:
+            raise EmptyInputError("CIDEr needs reference sets for document frequencies")
+        self.doc_freq: Counter = Counter()
+        for refs in ref_sets:
+            self.doc_freq.update({gram for ref in refs for gram in _ngrams(ref)})
+        self.log_n_docs = math.log(len(ref_sets))
+
+    def _vec(self, tokens: list[str]):
+        """TF-IDF weights by gram, the L2 norm per order, and the length."""
+        vec = {}
+        norm = [0.0] * MAX_N
+        for gram, tf in Counter(_ngrams(tokens)).items():
+            w = tf * (self.log_n_docs - math.log(max(1.0, self.doc_freq[gram])))
+            vec[gram] = w
+            norm[len(gram) - 1] += w ** 2
+        return vec, [math.sqrt(x) for x in norm], len(tokens)
+
+    def score(self, cand: list[str], refs: list[list[str]]) -> float:
+        if len(refs) == 0:
+            raise EmptyInputError("CIDEr needs at least one reference")
+        c_vec, c_norm, c_len = self._vec(cand)
+        acc = np.zeros(MAX_N)
         for ref in refs:
-            seen.update(_ngram_counts(ref, max_n).keys())
-        doc_freq.update(seen)
-    log_n_docs = math.log(len(df_source))
-
-    sample_scores = []
-    for cand, refs in zip(corpus.candidates, corpus.references):
-        c_vec, c_norm, c_len = _cider_vec(_ngram_counts(cand, max_n),
-                                          doc_freq, log_n_docs, max_n)
-        acc = np.zeros(max_n)
-        for ref in refs:
-            r_vec, r_norm, r_len = _cider_vec(_ngram_counts(ref, max_n),
-                                              doc_freq, log_n_docs, max_n)
-            delta = float(c_len - r_len)
-            for order in range(max_n):
-                val = 0.0
-                for gram, w in c_vec[order].items():
-                    # count clipping: candidate weight capped by the reference's
-                    val += min(w, r_vec[order][gram]) * r_vec[order][gram]
+            r_vec, r_norm, r_len = self._vec(ref)
+            penalty = math.exp(-(float(c_len - r_len) ** 2) / (2 * CIDER_SIGMA ** 2))
+            val = [0.0] * MAX_N
+            for gram, w in c_vec.items():
+                # count clipping: candidate weight capped by the reference's;
+                # a gram the reference lacks would add exactly +0.0
+                if gram in r_vec:
+                    val[len(gram) - 1] += min(w, r_vec[gram]) * r_vec[gram]
+            for order in range(MAX_N):
                 if c_norm[order] != 0 and r_norm[order] != 0:
-                    val /= c_norm[order] * r_norm[order]
-                acc[order] += val * math.exp(-(delta ** 2) / (2 * sigma ** 2))
-        sample_scores.append(float(np.mean(acc)) / len(refs) * 10.0)
-    return float(np.mean(sample_scores))
+                    val[order] /= c_norm[order] * r_norm[order]
+                acc[order] += val[order] * penalty
+        return float(np.mean(acc)) / len(refs) * 10.0
+
+
+def cider(corpus: TokenizedCorpus) -> float:
+    """Mean CIDEr-D, with document frequencies from the corpus's references."""
+    scorer = CiderD(corpus.references)
+    return float(np.mean([scorer.score(cand, refs)
+                          for cand, refs in zip(corpus.candidates, corpus.references)]))
 
 
 def evaluate_corpus(corpus: TokenizedCorpus) -> dict[str, float]:
     """The CLI-facing bundle of every implemented metric."""
-    return {
-        "bleu1": bleu(corpus, 1),
-        "bleu2": bleu(corpus, 2),
-        "bleu3": bleu(corpus, 3),
-        "bleu4": bleu(corpus, 4),
-        "rougeL": rouge_l(corpus),
-        "cider": cider(corpus),
-    }
+    bleu1, bleu2, bleu3, bleu4 = bleu(corpus)
+    return {"bleu1": bleu1, "bleu2": bleu2, "bleu3": bleu3, "bleu4": bleu4,
+            "rougeL": rouge_l(corpus), "cider": cider(corpus)}

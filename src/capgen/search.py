@@ -37,7 +37,10 @@ class GenerationResult:
 
 def greedy_decode(decoder, features, max_len: int = 30,
                   record_trace: bool = False) -> GenerationResult:
-    """Argmax decoding until EOS or max_len; ties go to the lowest id."""
+    """Argmax decoding until EOS or max_len; ties go to the lowest id.
+
+    Fails with ``ContractError`` at a step where no token has positive
+    probability, as ``beam_search`` does."""
     if max_len < 1:
         raise ContractError(f"max_len must be >= 1, got {max_len}")
     state = decoder.init_state(features)
@@ -51,6 +54,9 @@ def greedy_decode(decoder, features, max_len: int = 30,
         if record_trace:
             rows.append(state.row)
         nxt = int(np.argmax(p.data))
+        if not p.data[nxt] > 0.0:
+            raise ContractError(f"greedy decode: no token had positive probability at step {steps}, "
+                                "so no caption can be expanded")
         logprob += float(np.log(p.data[nxt]))
         if nxt == EOS_ID:
             finished = 1

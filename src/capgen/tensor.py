@@ -40,8 +40,8 @@ from .errors import ContractError, DomainError, ShapeError
 
 __all__ = [
     "Tensor", "Tape", "backward", "zeros",
-    "add", "sub", "mul", "div", "neg", "matmul", "transpose",
-    "sigmoid", "tanh", "exp", "log", "sqrt", "relu", "softmax",
+    "add", "sub", "mul", "neg", "matmul", "transpose",
+    "sigmoid", "tanh", "log", "softmax",
     "concat", "sum_all", "mean_rows", "add_rowvec",
     "take_rows", "take_row", "at", "narrow", "pick_per_row",
     "stack_rows", "reshape",
@@ -92,9 +92,6 @@ class Tensor:
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
 
     def __neg__(self):
         return neg(self)
@@ -327,31 +324,6 @@ def mul(a, b) -> Tensor:
     return _record(out, (a, b), grad_fn)
 
 
-def div(a, b) -> Tensor:
-    if isinstance(b, (int, float)) and isinstance(a, Tensor):
-        inv = 1.0 / b
-        out = Tensor(a.data * inv)
-        return _record(out, (a,), lambda g: (g * inv,))
-    if isinstance(a, (int, float)):
-        a = Tensor(np.asarray(a, dtype=np.float64))
-    _binary_shapes("div", a, b)
-    out = Tensor(a.data / b.data)
-
-    def grad_fn(g):
-        ga = gb = None
-        if a.requires_grad:
-            ga = g / b.data
-            if a.data.shape != out.data.shape:
-                ga = _reduce_to(ga, a.data.shape)
-        if b.requires_grad:
-            gb = -g * a.data / (b.data * b.data)
-            if b.data.shape != out.data.shape:
-                gb = _reduce_to(gb, b.data.shape)
-        return ga, gb
-
-    return _record(out, (a, b), grad_fn)
-
-
 def neg(a: Tensor) -> Tensor:
     out = Tensor(-a.data)
     return _record(out, (a,), lambda g: (-g,))
@@ -406,31 +378,12 @@ def tanh(a: Tensor) -> Tensor:
     return _record(out, (a,), lambda g: (g * (1.0 - y * y),))
 
 
-def exp(a: Tensor) -> Tensor:
-    y = np.exp(a.data)
-    out = Tensor(y)
-    return _record(out, (a,), lambda g: (g * y,))
-
-
 def log(a: Tensor) -> Tensor:
     if np.any(a.data <= 0.0):
         bad = float(a.data[a.data <= 0.0].flat[0])
         raise DomainError(f"log of non-positive entry {bad}")
     out = Tensor(np.log(a.data))
     return _record(out, (a,), lambda g: (g / a.data,))
-
-
-def sqrt(a: Tensor) -> Tensor:
-    if np.any(a.data < 0.0):
-        raise DomainError("sqrt of negative entry")
-    y = np.sqrt(a.data)
-    out = Tensor(y)
-    return _record(out, (a,), lambda g: (g / (2.0 * y),))
-
-
-def relu(a: Tensor) -> Tensor:
-    out = Tensor(np.maximum(a.data, 0.0))
-    return _record(out, (a,), lambda g: (g * (a.data > 0.0),))
 
 
 def softmax(a: Tensor) -> Tensor:

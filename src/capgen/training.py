@@ -74,15 +74,12 @@ class RewardConfig:
 
 
 def make_cider_reward(vocab: Vocabulary, corpus_refs: list[list[str]]):
-    """Reward = CIDEr of the caption against its references, with document
-    frequencies taken from the whole reference corpus."""
-    ref_tokens = [[tokenize(r) for r in refs] for refs in corpus_refs]
+    """Reward = CIDEr-D of the caption against its references, with document
+    frequencies counted once, here, over the whole reference corpus."""
+    scorer = metrics.CiderD([[tokenize(r) for r in refs] for refs in corpus_refs])
 
     def reward(tokens: list[int], refs: list[str]) -> float:
-        cand = vocab.decode(tokens)
-        here = [tokenize(r) for r in refs]
-        corpus = metrics.TokenizedCorpus([cand], [here], df_refs=ref_tokens)
-        return metrics.cider(corpus)
+        return scorer.score(vocab.decode(tokens), [tokenize(r) for r in refs])
 
     return reward
 
@@ -247,7 +244,7 @@ def _val_score(cfg, decoder, dataset, vocab, split="val") -> float:
     if cfg.val_metric == "cider":
         return metrics.cider(corpus)
     if cfg.val_metric == "bleu4":
-        return metrics.bleu(corpus, 4)
+        return metrics.bleu(corpus)[3]
     raise ConfigError(f"unknown val_metric {cfg.val_metric!r}")
 
 
@@ -265,7 +262,7 @@ def train(cfg: TrainConfig) -> TrainResult:
         raise ConfigError("config must set data_dir")
     dataset = Dataset.load(cfg.data_dir)
     vocab = Vocabulary.load(Path(cfg.data_dir) / "vocab.json")
-    train_samples = dataset.splits["train"]
+    train_samples = dataset.split("train")
     probe = dataset.features(train_samples[0])
     decoder = _build_decoder(cfg, vocab, probe)
     params = decoder.parameters()

@@ -181,6 +181,20 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "split 'test' has no samples" in err
 
+    @pytest.mark.parametrize("edit", ["missing", "empty"])
+    def test_train_without_train_samples_fails_cleanly(self, workspace, tmp_path, capsys,
+                                                       edit):
+        _, data, _ = workspace
+        other = tmp_path / "data"
+        edited_copy(data, other, "manifest.json",
+                    lambda m: m["splits"].pop("train") if edit == "missing"
+                    else m["splits"]["train"].clear())
+        assert main(["train", "--data-dir", str(other), "--epochs", "1",
+                     "--checkpoint", str(tmp_path / "model.ckpt")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'train'" in err
+        assert not (tmp_path / "model.ckpt").exists()
+
     def test_evaluate_candidate_without_refs_fails_cleanly(self, tmp_path, capsys):
         cands = tmp_path / "cands.jsonl"
         cands.write_text('{"id": "a", "caption": "a dog"}\n'

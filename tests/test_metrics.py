@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capgen.errors import ContractError, EmptyInputError
-from capgen.metrics import TokenizedCorpus, bleu, cider, evaluate_corpus, rouge_l
+from capgen.data import Vocabulary
+from capgen.errors import EmptyInputError
+from capgen.metrics import CiderD, TokenizedCorpus, bleu, cider, evaluate_corpus, rouge_l
+from capgen.training import make_cider_reward
 
 from oracle_scorers import oracle_bleu, oracle_cider, oracle_rouge
 
@@ -41,12 +43,12 @@ class TestBleu:
     def test_perfect_match_is_one(self):
         corpus = corpus_of(["a cat sat down here", "the dog runs fast today"],
                            [["a cat sat down here"], ["the dog runs fast today"]])
-        for n in range(1, 5):
-            assert bleu(corpus, n) == pytest.approx(1.0, abs=1e-12)
+        for score in bleu(corpus):
+            assert score == pytest.approx(1.0, abs=1e-12)
 
     def test_clipped_repeat_against_oracle(self):
         corpus = corpus_of(["the the the the"], [["the cat"]])
-        got = bleu(corpus, 1)
+        got = bleu(corpus)[0]
         want = oracle_bleu([["the"] * 4], [[["the", "cat"]]], n=1)
         # one clipped match over four, with the brevity penalty from c=4, r=2
         assert got == pytest.approx(want, abs=1e-12)
@@ -54,12 +56,7 @@ class TestBleu:
 
     def test_no_fourgram_overlap_is_zero(self):
         corpus = corpus_of(["a b c d e"], [["a x c y e"]])
-        assert bleu(corpus, 4) == 0.0
-
-    def test_invalid_order(self):
-        corpus = corpus_of(["a"], [["a"]])
-        with pytest.raises(ContractError):
-            bleu(corpus, 5)
+        assert bleu(corpus)[3] == 0.0
 
     def test_empty_corpus(self):
         with pytest.raises(EmptyInputError):
@@ -68,13 +65,13 @@ class TestBleu:
     def test_brevity_penalty_uses_closest_reference(self):
         # candidate of 3 words; refs of lengths 2 and 5 -> closest is 2 -> no BP
         corpus = corpus_of(["a b c"], [["a b", "a b c d e"]])
-        assert bleu(corpus, 1) == pytest.approx(1.0, abs=1e-12)
+        assert bleu(corpus)[0] == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_matches_oracle_on_hand_corpus(self, n):
         cands, refs = hand_built_corpus()
         corpus = TokenizedCorpus(cands, refs)
-        assert bleu(corpus, n) == pytest.approx(
+        assert bleu(corpus)[n - 1] == pytest.approx(
             oracle_bleu(cands, refs, n), abs=1e-6)
 
 
@@ -111,9 +108,7 @@ class TestCider:
     def test_disjoint_ngrams_zero(self):
         cands, refs = hand_built_corpus(8)
         cands[0] = ["qqq", "zzz"]
-        corpus = TokenizedCorpus(cands, refs)
-        per_sample = cider(TokenizedCorpus([cands[0]], [refs[0]],
-                                           df_refs=refs))
+        per_sample = CiderD(refs).score(cands[0], refs[0])
         assert per_sample == pytest.approx(0.0, abs=1e-12)
 
     def test_three_sample_toy_matches_oracle(self):
@@ -180,9 +175,61 @@ class TestTokenization:
         corpus = TokenizedCorpus.from_strings(
             ["The CAT, sat!"], [["the cat sat"]])
         assert corpus.candidates[0] == ["the", "cat", "sat"]
-        assert bleu(corpus, 1) == pytest.approx(1.0)
+        assert bleu(corpus)[0] == pytest.approx(1.0)
 
     def test_whitespace_mode_keeps_punctuation(self):
         corpus = TokenizedCorpus.from_strings(
             ["the cat,"], [["the cat,"]], mode="whitespace")
         assert corpus.candidates[0] == ["the", "cat,"]
+
+
+# Repeated n-grams, an empty candidate and one-word references.
+EDGE_CANDS = ["the the the the dog dog", "", "a", "a man plays a guitar a man plays", "dog dog"]
+EDGE_REFS = [["the dog", "the the dog runs", "dog"], ["a man", "x"], ["a", "b"],
+             ["a man plays a guitar", "a man is playing", "man"], ["dog"]]
+
+# float.hex of every value, as scored by the earlier implementation that
+# recounted n-grams per BLEU order and document frequencies per CIDEr-D call.
+PINNED = {
+    "hand0": {"bleu1": "0x1.421d5207798f4p-1", "bleu2": "0x1.2c07bf4e7e249p-1",
+              "bleu3": "0x1.2da22994e8da1p-1", "bleu4": "0x1.30c61b333c909p-1",
+              "rougeL": "0x1.13da795e4a897p-1", "cider": "0x1.434308b40150ep+1"},
+    "hand1": {"bleu1": "0x1.2357a9efd0980p-1", "bleu2": "0x1.0d6e4485d8a85p-1",
+              "bleu3": "0x1.0b67cdcb96474p-1", "bleu4": "0x1.09ec463a33939p-1",
+              "rougeL": "0x1.0dce53f463a08p-1", "cider": "0x1.371583110e2aap+1"},
+    "hand2": {"bleu1": "0x1.3bc301b4a4198p-1", "bleu2": "0x1.20dc19e8cd383p-1",
+              "bleu3": "0x1.1bdc89328d35cp-1", "bleu4": "0x1.237777a348eb2p-1",
+              "rougeL": "0x1.fe7ab22426e9ep-2", "cider": "0x1.2230953f4077cp+1"},
+    "edge": {"bleu1": "0x1.2d2d2d2d2d2d3p-1", "bleu2": "0x1.0ac7145747b3fp-1",
+             "bleu3": "0x1.e88c02ec7e03cp-2", "bleu4": "0x1.9fa951cf671edp-2",
+             "rougeL": "0x1.49dac66867c76p-1", "cider": "0x1.2b56fcfb12034p+0"},
+}
+PINNED_REWARDS = ["0x1.4a018042ef3e6p+2", "0x1.00753b7b7831cp+1", "0x1.cc4e89ac26224p-1",
+                  "0x0.0p+0", "0x1.6dda3c58ca350p+2", "0x1.23b9c9c452fb4p+2",
+                  "0x1.3bac39f2ba61ep-2", "0x0.0p+0", "0x0.0p+0"]
+
+
+class TestPinnedValues:
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_evaluate_corpus_bit_identical(self, name):
+        if name == "edge":
+            corpus = corpus_of(EDGE_CANDS, EDGE_REFS)
+        else:
+            corpus = TokenizedCorpus(*hand_built_corpus(seed=int(name[-1])))
+        got = evaluate_corpus(corpus)
+        assert list(got) == ["bleu1", "bleu2", "bleu3", "bleu4", "rougeL", "cider"]
+        assert {k: float.hex(v) for k, v in got.items()} == PINNED[name]
+
+    def test_cider_reward_bit_identical(self):
+        cands, refs = hand_built_corpus(8)
+        ref_strs = [[" ".join(r) for r in rs] for rs in refs]
+        vocab = Vocabulary(["man", "dog", "guitar", "park", "ball", "runs", "plays",
+                            "the", "a", "with", "in", "red", "big"])
+        reward = make_cider_reward(vocab, ref_strs)
+        got = [reward(vocab.encode(cands[i]), ref_strs[i]) for i in range(7)]
+        got += [reward([], ref_strs[0]), reward([3, 3], ref_strs[1])]
+        assert [float.hex(x) for x in got] == PINNED_REWARDS
+
+    def test_reward_needs_a_reference_corpus(self):
+        with pytest.raises(EmptyInputError):
+            make_cider_reward(Vocabulary(["a"]), [])

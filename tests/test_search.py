@@ -195,9 +195,11 @@ class TestBeam:
 
     def test_nothing_expandable_is_contract_error(self):
         # every token has probability 0 at the first step: no hypothesis
-        # reaches the pool or the live beam
+        # reaches the pool or the live beam, and greedy has no word to emit
         with pytest.raises(ContractError, match="no token had positive probability"):
             beam_search(ScriptedDecoder([np.zeros(6)]), None, k=3, max_len=4)
+        with pytest.raises(ContractError, match="no token had positive probability"):
+            greedy_decode(ScriptedDecoder([np.zeros(6)]), None, max_len=3)
 
 
 class QuantisedDecoder(ContextualDecoder):

@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 from capgen.errors import ContractError, DomainError, ShapeError
 from capgen.gradcheck import fd_gradients, max_relative_error
 from capgen.tensor import (
-    Tape, Tensor, add_rowvec, at, backward, concat, div, exp, log, matmul,
-    mean_rows, narrow, pick_per_row, relu, reshape, sigmoid, softmax, sqrt,
-    stack_rows, sum_all, take_row, take_rows, tanh, transpose,
+    Tape, Tensor, add_rowvec, at, backward, concat, log, matmul, mean_rows, narrow,
+    pick_per_row, reshape, sigmoid, softmax, stack_rows, sum_all, take_row, take_rows,
+    tanh, transpose,
 )
 
 
@@ -91,21 +91,15 @@ class TestElementwise:
         with pytest.raises(DomainError):
             log(Tensor([1.0, 0.0]))
 
-    def test_sqrt_domain_error(self):
-        with pytest.raises(DomainError):
-            sqrt(Tensor([-1.0]))
-
-    @pytest.mark.parametrize("op", [sigmoid, tanh, exp, relu])
+    @pytest.mark.parametrize("op", [sigmoid, tanh])
     def test_unary_gradients(self, op, rng):
         x = leaf(rng.standard_normal(6))
         err = op_gradcheck(lambda: op(x), {"x": x})
         assert err < 1e-5
 
-    def test_log_div_gradients(self, rng):
+    def test_log_gradient(self, rng):
         x = leaf(rng.uniform(0.5, 2.0, size=5))
-        y = leaf(rng.uniform(0.5, 2.0, size=5))
         assert op_gradcheck(lambda: log(x), {"x": x}) < 1e-5
-        assert op_gradcheck(lambda: div(x, y), {"x": x, "y": y}) < 1e-5
 
 
 class TestSoftmax:
