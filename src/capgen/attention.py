@@ -37,6 +37,11 @@ class AdditiveAttention(Module):
     w . tanh(W_a h + U_a v + b_a), normalizes with a softmax, and returns
     the weighted feature sum.  The same scorer serves frame-level
     (temporal) and region-level (spatial) features.
+
+    The keys U_a v do not depend on the query.  ``keys(feats)`` computes
+    them once per feature set, and ``attend`` takes them so that every
+    step of a caption reuses one projection; without them it projects
+    the features itself.
     """
 
     def __init__(self, query_dim: int, feature_dim: int, attn_dim: int,
@@ -49,19 +54,30 @@ class AdditiveAttention(Module):
         self.b_a = Tensor(np.zeros(attn_dim), requires_grad=True)
         self.w = Tensor(glorot(rng, attn_dim, 1).data[:, 0].copy(), requires_grad=True)
 
-    def attend(self, h: Tensor, feats: Tensor) -> tuple[Tensor, Tensor]:
-        """Return (context, alpha) for query h over feature rows."""
+    def _check_feats(self, feats: Tensor) -> None:
         if feats.data.ndim != 2 or feats.data.shape[0] == 0:
             raise EmptyInputError(f"attention over empty feature set {feats.data.shape}")
         if feats.data.shape[1] != self.feature_dim:
             raise ShapeError(
                 f"attention expects features of dim {self.feature_dim}, got {feats.data.shape}")
+
+    def keys(self, feats: Tensor) -> Tensor:
+        """The key projection ``feats @ U_a.T``, shape (n, attn_dim)."""
+        self._check_feats(feats)
+        return matmul(feats, transpose(self.U_a))
+
+    def attend(self, h: Tensor, feats: Tensor,
+               keys: Tensor | None = None) -> tuple[Tensor, Tensor]:
+        """Return (context, alpha) for query h over feature rows; ``keys``
+        is ``self.keys(feats)``, computed here when not given."""
+        self._check_feats(feats)
         if h.shape != (self.query_dim,):
             raise ShapeError(
                 f"attention expects a query of dim {self.query_dim}, got {h.shape}")
-        proj = matmul(feats, transpose(self.U_a))          # (n, attn)
+        if keys is None:
+            keys = self.keys(feats)                        # (n, attn)
         shift = matmul(self.W_a, h) + self.b_a             # (attn,)
-        scores = matmul(tanh(add_rowvec(proj, shift)), self.w)  # (n,)
+        scores = matmul(tanh(add_rowvec(keys, shift)), self.w)  # (n,)
         alpha = softmax(scores)
         ctx = matmul(transpose(feats), alpha)              # (d,)
         return ctx, alpha

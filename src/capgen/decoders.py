@@ -13,7 +13,20 @@ Every decoder (``da.DeliberateDecoder`` too) follows one protocol:
 ``step(state, token_id, training, rng) -> (p, state)`` returns the word
 distribution and a fresh state whose ``row`` is that step's
 ``TraceRow(alpha, beta)``.  States never collect rows; the search in
-``search.py`` gathers them along a caption.
+``search.py`` gathers them along a caption.  A two-LSTM state's ``feats``
+carries the attention keys ``feats @ U_a.T`` next to the features they
+project: ``init_state`` computes them once, and every step of greedy,
+beam and sampled decoding reuses them.
+
+Teacher forcing has two paths that give the same log-probs within
+rounding.  ``_teacher_forced`` runs ``step`` once per word; the
+single-LSTM baseline, two-stream joint mode and ``da`` use it, and the
+tests use it as the reference.  The two-LSTM variants run
+``_two_lstm_teacher_forced`` in phases instead, because every input is
+known up front and nothing after the bottom LSTM feeds back into the
+recurrence: one embedding gather, one GEMM per gate for each LSTM's
+input products, the two recurrences with the attention once per step,
+and one word head and ``log_softmax`` over the stacked (T, ·) rows.
 """
 
 from __future__ import annotations
@@ -29,8 +42,10 @@ from .attention import (
 )
 from .data import BOS_ID, FeatureSet
 from .errors import ConfigError, ContractError, ShapeError
-from .layers import Embedding, Linear, LstmCell, Module, dropout
-from .tensor import Tensor, concat, log, softmax, stack_rows, tanh, zeros
+from .layers import Embedding, Linear, LstmCell, Module, dropout, dropout_mask
+from .tensor import (
+    Tensor, concat, log, log_softmax, softmax, stack_rows, tanh, zeros,
+)
 
 __all__ = [
     "DecoderConfig", "DecoderState", "TwoStreamState",
@@ -80,10 +95,11 @@ def _nearest_segment_rows(frames: np.ndarray, segments: np.ndarray) -> np.ndarra
     return segments[idx]
 
 
-def _word_head(dec, x: Tensor) -> Tensor:
-    """Word MLP: softmax(U_p tanh(W_p x + b_p) + d) over the decoder's
-    ``out_hidden`` and ``out_vocab`` layers."""
-    return softmax(dec.out_vocab(tanh(dec.out_hidden(x))))
+def _word_logits(dec, x: Tensor) -> Tensor:
+    """Word MLP logits U_p tanh(W_p x + b_p) + d over the decoder's
+    ``out_hidden`` and ``out_vocab`` layers; ``x`` is one (d,) input or a
+    (T, d) matrix of them."""
+    return dec.out_vocab(tanh(dec.out_hidden(x)))
 
 
 class BasicDecoder(Module):
@@ -115,7 +131,7 @@ class BasicDecoder(Module):
         y = concat([self.embed.lookup_one(token_id), vbar])
         out = self.lstm.step(y, state.h, state.m)
         h_d = dropout(out.h, c.dropout, training, rng)
-        p = _word_head(self, h_d)
+        p = softmax(_word_logits(self, h_d))
         row = TraceRow(np.ones(1), np.ones(1))
         return p, DecoderState(out.h, out.m, out.h, out.m, state.feats, row)
 
@@ -174,23 +190,30 @@ class HierarchicalDecoder(Module):
 
     def init_state(self, features: FeatureSet) -> DecoderState:
         source = Tensor(self._source(features))
-        return _two_lstm_init(self, mean_pool(source), (source,))
+        return _two_lstm_init(self, mean_pool(source), (source, self.attn.keys(source)))
 
-    def step(self, state: DecoderState, token_id: int,
-             training: bool = False, rng=None):
-        (source,) = state.feats
+    def _attender(self, feats: tuple):
+        """Attend-and-gate over ``DecoderState.feats``:
+        ``attend(h_d, ht_d) -> (blended context, TraceRow)``."""
+        source, keys = feats
+
         def attend(h_d, ht_d):
-            ctx, alpha = self.attn.attend(h_d, source)
+            ctx, alpha = self.attn.attend(h_d, source, keys)
             if self.gate is None:
                 return ctx, TraceRow(alpha.data, np.ones(1))
             blended, beta = adaptive_blend(self.gate, h_d, ctx, ht_d,
                                            force=self.gate_override)
             return blended, TraceRow(alpha.data, beta.data.reshape(-1))
 
-        return _two_lstm_step(self, state, token_id, training, rng, attend)
+        return attend
+
+    def step(self, state: DecoderState, token_id: int,
+             training: bool = False, rng=None):
+        return _two_lstm_step(self, state, token_id, training, rng,
+                              self._attender(state.feats))
 
     def forward_teacher_forced(self, features, tokens, training=False, rng=None):
-        return _teacher_forced(self, features, tokens, training, rng)
+        return _two_lstm_teacher_forced(self, features, tokens, training, rng)
 
 
 class ParallelDecoder(Module):
@@ -229,21 +252,29 @@ class ParallelDecoder(Module):
         static = Tensor(features.require("temporal"))
         motion = Tensor(features.require("motion"))
         pooled = concat([mean_pool(static), mean_pool(motion)])
-        return _two_lstm_init(self, pooled, (static, motion))
+        return _two_lstm_init(self, pooled, (static, self.attn_static.keys(static),
+                                             motion, self.attn_motion.keys(motion)))
 
-    def step(self, state: DecoderState, token_id: int,
-             training: bool = False, rng=None):
-        static, motion = state.feats
+    def _attender(self, feats: tuple):
+        """Attend-and-gate over ``DecoderState.feats``:
+        ``attend(h_d, ht_d) -> (blended context, TraceRow)``."""
+        static, static_keys, motion, motion_keys = feats
+
         def attend(h_d, ht_d):
-            ctx1, alpha1 = self.attn_static.attend(h_d, static)
-            ctx2, _ = self.attn_motion.attend(h_d, motion)
+            ctx1, alpha1 = self.attn_static.attend(h_d, static, static_keys)
+            ctx2, _ = self.attn_motion.attend(h_d, motion, motion_keys)
             blended, betas = parallel_adaptive_blend(self.gate, h_d, ctx1, ctx2, ht_d)
             return blended, TraceRow(alpha1.data, betas.data)
 
-        return _two_lstm_step(self, state, token_id, training, rng, attend)
+        return attend
+
+    def step(self, state: DecoderState, token_id: int,
+             training: bool = False, rng=None):
+        return _two_lstm_step(self, state, token_id, training, rng,
+                              self._attender(state.feats))
 
     def forward_teacher_forced(self, features, tokens, training=False, rng=None):
-        return _teacher_forced(self, features, tokens, training, rng)
+        return _two_lstm_teacher_forced(self, features, tokens, training, rng)
 
 
 def _two_lstm_init(dec, pooled: Tensor, feats: tuple) -> DecoderState:
@@ -265,8 +296,52 @@ def _two_lstm_step(dec, state: DecoderState, token_id: int, training, rng, atten
     ht_d = dropout(top.h, c.dropout, training, rng)
     blended, row = attend(h_d, ht_d)
     out_h = h_d if c.output_hidden == "bottom" else ht_d
-    p = _word_head(dec, concat([out_h, blended]))
+    p = softmax(_word_logits(dec, concat([out_h, blended])))
     return p, DecoderState(bot.h, bot.m, top.h, top.m, state.feats, row)
+
+
+def _two_lstm_teacher_forced(dec, features, tokens, training=False, rng=None):
+    """Teacher-forced log-probs (T, vocab) of a two-LSTM decoder, in phases.
+
+    Gives what ``_teacher_forced`` gives over ``dec.step``, within
+    rounding: every input is known up front and nothing after the bottom
+    LSTM feeds back into the recurrence, so the work outside it runs once
+    per caption.  One lookup gathers the T input words; one GEMM per gate
+    computes the bottom LSTM's input products, and T ``step`` calls run
+    its recurrence.  The top LSTM does the same over the stacked, dropped
+    out bottom states, and ``dec._attender`` attends once per step.  The
+    word head and ``log_softmax`` then run once over the stacked rows.
+    The dropout masks come from one ``(T, 2, H)`` draw, the same stream
+    as ``step``'s alternating bottom and top draws.
+    """
+    c = dec.config
+    tokens = _caption_ids(tokens)
+    steps = len(tokens) - 1
+    state = dec.init_state(features)
+    masks = dropout_mask((steps, 2, c.hidden_dim), c.dropout, training, rng)
+
+    def drop(x, t, layer):
+        return x if masks is None else x * Tensor(masks[t, layer])
+
+    bottom_in = dec.bottom.input_products(dec.embed.lookup(tokens[:-1]))
+    h, m, h_d = state.h, state.m, []
+    for t in range(steps):
+        bot = dec.bottom.step(bottom_in.row(t), h, m)
+        h, m = bot.h, bot.m
+        h_d.append(drop(bot.h, t, 0))
+    bottoms = stack_rows(h_d)
+
+    top_in = dec.top.input_products(bottoms)
+    attend = dec._attender(state.feats)
+    h, m, ht_d, blended = state.h_top, state.m_top, [], []
+    for t in range(steps):
+        top = dec.top.step(top_in.row(t), h, m)
+        h, m = top.h, top.m
+        ht_d.append(drop(top.h, t, 1))
+        blended.append(attend(h_d[t], ht_d[t])[0])
+
+    out_h = bottoms if c.output_hidden == "bottom" else stack_rows(ht_d)
+    return log_softmax(_word_logits(dec, concat([out_h, stack_rows(blended)], axis=1)))
 
 
 def two_stream_fuse(p1: Tensor, p2: Tensor) -> Tensor:
@@ -339,17 +414,23 @@ def _select(features: FeatureSet, kind: str) -> FeatureSet:
     return FeatureSet(temporal=arr)
 
 
+def _caption_ids(tokens) -> list[int]:
+    """A teacher-forced caption as ints: BOS first, at least one step."""
+    tokens = [int(t) for t in tokens]
+    if not tokens or tokens[0] != BOS_ID:
+        raise ContractError("teacher forcing requires a caption starting with BOS")
+    if len(tokens) < 2:
+        raise ContractError("caption has no prediction steps")
+    return tokens
+
+
 def _teacher_forced(decoder, features, tokens, training=False, rng=None, aux=None):
     """Log-probs (T, vocab): step t consumes ground-truth token t-1.
 
     With ``aux``, a distribution-valued function of the state after each
     step, also returns the (T, vocab) log-probs of that distribution.
     """
-    tokens = [int(t) for t in tokens]
-    if not tokens or tokens[0] != BOS_ID:
-        raise ContractError("teacher forcing requires a caption starting with BOS")
-    if len(tokens) < 2:
-        raise ContractError("caption has no prediction steps")
+    tokens = _caption_ids(tokens)
     state = decoder.init_state(features)
     rows, aux_rows = [], []
     for t in range(1, len(tokens)):

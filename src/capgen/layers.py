@@ -11,7 +11,8 @@ from .tensor import (
     Tensor, add_rowvec, matmul, sigmoid, take_row, take_rows, tanh, transpose,
 )
 
-__all__ = ["Module", "LstmCell", "LstmOut", "Embedding", "Linear", "dropout", "glorot"]
+__all__ = ["Module", "LstmCell", "LstmOut", "GateInputs", "Embedding", "Linear",
+           "dropout", "dropout_mask", "glorot"]
 
 
 def glorot(rng: np.random.Generator, rows: int, cols: int) -> Tensor:
@@ -70,12 +71,30 @@ class LstmOut(NamedTuple):
     g: Tensor
 
 
+class GateInputs(NamedTuple):
+    """Input products ``W_gate y`` of the four gates: (H,) vectors for one
+    step, or (T, H) matrices for a whole sequence (``LstmCell.input_products``)."""
+    i: Tensor
+    f: Tensor
+    o: Tensor
+    g: Tensor
+
+    def row(self, t: int) -> "GateInputs":
+        """Step ``t``'s products from a sequence's (T, H) matrices."""
+        return GateInputs(*(take_row(p, t) for p in self))
+
+
 class LstmCell(Module):
     """Single LSTM cell with separate per-gate weight blocks.
 
     i/f/o are sigmoid gates, g the tanh candidate; the memory update is
     m_t = f*m_prev + i*g and the output h_t = o*tanh(m_t).  The forget
     bias starts at 1.0 to keep early training stable.
+
+    The input products W y do not depend on the recurrence, so when a
+    whole input sequence is known up front ``input_products`` computes
+    them with one GEMM per gate, and ``step`` takes each step's row in
+    place of the raw input.
     """
 
     GATES = ("i", "f", "o", "g")
@@ -90,8 +109,8 @@ class LstmCell(Module):
             setattr(self, f"b_{gate}", _zeros_param(hidden_dim))
         self.b_f.data[:] = forget_bias
 
-    def _check(self, y: Tensor, h_prev: Tensor, m_prev: Tensor) -> None:
-        if y.shape != (self.input_dim,):
+    def _check(self, y, h_prev: Tensor, m_prev: Tensor) -> None:
+        if not isinstance(y, GateInputs) and y.shape != (self.input_dim,):
             raise ShapeError(
                 f"input-gate block W_i expects input of dim {self.input_dim}, got {y.shape}")
         if h_prev.shape != (self.hidden_dim,):
@@ -101,12 +120,26 @@ class LstmCell(Module):
             raise ShapeError(
                 f"memory block expects dim {self.hidden_dim}, got {m_prev.shape}")
 
-    def step(self, y: Tensor, h_prev: Tensor, m_prev: Tensor) -> LstmOut:
+    def input_products(self, ys: Tensor) -> GateInputs:
+        """``ys @ W_gate.T`` for a (T, input_dim) input sequence, one GEMM per gate."""
+        if ys.data.ndim != 2 or ys.shape[1] != self.input_dim:
+            raise ShapeError(
+                f"input-gate block W_i expects a (T, {self.input_dim}) sequence, got {ys.shape}")
+        return GateInputs(*(matmul(ys, transpose(getattr(self, f"W_{gate}")))
+                            for gate in self.GATES))
+
+    def step(self, y, h_prev: Tensor, m_prev: Tensor) -> LstmOut:
+        """One step from the raw (input_dim,) input ``y`` or, in its place,
+        the step's ``GateInputs`` row; either way each gate's
+        pre-activation is (W y + U h_prev) + b."""
         self._check(y, h_prev, m_prev)
-        i = sigmoid(matmul(self.W_i, y) + matmul(self.U_i, h_prev) + self.b_i)
-        f = sigmoid(matmul(self.W_f, y) + matmul(self.U_f, h_prev) + self.b_f)
-        o = sigmoid(matmul(self.W_o, y) + matmul(self.U_o, h_prev) + self.b_o)
-        g = tanh(matmul(self.W_g, y) + matmul(self.U_g, h_prev) + self.b_g)
+        if not isinstance(y, GateInputs):
+            y = GateInputs(matmul(self.W_i, y), matmul(self.W_f, y),
+                           matmul(self.W_o, y), matmul(self.W_g, y))
+        i = sigmoid(y.i + matmul(self.U_i, h_prev) + self.b_i)
+        f = sigmoid(y.f + matmul(self.U_f, h_prev) + self.b_f)
+        o = sigmoid(y.o + matmul(self.U_o, h_prev) + self.b_o)
+        g = tanh(y.g + matmul(self.U_g, h_prev) + self.b_g)
         m = f * m_prev + i * g
         h = o * tanh(m)
         return LstmOut(h, m, i, f, o, g)
@@ -154,17 +187,24 @@ class Linear(Module):
         return add_rowvec(y, self.b) if self.b is not None else y
 
 
+def dropout_mask(shape, rate: float, training: bool,
+                 rng: np.random.Generator | None = None) -> np.ndarray | None:
+    """Inverted-dropout mask of ``shape``: 0 with prob ``rate``, else
+    1/(1-rate).  None when dropout is off (inference, or rate 0)."""
+    if not 0.0 <= rate < 1.0:
+        raise ContractError(f"dropout rate must lie in [0, 1), got {rate}")
+    if not training or rate == 0.0:
+        return None
+    if rng is None:
+        raise ContractError("training-mode dropout needs an rng")
+    return (rng.random(shape) >= rate) / (1.0 - rate)
+
+
 def dropout(x: Tensor, rate: float, training: bool,
             rng: np.random.Generator | None = None) -> Tensor:
     """Inverted dropout: zero entries with prob ``rate`` and scale survivors.
 
     At inference (training=False) this is the exact identity.
     """
-    if not 0.0 <= rate < 1.0:
-        raise ContractError(f"dropout rate must lie in [0, 1), got {rate}")
-    if not training or rate == 0.0:
-        return x
-    if rng is None:
-        raise ContractError("training-mode dropout needs an rng")
-    mask = (rng.random(x.data.shape) >= rate) / (1.0 - rate)
-    return x * Tensor(mask)
+    mask = dropout_mask(x.data.shape, rate, training, rng)
+    return x if mask is None else x * Tensor(mask)

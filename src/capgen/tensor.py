@@ -41,7 +41,7 @@ from .errors import ContractError, DomainError, ShapeError
 __all__ = [
     "Tensor", "Tape", "backward", "zeros",
     "add", "sub", "mul", "neg", "matmul", "transpose",
-    "sigmoid", "tanh", "log", "softmax",
+    "sigmoid", "tanh", "log", "softmax", "log_softmax",
     "concat", "sum_all", "mean_rows", "add_rowvec",
     "take_rows", "take_row", "at", "narrow", "pick_per_row",
     "stack_rows", "reshape",
@@ -235,8 +235,9 @@ def backward(loss: Tensor) -> None:
                     deferred.setdefault(id(t), (t, []))[1].append(gt)
                     continue
                 if t.grad is None:
-                    t.grad = np.zeros_like(t.data)
-                t.grad += gt
+                    t.grad = np.array(gt, order="C")  # a copy: grad_fns may share gt
+                else:
+                    t.grad += gt
     for t, factors in deferred.values():
         _add_factors(t, factors)
 
@@ -347,7 +348,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             else:                       # (k,) @ (k,) -> ()
                 ga = g * bd
         if b.requires_grad:
-            if ad.ndim == 2:
+            if ad.ndim == 2 and bd.ndim == 2 and not bd.flags.c_contiguous:
+                gb = (g.T @ ad).T       # b is a transposed matrix: keep its layout
+            elif ad.ndim == 2:
                 gb = ad.T @ g
             elif bd.ndim == 2:          # (k,) @ (k,n) -> (n,)
                 gb = _Outer(ad, g)
@@ -401,6 +404,30 @@ def softmax(a: Tensor) -> Tensor:
 
     def grad_fn(g):
         return (y * (g - float(np.dot(g, y))),)
+
+    return _record(out, (a,), grad_fn)
+
+
+def log_softmax(a: Tensor) -> Tensor:
+    """Row-wise log-softmax of an (n, V) matrix; a 1-D tensor is one row.
+
+    Computed as ``x - max - log(sum(exp(x - max)))``, so an entry whose
+    probability underflows to 0 still gets its finite log.  Non-finite
+    input raises ``DomainError``, as in ``softmax``.
+    """
+    x = a.data
+    if x.ndim not in (1, 2):
+        raise ShapeError(f"log_softmax expects a vector or a matrix, got shape {x.shape}")
+    if x.size == 0:
+        raise ShapeError("log_softmax of empty input")
+    if not np.all(np.isfinite(x)):
+        raise DomainError("log_softmax input contains non-finite entries")
+    z = x - x.max(axis=-1, keepdims=True)
+    y = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    out = Tensor(y)
+
+    def grad_fn(g):
+        return (g - np.exp(y) * g.sum(axis=-1, keepdims=True),)
 
     return _record(out, (a,), grad_fn)
 

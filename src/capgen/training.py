@@ -23,7 +23,7 @@ from .data import (
     BOS_ID, EOS_ID, CaptionBatch, Dataset, FeatureSet, Vocabulary, tokenize,
 )
 from .decoders import DecoderConfig, TwoStreamDecoder, build_variant
-from .errors import ConfigError, EmptyInputError, ShapeError
+from .errors import ConfigError, DomainError, EmptyInputError, ShapeError
 from .optim import (
     adadelta_update, adam_lr, adam_update, clip_gradients, opt_state_arrays,
     opt_state_from_arrays, zero_grads,
@@ -224,8 +224,8 @@ def _sample_losses(decoder, features, batch: CaptionBatch, training, rng):
     return mle_loss(lp, batch)
 
 
-def _val_score(cfg, decoder, dataset, vocab, split="val") -> float:
-    samples = dataset.splits.get(split) or dataset.splits["train"]
+def _val_score(cfg, decoder, dataset, vocab, split: str) -> float:
+    samples = dataset.splits[split]
     if cfg.val_metric == "loss":
         total = 0.0
         for s in samples:
@@ -248,11 +248,33 @@ def _val_score(cfg, decoder, dataset, vocab, split="val") -> float:
     raise ConfigError(f"unknown val_metric {cfg.val_metric!r}")
 
 
+def _check_finite(epoch: int, params: dict[str, Tensor], **scalars: float) -> None:
+    """Raise ``DomainError`` naming the first of ``scalars`` (the batch
+    ``loss`` or the reward ``advantage``) that is not finite, else the
+    first parameter whose gradient holds a NaN or an infinity."""
+    for name, value in scalars.items():
+        if not np.isfinite(value):
+            raise DomainError(f"epoch {epoch}: the {name} is {value}; no update was made")
+    for name, p in params.items():
+        if p.grad is not None and not np.isfinite(p.grad).all():
+            raise DomainError(f"epoch {epoch}: the gradient of {name!r} is not finite; "
+                              "no update was made")
+
+
 def train(cfg: TrainConfig) -> TrainResult:
     """Stage-1 MLE training with early stopping; optional stage-2 rewards.
 
     The reward stage and the returned decoder start from the best
-    checkpoint's weights, not from the last epoch's.
+    checkpoint's weights, not from the last epoch's.  A non-finite batch
+    loss, reward advantage or gradient stops training with ``DomainError``
+    before the optimizer steps or a checkpoint is written.
+
+    Each MLE epoch's history row holds ``epoch``, ``loss``, ``val_metric``
+    and the ``val_split`` it scored (``val``, or ``train`` when the dataset
+    has no ``val``), ``lr`` and ``wall_time`` in seconds, the
+    epoch's ``forward_ms``, ``backward_ms``, ``update_ms`` (clipping plus
+    the optimizer) and ``val_ms``, and ``samples_per_s``: training
+    samples over the time of the epoch's batch loop.
 
     Seeded end to end: parameter init, sample order and dropout masks all
     derive from cfg.seed, so one configuration reproduces bit-identical
@@ -290,12 +312,14 @@ def train(cfg: TrainConfig) -> TrainResult:
     best_path = cfg.resume or None  # the file that holds the best weights so far
     stale_weights = False           # the weights in params are not the best
 
+    val_split = "val" if dataset.splits.get("val") else "train"
     for epoch in range(start_epoch, cfg.epochs):
         t0 = time.perf_counter()
         rng = _epoch_rng(cfg.seed, epoch)
         order = rng.permutation(len(train_samples))
         lr = adam_lr(cfg.lr, epoch, cfg.lr_decay, cfg.lr_decay_every)
         epoch_loss = 0.0
+        forward_s = backward_s = update_s = 0.0
         for lo in range(0, len(order), cfg.batch_size):
             chunk = order[lo:lo + cfg.batch_size]
             zero_grads(params)
@@ -303,9 +327,15 @@ def train(cfg: TrainConfig) -> TrainResult:
             for bi in chunk:
                 batch = CaptionBatch.from_id_seqs([ids_cache[bi]])
                 with Tape():
+                    ta = time.perf_counter()
                     loss = _sample_losses(decoder, feats_cache[bi], batch, True, rng)
+                    tb = time.perf_counter()
                     backward(loss * (1.0 / len(chunk)))
+                    forward_s += tb - ta
+                    backward_s += time.perf_counter() - tb
                 batch_loss += float(loss.data)
+            _check_finite(epoch, params, loss=batch_loss)
+            ta = time.perf_counter()
             clip_gradients(params, cfg.clip)
             if cfg.optimizer == "adadelta":
                 adadelta_update(params, opt_state, cfg.rho, cfg.eps)
@@ -313,10 +343,13 @@ def train(cfg: TrainConfig) -> TrainResult:
                 adam_update(params, opt_state, lr)
             else:
                 raise ConfigError(f"unknown optimizer {cfg.optimizer!r}")
+            update_s += time.perf_counter() - ta
             epoch_loss += batch_loss
         epoch_loss /= len(train_samples)
+        train_s = time.perf_counter() - t0
 
-        val = _val_score(cfg, decoder, dataset, vocab)
+        val = _val_score(cfg, decoder, dataset, vocab, val_split)
+        val_s = time.perf_counter() - t0 - train_s
         improved = val > best_val
         if improved:
             best_val = val
@@ -328,7 +361,10 @@ def train(cfg: TrainConfig) -> TrainResult:
         stale_weights = not improved
         entry = {"epoch": epoch, "loss": epoch_loss, "val_metric": val,
                  "lr": lr if cfg.optimizer == "adam" else None,
-                 "wall_time": time.perf_counter() - t0}
+                 "wall_time": time.perf_counter() - t0,
+                 "forward_ms": 1000.0 * forward_s, "backward_ms": 1000.0 * backward_s,
+                 "update_ms": 1000.0 * update_s, "val_ms": 1000.0 * val_s,
+                 "samples_per_s": len(train_samples) / train_s, "val_split": val_split}
         history.append(entry)
         if cfg.log_path:
             with open(cfg.log_path, "a") as fh:
@@ -360,7 +396,9 @@ def _reward_stage(cfg, decoder, params, train_samples, feats_cache, vocab, histo
         adv_sum = 0.0
         for i, s in enumerate(train_samples):
             zero_grads(params)
-            adv_sum += reward_gradient_step(decoder, feats_cache[i], s.refs, rcfg)
+            advantage = reward_gradient_step(decoder, feats_cache[i], s.refs, rcfg)
+            _check_finite(cfg.epochs + epoch, params, advantage=advantage)
+            adv_sum += advantage
             clip_gradients(params, cfg.clip)
             adam_update(params, opt_state, cfg.rl_lr)
         entry = {"epoch": cfg.epochs + epoch, "loss": None,

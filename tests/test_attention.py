@@ -69,10 +69,20 @@ class TestTemporalAttend:
         assert check_gradients(lambda: sum_all(att.attend(h, v)[0] * att.attend(h, v)[0]),
                                att.parameters()) < 1e-4
 
+    def test_precomputed_keys_give_the_same_bits(self, rng):
+        att = make_attention(rng)
+        h = Tensor(rng.standard_normal(4))
+        v = Tensor(rng.standard_normal((5, 3)))
+        ctx, alpha = att.attend(h, v)
+        ctx_k, alpha_k = att.attend(h, v, att.keys(v))
+        assert np.array_equal(ctx_k.data, ctx.data) and np.array_equal(alpha_k.data, alpha.data)
+
     def test_empty_frames(self, rng):
         att = make_attention(rng)
         with pytest.raises(EmptyInputError):
             att.attend(Tensor(rng.standard_normal(4)), Tensor(np.zeros((0, 3))))
+        with pytest.raises(EmptyInputError):
+            att.keys(Tensor(np.zeros((0, 3))))
 
     def test_permutation_equivariance(self, rng):
         att = make_attention(rng)

@@ -1,14 +1,19 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from capgen.data import BOS_ID, EOS_ID, CaptionBatch, FeatureSet
+from capgen import decoders
+from capgen.data import BOS_ID, EOS_ID, PAD_ID, CaptionBatch, FeatureSet
 from capgen.decoders import (
     DecoderConfig, HierarchicalDecoder, ParallelDecoder,
     build_variant, two_stream_fuse,
 )
 from capgen.errors import ConfigError, ContractError, ShapeError, VocabularyError
+from capgen.gradcheck import check_gradients
+from capgen.search import beam_search, greedy_decode
 from capgen.tensor import Tape, Tensor, backward
-from capgen.testkit import GRADCHECK_VARIANTS, decoder_gradcheck
+from capgen.testkit import GRADCHECK_VARIANTS, decoder_gradcheck, tiny_decoder, tiny_features
 from capgen.training import mle_loss
 
 
@@ -175,6 +180,150 @@ class TestTeacherForcing:
         loss_padded = float(mle_loss(lp_padded, padded).data)
         loss_bare = float(mle_loss(lp_bare, bare).data)
         assert loss_padded == pytest.approx(loss_bare, abs=1e-12)
+
+
+def stream_case(variant, **kw):
+    """A tiny decoder whose ``forward_teacher_forced`` is the phased path,
+    with features for it; ``two_stream/k`` is stream k of a two-stream
+    decoder, fed that stream's features."""
+    if variant == "conf":
+        kw = dict(feature_dim=2, motion_dim=2, **kw)
+    cfg = small_config(vocab=9, **kw)
+    feats = features_for(np.random.default_rng(4), variant.split("/")[0], cfg)
+    if not variant.startswith("two_stream"):
+        return build_variant(variant, cfg), feats
+    dec = build_variant("two_stream", cfg)
+    k = int(variant[-1])
+    return dec.streams[k], decoders._select(feats, dec.sources[k])
+
+
+def logprobs_and_grads(dec, teacher_forced, feats, tokens, training, seed):
+    """Log-probs and every parameter gradient of one caption's MLE loss."""
+    params = dec.parameters()
+    for p in params.values():
+        p.grad = None
+    rng = np.random.default_rng(seed)
+    with Tape():
+        lp = teacher_forced(dec, feats, tokens, training, rng)
+        backward(mle_loss(lp, CaptionBatch.from_id_seqs([tokens])))
+    return lp.data, {name: p.grad for name, p in params.items()}
+
+
+PHASED_CASES = {
+    **{v: (v, {}, {}) for v in ("hlstmat_temporal", "hlstmat_spatial", "conf", "para",
+                                "two_stream/0", "two_stream/1")},
+    "output_hidden_top": ("hlstmat_temporal", {"output_hidden": "top"}, {}),
+    "gate_free": ("hlstmat_temporal", {"use_adaptive_gate": False}, {}),
+    "gate_override": ("hlstmat_temporal", {}, {"gate_override": 1.0}),
+}
+
+
+class TestPhasedTeacherForcing:
+    """The phased path against the generic loop over ``step``."""
+
+    @pytest.mark.parametrize("case", sorted(PHASED_CASES))
+    @pytest.mark.parametrize("mode", ["eval", "dropout", "padded"])
+    def test_matches_stepwise_loop(self, case, mode):
+        variant, cfg, attrs = PHASED_CASES[case]
+        dec, feats = stream_case(variant, **cfg)
+        for name, value in attrs.items():
+            setattr(dec, name, value)
+        tokens = [BOS_ID, 5, 7, 4, EOS_ID]
+        if mode == "padded":
+            tokens += [PAD_ID, PAD_ID]
+        training = mode == "dropout"
+        if training:
+            dec.config.dropout = 0.3
+        lp, grads = logprobs_and_grads(dec, type(dec).forward_teacher_forced, feats,
+                                       tokens, training, seed=11)
+        ref_lp, ref_grads = logprobs_and_grads(dec, decoders._teacher_forced, feats,
+                                               tokens, training, seed=11)
+        assert lp.shape == (len(tokens) - 1, dec.config.vocab_size)
+        assert np.max(np.abs(lp - ref_lp)) <= 1e-12
+        assert grads.keys() == ref_grads.keys()
+        for name, g in grads.items():
+            if ref_grads[name] is None:
+                assert g is None, name
+            else:
+                assert np.max(np.abs(g - ref_grads[name])) <= 1e-12, name
+
+    @pytest.mark.parametrize("variant", ["hlstmat_temporal", "para"])
+    def test_training_mode_gradcheck(self, variant):
+        dec, feats = stream_case(variant, dropout=0.3)
+        tokens = [BOS_ID, 5, 7, EOS_ID]
+        batch = CaptionBatch.from_id_seqs([tokens])
+
+        def loss():  # a fresh rng per call fixes the dropout masks
+            lp = dec.forward_teacher_forced(feats, tokens, True, np.random.default_rng(0))
+            return mle_loss(lp, batch)
+
+        assert check_gradients(loss, dec.parameters()) < 1e-4
+
+    @pytest.mark.parametrize("variant", ["hlstmat_temporal", "para"])
+    def test_underflowing_word_probability_stays_finite(self, variant):
+        dec, feats = stream_case(variant)
+        dec.out_vocab.b.data[5] = -1000.0
+        tokens = [BOS_ID, 5, EOS_ID]
+        with Tape():
+            lp = dec.forward_teacher_forced(feats, tokens)
+            backward(mle_loss(lp, CaptionBatch.from_id_seqs([tokens])))
+        assert -1010.0 < lp.data[0, 5] < -990.0
+        for name, p in dec.parameters().items():
+            assert p.grad is None or np.all(np.isfinite(p.grad)), name
+
+
+def trace_digest(rows) -> str:
+    h = hashlib.sha256()
+    for row in rows:
+        h.update(np.asarray(row.alpha, dtype=np.float64).tobytes())
+        h.update(np.asarray(row.beta, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+# (tokens, float.hex log-prob, sha256 of the trace rows' alpha and beta bytes)
+PINNED_DECODES = {
+    "hlstmat_temporal/greedy": (
+        [5, 5, 6, 5, 5, 5, 10, 4], "-0x1.43d4680e5d3bdp+2",
+        "5a5e5cb00478e244a3900577bde7dc161ec1514ff33cc54cf2f388696b34f9ae"),
+    "hlstmat_temporal/beam5": (
+        [5, 5, 0, 4, 5, 10, 4, 5], "-0x1.de64ca3720b57p+1",
+        "6dca7d4f8b340044521c3522392e061225be260d059a78005814c8899e6c2502"),
+    "conf/greedy": (
+        [9, 10, 9, 10, 4, 5, 5, 0], "-0x1.2ff3cdfe5998cp+2",
+        "73e0f3c8ca8006ef78da8a1d30484f9662341f5b26e843cedb61016cf1680ae7"),
+    "conf/beam5": (
+        [7, 5, 9, 3, 5, 0, 8, 5], "-0x1.bd435d74735dfp+1",
+        "a8306f45a25ba567359618e90d778457d28adf6570e6492fefbcd5fce7edcf94"),
+    "para/greedy": (
+        [8, 7, 11, 11, 11, 8, 11, 8], "-0x1.27d919afcaa24p+2",
+        "2f08dddb361ddc643076d3c861a3555234278c9c778415728a8e406b3fb81540"),
+    "para/beam5": (
+        [8, 7, 11, 7, 1, 5, 8, 7], "-0x1.be603a3a06703p+1",
+        "565423b8652e4d590fad654d8b77081bac18b907c490b146fb921c17957afb90"),
+}
+
+
+class TestPinnedDecoding:
+    """Greedy and beam-5 outputs, bit for bit, of seeded tiny decoders whose
+    weights are drawn wide enough that captions vary from step to step."""
+
+    @pytest.mark.parametrize("name", sorted(PINNED_DECODES))
+    def test_bit_identical(self, name):
+        variant, search = name.split("/")
+        dec, dims = tiny_decoder(variant, hidden=8, vocab_size=12, seed=5)
+        wide = np.random.default_rng(1)
+        for p in dec.parameters().values():
+            p.data[...] = wide.standard_normal(p.data.shape) * 2.0
+        dec.out_vocab.b.data[:] = 0.0
+        dec.out_vocab.b.data[EOS_ID] = -2.0
+        feats = tiny_features(np.random.default_rng(11), 4, dims["dim"], dims["motion_dim"],
+                              dims["region_dim"], dims["global_dim"])
+        if search == "greedy":
+            got = greedy_decode(dec, feats, max_len=8, record_trace=True)
+        else:
+            got = beam_search(dec, feats, k=5, max_len=8, record_trace=True)
+        assert (got.tokens, float.hex(got.logprob), trace_digest(got.trace)) \
+            == PINNED_DECODES[name]
 
 
 @pytest.mark.parametrize("variant", GRADCHECK_VARIANTS)

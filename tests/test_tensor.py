@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from capgen.errors import ContractError, DomainError, ShapeError
 from capgen.gradcheck import fd_gradients, max_relative_error
 from capgen.tensor import (
-    Tape, Tensor, add_rowvec, at, backward, concat, log, matmul, mean_rows, narrow,
-    pick_per_row, reshape, sigmoid, softmax, stack_rows, sum_all, take_row, take_rows,
+    Tape, Tensor, add_rowvec, at, backward, concat, log, log_softmax, matmul, mean_rows,
+    narrow, pick_per_row, reshape, sigmoid, softmax, stack_rows, sum_all, take_row, take_rows,
     tanh, transpose,
 )
 
@@ -56,6 +56,11 @@ class TestMatmul:
         v = leaf(rng.standard_normal(4))
         err = op_gradcheck(lambda: matmul(a, v), {"a": a, "v": v})
         assert err < 1e-6
+
+    def test_transposed_operand_gradient(self, rng):
+        x = leaf(rng.standard_normal((3, 4)))
+        w = leaf(rng.standard_normal((5, 4)))
+        assert op_gradcheck(lambda: matmul(x, transpose(w)), {"x": x, "w": w}) < 1e-6
 
 
 class TestElementwise:
@@ -146,6 +151,34 @@ class TestSoftmax:
     def test_gradient(self, rng):
         x = leaf(rng.standard_normal(5))
         assert op_gradcheck(lambda: softmax(x), {"x": x}) < 1e-5
+
+
+class TestLogSoftmax:
+    def test_rows_match_log_of_softmax(self, rng):
+        x = rng.standard_normal((4, 6)) * 5
+        got = log_softmax(Tensor(x)).data
+        for row, expect in zip(got, x):
+            np.testing.assert_allclose(row, np.log(softmax(Tensor(expect)).data), atol=1e-12)
+        np.testing.assert_allclose(log_softmax(Tensor(x[0])).data, got[0], atol=0)
+
+    def test_underflowing_probability_keeps_a_finite_log(self):
+        y = log_softmax(Tensor([[0.0, -1000.0, 0.0]])).data
+        assert softmax(Tensor([0.0, -1000.0, 0.0])).data[1] == 0.0
+        np.testing.assert_allclose(y[0], [-np.log(2), -1000.0 - np.log(2), -np.log(2)],
+                                   atol=1e-12)
+
+    def test_nonfinite_input(self):
+        with pytest.raises(DomainError):
+            log_softmax(Tensor([[1.0, np.nan]]))
+
+    @pytest.mark.parametrize("shape", [(0,), (2, 0), (1, 2, 3)])
+    def test_bad_shapes(self, shape):
+        with pytest.raises(ShapeError):
+            log_softmax(Tensor(np.zeros(shape)))
+
+    def test_gradient(self, rng):
+        x = leaf(rng.standard_normal((3, 5)))
+        assert op_gradcheck(lambda: log_softmax(x), {"x": x}) < 1e-5
 
 
 class TestConcat:

@@ -1,12 +1,14 @@
 import json
 import math
+import shutil
 
 import numpy as np
 import pytest
 
 from capgen.checkpoint import load_checkpoint
+from capgen.cli import main
 from capgen.data import BOS_ID, EOS_ID, CaptionBatch, synth_dataset
-from capgen.errors import ConfigError, ShapeError
+from capgen.errors import ConfigError, DomainError, ShapeError
 from capgen.tensor import Tensor, softmax
 from capgen.training import (
     RewardConfig, TrainConfig, mle_loss, parse_config_file, reward_gradient_step, train,
@@ -150,6 +152,31 @@ class TestConfig:
             parse_config_file(path)
 
 
+def poison_training(monkeypatch, fault):
+    """Make every training sample's loss NaN (``fault="loss"``) or put a NaN
+    into ``top.U_g``'s gradient after each backward.  Returns the list that
+    receives (decoder, its initial parameter values) when train() builds it."""
+    import capgen.training as tr
+    built = []
+    real_build, real_backward, real_loss = tr._build_decoder, tr.backward, tr.mle_loss
+
+    def build(*args):
+        dec = real_build(*args)
+        built.append((dec, {k: p.data.copy() for k, p in dec.parameters().items()}))
+        return dec
+
+    def backward(loss):
+        real_backward(loss)
+        built[-1][0].top.U_g.grad[0, 0] = np.nan
+
+    monkeypatch.setattr(tr, "_build_decoder", build)
+    if fault == "loss":
+        monkeypatch.setattr(tr, "mle_loss", lambda *a: real_loss(*a) * float("nan"))
+    else:
+        monkeypatch.setattr(tr, "backward", backward)
+    return built
+
+
 @pytest.fixture(scope="module")
 def tiny_dataset(tmp_path_factory):
     root = tmp_path_factory.mktemp("synthdata")
@@ -176,9 +203,59 @@ class TestTrainDriver:
         assert len(result.history) == 3
         lines = [json.loads(l) for l in log.read_text().splitlines()]
         assert [l["epoch"] for l in lines] == [0, 1, 2]
-        assert all(set(l) == {"epoch", "loss", "val_metric", "lr", "wall_time"}
+        assert all(set(l) == {"epoch", "loss", "val_metric", "lr", "wall_time",
+                              "forward_ms", "backward_ms", "update_ms", "val_ms",
+                              "samples_per_s", "val_split"}
                    for l in lines)
+        for l in lines:
+            assert l["val_split"] == "val"
+            assert all(l[k] > 0 for k in ("forward_ms", "backward_ms", "update_ms", "val_ms",
+                                          "samples_per_s"))
+            assert (l["forward_ms"] + l["backward_ms"] + l["update_ms"] + l["val_ms"]
+                    <= 1000.0 * l["wall_time"])
         assert ckpt.exists()
+
+    def test_without_val_split_scores_and_logs_train(self, tiny_dataset, tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(tiny_dataset, data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        del manifest["splits"]["val"]
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        result = train(self.base_config(data, epochs=1, checkpoint=str(tmp_path / "m.ckpt")))
+        assert result.history[0]["val_split"] == "train"
+
+    @pytest.mark.parametrize("fault", ["loss", "gradient"])
+    def test_non_finite_batch_stops_before_the_update(self, tiny_dataset, tmp_path,
+                                                      monkeypatch, fault):
+        built = poison_training(monkeypatch, fault)
+        ckpt = tmp_path / "m.ckpt"
+        with pytest.raises(DomainError, match="loss" if fault == "loss" else "'top.U_g'"):
+            train(self.base_config(tiny_dataset, checkpoint=str(ckpt)))
+        dec, initial = built[0]
+        for name, p in dec.parameters().items():
+            assert np.array_equal(p.data, initial[name]), name
+        assert not ckpt.exists()
+
+    def test_non_finite_reward_stops_the_reward_stage(self, tiny_dataset, tmp_path,
+                                                       monkeypatch):
+        import capgen.training as tr
+        monkeypatch.setattr(tr, "make_cider_reward", lambda *a: lambda *b: float("nan"))
+        ckpt = tmp_path / "m.ckpt"
+        with pytest.raises(DomainError, match="advantage"):
+            train(self.base_config(tiny_dataset, epochs=1, rl_epochs=1,
+                                   checkpoint=str(ckpt)))
+        assert ckpt.exists() and not (tmp_path / "m.ckpt.rl").exists()
+
+    def test_cli_reports_a_non_finite_gradient(self, tiny_dataset, tmp_path, monkeypatch,
+                                               capsys):
+        poison_training(monkeypatch, "gradient")
+        ckpt = tmp_path / "m.ckpt"
+        assert main(["train", "--data-dir", str(tiny_dataset), "--hidden-dim", "10",
+                     "--embed-dim", "10", "--attn-dim", "8", "--epochs", "1",
+                     "--checkpoint", str(ckpt)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'top.U_g'" in err
+        assert not ckpt.exists()
 
     def test_loss_decreases(self, tiny_dataset, tmp_path):
         cfg = self.base_config(tiny_dataset, epochs=8,
