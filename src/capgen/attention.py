@@ -13,7 +13,8 @@ import numpy as np
 from .errors import EmptyInputError, ShapeError
 from .layers import Module, glorot
 from .tensor import (
-    Tensor, add_rowvec, at, matmul, mean_rows, sigmoid, softmax, tanh, transpose,
+    Tensor, add_rowvec, matmul, matmul_t, mean_rows, reshape, scale_rows, sigmoid, softmax,
+    tanh, transpose, weighted_sum,
 )
 
 __all__ = [
@@ -42,6 +43,10 @@ class AdditiveAttention(Module):
     them once per feature set, and ``attend`` takes them so that every
     step of a caption reuses one projection; without them it projects
     the features itself.
+
+    A batch attends with (B, query_dim) queries over a (B, L, D) tensor
+    of feature sets padded to L rows; ``mask`` (B, L) marks the real
+    rows, and padded rows get weight exactly 0.
     """
 
     def __init__(self, query_dim: int, feature_dim: int, attn_dim: int,
@@ -55,32 +60,46 @@ class AdditiveAttention(Module):
         self.w = Tensor(glorot(rng, attn_dim, 1).data[:, 0].copy(), requires_grad=True)
 
     def _check_feats(self, feats: Tensor) -> None:
-        if feats.data.ndim != 2 or feats.data.shape[0] == 0:
+        if feats.data.ndim not in (2, 3) or feats.data.shape[-2] == 0:
             raise EmptyInputError(f"attention over empty feature set {feats.data.shape}")
-        if feats.data.shape[1] != self.feature_dim:
+        if feats.data.shape[-1] != self.feature_dim:
             raise ShapeError(
                 f"attention expects features of dim {self.feature_dim}, got {feats.data.shape}")
 
     def keys(self, feats: Tensor) -> Tensor:
-        """The key projection ``feats @ U_a.T``, shape (n, attn_dim)."""
+        """The key projection ``feats @ U_a.T``: (n, attn_dim) for (n, D)
+        features, (B, L, attn_dim) for a (B, L, D) batch."""
         self._check_feats(feats)
-        return matmul(feats, transpose(self.U_a))
+        if feats.data.ndim == 2:
+            return matmul_t(feats, self.U_a)
+        batch, rows, dim = feats.shape
+        return reshape(matmul_t(reshape(feats, (batch * rows, dim)), self.U_a),
+                       (batch, rows, self.attn_dim))
 
-    def attend(self, h: Tensor, feats: Tensor,
-               keys: Tensor | None = None) -> tuple[Tensor, Tensor]:
+    def attend(self, h: Tensor, feats: Tensor, keys: Tensor | None = None,
+               mask=None) -> tuple[Tensor, Tensor]:
         """Return (context, alpha) for query h over feature rows; ``keys``
-        is ``self.keys(feats)``, computed here when not given."""
+        is ``self.keys(feats)``, computed here when not given.  For a
+        batch, context is (B, D), alpha (B, L), and ``mask`` the (B, L)
+        real rows (None: all of them)."""
         self._check_feats(feats)
-        if h.shape != (self.query_dim,):
-            raise ShapeError(
-                f"attention expects a query of dim {self.query_dim}, got {h.shape}")
+        query = feats.shape[:-2] + (self.query_dim,)
+        if h.shape != query:
+            raise ShapeError(f"attention expects a query of shape {query}, got {h.shape}")
         if keys is None:
-            keys = self.keys(feats)                        # (n, attn)
-        shift = matmul(self.W_a, h) + self.b_a             # (attn,)
-        scores = matmul(tanh(add_rowvec(keys, shift)), self.w)  # (n,)
-        alpha = softmax(scores)
-        ctx = matmul(transpose(feats), alpha)              # (d,)
-        return ctx, alpha
+            keys = self.keys(feats)                        # (n, attn) or (B, L, attn)
+        if feats.data.ndim == 2:
+            shift = matmul(self.W_a, h) + self.b_a         # (attn,)
+            scores = matmul(tanh(add_rowvec(keys, shift)), self.w)  # (n,)
+            alpha = softmax(scores)
+            return matmul(transpose(feats), alpha), alpha  # (d,)
+        batch, rows, _ = feats.shape
+        shift = add_rowvec(matmul_t(h, self.W_a), self.b_a)    # (B, attn)
+        e = tanh(add_rowvec(keys, shift))                      # (B, L, attn)
+        scores = reshape(matmul(reshape(e, (batch * rows, self.attn_dim)), self.w),
+                         (batch, rows))
+        alpha = softmax(scores, mask)
+        return weighted_sum(alpha, feats), alpha
 
 
 class AdaptiveGate(Module):
@@ -98,9 +117,15 @@ class AdaptiveGate(Module):
         self.W_s = glorot(rng, arity, hidden_dim)
 
 
+def _gate_logits(gate: AdaptiveGate, h: Tensor) -> Tensor:
+    """W_s h: (arity,) for one query, (B, arity) for a (B, H) batch."""
+    return matmul(gate.W_s, h) if h.data.ndim == 1 else matmul_t(h, gate.W_s)
+
+
 def adaptive_blend(gate: AdaptiveGate, h: Tensor, ctx: Tensor, h_lang: Tensor,
                    force: float | None = None) -> tuple[Tensor, Tensor]:
     """Convex blend: beta*ctx + (1-beta)*h_lang with beta = sigmoid(W_s h).
+    A batch of (B, H) rows gets one beta per row, as a (B, 1) column.
 
     ``force`` overrides beta with a constant (ablation hook); gradients
     then stop flowing into the gate weights.
@@ -110,10 +135,10 @@ def adaptive_blend(gate: AdaptiveGate, h: Tensor, ctx: Tensor, h_lang: Tensor,
     if ctx.shape != h_lang.shape:
         raise ShapeError(f"blend operands differ: {ctx.shape} vs {h_lang.shape}")
     if force is None:
-        beta = sigmoid(matmul(gate.W_s, h))      # (1,)
+        beta = sigmoid(_gate_logits(gate, h))    # (1,) or (B, 1)
     else:
-        beta = Tensor(np.asarray([float(force)]))
-    blended = ctx * beta + h_lang * (1.0 - beta)
+        beta = Tensor(np.full(h.shape[:-1] + (1,), float(force)))
+    blended = scale_rows(ctx, beta, 0) + scale_rows(h_lang, 1.0 - beta, 0)
     return blended, beta
 
 
@@ -123,15 +148,16 @@ def parallel_adaptive_blend(gate: AdaptiveGate, h: Tensor, ctx1: Tensor,
 
     The weights are a softmax over W_s h, so they are positive and sum
     to one; the result stays inside the coordinate-wise hull of its
-    three inputs.
+    three inputs.  A batch of (B, H) rows gets (B, 3) weights.
     """
     if gate.arity != 3:
         raise ShapeError("parallel_adaptive_blend needs an arity-3 gate")
     if not (ctx1.shape == ctx2.shape == h_lang.shape):
         raise ShapeError(
             f"blend operands differ: {ctx1.shape}, {ctx2.shape}, {h_lang.shape}")
-    betas = softmax(matmul(gate.W_s, h))         # (3,)
-    blended = ctx1 * at(betas, 0) + ctx2 * at(betas, 1) + h_lang * at(betas, 2)
+    betas = softmax(_gate_logits(gate, h))       # (3,) or (B, 3)
+    blended = (scale_rows(ctx1, betas, 0) + scale_rows(ctx2, betas, 1)
+               + scale_rows(h_lang, betas, 2))
     return blended, betas
 
 

@@ -51,14 +51,15 @@ def _write(fh, variant: str, arrays: dict[str, np.ndarray]) -> None:
     fh.write(tag)
     fh.write(struct.pack("<I", len(arrays)))
     for name, arr in arrays.items():
-        arr = np.asarray(arr, dtype=np.float64)
+        # a little-endian, C-ordered float64 view: a copy only when the input is not one
+        arr = np.asarray(arr, dtype="<f8", order="C")
         nb = name.encode("utf-8")
         fh.write(struct.pack("<I", len(nb)))
         fh.write(nb)
         fh.write(struct.pack("<I", arr.ndim))
         for d in arr.shape:
             fh.write(struct.pack("<I", d))
-        fh.write(arr.astype("<f8").tobytes())
+        fh.write(arr.reshape(-1).view(np.uint8))
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:

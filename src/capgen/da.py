@@ -19,11 +19,11 @@ import numpy as np
 from .attention import TraceRow
 from .data import FeatureSet
 from .decoders import _teacher_forced
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, ShapeError
 from .layers import Embedding, Linear, LstmCell, Module, dropout, glorot
 from .tensor import (
-    Tensor, add_rowvec, at, concat, matmul, narrow, reshape, sigmoid, softmax, tanh,
-    transpose, zeros,
+    Tensor, add_rowvec, at, concat, matmul, matmul_t, narrow, reshape, sigmoid, softmax,
+    tanh, transpose, zeros,
 )
 
 __all__ = ["DaConfig", "DaState", "DeliberateDecoder", "da_step",
@@ -53,22 +53,25 @@ class DaState:
     m1: Tensor
     h2: Tensor
     m2: Tensor
-    feats: tuple                   # (global vector, region matrix)
+    feats: tuple                   # (global vector, regions, attn1 keys, attn2 keys)
     draft: Optional[tuple] = None  # (h1_tilde, v1_hat) of the latest step
     row: Optional[TraceRow] = None  # the latest step's trace row
 
 
 class _ScoredAttention(Module):
-    """Bias-free additive scorer w . tanh(W_v v + W_h h) over region rows."""
+    """Bias-free additive scorer w . tanh(W_v v + W_h h) over region rows;
+    the keys W_v v are computed once per caption by ``keys``."""
 
     def __init__(self, query_dim, feature_dim, attn_dim, rng):
         self.W_v = glorot(rng, attn_dim, feature_dim)
         self.W_h = glorot(rng, attn_dim, query_dim)
         self.w = Tensor(glorot(rng, attn_dim, 1).data[:, 0].copy(), requires_grad=True)
 
-    def scores(self, h: Tensor, feats: Tensor) -> Tensor:
-        proj = matmul(feats, transpose(self.W_v))
-        return matmul(tanh(add_rowvec(proj, matmul(self.W_h, h))), self.w)
+    def keys(self, feats: Tensor) -> Tensor:
+        return matmul_t(feats, self.W_v)
+
+    def scores(self, h: Tensor, keys: Tensor) -> Tensor:
+        return matmul(tanh(add_rowvec(keys, matmul(self.W_h, h))), self.w)
 
 
 class DeliberateDecoder(Module):
@@ -115,11 +118,15 @@ class DeliberateDecoder(Module):
         c = self.config
         if v_g.shape != (c.global_dim,):
             raise ConfigError(f"global feature dim {v_g.shape} != configured {c.global_dim}")
+        keys1 = keys2 = None
+        if regions.shape[1] == c.region_dim:    # else da_step reports the mismatch
+            keys1 = self.attn1.keys(regions)
+            keys2 = self.attn2.keys(regions) if c.deliberate else None
         z = zeros(c.hidden_dim)
-        return DaState(z, z, z, z, (v_g, regions))
+        return DaState(z, z, z, z, (v_g, regions, keys1, keys2))
 
     def step(self, state: DaState, token_id: int, training: bool = False, rng=None):
-        v_g, regions = state.feats
+        v_g, regions = state.feats[:2]
         return da_step(self, state, token_id, v_g, regions, training=training, rng=rng)
 
     def forward_teacher_forced(self, features, tokens, training=False, rng=None,
@@ -131,11 +138,16 @@ class DeliberateDecoder(Module):
 
 def da_step(dec: DeliberateDecoder, state: DaState, token_id: int,
             v_g: Tensor, regions: Tensor, training: bool = False, rng=None):
-    """One decoding step; returns (word distribution, new state)."""
+    """One decoding step; returns (word distribution, new state).  The
+    region attention keys come from ``state.feats``."""
     c = dec.config
     L = regions.data.shape[0]
     if L < 1:
         raise ContractError("da_step needs at least one region")
+    keys1, keys2 = state.feats[2:]
+    if keys1 is None:
+        raise ShapeError(f"da_step: regions have dim {regions.data.shape[1]}, "
+                         f"the region attention expects {c.region_dim}")
     w_t = dec.embed.lookup_one(token_id)
 
     # first pass: draft hidden with residual word shortcut, region attention
@@ -143,7 +155,7 @@ def da_step(dec: DeliberateDecoder, state: DaState, token_id: int,
     out1 = dec.lstm1.step(y1, state.h1, state.m1)
     h1_d = dropout(out1.h, c.dropout, training, rng)
     h1_tilde = dec.W_rd(concat([w_t, h1_d]))
-    e1 = dec.attn1.scores(h1_tilde, regions)
+    e1 = dec.attn1.scores(h1_tilde, keys1)
     alpha1 = softmax(e1)
     v1_hat = matmul(transpose(regions), alpha1)
 
@@ -158,7 +170,7 @@ def da_step(dec: DeliberateDecoder, state: DaState, token_id: int,
     h2_d = dropout(out2.h, c.dropout, training, rng)
     g = sigmoid(matmul(dec.W_x, y2) + matmul(dec.W_h, state.h2))
     s = g * tanh(out2.m)
-    e2 = dec.attn2.scores(h2_d, regions)
+    e2 = dec.attn2.scores(h2_d, keys2)
     sent_score = matmul(tanh(matmul(dec.W_s, s) + matmul(dec.W_h3, h2_d)), dec.w_a)
     alpha2 = softmax(concat([e2, reshape(sent_score, (1,))]))
     s_vis = dec.sentinel_proj(s) if dec.sentinel_proj is not None else s

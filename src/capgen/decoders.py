@@ -15,24 +15,35 @@ distribution and a fresh state whose ``row`` is that step's
 ``TraceRow(alpha, beta)``.  States never collect rows; the search in
 ``search.py`` gathers them along a caption.  A two-LSTM state's ``feats``
 carries the attention keys ``feats @ U_a.T`` next to the features they
-project: ``init_state`` computes them once, and every step of greedy,
-beam and sampled decoding reuses them.
+project, and the mask of real feature rows: ``init_state`` computes the
+keys once, and every step of greedy, beam and sampled decoding reuses
+them.
 
-Teacher forcing has two paths that give the same log-probs within
-rounding.  ``_teacher_forced`` runs ``step`` once per word; the
-single-LSTM baseline, two-stream joint mode and ``da`` use it, and the
-tests use it as the reference.  The two-LSTM variants run
-``_two_lstm_teacher_forced`` in phases instead, because every input is
-known up front and nothing after the bottom LSTM feeds back into the
-recurrence: one embedding gather, one GEMM per gate for each LSTM's
-input products, the two recurrences with the attention once per step,
-and one word head and ``log_softmax`` over the stacked (T, ·) rows.
+``forward_teacher_forced(features, tokens, training, rng)`` takes one
+caption, a ``FeatureSet`` and its token ids, and returns (T, vocab)
+log-probs; or a batch, a sequence of B ``FeatureSet``s and a
+``CaptionBatch``, and returns (B, T, vocab) log-probs, T being the
+batch's padded step count.  Two paths give the same log-probs within
+rounding.  ``_teacher_forced`` runs ``step`` once per word, one caption
+at a time; the single-LSTM baseline, two-stream joint mode and ``da``
+use it, and the tests use it as the reference.  The two-LSTM variants
+run ``_two_lstm_teacher_forced`` in phases over the whole batch instead,
+because every input is known up front and nothing after the bottom LSTM
+feeds back into the recurrence.  A leading batch axis runs through it:
+one embedding gather and one GEMM per gate for each LSTM's input
+products, the two recurrences on (B, H) states with the attention once
+per step over the (B, L, D) feature sets padded to the longest (padded
+rows weigh exactly 0), and one word head and ``log_softmax`` over all
+B·T rows.  A single caption is a batch of one.  Padded steps of a
+shorter caption run too; the loss masks them, so they add exactly 0 to
+every gradient.  Dropout masks are drawn caption by caption in batch
+order, so a seeded batch draws what the per-caption loop draws.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -40,11 +51,11 @@ from .attention import (
     AdaptiveGate, AdditiveAttention, TraceRow, adaptive_blend, mean_pool,
     parallel_adaptive_blend,
 )
-from .data import BOS_ID, FeatureSet
+from .data import BOS_ID, CaptionBatch, FeatureSet
 from .errors import ConfigError, ContractError, ShapeError
 from .layers import Embedding, Linear, LstmCell, Module, dropout, dropout_mask
 from .tensor import (
-    Tensor, concat, log, log_softmax, softmax, stack_rows, tanh, zeros,
+    Tensor, concat, log, log_softmax, reshape, softmax, stack_rows, tanh, transpose, zeros,
 )
 
 __all__ = [
@@ -81,7 +92,7 @@ class DecoderState:
     m: Tensor
     h_top: Tensor
     m_top: Tensor
-    feats: tuple
+    feats: tuple                    # (features, keys, mask) per attention
     row: Optional[TraceRow] = None  # the latest step's trace row
 
 
@@ -188,17 +199,19 @@ class HierarchicalDecoder(Module):
         motion = features.require("motion")
         return np.concatenate([frames, _nearest_segment_rows(frames, motion)], axis=1)
 
-    def init_state(self, features: FeatureSet) -> DecoderState:
-        source = Tensor(self._source(features))
-        return _two_lstm_init(self, mean_pool(source), (source, self.attn.keys(source)))
+    def _sources(self, features: FeatureSet) -> list[np.ndarray]:
+        return [self._source(features)]
+
+    def init_state(self, features) -> DecoderState:
+        return _two_lstm_init(self, features, (self.attn,))
 
     def _attender(self, feats: tuple):
         """Attend-and-gate over ``DecoderState.feats``:
         ``attend(h_d, ht_d) -> (blended context, TraceRow)``."""
-        source, keys = feats
+        source, keys, mask = feats
 
         def attend(h_d, ht_d):
-            ctx, alpha = self.attn.attend(h_d, source, keys)
+            ctx, alpha = self.attn.attend(h_d, source, keys, mask)
             if self.gate is None:
                 return ctx, TraceRow(alpha.data, np.ones(1))
             blended, beta = adaptive_blend(self.gate, h_d, ctx, ht_d,
@@ -248,21 +261,20 @@ class ParallelDecoder(Module):
         self.out_hidden = Linear(c.hidden_dim + c.feature_dim, c.hidden_dim, rng)
         self.out_vocab = Linear(c.hidden_dim, c.vocab_size, rng)
 
-    def init_state(self, features: FeatureSet) -> DecoderState:
-        static = Tensor(features.require("temporal"))
-        motion = Tensor(features.require("motion"))
-        pooled = concat([mean_pool(static), mean_pool(motion)])
-        return _two_lstm_init(self, pooled, (static, self.attn_static.keys(static),
-                                             motion, self.attn_motion.keys(motion)))
+    def _sources(self, features: FeatureSet) -> list[np.ndarray]:
+        return [features.require("temporal"), features.require("motion")]
+
+    def init_state(self, features) -> DecoderState:
+        return _two_lstm_init(self, features, (self.attn_static, self.attn_motion))
 
     def _attender(self, feats: tuple):
         """Attend-and-gate over ``DecoderState.feats``:
         ``attend(h_d, ht_d) -> (blended context, TraceRow)``."""
-        static, static_keys, motion, motion_keys = feats
+        static, static_keys, static_mask, motion, motion_keys, motion_mask = feats
 
         def attend(h_d, ht_d):
-            ctx1, alpha1 = self.attn_static.attend(h_d, static, static_keys)
-            ctx2, _ = self.attn_motion.attend(h_d, motion, motion_keys)
+            ctx1, alpha1 = self.attn_static.attend(h_d, static, static_keys, static_mask)
+            ctx2, _ = self.attn_motion.attend(h_d, motion, motion_keys, motion_mask)
             blended, betas = parallel_adaptive_blend(self.gate, h_d, ctx1, ctx2, ht_d)
             return blended, TraceRow(alpha1.data, betas.data)
 
@@ -277,11 +289,42 @@ class ParallelDecoder(Module):
         return _two_lstm_teacher_forced(self, features, tokens, training, rng)
 
 
-def _two_lstm_init(dec, pooled: Tensor, feats: tuple) -> DecoderState:
-    """Bottom LSTM from projections of the pooled features, top from zeros."""
+def _two_lstm_init(dec, features, attentions: tuple) -> DecoderState:
+    """Bottom LSTM from projections of the pooled features, top from zeros.
+
+    ``features`` is one ``FeatureSet`` or a sequence of B of them; each
+    of ``attentions`` attends over the matching entry of
+    ``dec._sources``.  A batch pads each source to its longest feature
+    set, and its states are (B, H)."""
     c = dec.config
+    if isinstance(features, FeatureSet):
+        sources = [Tensor(a) for a in dec._sources(features)]
+        pooled = concat([mean_pool(s) for s in sources])
+        feats = tuple(x for attn, s in zip(attentions, sources) for x in (s, attn.keys(s), None))
+        shape = (c.hidden_dim,)
+    else:
+        per_caption = [dec._sources(f) for f in features]
+        pooled = Tensor(np.stack([np.concatenate([a.mean(axis=0) for a in sources])
+                                  for sources in per_caption]))
+        feats = ()
+        for k, attn in enumerate(attentions):
+            source, mask = _pad_rows([sources[k] for sources in per_caption])
+            feats += (source, attn.keys(source), mask)
+        shape = (len(per_caption), c.hidden_dim)
     return DecoderState(dec.init_h(pooled), dec.init_m(pooled),
-                        zeros(c.hidden_dim), zeros(c.hidden_dim), feats)
+                        zeros(*shape), zeros(*shape), feats)
+
+
+def _pad_rows(arrays: list[np.ndarray]) -> tuple[Tensor, np.ndarray]:
+    """Stack (L_b, D) feature matrices into a zero-padded (B, L, D) tensor
+    and the (B, L) mask of its real rows."""
+    rows = max(a.shape[0] for a in arrays)
+    padded = np.zeros((len(arrays), rows, arrays[0].shape[1]))
+    mask = np.zeros((len(arrays), rows), dtype=bool)
+    for b, a in enumerate(arrays):
+        padded[b, :a.shape[0]] = a
+        mask[b, :a.shape[0]] = True
+    return Tensor(padded), mask
 
 
 def _two_lstm_step(dec, state: DecoderState, token_id: int, training, rng, attend):
@@ -301,35 +344,37 @@ def _two_lstm_step(dec, state: DecoderState, token_id: int, training, rng, atten
 
 
 def _two_lstm_teacher_forced(dec, features, tokens, training=False, rng=None):
-    """Teacher-forced log-probs (T, vocab) of a two-LSTM decoder, in phases.
+    """Teacher-forced log-probs of a two-LSTM decoder, in phases over a
+    batch: (T, vocab) for one caption, (B, T, vocab) for a batch (see the
+    module docstring).  Gives what ``_teacher_forced`` gives over
+    ``dec.step``, caption by caption, within rounding."""
+    batch = _as_batch(features, tokens)
+    (masks,) = _dropout_masks((dec,), batch.steps, training, rng)
+    return _two_lstm_forward(dec, batch, masks)
 
-    Gives what ``_teacher_forced`` gives over ``dec.step``, within
-    rounding: every input is known up front and nothing after the bottom
-    LSTM feeds back into the recurrence, so the work outside it runs once
-    per caption.  One lookup gathers the T input words; one GEMM per gate
-    computes the bottom LSTM's input products, and T ``step`` calls run
-    its recurrence.  The top LSTM does the same over the stacked, dropped
-    out bottom states, and ``dec._attender`` attends once per step.  The
-    word head and ``log_softmax`` then run once over the stacked rows.
-    The dropout masks come from one ``(T, 2, H)`` draw, the same stream
-    as ``step``'s alternating bottom and top draws.
-    """
+
+def _two_lstm_forward(dec, batch: "_Batch", masks) -> Tensor:
+    """(B, T, vocab) log-probs of a batch, (T, vocab) of a single caption,
+    under (T, B, 2, H) dropout ``masks`` (None: no dropout).  One lookup gathers the T·B input words,
+    one GEMM per gate computes the bottom LSTM's input products, and T
+    batched ``step`` calls run its recurrence.  The top LSTM does the
+    same over the stacked, dropped-out bottom states, and
+    ``dec._attender`` attends once per step.  The word head and
+    ``log_softmax`` then run once over the B·T rows."""
     c = dec.config
-    tokens = _caption_ids(tokens)
-    steps = len(tokens) - 1
-    state = dec.init_state(features)
-    masks = dropout_mask((steps, 2, c.hidden_dim), c.dropout, training, rng)
+    width, steps = batch.ids.shape[0], batch.ids.shape[1] - 1
+    state = dec.init_state(batch.feats)
 
     def drop(x, t, layer):
-        return x if masks is None else x * Tensor(masks[t, layer])
+        return x if masks is None else x * Tensor(masks[t, :, layer])
 
-    bottom_in = dec.bottom.input_products(dec.embed.lookup(tokens[:-1]))
+    bottom_in = dec.bottom.input_products(dec.embed.lookup(batch.ids[:, :-1].T))
     h, m, h_d = state.h, state.m, []
     for t in range(steps):
         bot = dec.bottom.step(bottom_in.row(t), h, m)
         h, m = bot.h, bot.m
         h_d.append(drop(bot.h, t, 0))
-    bottoms = stack_rows(h_d)
+    bottoms = stack_rows(h_d)                       # (T, B, H)
 
     top_in = dec.top.input_products(bottoms)
     attend = dec._attender(state.feats)
@@ -341,7 +386,53 @@ def _two_lstm_teacher_forced(dec, features, tokens, training=False, rng=None):
         blended.append(attend(h_d[t], ht_d[t])[0])
 
     out_h = bottoms if c.output_hidden == "bottom" else stack_rows(ht_d)
-    return log_softmax(_word_logits(dec, concat([out_h, stack_rows(blended)], axis=1)))
+    rows = transpose(concat([out_h, stack_rows(blended)], axis=2), (1, 0, 2))  # (B, T, ·)
+    logits = _word_logits(dec, reshape(rows, (width * steps, rows.shape[2])))
+    lp = log_softmax(logits)
+    return reshape(lp, (steps, c.vocab_size) if batch.single else (width, steps, c.vocab_size))
+
+
+class _Batch(NamedTuple):
+    """Teacher-forcing inputs: B feature sets, the (B, T + 1) token ids,
+    each caption's own step count, and whether it came as one caption."""
+    feats: list
+    ids: np.ndarray
+    steps: list
+    single: bool
+
+
+def _as_batch(features, tokens) -> _Batch:
+    """One caption (a ``FeatureSet`` and its ids, every id a step input
+    but the last) or a batch (B ``FeatureSet``s and a ``CaptionBatch``,
+    whose captions end at their lengths) as a ``_Batch``."""
+    if isinstance(features, FeatureSet):
+        ids = _caption_ids(tokens)
+        return _Batch([features], np.asarray([ids]), [len(ids) - 1], True)
+    features = list(features)
+    if not isinstance(tokens, CaptionBatch) or len(tokens) != len(features):
+        raise ContractError("a teacher-forced batch takes one FeatureSet per caption "
+                            "of a CaptionBatch")
+    steps = [len(_caption_ids(row[:n])) - 1 for row, n in zip(tokens.tokens, tokens.lengths)]
+    return _Batch(features, tokens.tokens, steps, False)
+
+
+def _dropout_masks(decs, steps: list[int], training, rng) -> list:
+    """(T, B, 2, H) dropout masks for each of ``decs`` (None where dropout
+    is off), T the longest of ``steps``.  Caption b's masks are drawn in
+    batch order and, within a caption, decoder by decoder, each as one
+    (steps[b], 2, H) draw: the stream that the per-caption loop over
+    ``step`` draws, bottom and top LSTM alternating.  Padded steps get 1."""
+    masks = [None] * len(decs)
+    for b, n in enumerate(steps):
+        for k, dec in enumerate(decs):
+            c = dec.config
+            drawn = dropout_mask((n, 2, c.hidden_dim), c.dropout, training, rng)
+            if drawn is None:
+                continue
+            if masks[k] is None:
+                masks[k] = np.ones((max(steps), len(steps), 2, c.hidden_dim))
+            masks[k][:n, b] = drawn
+    return masks
 
 
 def two_stream_fuse(p1: Tensor, p2: Tensor) -> Tensor:
@@ -398,12 +489,14 @@ class TwoStreamDecoder(Module):
         return _teacher_forced(self, features, tokens, training, rng)
 
     def stream_teacher_forced(self, features, tokens, training=False, rng=None):
-        """One log-prob matrix per stream, for independent training."""
-        out = []
-        for dec, src in zip(self.streams, self.sources):
-            out.append(dec.forward_teacher_forced(
-                _select(features, src), tokens, training, rng))
-        return tuple(out)
+        """One log-prob tensor per stream, for independent training; each
+        stream runs the phased path over the batch, and caption b's masks
+        for stream 1 are drawn before its masks for stream 2."""
+        batch = _as_batch(features, tokens)
+        masks = _dropout_masks(self.streams, batch.steps, training, rng)
+        return tuple(_two_lstm_forward(
+            dec, batch._replace(feats=[_select(f, src) for f in batch.feats]), mask)
+            for dec, src, mask in zip(self.streams, self.sources, masks))
 
 
 def _select(features: FeatureSet, kind: str) -> FeatureSet:
@@ -425,11 +518,21 @@ def _caption_ids(tokens) -> list[int]:
 
 
 def _teacher_forced(decoder, features, tokens, training=False, rng=None, aux=None):
-    """Log-probs (T, vocab): step t consumes ground-truth token t-1.
+    """Log-probs (T, vocab): step t consumes ground-truth token t-1.  A
+    batch runs caption by caption and returns (B, T, vocab), each
+    caption's rows padded with zeros to the batch's T.
 
     With ``aux``, a distribution-valued function of the state after each
-    step, also returns the (T, vocab) log-probs of that distribution.
+    step, also returns the log-probs of that distribution.
     """
+    if not isinstance(features, FeatureSet):
+        batch = _as_batch(features, tokens)
+        outs = [_teacher_forced(decoder, f, ids[:n + 1], training, rng, aux)
+                for f, ids, n in zip(batch.feats, batch.ids, batch.steps)]
+        width = batch.ids.shape[1] - 1
+        if aux is None:
+            return _pad_stack(outs, width)
+        return _pad_stack([o[0] for o in outs], width), _pad_stack([o[1] for o in outs], width)
     tokens = _caption_ids(tokens)
     state = decoder.init_state(features)
     rows, aux_rows = [], []
@@ -441,6 +544,13 @@ def _teacher_forced(decoder, features, tokens, training=False, rng=None, aux=Non
     if aux is None:
         return stack_rows(rows)
     return stack_rows(rows), stack_rows(aux_rows)
+
+
+def _pad_stack(rows: list[Tensor], steps: int) -> Tensor:
+    """Stack (T_b, V) log-prob matrices into (B, steps, V), zero-padded."""
+    return stack_rows([lp if lp.shape[0] == steps
+                       else concat([lp, zeros(steps - lp.shape[0], lp.shape[1])])
+                       for lp in rows])
 
 
 def build_variant(kind: str, config: DecoderConfig):

@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import ContractError, FormatError, ShapeError, VocabularyError
 from .tensor import (
-    Tensor, add_rowvec, matmul, sigmoid, take_row, take_rows, tanh, transpose,
+    Tensor, add_rowvec, matmul, matmul_t, reshape, sigmoid, take_row, take_rows, tanh,
 )
 
 __all__ = ["Module", "LstmCell", "LstmOut", "GateInputs", "Embedding", "Linear",
@@ -73,14 +73,16 @@ class LstmOut(NamedTuple):
 
 class GateInputs(NamedTuple):
     """Input products ``W_gate y`` of the four gates: (H,) vectors for one
-    step, or (T, H) matrices for a whole sequence (``LstmCell.input_products``)."""
+    step, or (T, B, H) tensors for a batch of B sequences
+    (``LstmCell.input_products``), whose ``row(t)`` is step t's (B, H)
+    matrices."""
     i: Tensor
     f: Tensor
     o: Tensor
     g: Tensor
 
     def row(self, t: int) -> "GateInputs":
-        """Step ``t``'s products from a sequence's (T, H) matrices."""
+        """Step ``t``'s (B, H) products from a batch's (T, B, H) tensors."""
         return GateInputs(*(take_row(p, t) for p in self))
 
 
@@ -91,10 +93,11 @@ class LstmCell(Module):
     m_t = f*m_prev + i*g and the output h_t = o*tanh(m_t).  The forget
     bias starts at 1.0 to keep early training stable.
 
-    The input products W y do not depend on the recurrence, so when a
-    whole input sequence is known up front ``input_products`` computes
-    them with one GEMM per gate, and ``step`` takes each step's row in
-    place of the raw input.
+    ``step`` runs one (H,) state, or a batch of B states as (B, H)
+    matrices.  The input products W y do not depend on the recurrence, so
+    when a batch's whole input sequences are known up front
+    ``input_products`` computes them with one GEMM per gate, and a
+    batched ``step`` takes each step's rows in place of the raw input.
     """
 
     GATES = ("i", "f", "o", "g")
@@ -110,36 +113,52 @@ class LstmCell(Module):
         self.b_f.data[:] = forget_bias
 
     def _check(self, y, h_prev: Tensor, m_prev: Tensor) -> None:
-        if not isinstance(y, GateInputs) and y.shape != (self.input_dim,):
-            raise ShapeError(
-                f"input-gate block W_i expects input of dim {self.input_dim}, got {y.shape}")
-        if h_prev.shape != (self.hidden_dim,):
+        state = h_prev.shape[:-1] + (self.hidden_dim,)
+        if h_prev.data.ndim not in (1, 2) or h_prev.shape != state:
             raise ShapeError(
                 f"recurrent block U_i expects hidden of dim {self.hidden_dim}, got {h_prev.shape}")
-        if m_prev.shape != (self.hidden_dim,):
+        if m_prev.shape != state:
             raise ShapeError(
-                f"memory block expects dim {self.hidden_dim}, got {m_prev.shape}")
+                f"memory block expects shape {state}, got {m_prev.shape}")
+        if h_prev.data.ndim == 2:
+            if not isinstance(y, GateInputs) or y.i.shape != state:
+                raise ShapeError(f"a batched step takes GateInputs rows of shape {state}")
+        elif y.shape != (self.input_dim,):
+            raise ShapeError(
+                f"input-gate block W_i expects input of dim {self.input_dim}, got {y.shape}")
 
     def input_products(self, ys: Tensor) -> GateInputs:
-        """``ys @ W_gate.T`` for a (T, input_dim) input sequence, one GEMM per gate."""
-        if ys.data.ndim != 2 or ys.shape[1] != self.input_dim:
+        """``ys @ W_gate.T`` for a (T, B, input_dim) batch of input
+        sequences, one GEMM per gate -> (T, B, hidden_dim) each."""
+        if ys.data.ndim != 3 or ys.shape[2] != self.input_dim:
             raise ShapeError(
-                f"input-gate block W_i expects a (T, {self.input_dim}) sequence, got {ys.shape}")
-        return GateInputs(*(matmul(ys, transpose(getattr(self, f"W_{gate}")))
+                f"input-gate block W_i expects a (T, B, {self.input_dim}) batch, got {ys.shape}")
+        steps, batch, _ = ys.shape
+        flat = reshape(ys, (steps * batch, self.input_dim))
+        return GateInputs(*(reshape(matmul_t(flat, getattr(self, f"W_{gate}")),
+                                    (steps, batch, self.hidden_dim))
                             for gate in self.GATES))
 
     def step(self, y, h_prev: Tensor, m_prev: Tensor) -> LstmOut:
-        """One step from the raw (input_dim,) input ``y`` or, in its place,
-        the step's ``GateInputs`` row; either way each gate's
+        """One step of an (H,) state from the raw (input_dim,) input ``y``,
+        or of a batch of (B, H) states from the step's (B, H)
+        ``GateInputs`` rows in place of the raw inputs; each gate's
         pre-activation is (W y + U h_prev) + b."""
         self._check(y, h_prev, m_prev)
-        if not isinstance(y, GateInputs):
+        if h_prev.data.ndim == 1:
             y = GateInputs(matmul(self.W_i, y), matmul(self.W_f, y),
                            matmul(self.W_o, y), matmul(self.W_g, y))
-        i = sigmoid(y.i + matmul(self.U_i, h_prev) + self.b_i)
-        f = sigmoid(y.f + matmul(self.U_f, h_prev) + self.b_f)
-        o = sigmoid(y.o + matmul(self.U_o, h_prev) + self.b_o)
-        g = tanh(y.g + matmul(self.U_g, h_prev) + self.b_g)
+
+            def pre(w_y, u, b):
+                return w_y + matmul(u, h_prev) + b
+        else:
+            def pre(w_y, u, b):
+                return add_rowvec(w_y + matmul_t(h_prev, u), b)
+
+        i = sigmoid(pre(y.i, self.U_i, self.b_i))
+        f = sigmoid(pre(y.f, self.U_f, self.b_f))
+        o = sigmoid(pre(y.o, self.U_o, self.b_o))
+        g = tanh(pre(y.g, self.U_g, self.b_g))
         m = f * m_prev + i * g
         h = o * tanh(m)
         return LstmOut(h, m, i, f, o, g)
@@ -153,20 +172,21 @@ class Embedding(Module):
         self.dim = dim
         self.E = glorot(rng, vocab_size, dim)
 
-    def _check(self, ids) -> None:
-        for i in ids:
-            if not 0 <= int(i) < self.vocab_size:
-                raise VocabularyError(
-                    f"token id {int(i)} outside vocabulary of size {self.vocab_size}")
-
     def lookup(self, ids) -> Tensor:
-        """Gather rows for a sequence of ids -> (len, dim)."""
-        self._check(ids)
+        """Gather rows for an array of ids: (len,) ids -> (len, dim), and
+        (T, B) ids -> (T, B, dim)."""
+        ids = np.asarray(ids, dtype=np.intp)
+        bad = ids[(ids < 0) | (ids >= self.vocab_size)]
+        if bad.size:
+            raise VocabularyError(
+                f"token id {int(bad[0])} outside vocabulary of size {self.vocab_size}")
         return take_rows(self.E, ids)
 
     def lookup_one(self, idx: int) -> Tensor:
-        self._check((idx,))
-        return take_row(self.E, int(idx))
+        idx = int(idx)
+        if not 0 <= idx < self.vocab_size:
+            raise VocabularyError(f"token id {idx} outside vocabulary of size {self.vocab_size}")
+        return take_row(self.E, idx)
 
 
 class Linear(Module):
@@ -183,7 +203,7 @@ class Linear(Module):
         if x.data.ndim == 1:
             y = matmul(self.W, x)
             return y + self.b if self.b is not None else y
-        y = matmul(x, transpose(self.W))
+        y = matmul_t(x, self.W)
         return add_rowvec(y, self.b) if self.b is not None else y
 
 

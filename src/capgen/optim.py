@@ -16,13 +16,18 @@ def zero_grads(params: dict[str, Tensor]) -> None:
         p.grad = None
 
 
-def clip_gradients(params: dict[str, Tensor], threshold: float = 10.0) -> None:
-    """Clamp every gradient entry to [-threshold, threshold], in place."""
+def clip_gradients(params: dict[str, Tensor], threshold: float = 10.0) -> int:
+    """Clamp every gradient entry to [-threshold, threshold], in place, and
+    return how many entries were clamped."""
     if threshold <= 0:
         raise ContractError(f"clip threshold must be positive, got {threshold}")
+    clamped = 0
     for p in params.values():
-        if p.grad is not None:
-            np.clip(p.grad, -threshold, threshold, out=p.grad)
+        g = p.grad
+        if g is not None and (g.max() > threshold or g.min() < -threshold):
+            clamped += int(np.count_nonzero(g > threshold) + np.count_nonzero(g < -threshold))
+            np.clip(g, -threshold, threshold, out=g)
+    return clamped
 
 
 def _check_grad(name: str, p: Tensor) -> np.ndarray | None:

@@ -7,24 +7,37 @@ gradients into every ``requires_grad`` leaf.  Ops executed with no active
 tape are plain forward arithmetic, which keeps inference and
 finite-difference probing cheap.
 
-Leaf gradients from rank-1 products and row gathers are deferred.  A
-``matmul`` with a vector on one side hands back the two factors of its
-outer-product weight gradient, and ``take_row``/``take_rows`` hand back
-the gathered row ids with their gradient rows.  When the input is a
-recorded node the factors are expanded into a dense array on the spot,
-so every other op sees plain ndarrays.  When the input is a leaf,
-``backward()`` collects the factors during the reverse sweep and adds
-them once at the end: one ``(m, T) @ (T, n)`` product per weight and one
+Leaf gradients of weight products and row gathers are deferred.  A
+``matmul`` with a vector on one side, and a ``matmul_t`` of a batch of
+rows against a weight, hand back the two factors ``u @ v`` of their
+weight gradient (rank 1 for a vector, rank B for B rows), and
+``take_row``/``take_rows`` hand back the gathered row ids with their
+gradient rows.  When the input is a recorded node the factors are
+expanded into a dense array on the spot, so every other op sees plain
+ndarrays; row gradients of one node are added in place into one array.
+When the input is a leaf, ``backward()`` collects the factors during the
+reverse sweep and adds them once at the end: one ``(m, K) @ (K, n)``
+product per weight, K summed over every step and row, and one
 ``np.add.at`` scatter per gathered matrix, instead of a dense ``(m, n)``
 array per time step.  ``.grad`` is a dense ndarray once ``backward()``
 returns, and repeated calls keep accumulating into it.
+
+A tape's graph lives until its ``with`` block ends.  ``backward`` may run
+any number of times inside the block; on exit the tape unlinks every
+recorded tensor from its node, so the graph is freed by reference
+counting, without waiting for the cycle collector, and a tensor computed
+in the block is then a plain constant.
 
 Conventions:
   * float64 everywhere; at desk scale precision is worth more than speed.
   * no implicit broadcasting.  Binary ops demand identical shapes; the
     only sanctioned mixed forms are tensor-with-python-number and
     tensor-with-scalar-tensor (size 1).  Everything else raises
-    ``ShapeError`` so that a mis-shaped equation fails loudly.
+    ``ShapeError`` so that a mis-shaped equation fails loudly.  A leading
+    batch axis goes through named ops that say how it is combined:
+    ``matmul_t`` (rows against a weight), ``add_rowvec`` (one vector per
+    matrix), ``scale_rows`` (one scale per row), ``softmax`` with a row
+    mask, and ``weighted_sum`` (one weighted row sum per batch entry).
   * a tape and its tensors belong to one thread; independent tapes may
     run concurrently on other threads.
 """
@@ -40,9 +53,9 @@ from .errors import ContractError, DomainError, ShapeError
 
 __all__ = [
     "Tensor", "Tape", "backward", "zeros",
-    "add", "sub", "mul", "neg", "matmul", "transpose",
+    "add", "sub", "mul", "neg", "matmul", "matmul_t", "transpose",
     "sigmoid", "tanh", "log", "softmax", "log_softmax",
-    "concat", "sum_all", "mean_rows", "add_rowvec",
+    "concat", "sum_all", "mean_rows", "add_rowvec", "scale_rows", "weighted_sum",
     "take_rows", "take_row", "at", "narrow", "pick_per_row",
     "stack_rows", "reshape",
 ]
@@ -57,7 +70,7 @@ def _active_tape():
 class Tensor:
     """A dense multi-dimensional float64 value, optionally on a tape."""
 
-    __slots__ = ("data", "requires_grad", "grad", "node")
+    __slots__ = ("data", "requires_grad", "grad", "node", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         if type(data) is np.ndarray and data.dtype == np.float64:
@@ -116,7 +129,9 @@ class Tape:
 
     Use as a context manager; ops run inside record nodes whose inputs
     always precede them, so a single reverse sweep is a valid backward
-    pass.  Only one tape may be active per thread.
+    pass.  Only one tape may be active per thread.  Leaving the block
+    unlinks every recorded tensor from its node and drops the nodes, so
+    call ``backward`` inside the block.
     """
 
     def __init__(self):
@@ -133,6 +148,9 @@ class Tape:
     def __exit__(self, exc_type, exc, tb):
         _STATE.tape = None
         self.active = False
+        for node in self.nodes:     # break Tensor.node <-> _Node.out cycles
+            node.out.node = None
+        self.nodes.clear()
         return False
 
 
@@ -156,7 +174,9 @@ class _Factor:
 
 
 class _Outer(_Factor):
-    """``np.outer(u, v)``: the gradient of the matrix in a matrix-vector product."""
+    """``u @ v``, the gradient of the matrix in a matrix product: a rank-1
+    ``np.outer(u, v)`` for (m,) and (n,) vectors, or a rank-r sum for an
+    (m, r) ``u`` and an (r, n) ``v``."""
 
     __slots__ = ("u", "v")
 
@@ -165,7 +185,7 @@ class _Outer(_Factor):
         self.v = v
 
     def dense(self, shape) -> np.ndarray:
-        return np.outer(self.u, self.v)
+        return np.outer(self.u, self.v) if self.u.ndim == 1 else self.u @ self.v
 
 
 class _Rows(_Factor):
@@ -179,8 +199,11 @@ class _Rows(_Factor):
 
     def dense(self, shape) -> np.ndarray:
         out = np.zeros(shape, dtype=np.float64)
-        np.add.at(out, self.idx, self.g)
+        self.add_into(out)
         return out
+
+    def add_into(self, out: np.ndarray) -> None:
+        np.add.at(out, self.idx, self.g)
 
 
 def _add_factors(t: Tensor, factors: list) -> None:
@@ -188,7 +211,8 @@ def _add_factors(t: Tensor, factors: list) -> None:
     outers = [f for f in factors if type(f) is _Outer]
     rows = [f for f in factors if type(f) is _Rows]
     if outers:
-        ww = np.stack([f.u for f in outers], axis=1) @ np.stack([f.v for f in outers])
+        ww = (np.concatenate([f.u.reshape(len(f.u), -1) for f in outers], axis=1)
+              @ np.concatenate([f.v.reshape(-1, f.v.shape[-1]) for f in outers]))
         if t.grad is None:
             t.grad = ww
         else:
@@ -214,6 +238,7 @@ def backward(loss: Tensor) -> None:
     if node is None:
         raise ContractError("loss tensor is not recorded on a tape")
     pending = {id(loss): np.ones((), dtype=np.float64)}
+    owned: set[int] = set()   # pending arrays that nothing else references
     deferred: dict[int, tuple[Tensor, list]] = {}
     for n in reversed(node.tape.nodes[: node.index + 1]):
         g = pending.pop(id(n.out), None)
@@ -223,13 +248,21 @@ def backward(loss: Tensor) -> None:
             if gt is None:
                 continue
             if t.node is not None:
-                if isinstance(gt, _Factor):
-                    gt = gt.dense(t.data.shape)
                 k = id(t)
-                if k in pending:
-                    pending[k] = pending[k] + gt
-                else:
+                cur = pending.get(k)
+                if cur is None:
+                    if isinstance(gt, _Factor):
+                        gt = gt.dense(t.data.shape)
+                        owned.add(k)
                     pending[k] = gt
+                    continue
+                if k not in owned:
+                    cur = pending[k] = np.array(cur)
+                    owned.add(k)
+                if type(gt) is _Rows:
+                    gt.add_into(cur)
+                else:
+                    cur += gt.dense(t.data.shape) if isinstance(gt, _Factor) else gt
             elif t.requires_grad:
                 if isinstance(gt, _Factor):
                     deferred.setdefault(id(t), (t, []))[1].append(gt)
@@ -348,9 +381,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             else:                       # (k,) @ (k,) -> ()
                 ga = g * bd
         if b.requires_grad:
-            if ad.ndim == 2 and bd.ndim == 2 and not bd.flags.c_contiguous:
-                gb = (g.T @ ad).T       # b is a transposed matrix: keep its layout
-            elif ad.ndim == 2:
+            if ad.ndim == 2:
                 gb = ad.T @ g
             elif bd.ndim == 2:          # (k,) @ (k,n) -> (n,)
                 gb = _Outer(ad, g)
@@ -361,11 +392,31 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), grad_fn)
 
 
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
+def matmul_t(a: Tensor, w: Tensor) -> Tensor:
+    """``a @ w.T`` for an (n, k) matrix of rows and an (m, k) weight -> (n, m).
+
+    The weight's gradient ``g.T @ a`` is deferred as a rank-n factor, so
+    when ``w`` is a leaf every product of a recurrence, each step and
+    each row, adds up in one GEMM at the end of ``backward``."""
+    ad, wd = a.data, w.data
+    if ad.ndim != 2 or wd.ndim != 2 or ad.shape[1] != wd.shape[1]:
+        raise ShapeError(f"matmul_t: rows {ad.shape} do not match weight {wd.shape}")
+    out = Tensor(ad @ wd.T)
+
+    def grad_fn(g):
+        return (g @ wd if a.requires_grad else None,
+                _Outer(g.T, ad) if w.requires_grad else None)
+
+    return _record(out, (a, w), grad_fn)
+
+
+def transpose(a: Tensor, axes=None) -> Tensor:
+    """Matrix transpose; with ``axes``, that permutation of any tensor's axes."""
+    if axes is None and a.data.ndim != 2:
         raise ShapeError(f"transpose expects a matrix, got shape {a.data.shape}")
-    out = Tensor(a.data.T)
-    return _record(out, (a,), lambda g: (g.T,))
+    out = Tensor(np.transpose(a.data, axes))
+    back = None if axes is None else np.argsort(axes)
+    return _record(out, (a,), lambda g: (np.transpose(g, back),))
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -389,23 +440,34 @@ def log(a: Tensor) -> Tensor:
     return _record(out, (a,), lambda g: (g / a.data,))
 
 
-def softmax(a: Tensor) -> Tensor:
-    """Stable softmax of a 1-D tensor; output sums to 1 within 1e-12."""
+def softmax(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
+    """Stable softmax of a 1-D tensor, or of each row of a (B, n) matrix;
+    each output sums to 1 within 1e-12.
+
+    ``mask``, a (B, n) boolean array, marks the entries that take part:
+    the others get weight exactly 0 and no gradient.  Every row needs at
+    least one.
+    """
     x = a.data
-    if x.ndim != 1:
-        raise ShapeError(f"softmax expects a 1-D tensor, got shape {x.shape}")
+    if x.ndim not in (1, 2) or (mask is not None and mask.shape != x.shape):
+        raise ShapeError(f"softmax expects a vector or a matrix with a mask of its shape, "
+                         f"got {x.shape}" + ("" if mask is None else f" and mask {mask.shape}"))
     if x.size == 0:
         raise ShapeError("softmax of empty input")
     if not np.all(np.isfinite(x)):
         raise DomainError("softmax input contains non-finite entries")
-    z = np.exp(x - x.max())
-    y = z / z.sum()
-    out = Tensor(y)
-
-    def grad_fn(g):
-        return (y * (g - float(np.dot(g, y))),)
-
-    return _record(out, (a,), grad_fn)
+    if x.ndim == 1:
+        z = np.exp(x - x.max())
+        y = z / z.sum()
+        return _record(Tensor(y), (a,), lambda g: (y * (g - float(np.dot(g, y))),))
+    if mask is not None:
+        if not mask.any(axis=1).all():
+            raise ShapeError("softmax: a row has no unmasked entry")
+        x = np.where(mask, x, -np.inf)
+    z = np.exp(x - x.max(axis=1, keepdims=True))
+    y = z / z.sum(axis=1, keepdims=True)
+    return _record(Tensor(y), (a,),
+                   lambda g: (y * (g - (g * y).sum(axis=1, keepdims=True)),))
 
 
 def log_softmax(a: Tensor) -> Tensor:
@@ -475,16 +537,53 @@ def mean_rows(a: Tensor) -> Tensor:
 
 
 def add_rowvec(m: Tensor, v: Tensor) -> Tensor:
-    """Explicitly broadcast: add a (d,) vector to every row of an (n, d) matrix."""
-    if m.data.ndim != 2 or v.data.ndim != 1 or m.data.shape[1] != v.data.shape[0]:
-        raise ShapeError(f"add_rowvec: incompatible shapes {m.data.shape} and {v.data.shape}")
-    out = Tensor(m.data + v.data)
+    """Explicitly broadcast: add a (d,) vector to every row of an (n, d)
+    matrix, or row b of a (B, d) matrix to every row of matrix b of a
+    (B, n, d) batch."""
+    md, vd = m.data, v.data
+    if md.ndim not in (2, 3) or vd.shape != md.shape[:-2] + md.shape[-1:]:
+        raise ShapeError(f"add_rowvec: incompatible shapes {md.shape} and {vd.shape}")
+    out = Tensor(md + (vd if vd.ndim == 1 else vd[:, None, :]))
 
     def grad_fn(g):
         return (g if m.requires_grad else None,
-                g.sum(axis=0) if v.requires_grad else None)
+                g.sum(axis=-2) if v.requires_grad else None)
 
     return _record(out, (m, v), grad_fn)
+
+
+def scale_rows(x: Tensor, s: Tensor, j: int) -> Tensor:
+    """``x * s[j]`` for a (d,) ``x`` and a (k,) ``s``; row b of a (B, d)
+    ``x`` times ``s[b, j]`` for a (B, k) ``s``."""
+    xd, sd = x.data, s.data
+    if xd.ndim not in (1, 2) or sd.ndim != xd.ndim or sd.shape[:-1] != xd.shape[:-1]:
+        raise ShapeError(f"scale_rows: incompatible shapes {xd.shape} and {sd.shape}")
+    col = sd[..., j:j + 1]
+    out = Tensor(xd * col)
+
+    def grad_fn(g):
+        gs = None
+        if s.requires_grad:
+            gs = np.zeros_like(sd)
+            gs[..., j] = (g * xd).sum(axis=-1)
+        return (g * col if x.requires_grad else None), gs
+
+    return _record(out, (x, s), grad_fn)
+
+
+def weighted_sum(alpha: Tensor, v: Tensor) -> Tensor:
+    """``out[b] = sum_l alpha[b, l] * v[b, l]`` for (B, L) weights over a
+    (B, L, d) batch of row sets -> (B, d)."""
+    ad, vd = alpha.data, v.data
+    if ad.ndim != 2 or vd.ndim != 3 or vd.shape[:2] != ad.shape:
+        raise ShapeError(f"weighted_sum: weights {ad.shape} do not match rows {vd.shape}")
+    out = Tensor((ad[:, None, :] @ vd)[:, 0, :])
+
+    def grad_fn(g):
+        return ((vd @ g[:, :, None])[:, :, 0] if alpha.requires_grad else None,
+                ad[:, :, None] * g[:, None, :] if v.requires_grad else None)
+
+    return _record(out, (alpha, v), grad_fn)
 
 
 def take_rows(a: Tensor, ids) -> Tensor:
@@ -545,7 +644,8 @@ def pick_per_row(a: Tensor, cols) -> Tensor:
 
 
 def stack_rows(rows: Sequence[Tensor]) -> Tensor:
-    """Stack equal-length 1-D tensors into a (T, n) matrix."""
+    """Stack T equal-shape tensors along a new leading axis: (n,) rows
+    into a (T, n) matrix, (B, n) matrices into a (T, B, n) one."""
     rows = list(rows)
     if not rows:
         raise ShapeError("stack_rows of zero rows")

@@ -29,7 +29,9 @@ from .optim import (
     opt_state_from_arrays, zero_grads,
 )
 from .search import greedy_decode
-from .tensor import Tape, Tensor, at, backward, log, pick_per_row, sum_all
+from .tensor import (
+    Tape, Tensor, at, backward, log, pick_per_row, reshape, stack_rows, sum_all,
+)
 
 __all__ = [
     "mle_loss", "RewardConfig", "reward_gradient_step", "make_cider_reward",
@@ -40,23 +42,23 @@ __all__ = [
 def mle_loss(log_probs, targets: CaptionBatch) -> Tensor:
     """Negative log-likelihood over unmasked steps, averaged over the batch.
 
-    ``log_probs`` is one (T, vocab) tensor for a single-sample batch or a
-    sequence of them, one per sample; padded steps contribute exactly 0.
+    ``log_probs`` is one (B, T, vocab) tensor for the whole batch, one
+    (T, vocab) tensor for a single-sample batch, or a sequence of
+    (T, vocab) tensors, one per sample.  All B·T rows are picked at once;
+    padded steps contribute exactly 0.
     """
-    if isinstance(log_probs, Tensor):
-        log_probs = [log_probs]
-    if len(log_probs) != len(targets):
-        raise ShapeError(f"{len(log_probs)} log-prob matrices for {len(targets)} captions")
-    total = None
-    for b, lp in enumerate(log_probs):
-        if lp.data.shape[0] != targets.steps:
-            raise ShapeError(
-                f"log-probs cover {lp.data.shape[0]} steps but captions have {targets.steps}")
-        picked = pick_per_row(lp, targets.tokens[b, 1:])
-        masked = picked * Tensor(targets.target_mask(b))
-        sample_loss = -sum_all(masked)
-        total = sample_loss if total is None else total + sample_loss
-    return total * (1.0 / len(targets))
+    if not isinstance(log_probs, Tensor):
+        log_probs = stack_rows(list(log_probs))
+    elif log_probs.data.ndim == 2:
+        log_probs = reshape(log_probs, (1,) + log_probs.shape)
+    width, steps, vocab = log_probs.shape
+    if (width, steps) != (len(targets), targets.steps):
+        raise ShapeError(f"log-probs for {width} captions of {steps} steps, but the "
+                         f"batch has {len(targets)} of {targets.steps}")
+    picked = pick_per_row(reshape(log_probs, (width * steps, vocab)),
+                          targets.tokens[:, 1:].reshape(-1))
+    mask = np.arange(steps) < targets.lengths[:, None] - 1
+    return -sum_all(picked * Tensor(mask.reshape(-1).astype(np.float64))) * (1.0 / width)
 
 
 @dataclass
@@ -215,25 +217,32 @@ def _build_decoder(cfg: TrainConfig, vocab: Vocabulary, probe: FeatureSet):
     return build_variant(cfg.variant, dc)
 
 
-def _sample_losses(decoder, features, batch: CaptionBatch, training, rng):
-    """Per-batch mean loss tensor; two-stream sums its per-stream losses."""
+def _batch_loss(decoder, features: list[FeatureSet], batch: CaptionBatch, training, rng):
+    """Mean loss tensor of one batch, teacher-forced in one forward pass;
+    two-stream sums its per-stream losses."""
     if isinstance(decoder, TwoStreamDecoder):
-        lps = decoder.stream_teacher_forced(features, batch.tokens[0], training, rng)
+        lps = decoder.stream_teacher_forced(features, batch, training, rng)
         return mle_loss(lps[0], batch) + mle_loss(lps[1], batch)
-    lp = decoder.forward_teacher_forced(features, batch.tokens[0], training, rng)
-    return mle_loss(lp, batch)
+    return mle_loss(decoder.forward_teacher_forced(features, batch, training, rng), batch)
+
+
+def _caption_pairs(samples, vocab: Vocabulary) -> list[tuple[int, list[int]]]:
+    """(sample index, caption ids) for every reference of every sample."""
+    return [(i, vocab.wrap(tokenize(r))) for i, s in enumerate(samples) for r in s.refs]
 
 
 def _val_score(cfg, decoder, dataset, vocab, split: str) -> float:
     samples = dataset.splits[split]
-    if cfg.val_metric == "loss":
+    if cfg.val_metric == "loss":   # mean over every (sample, reference) pair
+        feats = [dataset.features(s) for s in samples]
+        pairs = _caption_pairs(samples, vocab)
         total = 0.0
-        for s in samples:
-            feats = dataset.features(s)
-            ids = vocab.wrap(tokenize(s.refs[0]))
-            lp = decoder.forward_teacher_forced(feats, ids)
-            total += float(mle_loss(lp, CaptionBatch.from_id_seqs([ids])).data)
-        return -total / len(samples)  # higher is better, like the metrics
+        for lo in range(0, len(pairs), cfg.batch_size):
+            chunk = pairs[lo:lo + cfg.batch_size]
+            batch = CaptionBatch.from_id_seqs([ids for _, ids in chunk])
+            lp = decoder.forward_teacher_forced([feats[i] for i, _ in chunk], batch)
+            total += float(mle_loss(lp, batch).data) * len(chunk)
+        return -total / len(pairs)  # higher is better, like the metrics
     cands, refs = [], []
     for s in samples:
         feats = dataset.features(s)
@@ -269,14 +278,20 @@ def train(cfg: TrainConfig) -> TrainResult:
     loss, reward advantage or gradient stops training with ``DomainError``
     before the optimizer steps or a checkpoint is written.
 
-    Each MLE epoch's history row holds ``epoch``, ``loss``, ``val_metric``
-    and the ``val_split`` it scored (``val``, or ``train`` when the dataset
-    has no ``val``), ``lr`` and ``wall_time`` in seconds, the
-    epoch's ``forward_ms``, ``backward_ms``, ``update_ms`` (clipping plus
-    the optimizer) and ``val_ms``, and ``samples_per_s``: training
-    samples over the time of the epoch's batch loop.
+    Training runs over every (sample, reference) pair; each batch of
+    ``batch_size`` pairs is one forward and one ``backward`` under one
+    ``Tape``, and features are loaded once per sample.
 
-    Seeded end to end: parameter init, sample order and dropout masks all
+    Each MLE epoch's history row holds ``epoch``, ``loss`` (per pair),
+    ``val_metric`` and the ``val_split`` it scored (``val``, or ``train``
+    when the dataset has no ``val``), ``lr`` and ``wall_time`` in seconds,
+    the epoch's ``forward_ms``, ``backward_ms``, ``update_ms`` (clipping
+    plus the optimizer) and ``val_ms``, ``samples_per_s`` and
+    ``tokens_per_s``: training pairs and unpadded target tokens over the
+    time of the epoch's batch loop, and ``clip_frac``, the share of
+    gradient entries that clipping clamped.
+
+    Seeded end to end: parameter init, pair order and dropout masks all
     derive from cfg.seed, so one configuration reproduces bit-identical
     epoch losses.
     """
@@ -305,7 +320,7 @@ def train(cfg: TrainConfig) -> TrainResult:
         stale = int(arrays["meta/stale"])
 
     feats_cache = [dataset.features(s) for s in train_samples]
-    ids_cache = [vocab.wrap(tokenize(s.refs[0])) for s in train_samples]
+    pairs = _caption_pairs(train_samples, vocab)
 
     history: list[dict] = []
     ckpt_path = cfg.checkpoint or str(Path(cfg.data_dir) / "model.ckpt")
@@ -316,27 +331,29 @@ def train(cfg: TrainConfig) -> TrainResult:
     for epoch in range(start_epoch, cfg.epochs):
         t0 = time.perf_counter()
         rng = _epoch_rng(cfg.seed, epoch)
-        order = rng.permutation(len(train_samples))
+        order = rng.permutation(len(pairs))
         lr = adam_lr(cfg.lr, epoch, cfg.lr_decay, cfg.lr_decay_every)
         epoch_loss = 0.0
         forward_s = backward_s = update_s = 0.0
+        tokens = clamped = entries = 0
         for lo in range(0, len(order), cfg.batch_size):
-            chunk = order[lo:lo + cfg.batch_size]
+            chunk = [pairs[j] for j in order[lo:lo + cfg.batch_size]]
+            batch = CaptionBatch.from_id_seqs([ids for _, ids in chunk])
             zero_grads(params)
-            batch_loss = 0.0
-            for bi in chunk:
-                batch = CaptionBatch.from_id_seqs([ids_cache[bi]])
-                with Tape():
-                    ta = time.perf_counter()
-                    loss = _sample_losses(decoder, feats_cache[bi], batch, True, rng)
-                    tb = time.perf_counter()
-                    backward(loss * (1.0 / len(chunk)))
-                    forward_s += tb - ta
-                    backward_s += time.perf_counter() - tb
-                batch_loss += float(loss.data)
+            with Tape():
+                ta = time.perf_counter()
+                loss = _batch_loss(decoder, [feats_cache[i] for i, _ in chunk], batch,
+                                   True, rng)
+                tb = time.perf_counter()
+                backward(loss)
+                forward_s += tb - ta
+                backward_s += time.perf_counter() - tb
+            batch_loss = float(loss.data) * len(chunk)
+            tokens += int((batch.lengths - 1).sum())
             _check_finite(epoch, params, loss=batch_loss)
             ta = time.perf_counter()
-            clip_gradients(params, cfg.clip)
+            clamped += clip_gradients(params, cfg.clip)
+            entries += sum(p.grad.size for p in params.values() if p.grad is not None)
             if cfg.optimizer == "adadelta":
                 adadelta_update(params, opt_state, cfg.rho, cfg.eps)
             elif cfg.optimizer == "adam":
@@ -345,7 +362,7 @@ def train(cfg: TrainConfig) -> TrainResult:
                 raise ConfigError(f"unknown optimizer {cfg.optimizer!r}")
             update_s += time.perf_counter() - ta
             epoch_loss += batch_loss
-        epoch_loss /= len(train_samples)
+        epoch_loss /= len(pairs)
         train_s = time.perf_counter() - t0
 
         val = _val_score(cfg, decoder, dataset, vocab, val_split)
@@ -364,7 +381,8 @@ def train(cfg: TrainConfig) -> TrainResult:
                  "wall_time": time.perf_counter() - t0,
                  "forward_ms": 1000.0 * forward_s, "backward_ms": 1000.0 * backward_s,
                  "update_ms": 1000.0 * update_s, "val_ms": 1000.0 * val_s,
-                 "samples_per_s": len(train_samples) / train_s, "val_split": val_split}
+                 "samples_per_s": len(pairs) / train_s, "tokens_per_s": tokens / train_s,
+                 "clip_frac": clamped / entries if entries else 0.0, "val_split": val_split}
         history.append(entry)
         if cfg.log_path:
             with open(cfg.log_path, "a") as fh:

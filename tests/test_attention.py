@@ -95,6 +95,43 @@ class TestTemporalAttend:
         np.testing.assert_allclose(ctx_p.data, ctx.data, atol=1e-12)
 
 
+class TestBatchedAttend:
+    def test_padded_rows_weigh_exactly_zero(self, rng):
+        att = make_attention(rng)
+        sets = [rng.standard_normal((n, 3)) for n in (5, 2, 4)]
+        h = rng.standard_normal((3, 4))
+        padded = np.zeros((3, 5, 3))
+        mask = np.zeros((3, 5), dtype=bool)
+        for b, v in enumerate(sets):
+            padded[b, :len(v)] = v
+            mask[b, :len(v)] = True
+        feats = Tensor(padded)
+        ctx, alpha = att.attend(Tensor(h), feats, att.keys(feats), mask)
+        assert ctx.shape == (3, 3) and alpha.shape == (3, 5)
+        assert np.all(alpha.data[~mask] == 0.0)
+        for b, v in enumerate(sets):
+            ctx1, alpha1 = att.attend(Tensor(h[b]), Tensor(v))
+            np.testing.assert_allclose(alpha.data[b, :len(v)], alpha1.data, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(ctx.data[b], ctx1.data, rtol=0, atol=1e-14)
+
+    def test_gradcheck(self, rng):
+        att = make_attention(rng)
+        h = Tensor(rng.standard_normal((2, 4)))
+        v = Tensor(rng.standard_normal((2, 3, 3)))
+        mask = np.array([[True, True, True], [True, False, False]])
+
+        def loss():
+            ctx = att.attend(h, v, mask=mask)[0]
+            return sum_all(ctx * ctx)
+
+        assert check_gradients(loss, att.parameters()) < 1e-4
+
+    def test_query_per_feature_set(self, rng):
+        att = make_attention(rng)
+        with pytest.raises(ShapeError):
+            att.attend(Tensor(rng.standard_normal(4)), Tensor(rng.standard_normal((2, 3, 3))))
+
+
 class TestSpatialAttend:
     def test_single_region(self, rng):
         att = make_attention(rng)

@@ -1,9 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import capgen.da
 from capgen.da import DaConfig, DeliberateDecoder, da_first_pass_distribution, da_step
 from capgen.data import BOS_ID, EOS_ID, CaptionBatch, FeatureSet
 from capgen.errors import ConfigError, ContractError
+from capgen.search import greedy_decode
 from capgen.testkit import decoder_gradcheck
 from capgen.training import mle_loss
 
@@ -132,7 +136,7 @@ class TestDaStep:
         dec = small_da()
         feats = da_features(rng, dec.config)
         state = dec.init_state(feats)
-        v_g, regions = state.feats
+        v_g, regions = state.feats[:2]
         p_m, _ = dec.step(state, BOS_ID)
         p_f, _ = da_step(dec, state, BOS_ID, v_g, regions)
         assert np.array_equal(p_m.data, p_f.data)
@@ -196,3 +200,29 @@ class TestDaGradients:
         batch = CaptionBatch.from_id_seqs([tokens])
         loss = mle_loss(main, batch) + 0.5 * mle_loss(aux, batch)
         assert np.isfinite(float(loss.data))
+
+
+class TestRegionKeys:
+    def test_carried_keys_match_recomputing_them_each_step(self, rng, monkeypatch):
+        dec = small_da(vocab=9, hidden=4, region=5, glob=3, first_pass_head=True)
+        wide = np.random.default_rng(3)
+        for p in dec.parameters().values():
+            p.data[...] = wide.standard_normal(p.data.shape)
+        feats = da_features(rng, dec.config, regions=4)
+        tokens = [BOS_ID, 5, 7, 4, EOS_ID]
+
+        def outputs():
+            gen = greedy_decode(dec, feats, max_len=6)
+            main, aux = dec.forward_teacher_forced(feats, tokens, with_aux=True)
+            return gen.tokens, float.hex(gen.logprob), main.data.tobytes(), aux.data.tobytes()
+
+        carried = outputs()
+        real = capgen.da.da_step
+
+        def recomputing(dec, state, token_id, v_g, regions, training=False, rng=None):
+            keys = (dec.attn1.keys(regions), dec.attn2.keys(regions))
+            return real(dec, replace(state, feats=(v_g, regions) + keys), token_id, v_g,
+                        regions, training, rng)
+
+        monkeypatch.setattr(capgen.da, "da_step", recomputing)
+        assert outputs() == carried

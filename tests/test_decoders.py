@@ -182,14 +182,15 @@ class TestTeacherForcing:
         assert loss_padded == pytest.approx(loss_bare, abs=1e-12)
 
 
-def stream_case(variant, **kw):
+def stream_case(variant, frames=3, segments=2, feature_seed=4, **kw):
     """A tiny decoder whose ``forward_teacher_forced`` is the phased path,
     with features for it; ``two_stream/k`` is stream k of a two-stream
     decoder, fed that stream's features."""
     if variant == "conf":
         kw = dict(feature_dim=2, motion_dim=2, **kw)
     cfg = small_config(vocab=9, **kw)
-    feats = features_for(np.random.default_rng(4), variant.split("/")[0], cfg)
+    feats = features_for(np.random.default_rng(feature_seed), variant.split("/")[0], cfg,
+                         frames, segments)
     if not variant.startswith("two_stream"):
         return build_variant(variant, cfg), feats
     dec = build_variant("two_stream", cfg)
@@ -272,6 +273,118 @@ class TestPhasedTeacherForcing:
             assert p.grad is None or np.all(np.isfinite(p.grad)), name
 
 
+# unequal caption lengths (4, 2 and 6 steps) over unequal feature sets
+BATCH_CAPTIONS = [[BOS_ID, 5, 7, 4, EOS_ID], [BOS_ID, 6, EOS_ID],
+                  [BOS_ID, 4, 4, 5, 6, 8, EOS_ID]]
+BATCH_SHAPES = ((3, 2, 4), (5, 3, 5), (2, 1, 6))   # (frames, motion segments, rng seed)
+
+
+def batch_case(variant, **kw):
+    """``stream_case``'s decoder with one feature set per ``BATCH_CAPTIONS``
+    caption, of 3, 5 and 2 frames (2, 3 and 1 motion segments)."""
+    dec, _ = stream_case(variant, **kw)
+    feats = [stream_case(variant, frames, segments, seed, **kw)[1]
+             for frames, segments, seed in BATCH_SHAPES]
+    return dec, feats
+
+
+def batch_logprobs_and_grads(dec, feats, captions, training, seed, batched):
+    """Per-caption log-probs and every parameter gradient of a batch's mean
+    MLE loss: one batched forward, or ``decoders._teacher_forced`` caption
+    by caption, each under one tape and one seeded rng."""
+    params = dec.parameters()
+    for p in params.values():
+        p.grad = None
+    rng = np.random.default_rng(seed)
+    batch = CaptionBatch.from_id_seqs(captions)
+    with Tape():
+        if batched:
+            lp = dec.forward_teacher_forced(feats, batch, training, rng)
+            assert lp.shape == (len(captions), batch.steps, dec.config.vocab_size)
+            loss = mle_loss(lp, batch)
+            rows = [lp.data[b, :len(c) - 1] for b, c in enumerate(captions)]
+        else:
+            lps = [decoders._teacher_forced(dec, f, c, training, rng)
+                   for f, c in zip(feats, captions)]
+            loss = mle_loss(lps[0], CaptionBatch.from_id_seqs(captions[:1]))
+            for lp, c in zip(lps[1:], captions[1:]):
+                loss = loss + mle_loss(lp, CaptionBatch.from_id_seqs([c]))
+            loss = loss * (1.0 / len(captions))
+            rows = [lp.data for lp in lps]
+        backward(loss)
+    return rows, {name: p.grad for name, p in params.items()}
+
+
+class TestBatchedTeacherForcing:
+    """One batched forward of unequal captions over unequal feature sets
+    against the per-step loop, caption by caption."""
+
+    @pytest.mark.parametrize("case", sorted(PHASED_CASES))
+    @pytest.mark.parametrize("mode", ["eval", "dropout"])
+    def test_matches_per_caption_loop(self, case, mode):
+        variant, cfg, attrs = PHASED_CASES[case]
+        dec, feats = batch_case(variant, **cfg)
+        for name, value in attrs.items():
+            setattr(dec, name, value)
+        training = mode == "dropout"
+        if training:
+            dec.config.dropout = 0.3
+        lps, grads = batch_logprobs_and_grads(dec, feats, BATCH_CAPTIONS, training, 11, True)
+        ref_lps, ref_grads = batch_logprobs_and_grads(dec, feats, BATCH_CAPTIONS, training,
+                                                      11, False)
+        for lp, ref in zip(lps, ref_lps):
+            assert np.max(np.abs(lp - ref)) <= 1e-12
+        assert grads.keys() == ref_grads.keys()
+        for name, g in grads.items():
+            if ref_grads[name] is None:
+                assert g is None, name
+            else:
+                assert np.max(np.abs(g - ref_grads[name])) <= 1e-12, name
+
+    @pytest.mark.parametrize("variant", ["hlstmat_temporal", "para"])
+    def test_batch_of_one_is_the_single_caption_path(self, variant):
+        dec, feats = stream_case(variant, dropout=0.3)
+        tokens = BATCH_CAPTIONS[0]
+        single = dec.forward_teacher_forced(feats, tokens, True, np.random.default_rng(2))
+        batch = dec.forward_teacher_forced([feats], CaptionBatch.from_id_seqs([tokens]), True,
+                                           np.random.default_rng(2))
+        assert np.array_equal(batch.data[0], single.data)
+
+    def test_two_stream_draws_masks_caption_by_caption(self):
+        cfg = small_config(vocab=9, dropout=0.3)
+        dec = build_variant("two_stream", cfg)
+        feats = [features_for(np.random.default_rng(seed), "two_stream", cfg, frames, segments)
+                 for frames, segments, seed in BATCH_SHAPES]
+        batch = CaptionBatch.from_id_seqs(BATCH_CAPTIONS)
+        both = dec.stream_teacher_forced(feats, batch, True, np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        for b, (f, c) in enumerate(zip(feats, BATCH_CAPTIONS)):
+            for k, ref in enumerate(dec.stream_teacher_forced(f, c, True, rng)):
+                assert np.max(np.abs(both[k].data[b, :len(c) - 1] - ref.data)) <= 1e-12
+
+    @pytest.mark.parametrize("variant", ["basic", "da"])
+    def test_per_step_variants_pad_each_caption(self, variant):
+        dec, dims = tiny_decoder(variant, hidden=6, vocab_size=9, seed=1)
+        feats = [tiny_features(np.random.default_rng(s), n, dims["dim"], dims["motion_dim"],
+                               dims["region_dim"], dims["global_dim"])
+                 for n, _, s in BATCH_SHAPES]
+        lp = dec.forward_teacher_forced(feats, CaptionBatch.from_id_seqs(BATCH_CAPTIONS))
+        for b, (f, c) in enumerate(zip(feats, BATCH_CAPTIONS)):
+            assert np.array_equal(lp.data[b, :len(c) - 1], dec.forward_teacher_forced(f, c).data)
+            assert np.all(lp.data[b, len(c) - 1:] == 0.0)
+
+    def test_one_feature_set_per_caption(self):
+        dec, feats = batch_case("hlstmat_temporal")
+        with pytest.raises(ContractError):
+            dec.forward_teacher_forced(feats[:2], CaptionBatch.from_id_seqs(BATCH_CAPTIONS))
+
+    def test_every_caption_needs_bos(self):
+        dec, feats = batch_case("hlstmat_temporal")
+        captions = BATCH_CAPTIONS[:2] + [[5, 6, EOS_ID]]
+        with pytest.raises(ContractError):
+            dec.forward_teacher_forced(feats, CaptionBatch.from_id_seqs(captions))
+
+
 def trace_digest(rows) -> str:
     h = hashlib.sha256()
     for row in rows:
@@ -329,6 +442,11 @@ class TestPinnedDecoding:
 @pytest.mark.parametrize("variant", GRADCHECK_VARIANTS)
 def test_teacher_forced_gradcheck(variant):
     assert decoder_gradcheck(variant, hidden=4, vocab_size=6, frames=3) < 1e-4
+
+
+@pytest.mark.parametrize("variant", GRADCHECK_VARIANTS)
+def test_batched_teacher_forced_gradcheck(variant):
+    assert decoder_gradcheck(variant, hidden=4, vocab_size=6, frames=2, batch=3) < 1e-4
 
 
 class TestGateAblation:

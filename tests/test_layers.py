@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -166,6 +168,34 @@ class TestCheckpoint:
         assert variant == "basic"
         np.testing.assert_array_equal(loaded["w"], good["w"])
         assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+
+def struct_encoding(variant: str, arrays: dict) -> bytes:
+    """The checkpoint layout encoded field by field with ``struct`` and
+    ``astype("<f8").tobytes()``."""
+    tag = variant.encode()
+    out = [MAGIC, struct.pack("<I", len(tag)), tag, struct.pack("<I", len(arrays))]
+    for name, arr in arrays.items():
+        arr = np.asarray(arr, dtype=np.float64)
+        nb = name.encode()
+        out += [struct.pack("<I", len(nb)), nb, struct.pack("<I", arr.ndim)]
+        out += [struct.pack("<I", d) for d in arr.shape]
+        out.append(arr.astype("<f8").tobytes())
+    return b"".join(out)
+
+
+def test_checkpoint_bytes_match_the_struct_encoding(tmp_path, rng):
+    wide = rng.standard_normal((4, 6))
+    arrays = {"f64": rng.standard_normal((3, 4)),
+              "f32": rng.standard_normal(5).astype(np.float32),
+              "strided": wide[:, ::2],
+              "transposed": wide.T,
+              "big_endian": rng.standard_normal((2, 3)).astype(">f8"),
+              "scalar": np.asarray(2.5),
+              "empty": np.zeros((0, 3))}
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, "para", arrays)
+    assert path.read_bytes() == struct_encoding("para", arrays)
 
 
 def test_module_parameters_walk_attributes_in_assignment_order():

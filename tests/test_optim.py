@@ -154,6 +154,13 @@ class TestClip:
         clip_gradients({"p": p}, 10.0)
         np.testing.assert_array_equal(p.grad, once)
 
+    def test_returns_the_clamped_count(self):
+        p, q = param([0.0, 0.0, 0.0]), param([0.0, 0.0])
+        p.grad = np.array([-42.0, 10.0, 17.0])
+        q.grad = np.array([3.0, -10.5])
+        assert clip_gradients({"p": p, "q": q, "none": param([0.0])}, 10.0) == 3
+        assert clip_gradients({"p": p, "q": q}, 10.0) == 0
+
     def test_positive_threshold_required(self):
         with pytest.raises(ContractError):
             clip_gradients({}, 0.0)

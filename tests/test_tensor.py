@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,9 +9,9 @@ from hypothesis import strategies as st
 from capgen.errors import ContractError, DomainError, ShapeError
 from capgen.gradcheck import fd_gradients, max_relative_error
 from capgen.tensor import (
-    Tape, Tensor, add_rowvec, at, backward, concat, log, log_softmax, matmul, mean_rows,
-    narrow, pick_per_row, reshape, sigmoid, softmax, stack_rows, sum_all, take_row, take_rows,
-    tanh, transpose,
+    Tape, Tensor, add_rowvec, at, backward, concat, log, log_softmax, matmul, matmul_t,
+    mean_rows, narrow, pick_per_row, reshape, scale_rows, sigmoid, softmax, stack_rows, sum_all,
+    take_row, take_rows, tanh, transpose, weighted_sum,
 )
 
 
@@ -363,3 +366,121 @@ class TestStructuralOps:
             backward(sum_all(take_rows(e, [0, 0])))
         np.testing.assert_array_equal(e.grad[0], [2.0, 2.0, 2.0])
         np.testing.assert_array_equal(e.grad[1], [0.0, 0.0, 0.0])
+
+
+class TestBatchedOps:
+    """The explicit batch-axis ops: values against numpy, gradients against
+    finite differences."""
+
+    def test_matmul_t_values_and_gradient(self, rng):
+        a = leaf(rng.standard_normal((3, 4)))
+        w = leaf(rng.standard_normal((5, 4)))
+        np.testing.assert_array_equal(matmul_t(a, w).data, a.data @ w.data.T)
+        assert op_gradcheck(lambda: matmul_t(a, w), {"a": a, "w": w}) < 1e-6
+
+    def test_matmul_t_shape_mismatch(self):
+        with pytest.raises(ShapeError):
+            matmul_t(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
+
+    def test_rank_b_factors_sum_over_steps(self, rng):
+        # a recurrence's U gets one rank-B factor per step, summed in one GEMM,
+        # next to a rank-1 factor from a matrix-vector product
+        u = leaf(rng.standard_normal((4, 4)))
+        h0 = leaf(rng.standard_normal((3, 4)))
+        v = leaf(rng.standard_normal(4))
+
+        def build():
+            h = h0
+            for _ in range(3):
+                h = tanh(matmul_t(h, u))
+            return concat([reshape(h, (12,)), matmul(u, v)])
+
+        assert op_gradcheck(build, {"u": u, "h0": h0, "v": v}) < 1e-6
+
+    def test_transpose_axes(self, rng):
+        x = leaf(rng.standard_normal((2, 3, 4)))
+        np.testing.assert_array_equal(transpose(x, (1, 0, 2)).data, x.data.transpose(1, 0, 2))
+        assert op_gradcheck(lambda: transpose(x, (1, 2, 0)), {"x": x}) < 1e-6
+
+    def test_add_rowvec_batch(self, rng):
+        m = leaf(rng.standard_normal((2, 3, 4)))
+        v = leaf(rng.standard_normal((2, 4)))
+        np.testing.assert_array_equal(add_rowvec(m, v).data, m.data + v.data[:, None, :])
+        assert op_gradcheck(lambda: add_rowvec(m, v), {"m": m, "v": v}) < 1e-6
+        with pytest.raises(ShapeError):
+            add_rowvec(m, Tensor(np.zeros(4)))
+
+    @pytest.mark.parametrize("shape", [(5,), (3, 5)])
+    def test_scale_rows(self, shape, rng):
+        x = leaf(rng.standard_normal(shape))
+        s = leaf(rng.standard_normal(shape[:-1] + (3,)))
+        np.testing.assert_array_equal(scale_rows(x, s, 1).data, x.data * s.data[..., 1:2])
+        assert op_gradcheck(lambda: scale_rows(x, s, 1), {"x": x, "s": s}) < 1e-6
+
+    def test_weighted_sum(self, rng):
+        alpha = leaf(rng.random((2, 3)))
+        v = leaf(rng.standard_normal((2, 3, 4)))
+        expect = np.stack([alpha.data[b] @ v.data[b] for b in range(2)])
+        np.testing.assert_allclose(weighted_sum(alpha, v).data, expect, rtol=1e-14)
+        assert op_gradcheck(lambda: weighted_sum(alpha, v), {"alpha": alpha, "v": v}) < 1e-6
+
+    def test_row_softmax_matches_vector_softmax(self, rng):
+        x = rng.standard_normal((3, 5))
+        rows = softmax(Tensor(x)).data
+        for b in range(3):
+            np.testing.assert_allclose(rows[b], softmax(Tensor(x[b])).data, rtol=1e-15)
+
+    def test_masked_softmax_gives_padding_exactly_zero(self, rng):
+        x = leaf(rng.standard_normal((2, 4)))
+        mask = np.array([[True, True, True, True], [True, True, False, False]])
+        y = softmax(x, mask).data
+        assert np.all(y[1, 2:] == 0.0)
+        np.testing.assert_allclose(y[1, :2], softmax(Tensor(x.data[1, :2])).data, rtol=1e-15)
+        with Tape():
+            backward(sum_all(tanh(softmax(x, mask))))
+        assert np.all(x.grad[1, 2:] == 0.0)
+        assert op_gradcheck(lambda: softmax(x, mask), {"x": x}) < 1e-6
+
+    def test_masked_softmax_rejects_an_empty_row(self):
+        with pytest.raises(ShapeError):
+            softmax(Tensor(np.zeros((2, 2))), np.array([[True, False], [False, False]]))
+
+    def test_stack_matrices(self, rng):
+        rows = [leaf(rng.standard_normal((2, 3))) for _ in range(4)]
+        assert stack_rows(rows).data.shape == (4, 2, 3)
+        assert op_gradcheck(lambda: stack_rows(rows),
+                            {f"r{i}": r for i, r in enumerate(rows)}) < 1e-6
+
+    def test_rows_of_one_node_accumulate(self, rng):
+        # step rows of one (T, B, H) node, as in a batched recurrence
+        x = leaf(rng.standard_normal((3, 2, 4)))
+
+        def build():
+            y = tanh(x)
+            h = take_row(y, 0)
+            for t in (1, 2, 1):
+                h = tanh(h + take_row(y, t))
+            return h
+
+        assert op_gradcheck(build, {"x": x}) < 1e-6
+
+
+class TestTapeLifetime:
+    def test_intermediates_die_with_the_block(self, rng):
+        x = leaf(rng.standard_normal(4))
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            with Tape():
+                y = tanh(x) * 2.0
+                loss = sum_all(y * y)
+                ref = weakref.ref(y)
+                del y
+                backward(loss)
+                assert ref() is not None      # the graph holds it until the block ends
+            assert ref() is None
+            assert loss.node is None
+        finally:
+            if enabled:
+                gc.enable()
+        assert x.grad is not None

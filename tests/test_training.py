@@ -7,7 +7,9 @@ import pytest
 
 from capgen.checkpoint import load_checkpoint
 from capgen.cli import main
-from capgen.data import BOS_ID, EOS_ID, CaptionBatch, synth_dataset
+from capgen.data import (
+    BOS_ID, EOS_ID, CaptionBatch, Dataset, Vocabulary, synth_dataset, tokenize,
+)
 from capgen.errors import ConfigError, DomainError, ShapeError
 from capgen.tensor import Tensor, softmax
 from capgen.training import (
@@ -205,12 +207,15 @@ class TestTrainDriver:
         assert [l["epoch"] for l in lines] == [0, 1, 2]
         assert all(set(l) == {"epoch", "loss", "val_metric", "lr", "wall_time",
                               "forward_ms", "backward_ms", "update_ms", "val_ms",
-                              "samples_per_s", "val_split"}
+                              "samples_per_s", "tokens_per_s", "clip_frac", "val_split"}
                    for l in lines)
         for l in lines:
             assert l["val_split"] == "val"
             assert all(l[k] > 0 for k in ("forward_ms", "backward_ms", "update_ms", "val_ms",
-                                          "samples_per_s"))
+                                          "samples_per_s", "tokens_per_s"))
+            # 4 captions of 3 words + EOS: 4 target tokens per pair
+            assert l["tokens_per_s"] == pytest.approx(4 * l["samples_per_s"])
+            assert 0.0 <= l["clip_frac"] <= 1.0
             assert (l["forward_ms"] + l["backward_ms"] + l["update_ms"] + l["val_ms"]
                     <= 1000.0 * l["wall_time"])
         assert ckpt.exists()
@@ -256,6 +261,41 @@ class TestTrainDriver:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "'top.U_g'" in err
         assert not ckpt.exists()
+
+    def test_trains_and_validates_on_every_reference(self, tiny_dataset, tmp_path):
+        import capgen.training as tr
+        data = tmp_path / "data"
+        shutil.copytree(tiny_dataset, data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        words = manifest["splits"]["train"][1]["refs"][0].split()
+        for split in ("train", "val"):
+            manifest["splits"][split][0]["refs"].append(" ".join(words + words[:1]))
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        cfg = self.base_config(data, epochs=1, batch_size=8, optimizer="adadelta",
+                               checkpoint=str(tmp_path / "m.ckpt"))
+        dataset = Dataset.load(data)
+        vocab = Vocabulary.load(data / "vocab.json")
+
+        def pair_losses(decoder, split):
+            out = []
+            for s in dataset.splits[split]:
+                for ref in s.refs:
+                    ids = vocab.wrap(tokenize(ref))
+                    lp = decoder.forward_teacher_forced(dataset.features(s), ids)
+                    out.append(float(mle_loss(lp, CaptionBatch.from_id_seqs([ids])).data))
+            return out
+
+        initial = tr._build_decoder(cfg, vocab, dataset.features(dataset.splits["train"][0]))
+        before = pair_losses(initial, "train")
+        assert len(before) == 5
+        result = train(cfg)
+        row = result.history[0]
+        # one batch: the epoch loss is the initial model's mean over all five pairs
+        assert row["loss"] == pytest.approx(np.mean(before), rel=1e-12)
+        assert row["val_metric"] == pytest.approx(-np.mean(pair_losses(result.decoder, "val")),
+                                                  rel=1e-12)
+        # 4 captions of 4 target tokens and one of 5, over 5 pairs
+        assert row["tokens_per_s"] / row["samples_per_s"] == pytest.approx(21 / 5)
 
     def test_loss_decreases(self, tiny_dataset, tmp_path):
         cfg = self.base_config(tiny_dataset, epochs=8,
