@@ -13,7 +13,7 @@ from . import metrics
 from .attention import write_trace_csv
 from .checkpoint import load_checkpoint
 from .data import Dataset, Vocabulary, build_vocab, synth_dataset, tokenize
-from .errors import CapgenError, ConfigError, ContractError
+from .errors import CapgenError, ConfigError, ContractError, FormatError
 from .search import beam_search, greedy_decode, write_generations
 from .training import TrainConfig, train, _build_decoder
 
@@ -111,11 +111,7 @@ def _dispatch(args) -> int:
         print(f"wrote {args.samples} samples to {args.out}")
         return 0
     if args.command == "build-vocab":
-        captions = []
-        with open(args.refs) as fh:
-            for line in fh:
-                if line.strip():
-                    captions.extend(json.loads(line)["refs"])
+        captions = [c for refs in _read_jsonl(args.refs, "refs").values() for c in refs]
         vocab = build_vocab(captions, args.min_count, args.tokenizer)
         vocab.save(args.out)
         print(f"vocabulary of {len(vocab)} ids written to {args.out}")
@@ -190,20 +186,40 @@ def _generate(args) -> int:
     return 0
 
 
+def _read_jsonl(path, field: str) -> dict:
+    """``{id: record[field]}`` over the non-blank lines of a JSONL file, where
+    ``field`` is ``caption`` (a string) or ``refs`` (a list of strings)."""
+    out = {}
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise FormatError(f"{path}: {exc.strerror}") from None
+    with fh:
+        for n, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise FormatError(f"{path}:{n}: not JSON: {exc.msg}") from None
+            if (not isinstance(record, dict) or field not in record
+                    or not isinstance(record.get("id"), (str, int))):
+                raise FormatError(f"{path}:{n}: expected an object with a string or "
+                                  f"integer 'id' and {field!r}")
+            value = record[field]
+            ok = (isinstance(value, str) if field == "caption" else
+                  isinstance(value, list) and all(isinstance(r, str) for r in value))
+            if not ok:
+                kind = "a string" if field == "caption" else "a list of strings"
+                raise FormatError(f"{path}:{n}: {field!r} must be {kind}")
+            out[record["id"]] = value
+    return out
+
+
 def _evaluate(args) -> int:
-    cands = {}
-    with open(args.candidates) as fh:
-        for line in fh:
-            if line.strip():
-                obj = json.loads(line)
-                cands[obj["id"]] = obj["caption"]
-    refs = {}
-    with open(args.refs) as fh:
-        for line in fh:
-            if line.strip():
-                obj = json.loads(line)
-                refs[obj["id"]] = obj["refs"]
-    ids = sorted(cands)
+    cands = _read_jsonl(args.candidates, "caption")
+    refs = _read_jsonl(args.refs, "refs")
+    ids = sorted(cands, key=lambda i: (isinstance(i, str), i))   # integer ids first
     for i in ids:
         if i not in refs:
             raise ContractError(f"candidate id {i!r} has no references in {args.refs}")

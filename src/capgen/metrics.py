@@ -5,16 +5,43 @@ sample plus one or more reference token lists.  They are pure functions
 of the match structure, so consistently relabeling tokens leaves every
 score unchanged.
 
-Each metric is one pass with fixed constants: ``bleu`` returns BLEU-1..4
-from one count of clipped matches, and a ``CiderD`` scorer counts its
-document frequencies once, so the self-critical reward builds one over
-the training references and then scores each caption alone.
+Encoding.  Each call maps every token to a word id once.  The n-grams of
+one order are then coded from those of the order below: an n-gram's code
+is (dense id of its leading (n-1)-gram) * (number of words) + (id of its
+last word), and ``np.unique`` compacts the codes to dense ids before the
+next order.  Both factors are below the token count, so a vocabulary of
+any size stays inside int64.  BLEU and CIDEr-D score ``CHUNK`` samples
+per array pass, so their working arrays grow with the chunk, not with the
+corpus.  ROUGE-L's LCS is bit-parallel over Python ints (Allison & Dix
+1986; Hyyrö 2004), with the candidate's match masks built once and reused
+for every reference.
+
+BLEU and the LCS are integer counts, exact by construction.  CIDEr-D's
+floats keep the bits of the scalar per-gram loop (one dict of weights per
+sentence) that this encoding replaced, through three rules:
+
+* Squares: a weight's square is Python's ``w ** 2``, which calls libm
+  ``pow`` and differs in the last bit from numpy's ``w * w`` for some
+  doubles.  Each distinct (term frequency, document frequency) pair gets
+  its weight and square once, as Python scalars.
+* Logs and exponentials: ``math.log`` runs once per distinct (term
+  frequency, document frequency) pair and ``math.exp`` once per distinct
+  length difference; numpy's may round differently.  Arrays look them up.
+* Sums: terms are added in the scalar loop's order, per (sentence, order)
+  in the order the grams first occur, then reference by reference.  No
+  pairwise (numpy) or compensated (``sum``, ``fsum``) sum is used:
+  ``_ordered_add`` loops over ranks, and each segment holds at most one
+  term per rank, so one fancy-indexed ``+=`` adds one term to each sum.
+
+A ``CiderD`` scorer counts its document frequencies once, so the
+self-critical reward builds one over the training references and then
+scores each caption as a batch of one, while ``cider`` scores its whole
+corpus in chunks through the same code.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 
@@ -28,6 +55,7 @@ __all__ = ["TokenizedCorpus", "bleu", "rouge_l", "CiderD", "cider", "evaluate_co
 MAX_N = 4          # n-gram orders counted by BLEU and CIDEr-D
 ROUGE_BETA = 1.2   # ROUGE-L recall weight
 CIDER_SIGMA = 6.0  # CIDEr-D Gaussian length-penalty width
+CHUNK = 32         # samples per array pass of BLEU and CIDEr-D
 
 
 @dataclass
@@ -57,10 +85,113 @@ class TokenizedCorpus:
                    [[tokenize(r, mode) for r in refs] for refs in references])
 
 
-def _ngrams(tokens: list[str]):
-    """Every 1..MAX_N-gram of ``tokens`` as a tuple, lower orders first."""
-    return chain.from_iterable(zip(*(tokens[i:] for i in range(n)))
-                               for n in range(1, MAX_N + 1))
+def _chunks(corpus: TokenizedCorpus):
+    for lo in range(0, len(corpus), CHUNK):
+        yield corpus.candidates[lo:lo + CHUNK], corpus.references[lo:lo + CHUNK]
+
+
+def _word_ids(sentences: list[list[str]]):
+    """The flattened word ids of ``sentences``, their lengths, and the
+    word -> id map (ids in order of first occurrence)."""
+    flat = list(chain.from_iterable(sentences))
+    words = {w: i for i, w in enumerate(dict.fromkeys(flat))}
+    ids = np.fromiter(map(words.__getitem__, flat), np.int64, len(flat))
+    lens = np.fromiter(map(len, sentences), np.int64, len(sentences))
+    return ids, lens, words
+
+
+def _grams(ids: np.ndarray, lens: np.ndarray, n_words: int):
+    """For each order 1..MAX_N: the sentence and the dense gram id of every
+    n-gram in text order, and the sorted distinct codes the ids index."""
+    pos = np.arange(len(ids))
+    sent = np.repeat(np.arange(len(lens)), lens)
+    left = np.cumsum(lens)[sent] - pos   # tokens from here to the sentence end
+    gid, codes = ids, np.arange(n_words)
+    for n in range(1, MAX_N + 1):
+        if n > 1:
+            codes, gid = np.unique(gid * n_words + ids[pos + n - 1], return_inverse=True)
+        yield sent, gid, codes
+        keep = left > n
+        pos, sent, left, gid = pos[keep], sent[keep], left[keep], gid[keep]
+
+
+def _distinct(per_order, n_sent: int):
+    """Each (order, sentence)'s distinct grams in the order they first occur.
+
+    ``per_order`` holds each order's ``(sentence, gram id, gram count)``
+    from ``_grams``.  Returns the segment ``order * n_sent + sentence``,
+    the gram id offset to be distinct across orders, the count in the
+    segment and the rank in that order of every distinct gram, segments
+    ascending, then the number of gram ids."""
+    offsets = np.cumsum([0] + [n for _, _, n in per_order]).tolist()
+    seg = np.concatenate([order * n_sent + sent for order, (sent, _, _) in enumerate(per_order)])
+    gram = np.concatenate([gid + off for (_, gid, _), off in zip(per_order, offsets)])
+    key = seg * offsets[-1] + gram
+    order = np.argsort(key)
+    head = np.flatnonzero(np.diff(key[order], prepend=-1))
+    counts = np.zeros(len(key), np.int64)
+    if len(head):   # at the text position of each gram's first occurrence
+        counts[np.minimum.reduceat(order, head)] = np.diff(head, append=len(key))
+    at = np.flatnonzero(counts)
+    s = seg[at]
+    per_seg = np.bincount(s)
+    rank = np.arange(len(at)) - (np.cumsum(per_seg) - per_seg)[s]
+    return s, gram[at], counts[at], rank, offsets[-1]
+
+
+def _ordered_add(out: np.ndarray, seg: np.ndarray, rank: np.ndarray,
+                 terms: np.ndarray) -> None:
+    """``out[seg] += terms``, adding each segment's terms in ``rank`` order.
+
+    A segment holds at most one term per rank, so each fancy-indexed
+    ``+=`` adds one term to each sum, as the scalar loop does."""
+    order = np.argsort(rank)
+    start = 0
+    for end in np.cumsum(np.bincount(rank)).tolist():
+        at = order[start:end]
+        out[seg[at]] += terms[at]
+        start = end
+
+
+def _batch(cands: list[list[str]], ref_sets: list[list[list[str]]]):
+    """Candidates, then every reference, as one list of sentences, with the
+    sample of each reference."""
+    n_refs = np.array([len(refs) for refs in ref_sets])
+    owner = np.repeat(np.arange(len(cands)), n_refs)
+    return cands + [ref for refs in ref_sets for ref in refs], owner, n_refs
+
+
+def _bleu_counts(cands: list[list[str]], ref_sets: list[list[list[str]]]):
+    """Per order, the clipped matches and the candidate n-grams of one
+    chunk, then its candidate length and closest reference length."""
+    n_c = len(cands)
+    sentences, owner, n_refs = _batch(cands, ref_sets)
+    ids, lens, words = _word_ids(sentences)
+    per_order = [(sent, gid, len(codes)) for sent, gid, codes in _grams(ids, lens, len(words))]
+    s, g, tf, _, n_grams = _distinct(per_order, len(lens))
+    order, sent = np.divmod(s, len(lens))
+    key = np.concatenate([np.arange(n_c), owner])[sent] * n_grams + g
+    in_ref = sent >= n_c
+    # per (sample, gram): the largest count in any one reference
+    ref_key, ref_tf = key[in_ref], tf[in_ref]
+    by_key = np.argsort(ref_key)
+    ref_key, ref_tf = ref_key[by_key], ref_tf[by_key]
+    head = np.flatnonzero(np.diff(ref_key, prepend=-1))
+    cand_key, cand_tf, cand_order = key[~in_ref], tf[~in_ref], order[~in_ref]
+    clipped = np.zeros_like(cand_tf)
+    if len(head) and len(cand_key):
+        ref_key, max_tf = ref_key[head], np.maximum.reduceat(ref_tf, head)
+        at = np.minimum(np.searchsorted(ref_key, cand_key), len(ref_key) - 1)
+        hit = ref_key[at] == cand_key
+        clipped[hit] = np.minimum(cand_tf[hit], max_tf[at[hit]])
+    c_lens, r_lens = lens[:n_c], lens[n_c:]
+    matched = [int(clipped[cand_order == n].sum()) for n in range(MAX_N)]
+    total = [int(np.maximum(c_lens - n, 0).sum()) for n in range(MAX_N)]
+    # closest reference length per sample, ties to the shorter
+    span = int(r_lens.max()) + 1
+    closest = np.minimum.reduceat(np.abs(r_lens - c_lens[owner]) * span + r_lens,
+                                  np.cumsum(n_refs) - n_refs)
+    return matched, total, int(c_lens.sum()), int((closest % span).sum())
 
 
 def bleu(corpus: TokenizedCorpus) -> tuple[float, float, float, float]:
@@ -76,19 +207,12 @@ def bleu(corpus: TokenizedCorpus) -> tuple[float, float, float, float]:
     total = [0] * MAX_N
     cand_len = 0
     ref_len = 0
-    for cand, refs in zip(corpus.candidates, corpus.references):
-        max_ref: dict = {}
-        for ref in refs:
-            for gram, c in Counter(_ngrams(ref)).items():
-                if c > max_ref.get(gram, 0):
-                    max_ref[gram] = c
-        for gram, c in Counter(_ngrams(cand)).items():
-            order = len(gram) - 1
-            total[order] += c
-            matched[order] += min(c, max_ref.get(gram, 0))
-        cand_len += len(cand)
-        ref_len += min((len(r) for r in refs),
-                       key=lambda rl: (abs(rl - len(cand)), rl))
+    for cands, ref_sets in _chunks(corpus):
+        m, t, c, r = _bleu_counts(cands, ref_sets)
+        matched = [a + b for a, b in zip(matched, m)]
+        total = [a + b for a, b in zip(total, t)]
+        cand_len += c
+        ref_len += r
     if cand_len == 0:
         return (0.0,) * MAX_N
     bp = 1.0 if cand_len >= ref_len else math.exp(1.0 - ref_len / cand_len)
@@ -102,16 +226,26 @@ def bleu(corpus: TokenizedCorpus) -> tuple[float, float, float, float]:
     return tuple(scores)
 
 
-def _lcs_len(a: list[str], b: list[str]) -> int:
-    if not a or not b:
-        return 0
-    prev = [0] * (len(b) + 1)
-    for x in a:
-        cur = [0] * (len(b) + 1)
-        for j, y in enumerate(b, start=1):
-            cur[j] = prev[j - 1] + 1 if x == y else max(prev[j], cur[j - 1])
-        prev = cur
-    return prev[-1]
+def _match_masks(tokens: list[str]) -> dict[str, int]:
+    """Per distinct token, the bit mask of the positions that hold it."""
+    masks: dict[str, int] = {}
+    for i, tok in enumerate(tokens):
+        masks[tok] = masks.get(tok, 0) | (1 << i)
+    return masks
+
+
+def _lcs_len(masks: dict[str, int], length: int, other: list[str]) -> int:
+    """LCS length of a ``length``-token sequence with match ``masks`` and
+    ``other``.  Bit-parallel (Hyyrö 2004): the zero bits of ``v`` count the
+    LCS, and a carry never moves a high bit down, so masking once at the
+    end is enough."""
+    v = full = (1 << length) - 1
+    for tok in other:
+        m = masks.get(tok)
+        if m:
+            u = v & m
+            v = (v + u) | (v - u)
+    return length - (v & full).bit_count()
 
 
 def rouge_l(corpus: TokenizedCorpus) -> float:
@@ -119,9 +253,10 @@ def rouge_l(corpus: TokenizedCorpus) -> float:
     max over the references before combining."""
     scores = []
     for cand, refs in zip(corpus.candidates, corpus.references):
+        masks = _match_masks(cand)
         prec, rec = [], []
         for ref in refs:
-            lcs = _lcs_len(ref, cand)
+            lcs = _lcs_len(masks, len(cand), ref)
             prec.append(lcs / len(cand) if cand else 0.0)
             rec.append(lcs / len(ref) if ref else 0.0)
         p, r = max(prec), max(rec)
@@ -143,47 +278,108 @@ class CiderD:
     def __init__(self, ref_sets: list[list[list[str]]]):
         if len(ref_sets) == 0:
             raise EmptyInputError("CIDEr needs reference sets for document frequencies")
-        self.doc_freq: Counter = Counter()
-        for refs in ref_sets:
-            self.doc_freq.update({gram for ref in refs for gram in _ngrams(ref)})
+        owner = np.repeat(np.arange(len(ref_sets)), [len(refs) for refs in ref_sets])
+        ids, lens, self.words = _word_ids([ref for refs in ref_sets for ref in refs])
+        # per order: the sorted gram codes of the references, and how many
+        # reference sets hold each
+        self.codes: list[np.ndarray] = []
+        self.doc_freq: list[np.ndarray] = []
+        for sent, gid, codes in _grams(ids, lens, len(self.words)):
+            held = np.sort(owner[sent] * len(codes) + gid)
+            held = held[np.diff(held, prepend=-1) != 0] % len(codes)
+            self.codes.append(codes)
+            self.doc_freq.append(np.bincount(held, minlength=len(codes)))
         self.log_n_docs = math.log(len(ref_sets))
-
-    def _vec(self, tokens: list[str]):
-        """TF-IDF weights by gram, the L2 norm per order, and the length."""
-        vec = {}
-        norm = [0.0] * MAX_N
-        for gram, tf in Counter(_ngrams(tokens)).items():
-            w = tf * (self.log_n_docs - math.log(max(1.0, self.doc_freq[gram])))
-            vec[gram] = w
-            norm[len(gram) - 1] += w ** 2
-        return vec, [math.sqrt(x) for x in norm], len(tokens)
 
     def score(self, cand: list[str], refs: list[list[str]]) -> float:
         if len(refs) == 0:
             raise EmptyInputError("CIDEr needs at least one reference")
-        c_vec, c_norm, c_len = self._vec(cand)
-        acc = np.zeros(MAX_N)
-        for ref in refs:
-            r_vec, r_norm, r_len = self._vec(ref)
-            penalty = math.exp(-(float(c_len - r_len) ** 2) / (2 * CIDER_SIGMA ** 2))
-            val = [0.0] * MAX_N
-            for gram, w in c_vec.items():
-                # count clipping: candidate weight capped by the reference's;
-                # a gram the reference lacks would add exactly +0.0
-                if gram in r_vec:
-                    val[len(gram) - 1] += min(w, r_vec[gram]) * r_vec[gram]
-            for order in range(MAX_N):
-                if c_norm[order] != 0 and r_norm[order] != 0:
-                    val[order] /= c_norm[order] * r_norm[order]
-                acc[order] += val[order] * penalty
-        return float(np.mean(acc)) / len(refs) * 10.0
+        return self._score_batch([cand], [refs])[0]
+
+    def _known(self, order: int, codes: np.ndarray, n_words: int,
+               below: np.ndarray, word_id: np.ndarray) -> np.ndarray:
+        """The scorer's id of each batch gram of ``order`` (batch ``codes``
+        over ``n_words`` batch words), or -1 where its references lack it."""
+        if order == 0:
+            return word_id
+        table = self.codes[order]
+        if len(table) == 0:
+            return np.full(len(codes), -1)
+        prefix, last = below[codes // n_words], word_id[codes % n_words]
+        code = np.where((prefix >= 0) & (last >= 0), prefix * len(self.words) + last, -1)
+        at = np.minimum(np.searchsorted(table, code), len(table) - 1)
+        return np.where(table[at] == code, at, -1)
+
+    def _weights(self, tf: np.ndarray, df: np.ndarray):
+        """TF-IDF weights and their squares, as Python scalars once per
+        distinct (term frequency, document frequency) pair."""
+        span = int(df.max(initial=0)) + 1
+        pairs, inv = np.unique(tf * span + df, return_inverse=True)
+        w, sq = [], []
+        for tf_k, df_k in zip(*(a.tolist() for a in np.divmod(pairs, span))):
+            x = tf_k * (self.log_n_docs - math.log(max(1.0, df_k)))
+            w.append(x)
+            sq.append(x ** 2)
+        return np.array(w)[inv], np.array(sq)[inv]
+
+    def _score_batch(self, cands: list[list[str]],
+                     ref_sets: list[list[list[str]]]) -> list[float]:
+        """``score`` of each candidate against its reference set, in one pass."""
+        n_c = len(cands)
+        sentences, owner, n_refs = _batch(cands, ref_sets)
+        ids, lens, words = _word_ids(sentences)
+        word_id = np.fromiter((self.words.get(w, -1) for w in words), np.int64, len(words))
+        per_order, doc_freq, known = [], [], None
+        for order, (sent, gid, codes) in enumerate(_grams(ids, lens, len(words))):
+            known = self._known(order, codes, len(words), known, word_id)
+            df = np.zeros(len(codes), np.int64)
+            df[known >= 0] = self.doc_freq[order][known[known >= 0]]
+            per_order.append((sent, gid, len(codes)))
+            doc_freq.append(df)
+        s, g, tf, rank, n_grams = _distinct(per_order, len(lens))
+        w, sq = self._weights(tf, np.concatenate(doc_freq)[g])
+        norm = np.zeros(MAX_N * len(lens))
+        _ordered_add(norm, s, rank, sq)
+        norm = np.sqrt(norm).reshape(MAX_N, len(lens))
+        order, sent = np.divmod(s, len(lens))
+        # pair each reference gram with the candidate's same gram
+        cand_at = np.flatnonzero(sent < n_c)
+        cand_key = sent[cand_at] * n_grams + g[cand_at]
+        by_key = np.argsort(cand_key)
+        cand_at, cand_key = cand_at[by_key], cand_key[by_key]
+        ref_at = np.flatnonzero(sent >= n_c)
+        ref_key = owner[sent[ref_at] - n_c] * n_grams + g[ref_at]
+        val = np.zeros(MAX_N * len(owner))
+        if len(cand_key):
+            at = np.minimum(np.searchsorted(cand_key, ref_key), len(cand_key) - 1)
+            hit = cand_key[at] == ref_key
+            c, r = cand_at[at[hit]], ref_at[hit]
+            # count clipping: the candidate's weight capped by the reference's
+            _ordered_add(val, order[r] * len(owner) + sent[r] - n_c, rank[c],
+                         np.minimum(w[c], w[r]) * w[r])
+        val = val.reshape(MAX_N, len(owner))
+        c_norm, r_norm = norm[:, owner], norm[:, n_c:]
+        both = (c_norm != 0) & (r_norm != 0)
+        val[both] /= c_norm[both] * r_norm[both]
+        gaps, gap_at = np.unique(lens[owner] - lens[n_c:], return_inverse=True)
+        penalty = np.array([math.exp(-(float(d) ** 2) / (2 * CIDER_SIGMA ** 2))
+                            for d in gaps.tolist()])[gap_at]
+        # reference by reference, into one sum per (order, sample)
+        ref_rank = np.arange(len(owner)) - np.repeat(np.cumsum(n_refs) - n_refs, n_refs)
+        acc = np.zeros(MAX_N * n_c)
+        _ordered_add(acc, (np.arange(MAX_N)[:, None] * n_c + owner).ravel(),
+                     np.tile(ref_rank, MAX_N), (val * penalty).ravel())
+        acc = np.ascontiguousarray(acc.reshape(MAX_N, n_c).T)
+        return [float(np.mean(row)) / k * 10.0 for row, k in zip(acc, n_refs.tolist())]
 
 
 def cider(corpus: TokenizedCorpus) -> float:
     """Mean CIDEr-D, with document frequencies from the corpus's references."""
     scorer = CiderD(corpus.references)
-    return float(np.mean([scorer.score(cand, refs)
-                          for cand, refs in zip(corpus.candidates, corpus.references)]))
+    scores = []
+    for cands, ref_sets in _chunks(corpus):
+        scores += scorer._score_batch(cands, ref_sets)
+    return float(np.mean(scores))
 
 
 def evaluate_corpus(corpus: TokenizedCorpus) -> dict[str, float]:

@@ -10,6 +10,8 @@ from .tensor import Tensor
 __all__ = ["adadelta_update", "adam_update", "adam_lr", "clip_gradients",
            "zero_grads", "opt_state_arrays", "opt_state_from_arrays"]
 
+BLOCK = 1 << 15   # elements per pass of an in-place update
+
 
 def zero_grads(params: dict[str, Tensor]) -> None:
     for p in params.values():
@@ -39,40 +41,59 @@ def _check_grad(name: str, p: Tensor) -> np.ndarray | None:
     return p.grad
 
 
+def _blocks(g: np.ndarray, *written: np.ndarray):
+    """Flat ``BLOCK``-element slices of the gradient and of the arrays an
+    update writes; those must be C-contiguous, so their flat views write
+    through."""
+    for a in written:
+        if not a.flags.c_contiguous:
+            raise ContractError(f"optimizer arrays must be C-contiguous, got strides {a.strides}")
+    flats = [g.reshape(-1)] + [a.reshape(-1) for a in written]
+    for lo in range(0, g.size, BLOCK):
+        yield [f[lo:lo + BLOCK] for f in flats]
+
+
+def _scratch(params: dict[str, Tensor]) -> np.ndarray:
+    """Two block-length rows, reused by every parameter of one update."""
+    return np.empty((2, min(BLOCK, max((p.data.size for p in params.values()), default=0))))
+
+
 def adadelta_update(params: dict[str, Tensor], state: dict, rho: float = 0.95,
                     eps: float = 1e-6) -> None:
     """Adaptive-learning-rate update with squared-grad and squared-step EMAs.
 
-    Computed in place with two scratch arrays, keeping the operands and
-    order of ``Eg = rho*Eg + (1-rho)*g*g``,
-    ``dx = -sqrt(Ex+eps) / sqrt(Eg+eps) * g``, ``Ex = rho*Ex + (1-rho)*dx*dx``
-    and ``p += dx``, so the result has the same bits as those expressions.
+    Computed in place, ``BLOCK`` elements at a time with one scratch buffer
+    per call, keeping the operands and order of
+    ``Eg = rho*Eg + (1-rho)*g*g``, ``dx = -sqrt(Ex+eps) / sqrt(Eg+eps) * g``,
+    ``Ex = rho*Ex + (1-rho)*dx*dx`` and ``p += dx``, so the result has the
+    same bits as those expressions.
     """
+    scratch = _scratch(params)
     for name, p in params.items():
-        g = _check_grad(name, p)
-        if g is None:
+        grad = _check_grad(name, p)
+        if grad is None:
             continue
-        dx, tmp = np.empty_like(p.data), np.empty_like(p.data)
         st = state.get(name)
         if st is None:
             st = state[name] = {"Eg": np.zeros_like(p.data), "Ex": np.zeros_like(p.data)}
-        Eg, Ex = st["Eg"], st["Ex"]
-        Eg *= rho
-        np.multiply(g, 1.0 - rho, out=tmp)
-        tmp *= g
-        Eg += tmp
-        np.add(Ex, eps, out=dx)
-        np.sqrt(dx, out=dx)
-        np.negative(dx, out=dx)
-        np.add(Eg, eps, out=tmp)
-        np.sqrt(tmp, out=tmp)
-        dx /= tmp
-        dx *= g
-        Ex *= rho
-        np.multiply(dx, 1.0 - rho, out=tmp)
-        tmp *= dx
-        Ex += tmp
-        p.data += dx
+        for g, data, Eg, Ex in _blocks(grad, p.data, st["Eg"], st["Ex"]):
+            dx, tmp = scratch[0, :len(g)], scratch[1, :len(g)]
+            Eg *= rho
+            np.multiply(g, 1.0 - rho, out=tmp)
+            tmp *= g
+            Eg += tmp
+            np.add(Ex, eps, out=dx)
+            np.sqrt(dx, out=dx)
+            np.negative(dx, out=dx)
+            np.add(Eg, eps, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            dx /= tmp
+            dx *= g
+            Ex *= rho
+            np.multiply(dx, 1.0 - rho, out=tmp)
+            tmp *= dx
+            Ex += tmp
+            data += dx
 
 
 def adam_lr(base_lr: float, epoch: int, factor: float = 0.8, every: int = 15) -> float:
@@ -82,33 +103,35 @@ def adam_lr(base_lr: float, epoch: int, factor: float = 0.8, every: int = 15) ->
 
 def adam_update(params: dict[str, Tensor], state: dict, lr: float,
                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
-    """Bias-corrected Adam, computed in place like ``adadelta_update``, from
+    """Bias-corrected Adam, computed in place and blockwise like
+    ``adadelta_update``, from
     ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g`` and
     ``p -= lr * (m / (1-b1**t)) / (sqrt(v / (1-b2**t)) + eps)``."""
     state["step"] = t = state.get("step", 0) + 1
+    scratch = _scratch(params)
     for name, p in params.items():
-        g = _check_grad(name, p)
-        if g is None:
+        grad = _check_grad(name, p)
+        if grad is None:
             continue
-        step, tmp = np.empty_like(p.data), np.empty_like(p.data)
         st = state.get(name)
         if st is None:
             st = state[name] = {"m": np.zeros_like(p.data), "v": np.zeros_like(p.data)}
-        m, v = st["m"], st["v"]
-        m *= beta1
-        np.multiply(g, 1.0 - beta1, out=tmp)
-        m += tmp
-        v *= beta2
-        np.multiply(g, 1.0 - beta2, out=tmp)
-        tmp *= g
-        v += tmp
-        np.divide(m, 1.0 - beta1 ** t, out=step)
-        step *= lr
-        np.divide(v, 1.0 - beta2 ** t, out=tmp)
-        np.sqrt(tmp, out=tmp)
-        tmp += eps
-        step /= tmp
-        p.data -= step
+        for g, data, m, v in _blocks(grad, p.data, st["m"], st["v"]):
+            step, tmp = scratch[0, :len(g)], scratch[1, :len(g)]
+            m *= beta1
+            np.multiply(g, 1.0 - beta1, out=tmp)
+            m += tmp
+            v *= beta2
+            np.multiply(g, 1.0 - beta2, out=tmp)
+            tmp *= g
+            v += tmp
+            np.divide(m, 1.0 - beta1 ** t, out=step)
+            step *= lr
+            np.divide(v, 1.0 - beta2 ** t, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += eps
+            step /= tmp
+            data -= step
 
 
 def opt_state_arrays(state: dict) -> dict[str, np.ndarray]:

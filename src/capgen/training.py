@@ -233,15 +233,15 @@ def _caption_pairs(samples, vocab: Vocabulary) -> list[tuple[int, list[int]]]:
 
 def _val_score(cfg, decoder, dataset, vocab, split: str) -> float:
     samples = dataset.splits[split]
-    if cfg.val_metric == "loss":   # mean over every (sample, reference) pair
+    if cfg.val_metric == "loss":   # the training loss, over every (sample, reference) pair
         feats = [dataset.features(s) for s in samples]
         pairs = _caption_pairs(samples, vocab)
         total = 0.0
         for lo in range(0, len(pairs), cfg.batch_size):
             chunk = pairs[lo:lo + cfg.batch_size]
             batch = CaptionBatch.from_id_seqs([ids for _, ids in chunk])
-            lp = decoder.forward_teacher_forced([feats[i] for i, _ in chunk], batch)
-            total += float(mle_loss(lp, batch).data) * len(chunk)
+            loss = _batch_loss(decoder, [feats[i] for i, _ in chunk], batch, False, None)
+            total += float(loss.data) * len(chunk)
         return -total / len(pairs)  # higher is better, like the metrics
     cands, refs = [], []
     for s in samples:

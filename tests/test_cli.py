@@ -204,3 +204,51 @@ class TestErrors:
         assert main(["evaluate", "--candidates", str(cands), "--refs", str(refs)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "'b'" in err
+
+    def test_evaluate_takes_string_and_integer_ids(self, tmp_path):
+        cands = tmp_path / "cands.jsonl"
+        cands.write_text('{"id": "a", "caption": "a dog"}\n{"id": 1, "caption": "a cat"}\n')
+        refs = tmp_path / "refs.jsonl"
+        refs.write_text('{"id": 1, "refs": ["a cat"]}\n{"id": "a", "refs": ["a dog"]}\n')
+        out = tmp_path / "scores.json"
+        assert main(["evaluate", "--candidates", str(cands), "--refs", str(refs),
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["bleu1"] == 1.0
+
+    @pytest.mark.parametrize("command", ["evaluate", "build-vocab"])
+    @pytest.mark.parametrize("refs_text,message", [
+        (None, "No such file"),
+        ('{"id": "a", "refs": ["a dog"]}\n{"id": "b", "refs": [\n', ":2: not JSON"),
+        ('{"id": "a", "captions": ["a dog"]}\n', ":1: expected an object"),
+        ('["a dog"]\n', ":1: expected an object"),
+        ('{"id": "a", "refs": "a dog"}\n', ":1: 'refs' must be a list of strings"),
+        ('\n{"id": "a", "refs": ["a dog", 3]}\n', ":2: 'refs' must be a list of strings"),
+    ], ids=["missing", "not-json", "no-refs", "not-object", "refs-string", "refs-number"])
+    def test_bad_refs_file_fails_cleanly(self, tmp_path, capsys, command, refs_text, message):
+        refs = tmp_path / "refs.jsonl"
+        if refs_text is not None:
+            refs.write_text(refs_text)
+        cands = tmp_path / "cands.jsonl"
+        cands.write_text('{"id": "a", "caption": "a dog"}\n')
+        argv = (["evaluate", "--candidates", str(cands), "--refs", str(refs)]
+                if command == "evaluate" else
+                ["build-vocab", "--refs", str(refs), "--out", str(tmp_path / "v.json")])
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {refs}") and message in err
+        assert not (tmp_path / "v.json").exists()
+
+    @pytest.mark.parametrize("cands_text,message", [
+        ('{"id": "a", "text": "a dog"}\n', ":1: expected an object"),
+        ('{"caption": "a dog"}\n', ":1: expected an object"),
+        ('{"id": "a", "caption": ["a", "dog"]}\n', ":1: 'caption' must be a string"),
+        ("a dog\n", ":1: not JSON"),
+    ], ids=["no-caption", "no-id", "caption-list", "not-json"])
+    def test_bad_candidates_file_fails_cleanly(self, tmp_path, capsys, cands_text, message):
+        cands = tmp_path / "cands.jsonl"
+        cands.write_text(cands_text)
+        refs = tmp_path / "refs.jsonl"
+        refs.write_text('{"id": "a", "refs": ["a dog runs"]}\n')
+        assert main(["evaluate", "--candidates", str(cands), "--refs", str(refs)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cands}") and message in err

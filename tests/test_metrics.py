@@ -1,14 +1,17 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from capgen import metrics
 from capgen.data import Vocabulary
 from capgen.errors import EmptyInputError
 from capgen.metrics import CiderD, TokenizedCorpus, bleu, cider, evaluate_corpus, rouge_l
 from capgen.training import make_cider_reward
 
-from oracle_scorers import oracle_bleu, oracle_cider, oracle_rouge
+from oracle_scorers import my_lcs, oracle_bleu, oracle_cider, oracle_rouge
 
 
 def corpus_of(cands, refs):
@@ -133,6 +136,31 @@ class TestCider:
         assert score_exact >= score_other
 
 
+class TestLcs:
+    @given(st.lists(st.sampled_from("abcd"), max_size=90),
+           st.lists(st.sampled_from("abcde"), max_size=90))
+    @settings(max_examples=200, deadline=None)
+    def test_bit_parallel_matches_oracle(self, a, b):
+        # up to 90 tokens, so the masks pass 64 bits
+        assert metrics._lcs_len(metrics._match_masks(a), len(a), b) == my_lcs(a, b)
+
+
+class TestLargeVocabulary:
+    def test_more_words_than_a_packed_4_gram_code_holds(self):
+        # past 55,108 distinct words, (words ** 4) overflows int64
+        rng = np.random.default_rng(5)
+        refs = [[[f"v{w}" for w in rng.integers(0, 10 ** 7, size=14)]] for _ in range(4200)]
+        cands = []
+        for (ref,) in refs:
+            cand = list(ref)
+            cand[int(rng.integers(0, 14))] = f"v{int(rng.integers(0, 10 ** 7))}"
+            cands.append(cand[:int(rng.integers(8, 15))])
+        assert len({w for (ref,) in refs for w in ref}) > 55_108
+        corpus = TokenizedCorpus(cands, refs)
+        assert bleu(corpus)[3] == pytest.approx(oracle_bleu(cands, refs, 4), rel=1e-12)
+        assert cider(corpus) == pytest.approx(oracle_cider(cands, refs), rel=1e-9)
+
+
 class TestInvariances:
     @given(st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
@@ -209,6 +237,47 @@ PINNED_REWARDS = ["0x1.4a018042ef3e6p+2", "0x1.00753b7b7831cp+1", "0x1.cc4e89ac2
                   "0x1.3bac39f2ba61ep-2", "0x0.0p+0", "0x0.0p+0"]
 
 
+def random_corpus(seed):
+    """A seeded corpus over an alphabet of 1-6 words: repeated tokens, empty
+    candidates and references, and on every seventh seed sentences of up
+    to 150 tokens."""
+    rng = np.random.default_rng(seed)
+    words = [f"w{i}" for i in range(1 + seed % 6)]
+    longest = 150 if seed % 7 == 6 else 12
+
+    def sentence():
+        return [str(w) for w in rng.choice(words, size=int(rng.integers(0, longest + 1)))]
+
+    n = int(rng.integers(1, 7))
+    cands = [sentence() for _ in range(n)]
+    refs = [[sentence() for _ in range(int(rng.integers(1, 5)))] for _ in range(n)]
+    return cands, refs, sentence
+
+
+def random_corpus_values(seed):
+    """Every evaluate_corpus value of ``random_corpus(seed)``, then rewards of
+    its candidates, of a caption with words absent from the reward's
+    corpus, and against references absent from it."""
+    cands, refs, sentence = random_corpus(seed)
+    values = list(evaluate_corpus(TokenizedCorpus(cands, refs)).values())
+    ref_strs = [[" ".join(r) for r in rs] for rs in refs]
+    words = sorted({w for rs in refs for r in rs for w in r} | {w for c in cands for w in c})
+    vocab = Vocabulary(words + ["unseen"])
+    reward = make_cider_reward(vocab, ref_strs)
+    for cand, rs in zip(cands, ref_strs):
+        values.append(reward(vocab.encode(cand), rs))
+    stranger = vocab.encode(["unseen"] + cands[0] + ["unseen"]) + [3]
+    values.append(reward(stranger, ref_strs[0]))
+    values.append(reward(vocab.encode(cands[-1]), ["unseen " + " ".join(sentence()), ""]))
+    return values
+
+
+# SHA-256 of the float.hex lines of random_corpus_values(0..199), as scored
+# by the earlier implementation that counted n-grams in tuple-keyed dicts.
+RANDOM_CORPORA = 200
+RANDOM_DIGEST = "958f78e14f3a882549b51be5bd7d68334600be10db2a469d9bad3f53c13f1e99"
+
+
 class TestPinnedValues:
     @pytest.mark.parametrize("name", sorted(PINNED))
     def test_evaluate_corpus_bit_identical(self, name):
@@ -230,6 +299,31 @@ class TestPinnedValues:
         got += [reward([], ref_strs[0]), reward([3, 3], ref_strs[1])]
         assert [float.hex(x) for x in got] == PINNED_REWARDS
 
+    def test_weight_squares_come_from_pow(self):
+        # the weight of "a a a" here is 3 * (log 9 - log 2), whose libm
+        # pow(w, 2) and w * w differ in the last bit
+        scorer = CiderD([[["a"]], [["a"]]] + [[["z"]]] * 7)
+        got = scorer.score(["a", "a", "a", "b", "b"], [["a", "a", "a", "c"]])
+        assert float.hex(got) == "0x1.1949a31611039p+2"
+
+    def test_random_corpora_digest(self):
+        digest = hashlib.sha256()
+        for seed in range(RANDOM_CORPORA):
+            for value in random_corpus_values(seed):
+                digest.update(float.hex(value).encode() + b"\n")
+        assert digest.hexdigest() == RANDOM_DIGEST
+
     def test_reward_needs_a_reference_corpus(self):
         with pytest.raises(EmptyInputError):
             make_cider_reward(Vocabulary(["a"]), [])
+
+
+def test_evaluate_corpus_reaches_metrics_through_module_globals(monkeypatch):
+    calls = []
+    for name in ("bleu", "rouge_l", "cider"):
+        def spy(corpus, _name=name, _real=getattr(metrics, name)):
+            calls.append(_name)
+            return _real(corpus)
+        monkeypatch.setattr(metrics, name, spy)
+    metrics.evaluate_corpus(TokenizedCorpus(*hand_built_corpus(4)))
+    assert calls == ["bleu", "rouge_l", "cider"]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from capgen import optim
 from capgen.errors import ContractError, ShapeError
 from capgen.optim import (
     adadelta_update, adam_lr, adam_update, clip_gradients, opt_state_arrays,
@@ -107,8 +108,10 @@ def reference_adam(params, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     (adadelta_update, reference_adadelta),
     (lambda ps, st: adam_update(ps, st, lr=0.003), lambda ps, st: reference_adam(ps, st, 0.003)),
 ], ids=["adadelta", "adam"])
-def test_in_place_update_matches_reference_formulas(rng, update, reference):
-    shapes = {"w": (7, 5), "b": (7,), "frozen": (3,), "e": (11, 4)}
+def test_in_place_update_matches_reference_formulas(rng, monkeypatch, update, reference):
+    # 8-element blocks: "long" spans four blocks, the last one partial
+    monkeypatch.setattr(optim, "BLOCK", 8)
+    shapes = {"w": (7, 5), "b": (7,), "frozen": (3,), "e": (11, 4), "long": (3, 11)}
     init = {k: rng.standard_normal(s) for k, s in shapes.items()}
     got = {k: param(v.copy()) for k, v in init.items()}
     want = {k: param(v.copy()) for k, v in init.items()}
@@ -116,6 +119,8 @@ def test_in_place_update_matches_reference_formulas(rng, update, reference):
     for _ in range(3):  # Adam's bias correction differs at every step
         for k, s in shapes.items():
             g = None if k == "frozen" else rng.standard_normal(s) * 3.0
+            if k == "long":   # a gradient in another memory layout
+                g = np.asfortranarray(g)
             got[k].grad = None if g is None else g.copy()
             want[k].grad = None if g is None else g.copy()
         update(got, got_state)

@@ -297,6 +297,23 @@ class TestTrainDriver:
         # 4 captions of 4 target tokens and one of 5, over 5 pairs
         assert row["tokens_per_s"] / row["samples_per_s"] == pytest.approx(21 / 5)
 
+    def test_two_stream_validation_loss_is_the_training_loss(self, tiny_dataset):
+        import capgen.training as tr
+        cfg = self.base_config(tiny_dataset, variant="two_stream", batch_size=3)
+        dataset = Dataset.load(tiny_dataset)
+        vocab = Vocabulary.load(tiny_dataset / "vocab.json")
+        samples = dataset.splits["val"]
+        decoder = tr._build_decoder(cfg, vocab, dataset.features(samples[0]))
+        # the sum of the two streams' losses, pair by pair
+        want = []
+        for s in samples:
+            for ref in s.refs:
+                batch = CaptionBatch.from_id_seqs([vocab.wrap(tokenize(ref))])
+                loss = tr._batch_loss(decoder, [dataset.features(s)], batch, False, None)
+                want.append(float(loss.data))
+        got = tr._val_score(cfg, decoder, dataset, vocab, "val")
+        assert got == pytest.approx(-np.mean(want), rel=1e-12)
+
     def test_loss_decreases(self, tiny_dataset, tmp_path):
         cfg = self.base_config(tiny_dataset, epochs=8,
                                checkpoint=str(tmp_path / "m.ckpt"))
