@@ -41,8 +41,7 @@ class AdditiveAttention(Module):
 
     The keys U_a v do not depend on the query.  ``keys(feats)`` computes
     them once per feature set, and ``attend`` takes them so that every
-    step of a caption reuses one projection; without them it projects
-    the features itself.
+    step of a caption reuses one projection.
 
     A batch attends with (B, query_dim) queries over a (B, L, D) tensor
     of feature sets padded to L rows; ``mask`` (B, L) marks the real
@@ -76,18 +75,15 @@ class AdditiveAttention(Module):
         return reshape(matmul_t(reshape(feats, (batch * rows, dim)), self.U_a),
                        (batch, rows, self.attn_dim))
 
-    def attend(self, h: Tensor, feats: Tensor, keys: Tensor | None = None,
+    def attend(self, h: Tensor, feats: Tensor, keys: Tensor,
                mask=None) -> tuple[Tensor, Tensor]:
         """Return (context, alpha) for query h over feature rows; ``keys``
-        is ``self.keys(feats)``, computed here when not given.  For a
-        batch, context is (B, D), alpha (B, L), and ``mask`` the (B, L)
-        real rows (None: all of them)."""
+        is ``self.keys(feats)``.  For a batch, context is (B, D), alpha
+        (B, L), and ``mask`` the (B, L) real rows (None: all of them)."""
         self._check_feats(feats)
         query = feats.shape[:-2] + (self.query_dim,)
         if h.shape != query:
             raise ShapeError(f"attention expects a query of shape {query}, got {h.shape}")
-        if keys is None:
-            keys = self.keys(feats)                        # (n, attn) or (B, L, attn)
         if feats.data.ndim == 2:
             shift = matmul(self.W_a, h) + self.b_a         # (attn,)
             scores = matmul(tanh(add_rowvec(keys, shift)), self.w)  # (n,)

@@ -72,7 +72,11 @@ def _read_exact(fh, n: int, what: str) -> bytes:
 
 
 def load_checkpoint(path) -> tuple[str, dict[str, np.ndarray]]:
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise FormatError(f"checkpoint {path}: {exc.strerror}") from None
+    with fh:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
             raise FormatError(f"bad checkpoint magic {magic!r} at byte offset 0")

@@ -12,10 +12,10 @@ from pathlib import Path
 from . import metrics
 from .attention import write_trace_csv
 from .checkpoint import load_checkpoint
-from .data import Dataset, Vocabulary, build_vocab, synth_dataset, tokenize
+from .data import Dataset, Vocabulary, build_vocab, synth_dataset
 from .errors import CapgenError, ConfigError, ContractError, FormatError
 from .search import beam_search, greedy_decode, write_generations
-from .training import TrainConfig, train, _build_decoder
+from .training import _CONFIG_DEFAULTS, TrainConfig, train, _build_decoder
 
 
 def _add_synth(sub):
@@ -41,14 +41,9 @@ def _add_train(sub):
     p = sub.add_parser("train", help="run the two-stage training driver")
     p.add_argument("--config", default=None,
                    help="key = value file; values there override the flags")
-    for key in ("variant", "data-dir", "optimizer", "val-metric",
-                "checkpoint", "log-path", "resume"):
-        p.add_argument(f"--{key}", default=None)
-    for key in ("hidden-dim", "embed-dim", "attn-dim", "epochs", "patience",
-                "batch-size", "seed", "max-len", "rl-epochs"):
-        p.add_argument(f"--{key}", type=int, default=None)
-    for key in ("lr", "dropout", "clip", "rl-lr"):
-        p.add_argument(f"--{key}", type=float, default=None)
+    for key, default in _CONFIG_DEFAULTS.items():
+        p.add_argument("--" + key.replace("_", "-"), type=type(default), default=None,
+                       help=f"default {default!r}")
 
 
 def _add_generate(sub):
@@ -223,9 +218,8 @@ def _evaluate(args) -> int:
     for i in ids:
         if i not in refs:
             raise ContractError(f"candidate id {i!r} has no references in {args.refs}")
-    corpus = metrics.TokenizedCorpus(
-        [tokenize(cands[i], args.tokenizer) for i in ids],
-        [[tokenize(r, args.tokenizer) for r in refs[i]] for i in ids])
+    corpus = metrics.TokenizedCorpus.from_strings(
+        [cands[i] for i in ids], [refs[i] for i in ids], args.tokenizer)
     scores = metrics.evaluate_corpus(corpus)
     payload = json.dumps(scores, indent=1, sort_keys=True)
     if args.out:

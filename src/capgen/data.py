@@ -96,8 +96,15 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        with open(path) as fh:
-            payload = json.load(fh)
+        try:
+            with open(path) as fh:
+                payload = json.load(fh)
+        except OSError as exc:
+            raise FormatError(f"vocabulary {path}: {exc.strerror}") from None
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"vocabulary {path}: not JSON: {exc.msg}") from None
+        if not isinstance(payload, dict) or "words" not in payload:
+            raise FormatError(f"vocabulary {path}: expected an object with 'words'")
         return cls(payload["words"], payload.get("min_count", 1))
 
 
@@ -144,10 +151,6 @@ class CaptionBatch:
         """Number of prediction steps (inputs shifted one right of targets)."""
         return self.tokens.shape[1] - 1
 
-    def target_mask(self, b: int) -> np.ndarray:
-        """1.0 where step t predicts a real token of sample b, else 0.0."""
-        t = np.arange(self.steps)
-        return (t < self.lengths[b] - 1).astype(np.float64)
 
 
 @dataclass

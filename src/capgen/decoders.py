@@ -78,7 +78,6 @@ class DecoderConfig:
     output_hidden: str = "bottom"  # which hidden feeds the word MLP: bottom|top
     use_adaptive_gate: bool = True  # False realizes the gate-free ablation
     dropout: float = 0.0
-    stream_features: tuple[str, str] = ("temporal", "motion")
     seed: int = 0
 
     def rng(self) -> np.random.Generator:
@@ -455,7 +454,10 @@ class TwoStreamState:
 class TwoStreamDecoder(Module):
     """Two independently trained decoders whose distributions are averaged.
 
-    Each stream is a full hierarchical decoder over one feature kind.
+    Each stream is a full temporal-attention hierarchical decoder:
+    stream 1 attends over the temporal (appearance) frames, stream 2 over
+    the motion segments, which ``_stream_views`` hands it in the temporal
+    slot.  ``build_variant`` seeds stream 2 with the config's seed + 1.
     Training drives the streams with separate losses by default; the
     fused distribution only matters at inference (a joint-training mode
     exists for experimentation).
@@ -463,20 +465,17 @@ class TwoStreamDecoder(Module):
 
     variant = "two_stream"
 
-    def __init__(self, stream1: HierarchicalDecoder, stream2: HierarchicalDecoder,
-                 features1: str = "temporal", features2: str = "motion"):
+    def __init__(self, stream1: HierarchicalDecoder, stream2: HierarchicalDecoder):
         self.stream1 = stream1
         self.stream2 = stream2
-        self.sources = (features1, features2)
 
     @property
     def streams(self) -> tuple[HierarchicalDecoder, HierarchicalDecoder]:
         return self.stream1, self.stream2
 
     def init_state(self, features: FeatureSet) -> TwoStreamState:
-        s1 = self.stream1.init_state(_select(features, self.sources[0]))
-        s2 = self.stream2.init_state(_select(features, self.sources[1]))
-        return TwoStreamState(s1, s2)
+        f1, f2 = _stream_views(features)
+        return TwoStreamState(self.stream1.init_state(f1), self.stream2.init_state(f2))
 
     def step(self, state: TwoStreamState, token_id: int,
              training: bool = False, rng=None):
@@ -494,17 +493,16 @@ class TwoStreamDecoder(Module):
         for stream 1 are drawn before its masks for stream 2."""
         batch = _as_batch(features, tokens)
         masks = _dropout_masks(self.streams, batch.steps, training, rng)
-        return tuple(_two_lstm_forward(
-            dec, batch._replace(feats=[_select(f, src) for f in batch.feats]), mask)
-            for dec, src, mask in zip(self.streams, self.sources, masks))
+        views = zip(*(_stream_views(f) for f in batch.feats))
+        return tuple(_two_lstm_forward(dec, batch._replace(feats=list(feats)), mask)
+                     for dec, feats, mask in zip(self.streams, views, masks))
 
 
-def _select(features: FeatureSet, kind: str) -> FeatureSet:
-    """View of one feature kind exposed under the decoder's expected slot."""
-    arr = features.require(kind)
-    if kind == "spatial":
-        return FeatureSet(spatial=arr)
-    return FeatureSet(temporal=arr)
+def _stream_views(features: FeatureSet) -> tuple[FeatureSet, FeatureSet]:
+    """What each two-stream stream reads: stream 1 the features as given
+    (their temporal frames), stream 2 the motion segments in the temporal
+    slot."""
+    return features, FeatureSet(temporal=features.require("motion"))
 
 
 def _caption_ids(tokens) -> list[int]:
@@ -566,14 +564,8 @@ def build_variant(kind: str, config: DecoderConfig):
     if kind == "para":
         return ParallelDecoder(config)
     if kind == "two_stream":
-        src1, src2 = config.stream_features
-        dim_of = {"temporal": config.feature_dim, "spatial": config.feature_dim,
-                  "motion": config.motion_dim or config.feature_dim}
-        cfg1 = replace(config, feature_dim=dim_of[src1], motion_dim=None, seed=config.seed)
-        cfg2 = replace(config, feature_dim=dim_of[src2], motion_dim=None,
-                       seed=config.seed + 1)
-        attend1 = "spatial" if src1 == "spatial" else "temporal"
-        attend2 = "spatial" if src2 == "spatial" else "temporal"
-        return TwoStreamDecoder(HierarchicalDecoder(cfg1, attend1),
-                                HierarchicalDecoder(cfg2, attend2), src1, src2)
+        cfg2 = replace(config, feature_dim=config.motion_dim or config.feature_dim,
+                       motion_dim=None, seed=config.seed + 1)
+        return TwoStreamDecoder(HierarchicalDecoder(replace(config, motion_dim=None)),
+                                HierarchicalDecoder(cfg2))
     raise ConfigError(f"unknown decoder variant {kind!r}; expected one of {VARIANTS}")

@@ -15,22 +15,24 @@ from .tensor import Tensor
 
 __all__ = ["fd_gradients", "max_relative_error", "check_gradients"]
 
+EPS = 1e-5   # central-difference step
 
-def fd_gradients(loss_fn: Callable[[], float], params: dict[str, Tensor],
-                 eps: float = 1e-5) -> dict[str, np.ndarray]:
-    """Central differences of loss_fn w.r.t. every entry of every parameter."""
+
+def fd_gradients(loss_fn: Callable[[], float], params: dict[str, Tensor]) -> dict[str, np.ndarray]:
+    """Central differences, step ``EPS``, of loss_fn w.r.t. every entry of
+    every parameter."""
     grads = {}
     for name, p in params.items():
         flat = p.data.reshape(-1)
         g = np.zeros_like(flat)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + eps
+            flat[i] = orig + EPS
             f_plus = loss_fn()
-            flat[i] = orig - eps
+            flat[i] = orig - EPS
             f_minus = loss_fn()
             flat[i] = orig
-            g[i] = (f_plus - f_minus) / (2.0 * eps)
+            g[i] = (f_plus - f_minus) / (2.0 * EPS)
         grads[name] = g.reshape(p.data.shape)
     return grads
 
@@ -41,7 +43,7 @@ def max_relative_error(analytic: dict[str, np.ndarray],
     """max |a - f| / max(|a|, |f|, floor) over all entries of all params.
 
     The floor matches the probe's own noise: central differences at
-    eps=1e-5 carry ~1e-10 of roundoff, so comparing gradients smaller
+    ``EPS`` = 1e-5 carry ~1e-10 of roundoff, so comparing gradients smaller
     than 1e-5 by pure ratio would only measure that noise.
     """
     worst = 0.0
@@ -54,8 +56,7 @@ def max_relative_error(analytic: dict[str, np.ndarray],
     return worst
 
 
-def check_gradients(loss_builder, params: dict[str, Tensor],
-                    eps: float = 1e-5) -> float:
+def check_gradients(loss_builder, params: dict[str, Tensor]) -> float:
     """Run one taped backward and compare against finite differences.
 
     ``loss_builder()`` must rebuild the loss tensor from the current
@@ -70,5 +71,5 @@ def check_gradients(loss_builder, params: dict[str, Tensor],
         backward(loss_builder())
     analytic = {name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
                 for name, p in params.items()}
-    numeric = fd_gradients(lambda: float(loss_builder().data), params, eps)
+    numeric = fd_gradients(lambda: float(loss_builder().data), params)
     return max_relative_error(analytic, numeric)

@@ -102,15 +102,14 @@ class LstmCell(Module):
 
     GATES = ("i", "f", "o", "g")
 
-    def __init__(self, input_dim: int, hidden_dim: int, rng: np.random.Generator,
-                 forget_bias: float = 1.0):
+    def __init__(self, input_dim: int, hidden_dim: int, rng: np.random.Generator):
         self.input_dim = input_dim
         self.hidden_dim = hidden_dim
         for gate in self.GATES:
             setattr(self, f"W_{gate}", glorot(rng, hidden_dim, input_dim))
             setattr(self, f"U_{gate}", glorot(rng, hidden_dim, hidden_dim))
             setattr(self, f"b_{gate}", _zeros_param(hidden_dim))
-        self.b_f.data[:] = forget_bias
+        self.b_f.data[:] = 1.0
 
     def _check(self, y, h_prev: Tensor, m_prev: Tensor) -> None:
         state = h_prev.shape[:-1] + (self.hidden_dim,)

@@ -101,12 +101,12 @@ def adam_lr(base_lr: float, epoch: int, factor: float = 0.8, every: int = 15) ->
     return base_lr * factor ** (epoch // every)
 
 
-def adam_update(params: dict[str, Tensor], state: dict, lr: float,
-                beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
-    """Bias-corrected Adam, computed in place and blockwise like
-    ``adadelta_update``, from
+def adam_update(params: dict[str, Tensor], state: dict, lr: float) -> None:
+    """Bias-corrected Adam with b1 = 0.9, b2 = 0.999 and eps = 1e-8,
+    computed in place and blockwise like ``adadelta_update``, from
     ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g`` and
     ``p -= lr * (m / (1-b1**t)) / (sqrt(v / (1-b2**t)) + eps)``."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
     state["step"] = t = state.get("step", 0) + 1
     scratch = _scratch(params)
     for name, p in params.items():

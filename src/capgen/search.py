@@ -1,8 +1,8 @@
 """Greedy and beam-search caption generation.
 
-Scores are plain cumulative log-probabilities (no length normalization by
-default).  Both procedures are deterministic: argmax ties resolve to the
-lowest token id, and beam candidates with equal scores order by token
+Scores are plain cumulative log-probabilities, with no length
+normalization.  Both procedures are deterministic: argmax ties resolve to
+the lowest token id, and beam candidates with equal scores order by token
 sequence.  Beam search selects each step's k best expansions from the
 (k, V) log-prob matrix of its live hypotheses with one partition and one
 lexsort, so no per-candidate Python object is built.  The search alone
@@ -106,7 +106,6 @@ def _expand(live: list[_Hyp], P: np.ndarray, k: int) -> list[tuple[float, int, i
 
 
 def beam_search(decoder, features, k: int = 5, max_len: int = 30,
-                length_normalize: bool = False,
                 record_trace: bool = False) -> GenerationResult:
     """Keep the k best partial captions per step; return the best finished one.
 
@@ -114,11 +113,10 @@ def beam_search(decoder, features, k: int = 5, max_len: int = 30,
     distributions into one (n, V) matrix, and keeps the k best expansions
     overall (``_expand``): highest score first, equal scores in
     lexicographic token order.  Expansions that emit EOS are frozen into a
-    completed pool capped at k.  The search stops early once no live
-    hypothesis can still beat the worst pooled one.  Raw scores only fall
-    as a caption grows, so a live score is its own bound; a
-    length-normalized score can rise, so its bound is logprob / max_len,
-    the best any extension can reach.  Hypotheses still alive at max_len
+    completed pool capped at k.  A score is the caption's raw cumulative
+    log-prob, with no length normalization; it only falls as a caption
+    grows, so the search stops early once no live score beats the worst
+    pooled one.  Hypotheses still alive at max_len
     compete with the pool on score, which is also the fallback when
     nothing finished.  Tokens the model gives zero probability are never
     expanded; if no token can be expanded and nothing finished, the search
@@ -131,14 +129,6 @@ def beam_search(decoder, features, k: int = 5, max_len: int = 30,
         raise ContractError(f"beam width must be >= 1, got {k}")
     if max_len < 1:
         raise ContractError(f"max_len must be >= 1, got {max_len}")
-
-    def rank(hyp: _Hyp) -> float:
-        if length_normalize:
-            return hyp.logprob / max(1, len(hyp.tokens))
-        return hyp.logprob
-
-    def bound(hyp: _Hyp) -> float:
-        return hyp.logprob / max_len if length_normalize else hyp.logprob
 
     live = [_Hyp((), 0.0, decoder.init_state(features), () if record_trace else None)]
     completed: list[_Hyp] = []
@@ -157,17 +147,17 @@ def beam_search(decoder, features, k: int = 5, max_len: int = 30,
                 completed.append(_Hyp(live[i].tokens, score, states[i], trace))
             else:
                 new_live.append(_Hyp(live[i].tokens + (tok,), score, states[i], trace))
-        completed.sort(key=lambda h: (-rank(h), h.tokens))
+        completed.sort(key=lambda h: (-h.logprob, h.tokens))
         del completed[k:]
         live = new_live
-        # live is sorted by raw score, so live[0] has the highest bound
-        if not live or (completed and bound(live[0]) <= rank(completed[-1])):
+        # live is sorted by score, so live[0] has the highest bound
+        if not live or (completed and live[0].logprob <= completed[-1].logprob):
             stopped_early = True
             break
     if not completed and not live:
         raise ContractError(f"beam search: no token had positive probability at step {steps}, "
                             "so no caption can be expanded")
-    best = max(completed + live, key=lambda h: (rank(h), tuple(-t for t in h.tokens)))
+    best = max(completed + live, key=lambda h: (h.logprob, tuple(-t for t in h.tokens)))
     return GenerationResult(list(best.tokens), best.logprob, best.rows, steps=steps,
                             stopped_early=stopped_early, finished=len(completed))
 

@@ -65,20 +65,19 @@ def tiny_caption(rng: np.random.Generator, vocab_size: int, words: int = 3) -> l
 
 
 def decoder_gradcheck(variant: str, hidden: int = 8, vocab_size: int = 12,
-                      frames: int = 4, words: int = 2, seed: int = 0,
-                      eps: float = 1e-5, batch: int = 1) -> float:
+                      frames: int = 4, seed: int = 0, batch: int = 1) -> float:
     """Max relative error of the teacher-forced MLE gradient vs central
     finite differences, over every parameter of the variant.
 
-    With ``batch`` > 1, caption b has ``words + b`` words and its features
-    ``frames + b`` rows (and ``3 + b`` motion segments), and the loss is
-    the training loss of that one batch."""
+    Caption b has ``2 + b`` words and its features ``frames + b`` rows
+    (and ``3 + b`` motion segments); with ``batch`` > 1 the loss is the
+    training loss of that one batch."""
     rng = np.random.default_rng(seed)
     decoder, dims = tiny_decoder(variant, hidden, vocab_size, seed)
     feats = [tiny_features(rng, frames + b, dims["dim"], dims["motion_dim"],
                            dims["region_dim"], dims["global_dim"], segments=3 + b)
              for b in range(batch)]
-    captions = [tiny_caption(rng, vocab_size, words + b) for b in range(batch)]
+    captions = [tiny_caption(rng, vocab_size, 2 + b) for b in range(batch)]
     targets = CaptionBatch.from_id_seqs(captions)
 
     def loss_builder():
@@ -86,4 +85,4 @@ def decoder_gradcheck(variant: str, hidden: int = 8, vocab_size: int = 12,
             return _batch_loss(decoder, feats, targets, False, None)
         return mle_loss(decoder.forward_teacher_forced(feats[0], captions[0]), targets)
 
-    return check_gradients(loss_builder, decoder.parameters(), eps)
+    return check_gradients(loss_builder, decoder.parameters())

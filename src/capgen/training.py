@@ -30,7 +30,7 @@ from .optim import (
 )
 from .search import greedy_decode
 from .tensor import (
-    Tape, Tensor, at, backward, log, pick_per_row, reshape, stack_rows, sum_all,
+    Tape, Tensor, at, backward, log, pick_per_row, reshape, sum_all,
 )
 
 __all__ = [
@@ -39,17 +39,14 @@ __all__ = [
 ]
 
 
-def mle_loss(log_probs, targets: CaptionBatch) -> Tensor:
+def mle_loss(log_probs: Tensor, targets: CaptionBatch) -> Tensor:
     """Negative log-likelihood over unmasked steps, averaged over the batch.
 
-    ``log_probs`` is one (B, T, vocab) tensor for the whole batch, one
-    (T, vocab) tensor for a single-sample batch, or a sequence of
-    (T, vocab) tensors, one per sample.  All B·T rows are picked at once;
-    padded steps contribute exactly 0.
+    ``log_probs`` is one (B, T, vocab) tensor for the whole batch, or one
+    (T, vocab) tensor for a single-sample batch.  All B·T rows are picked
+    at once; padded steps contribute exactly 0.
     """
-    if not isinstance(log_probs, Tensor):
-        log_probs = stack_rows(list(log_probs))
-    elif log_probs.data.ndim == 2:
+    if log_probs.data.ndim == 2:
         log_probs = reshape(log_probs, (1,) + log_probs.shape)
     width, steps, vocab = log_probs.shape
     if (width, steps) != (len(targets), targets.steps):
@@ -77,11 +74,18 @@ class RewardConfig:
 
 def make_cider_reward(vocab: Vocabulary, corpus_refs: list[list[str]]):
     """Reward = CIDEr-D of the caption against its references, with document
-    frequencies counted once, here, over the whole reference corpus."""
-    scorer = metrics.CiderD([[tokenize(r) for r in refs] for refs in corpus_refs])
+    frequencies counted once, here, over the whole reference corpus.  The
+    corpus's reference sets are tokenized once too; a set from outside it
+    is tokenized on each call."""
+    ref_sets = [[tokenize(r) for r in refs] for refs in corpus_refs]
+    scorer = metrics.CiderD(ref_sets)
+    known = {tuple(refs): toks for refs, toks in zip(corpus_refs, ref_sets)}
 
     def reward(tokens: list[int], refs: list[str]) -> float:
-        return scorer.score(vocab.decode(tokens), [tokenize(r) for r in refs])
+        toks = known.get(tuple(refs))
+        if toks is None:
+            toks = [tokenize(r) for r in refs]
+        return scorer.score(vocab.decode(tokens), toks)
 
     return reward
 
@@ -123,6 +127,9 @@ def reward_gradient_step(decoder, features, refs, cfg: RewardConfig) -> float:
 # ---------------------------------------------------------------------------
 # training driver
 
+# Every training setting and its default.  The type of the default types
+# the key: ``TrainConfig`` converts numeric values to it, and ``capgen
+# train`` has one flag of that type per key.
 _CONFIG_DEFAULTS = {
     "variant": "hlstmat_temporal",
     "data_dir": "",
@@ -137,15 +144,15 @@ _CONFIG_DEFAULTS = {
     "rl_epochs": 0, "rl_lr": 5e-4,
 }
 
-_INT_KEYS = {"hidden_dim", "embed_dim", "attn_dim", "epochs", "patience",
-             "batch_size", "seed", "max_len", "rl_epochs", "lr_decay_every"}
-_FLOAT_KEYS = {"lr", "rho", "eps", "dropout", "clip", "rl_lr", "lr_decay"}
-
 
 def parse_config_file(path) -> dict[str, str]:
     """Line-based ``key = value`` files; '#' starts a comment."""
     out = {}
-    with open(path) as fh:
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror}") from None
+    with fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
@@ -159,6 +166,9 @@ def parse_config_file(path) -> dict[str, str]:
 
 @dataclass
 class TrainConfig:
+    """``_CONFIG_DEFAULTS`` updated by ``values``; a value for a key with a
+    numeric default is converted to the type of that default."""
+
     values: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -166,11 +176,12 @@ class TrainConfig:
         for k, v in self.values.items():
             if k not in merged:
                 raise ConfigError(f"unknown config key {k!r}")
-            merged[k] = v
-        for k in _INT_KEYS:
-            merged[k] = int(merged[k])
-        for k in _FLOAT_KEYS:
-            merged[k] = float(merged[k])
+            kind = type(_CONFIG_DEFAULTS[k])
+            try:
+                merged[k] = v if kind is str else kind(v)
+            except (TypeError, ValueError):
+                raise ConfigError(f"config key {k!r} takes {kind.__name__} values, "
+                                  f"got {v!r}") from None
         self.values = merged
 
     def __getattr__(self, name):
@@ -183,7 +194,10 @@ class TrainConfig:
     def from_file(cls, path, overrides: dict | None = None) -> "TrainConfig":
         values = dict(overrides or {})
         values.update(parse_config_file(path))  # the file wins over flags
-        return cls(values)
+        try:
+            return cls(values)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
 
 
 @dataclass

@@ -16,17 +16,8 @@ class _Hyp:
         self.tokens, self.logprob, self.state = tokens, logprob, state
 
 
-def beam_search(decoder, features, k=5, max_len=30, length_normalize=False):
+def beam_search(decoder, features, k=5, max_len=30):
     """Return (tokens, logprob) of the best caption."""
-
-    def rank(hyp):
-        if length_normalize:
-            return hyp.logprob / max(1, len(hyp.tokens))
-        return hyp.logprob
-
-    def bound(hyp):
-        return hyp.logprob / max_len if length_normalize else hyp.logprob
-
     live = [_Hyp((), 0.0, decoder.init_state(features))]
     completed = []
     for _ in range(max_len):
@@ -47,12 +38,12 @@ def beam_search(decoder, features, k=5, max_len=30, length_normalize=False):
                 completed.append(_Hyp(toks[:-1], score, state))
             else:
                 new_live.append(_Hyp(toks, score, state))
-        completed.sort(key=lambda h: (-rank(h), h.tokens))
+        completed.sort(key=lambda h: (-h.logprob, h.tokens))
         del completed[k:]
         live = new_live
         if not live:
             break
-        if completed and bound(live[0]) <= rank(completed[-1]):
+        if completed and live[0].logprob <= completed[-1].logprob:
             break
-    best = max(completed + live, key=lambda h: (rank(h), tuple(-t for t in h.tokens)))
+    best = max(completed + live, key=lambda h: (h.logprob, tuple(-t for t in h.tokens)))
     return list(best.tokens), best.logprob

@@ -18,6 +18,11 @@ def make_attention(rng, query=4, feat=3, attn=5):
     return AdditiveAttention(query, feat, attn, rng)
 
 
+def attend(att, h, feats, mask=None):
+    """``att.attend`` over keys projected from ``feats`` on this call."""
+    return att.attend(h, feats, att.keys(feats), mask)
+
+
 class TestMeanPool:
     def test_simple_average(self):
         np.testing.assert_array_equal(mean_pool(Tensor([[2.0, 4.0], [4.0, 8.0]])).data,
@@ -42,7 +47,7 @@ class TestTemporalAttend:
     def test_single_frame_gets_all_weight(self, rng):
         att = make_attention(rng)
         v = rng.standard_normal((1, 3))
-        ctx, alpha = att.attend(Tensor(rng.standard_normal(4)), Tensor(v))
+        ctx, alpha = attend(att, Tensor(rng.standard_normal(4)), Tensor(v))
         np.testing.assert_array_equal(alpha.data, [1.0])
         np.testing.assert_allclose(ctx.data, v[0], atol=1e-15)
 
@@ -51,14 +56,14 @@ class TestTemporalAttend:
         for p in att.parameters().values():
             p.data[:] = 0.0
         v = rng.standard_normal((6, 3))
-        ctx, alpha = att.attend(Tensor(rng.standard_normal(4)), Tensor(v))
+        ctx, alpha = attend(att, Tensor(rng.standard_normal(4)), Tensor(v))
         np.testing.assert_allclose(alpha.data, np.full(6, 1 / 6), atol=1e-15)
         np.testing.assert_allclose(ctx.data, mean_pool(Tensor(v)).data, atol=1e-15)
 
     def test_context_matches_explicit_weighted_sum(self, rng):
         att = make_attention(rng)
         v = rng.standard_normal((5, 3))
-        ctx, alpha = att.attend(Tensor(rng.standard_normal(4)), Tensor(v))
+        ctx, alpha = attend(att, Tensor(rng.standard_normal(4)), Tensor(v))
         manual = sum(alpha.data[l] * v[l] for l in range(5))
         np.testing.assert_allclose(ctx.data, manual, atol=1e-12)
 
@@ -66,21 +71,23 @@ class TestTemporalAttend:
         att = make_attention(rng)
         h = Tensor(rng.standard_normal(4))
         v = Tensor(rng.standard_normal((5, 3)))
-        assert check_gradients(lambda: sum_all(att.attend(h, v)[0] * att.attend(h, v)[0]),
+        assert check_gradients(lambda: sum_all(attend(att, h, v)[0] * attend(att, h, v)[0]),
                                att.parameters()) < 1e-4
 
     def test_precomputed_keys_give_the_same_bits(self, rng):
         att = make_attention(rng)
         h = Tensor(rng.standard_normal(4))
         v = Tensor(rng.standard_normal((5, 3)))
-        ctx, alpha = att.attend(h, v)
-        ctx_k, alpha_k = att.attend(h, v, att.keys(v))
+        keys = att.keys(v)
+        assert np.array_equal(keys.data, v.data @ att.U_a.data.T)
+        ctx, alpha = att.attend(h, v, Tensor(v.data @ att.U_a.data.T))
+        ctx_k, alpha_k = att.attend(h, v, keys)
         assert np.array_equal(ctx_k.data, ctx.data) and np.array_equal(alpha_k.data, alpha.data)
 
     def test_empty_frames(self, rng):
         att = make_attention(rng)
         with pytest.raises(EmptyInputError):
-            att.attend(Tensor(rng.standard_normal(4)), Tensor(np.zeros((0, 3))))
+            attend(att, Tensor(rng.standard_normal(4)), Tensor(np.zeros((0, 3))))
         with pytest.raises(EmptyInputError):
             att.keys(Tensor(np.zeros((0, 3))))
 
@@ -89,8 +96,8 @@ class TestTemporalAttend:
         h = Tensor(rng.standard_normal(4))
         v = rng.standard_normal((7, 3))
         perm = rng.permutation(7)
-        ctx, alpha = att.attend(h, Tensor(v))
-        ctx_p, alpha_p = att.attend(h, Tensor(v[perm]))
+        ctx, alpha = attend(att, h, Tensor(v))
+        ctx_p, alpha_p = attend(att, h, Tensor(v[perm]))
         np.testing.assert_allclose(alpha_p.data, alpha.data[perm], atol=1e-12)
         np.testing.assert_allclose(ctx_p.data, ctx.data, atol=1e-12)
 
@@ -110,7 +117,7 @@ class TestBatchedAttend:
         assert ctx.shape == (3, 3) and alpha.shape == (3, 5)
         assert np.all(alpha.data[~mask] == 0.0)
         for b, v in enumerate(sets):
-            ctx1, alpha1 = att.attend(Tensor(h[b]), Tensor(v))
+            ctx1, alpha1 = attend(att, Tensor(h[b]), Tensor(v))
             np.testing.assert_allclose(alpha.data[b, :len(v)], alpha1.data, rtol=0, atol=1e-15)
             np.testing.assert_allclose(ctx.data[b], ctx1.data, rtol=0, atol=1e-14)
 
@@ -121,7 +128,7 @@ class TestBatchedAttend:
         mask = np.array([[True, True, True], [True, False, False]])
 
         def loss():
-            ctx = att.attend(h, v, mask=mask)[0]
+            ctx = attend(att, h, v, mask)[0]
             return sum_all(ctx * ctx)
 
         assert check_gradients(loss, att.parameters()) < 1e-4
@@ -129,14 +136,14 @@ class TestBatchedAttend:
     def test_query_per_feature_set(self, rng):
         att = make_attention(rng)
         with pytest.raises(ShapeError):
-            att.attend(Tensor(rng.standard_normal(4)), Tensor(rng.standard_normal((2, 3, 3))))
+            attend(att, Tensor(rng.standard_normal(4)), Tensor(rng.standard_normal((2, 3, 3))))
 
 
 class TestSpatialAttend:
     def test_single_region(self, rng):
         att = make_attention(rng)
         r = rng.standard_normal((1, 3))
-        ctx, alpha = att.attend(Tensor(rng.standard_normal(4)), Tensor(r))
+        ctx, alpha = attend(att, Tensor(rng.standard_normal(4)), Tensor(r))
         np.testing.assert_array_equal(alpha.data, [1.0])
         np.testing.assert_allclose(ctx.data, r[0], atol=1e-15)
 

@@ -1,11 +1,15 @@
 import csv
 import json
+import re
 import shutil
+from types import SimpleNamespace
 
 import pytest
 
+import capgen.cli
 from capgen.checkpoint import load_checkpoint, save_checkpoint
 from capgen.cli import main
+from capgen.training import _CONFIG_DEFAULTS
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +100,30 @@ class TestPipeline:
         assert (tmp_path / "cfg.ckpt").exists()
 
 
+class TestTrainFlags:
+    def test_every_config_key_has_a_flag_of_its_type(self, capsys, monkeypatch):
+        with pytest.raises(SystemExit):
+            main(["train", "--help"])
+        usage = capsys.readouterr().out
+        argv, want = ["train"], {}
+        for key, default in _CONFIG_DEFAULTS.items():
+            flag = "--" + key.replace("_", "-")
+            assert re.search(rf"^\s+{flag}\s", usage, re.M), flag
+            want[key] = f"x_{key}" if isinstance(default, str) else default + 1
+            argv += [flag, str(want[key])]
+        seen = []
+
+        def fake_train(cfg):
+            seen.append(cfg)
+            return SimpleNamespace(history=[], best_val=0.0, checkpoint_path="")
+
+        monkeypatch.setattr(capgen.cli, "train", fake_train)
+        assert main(argv) == 0
+        for key, default in _CONFIG_DEFAULTS.items():
+            got = seen[0].values[key]
+            assert type(got) is type(default) and got == want[key], key
+
+
 class TestVocabCommand:
     def test_build_vocab_from_refs(self, tmp_path):
         refs = tmp_path / "refs.jsonl"
@@ -119,6 +147,56 @@ class TestErrors:
         assert main(["train", "--data-dir", str(tmp_path / "nowhere"),
                      "--epochs", "1"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_train_missing_config_file_fails_cleanly(self, tmp_path, capsys):
+        cfg = tmp_path / "none.cfg"
+        assert main(["train", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}") and "No such file" in err
+
+    def test_train_config_value_of_the_wrong_type_fails_cleanly(self, workspace, tmp_path,
+                                                               capsys):
+        _, data, _ = workspace
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"data_dir = {data}\nepochs = ten\n")
+        assert main(["train", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}") and "'epochs' takes int values" in err
+        assert "'ten'" in err
+
+    @pytest.mark.parametrize("command", ["generate", "trace", "train"])
+    def test_missing_checkpoint_fails_cleanly(self, workspace, tmp_path, capsys, command):
+        _, data, _ = workspace
+        missing = tmp_path / "none.ckpt"
+        argv = {"generate": ["generate", "--checkpoint", str(missing),
+                             "--out", str(tmp_path / "gen.jsonl")],
+                "trace": ["trace", "--checkpoint", str(missing),
+                          "--out-dir", str(tmp_path / "traces")],
+                "train": ["train", "--resume", str(missing), "--hidden-dim", "8",
+                          "--embed-dim", "8", "--attn-dim", "6", "--epochs", "1",
+                          "--checkpoint", str(tmp_path / "model.ckpt")]}[command]
+        assert main(argv + ["--data-dir", str(data)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(missing) in err and "No such file" in err
+        assert not (tmp_path / "model.ckpt").exists()
+
+    @pytest.mark.parametrize("command", ["generate", "trace", "train"])
+    def test_dataset_without_vocabulary_fails_cleanly(self, workspace, tmp_path, capsys,
+                                                      command):
+        _, data, ckpt = workspace
+        other = tmp_path / "data"
+        shutil.copytree(data, other)
+        (other / "vocab.json").unlink()
+        argv = {"generate": ["generate", "--checkpoint", str(ckpt),
+                             "--out", str(tmp_path / "gen.jsonl")],
+                "trace": ["trace", "--checkpoint", str(ckpt),
+                          "--out-dir", str(tmp_path / "traces")],
+                "train": ["train", "--epochs", "1",
+                          "--checkpoint", str(tmp_path / "model.ckpt")]}[command]
+        assert main(argv + ["--data-dir", str(other)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(other / "vocab.json") in err
+        assert "No such file" in err
 
     def test_generate_missing_split_fails_cleanly(self, workspace, capsys):
         root, data, ckpt = workspace

@@ -78,8 +78,6 @@ class TestCaptionBatch:
         assert batch.tokens.shape == (2, 5)
         assert batch.tokens[0, 3] == PAD_ID
         assert list(batch.lengths) == [3, 5]
-        np.testing.assert_array_equal(batch.target_mask(0), [1, 1, 0, 0])
-        np.testing.assert_array_equal(batch.target_mask(1), [1, 1, 1, 1])
 
 
 class TestFeatureFiles:

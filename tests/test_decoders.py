@@ -195,7 +195,7 @@ def stream_case(variant, frames=3, segments=2, feature_seed=4, **kw):
         return build_variant(variant, cfg), feats
     dec = build_variant("two_stream", cfg)
     k = int(variant[-1])
-    return dec.streams[k], decoders._select(feats, dec.sources[k])
+    return dec.streams[k], decoders._stream_views(feats)[k]
 
 
 def logprobs_and_grads(dec, teacher_forced, feats, tokens, training, seed):
@@ -413,7 +413,41 @@ PINNED_DECODES = {
     "para/beam5": (
         [8, 7, 11, 7, 1, 5, 8, 7], "-0x1.be603a3a06703p+1",
         "565423b8652e4d590fad654d8b77081bac18b907c490b146fb921c17957afb90"),
+    "basic/greedy": (
+        [9, 9, 9, 9, 9, 9, 9, 9], "-0x1.ea09abad7b4d6p-6",
+        "dbd8ebb4d364765882694170cedf5afc7702dd5338a7198705c45b613f6e1c9d"),
+    "basic/beam5": (
+        [9, 9, 9, 9, 9, 9, 9, 9], "-0x1.ea09abad7b4d6p-6",
+        "dbd8ebb4d364765882694170cedf5afc7702dd5338a7198705c45b613f6e1c9d"),
+    "hlstmat_spatial/greedy": (
+        [4, 7, 5, 5, 5, 5, 10, 5], "-0x1.018d3129cee29p+1",
+        "826d5d32c1aeaef0e649fb378b46e96fc64f333f7755a809d4b470b8932d672f"),
+    "hlstmat_spatial/beam5": (
+        [4, 7, 5, 5, 5, 5, 10, 5], "-0x1.018d3129cee29p+1",
+        "826d5d32c1aeaef0e649fb378b46e96fc64f333f7755a809d4b470b8932d672f"),
+    "two_stream/greedy": (
+        [1, 11, 11, 11, 11, 11, 11, 11], "-0x1.6469b73641110p+2",
+        "9643f47625b828456580110f32cc6df818e825b1f94eb9a3bbf31577156399ee"),
+    "two_stream/beam5": (
+        [1, 11, 11, 11, 11, 11, 11, 11], "-0x1.6469b73641110p+2",
+        "9643f47625b828456580110f32cc6df818e825b1f94eb9a3bbf31577156399ee"),
+    "da/greedy": (
+        [5, 0, 3, 0, 3, 0, 3, 0], "-0x1.316af7c45c04ep-10",
+        "72b088b483c520af43ef7c9f8252c0935d0faeff935c0e5336eda535c2424e67"),
+    "da/beam5": (
+        [5, 0, 3, 0, 3, 0, 3, 0], "-0x1.316af7c45c04ep-10",
+        "72b088b483c520af43ef7c9f8252c0935d0faeff935c0e5336eda535c2424e67"),
 }
+
+
+def word_heads(dec):
+    """The layers whose bias is the word head's: DA's ``out``, and each
+    two-stream stream's ``out_vocab``."""
+    if dec.variant == "da":
+        return [dec.out]
+    if dec.variant == "two_stream":
+        return [s.out_vocab for s in dec.streams]
+    return [dec.out_vocab]
 
 
 class TestPinnedDecoding:
@@ -427,8 +461,9 @@ class TestPinnedDecoding:
         wide = np.random.default_rng(1)
         for p in dec.parameters().values():
             p.data[...] = wide.standard_normal(p.data.shape) * 2.0
-        dec.out_vocab.b.data[:] = 0.0
-        dec.out_vocab.b.data[EOS_ID] = -2.0
+        for head in word_heads(dec):
+            head.b.data[:] = 0.0
+            head.b.data[EOS_ID] = -2.0
         feats = tiny_features(np.random.default_rng(11), 4, dims["dim"], dims["motion_dim"],
                               dims["region_dim"], dims["global_dim"])
         if search == "greedy":

@@ -170,24 +170,22 @@ class TestBeam:
         b = beam_search(dec, feats, k=3, max_len=5)
         assert a.tokens == b.tokens and a.logprob == b.logprob
 
-    def test_length_normalized_search_does_not_stop_on_a_rising_score(self):
+    def test_stops_once_no_live_score_beats_the_pool(self):
         # from BOS: EOS 0.6, word 4 0.4; after word 4: word 4 with certainty.
-        # The empty caption ranks log(0.6) = -0.511, but [4, 4, 4, 4] ranks
-        # log(0.4) / 4 = -0.229 although its raw score falls first.
+        # The empty caption scores log(0.6) = -0.511 and [4] scores
+        # log(0.4) = -0.916; a raw score never rises, so step 1 ends it.
         probs = np.zeros((5, 8, 5))
         probs[BOS_ID, :, EOS_ID] = 0.6
         probs[BOS_ID, :, 4] = 0.4
         probs[4, :, 4] = 1.0
 
-        class RisingDecoder(ContextualDecoder):
+        class FixedDecoder(ContextualDecoder):
             def __init__(self):
                 self.probs = probs
 
-        got = beam_search(RisingDecoder(), None, k=2, max_len=4, length_normalize=True)
-        assert got.tokens == [4, 4, 4, 4]
-        assert got.logprob == pytest.approx(np.log(0.4), abs=1e-12)
-        raw = beam_search(RisingDecoder(), None, k=2, max_len=4)
+        raw = beam_search(FixedDecoder(), None, k=2, max_len=4)
         assert raw.tokens == [] and raw.logprob == pytest.approx(np.log(0.6), abs=1e-12)
+        assert raw.steps == 1 and raw.stopped_early
 
     def test_invalid_width(self):
         with pytest.raises(ContractError):
@@ -235,20 +233,18 @@ class TestMatchesOracle:
         for seed in range(150):
             dec = QuantisedDecoder(vocab=5 + seed % 8, seed=seed)
             for k in (1, 2, 3, 5, 8):
-                for norm in (False, True):
-                    want = oracle_search.beam_search(dec, None, k, 7, norm)
-                    got = beam_search(dec, None, k=k, max_len=7, length_normalize=norm)
-                    assert (got.tokens, got.logprob) == want, (seed, k, norm)
+                want = oracle_search.beam_search(dec, None, k, 7)
+                got = beam_search(dec, None, k=k, max_len=7)
+                assert (got.tokens, got.logprob) == want, (seed, k)
         assert min(seen.values()) > 0, seen
 
     @pytest.mark.parametrize("variant", GRADCHECK_VARIANTS + ("da_plain",))
     def test_tiny_decoders(self, variant):
         dec, feats = tiny_case(variant)
         for k in (2, 5):
-            for norm in (False, True):
-                want = oracle_search.beam_search(dec, feats, k, 6, norm)
-                got = beam_search(dec, feats, k=k, max_len=6, length_normalize=norm)
-                assert (got.tokens, got.logprob) == want, (k, norm)
+            want = oracle_search.beam_search(dec, feats, k, 6)
+            got = beam_search(dec, feats, k=k, max_len=6)
+            assert (got.tokens, got.logprob) == want, k
 
 
 class TestTraceRows:

@@ -49,7 +49,7 @@ class TestMleLoss:
         a = [BOS_ID, 4, EOS_ID]
         b = [BOS_ID, 5, 6, EOS_ID]
         batch = CaptionBatch.from_id_seqs([a, b])
-        lps = [Tensor(np.full((batch.steps, 8), math.log(1 / 8))) for _ in range(2)]
+        lps = Tensor(np.full((2, batch.steps, 8), math.log(1 / 8)))
         loss = mle_loss(lps, batch)
         expect = (2 * math.log(8) + 3 * math.log(8)) / 2
         assert float(loss.data) == pytest.approx(expect, rel=1e-12)
@@ -58,6 +58,23 @@ class TestMleLoss:
         batch = CaptionBatch.from_id_seqs([[BOS_ID, 4, EOS_ID]])
         with pytest.raises(ShapeError):
             mle_loss(Tensor(np.zeros((5, 8))), batch)
+
+
+def test_reward_tokenizes_only_references_from_outside_its_corpus(monkeypatch):
+    import capgen.training as training
+    from capgen import metrics
+
+    vocab = Vocabulary(["a", "dog", "cat", "the"])
+    corpus = [["a dog", "the dog"], ["a cat"], ["a dog", "the dog"]]
+    reward = training.make_cider_reward(vocab, corpus)
+    calls = []
+    monkeypatch.setattr(training, "tokenize", lambda text: calls.append(text) or tokenize(text))
+    scorer = metrics.CiderD([[tokenize(r) for r in refs] for refs in corpus])
+    for refs in (["a dog", "the dog"], ["a cat"], ["a cat dog", "a"]):
+        before = len(calls)
+        got = reward(vocab.encode(["a", "dog"]), refs)
+        assert got == scorer.score(["a", "dog"], [tokenize(r) for r in refs])
+        assert calls[before:] == ([] if refs in corpus else refs)
 
 
 class _BanditPolicy:
