@@ -7,6 +7,15 @@ LSTM proofreads: a gated transform of its memory acts as an extra
 "language" attention slot (the sentinel) next to the regions, and the
 word distribution comes from fusing the draft hidden, the refined hidden
 and the second attended vector.
+
+Decoding runs ``da_step`` once per word.  Teacher forcing runs a whole
+batch in one pass on (B, H) states, which gives what ``da_step`` gives
+within rounding.  The first LSTM reads the previous second-pass hidden,
+so both passes share one loop over the steps, each step on (B, ·) rows.
+Regions are padded to (B, L, D) with a row mask and their keys computed
+once per batch, and the sentinel is one more always-unmasked column of
+the second attention's row softmax.  The fusion ``W_sd``, the word head
+and ``log_softmax`` run once over the B·T rows after the loop.
 """
 
 from __future__ import annotations
@@ -18,12 +27,12 @@ import numpy as np
 
 from .attention import TraceRow
 from .data import FeatureSet
-from .decoders import _teacher_forced
+from .decoders import _as_batch, _drop, _dropout_masks, _head_log_probs, _pad_rows
 from .errors import ConfigError, ContractError, ShapeError
 from .layers import Embedding, Linear, LstmCell, Module, dropout, glorot
 from .tensor import (
     Tensor, add_rowvec, at, concat, matmul, matmul_t, narrow, reshape, sigmoid, softmax,
-    tanh, transpose, zeros,
+    stack_rows, take_row, tanh, transpose, weighted_sum, zeros,
 )
 
 __all__ = ["DaConfig", "DaState", "DeliberateDecoder", "da_step",
@@ -60,7 +69,8 @@ class DaState:
 
 class _ScoredAttention(Module):
     """Bias-free additive scorer w . tanh(W_v v + W_h h) over region rows;
-    the keys W_v v are computed once per caption by ``keys``."""
+    the keys W_v v are computed once per caption, or once per batch of
+    (B, L, D) padded regions, by ``keys``."""
 
     def __init__(self, query_dim, feature_dim, attn_dim, rng):
         self.W_v = glorot(rng, attn_dim, feature_dim)
@@ -68,10 +78,20 @@ class _ScoredAttention(Module):
         self.w = Tensor(glorot(rng, attn_dim, 1).data[:, 0].copy(), requires_grad=True)
 
     def keys(self, feats: Tensor) -> Tensor:
-        return matmul_t(feats, self.W_v)
+        """(L, attn) keys of (L, D) regions; (B, L, attn) of a batch."""
+        if feats.data.ndim == 2:
+            return matmul_t(feats, self.W_v)
+        batch, rows, dim = feats.shape
+        return reshape(matmul_t(reshape(feats, (batch * rows, dim)), self.W_v),
+                       (batch, rows, self.W_v.shape[0]))
 
     def scores(self, h: Tensor, keys: Tensor) -> Tensor:
-        return matmul(tanh(add_rowvec(keys, matmul(self.W_h, h))), self.w)
+        """(L,) scores of one (H,) query; (B, L) of (B, H) queries."""
+        if h.data.ndim == 1:
+            return matmul(tanh(add_rowvec(keys, matmul(self.W_h, h))), self.w)
+        batch, rows, attn = keys.shape
+        e = tanh(add_rowvec(keys, matmul_t(h, self.W_h)))
+        return reshape(matmul(reshape(e, (batch * rows, attn)), self.w), (batch, rows))
 
 
 class DeliberateDecoder(Module):
@@ -131,9 +151,75 @@ class DeliberateDecoder(Module):
 
     def forward_teacher_forced(self, features, tokens, training=False, rng=None,
                                with_aux: bool = False):
-        """Log-probs (T, vocab); with_aux also returns the draft head's rows."""
-        aux = (lambda state: da_first_pass_distribution(self, state)) if with_aux else None
-        return _teacher_forced(self, features, tokens, training, rng, aux)
+        """Teacher-forced log-probs, (T, vocab) for one caption and
+        (B, T, vocab) for a batch (see the module docstring); with_aux
+        also returns the draft head's rows."""
+        c = self.config
+        if with_aux and self.first_head is None:
+            raise ConfigError("the first-pass head is disabled in this configuration")
+        batch = _as_batch(features, tokens)
+        (masks,) = _dropout_masks((self,), batch.steps, 2 if c.deliberate else 1,
+                                  training, rng)
+        width, steps = batch.ids.shape[0], batch.ids.shape[1] - 1
+        v_g, regions, mask = _da_inputs(self, batch.feats)
+        words = self.embed.lookup(batch.ids[:, :-1].T)                  # (T, B, E)
+        keys1 = self.attn1.keys(regions)
+        if c.deliberate:
+            keys2 = self.attn2.keys(regions)
+            mask2 = np.concatenate([mask, np.ones((width, 1), dtype=bool)], axis=1)
+
+        need_drafts = with_aux or not c.deliberate
+        h1 = m1 = h2 = m2 = zeros(width, c.hidden_dim)
+        drafts, fused = [], []
+        for t in range(steps):
+            w_t = take_row(words, t)
+            y1 = concat([v_g, h2, w_t], axis=1)
+            out1 = self.lstm1.step(self.lstm1.input_products(y1), h1, m1)
+            h1, m1 = out1.h, out1.m
+            h1_tilde = self.W_rd(concat([w_t, _drop(h1, masks, t, 0)], axis=1))
+            alpha1 = softmax(self.attn1.scores(h1_tilde, keys1), mask)
+            v1_hat = weighted_sum(alpha1, regions)
+            if need_drafts:
+                drafts.append(concat([h1_tilde, v1_hat], axis=1))
+            if not c.deliberate:
+                continue
+            y2 = concat([v_g, h1_tilde, v1_hat], axis=1)
+            out2 = self.lstm2.step(self.lstm2.input_products(y2), h2, m2)
+            h2_d = _drop(out2.h, masks, t, 1)
+            s = sigmoid(matmul_t(y2, self.W_x) + matmul_t(h2, self.W_h)) * tanh(out2.m)
+            h2, m2 = out2.h, out2.m
+            sent = matmul(tanh(matmul_t(s, self.W_s) + matmul_t(h2_d, self.W_h3)), self.w_a)
+            alpha2 = softmax(concat([self.attn2.scores(h2_d, keys2), reshape(sent, (width, 1))],
+                                    axis=1), mask2)
+            s_vis = self.sentinel_proj(s) if self.sentinel_proj is not None else s
+            v2_hat = weighted_sum(alpha2, concat([regions, reshape(s_vis, (width, 1, -1))],
+                                                 axis=1))
+            fused.append(concat([h1_tilde, h2_d, v2_hat], axis=1))
+
+        draft = main = None
+        if need_drafts:
+            draft = main = _head_log_probs(self.first_head, stack_rows(drafts), batch.single)
+        if c.deliberate:
+            main = _head_log_probs(lambda x: self.out(self.W_sd(x)), stack_rows(fused),
+                                   batch.single)
+        return (main, draft) if with_aux else main
+
+
+def _da_inputs(dec: DeliberateDecoder, feats: list) -> tuple[Tensor, Tensor, np.ndarray]:
+    """The (B, G) global vectors, the (B, L, D) regions padded to the
+    longest set, and its (B, L) mask of real regions."""
+    c = dec.config
+    for f in feats:
+        v_g, regions = f.require("global"), f.require("spatial")
+        if v_g.shape != (c.global_dim,):
+            raise ConfigError(f"global feature dim {v_g.shape} != configured {c.global_dim}")
+        if regions.shape[0] < 1:
+            raise ContractError("teacher forcing needs at least one region")
+        if regions.shape[1] != c.region_dim:
+            raise ShapeError(f"regions have dim {regions.shape[1]}, "
+                             f"the region attention expects {c.region_dim}")
+    regions, mask = _pad_rows([f.spatial for f in feats])
+    return Tensor(np.stack([f.global_vec for f in feats])), regions, mask
 
 
 def da_step(dec: DeliberateDecoder, state: DaState, token_id: int,

@@ -250,13 +250,22 @@ class Dataset:
         manifest = root / "manifest.json"
         if not manifest.exists():
             raise FormatError(f"no manifest.json under {root}")
-        with open(manifest) as fh:
-            raw = json.load(fh)
+        try:
+            with open(manifest) as fh:
+                raw = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"manifest {manifest}: not JSON: {exc.msg}") from None
+        if not isinstance(raw, dict) or not isinstance(raw.get("splits"), dict):
+            raise FormatError(f"manifest {manifest}: expected an object with 'splits'")
         ds = cls(root)
         for split, entries in raw["splits"].items():
             samples = []
             for e in entries:
-                s = Sample(e["id"], dict(e["features"]), list(e["refs"]))
+                try:
+                    s = Sample(e["id"], dict(e["features"]), list(e["refs"]))
+                except (KeyError, TypeError, ValueError):
+                    raise FormatError(f"manifest {manifest}: an entry of split {split!r} is not "
+                                      "an object with 'id', 'features' and 'refs'") from None
                 for kind, rel in s.feature_paths.items():
                     p = root / rel
                     if not p.exists():

@@ -23,21 +23,20 @@ them.
 caption, a ``FeatureSet`` and its token ids, and returns (T, vocab)
 log-probs; or a batch, a sequence of B ``FeatureSet``s and a
 ``CaptionBatch``, and returns (B, T, vocab) log-probs, T being the
-batch's padded step count.  Two paths give the same log-probs within
-rounding.  ``_teacher_forced`` runs ``step`` once per word, one caption
-at a time; the single-LSTM baseline, two-stream joint mode and ``da``
-use it, and the tests use it as the reference.  The two-LSTM variants
-run ``_two_lstm_teacher_forced`` in phases over the whole batch instead,
-because every input is known up front and nothing after the bottom LSTM
-feeds back into the recurrence.  A leading batch axis runs through it:
-one embedding gather and one GEMM per gate for each LSTM's input
-products, the two recurrences on (B, H) states with the attention once
-per step over the (B, L, D) feature sets padded to the longest (padded
-rows weigh exactly 0), and one word head and ``log_softmax`` over all
-B·T rows.  A single caption is a batch of one.  Padded steps of a
-shorter caption run too; the loss masks them, so they add exactly 0 to
-every gradient.  Dropout masks are drawn caption by caption in batch
-order, so a seeded batch draws what the per-caption loop draws.
+batch's padded step count.  It gives what running ``step`` once per word
+gives, within rounding, but in phases over the whole batch, because
+every input is known up front.  A leading batch axis runs through it:
+one embedding gather and one GEMM per gate for the input products of an
+LSTM whose input does not feed back, the recurrences on (B, H) states,
+attention once per step over the (B, L, D) feature sets padded to the
+longest (padded rows weigh exactly 0), and one word head and
+``log_softmax`` over all B·T rows.  A single caption is a batch of one.
+Padded steps of a shorter caption run too; the loss masks them, so they
+add exactly 0 to every gradient.  Dropout masks are drawn caption by
+caption in batch order, each caption's as one draw, so a seeded batch
+draws the stream that per-step dropout draws.  The two-stream decoder
+teacher-forces each stream on its own (``stream_teacher_forced``); ``da``
+runs its two passes in one loop (see ``da.py``).
 """
 
 from __future__ import annotations
@@ -55,7 +54,7 @@ from .data import BOS_ID, CaptionBatch, FeatureSet
 from .errors import ConfigError, ContractError, ShapeError
 from .layers import Embedding, Linear, LstmCell, Module, dropout, dropout_mask
 from .tensor import (
-    Tensor, concat, log, log_softmax, reshape, softmax, stack_rows, tanh, transpose, zeros,
+    Tensor, concat, log_softmax, reshape, softmax, stack_rows, tanh, transpose, zeros,
 )
 
 __all__ = [
@@ -146,7 +145,24 @@ class BasicDecoder(Module):
         return p, DecoderState(out.h, out.m, out.h, out.m, state.feats, row)
 
     def forward_teacher_forced(self, features, tokens, training=False, rng=None):
-        return _teacher_forced(self, features, tokens, training, rng)
+        """Teacher-forced log-probs (see the module docstring): the pooled
+        features join the words in one GEMM per gate, then T batched LSTM
+        steps and one word head over the B·T rows."""
+        c = self.config
+        batch = _as_batch(features, tokens)
+        (masks,) = _dropout_masks((self,), batch.steps, 1, training, rng)
+        width, steps = batch.ids.shape[0], batch.ids.shape[1] - 1
+        vbar = np.stack([mean_pool(Tensor(f.require("temporal"))).data for f in batch.feats])
+        words = self.embed.lookup(batch.ids[:, :-1].T)                  # (T, B, E)
+        gates = self.lstm.input_products(
+            concat([words, Tensor(np.broadcast_to(vbar, (steps,) + vbar.shape))], axis=2))
+        h = m = zeros(width, c.hidden_dim)
+        rows = []
+        for t in range(steps):
+            out = self.lstm.step(gates.row(t), h, m)
+            h, m = out.h, out.m
+            rows.append(_drop(h, masks, t, 0))
+        return _head_log_probs(lambda x: _word_logits(self, x), stack_rows(rows), batch.single)
 
 
 class HierarchicalDecoder(Module):
@@ -345,10 +361,9 @@ def _two_lstm_step(dec, state: DecoderState, token_id: int, training, rng, atten
 def _two_lstm_teacher_forced(dec, features, tokens, training=False, rng=None):
     """Teacher-forced log-probs of a two-LSTM decoder, in phases over a
     batch: (T, vocab) for one caption, (B, T, vocab) for a batch (see the
-    module docstring).  Gives what ``_teacher_forced`` gives over
-    ``dec.step``, caption by caption, within rounding."""
+    module docstring)."""
     batch = _as_batch(features, tokens)
-    (masks,) = _dropout_masks((dec,), batch.steps, training, rng)
+    (masks,) = _dropout_masks((dec,), batch.steps, 2, training, rng)
     return _two_lstm_forward(dec, batch, masks)
 
 
@@ -361,18 +376,15 @@ def _two_lstm_forward(dec, batch: "_Batch", masks) -> Tensor:
     ``dec._attender`` attends once per step.  The word head and
     ``log_softmax`` then run once over the B·T rows."""
     c = dec.config
-    width, steps = batch.ids.shape[0], batch.ids.shape[1] - 1
+    steps = batch.ids.shape[1] - 1
     state = dec.init_state(batch.feats)
-
-    def drop(x, t, layer):
-        return x if masks is None else x * Tensor(masks[t, :, layer])
 
     bottom_in = dec.bottom.input_products(dec.embed.lookup(batch.ids[:, :-1].T))
     h, m, h_d = state.h, state.m, []
     for t in range(steps):
         bot = dec.bottom.step(bottom_in.row(t), h, m)
         h, m = bot.h, bot.m
-        h_d.append(drop(bot.h, t, 0))
+        h_d.append(_drop(bot.h, masks, t, 0))
     bottoms = stack_rows(h_d)                       # (T, B, H)
 
     top_in = dec.top.input_products(bottoms)
@@ -381,14 +393,27 @@ def _two_lstm_forward(dec, batch: "_Batch", masks) -> Tensor:
     for t in range(steps):
         top = dec.top.step(top_in.row(t), h, m)
         h, m = top.h, top.m
-        ht_d.append(drop(top.h, t, 1))
+        ht_d.append(_drop(top.h, masks, t, 1))
         blended.append(attend(h_d[t], ht_d[t])[0])
 
     out_h = bottoms if c.output_hidden == "bottom" else stack_rows(ht_d)
-    rows = transpose(concat([out_h, stack_rows(blended)], axis=2), (1, 0, 2))  # (B, T, ·)
-    logits = _word_logits(dec, reshape(rows, (width * steps, rows.shape[2])))
-    lp = log_softmax(logits)
-    return reshape(lp, (steps, c.vocab_size) if batch.single else (width, steps, c.vocab_size))
+    return _head_log_probs(lambda x: _word_logits(dec, x),
+                           concat([out_h, stack_rows(blended)], axis=2), batch.single)
+
+
+def _drop(x: Tensor, masks, t: int, layer: int) -> Tensor:
+    """``x`` under dropout mask ``masks[t, :, layer]`` (None: no dropout)."""
+    return x if masks is None else x * Tensor(masks[t, :, layer])
+
+
+def _head_log_probs(head, rows: Tensor, single: bool) -> Tensor:
+    """``log_softmax(head(x))`` over the B·T rows x of a (T, B, d) tensor,
+    in one pass: (B, T, vocab) log-probs, or (T, vocab) for a single
+    caption."""
+    steps, width, dim = rows.shape
+    lp = log_softmax(head(reshape(transpose(rows, (1, 0, 2)), (width * steps, dim))))
+    vocab = lp.shape[1]
+    return reshape(lp, (steps, vocab) if single else (width, steps, vocab))
 
 
 class _Batch(NamedTuple):
@@ -415,21 +440,22 @@ def _as_batch(features, tokens) -> _Batch:
     return _Batch(features, tokens.tokens, steps, False)
 
 
-def _dropout_masks(decs, steps: list[int], training, rng) -> list:
-    """(T, B, 2, H) dropout masks for each of ``decs`` (None where dropout
-    is off), T the longest of ``steps``.  Caption b's masks are drawn in
-    batch order and, within a caption, decoder by decoder, each as one
-    (steps[b], 2, H) draw: the stream that the per-caption loop over
-    ``step`` draws, bottom and top LSTM alternating.  Padded steps get 1."""
+def _dropout_masks(decs, steps: list[int], layers: int, training, rng) -> list:
+    """(T, B, layers, H) dropout masks for each of ``decs`` (None where
+    dropout is off), T the longest of ``steps``.  Caption b's masks are
+    drawn in batch order and, within a caption, decoder by decoder, each
+    as one (steps[b], layers, H) draw: the stream that per-step dropout
+    draws when each step drops its ``layers`` hidden states in order.
+    Padded steps get 1."""
     masks = [None] * len(decs)
     for b, n in enumerate(steps):
         for k, dec in enumerate(decs):
             c = dec.config
-            drawn = dropout_mask((n, 2, c.hidden_dim), c.dropout, training, rng)
+            drawn = dropout_mask((n, layers, c.hidden_dim), c.dropout, training, rng)
             if drawn is None:
                 continue
             if masks[k] is None:
-                masks[k] = np.ones((max(steps), len(steps), 2, c.hidden_dim))
+                masks[k] = np.ones((max(steps), len(steps), layers, c.hidden_dim))
             masks[k][:n, b] = drawn
     return masks
 
@@ -458,9 +484,9 @@ class TwoStreamDecoder(Module):
     stream 1 attends over the temporal (appearance) frames, stream 2 over
     the motion segments, which ``_stream_views`` hands it in the temporal
     slot.  ``build_variant`` seeds stream 2 with the config's seed + 1.
-    Training drives the streams with separate losses by default; the
-    fused distribution only matters at inference (a joint-training mode
-    exists for experimentation).
+    Training drives the streams with separate losses
+    (``stream_teacher_forced``); the fused distribution is what ``step``
+    decodes from.
     """
 
     variant = "two_stream"
@@ -483,16 +509,12 @@ class TwoStreamDecoder(Module):
         p2, s2 = self.stream2.step(state.s2, token_id, training, rng)
         return two_stream_fuse(p1, p2), TwoStreamState(s1, s2)
 
-    def forward_teacher_forced(self, features, tokens, training=False, rng=None):
-        """Per-step log-probs of the fused distribution (joint mode)."""
-        return _teacher_forced(self, features, tokens, training, rng)
-
     def stream_teacher_forced(self, features, tokens, training=False, rng=None):
         """One log-prob tensor per stream, for independent training; each
         stream runs the phased path over the batch, and caption b's masks
         for stream 1 are drawn before its masks for stream 2."""
         batch = _as_batch(features, tokens)
-        masks = _dropout_masks(self.streams, batch.steps, training, rng)
+        masks = _dropout_masks(self.streams, batch.steps, 2, training, rng)
         views = zip(*(_stream_views(f) for f in batch.feats))
         return tuple(_two_lstm_forward(dec, batch._replace(feats=list(feats)), mask)
                      for dec, feats, mask in zip(self.streams, views, masks))
@@ -513,42 +535,6 @@ def _caption_ids(tokens) -> list[int]:
     if len(tokens) < 2:
         raise ContractError("caption has no prediction steps")
     return tokens
-
-
-def _teacher_forced(decoder, features, tokens, training=False, rng=None, aux=None):
-    """Log-probs (T, vocab): step t consumes ground-truth token t-1.  A
-    batch runs caption by caption and returns (B, T, vocab), each
-    caption's rows padded with zeros to the batch's T.
-
-    With ``aux``, a distribution-valued function of the state after each
-    step, also returns the log-probs of that distribution.
-    """
-    if not isinstance(features, FeatureSet):
-        batch = _as_batch(features, tokens)
-        outs = [_teacher_forced(decoder, f, ids[:n + 1], training, rng, aux)
-                for f, ids, n in zip(batch.feats, batch.ids, batch.steps)]
-        width = batch.ids.shape[1] - 1
-        if aux is None:
-            return _pad_stack(outs, width)
-        return _pad_stack([o[0] for o in outs], width), _pad_stack([o[1] for o in outs], width)
-    tokens = _caption_ids(tokens)
-    state = decoder.init_state(features)
-    rows, aux_rows = [], []
-    for t in range(1, len(tokens)):
-        p, state = decoder.step(state, tokens[t - 1], training, rng)
-        rows.append(log(p))
-        if aux is not None:
-            aux_rows.append(log(aux(state)))
-    if aux is None:
-        return stack_rows(rows)
-    return stack_rows(rows), stack_rows(aux_rows)
-
-
-def _pad_stack(rows: list[Tensor], steps: int) -> Tensor:
-    """Stack (T_b, V) log-prob matrices into (B, steps, V), zero-padded."""
-    return stack_rows([lp if lp.shape[0] == steps
-                       else concat([lp, zeros(steps - lp.shape[0], lp.shape[1])])
-                       for lp in rows])
 
 
 def build_variant(kind: str, config: DecoderConfig):

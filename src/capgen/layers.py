@@ -98,6 +98,8 @@ class LstmCell(Module):
     when a batch's whole input sequences are known up front
     ``input_products`` computes them with one GEMM per gate, and a
     batched ``step`` takes each step's rows in place of the raw input.
+    Where the input feeds back, ``input_products`` of one step's
+    (B, input_dim) rows gives that step's products.
     """
 
     GATES = ("i", "f", "o", "g")
@@ -128,15 +130,17 @@ class LstmCell(Module):
 
     def input_products(self, ys: Tensor) -> GateInputs:
         """``ys @ W_gate.T`` for a (T, B, input_dim) batch of input
-        sequences, one GEMM per gate -> (T, B, hidden_dim) each."""
-        if ys.data.ndim != 3 or ys.shape[2] != self.input_dim:
+        sequences, one GEMM per gate -> (T, B, hidden_dim) each; for one
+        step's (B, input_dim) inputs -> (B, hidden_dim) each."""
+        if ys.data.ndim not in (2, 3) or ys.shape[-1] != self.input_dim:
             raise ShapeError(
-                f"input-gate block W_i expects a (T, B, {self.input_dim}) batch, got {ys.shape}")
-        steps, batch, _ = ys.shape
-        flat = reshape(ys, (steps * batch, self.input_dim))
-        return GateInputs(*(reshape(matmul_t(flat, getattr(self, f"W_{gate}")),
-                                    (steps, batch, self.hidden_dim))
-                            for gate in self.GATES))
+                f"input-gate block W_i expects (T, B, {self.input_dim}) or (B, {self.input_dim}) "
+                f"inputs, got {ys.shape}")
+        if ys.data.ndim == 3:
+            steps, batch, _ = ys.shape
+            flat = self.input_products(reshape(ys, (steps * batch, self.input_dim)))
+            return GateInputs(*(reshape(p, (steps, batch, self.hidden_dim)) for p in flat))
+        return GateInputs(*(matmul_t(ys, getattr(self, f"W_{gate}")) for gate in self.GATES))
 
     def step(self, y, h_prev: Tensor, m_prev: Tensor) -> LstmOut:
         """One step of an (H,) state from the raw (input_dim,) input ``y``,

@@ -12,7 +12,7 @@ from .da import DaConfig, DeliberateDecoder
 from .data import BOS_ID, EOS_ID, CaptionBatch, FeatureSet
 from .decoders import DecoderConfig, build_variant
 from .gradcheck import check_gradients
-from .training import _batch_loss, mle_loss
+from .training import _batch_loss
 
 GRADCHECK_VARIANTS = ("basic", "hlstmat_temporal", "hlstmat_spatial", "conf",
                       "para", "two_stream", "da")
@@ -69,20 +69,16 @@ def decoder_gradcheck(variant: str, hidden: int = 8, vocab_size: int = 12,
     """Max relative error of the teacher-forced MLE gradient vs central
     finite differences, over every parameter of the variant.
 
-    Caption b has ``2 + b`` words and its features ``frames + b`` rows
-    (and ``3 + b`` motion segments); with ``batch`` > 1 the loss is the
-    training loss of that one batch."""
+    The loss is the training loss (``training._batch_loss``, with dropout
+    off) of one batch of ``batch`` captions; two-stream's is the sum of its
+    streams' losses.  Caption b has ``2 + b`` words and its features
+    ``frames + b`` rows (and ``3 + b`` motion segments)."""
     rng = np.random.default_rng(seed)
     decoder, dims = tiny_decoder(variant, hidden, vocab_size, seed)
     feats = [tiny_features(rng, frames + b, dims["dim"], dims["motion_dim"],
                            dims["region_dim"], dims["global_dim"], segments=3 + b)
              for b in range(batch)]
-    captions = [tiny_caption(rng, vocab_size, 2 + b) for b in range(batch)]
-    targets = CaptionBatch.from_id_seqs(captions)
-
-    def loss_builder():
-        if batch > 1:
-            return _batch_loss(decoder, feats, targets, False, None)
-        return mle_loss(decoder.forward_teacher_forced(feats[0], captions[0]), targets)
-
-    return check_gradients(loss_builder, decoder.parameters())
+    targets = CaptionBatch.from_id_seqs([tiny_caption(rng, vocab_size, 2 + b)
+                                         for b in range(batch)])
+    return check_gradients(lambda: _batch_loss(decoder, feats, targets, False, None),
+                           decoder.parameters())

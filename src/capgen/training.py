@@ -266,9 +266,7 @@ def _val_score(cfg, decoder, dataset, vocab, split: str) -> float:
     corpus = metrics.TokenizedCorpus(cands, refs)
     if cfg.val_metric == "cider":
         return metrics.cider(corpus)
-    if cfg.val_metric == "bleu4":
-        return metrics.bleu(corpus)[3]
-    raise ConfigError(f"unknown val_metric {cfg.val_metric!r}")
+    return metrics.bleu(corpus)[3]
 
 
 def _check_finite(epoch: int, params: dict[str, Tensor], **scalars: float) -> None:
@@ -311,6 +309,10 @@ def train(cfg: TrainConfig) -> TrainResult:
     """
     if not cfg.data_dir:
         raise ConfigError("config must set data_dir")
+    if cfg.optimizer not in ("adadelta", "adam"):
+        raise ConfigError(f"unknown optimizer {cfg.optimizer!r}")
+    if cfg.val_metric not in ("cider", "bleu4", "loss"):
+        raise ConfigError(f"unknown val_metric {cfg.val_metric!r}")
     dataset = Dataset.load(cfg.data_dir)
     vocab = Vocabulary.load(Path(cfg.data_dir) / "vocab.json")
     train_samples = dataset.split("train")
@@ -370,10 +372,8 @@ def train(cfg: TrainConfig) -> TrainResult:
             entries += sum(p.grad.size for p in params.values() if p.grad is not None)
             if cfg.optimizer == "adadelta":
                 adadelta_update(params, opt_state, cfg.rho, cfg.eps)
-            elif cfg.optimizer == "adam":
-                adam_update(params, opt_state, lr)
             else:
-                raise ConfigError(f"unknown optimizer {cfg.optimizer!r}")
+                adam_update(params, opt_state, lr)
             update_s += time.perf_counter() - ta
             epoch_loss += batch_loss
         epoch_loss /= len(pairs)

@@ -1,0 +1,47 @@
+"""Reference teacher forcing for the decoder tests.
+
+This is the per-step formulation: one ``init_state`` per caption, then
+``step`` once per ground-truth word, taking the log of each step's word
+distribution.  It shares no code with the decoders' batched passes, whose
+log-probs and gradients must equal it within rounding.  Any decoder of
+the step protocol runs through it, the two-stream decoder's fused
+distribution included.
+"""
+
+from capgen.data import FeatureSet
+from capgen.tensor import concat, log, stack_rows, zeros
+
+
+def teacher_forced(decoder, features, tokens, training=False, rng=None, aux=None):
+    """Log-probs (T, vocab): step t consumes ground-truth token t-1.  A
+    batch (B ``FeatureSet``s and a ``CaptionBatch``) runs caption by
+    caption, sharing ``rng`` in batch order, and returns (B, T, vocab),
+    each caption's rows padded with zeros to the batch's T.
+
+    With ``aux``, a distribution-valued function of the state after each
+    step, also returns the log-probs of that distribution.
+    """
+    if not isinstance(features, FeatureSet):
+        outs = [teacher_forced(decoder, f, ids[:n], training, rng, aux)
+                for f, ids, n in zip(features, tokens.tokens, tokens.lengths)]
+        if aux is None:
+            return _pad_stack(outs, tokens.steps)
+        return (_pad_stack([o[0] for o in outs], tokens.steps),
+                _pad_stack([o[1] for o in outs], tokens.steps))
+    state = decoder.init_state(features)
+    rows, aux_rows = [], []
+    for t in range(1, len(tokens)):
+        p, state = decoder.step(state, int(tokens[t - 1]), training, rng)
+        rows.append(log(p))
+        if aux is not None:
+            aux_rows.append(log(aux(state)))
+    if aux is None:
+        return stack_rows(rows)
+    return stack_rows(rows), stack_rows(aux_rows)
+
+
+def _pad_stack(rows, steps):
+    """Stack (T_b, V) log-prob matrices into (B, steps, V), zero-padded."""
+    return stack_rows([lp if lp.shape[0] == steps
+                       else concat([lp, zeros(steps - lp.shape[0], lp.shape[1])])
+                       for lp in rows])

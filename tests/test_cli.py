@@ -9,6 +9,7 @@ import pytest
 import capgen.cli
 from capgen.checkpoint import load_checkpoint, save_checkpoint
 from capgen.cli import main
+from capgen.data import Dataset
 from capgen.training import _CONFIG_DEFAULTS
 
 
@@ -272,6 +273,36 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "'train'" in err
         assert not (tmp_path / "model.ckpt").exists()
+
+    @pytest.mark.parametrize("text,message", [('{"splits": ', "not JSON"),
+                                              ("{}", "expected an object with 'splits'"),
+                                              ('{"splits": {"train": [{"id": "a"}]}}',
+                                               "not an object with 'id', 'features' and 'refs'")])
+    def test_malformed_manifest_fails_cleanly(self, workspace, tmp_path, capsys, text,
+                                              message):
+        _, data, _ = workspace
+        other = tmp_path / "data"
+        shutil.copytree(data, other)
+        (other / "manifest.json").write_text(text)
+        assert main(["train", "--data-dir", str(other), "--epochs", "1",
+                     "--checkpoint", str(tmp_path / "model.ckpt")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(other / "manifest.json") in err
+        assert message in err
+
+    @pytest.mark.parametrize("flag,key", [("--val-metric", "val_metric"),
+                                          ("--optimizer", "optimizer")])
+    def test_unknown_setting_fails_before_loading_features(self, workspace, tmp_path, capsys,
+                                                           monkeypatch, flag, key):
+        _, data, _ = workspace
+        loaded = []
+        monkeypatch.setattr(Dataset, "features", lambda self, sample: loaded.append(sample))
+        log, ckpt = tmp_path / "train.jsonl", tmp_path / "model.ckpt"
+        assert main(["train", "--data-dir", str(data), "--hidden-dim", "8", "--embed-dim", "8",
+                     "--attn-dim", "6", "--epochs", "1", flag, "nosuch",
+                     "--log-path", str(log), "--checkpoint", str(ckpt)]) == 1
+        assert capsys.readouterr().err == f"error: unknown {key} 'nosuch'\n"
+        assert loaded == [] and not log.exists() and not ckpt.exists()
 
     def test_evaluate_candidate_without_refs_fails_cleanly(self, tmp_path, capsys):
         cands = tmp_path / "cands.jsonl"

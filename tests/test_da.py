@@ -209,12 +209,10 @@ class TestRegionKeys:
         for p in dec.parameters().values():
             p.data[...] = wide.standard_normal(p.data.shape)
         feats = da_features(rng, dec.config, regions=4)
-        tokens = [BOS_ID, 5, 7, 4, EOS_ID]
 
         def outputs():
-            gen = greedy_decode(dec, feats, max_len=6)
-            main, aux = dec.forward_teacher_forced(feats, tokens, with_aux=True)
-            return gen.tokens, float.hex(gen.logprob), main.data.tobytes(), aux.data.tobytes()
+            gen = greedy_decode(dec, feats, max_len=6, record_trace=True)
+            return gen.tokens, float.hex(gen.logprob), [row.alpha.tobytes() for row in gen.trace]
 
         carried = outputs()
         real = capgen.da.da_step

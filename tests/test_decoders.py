@@ -3,7 +3,9 @@ import hashlib
 import numpy as np
 import pytest
 
+import oracle_teacher_forcing as oracle
 from capgen import decoders
+from capgen.da import DaConfig, DeliberateDecoder, da_first_pass_distribution
 from capgen.data import BOS_ID, EOS_ID, PAD_ID, CaptionBatch, FeatureSet
 from capgen.decoders import (
     DecoderConfig, HierarchicalDecoder, ParallelDecoder,
@@ -183,14 +185,20 @@ class TestTeacherForcing:
 
 
 def stream_case(variant, frames=3, segments=2, feature_seed=4, **kw):
-    """A tiny decoder whose ``forward_teacher_forced`` is the phased path,
-    with features for it; ``two_stream/k`` is stream k of a two-stream
-    decoder, fed that stream's features."""
+    """A tiny decoder with features for it; ``two_stream/k`` is stream k of
+    a two-stream decoder, fed that stream's features, and ``da`` a
+    deliberation decoder with a draft head whose sentinel is projected to
+    the region width."""
+    rng = np.random.default_rng(feature_seed)
+    if variant == "da":
+        cfg = DaConfig(vocab_size=9, hidden_dim=4, embed_dim=4, attn_dim=3, region_dim=5,
+                       global_dim=3, first_pass_head=True, seed=3, **kw)
+        return DeliberateDecoder(cfg), FeatureSet(spatial=rng.standard_normal((frames, 5)),
+                                                  global_vec=rng.standard_normal(3))
     if variant == "conf":
         kw = dict(feature_dim=2, motion_dim=2, **kw)
     cfg = small_config(vocab=9, **kw)
-    feats = features_for(np.random.default_rng(feature_seed), variant.split("/")[0], cfg,
-                         frames, segments)
+    feats = features_for(rng, variant.split("/")[0], cfg, frames, segments)
     if not variant.startswith("two_stream"):
         return build_variant(variant, cfg), feats
     dec = build_variant("two_stream", cfg)
@@ -198,34 +206,67 @@ def stream_case(variant, frames=3, segments=2, feature_seed=4, **kw):
     return dec.streams[k], decoders._stream_views(feats)[k]
 
 
-def logprobs_and_grads(dec, teacher_forced, feats, tokens, training, seed):
-    """Log-probs and every parameter gradient of one caption's MLE loss."""
+def batched(dec, feats, tokens, training, rng, with_aux):
+    """The decoder's own teacher forcing, as a tuple of log-prob tensors."""
+    if with_aux:
+        return dec.forward_teacher_forced(feats, tokens, training, rng, with_aux=True)
+    return (dec.forward_teacher_forced(feats, tokens, training, rng),)
+
+
+def stepwise(dec, feats, tokens, training, rng, with_aux):
+    """The per-step oracle, as a tuple of log-prob tensors."""
+    if with_aux:
+        return oracle.teacher_forced(dec, feats, tokens, training, rng,
+                                     aux=lambda state: da_first_pass_distribution(dec, state))
+    return (oracle.teacher_forced(dec, feats, tokens, training, rng),)
+
+
+def logprobs_and_grads(dec, teacher_forced, feats, tokens, training, seed, with_aux=False):
+    """Log-prob arrays and every parameter gradient of the summed MLE
+    losses of one caption (a ``FeatureSet`` and its ids) or of a batch
+    (``FeatureSet``s and a ``CaptionBatch``), under one seeded rng."""
     params = dec.parameters()
     for p in params.values():
         p.grad = None
     rng = np.random.default_rng(seed)
+    targets = tokens if isinstance(tokens, CaptionBatch) else CaptionBatch.from_id_seqs([tokens])
     with Tape():
-        lp = teacher_forced(dec, feats, tokens, training, rng)
-        backward(mle_loss(lp, CaptionBatch.from_id_seqs([tokens])))
-    return lp.data, {name: p.grad for name, p in params.items()}
+        lps = teacher_forced(dec, feats, tokens, training, rng, with_aux)
+        loss = mle_loss(lps[0], targets)
+        for lp in lps[1:]:
+            loss = loss + mle_loss(lp, targets)
+        backward(loss)
+    return [lp.data for lp in lps], {name: p.grad for name, p in params.items()}
 
 
+def assert_grads_match(grads, ref_grads):
+    assert grads.keys() == ref_grads.keys()
+    for name, g in grads.items():
+        if ref_grads[name] is None:
+            assert g is None, name
+        else:
+            assert np.max(np.abs(g - ref_grads[name])) <= 1e-12, name
+
+
+# case -> (variant, config overrides, decoder attributes, with_aux)
 PHASED_CASES = {
-    **{v: (v, {}, {}) for v in ("hlstmat_temporal", "hlstmat_spatial", "conf", "para",
-                                "two_stream/0", "two_stream/1")},
-    "output_hidden_top": ("hlstmat_temporal", {"output_hidden": "top"}, {}),
-    "gate_free": ("hlstmat_temporal", {"use_adaptive_gate": False}, {}),
-    "gate_override": ("hlstmat_temporal", {}, {"gate_override": 1.0}),
+    **{v: (v, {}, {}, False) for v in ("basic", "hlstmat_temporal", "hlstmat_spatial", "conf",
+                                       "para", "two_stream/0", "two_stream/1", "da")},
+    "output_hidden_top": ("hlstmat_temporal", {"output_hidden": "top"}, {}, False),
+    "gate_free": ("hlstmat_temporal", {"use_adaptive_gate": False}, {}, False),
+    "gate_override": ("hlstmat_temporal", {}, {"gate_override": 1.0}, False),
+    "da_draft_only": ("da", {"deliberate": False}, {}, False),
+    "da_with_aux": ("da", {}, {}, True),
 }
 
 
 class TestPhasedTeacherForcing:
-    """The phased path against the generic loop over ``step``."""
+    """The batched pass over one caption against the per-step oracle."""
 
     @pytest.mark.parametrize("case", sorted(PHASED_CASES))
     @pytest.mark.parametrize("mode", ["eval", "dropout", "padded"])
     def test_matches_stepwise_loop(self, case, mode):
-        variant, cfg, attrs = PHASED_CASES[case]
+        variant, cfg, attrs, with_aux = PHASED_CASES[case]
         dec, feats = stream_case(variant, **cfg)
         for name, value in attrs.items():
             setattr(dec, name, value)
@@ -235,20 +276,16 @@ class TestPhasedTeacherForcing:
         training = mode == "dropout"
         if training:
             dec.config.dropout = 0.3
-        lp, grads = logprobs_and_grads(dec, type(dec).forward_teacher_forced, feats,
-                                       tokens, training, seed=11)
-        ref_lp, ref_grads = logprobs_and_grads(dec, decoders._teacher_forced, feats,
-                                               tokens, training, seed=11)
-        assert lp.shape == (len(tokens) - 1, dec.config.vocab_size)
-        assert np.max(np.abs(lp - ref_lp)) <= 1e-12
-        assert grads.keys() == ref_grads.keys()
-        for name, g in grads.items():
-            if ref_grads[name] is None:
-                assert g is None, name
-            else:
-                assert np.max(np.abs(g - ref_grads[name])) <= 1e-12, name
+        lps, grads = logprobs_and_grads(dec, batched, feats, tokens, training, 11, with_aux)
+        ref_lps, ref_grads = logprobs_and_grads(dec, stepwise, feats, tokens, training, 11,
+                                                with_aux)
+        assert len(lps) == len(ref_lps) == 1 + with_aux
+        for lp, ref in zip(lps, ref_lps):
+            assert lp.shape == (len(tokens) - 1, dec.config.vocab_size)
+            assert np.max(np.abs(lp - ref)) <= 1e-12
+        assert_grads_match(grads, ref_grads)
 
-    @pytest.mark.parametrize("variant", ["hlstmat_temporal", "para"])
+    @pytest.mark.parametrize("variant", ["hlstmat_temporal", "para", "basic", "da"])
     def test_training_mode_gradcheck(self, variant):
         dec, feats = stream_case(variant, dropout=0.3)
         tokens = [BOS_ID, 5, 7, EOS_ID]
@@ -260,10 +297,10 @@ class TestPhasedTeacherForcing:
 
         assert check_gradients(loss, dec.parameters()) < 1e-4
 
-    @pytest.mark.parametrize("variant", ["hlstmat_temporal", "para"])
+    @pytest.mark.parametrize("variant", ["hlstmat_temporal", "para", "basic", "da"])
     def test_underflowing_word_probability_stays_finite(self, variant):
         dec, feats = stream_case(variant)
-        dec.out_vocab.b.data[5] = -1000.0
+        word_heads(dec)[0].b.data[5] = -1000.0
         tokens = [BOS_ID, 5, EOS_ID]
         with Tape():
             lp = dec.forward_teacher_forced(feats, tokens)
@@ -288,60 +325,32 @@ def batch_case(variant, **kw):
     return dec, feats
 
 
-def batch_logprobs_and_grads(dec, feats, captions, training, seed, batched):
-    """Per-caption log-probs and every parameter gradient of a batch's mean
-    MLE loss: one batched forward, or ``decoders._teacher_forced`` caption
-    by caption, each under one tape and one seeded rng."""
-    params = dec.parameters()
-    for p in params.values():
-        p.grad = None
-    rng = np.random.default_rng(seed)
-    batch = CaptionBatch.from_id_seqs(captions)
-    with Tape():
-        if batched:
-            lp = dec.forward_teacher_forced(feats, batch, training, rng)
-            assert lp.shape == (len(captions), batch.steps, dec.config.vocab_size)
-            loss = mle_loss(lp, batch)
-            rows = [lp.data[b, :len(c) - 1] for b, c in enumerate(captions)]
-        else:
-            lps = [decoders._teacher_forced(dec, f, c, training, rng)
-                   for f, c in zip(feats, captions)]
-            loss = mle_loss(lps[0], CaptionBatch.from_id_seqs(captions[:1]))
-            for lp, c in zip(lps[1:], captions[1:]):
-                loss = loss + mle_loss(lp, CaptionBatch.from_id_seqs([c]))
-            loss = loss * (1.0 / len(captions))
-            rows = [lp.data for lp in lps]
-        backward(loss)
-    return rows, {name: p.grad for name, p in params.items()}
-
-
 class TestBatchedTeacherForcing:
     """One batched forward of unequal captions over unequal feature sets
-    against the per-step loop, caption by caption."""
+    against the per-step oracle, caption by caption."""
 
     @pytest.mark.parametrize("case", sorted(PHASED_CASES))
     @pytest.mark.parametrize("mode", ["eval", "dropout"])
     def test_matches_per_caption_loop(self, case, mode):
-        variant, cfg, attrs = PHASED_CASES[case]
+        variant, cfg, attrs, with_aux = PHASED_CASES[case]
         dec, feats = batch_case(variant, **cfg)
         for name, value in attrs.items():
             setattr(dec, name, value)
         training = mode == "dropout"
         if training:
             dec.config.dropout = 0.3
-        lps, grads = batch_logprobs_and_grads(dec, feats, BATCH_CAPTIONS, training, 11, True)
-        ref_lps, ref_grads = batch_logprobs_and_grads(dec, feats, BATCH_CAPTIONS, training,
-                                                      11, False)
+        batch = CaptionBatch.from_id_seqs(BATCH_CAPTIONS)
+        lps, grads = logprobs_and_grads(dec, batched, feats, batch, training, 11, with_aux)
+        ref_lps, ref_grads = logprobs_and_grads(dec, stepwise, feats, batch, training, 11,
+                                                with_aux)
+        assert len(lps) == len(ref_lps) == 1 + with_aux
         for lp, ref in zip(lps, ref_lps):
-            assert np.max(np.abs(lp - ref)) <= 1e-12
-        assert grads.keys() == ref_grads.keys()
-        for name, g in grads.items():
-            if ref_grads[name] is None:
-                assert g is None, name
-            else:
-                assert np.max(np.abs(g - ref_grads[name])) <= 1e-12, name
+            assert lp.shape == (len(BATCH_CAPTIONS), batch.steps, dec.config.vocab_size)
+            for b, c in enumerate(BATCH_CAPTIONS):
+                assert np.max(np.abs(lp[b, :len(c) - 1] - ref[b, :len(c) - 1])) <= 1e-12
+        assert_grads_match(grads, ref_grads)
 
-    @pytest.mark.parametrize("variant", ["hlstmat_temporal", "para"])
+    @pytest.mark.parametrize("variant", ["hlstmat_temporal", "para", "basic", "da"])
     def test_batch_of_one_is_the_single_caption_path(self, variant):
         dec, feats = stream_case(variant, dropout=0.3)
         tokens = BATCH_CAPTIONS[0]
@@ -361,17 +370,6 @@ class TestBatchedTeacherForcing:
         for b, (f, c) in enumerate(zip(feats, BATCH_CAPTIONS)):
             for k, ref in enumerate(dec.stream_teacher_forced(f, c, True, rng)):
                 assert np.max(np.abs(both[k].data[b, :len(c) - 1] - ref.data)) <= 1e-12
-
-    @pytest.mark.parametrize("variant", ["basic", "da"])
-    def test_per_step_variants_pad_each_caption(self, variant):
-        dec, dims = tiny_decoder(variant, hidden=6, vocab_size=9, seed=1)
-        feats = [tiny_features(np.random.default_rng(s), n, dims["dim"], dims["motion_dim"],
-                               dims["region_dim"], dims["global_dim"])
-                 for n, _, s in BATCH_SHAPES]
-        lp = dec.forward_teacher_forced(feats, CaptionBatch.from_id_seqs(BATCH_CAPTIONS))
-        for b, (f, c) in enumerate(zip(feats, BATCH_CAPTIONS)):
-            assert np.array_equal(lp.data[b, :len(c) - 1], dec.forward_teacher_forced(f, c).data)
-            assert np.all(lp.data[b, len(c) - 1:] == 0.0)
 
     def test_one_feature_set_per_caption(self):
         dec, feats = batch_case("hlstmat_temporal")
@@ -440,6 +438,33 @@ PINNED_DECODES = {
 }
 
 
+# variant -> (features seed, weight scale, greedy pin, beam-5 pin), pinned
+# like PINNED_DECODES at settings where beam-5 finds a better caption than
+# greedy, so that beam's ranking beyond the greedy path is pinned too
+PINNED_BEAM_BEATS_GREEDY = {
+    "basic": (14, 2.0,
+        ([9, 9, 9, 1, 9, 9, 9, 9], "-0x1.d13b806a4c5a6p+0",
+         "dbd8ebb4d364765882694170cedf5afc7702dd5338a7198705c45b613f6e1c9d"),
+        ([9, 9, 1, 9, 9, 9, 9, 9], "-0x1.92c5964e25dbcp+0",
+         "dbd8ebb4d364765882694170cedf5afc7702dd5338a7198705c45b613f6e1c9d")),
+    "hlstmat_spatial": (12, 2.0,
+        ([5, 5, 5, 5, 5, 5, 5, 5], "-0x1.88df1430cb800p+1",
+         "2752bf43124faa67dbc21231bfcef8907ad41547ffe5bf00dbc02aa4dfe36413"),
+        ([5, 5, 5, 5, 5, 5, 0, 1], "-0x1.6cdf329ea17b6p+1",
+         "c70f8d6373948911e7b8588b6666271789944a9026c5daae9d3fdc8a7929d6fa")),
+    "two_stream": (13, 2.0,
+        ([1, 4, 11, 11, 11, 11, 11, 11], "-0x1.5df76c5ef4514p+2",
+         "edfecdd336e09b9ad92f2463e0f3fc03175632092e7a5e03c17f2eb9cd004f16"),
+        ([1, 4, 11, 5, 11, 11, 11, 11], "-0x1.5b1a27270d2a7p+2",
+         "cb8c8a73b2b32f4a1518d35f4192c47e6bbb723b175967f93990b183c98ba5ab")),
+    "da": (11, 1.0,
+        ([6, 0, 1, 6, 0, 1, 6, 0], "-0x1.26cee41279a0bp+0",
+         "b146ec4b825716631d3087bf2db79f3de82d1d4a1c65edaee4cf1368d9d956fd"),
+        ([6, 0, 3, 0, 3, 0, 3, 0], "-0x1.0a8683efc9deap+0",
+         "9bde8dadc33a7c91f2717887b689ff2d6f1fedbf6bf93325b62cfa5db4d41f67")),
+}
+
+
 def word_heads(dec):
     """The layers whose bias is the word head's: DA's ``out``, and each
     two-stream stream's ``out_vocab``."""
@@ -450,6 +475,26 @@ def word_heads(dec):
     return [dec.out_vocab]
 
 
+def pinned_decode(variant, search, features_seed=11, scale=2.0):
+    """(tokens, float.hex log-prob, trace digest) of a seeded tiny decoder
+    whose weights are drawn at ``scale``, and whose word head's only
+    nonzero bias is -2 on EOS."""
+    dec, dims = tiny_decoder(variant, hidden=8, vocab_size=12, seed=5)
+    wide = np.random.default_rng(1)
+    for p in dec.parameters().values():
+        p.data[...] = wide.standard_normal(p.data.shape) * scale
+    for head in word_heads(dec):
+        head.b.data[:] = 0.0
+        head.b.data[EOS_ID] = -2.0
+    feats = tiny_features(np.random.default_rng(features_seed), 4, dims["dim"],
+                          dims["motion_dim"], dims["region_dim"], dims["global_dim"])
+    if search == "greedy":
+        got = greedy_decode(dec, feats, max_len=8, record_trace=True)
+    else:
+        got = beam_search(dec, feats, k=5, max_len=8, record_trace=True)
+    return got.tokens, float.hex(got.logprob), trace_digest(got.trace)
+
+
 class TestPinnedDecoding:
     """Greedy and beam-5 outputs, bit for bit, of seeded tiny decoders whose
     weights are drawn wide enough that captions vary from step to step."""
@@ -457,21 +502,15 @@ class TestPinnedDecoding:
     @pytest.mark.parametrize("name", sorted(PINNED_DECODES))
     def test_bit_identical(self, name):
         variant, search = name.split("/")
-        dec, dims = tiny_decoder(variant, hidden=8, vocab_size=12, seed=5)
-        wide = np.random.default_rng(1)
-        for p in dec.parameters().values():
-            p.data[...] = wide.standard_normal(p.data.shape) * 2.0
-        for head in word_heads(dec):
-            head.b.data[:] = 0.0
-            head.b.data[EOS_ID] = -2.0
-        feats = tiny_features(np.random.default_rng(11), 4, dims["dim"], dims["motion_dim"],
-                              dims["region_dim"], dims["global_dim"])
-        if search == "greedy":
-            got = greedy_decode(dec, feats, max_len=8, record_trace=True)
-        else:
-            got = beam_search(dec, feats, k=5, max_len=8, record_trace=True)
-        assert (got.tokens, float.hex(got.logprob), trace_digest(got.trace)) \
-            == PINNED_DECODES[name]
+        assert pinned_decode(variant, search) == PINNED_DECODES[name]
+
+    @pytest.mark.parametrize("variant", sorted(PINNED_BEAM_BEATS_GREEDY))
+    def test_beam_beats_greedy_bit_identical(self, variant):
+        features_seed, scale, greedy, beam = PINNED_BEAM_BEATS_GREEDY[variant]
+        assert greedy[0] != beam[0]
+        assert float.fromhex(beam[1]) > float.fromhex(greedy[1])
+        assert pinned_decode(variant, "greedy", features_seed, scale) == greedy
+        assert pinned_decode(variant, "beam5", features_seed, scale) == beam
 
 
 @pytest.mark.parametrize("variant", GRADCHECK_VARIANTS)
@@ -482,6 +521,18 @@ def test_teacher_forced_gradcheck(variant):
 @pytest.mark.parametrize("variant", GRADCHECK_VARIANTS)
 def test_batched_teacher_forced_gradcheck(variant):
     assert decoder_gradcheck(variant, hidden=4, vocab_size=6, frames=2, batch=3) < 1e-4
+
+
+def test_fused_two_stream_gradcheck():
+    """The fused distribution that two-stream decoding and self-critical
+    training step through, teacher-forced by the oracle."""
+    dec, dims = tiny_decoder("two_stream", hidden=4, vocab_size=6)
+    feats = tiny_features(np.random.default_rng(0), 3, dims["dim"], dims["motion_dim"],
+                          dims["region_dim"], dims["global_dim"])
+    tokens = [BOS_ID, 4, 5, EOS_ID]
+    batch = CaptionBatch.from_id_seqs([tokens])
+    assert check_gradients(lambda: mle_loss(oracle.teacher_forced(dec, feats, tokens), batch),
+                           dec.parameters()) < 1e-4
 
 
 class TestGateAblation:

@@ -46,6 +46,17 @@ class TestLstmCell:
         with pytest.raises(ShapeError, match="U_i"):
             cell.step(Tensor([1.0, 2.0, 3.0]), zeros(3), zeros(4))
 
+    def test_input_products_of_a_sequence_batch_match_each_step(self, rng):
+        cell = LstmCell(3, 4, rng)
+        ys = Tensor(rng.standard_normal((5, 2, 3)))
+        seq = cell.input_products(ys)
+        for t in range(5):
+            step = cell.input_products(Tensor(ys.data[t]))
+            for a, b in zip(seq.row(t), step):
+                np.testing.assert_allclose(a.data, b.data, rtol=1e-14, atol=1e-15)
+        with pytest.raises(ShapeError, match="W_i"):
+            cell.input_products(Tensor(rng.standard_normal(3)))
+
     def test_hidden_output_strictly_inside_unit_interval(self, rng):
         cell = LstmCell(5, 7, rng)
         for _ in range(20):

@@ -346,6 +346,16 @@ class TestTrainDriver:
             losses.append([h["loss"] for h in result.history])
         assert losses[0] == losses[1]
 
+    # one epoch's loss, captured when basic and da were teacher-forced one
+    # step at a time; the batched passes must draw the same dropout masks
+    @pytest.mark.parametrize("variant,loss_hex", [("basic", "0x1.21bfd78442232p+3"),
+                                                  ("da", "0x1.201435bc9e52ap+3")])
+    def test_seeded_dropout_epoch_is_pinned(self, tiny_dataset, tmp_path, variant, loss_hex):
+        cfg = self.base_config(tiny_dataset, variant=variant, epochs=1, dropout=0.5,
+                               batch_size=4, checkpoint=str(tmp_path / "m.ckpt"))
+        loss = train(cfg).history[0]["loss"]
+        assert loss == pytest.approx(float.fromhex(loss_hex), rel=1e-12)
+
     def test_patience_stops_after_stagnation(self, tiny_dataset, tmp_path, monkeypatch):
         import capgen.training as tr
         monkeypatch.setattr(tr, "_val_score", lambda *a, **k: 1.0)  # frozen metric
