@@ -13,8 +13,8 @@ import numpy as np
 from .errors import EmptyInputError, ShapeError
 from .layers import Module, glorot
 from .tensor import (
-    Tensor, add_rowvec, matmul, matmul_t, mean_rows, reshape, scale_rows, sigmoid, softmax,
-    tanh, transpose, weighted_sum,
+    Tensor, add_rowvec, additive_scores, matmul_t, matvec_rows, mean_rows, reshape, scale_rows,
+    sigmoid, softmax, transpose, weighted_sum,
 )
 
 __all__ = [
@@ -43,9 +43,13 @@ class AdditiveAttention(Module):
     them once per feature set, and ``attend`` takes them so that every
     step of a caption reuses one projection.
 
-    A batch attends with (B, query_dim) queries over a (B, L, D) tensor
-    of feature sets padded to L rows; ``mask`` (B, L) marks the real
-    rows, and padded rows get weight exactly 0.
+    Decoding attends with n (n, query_dim) query rows over one (L, D)
+    feature set, every product one GEMV per row, so each row's context
+    and weights equal those of that row alone bit for bit.  A batch of
+    teacher-forced captions attends with (B, query_dim) queries over a
+    (B, L, D) tensor of feature sets padded to L rows, with GEMM
+    products; ``mask`` (B, L) marks the real rows, and padded rows get
+    weight exactly 0.
     """
 
     def __init__(self, query_dim: int, feature_dim: int, attn_dim: int,
@@ -77,24 +81,23 @@ class AdditiveAttention(Module):
 
     def attend(self, h: Tensor, feats: Tensor, keys: Tensor,
                mask=None) -> tuple[Tensor, Tensor]:
-        """Return (context, alpha) for query h over feature rows; ``keys``
-        is ``self.keys(feats)``.  For a batch, context is (B, D), alpha
-        (B, L), and ``mask`` the (B, L) real rows (None: all of them)."""
+        """Return (context, alpha) for the query rows h over feature rows;
+        ``keys`` is ``self.keys(feats)``.  For n queries over (L, D)
+        features, context is (n, D) and alpha (n, L); for a (B, L, D)
+        batch, context is (B, D), alpha (B, L), and ``mask`` the (B, L)
+        real rows (None: all of them)."""
         self._check_feats(feats)
-        query = feats.shape[:-2] + (self.query_dim,)
-        if h.shape != query:
-            raise ShapeError(f"attention expects a query of shape {query}, got {h.shape}")
+        if h.data.ndim != 2 or h.shape[1] != self.query_dim or (
+                feats.data.ndim == 3 and h.shape[0] != feats.shape[0]):
+            raise ShapeError(f"attention expects (n, {self.query_dim}) query rows, "
+                             f"one per feature set of {feats.shape}, got {h.shape}")
         if feats.data.ndim == 2:
-            shift = matmul(self.W_a, h) + self.b_a         # (attn,)
-            scores = matmul(tanh(add_rowvec(keys, shift)), self.w)  # (n,)
-            alpha = softmax(scores)
-            return matmul(transpose(feats), alpha), alpha  # (d,)
-        batch, rows, _ = feats.shape
-        shift = add_rowvec(matmul_t(h, self.W_a), self.b_a)    # (B, attn)
-        e = tanh(add_rowvec(keys, shift))                      # (B, L, attn)
-        scores = reshape(matmul(reshape(e, (batch * rows, self.attn_dim)), self.w),
-                         (batch, rows))
-        alpha = softmax(scores, mask)
+            shift = matvec_rows(h, self.W_a, self.b_a)                # (n, attn)
+        else:
+            shift = add_rowvec(matmul_t(h, self.W_a), self.b_a)      # (B, attn)
+        alpha = softmax(additive_scores(keys, shift, self.w), mask)  # (n, L)
+        if feats.data.ndim == 2:
+            return matvec_rows(alpha, transpose(feats)), alpha
         return weighted_sum(alpha, feats), alpha
 
 
@@ -113,15 +116,17 @@ class AdaptiveGate(Module):
         self.W_s = glorot(rng, arity, hidden_dim)
 
 
-def _gate_logits(gate: AdaptiveGate, h: Tensor) -> Tensor:
-    """W_s h: (arity,) for one query, (B, arity) for a (B, H) batch."""
-    return matmul(gate.W_s, h) if h.data.ndim == 1 else matmul_t(h, gate.W_s)
+def _gate_logits(gate: AdaptiveGate, h: Tensor, per_row: bool) -> Tensor:
+    """W_s h for each of the (n, H) rows -> (n, arity)."""
+    return matvec_rows(h, gate.W_s) if per_row else matmul_t(h, gate.W_s)
 
 
 def adaptive_blend(gate: AdaptiveGate, h: Tensor, ctx: Tensor, h_lang: Tensor,
-                   force: float | None = None) -> tuple[Tensor, Tensor]:
-    """Convex blend: beta*ctx + (1-beta)*h_lang with beta = sigmoid(W_s h).
-    A batch of (B, H) rows gets one beta per row, as a (B, 1) column.
+                   force: float | None = None, per_row: bool = False) -> tuple[Tensor, Tensor]:
+    """Convex blend: beta*ctx + (1-beta)*h_lang with beta = sigmoid(W_s h),
+    one beta per row of the (n, H) operands, as an (n, 1) column.  With
+    ``per_row`` the gate's product is one GEMV per row, as decoding takes
+    it.
 
     ``force`` overrides beta with a constant (ablation hook); gradients
     then stop flowing into the gate weights.
@@ -131,36 +136,42 @@ def adaptive_blend(gate: AdaptiveGate, h: Tensor, ctx: Tensor, h_lang: Tensor,
     if ctx.shape != h_lang.shape:
         raise ShapeError(f"blend operands differ: {ctx.shape} vs {h_lang.shape}")
     if force is None:
-        beta = sigmoid(_gate_logits(gate, h))    # (1,) or (B, 1)
+        beta = sigmoid(_gate_logits(gate, h, per_row))  # (n, 1)
     else:
-        beta = Tensor(np.full(h.shape[:-1] + (1,), float(force)))
+        beta = Tensor(np.full((h.shape[0], 1), float(force)))
     blended = scale_rows(ctx, beta, 0) + scale_rows(h_lang, 1.0 - beta, 0)
     return blended, beta
 
 
 def parallel_adaptive_blend(gate: AdaptiveGate, h: Tensor, ctx1: Tensor,
-                            ctx2: Tensor, h_lang: Tensor) -> tuple[Tensor, Tensor]:
+                            ctx2: Tensor, h_lang: Tensor,
+                            per_row: bool = False) -> tuple[Tensor, Tensor]:
     """Three-way blend of two attended contexts and the language state.
 
     The weights are a softmax over W_s h, so they are positive and sum
     to one; the result stays inside the coordinate-wise hull of its
-    three inputs.  A batch of (B, H) rows gets (B, 3) weights.
+    three inputs.  (n, H) rows get (n, 3) weights; ``per_row`` is as in
+    ``adaptive_blend``.
     """
     if gate.arity != 3:
         raise ShapeError("parallel_adaptive_blend needs an arity-3 gate")
     if not (ctx1.shape == ctx2.shape == h_lang.shape):
         raise ShapeError(
             f"blend operands differ: {ctx1.shape}, {ctx2.shape}, {h_lang.shape}")
-    betas = softmax(_gate_logits(gate, h))       # (3,) or (B, 3)
+    betas = softmax(_gate_logits(gate, h, per_row))      # (n, 3)
     blended = (scale_rows(ctx1, betas, 0) + scale_rows(ctx2, betas, 1)
                + scale_rows(h_lang, betas, 2))
     return blended, betas
 
 
 class TraceRow(NamedTuple):
-    """Attention internals recorded for one decoding step."""
+    """Attention internals recorded for one decoding step: a step over n
+    rows records (n, ·) arrays, and ``pick(i)`` is row i's own row."""
     alpha: np.ndarray
     beta: np.ndarray
+
+    def pick(self, i: int) -> "TraceRow":
+        return TraceRow(self.alpha[i], self.beta[i])
 
 
 def write_trace_csv(path, tokens: list[str], rows) -> None:

@@ -97,6 +97,10 @@ def main(argv=None) -> int:
     except CapgenError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:     # an output path that cannot be written
+        where = "" if exc.filename is None else f"{exc.filename}: "
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
+        return 1
 
 
 def _dispatch(args) -> int:
@@ -153,6 +157,7 @@ def _restore(data_dir, checkpoint, split: str):
 
 def _generate(args) -> int:
     dataset, vocab, decoder, samples = _restore(args.data_dir, args.checkpoint, args.split)
+    open(args.out, "a").close()     # an unwritable output fails before any decoding
     results = []
     trace_dir = Path(args.trace_dir) if args.trace_dir else None
     if trace_dir:

@@ -8,9 +8,14 @@ LSTM proofreads: a gated transform of its memory acts as an extra
 word distribution comes from fusing the draft hidden, the refined hidden
 and the second attended vector.
 
-Decoding runs ``da_step`` once per word.  Teacher forcing runs a whole
-batch in one pass on (B, H) states, which gives what ``da_step`` gives
-within rounding.  The first LSTM reads the previous second-pass hidden,
+Decoding runs ``da_step`` once per word on a state of n rows over one
+image's regions (the rows protocol of ``decoders.py``): beam search steps
+all its hypotheses in one call, greedy and sampled decoding one row.
+Every product of the step is one GEMV per row (``matvec_rows``), so each
+row equals the step of that row alone bit for bit.  Teacher forcing runs
+a whole batch in one pass on (B, H) states with GEMM products, which
+gives what ``da_step`` gives within rounding and is faster at training
+batch sizes.  The first LSTM reads the previous second-pass hidden,
 so both passes share one loop over the steps, each step on (B, ·) rows.
 Regions are padded to (B, L, D) with a row mask and their keys computed
 once per batch, and the sentinel is one more always-unmasked column of
@@ -27,12 +32,14 @@ import numpy as np
 
 from .attention import TraceRow
 from .data import FeatureSet
-from .decoders import _as_batch, _drop, _dropout_masks, _head_log_probs, _pad_rows
+from .decoders import (
+    _as_batch, _drop, _dropout_masks, _head_log_probs, _pad_rows, _repeat_row,
+)
 from .errors import ConfigError, ContractError, ShapeError
 from .layers import Embedding, Linear, LstmCell, Module, dropout, glorot
 from .tensor import (
-    Tensor, add_rowvec, at, concat, matmul, matmul_t, narrow, reshape, sigmoid, softmax,
-    stack_rows, take_row, tanh, transpose, weighted_sum, zeros,
+    Tensor, additive_scores, concat, matmul, matmul_t, matvec_rows, narrow, reshape, scale_rows,
+    sigmoid, softmax, stack_rows, take_row, take_rows, tanh, transpose, weighted_sum, zeros,
 )
 
 __all__ = ["DaConfig", "DaState", "DeliberateDecoder", "da_step",
@@ -58,13 +65,19 @@ class DaConfig:
 
 @dataclass(frozen=True)
 class DaState:
+    """Immutable decoder state of n rows; ``da_step`` returns a fresh one."""
     h1: Tensor
     m1: Tensor
     h2: Tensor
     m2: Tensor
-    feats: tuple                   # (global vector, regions, attn1 keys, attn2 keys)
-    draft: Optional[tuple] = None  # (h1_tilde, v1_hat) of the latest step
-    row: Optional[TraceRow] = None  # the latest step's trace row
+    feats: tuple                   # ((1, G) global row, regions, attn1 keys, attn2 keys)
+    draft: Optional[tuple] = None  # (h1_tilde, v1_hat) rows of the latest step
+    row: Optional[TraceRow] = None  # the latest step's trace rows
+
+    def take(self, idx) -> "DaState":
+        """The state of rows ``idx``, ready to step."""
+        return DaState(take_rows(self.h1, idx), take_rows(self.m1, idx),
+                       take_rows(self.h2, idx), take_rows(self.m2, idx), self.feats)
 
 
 class _ScoredAttention(Module):
@@ -86,12 +99,11 @@ class _ScoredAttention(Module):
                        (batch, rows, self.W_v.shape[0]))
 
     def scores(self, h: Tensor, keys: Tensor) -> Tensor:
-        """(L,) scores of one (H,) query; (B, L) of (B, H) queries."""
-        if h.data.ndim == 1:
-            return matmul(tanh(add_rowvec(keys, matmul(self.W_h, h))), self.w)
-        batch, rows, attn = keys.shape
-        e = tanh(add_rowvec(keys, matmul_t(h, self.W_h)))
-        return reshape(matmul(reshape(e, (batch * rows, attn)), self.w), (batch, rows))
+        """(n, L) scores of n (n, H) queries over one image's (L, attn)
+        keys, with per-row GEMVs; (B, L) of (B, H) queries over a batch's
+        (B, L, attn) keys."""
+        q = matvec_rows(h, self.W_h) if keys.data.ndim == 2 else matmul_t(h, self.W_h)
+        return additive_scores(keys, q, self.w)
 
 
 class DeliberateDecoder(Module):
@@ -142,12 +154,12 @@ class DeliberateDecoder(Module):
         if regions.shape[1] == c.region_dim:    # else da_step reports the mismatch
             keys1 = self.attn1.keys(regions)
             keys2 = self.attn2.keys(regions) if c.deliberate else None
-        z = zeros(c.hidden_dim)
-        return DaState(z, z, z, z, (v_g, regions, keys1, keys2))
+        z = zeros(1, c.hidden_dim)
+        return DaState(z, z, z, z, (reshape(v_g, (1, -1)), regions, keys1, keys2))
 
-    def step(self, state: DaState, token_id: int, training: bool = False, rng=None):
+    def step(self, state: DaState, token_ids, training: bool = False, rng=None):
         v_g, regions = state.feats[:2]
-        return da_step(self, state, token_id, v_g, regions, training=training, rng=rng)
+        return da_step(self, state, token_ids, v_g, regions, training=training, rng=rng)
 
     def forward_teacher_forced(self, features, tokens, training=False, rng=None,
                                with_aux: bool = False):
@@ -222,10 +234,12 @@ def _da_inputs(dec: DeliberateDecoder, feats: list) -> tuple[Tensor, Tensor, np.
     return Tensor(np.stack([f.global_vec for f in feats])), regions, mask
 
 
-def da_step(dec: DeliberateDecoder, state: DaState, token_id: int,
+def da_step(dec: DeliberateDecoder, state: DaState, token_ids,
             v_g: Tensor, regions: Tensor, training: bool = False, rng=None):
-    """One decoding step; returns (word distribution, new state).  The
-    region attention keys come from ``state.feats``."""
+    """One decoding step of the state's n rows on n token ids; returns
+    the (n, vocab) word distributions and the new state.  ``v_g`` is the
+    image's (1, G) global row and ``regions`` its (L, D) regions, whose
+    attention keys come from ``state.feats``."""
     c = dec.config
     L = regions.data.shape[0]
     if L < 1:
@@ -234,44 +248,49 @@ def da_step(dec: DeliberateDecoder, state: DaState, token_id: int,
     if keys1 is None:
         raise ShapeError(f"da_step: regions have dim {regions.data.shape[1]}, "
                          f"the region attention expects {c.region_dim}")
-    w_t = dec.embed.lookup_one(token_id)
+    n = len(token_ids)
+    w_t = dec.embed.lookup_one(token_ids)
+    g_rows = _repeat_row(v_g, n)
+    regions_t = transpose(regions)
 
     # first pass: draft hidden with residual word shortcut, region attention
-    y1 = concat([v_g, state.h2, w_t])
+    y1 = concat([g_rows, state.h2, w_t], axis=1)
     out1 = dec.lstm1.step(y1, state.h1, state.m1)
     h1_d = dropout(out1.h, c.dropout, training, rng)
-    h1_tilde = dec.W_rd(concat([w_t, h1_d]))
-    e1 = dec.attn1.scores(h1_tilde, keys1)
-    alpha1 = softmax(e1)
-    v1_hat = matmul(transpose(regions), alpha1)
+    h1_tilde = dec.W_rd(concat([w_t, h1_d], axis=1), per_row=True)
+    alpha1 = softmax(dec.attn1.scores(h1_tilde, keys1))
+    v1_hat = matvec_rows(alpha1, regions_t)
 
     if not c.deliberate:
-        p = softmax(dec.first_head(concat([h1_tilde, v1_hat])))
+        p = softmax(dec.first_head(concat([h1_tilde, v1_hat], axis=1), per_row=True))
         return p, DaState(out1.h, out1.m, state.h2, state.m2, state.feats,
-                          draft=(h1_tilde, v1_hat), row=TraceRow(alpha1.data, np.ones(1)))
+                          draft=(h1_tilde, v1_hat),
+                          row=TraceRow(alpha1.data, np.ones((n, 1))))
 
     # second pass: sentinel-augmented attention over regions + language slot
-    y2 = concat([v_g, h1_tilde, v1_hat])
+    y2 = concat([g_rows, h1_tilde, v1_hat], axis=1)
     out2 = dec.lstm2.step(y2, state.h2, state.m2)
     h2_d = dropout(out2.h, c.dropout, training, rng)
-    g = sigmoid(matmul(dec.W_x, y2) + matmul(dec.W_h, state.h2))
+    g = sigmoid(matvec_rows(state.h2, dec.W_h, matvec_rows(y2, dec.W_x)))
     s = g * tanh(out2.m)
     e2 = dec.attn2.scores(h2_d, keys2)
-    sent_score = matmul(tanh(matmul(dec.W_s, s) + matmul(dec.W_h3, h2_d)), dec.w_a)
-    alpha2 = softmax(concat([e2, reshape(sent_score, (1,))]))
-    s_vis = dec.sentinel_proj(s) if dec.sentinel_proj is not None else s
-    v2_hat = matmul(transpose(regions), narrow(alpha2, 0, L)) + s_vis * at(alpha2, L)
-    h2_tilde = dec.W_sd(concat([h1_tilde, h2_d, v2_hat]))
-    p = softmax(dec.out(h2_tilde))
+    sent_score = matvec_rows(tanh(matvec_rows(h2_d, dec.W_h3, matvec_rows(s, dec.W_s))),
+                             reshape(dec.w_a, (1, -1)))
+    alpha2 = softmax(concat([e2, sent_score], axis=1))
+    s_vis = dec.sentinel_proj(s, per_row=True) if dec.sentinel_proj is not None else s
+    v2_hat = matvec_rows(narrow(alpha2, 0, L), regions_t) + scale_rows(s_vis, alpha2, L)
+    h2_tilde = dec.W_sd(concat([h1_tilde, h2_d, v2_hat], axis=1), per_row=True)
+    p = softmax(dec.out(h2_tilde, per_row=True))
     return p, DaState(out1.h, out1.m, out2.h, out2.m, state.feats,
-                      draft=(h1_tilde, v1_hat), row=TraceRow(alpha2.data, alpha2.data[L:]))
+                      draft=(h1_tilde, v1_hat), row=TraceRow(alpha2.data, alpha2.data[:, L:]))
 
 
 def da_first_pass_distribution(dec: DeliberateDecoder, state: DaState) -> Tensor:
-    """Auxiliary draft-word distribution from the latest step's first pass."""
+    """Auxiliary (n, vocab) draft-word distributions from the latest
+    step's first pass."""
     if dec.first_head is None:
         raise ConfigError("the first-pass head is disabled in this configuration")
     if state.draft is None:
         raise ContractError("no step has been taken from this state yet")
     h1_tilde, v1_hat = state.draft
-    return softmax(dec.first_head(concat([h1_tilde, v1_hat])))
+    return softmax(dec.first_head(concat([h1_tilde, v1_hat], axis=1), per_row=True))

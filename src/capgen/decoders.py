@@ -8,16 +8,25 @@ emits the word distribution.  ``build_variant`` wires the six published
 configurations: a single-LSTM baseline, temporal/spatial attention,
 concatenation fusion, parallel adaptive attention, and two fused streams.
 
-Every decoder (``da.DeliberateDecoder`` too) follows one protocol:
-``init_state(features)`` builds the first state, and
-``step(state, token_id, training, rng) -> (p, state)`` returns the word
-distribution and a fresh state whose ``row`` is that step's
-``TraceRow(alpha, beta)``.  States never collect rows; the search in
-``search.py`` gathers them along a caption.  A two-LSTM state's ``feats``
-carries the attention keys ``feats @ U_a.T`` next to the features they
-project, and the mask of real feature rows: ``init_state`` computes the
-keys once, and every step of greedy, beam and sampled decoding reuses
-them.
+Every decoder (``da.DeliberateDecoder`` too) follows one protocol, the
+rows protocol.  ``init_state(features)`` builds a one-row state over one
+clip's features.  ``step(state, token_ids, training, rng) -> (p, state)``
+steps a state of n rows on n token ids, one per row, and returns the
+(n, vocab) word distributions and a fresh state whose ``row`` is that
+step's ``TraceRow(alpha, beta)`` of (n, ·) arrays.  ``state.take(idx)``
+gathers rows by index, so beam search steps all its live hypotheses as
+one state and keeps the survivors' rows; greedy and sampled decoding
+step one row.  States never collect trace rows; the search in
+``search.py`` gathers them along a caption.  A two-LSTM state's
+``feats`` carries the attention keys ``feats @ U_a.T`` next to the
+features they project, and the mask of real feature rows: ``init_state``
+computes the keys once, and every row of every step reuses them.
+
+Every product of a decoding step is one GEMV per row (``matvec_rows``),
+so row i of a step over n rows equals the step of row i alone bit for
+bit, and a beam-5 decode gives the captions and log-probs of stepping
+each hypothesis on its own.  A GEMM over n rows would not: it moves
+log-probs by about 1e-13.
 
 ``forward_teacher_forced(features, tokens, training, rng)`` takes one
 caption, a ``FeatureSet`` and its token ids, and returns (T, vocab)
@@ -31,6 +40,11 @@ LSTM whose input does not feed back, the recurrences on (B, H) states,
 attention once per step over the (B, L, D) feature sets padded to the
 longest (padded rows weigh exactly 0), and one word head and
 ``log_softmax`` over all B·T rows.  A single caption is a batch of one.
+Its products stay GEMMs (``matmul_t``): per-row GEMVs would keep bits
+that training does not need, and cost more at training batch sizes.
+Against a (512, 512) weight, on one BLAS thread of a 2-vCPU Xeon, per-row
+GEMVs took 594 µs for 8 rows and 4,006 µs for 64, where one GEMM took 254
+and 1,069 µs.
 Padded steps of a shorter caption run too; the loss masks them, so they
 add exactly 0 to every gradient.  Dropout masks are drawn caption by
 caption in batch order, each caption's as one draw, so a seeded batch
@@ -54,7 +68,8 @@ from .data import BOS_ID, CaptionBatch, FeatureSet
 from .errors import ConfigError, ContractError, ShapeError
 from .layers import Embedding, Linear, LstmCell, Module, dropout, dropout_mask
 from .tensor import (
-    Tensor, concat, log_softmax, reshape, softmax, stack_rows, tanh, transpose, zeros,
+    Tensor, concat, log_softmax, reshape, softmax, stack_rows, take_rows, tanh, transpose,
+    zeros,
 )
 
 __all__ = [
@@ -85,13 +100,18 @@ class DecoderConfig:
 
 @dataclass(frozen=True)
 class DecoderState:
-    """Immutable per-step decoder state; step() returns a fresh one."""
+    """Immutable decoder state of n rows; step() returns a fresh one."""
     h: Tensor
     m: Tensor
     h_top: Tensor
     m_top: Tensor
     feats: tuple                    # (features, keys, mask) per attention
-    row: Optional[TraceRow] = None  # the latest step's trace row
+    row: Optional[TraceRow] = None  # the latest step's trace rows
+
+    def take(self, idx) -> "DecoderState":
+        """The state of rows ``idx``, ready to step."""
+        return DecoderState(take_rows(self.h, idx), take_rows(self.m, idx),
+                            take_rows(self.h_top, idx), take_rows(self.m_top, idx), self.feats)
 
 
 def _nearest_segment_rows(frames: np.ndarray, segments: np.ndarray) -> np.ndarray:
@@ -104,11 +124,11 @@ def _nearest_segment_rows(frames: np.ndarray, segments: np.ndarray) -> np.ndarra
     return segments[idx]
 
 
-def _word_logits(dec, x: Tensor) -> Tensor:
+def _word_logits(dec, x: Tensor, per_row: bool = False) -> Tensor:
     """Word MLP logits U_p tanh(W_p x + b_p) + d over the decoder's
-    ``out_hidden`` and ``out_vocab`` layers; ``x`` is one (d,) input or a
-    (T, d) matrix of them."""
-    return dec.out_vocab(tanh(dec.out_hidden(x)))
+    ``out_hidden`` and ``out_vocab`` layers, for (n, d) rows ``x``; with
+    ``per_row``, one GEMV per row, as decoding takes them."""
+    return dec.out_vocab(tanh(dec.out_hidden(x, per_row)), per_row)
 
 
 class BasicDecoder(Module):
@@ -127,21 +147,19 @@ class BasicDecoder(Module):
         self.out_vocab = Linear(c.hidden_dim, c.vocab_size, rng)
 
     def init_state(self, features: FeatureSet) -> DecoderState:
-        frames = Tensor(features.require("temporal"))
-        vbar = mean_pool(frames)
-        h = zeros(self.config.hidden_dim)
-        m = zeros(self.config.hidden_dim)
-        return DecoderState(h, m, h, m, (vbar,))
+        vbar = reshape(mean_pool(Tensor(features.require("temporal"))), (1, -1))
+        h = zeros(1, self.config.hidden_dim)
+        return DecoderState(h, h, h, h, (vbar,))
 
-    def step(self, state: DecoderState, token_id: int,
-             training: bool = False, rng=None):
+    def step(self, state: DecoderState, token_ids, training: bool = False, rng=None):
         c = self.config
         (vbar,) = state.feats
-        y = concat([self.embed.lookup_one(token_id), vbar])
+        n = len(token_ids)
+        y = concat([self.embed.lookup_one(token_ids), _repeat_row(vbar, n)], axis=1)
         out = self.lstm.step(y, state.h, state.m)
         h_d = dropout(out.h, c.dropout, training, rng)
-        p = softmax(_word_logits(self, h_d))
-        row = TraceRow(np.ones(1), np.ones(1))
+        p = softmax(_word_logits(self, h_d, per_row=True))
+        row = TraceRow(np.ones((n, 1)), np.ones((n, 1)))
         return p, DecoderState(out.h, out.m, out.h, out.m, state.feats, row)
 
     def forward_teacher_forced(self, features, tokens, training=False, rng=None):
@@ -224,20 +242,20 @@ class HierarchicalDecoder(Module):
         """Attend-and-gate over ``DecoderState.feats``:
         ``attend(h_d, ht_d) -> (blended context, TraceRow)``."""
         source, keys, mask = feats
+        per_row = source.data.ndim == 2     # decoding one clip, not a padded batch
 
         def attend(h_d, ht_d):
             ctx, alpha = self.attn.attend(h_d, source, keys, mask)
             if self.gate is None:
-                return ctx, TraceRow(alpha.data, np.ones(1))
+                return ctx, TraceRow(alpha.data, np.ones((alpha.shape[0], 1)))
             blended, beta = adaptive_blend(self.gate, h_d, ctx, ht_d,
-                                           force=self.gate_override)
-            return blended, TraceRow(alpha.data, beta.data.reshape(-1))
+                                           force=self.gate_override, per_row=per_row)
+            return blended, TraceRow(alpha.data, beta.data)
 
         return attend
 
-    def step(self, state: DecoderState, token_id: int,
-             training: bool = False, rng=None):
-        return _two_lstm_step(self, state, token_id, training, rng,
+    def step(self, state: DecoderState, token_ids, training: bool = False, rng=None):
+        return _two_lstm_step(self, state, token_ids, training, rng,
                               self._attender(state.feats))
 
     def forward_teacher_forced(self, features, tokens, training=False, rng=None):
@@ -286,18 +304,19 @@ class ParallelDecoder(Module):
         """Attend-and-gate over ``DecoderState.feats``:
         ``attend(h_d, ht_d) -> (blended context, TraceRow)``."""
         static, static_keys, static_mask, motion, motion_keys, motion_mask = feats
+        per_row = static.data.ndim == 2     # decoding one clip, not a padded batch
 
         def attend(h_d, ht_d):
             ctx1, alpha1 = self.attn_static.attend(h_d, static, static_keys, static_mask)
             ctx2, _ = self.attn_motion.attend(h_d, motion, motion_keys, motion_mask)
-            blended, betas = parallel_adaptive_blend(self.gate, h_d, ctx1, ctx2, ht_d)
+            blended, betas = parallel_adaptive_blend(self.gate, h_d, ctx1, ctx2, ht_d,
+                                                     per_row=per_row)
             return blended, TraceRow(alpha1.data, betas.data)
 
         return attend
 
-    def step(self, state: DecoderState, token_id: int,
-             training: bool = False, rng=None):
-        return _two_lstm_step(self, state, token_id, training, rng,
+    def step(self, state: DecoderState, token_ids, training: bool = False, rng=None):
+        return _two_lstm_step(self, state, token_ids, training, rng,
                               self._attender(state.feats))
 
     def forward_teacher_forced(self, features, tokens, training=False, rng=None):
@@ -307,16 +326,16 @@ class ParallelDecoder(Module):
 def _two_lstm_init(dec, features, attentions: tuple) -> DecoderState:
     """Bottom LSTM from projections of the pooled features, top from zeros.
 
-    ``features`` is one ``FeatureSet`` or a sequence of B of them; each
-    of ``attentions`` attends over the matching entry of
-    ``dec._sources``.  A batch pads each source to its longest feature
-    set, and its states are (B, H)."""
+    ``features`` is one ``FeatureSet``, which gives a one-row state for
+    decoding, or a sequence of B of them, which gives the (B, H) state of
+    a teacher-forced batch; each of ``attentions`` attends over the
+    matching entry of ``dec._sources``.  A batch pads each source to its
+    longest feature set."""
     c = dec.config
     if isinstance(features, FeatureSet):
         sources = [Tensor(a) for a in dec._sources(features)]
-        pooled = concat([mean_pool(s) for s in sources])
+        pooled = reshape(concat([mean_pool(s) for s in sources]), (1, -1))
         feats = tuple(x for attn, s in zip(attentions, sources) for x in (s, attn.keys(s), None))
-        shape = (c.hidden_dim,)
     else:
         per_caption = [dec._sources(f) for f in features]
         pooled = Tensor(np.stack([np.concatenate([a.mean(axis=0) for a in sources])
@@ -325,9 +344,15 @@ def _two_lstm_init(dec, features, attentions: tuple) -> DecoderState:
         for k, attn in enumerate(attentions):
             source, mask = _pad_rows([sources[k] for sources in per_caption])
             feats += (source, attn.keys(source), mask)
-        shape = (len(per_caption), c.hidden_dim)
-    return DecoderState(dec.init_h(pooled), dec.init_m(pooled),
-                        zeros(*shape), zeros(*shape), feats)
+    per_row = isinstance(features, FeatureSet)
+    top = zeros(pooled.shape[0], c.hidden_dim)
+    return DecoderState(dec.init_h(pooled, per_row), dec.init_m(pooled, per_row), top, top,
+                        feats)
+
+
+def _repeat_row(x: Tensor, n: int) -> Tensor:
+    """A constant (1, d) row of a clip's features as n rows."""
+    return x if n == 1 else Tensor(np.repeat(x.data, n, axis=0))
 
 
 def _pad_rows(arrays: list[np.ndarray]) -> tuple[Tensor, np.ndarray]:
@@ -342,19 +367,20 @@ def _pad_rows(arrays: list[np.ndarray]) -> tuple[Tensor, np.ndarray]:
     return Tensor(padded), mask
 
 
-def _two_lstm_step(dec, state: DecoderState, token_id: int, training, rng, attend):
-    """One step of a two-LSTM decoder: embed, bottom LSTM, dropout, top LSTM,
-    dropout, then ``attend(h_d, ht_d) -> (blended context, TraceRow)`` and
-    the word head over [output hidden; blended context]."""
+def _two_lstm_step(dec, state: DecoderState, token_ids, training, rng, attend):
+    """One step of a two-LSTM decoder's n rows: embed, bottom LSTM,
+    dropout, top LSTM, dropout, then ``attend(h_d, ht_d) -> (blended
+    context, TraceRow)`` and the word head over [output hidden; blended
+    context]."""
     c = dec.config
-    y = dec.embed.lookup_one(token_id)
+    y = dec.embed.lookup_one(token_ids)
     bot = dec.bottom.step(y, state.h, state.m)
     h_d = dropout(bot.h, c.dropout, training, rng)
     top = dec.top.step(h_d, state.h_top, state.m_top)
     ht_d = dropout(top.h, c.dropout, training, rng)
     blended, row = attend(h_d, ht_d)
     out_h = h_d if c.output_hidden == "bottom" else ht_d
-    p = softmax(_word_logits(dec, concat([out_h, blended])))
+    p = softmax(_word_logits(dec, concat([out_h, blended], axis=1), per_row=True))
     return p, DecoderState(bot.h, bot.m, top.h, top.m, state.feats, row)
 
 
@@ -476,6 +502,9 @@ class TwoStreamState:
     def row(self) -> Optional[TraceRow]:
         return self.s1.row
 
+    def take(self, idx) -> "TwoStreamState":
+        return TwoStreamState(self.s1.take(idx), self.s2.take(idx))
+
 
 class TwoStreamDecoder(Module):
     """Two independently trained decoders whose distributions are averaged.
@@ -503,10 +532,9 @@ class TwoStreamDecoder(Module):
         f1, f2 = _stream_views(features)
         return TwoStreamState(self.stream1.init_state(f1), self.stream2.init_state(f2))
 
-    def step(self, state: TwoStreamState, token_id: int,
-             training: bool = False, rng=None):
-        p1, s1 = self.stream1.step(state.s1, token_id, training, rng)
-        p2, s2 = self.stream2.step(state.s2, token_id, training, rng)
+    def step(self, state: TwoStreamState, token_ids, training: bool = False, rng=None):
+        p1, s1 = self.stream1.step(state.s1, token_ids, training, rng)
+        p2, s2 = self.stream2.step(state.s2, token_ids, training, rng)
         return two_stream_fuse(p1, p2), TwoStreamState(s1, s2)
 
     def stream_teacher_forced(self, features, tokens, training=False, rng=None):

@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import ContractError, FormatError, ShapeError, VocabularyError
 from .tensor import (
-    Tensor, add_rowvec, matmul, matmul_t, reshape, sigmoid, take_row, take_rows, tanh,
+    Tensor, add_rowvec, matmul_t, matvec_rows, reshape, sigmoid, take_row, take_rows, tanh,
 )
 
 __all__ = ["Module", "LstmCell", "LstmOut", "GateInputs", "Embedding", "Linear",
@@ -72,10 +72,9 @@ class LstmOut(NamedTuple):
 
 
 class GateInputs(NamedTuple):
-    """Input products ``W_gate y`` of the four gates: (H,) vectors for one
-    step, or (T, B, H) tensors for a batch of B sequences
-    (``LstmCell.input_products``), whose ``row(t)`` is step t's (B, H)
-    matrices."""
+    """Input products ``W_gate y`` of the four gates: (T, B, H) tensors
+    for a batch of B sequences (``LstmCell.input_products``), whose
+    ``row(t)`` is step t's (B, H) matrices, or one step's (B, H) ones."""
     i: Tensor
     f: Tensor
     o: Tensor
@@ -93,13 +92,16 @@ class LstmCell(Module):
     m_t = f*m_prev + i*g and the output h_t = o*tanh(m_t).  The forget
     bias starts at 1.0 to keep early training stable.
 
-    ``step`` runs one (H,) state, or a batch of B states as (B, H)
-    matrices.  The input products W y do not depend on the recurrence, so
-    when a batch's whole input sequences are known up front
-    ``input_products`` computes them with one GEMM per gate, and a
-    batched ``step`` takes each step's rows in place of the raw input.
-    Where the input feeds back, ``input_products`` of one step's
-    (B, input_dim) rows gives that step's products.
+    ``step`` runs n states as (n, H) matrices.  The input products W y
+    do not depend on the recurrence, so when a batch's whole input
+    sequences are known up front ``input_products`` computes them with
+    one GEMM per gate, and ``step`` takes each step's rows in place of
+    the raw input.  Where the input feeds back, ``input_products`` of one
+    step's (B, input_dim) rows gives that step's products.  Decoding
+    hands ``step`` the raw (n, input_dim) rows instead, and every product
+    of the step is then one GEMV per row (``matvec_rows``): row i equals
+    the step of that row alone bit for bit, which beam search relies on
+    to step all its hypotheses at once.
     """
 
     GATES = ("i", "f", "o", "g")
@@ -114,19 +116,19 @@ class LstmCell(Module):
         self.b_f.data[:] = 1.0
 
     def _check(self, y, h_prev: Tensor, m_prev: Tensor) -> None:
-        state = h_prev.shape[:-1] + (self.hidden_dim,)
-        if h_prev.data.ndim not in (1, 2) or h_prev.shape != state:
+        if h_prev.data.ndim != 2 or h_prev.shape[1] != self.hidden_dim:
             raise ShapeError(
-                f"recurrent block U_i expects hidden of dim {self.hidden_dim}, got {h_prev.shape}")
-        if m_prev.shape != state:
+                f"recurrent block U_i expects (n, {self.hidden_dim}) hidden rows, "
+                f"got {h_prev.shape}")
+        if m_prev.shape != h_prev.shape:
+            raise ShapeError(f"memory block expects shape {h_prev.shape}, got {m_prev.shape}")
+        if isinstance(y, GateInputs):
+            if y.i.shape != h_prev.shape:
+                raise ShapeError(f"a step takes GateInputs rows of shape {h_prev.shape}")
+        elif y.shape != (h_prev.shape[0], self.input_dim):
             raise ShapeError(
-                f"memory block expects shape {state}, got {m_prev.shape}")
-        if h_prev.data.ndim == 2:
-            if not isinstance(y, GateInputs) or y.i.shape != state:
-                raise ShapeError(f"a batched step takes GateInputs rows of shape {state}")
-        elif y.shape != (self.input_dim,):
-            raise ShapeError(
-                f"input-gate block W_i expects input of dim {self.input_dim}, got {y.shape}")
+                f"input-gate block W_i expects ({h_prev.shape[0]}, {self.input_dim}) input "
+                f"rows, got {y.shape}")
 
     def input_products(self, ys: Tensor) -> GateInputs:
         """``ys @ W_gate.T`` for a (T, B, input_dim) batch of input
@@ -143,20 +145,20 @@ class LstmCell(Module):
         return GateInputs(*(matmul_t(ys, getattr(self, f"W_{gate}")) for gate in self.GATES))
 
     def step(self, y, h_prev: Tensor, m_prev: Tensor) -> LstmOut:
-        """One step of an (H,) state from the raw (input_dim,) input ``y``,
-        or of a batch of (B, H) states from the step's (B, H)
-        ``GateInputs`` rows in place of the raw inputs; each gate's
-        pre-activation is (W y + U h_prev) + b."""
+        """One step of (n, H) states from the step's raw (n, input_dim)
+        input rows, with per-row GEMV products, or from its (n, H)
+        ``GateInputs`` rows, with a GEMM for the recurrent products; each
+        gate's pre-activation is (W y + U h_prev) + b."""
         self._check(y, h_prev, m_prev)
-        if h_prev.data.ndim == 1:
-            y = GateInputs(matmul(self.W_i, y), matmul(self.W_f, y),
-                           matmul(self.W_o, y), matmul(self.W_g, y))
-
-            def pre(w_y, u, b):
-                return w_y + matmul(u, h_prev) + b
-        else:
+        if isinstance(y, GateInputs):
             def pre(w_y, u, b):
                 return add_rowvec(w_y + matmul_t(h_prev, u), b)
+        else:
+            y = GateInputs(matvec_rows(y, self.W_i), matvec_rows(y, self.W_f),
+                           matvec_rows(y, self.W_o), matvec_rows(y, self.W_g))
+
+            def pre(w_y, u, b):
+                return matvec_rows(h_prev, u, w_y, b)
 
         i = sigmoid(pre(y.i, self.U_i, self.b_i))
         f = sigmoid(pre(y.f, self.U_f, self.b_f))
@@ -185,15 +187,18 @@ class Embedding(Module):
                 f"token id {int(bad[0])} outside vocabulary of size {self.vocab_size}")
         return take_rows(self.E, ids)
 
-    def lookup_one(self, idx: int) -> Tensor:
-        idx = int(idx)
-        if not 0 <= idx < self.vocab_size:
-            raise VocabularyError(f"token id {idx} outside vocabulary of size {self.vocab_size}")
-        return take_row(self.E, idx)
+    def lookup_one(self, ids) -> Tensor:
+        """One decoding step's rows: a sequence of n token ids -> (n, dim)."""
+        for idx in ids:
+            if not 0 <= idx < self.vocab_size:
+                raise VocabularyError(
+                    f"token id {idx} outside vocabulary of size {self.vocab_size}")
+        return take_rows(self.E, ids)
 
 
 class Linear(Module):
-    """Affine map y = W x (+ b); also applies row-wise to matrices."""
+    """Affine map y = W x (+ b), applied to each row of an (n, in_dim)
+    matrix."""
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator,
                  bias: bool = True):
@@ -202,10 +207,11 @@ class Linear(Module):
         self.W = glorot(rng, out_dim, in_dim)
         self.b = _zeros_param(out_dim) if bias else None
 
-    def __call__(self, x: Tensor) -> Tensor:
-        if x.data.ndim == 1:
-            y = matmul(self.W, x)
-            return y + self.b if self.b is not None else y
+    def __call__(self, x: Tensor, per_row: bool = False) -> Tensor:
+        """The map of (n, in_dim) rows: one GEMM, or with ``per_row`` one
+        GEMV per row (``matvec_rows``), as decoding takes it."""
+        if per_row:
+            return matvec_rows(x, self.W, *(() if self.b is None else (self.b,)))
         y = matmul_t(x, self.W)
         return add_rowvec(y, self.b) if self.b is not None else y
 

@@ -3,12 +3,17 @@
 Scores are plain cumulative log-probabilities, with no length
 normalization.  Both procedures are deterministic: argmax ties resolve to
 the lowest token id, and beam candidates with equal scores order by token
-sequence.  Beam search selects each step's k best expansions from the
-(k, V) log-prob matrix of its live hypotheses with one partition and one
-lexsort, so no per-candidate Python object is built.  The search alone
-records traces: with ``record_trace`` it collects each step's
-``state.row`` along the returned caption, the EOS step included, into
-``GenerationResult.trace``.
+sequence.  Decoders follow the rows protocol of ``decoders.py``: greedy
+decoding steps a one-row state; beam search steps all its n <= k live
+hypotheses as the n rows of one state, one ``step`` call per search step,
+and then gathers the survivors' rows with ``state.take``.  Each row's
+distribution equals that of stepping its hypothesis alone, bit for bit,
+because decoding takes every product as one GEMV per row.  Beam search
+selects each step's k best expansions from the (n, V) log-prob matrix
+with one partition and one lexsort, so no per-candidate Python object is
+built.  The search alone records traces: with ``record_trace`` it
+collects each step's trace row along the returned caption, the EOS step
+included, into ``GenerationResult.trace``.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ class GenerationResult:
     tokens: list[int]            # generated ids, BOS/EOS stripped
     logprob: float               # cumulative log-prob including the EOS step
     trace: Optional[tuple] = None  # one TraceRow per step, with record_trace
-    steps: int = 0               # decoder steps run per hypothesis
+    steps: int = 0               # search steps run, one decoder step call each
     stopped_early: bool = False  # ended by its own stop rule, not by max_len
     finished: int = 0            # captions that emitted EOS (beam: pool size)
 
@@ -50,14 +55,15 @@ def greedy_decode(decoder, features, max_len: int = 30,
     logprob = 0.0
     finished = 0
     for steps in range(1, max_len + 1):
-        p, state = decoder.step(state, tok)
+        p, state = decoder.step(state, [tok])
         if record_trace:
-            rows.append(state.row)
-        nxt = int(np.argmax(p.data))
-        if not p.data[nxt] > 0.0:
+            rows.append(state.row.pick(0))
+        probs = p.data[0]
+        nxt = int(np.argmax(probs))
+        if not probs[nxt] > 0.0:
             raise ContractError(f"greedy decode: no token had positive probability at step {steps}, "
                                 "so no caption can be expanded")
-        logprob += float(np.log(p.data[nxt]))
+        logprob += float(np.log(probs[nxt]))
         if nxt == EOS_ID:
             finished = 1
             break
@@ -72,7 +78,6 @@ def greedy_decode(decoder, features, max_len: int = 30,
 class _Hyp:
     tokens: tuple
     logprob: float
-    state: object
     rows: Optional[tuple]  # trace rows along this caption; None when not recorded
 
 
@@ -109,14 +114,15 @@ def beam_search(decoder, features, k: int = 5, max_len: int = 30,
                 record_trace: bool = False) -> GenerationResult:
     """Keep the k best partial captions per step; return the best finished one.
 
-    Each step runs the decoder once per live hypothesis, stacks the
-    distributions into one (n, V) matrix, and keeps the k best expansions
-    overall (``_expand``): highest score first, equal scores in
-    lexicographic token order.  Expansions that emit EOS are frozen into a
-    completed pool capped at k.  A score is the caption's raw cumulative
-    log-prob, with no length normalization; it only falls as a caption
-    grows, so the search stops early once no live score beats the worst
-    pooled one.  Hypotheses still alive at max_len
+    Each step runs the decoder once on the live hypotheses as the rows of
+    one state, which gives one (n, V) matrix of distributions, and keeps
+    the k best expansions overall (``_expand``): highest score first,
+    equal scores in lexicographic token order.  The next step runs on
+    their parents' rows, gathered by ``state.take``.  Expansions that
+    emit EOS are frozen into a completed pool capped at k.  A score is the
+    caption's raw cumulative log-prob, with no length normalization; it
+    only falls as a caption grows, so the search stops early once no live
+    score beats the worst pooled one.  Hypotheses still alive at max_len
     compete with the pool on score, which is also the fallback when
     nothing finished.  Tokens the model gives zero probability are never
     expanded; if no token can be expanded and nothing finished, the search
@@ -130,23 +136,21 @@ def beam_search(decoder, features, k: int = 5, max_len: int = 30,
     if max_len < 1:
         raise ContractError(f"max_len must be >= 1, got {max_len}")
 
-    live = [_Hyp((), 0.0, decoder.init_state(features), () if record_trace else None)]
+    state = decoder.init_state(features)
+    live = [_Hyp((), 0.0, () if record_trace else None)]
     completed: list[_Hyp] = []
     stopped_early = False
     for steps in range(1, max_len + 1):
-        rows, states = [], []
-        for hyp in live:
-            p, state = decoder.step(hyp.state, hyp.tokens[-1] if hyp.tokens else BOS_ID)
-            rows.append(p.data)
-            states.append(state)
+        p, state = decoder.step(state, [h.tokens[-1] if h.tokens else BOS_ID for h in live])
         # the step keeps the k best candidates overall; EOS ones freeze
-        new_live = []
-        for score, i, tok in _expand(live, np.stack(rows), k):
-            trace = None if live[i].rows is None else live[i].rows + (states[i].row,)
+        new_live, parents = [], []
+        for score, i, tok in _expand(live, p.data, k):
+            trace = None if live[i].rows is None else live[i].rows + (state.row.pick(i),)
             if tok == EOS_ID:
-                completed.append(_Hyp(live[i].tokens, score, states[i], trace))
+                completed.append(_Hyp(live[i].tokens, score, trace))
             else:
-                new_live.append(_Hyp(live[i].tokens + (tok,), score, states[i], trace))
+                new_live.append(_Hyp(live[i].tokens + (tok,), score, trace))
+                parents.append(i)
         completed.sort(key=lambda h: (-h.logprob, h.tokens))
         del completed[k:]
         live = new_live
@@ -154,6 +158,7 @@ def beam_search(decoder, features, k: int = 5, max_len: int = 30,
         if not live or (completed and live[0].logprob <= completed[-1].logprob):
             stopped_early = True
             break
+        state = state.take(parents)
     if not completed and not live:
         raise ContractError(f"beam search: no token had positive probability at step {steps}, "
                             "so no caption can be expanded")

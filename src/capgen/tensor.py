@@ -8,13 +8,14 @@ tape are plain forward arithmetic, which keeps inference and
 finite-difference probing cheap.
 
 Leaf gradients of weight products and row gathers are deferred.  A
-``matmul`` with a vector on one side, and a ``matmul_t`` of a batch of
-rows against a weight, hand back the two factors ``u @ v`` of their
-weight gradient (rank 1 for a vector, rank B for B rows), and
-``take_row``/``take_rows`` hand back the gathered row ids with their
-gradient rows.  When the input is a recorded node the factors are
-expanded into a dense array on the spot, so every other op sees plain
-ndarrays; row gradients of one node are added in place into one array.
+``matmul`` with a vector on one side, and a ``matmul_t`` or
+``matvec_rows`` of a batch of rows against a weight, hand back the two
+factors ``u @ v`` of their weight gradient (rank 1 for a vector, rank B
+for B rows), and ``take_row``/``take_rows`` hand back the gathered row
+ids with their gradient rows.  When the input is a recorded node the
+factors are expanded into a dense array on the spot, so every other op
+sees plain ndarrays; row gradients of one node are added in place into
+one array.
 When the input is a leaf, ``backward()`` collects the factors during the
 reverse sweep and adds them once at the end: one ``(m, K) @ (K, n)``
 product per weight, K summed over every step and row, and one
@@ -35,7 +36,9 @@ Conventions:
     tensor-with-scalar-tensor (size 1).  Everything else raises
     ``ShapeError`` so that a mis-shaped equation fails loudly.  A leading
     batch axis goes through named ops that say how it is combined:
-    ``matmul_t`` (rows against a weight), ``add_rowvec`` (one vector per
+    ``matmul_t`` (rows against a weight as one GEMM), ``matvec_rows``
+    (the same product as one GEMV per row), ``additive_scores`` (query
+    rows against shared or per-row keys), ``add_rowvec`` (one vector per
     matrix), ``scale_rows`` (one scale per row), ``softmax`` with a row
     mask, and ``weighted_sum`` (one weighted row sum per batch entry).
   * a tape and its tensors belong to one thread; independent tapes may
@@ -53,10 +56,11 @@ from .errors import ContractError, DomainError, ShapeError
 
 __all__ = [
     "Tensor", "Tape", "backward", "zeros",
-    "add", "sub", "mul", "neg", "matmul", "matmul_t", "transpose",
+    "add", "sub", "mul", "neg", "matmul", "matmul_t", "matvec_rows", "additive_scores",
+    "transpose",
     "sigmoid", "tanh", "log", "softmax", "log_softmax",
     "concat", "sum_all", "mean_rows", "add_rowvec", "scale_rows", "weighted_sum",
-    "take_rows", "take_row", "at", "narrow", "pick_per_row",
+    "take_rows", "take_row", "narrow", "pick_per_row",
     "stack_rows", "reshape",
 ]
 
@@ -410,6 +414,66 @@ def matmul_t(a: Tensor, w: Tensor) -> Tensor:
     return _record(out, (a, w), grad_fn)
 
 
+def matvec_rows(x: Tensor, w: Tensor, *terms: Tensor) -> Tensor:
+    """``w @ x[i]`` for each row of an (n, k) ``x`` and an (m, k) weight
+    -> (n, m), one matrix-vector product per row, then each of ``terms``
+    added in order: an (n, m) matrix, or an (m,) vector added to every
+    row (a bias).
+
+    Row i equals ``w @ x[i] + terms...`` bit for bit, whatever n is,
+    which a GEMM ``x @ w.T`` does not promise: a decoding step over n
+    rows gives each row what a step of that row alone gives.  Folding the
+    additions into the product saves an op per addend on a decoding
+    step.  The weight's gradient is deferred as a rank-n factor, as in
+    ``matmul_t``."""
+    xd, wd = x.data, w.data
+    if xd.ndim != 2 or wd.ndim != 2 or xd.shape[1] != wd.shape[1]:
+        raise ShapeError(f"matvec_rows: rows {xd.shape} do not match weight {wd.shape}")
+    y = (wd @ xd[0])[None] if len(xd) == 1 else np.matmul(wd, xd[:, :, None])[:, :, 0]
+    for t in terms:
+        if t.data.shape not in (y.shape, y.shape[1:]):
+            raise ShapeError(f"matvec_rows: term {t.data.shape} does not match {y.shape}")
+        y += t.data
+    out = Tensor(y)
+
+    def grad_fn(g):
+        return (g @ wd if x.requires_grad else None,
+                _Outer(g.T, xd) if w.requires_grad else None,
+                *(None if not t.requires_grad else g if t.data.ndim == 2 else g.sum(axis=0)
+                  for t in terms))
+
+    return _record(out, (x, w) + terms, grad_fn)
+
+
+def additive_scores(keys: Tensor, q: Tensor, w: Tensor) -> Tensor:
+    """``tanh(keys + q[i]) @ w`` for each row of an (n, A) ``q`` -> (n, L)
+    additive-attention scores, against one (L, A) set of keys that every
+    row shares (decoding one clip), or against row i's own keys of an
+    (n, L, A) batch (teacher forcing).
+
+    One op for the key add, the ``tanh`` and the score product, and one
+    GEMV per row for the product: row i's scores equal
+    ``tanh(keys + q[i]) @ w`` bit for bit, whatever n is."""
+    kd, qd, wd = keys.data, q.data, w.data
+    if (kd.ndim not in (2, 3) or qd.ndim != 2 or not wd.shape == kd.shape[-1:] == qd.shape[1:]
+            or kd.ndim == 3 and len(kd) != len(qd)):
+        raise ShapeError(f"additive_scores: keys {kd.shape}, queries {qd.shape} "
+                         f"and weights {wd.shape} do not match")
+    e = np.tanh(kd + qd[:, None, :])                      # (n, L, A)
+    out = Tensor((e[0] @ wd)[None] if len(qd) == 1 else np.matmul(e, wd))
+
+    def grad_fn(g):
+        gk = gq = None
+        if keys.requires_grad or q.requires_grad:
+            pre = g[:, :, None] * wd * (1.0 - e * e)         # (n, L, A)
+            if keys.requires_grad:
+                gk = pre if kd.ndim == 3 else pre.sum(axis=0)
+            gq = pre.sum(axis=1) if q.requires_grad else None
+        return gk, gq, (g.reshape(-1) @ e.reshape(-1, wd.shape[0]) if w.requires_grad else None)
+
+    return _record(out, (keys, q, w), grad_fn)
+
+
 def transpose(a: Tensor, axes=None) -> Tensor:
     """Matrix transpose; with ``axes``, that permutation of any tensor's axes."""
     if axes is None and a.data.ndim != 2:
@@ -454,7 +518,7 @@ def softmax(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
                          f"got {x.shape}" + ("" if mask is None else f" and mask {mask.shape}"))
     if x.size == 0:
         raise ShapeError("softmax of empty input")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise DomainError("softmax input contains non-finite entries")
     if x.ndim == 1:
         z = np.exp(x - x.max())
@@ -482,7 +546,7 @@ def log_softmax(a: Tensor) -> Tensor:
         raise ShapeError(f"log_softmax expects a vector or a matrix, got shape {x.shape}")
     if x.size == 0:
         raise ShapeError("log_softmax of empty input")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise DomainError("log_softmax input contains non-finite entries")
     z = x - x.max(axis=-1, keepdims=True)
     y = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
@@ -599,29 +663,16 @@ def take_row(a: Tensor, i: int) -> Tensor:
     return _record(out, (a,), lambda g: (_Rows(i, g),))
 
 
-def at(a: Tensor, i: int) -> Tensor:
-    """Single entry of a 1-D tensor as a scalar tensor."""
-    if a.data.ndim != 1:
-        raise ShapeError(f"at expects a 1-D tensor, got shape {a.data.shape}")
-    out = Tensor(np.asarray(a.data[i]))
-
-    def grad_fn(g):
-        ga = np.zeros_like(a.data)
-        ga[i] = g
-        return (ga,)
-
-    return _record(out, (a,), grad_fn)
-
-
 def narrow(a: Tensor, start: int, length: int) -> Tensor:
-    """Contiguous 1-D slice [start, start+length)."""
-    if a.data.ndim != 1:
-        raise ShapeError(f"narrow expects a 1-D tensor, got shape {a.data.shape}")
-    out = Tensor(a.data[start:start + length])
+    """Contiguous slice [start, start+length) of the last axis of a
+    vector, or of every row of a matrix."""
+    if a.data.ndim not in (1, 2):
+        raise ShapeError(f"narrow expects a vector or a matrix, got shape {a.data.shape}")
+    out = Tensor(a.data[..., start:start + length])
 
     def grad_fn(g):
         ga = np.zeros_like(a.data)
-        ga[start:start + length] = g
+        ga[..., start:start + length] = g
         return (ga,)
 
     return _record(out, (a,), grad_fn)

@@ -9,6 +9,7 @@ baseline, and push log-probs in proportion to the reward advantage.
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -30,7 +31,7 @@ from .optim import (
 )
 from .search import greedy_decode
 from .tensor import (
-    Tape, Tensor, at, backward, log, pick_per_row, reshape, sum_all,
+    Tape, Tensor, backward, log, pick_per_row, reshape, sum_all,
 )
 
 __all__ = [
@@ -97,10 +98,10 @@ def _sample_caption(decoder, features, rng, max_len):
     tokens: list[int] = []
     terms = []
     for _ in range(max_len):
-        p, state = decoder.step(state, tok)
-        probs = p.data / p.data.sum()
+        p, state = decoder.step(state, [tok])
+        probs = p.data[0] / p.data[0].sum()
         nxt = int(rng.choice(len(probs), p=probs))
-        terms.append(log(at(p, nxt)))
+        terms.append(log(pick_per_row(p, [nxt])))
         if nxt == EOS_ID:
             break
         tokens.append(nxt)
@@ -120,7 +121,7 @@ def reward_gradient_step(decoder, features, refs, cfg: RewardConfig) -> float:
         total = terms[0]
         for t in terms[1:]:
             total = total + t
-        backward(total * (-advantage))
+        backward(sum_all(total * (-advantage)))
     return advantage
 
 
@@ -288,7 +289,10 @@ def train(cfg: TrainConfig) -> TrainResult:
     The reward stage and the returned decoder start from the best
     checkpoint's weights, not from the last epoch's.  A non-finite batch
     loss, reward advantage or gradient stops training with ``DomainError``
-    before the optimizer steps or a checkpoint is written.
+    before the optimizer steps or a checkpoint is written.  A
+    ``batch_size``, ``epochs`` or ``lr_decay_every`` below 1 is a
+    ``ConfigError``, and a missing directory for ``checkpoint`` or
+    ``log_path`` an ``OSError``, both raised before any data loads.
 
     Training runs over every (sample, reference) pair; each batch of
     ``batch_size`` pairs is one forward and one ``backward`` under one
@@ -313,6 +317,12 @@ def train(cfg: TrainConfig) -> TrainResult:
         raise ConfigError(f"unknown optimizer {cfg.optimizer!r}")
     if cfg.val_metric not in ("cider", "bleu4", "loss"):
         raise ConfigError(f"unknown val_metric {cfg.val_metric!r}")
+    for key in ("batch_size", "epochs", "lr_decay_every"):
+        if getattr(cfg, key) < 1:
+            raise ConfigError(f"{key} must be at least 1, got {getattr(cfg, key)}")
+    for path in (cfg.checkpoint, cfg.log_path):
+        if path:    # a missing output directory fails now, with its OSError
+            os.scandir(Path(path).parent).close()
     dataset = Dataset.load(cfg.data_dir)
     vocab = Vocabulary.load(Path(cfg.data_dir) / "vocab.json")
     train_samples = dataset.split("train")

@@ -2,8 +2,10 @@
 
 This is the candidate-list formulation: every step builds one Python
 tuple per (hypothesis, token) candidate and sorts all of them by
-(-score, token tuple).  It shares no selection code with the package's
-matrix search, whose captions and log-probs must equal it exactly.
+(-score, token tuple).  Each hypothesis keeps its own one-row decoder
+state and steps on its own.  It shares no selection code with the
+package's matrix search, which steps all hypotheses as the rows of one
+state, and whose captions and log-probs must equal it exactly.
 """
 
 import numpy as np
@@ -24,8 +26,8 @@ def beam_search(decoder, features, k=5, max_len=30):
         candidates = []
         for hyp in live:
             prev = hyp.tokens[-1] if hyp.tokens else BOS_ID
-            p, state = decoder.step(hyp.state, prev)
-            pd = p.data
+            p, state = decoder.step(hyp.state, [prev])
+            pd = p.data[0]
             for tok in range(pd.shape[0]):
                 if pd[tok] <= 0.0:
                     continue

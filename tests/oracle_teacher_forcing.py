@@ -1,15 +1,15 @@
 """Reference teacher forcing for the decoder tests.
 
 This is the per-step formulation: one ``init_state`` per caption, then
-``step`` once per ground-truth word, taking the log of each step's word
-distribution.  It shares no code with the decoders' batched passes, whose
+a one-row ``step`` per ground-truth word, taking the log of each step's
+word distribution.  It shares no code with the decoders' batched passes, whose
 log-probs and gradients must equal it within rounding.  Any decoder of
 the step protocol runs through it, the two-stream decoder's fused
 distribution included.
 """
 
 from capgen.data import FeatureSet
-from capgen.tensor import concat, log, stack_rows, zeros
+from capgen.tensor import concat, log, reshape, stack_rows, zeros
 
 
 def teacher_forced(decoder, features, tokens, training=False, rng=None, aux=None):
@@ -31,13 +31,18 @@ def teacher_forced(decoder, features, tokens, training=False, rng=None, aux=None
     state = decoder.init_state(features)
     rows, aux_rows = [], []
     for t in range(1, len(tokens)):
-        p, state = decoder.step(state, int(tokens[t - 1]), training, rng)
+        p, state = decoder.step(state, [int(tokens[t - 1])], training, rng)
         rows.append(log(p))
         if aux is not None:
             aux_rows.append(log(aux(state)))
     if aux is None:
-        return stack_rows(rows)
-    return stack_rows(rows), stack_rows(aux_rows)
+        return _unstack(rows)
+    return _unstack(rows), _unstack(aux_rows)
+
+
+def _unstack(rows):
+    """One-row (1, V) log-probs of T steps as a (T, V) matrix."""
+    return reshape(stack_rows(rows), (len(rows), rows[0].shape[1]))
 
 
 def _pad_stack(rows, steps):

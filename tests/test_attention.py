@@ -23,6 +23,11 @@ def attend(att, h, feats, mask=None):
     return att.attend(h, feats, att.keys(feats), mask)
 
 
+def row(v) -> Tensor:
+    """A vector as a one-row matrix, the decoding form of a query."""
+    return Tensor(np.asarray(v, dtype=np.float64)[None, :])
+
+
 class TestMeanPool:
     def test_simple_average(self):
         np.testing.assert_array_equal(mean_pool(Tensor([[2.0, 4.0], [4.0, 8.0]])).data,
@@ -47,36 +52,38 @@ class TestTemporalAttend:
     def test_single_frame_gets_all_weight(self, rng):
         att = make_attention(rng)
         v = rng.standard_normal((1, 3))
-        ctx, alpha = attend(att, Tensor(rng.standard_normal(4)), Tensor(v))
-        np.testing.assert_array_equal(alpha.data, [1.0])
-        np.testing.assert_allclose(ctx.data, v[0], atol=1e-15)
+        ctx, alpha = attend(att, row(rng.standard_normal(4)), Tensor(v))
+        np.testing.assert_array_equal(alpha.data, [[1.0]])
+        np.testing.assert_allclose(ctx.data[0], v[0], atol=1e-15)
 
     def test_zero_parameters_give_uniform_weights(self, rng):
         att = make_attention(rng)
         for p in att.parameters().values():
             p.data[:] = 0.0
         v = rng.standard_normal((6, 3))
-        ctx, alpha = attend(att, Tensor(rng.standard_normal(4)), Tensor(v))
-        np.testing.assert_allclose(alpha.data, np.full(6, 1 / 6), atol=1e-15)
-        np.testing.assert_allclose(ctx.data, mean_pool(Tensor(v)).data, atol=1e-15)
+        ctx, alpha = attend(att, row(rng.standard_normal(4)), Tensor(v))
+        np.testing.assert_allclose(alpha.data, np.full((1, 6), 1 / 6), atol=1e-15)
+        np.testing.assert_allclose(ctx.data[0], mean_pool(Tensor(v)).data, atol=1e-15)
 
     def test_context_matches_explicit_weighted_sum(self, rng):
         att = make_attention(rng)
         v = rng.standard_normal((5, 3))
-        ctx, alpha = attend(att, Tensor(rng.standard_normal(4)), Tensor(v))
-        manual = sum(alpha.data[l] * v[l] for l in range(5))
-        np.testing.assert_allclose(ctx.data, manual, atol=1e-12)
+        h = rng.standard_normal((3, 4))
+        ctx, alpha = attend(att, Tensor(h), Tensor(v))
+        for i in range(3):
+            manual = sum(alpha.data[i, l] * v[l] for l in range(5))
+            np.testing.assert_allclose(ctx.data[i], manual, atol=1e-12)
 
     def test_gradcheck(self, rng):
         att = make_attention(rng)
-        h = Tensor(rng.standard_normal(4))
+        h = Tensor(rng.standard_normal((2, 4)))
         v = Tensor(rng.standard_normal((5, 3)))
         assert check_gradients(lambda: sum_all(attend(att, h, v)[0] * attend(att, h, v)[0]),
                                att.parameters()) < 1e-4
 
     def test_precomputed_keys_give_the_same_bits(self, rng):
         att = make_attention(rng)
-        h = Tensor(rng.standard_normal(4))
+        h = Tensor(rng.standard_normal((3, 4)))
         v = Tensor(rng.standard_normal((5, 3)))
         keys = att.keys(v)
         assert np.array_equal(keys.data, v.data @ att.U_a.data.T)
@@ -87,18 +94,18 @@ class TestTemporalAttend:
     def test_empty_frames(self, rng):
         att = make_attention(rng)
         with pytest.raises(EmptyInputError):
-            attend(att, Tensor(rng.standard_normal(4)), Tensor(np.zeros((0, 3))))
+            attend(att, row(rng.standard_normal(4)), Tensor(np.zeros((0, 3))))
         with pytest.raises(EmptyInputError):
             att.keys(Tensor(np.zeros((0, 3))))
 
     def test_permutation_equivariance(self, rng):
         att = make_attention(rng)
-        h = Tensor(rng.standard_normal(4))
+        h = Tensor(rng.standard_normal((2, 4)))
         v = rng.standard_normal((7, 3))
         perm = rng.permutation(7)
         ctx, alpha = attend(att, h, Tensor(v))
         ctx_p, alpha_p = attend(att, h, Tensor(v[perm]))
-        np.testing.assert_allclose(alpha_p.data, alpha.data[perm], atol=1e-12)
+        np.testing.assert_allclose(alpha_p.data, alpha.data[:, perm], atol=1e-12)
         np.testing.assert_allclose(ctx_p.data, ctx.data, atol=1e-12)
 
 
@@ -117,9 +124,9 @@ class TestBatchedAttend:
         assert ctx.shape == (3, 3) and alpha.shape == (3, 5)
         assert np.all(alpha.data[~mask] == 0.0)
         for b, v in enumerate(sets):
-            ctx1, alpha1 = attend(att, Tensor(h[b]), Tensor(v))
-            np.testing.assert_allclose(alpha.data[b, :len(v)], alpha1.data, rtol=0, atol=1e-15)
-            np.testing.assert_allclose(ctx.data[b], ctx1.data, rtol=0, atol=1e-14)
+            ctx1, alpha1 = attend(att, row(h[b]), Tensor(v))
+            np.testing.assert_allclose(alpha.data[b, :len(v)], alpha1.data[0], rtol=0, atol=1e-15)
+            np.testing.assert_allclose(ctx.data[b], ctx1.data[0], rtol=0, atol=1e-14)
 
     def test_gradcheck(self, rng):
         att = make_attention(rng)
@@ -136,57 +143,57 @@ class TestBatchedAttend:
     def test_query_per_feature_set(self, rng):
         att = make_attention(rng)
         with pytest.raises(ShapeError):
-            attend(att, Tensor(rng.standard_normal(4)), Tensor(rng.standard_normal((2, 3, 3))))
+            attend(att, row(rng.standard_normal(4)), Tensor(rng.standard_normal((2, 3, 3))))
 
 
 class TestSpatialAttend:
     def test_single_region(self, rng):
         att = make_attention(rng)
         r = rng.standard_normal((1, 3))
-        ctx, alpha = attend(att, Tensor(rng.standard_normal(4)), Tensor(r))
-        np.testing.assert_array_equal(alpha.data, [1.0])
-        np.testing.assert_allclose(ctx.data, r[0], atol=1e-15)
+        ctx, alpha = attend(att, row(rng.standard_normal(4)), Tensor(r))
+        np.testing.assert_array_equal(alpha.data, [[1.0]])
+        np.testing.assert_allclose(ctx.data[0], r[0], atol=1e-15)
 
 
 class TestAdaptiveBlend:
     def test_zero_gate_is_even_mixture(self, rng):
         gate = AdaptiveGate(4, rng)
         gate.W_s.data[:] = 0.0
-        c = Tensor(rng.standard_normal(4))
-        h_lang = Tensor(rng.standard_normal(4))
-        blended, beta = adaptive_blend(gate, Tensor(rng.standard_normal(4)), c, h_lang)
-        assert beta.data[0] == 0.5
+        c = row(rng.standard_normal(4))
+        h_lang = row(rng.standard_normal(4))
+        blended, beta = adaptive_blend(gate, row(rng.standard_normal(4)), c, h_lang)
+        assert beta.data[0, 0] == 0.5
         np.testing.assert_allclose(blended.data, (c.data + h_lang.data) / 2, atol=1e-15)
 
     def test_saturated_gate_is_visual_only(self, rng):
         gate = AdaptiveGate(1, rng)
         gate.W_s.data[:] = 50.0
-        c = Tensor(rng.standard_normal(3))
-        blended, beta = adaptive_blend(gate, Tensor([1.0]), c, Tensor(rng.standard_normal(3)))
-        assert beta.data[0] > 1.0 - 1e-15
+        c = row(rng.standard_normal(3))
+        blended, beta = adaptive_blend(gate, row([1.0]), c, row(rng.standard_normal(3)))
+        assert beta.data[0, 0] > 1.0 - 1e-15
         np.testing.assert_allclose(blended.data, c.data, atol=1e-12)
 
     def test_dim_mismatch(self, rng):
         gate = AdaptiveGate(4, rng)
         with pytest.raises(ShapeError):
-            adaptive_blend(gate, Tensor(rng.standard_normal(4)),
-                           Tensor(np.zeros(3)), Tensor(np.zeros(4)))
+            adaptive_blend(gate, row(rng.standard_normal(4)),
+                           row(np.zeros(3)), row(np.zeros(4)))
 
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_output_is_convex_combination(self, seed):
         rng = np.random.default_rng(seed)
         gate = AdaptiveGate(4, rng)
-        c = rng.standard_normal(5)
-        h_lang = rng.standard_normal(5)
-        blended, beta = adaptive_blend(gate, Tensor(rng.standard_normal(4)),
+        c = rng.standard_normal((3, 5))
+        h_lang = rng.standard_normal((3, 5))
+        blended, beta = adaptive_blend(gate, Tensor(rng.standard_normal((3, 4))),
                                        Tensor(c), Tensor(h_lang))
-        assert 0.0 < beta.data[0] < 1.0
+        assert np.all((0.0 < beta.data) & (beta.data < 1.0)) and beta.shape == (3, 1)
         lo = np.minimum(c, h_lang) - 1e-12
         hi = np.maximum(c, h_lang) + 1e-12
         assert np.all(blended.data >= lo) and np.all(blended.data <= hi)
         # the blend is the exact convex combination
-        expect = beta.data[0] * c + (1 - beta.data[0]) * h_lang
+        expect = beta.data * c + (1 - beta.data) * h_lang
         np.testing.assert_allclose(blended.data, expect, atol=1e-12)
 
 
@@ -194,21 +201,20 @@ class TestParallelBlend:
     def test_zero_gate_is_three_way_mean(self, rng):
         gate = AdaptiveGate(4, rng, arity=3)
         gate.W_s.data[:] = 0.0
-        c1, c2, hl = (Tensor(rng.standard_normal(4)) for _ in range(3))
-        blended, betas = parallel_adaptive_blend(gate, Tensor(rng.standard_normal(4)),
+        c1, c2, hl = (row(rng.standard_normal(4)) for _ in range(3))
+        blended, betas = parallel_adaptive_blend(gate, row(rng.standard_normal(4)),
                                                  c1, c2, hl)
-        np.testing.assert_allclose(betas.data, np.full(3, 1 / 3), atol=1e-15)
+        np.testing.assert_allclose(betas.data, np.full((1, 3), 1 / 3), atol=1e-15)
         np.testing.assert_allclose(blended.data, (c1.data + c2.data + hl.data) / 3,
                                    atol=1e-15)
 
     def test_saturated_first_logit(self, rng):
         gate = AdaptiveGate(1, rng, arity=3)
         gate.W_s.data[:] = np.array([[50.0], [0.0], [0.0]])
-        c1 = Tensor(rng.standard_normal(3))
+        c1 = row(rng.standard_normal(3))
         blended, betas = parallel_adaptive_blend(
-            gate, Tensor([1.0]), c1, Tensor(rng.standard_normal(3)),
-            Tensor(rng.standard_normal(3)))
-        assert betas.data[0] > 1.0 - 1e-15
+            gate, row([1.0]), c1, row(rng.standard_normal(3)), row(rng.standard_normal(3)))
+        assert betas.data[0, 0] > 1.0 - 1e-15
         np.testing.assert_allclose(blended.data, c1.data, atol=1e-12)
 
     @given(st.integers(0, 2 ** 32 - 1))
@@ -216,11 +222,11 @@ class TestParallelBlend:
     def test_weights_form_distribution_and_hull(self, seed):
         rng = np.random.default_rng(seed)
         gate = AdaptiveGate(4, rng, arity=3)
-        vecs = rng.standard_normal((3, 5))
+        vecs = rng.standard_normal((3, 2, 5))
         blended, betas = parallel_adaptive_blend(
-            gate, Tensor(rng.standard_normal(4)),
+            gate, Tensor(rng.standard_normal((2, 4))),
             Tensor(vecs[0]), Tensor(vecs[1]), Tensor(vecs[2]))
-        assert abs(betas.data.sum() - 1.0) <= 1e-9
+        assert np.all(np.abs(betas.data.sum(axis=1) - 1.0) <= 1e-9)
         assert np.all(betas.data > 0.0) and np.all(betas.data < 1.0)
         assert np.all(blended.data >= vecs.min(axis=0) - 1e-12)
         assert np.all(blended.data <= vecs.max(axis=0) + 1e-12)

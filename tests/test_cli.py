@@ -304,6 +304,58 @@ class TestErrors:
         assert capsys.readouterr().err == f"error: unknown {key} 'nosuch'\n"
         assert loaded == [] and not log.exists() and not ckpt.exists()
 
+    @pytest.mark.parametrize("flag, value", [("--batch-size", "0"), ("--batch-size", "-3"),
+                                             ("--epochs", "0"), ("--lr-decay-every", "0")])
+    def test_non_positive_setting_fails_before_loading_features(self, workspace, tmp_path,
+                                                                capsys, monkeypatch, flag,
+                                                                value):
+        _, data, _ = workspace
+        loaded = []
+        monkeypatch.setattr(Dataset, "features", lambda self, sample: loaded.append(sample))
+        ckpt = tmp_path / "model.ckpt"
+        argv = ["train", "--data-dir", str(data), "--hidden-dim", "8", "--embed-dim", "8",
+                "--attn-dim", "6", "--epochs", "1", "--checkpoint", str(ckpt), flag, value]
+        assert main(argv) == 1
+        key = flag[2:].replace("-", "_")
+        assert capsys.readouterr().err == f"error: {key} must be at least 1, got {value}\n"
+        assert loaded == [] and not ckpt.exists()
+
+    @pytest.mark.parametrize("case", ["generate --out", "generate --trace-dir",
+                                      "trace --out-dir", "train --checkpoint",
+                                      "train --log-path", "synth-data --out"])
+    def test_unwritable_output_path_fails_cleanly(self, workspace, tmp_path, capsys,
+                                                  monkeypatch, case):
+        _, data, ckpt = workspace
+        a_file = tmp_path / "o.jsonl"
+        a_file.write_text("")
+        missing = tmp_path / "nonexistent"
+        decode = ["--data-dir", str(data), "--checkpoint", str(ckpt)]
+        train = ["train", "--data-dir", str(data), "--hidden-dim", "8", "--embed-dim", "8",
+                 "--attn-dim", "6", "--epochs", "1"]
+        argv, path, reason = {
+            "generate --out": (["generate", *decode, "--out", str(missing / "o.jsonl")],
+                               missing / "o.jsonl", "No such file or directory"),
+            "generate --trace-dir": (["generate", *decode, "--out", str(tmp_path / "g.jsonl"),
+                                      "--trace-dir", str(a_file)], a_file, "File exists"),
+            "trace --out-dir": (["trace", *decode, "--out-dir", str(a_file / "sub")],
+                                a_file / "sub", "Not a directory"),
+            "train --checkpoint": (train + ["--checkpoint", str(missing / "c.ckpt")],
+                                   missing, "No such file or directory"),
+            "train --log-path": (train + ["--checkpoint", str(tmp_path / "c.ckpt"),
+                                          "--log-path", str(missing / "log.jsonl")],
+                                 missing, "No such file or directory"),
+            "synth-data --out": (["synth-data", "--out", str(a_file / "sub")],
+                                 a_file / "sub" / "features", "Not a directory"),
+        }[case]
+        work = []
+        for search in ("beam_search", "greedy_decode"):
+            monkeypatch.setattr(capgen.cli, search, lambda *a, **k: work.append(a))
+        if case.startswith("train"):
+            monkeypatch.setattr(Dataset, "features", lambda self, sample: work.append(sample))
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {path}: {reason}\n"
+        assert work == []    # failed before decoding, or before training loaded features
+
     def test_evaluate_candidate_without_refs_fails_cleanly(self, tmp_path, capsys):
         cands = tmp_path / "cands.jsonl"
         cands.write_text('{"id": "a", "caption": "a dog"}\n'

@@ -73,9 +73,9 @@ class TestDaStep:
         dec = small_da()
         feats = da_features(rng, dec.config, regions=4)
         state = dec.init_state(feats)
-        p, state = dec.step(state, BOS_ID)
+        p, state = dec.step(state, [BOS_ID])
         alpha = state.row.alpha
-        assert alpha.shape == (5,)
+        assert alpha.shape == (1, 5)
         assert abs(alpha.sum() - 1.0) <= 1e-9
         assert abs(p.data.sum() - 1.0) <= 1e-9
 
@@ -87,15 +87,15 @@ class TestDaStep:
         # the saturated vector by -50/attn; the sentinel score stays 0
         attn = dec.attn2.w.data.shape[0]
         dec.attn2.W_v.data[:] = 0.0
-        _, probe = dec.step(dec.init_state(feats), BOS_ID)  # h2 ignores attn2 params
-        h2 = probe.h2.data
+        _, probe = dec.step(dec.init_state(feats), [BOS_ID])  # h2 ignores attn2 params
+        h2 = probe.h2.data[0]
         dec.attn2.W_h.data[:] = 500.0 * np.sign(h2)[None, :] / max(np.abs(h2).sum(), 1e-9)
         dec.attn2.w.data[:] = -50.0 / attn
         dec.W_s.data[:] = 0.0
         dec.W_h3.data[:] = 0.0
         state = dec.init_state(feats)
-        _, state = dec.step(state, BOS_ID)
-        alpha = state.row.alpha
+        _, state = dec.step(state, [BOS_ID])
+        alpha = state.row.alpha[0]
         assert alpha[-1] > 1.0 - 1e-9
         assert alpha[:-1].max() < 1e-9
         # with all the mass on the sentinel slot, the attended vector is the
@@ -113,12 +113,12 @@ class TestDaStep:
         state = dec.init_state(feats)
         h1 = m1 = h2 = m2 = np.zeros(2)
         for token in (BOS_ID, 2, 1):
-            p, state = dec.step(state, token)
+            p, state = dec.step(state, [token])
             expect, _, (h1, m1, h2, m2) = manual_da_step(
                 ps, cfg, feats.global_vec, feats.spatial, token, h1, m1, h2, m2)
-            np.testing.assert_allclose(p.data, expect, atol=1e-9)
-            np.testing.assert_allclose(state.h1.data, h1, atol=1e-9)
-            np.testing.assert_allclose(state.h2.data, h2, atol=1e-9)
+            np.testing.assert_allclose(p.data[0], expect, atol=1e-9)
+            np.testing.assert_allclose(state.h1.data[0], h1, atol=1e-9)
+            np.testing.assert_allclose(state.h2.data[0], h2, atol=1e-9)
 
     def test_sentinel_projection_only_when_dims_differ(self):
         assert small_da(hidden=3, region=3).sentinel_proj is None
@@ -130,15 +130,15 @@ class TestDaStep:
                            global_vec=rng.standard_normal(dec.config.global_dim))
         state = dec.init_state(feats)
         with pytest.raises(Exception):
-            dec.step(state, BOS_ID)
+            dec.step(state, [BOS_ID])
 
     def test_explicit_surface_matches_method(self, rng):
         dec = small_da()
         feats = da_features(rng, dec.config)
         state = dec.init_state(feats)
         v_g, regions = state.feats[:2]
-        p_m, _ = dec.step(state, BOS_ID)
-        p_f, _ = da_step(dec, state, BOS_ID, v_g, regions)
+        p_m, _ = dec.step(state, [BOS_ID])
+        p_f, _ = da_step(dec, state, [BOS_ID], v_g, regions)
         assert np.array_equal(p_m.data, p_f.data)
 
 
@@ -147,7 +147,7 @@ class TestFirstPass:
         dec = small_da(first_pass_head=False)
         feats = da_features(rng, dec.config)
         state = dec.init_state(feats)
-        _, state = dec.step(state, BOS_ID)
+        _, state = dec.step(state, [BOS_ID])
         with pytest.raises(ConfigError):
             da_first_pass_distribution(dec, state)
 
@@ -160,7 +160,7 @@ class TestFirstPass:
     def test_valid_and_deterministic(self, rng):
         dec = small_da(first_pass_head=True)
         feats = da_features(rng, dec.config)
-        _, state = dec.step(dec.init_state(feats), BOS_ID)
+        _, state = dec.step(dec.init_state(feats), [BOS_ID])
         p1 = da_first_pass_distribution(dec, state)
         p2 = da_first_pass_distribution(dec, state)
         assert abs(p1.data.sum() - 1.0) <= 1e-9
@@ -179,7 +179,7 @@ class TestFirstPass:
         # draft-only decoding runs entirely on the draft parameters
         rng = np.random.default_rng(0)
         feats = da_features(rng, draft_only.config)
-        p, _ = draft_only.step(draft_only.init_state(feats), BOS_ID)
+        p, _ = draft_only.step(draft_only.init_state(feats), [BOS_ID])
         assert abs(p.data.sum() - 1.0) <= 1e-9
 
     def test_disabling_deliberation_without_head_rejected(self):

@@ -79,24 +79,22 @@ class TestInitState:
         dec.init_h.W.data[:] = 0.0
         dec.init_m.W.data[:] = 0.0
         state = dec.init_state(FeatureSet(temporal=rng.standard_normal((3, 4))))
-        np.testing.assert_array_equal(state.h.data, np.zeros(4))
-        np.testing.assert_array_equal(state.m.data, np.zeros(4))
-        np.testing.assert_array_equal(state.h_top.data, np.zeros(4))
-        np.testing.assert_array_equal(state.m_top.data, np.zeros(4))
+        for t in (state.h, state.m, state.h_top, state.m_top):
+            np.testing.assert_array_equal(t.data, np.zeros((1, 4)))
 
     def test_single_frame_mean_is_that_frame(self, rng):
         dec = HierarchicalDecoder(small_config())
         v = rng.standard_normal((1, 4))
         state = dec.init_state(FeatureSet(temporal=v))
-        np.testing.assert_allclose(state.h.data, dec.init_h.W.data @ v[0], atol=1e-12)
+        np.testing.assert_allclose(state.h.data[0], dec.init_h.W.data @ v[0], atol=1e-12)
 
     def test_matches_direct_product_with_independent_mean(self, rng):
         dec = HierarchicalDecoder(small_config())
         v = rng.standard_normal((5, 4))
         state = dec.init_state(FeatureSet(temporal=v))
         mean = v.sum(axis=0) / 5
-        np.testing.assert_allclose(state.h.data, dec.init_h.W.data @ mean, atol=1e-12)
-        np.testing.assert_allclose(state.m.data, dec.init_m.W.data @ mean, atol=1e-12)
+        np.testing.assert_allclose(state.h.data[0], dec.init_h.W.data @ mean, atol=1e-12)
+        np.testing.assert_allclose(state.m.data[0], dec.init_m.W.data @ mean, atol=1e-12)
 
     def test_empty_frames_rejected(self):
         dec = HierarchicalDecoder(small_config())
@@ -108,7 +106,8 @@ class TestStep:
     def test_distribution_sums_to_one(self, rng):
         dec = HierarchicalDecoder(small_config())
         state = dec.init_state(features_for(rng, "hlstmat_temporal", dec.config))
-        p, _ = dec.step(state, BOS_ID)
+        p, _ = dec.step(state, [BOS_ID])
+        assert p.shape == (1, dec.config.vocab_size)
         assert abs(p.data.sum() - 1.0) <= 1e-9
         assert np.all(p.data >= 0.0)
 
@@ -116,15 +115,15 @@ class TestStep:
         dec = HierarchicalDecoder(small_config())
         feats = features_for(rng, "hlstmat_temporal", dec.config)
         state = dec.init_state(feats)
-        p1, _ = dec.step(state, BOS_ID)
-        p2, _ = dec.step(state, BOS_ID)
+        p1, _ = dec.step(state, [BOS_ID])
+        p2, _ = dec.step(state, [BOS_ID])
         assert np.array_equal(p1.data, p2.data)
 
     def test_invalid_token(self, rng):
         dec = HierarchicalDecoder(small_config())
         state = dec.init_state(features_for(rng, "hlstmat_temporal", dec.config))
         with pytest.raises(VocabularyError):
-            dec.step(state, 99)
+            dec.step(state, [99])
 
     @pytest.mark.parametrize("output_hidden", ["bottom", "top"])
     def test_matches_independent_hand_evaluation(self, rng, output_hidden):
@@ -140,12 +139,12 @@ class TestStep:
         hb = np.zeros(2)
         mb = np.zeros(2)
         for token in (BOS_ID, 3, 1):
-            p, state = dec.step(state, token)
+            p, state = dec.step(state, [token])
             expect, (h, m, hb, mb) = manual_hlstmat_step(
                 params, frames, token, h, m, hb, mb, output_hidden)
-            np.testing.assert_allclose(p.data, expect, atol=1e-9)
-            np.testing.assert_allclose(state.h.data, h, atol=1e-9)
-            np.testing.assert_allclose(state.h_top.data, hb, atol=1e-9)
+            np.testing.assert_allclose(p.data[0], expect, atol=1e-9)
+            np.testing.assert_allclose(state.h.data[0], h, atol=1e-9)
+            np.testing.assert_allclose(state.h_top.data[0], hb, atol=1e-9)
 
 
 class TestTeacherForcing:
@@ -168,8 +167,8 @@ class TestTeacherForcing:
         lp = dec.forward_teacher_forced(feats, tokens).data
         state = dec.init_state(feats)
         for t in range(1, len(tokens)):
-            p, state = dec.step(state, tokens[t - 1])
-            np.testing.assert_allclose(lp[t - 1], np.log(p.data), atol=1e-12)
+            p, state = dec.step(state, [tokens[t - 1]])
+            np.testing.assert_allclose(lp[t - 1], np.log(p.data[0]), atol=1e-12)
 
     def test_padding_contributes_zero_loss(self, rng):
         dec = HierarchicalDecoder(small_config())
@@ -547,8 +546,8 @@ class TestGateAblation:
         for trial in range(20):
             feats = features_for(rng, "hlstmat_temporal", cfg)
             token = int(rng.integers(0, cfg.vocab_size))
-            p_full, _ = full.step(full.init_state(feats), token)
-            p_bare, _ = bare.step(bare.init_state(feats), token)
+            p_full, _ = full.step(full.init_state(feats), [token])
+            p_bare, _ = bare.step(bare.init_state(feats), [token])
             assert np.max(np.abs(p_full.data - p_bare.data)) <= 1e-12
 
 
@@ -588,8 +587,8 @@ class TestBuildVariant:
             p.data[...] = p1[name].data
         frames = rng.standard_normal((3, cfg.feature_dim))
         feats = FeatureSet(temporal=frames, motion=frames.copy())
-        p, _ = dec.step(dec.init_state(feats), BOS_ID)
-        p_single, _ = s1.step(s1.init_state(FeatureSet(temporal=frames)), BOS_ID)
+        p, _ = dec.step(dec.init_state(feats), [BOS_ID])
+        p_single, _ = s1.step(s1.init_state(FeatureSet(temporal=frames)), [BOS_ID])
         np.testing.assert_allclose(p.data, p_single.data, atol=1e-12)
 
     def test_para_symmetric_init_gives_symmetric_gate_gradients(self, rng):

@@ -7,7 +7,7 @@ from capgen.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from capgen.errors import ContractError, FormatError, ShapeError, VocabularyError
 from capgen.gradcheck import check_gradients
 from capgen.layers import Embedding, Linear, LstmCell, Module, dropout
-from capgen.tensor import Tape, Tensor, backward, sum_all, zeros
+from capgen.tensor import Tape, Tensor, backward, matvec_rows, sum_all, zeros
 
 
 def zeroed_cell(input_dim=1, hidden=1):
@@ -20,19 +20,19 @@ def zeroed_cell(input_dim=1, hidden=1):
 class TestLstmCell:
     def test_all_zero_weights(self):
         cell = zeroed_cell()
-        out = cell.step(Tensor([0.3]), zeros(1), zeros(1))
+        out = cell.step(Tensor([[0.3]]), zeros(1, 1), zeros(1, 1))
         # i = f = o = 0.5, g = 0 so both outputs vanish
-        np.testing.assert_array_equal(out.h.data, [0.0])
-        np.testing.assert_array_equal(out.m.data, [0.0])
-        np.testing.assert_array_equal(out.i.data, [0.5])
-        np.testing.assert_array_equal(out.f.data, [0.5])
-        np.testing.assert_array_equal(out.o.data, [0.5])
+        np.testing.assert_array_equal(out.h.data, [[0.0]])
+        np.testing.assert_array_equal(out.m.data, [[0.0]])
+        np.testing.assert_array_equal(out.i.data, [[0.5]])
+        np.testing.assert_array_equal(out.f.data, [[0.5]])
+        np.testing.assert_array_equal(out.o.data, [[0.5]])
 
     def test_saturated_forget_gate_preserves_memory(self):
         cell = zeroed_cell()
         cell.b_f.data[:] = 50.0
-        out = cell.step(Tensor([0.0]), zeros(1), Tensor([1.0]))
-        np.testing.assert_allclose(out.m.data, [1.0], atol=1e-3)
+        out = cell.step(Tensor([[0.0]]), zeros(1, 1), Tensor([[1.0]]))
+        np.testing.assert_allclose(out.m.data, [[1.0]], atol=1e-3)
 
     def test_forget_bias_initialized_to_one(self, rng):
         cell = LstmCell(3, 4, rng)
@@ -42,9 +42,9 @@ class TestLstmCell:
     def test_dimension_error_names_gate_block(self):
         cell = LstmCell(3, 4, np.random.default_rng(0))
         with pytest.raises(ShapeError, match="W_i"):
-            cell.step(Tensor([1.0, 2.0]), zeros(4), zeros(4))
+            cell.step(Tensor([[1.0, 2.0]]), zeros(1, 4), zeros(1, 4))
         with pytest.raises(ShapeError, match="U_i"):
-            cell.step(Tensor([1.0, 2.0, 3.0]), zeros(3), zeros(4))
+            cell.step(Tensor([[1.0, 2.0, 3.0]]), zeros(1, 3), zeros(1, 4))
 
     def test_input_products_of_a_sequence_batch_match_each_step(self, rng):
         cell = LstmCell(3, 4, rng)
@@ -60,16 +60,16 @@ class TestLstmCell:
     def test_hidden_output_strictly_inside_unit_interval(self, rng):
         cell = LstmCell(5, 7, rng)
         for _ in range(20):
-            out = cell.step(Tensor(rng.standard_normal(5) * 3),
-                            Tensor(rng.standard_normal(7)),
-                            Tensor(rng.standard_normal(7)))
+            out = cell.step(Tensor(rng.standard_normal((2, 5)) * 3),
+                            Tensor(rng.standard_normal((2, 7))),
+                            Tensor(rng.standard_normal((2, 7))))
             assert np.all(np.abs(out.h.data) < 1.0)
 
     def test_gradcheck_all_twelve_blocks(self, rng):
         cell = LstmCell(4, 4, rng)
-        y = Tensor(rng.standard_normal(4))
-        h0 = Tensor(rng.standard_normal(4))
-        m0 = Tensor(rng.standard_normal(4))
+        y = Tensor(rng.standard_normal((2, 4)))
+        h0 = Tensor(rng.standard_normal((2, 4)))
+        m0 = Tensor(rng.standard_normal((2, 4)))
         params = cell.parameters()
         assert len(params) == 12
 
@@ -127,12 +127,13 @@ class TestDropout:
 
 
 class TestLinear:
-    def test_vector_and_matrix_application_agree(self, rng):
+    def test_per_row_and_gemm_application_agree(self, rng):
         lin = Linear(3, 2, rng)
         x = rng.standard_normal((4, 3))
-        rowwise = lin(Tensor(x)).data
-        single = np.stack([lin(Tensor(r)).data for r in x])
-        np.testing.assert_allclose(rowwise, single, atol=1e-15)
+        per_row = lin(Tensor(x), matvec_rows).data
+        single = np.concatenate([lin(Tensor(r[None, :]), matvec_rows).data for r in x])
+        assert np.array_equal(per_row, single)
+        np.testing.assert_allclose(lin(Tensor(x)).data, per_row, atol=1e-15)
 
 
 class TestCheckpoint:

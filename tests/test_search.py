@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -14,6 +15,16 @@ from capgen.tensor import Tensor
 from capgen.testkit import GRADCHECK_VARIANTS, tiny_decoder, tiny_features
 
 
+class Steps:
+    """Rows state of the test doubles: each row's step count."""
+
+    def __init__(self, counts):
+        self.counts = np.asarray(counts)
+
+    def take(self, idx):
+        return Steps(self.counts[idx])
+
+
 class ScriptedDecoder:
     """Test double with a fixed distribution table: step t emits table[t]."""
 
@@ -21,10 +32,11 @@ class ScriptedDecoder:
         self.table = np.asarray(table, dtype=np.float64)
 
     def init_state(self, features):
-        return 0
+        return Steps([0])
 
-    def step(self, state, token_id, training=False, rng=None):
-        return Tensor(self.table[min(state, len(self.table) - 1)]), state + 1
+    def step(self, state, token_ids, training=False, rng=None):
+        return (Tensor(self.table[np.minimum(state.counts, len(self.table) - 1)]),
+                Steps(state.counts + 1))
 
 
 class ContextualDecoder:
@@ -35,10 +47,11 @@ class ContextualDecoder:
         self.probs = rng.dirichlet(np.ones(vocab), size=(vocab, 8))
 
     def init_state(self, features):
-        return 0
+        return Steps([0])
 
-    def step(self, state, token_id, training=False, rng=None):
-        return Tensor(self.probs[token_id][min(state, 7)]), state + 1
+    def step(self, state, token_ids, training=False, rng=None):
+        return (Tensor(self.probs[np.asarray(token_ids), np.minimum(state.counts, 7)]),
+                Steps(state.counts + 1))
 
 
 def tiny_case(variant):
@@ -100,8 +113,8 @@ def enumerate_best(decoder, length, vocab):
         prev = BOS_ID
         score = 0.0
         for tok in seq:
-            p, state = decoder.step(state, prev)
-            score += np.log(p.data[tok])
+            p, state = decoder.step(state, [prev])
+            score += np.log(p.data[0, tok])
             prev = tok
         if score > best_score or (score == best_score and seq < best_seq):
             best_seq, best_score = seq, score
@@ -155,11 +168,11 @@ class TestBeam:
         prev = BOS_ID
         total = 0.0
         for tok in gen.tokens:
-            p, state = dec.step(state, prev)
-            total += np.log(p.data[tok])
+            p, state = dec.step(state, [prev])
+            total += np.log(p.data[0, tok])
             prev = tok
-        p, _ = dec.step(state, prev)
-        finished_with_eos = gen.logprob == pytest.approx(total + np.log(p.data[EOS_ID]),
+        p, _ = dec.step(state, [prev])
+        finished_with_eos = gen.logprob == pytest.approx(total + np.log(p.data[0, EOS_ID]),
                                                          abs=1e-9)
         ran_out = gen.logprob == pytest.approx(total, abs=1e-9)
         assert finished_with_eos or ran_out
@@ -282,6 +295,55 @@ class TestTraceRows:
         assert beam_search(dec, feats, k=3, max_len=4).trace is None
 
 
+def state_arrays(state):
+    """The per-row arrays of a decoder state: every tensor field, a
+    two-stream state's two streams, and DA's draft rows."""
+    if hasattr(state, "s1"):
+        return state_arrays(state.s1) + state_arrays(state.s2)
+    values = [getattr(state, f.name) for f in dataclasses.fields(state)]
+    values += list(getattr(state, "draft", None) or ())
+    return [v.data for v in values if isinstance(v, Tensor)]
+
+
+class TestRowsStep:
+    """One ``step`` over n rows against n one-row steps, and one ``step``
+    call per beam search step."""
+
+    @pytest.mark.parametrize("variant", GRADCHECK_VARIANTS + ("da_plain",))
+    def test_rows_equal_one_row_steps_bit_for_bit(self, variant):
+        dec, feats = tiny_case(variant)
+        _bias_eos(dec, 0.0)
+        _, state = dec.step(dec.init_state(feats), [BOS_ID])
+        _, state = dec.step(state.take([0, 0, 0]), [4, 5, 6])
+        state = state.take([2, 0, 1])            # three distinct rows
+        tokens = [7, 4, 9]
+        p, stepped = dec.step(state, tokens)
+        assert p.shape == (3, 12)
+        for i, tok in enumerate(tokens):
+            p_i, alone = dec.step(state.take([i]), [tok])
+            assert np.array_equal(p.data[i], p_i.data[0])
+            assert np.array_equal(stepped.row.pick(i).alpha, alone.row.pick(0).alpha)
+            assert np.array_equal(stepped.row.pick(i).beta, alone.row.pick(0).beta)
+            for rows, row in zip(state_arrays(stepped), state_arrays(alone), strict=True):
+                assert np.array_equal(rows[i], row[0])
+
+    @pytest.mark.parametrize("variant", GRADCHECK_VARIANTS + ("da_plain",))
+    def test_beam_steps_the_decoder_once_per_search_step(self, variant, monkeypatch):
+        dec, feats = tiny_case(variant)
+        _bias_eos(dec, -40.0)
+        rows = []
+        step = dec.step
+
+        def counting(state, token_ids, *args, **kwargs):
+            rows.append(len(token_ids))
+            return step(state, token_ids, *args, **kwargs)
+
+        monkeypatch.setattr(dec, "step", counting)
+        gen = beam_search(dec, feats, k=5, max_len=6)
+        assert len(rows) == gen.steps == 6
+        assert rows[0] == 1 and rows[1:] == [5] * 5
+
+
 def _bias_eos(dec, bias):
     """Set the EOS logit bias of every word head of ``dec``."""
     heads = [getattr(d, name) for d in getattr(dec, "streams", (dec,))
@@ -298,9 +360,9 @@ def _replay(dec, feats, tokens, finished):
     state = dec.init_state(feats)
     rows, logprob = [], 0.0
     for tok, nxt in zip(fed, targets):
-        p, state = dec.step(state, tok)
-        rows.append(state.row)
-        logprob += float(np.log(p.data[nxt]))
+        p, state = dec.step(state, [tok])
+        rows.append(state.row.pick(0))
+        logprob += float(np.log(p.data[0, nxt]))
     return rows, logprob
 
 

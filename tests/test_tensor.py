@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from capgen.errors import ContractError, DomainError, ShapeError
 from capgen.gradcheck import fd_gradients, max_relative_error
 from capgen.tensor import (
-    Tape, Tensor, add_rowvec, at, backward, concat, log, log_softmax, matmul, matmul_t,
-    mean_rows, narrow, pick_per_row, reshape, scale_rows, sigmoid, softmax, stack_rows, sum_all,
-    take_row, take_rows, tanh, transpose, weighted_sum,
+    Tape, Tensor, add_rowvec, additive_scores, backward, concat, log, log_softmax, matmul,
+    matmul_t, matvec_rows, mean_rows, narrow, pick_per_row, reshape, scale_rows, sigmoid,
+    softmax, stack_rows, sum_all, take_row, take_rows, tanh, transpose, weighted_sum,
 )
 
 
@@ -334,8 +334,8 @@ class TestStructuralOps:
         np.testing.assert_array_equal(take_rows(m, [2, 0]).data, [[5.0, 6.0], [1.0, 2.0]])
         np.testing.assert_array_equal(take_row(m, 1).data, [3.0, 4.0])
         v = Tensor([7.0, 8.0, 9.0])
-        assert at(v, 2).data == 9.0
         np.testing.assert_array_equal(narrow(v, 1, 2).data, [8.0, 9.0])
+        np.testing.assert_array_equal(narrow(m, 1, 1).data, [[2.0], [4.0], [6.0]])
         np.testing.assert_array_equal(pick_per_row(m, [1, 0, 1]).data, [2.0, 3.0, 6.0])
 
     @pytest.mark.parametrize("build_params", [
@@ -366,6 +366,77 @@ class TestStructuralOps:
             backward(sum_all(take_rows(e, [0, 0])))
         np.testing.assert_array_equal(e.grad[0], [2.0, 2.0, 2.0])
         np.testing.assert_array_equal(e.grad[1], [0.0, 0.0, 0.0])
+
+
+class TestPerRowProducts:
+    """Decoding steps n rows at once and relies on row i of every op
+    equalling that op on row i alone, bit for bit, for any n.  Checked
+    here at the op, so a numpy or BLAS change that breaks it fails here
+    rather than inside a pinned decode."""
+
+    # (m, k): paper and desk word heads, paper LSTM blocks, a tiny decoder's head
+    SHAPES = [(5000, 512), (500, 64), (2048, 512), (512, 512), (12, 8)]
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    @pytest.mark.parametrize("m, k", SHAPES)
+    def test_rows_equal_their_own_gemv(self, rng, n, m, k):
+        w = rng.standard_normal((m, k))
+        x = rng.standard_normal((n, k))
+        out = matvec_rows(Tensor(x), Tensor(w)).data
+        assert out.shape == (n, m)
+        assert all(np.array_equal(out[i], w @ x[i]) for i in range(n))
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    @pytest.mark.parametrize("dim", [64, 512])
+    def test_transposed_weight_and_column_sliced_rows(self, rng, n, dim):
+        # attention's context product takes (n, L) weights against the (D, L)
+        # transpose of the features; DA's takes the first L columns of (n, L + 1)
+        feats = rng.standard_normal((28, dim))
+        for alpha in (rng.standard_normal((n, 28)), rng.standard_normal((n, 29))[:, :28]):
+            out = matvec_rows(Tensor(alpha), transpose(Tensor(feats))).data
+            assert all(np.array_equal(out[i], feats.T @ alpha[i]) for i in range(n))
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_terms_add_after_the_product_in_order(self, rng, n):
+        w, x = rng.standard_normal((7, 4)), rng.standard_normal((n, 4))
+        base, bias = rng.standard_normal((n, 7)), rng.standard_normal(7)
+        out = matvec_rows(Tensor(x), Tensor(w), Tensor(base), Tensor(bias)).data
+        assert all(np.array_equal(out[i], (base[i] + w @ x[i]) + bias) for i in range(n))
+        with pytest.raises(ShapeError):
+            matvec_rows(Tensor(x), Tensor(w), Tensor(np.zeros(6)))
+        with pytest.raises(ShapeError):
+            matvec_rows(Tensor(x), Tensor(w.T))
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_matvec_rows_gradient(self, rng, n):
+        x, w = leaf(rng.standard_normal((n, 4))), leaf(rng.standard_normal((5, 4)))
+        base, bias = leaf(rng.standard_normal((n, 5))), leaf(rng.standard_normal(5))
+        params = {"x": x, "w": w, "base": base, "bias": bias}
+        assert op_gradcheck(lambda: matvec_rows(x, w, base, bias), params) < 1e-6
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    @pytest.mark.parametrize("rows, attn", [(28, 512), (28, 64), (4, 7)])
+    def test_scores_equal_their_own_row(self, rng, n, rows, attn):
+        keys, q, w = (rng.standard_normal((rows, attn)), rng.standard_normal((n, attn)),
+                      rng.standard_normal(attn))
+        out = additive_scores(Tensor(keys), Tensor(q), Tensor(w)).data
+        assert out.shape == (n, rows)
+        assert all(np.array_equal(out[i], np.tanh(keys + q[i]) @ w) for i in range(n))
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_additive_scores_gradient(self, rng, n):
+        keys, q, w = (leaf(rng.standard_normal((4, 3))), leaf(rng.standard_normal((n, 3))),
+                      leaf(rng.standard_normal(3)))
+        params = {"keys": keys, "q": q, "w": w}
+        assert op_gradcheck(lambda: additive_scores(keys, q, w), params) < 1e-6
+
+    @pytest.mark.parametrize("n", [2, 5])
+    @pytest.mark.parametrize("width", [5, 29, 500, 5000])
+    def test_row_softmax_equals_each_row_alone(self, rng, n, width):
+        x = rng.standard_normal((n, width)) * 4
+        rows = softmax(Tensor(x)).data
+        assert all(np.array_equal(rows[i], softmax(Tensor(x[i:i + 1])).data[0])
+                   for i in range(n))
 
 
 class TestBatchedOps:

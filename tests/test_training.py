@@ -11,7 +11,8 @@ from capgen.data import (
     BOS_ID, EOS_ID, CaptionBatch, Dataset, Vocabulary, synth_dataset, tokenize,
 )
 from capgen.errors import ConfigError, DomainError, ShapeError
-from capgen.tensor import Tensor, softmax
+from capgen.tensor import Tensor, reshape, softmax
+from capgen.testkit import tiny_decoder, tiny_features
 from capgen.training import (
     RewardConfig, TrainConfig, mle_loss, parse_config_file, reward_gradient_step, train,
 )
@@ -89,8 +90,8 @@ class _BanditPolicy:
     def init_state(self, features):
         return 0
 
-    def step(self, state, token_id, training=False, rng=None):
-        return softmax(self.theta), state + 1
+    def step(self, state, token_ids, training=False, rng=None):
+        return reshape(softmax(self.theta), (1, -1)), state + 1
 
     def parameters(self):
         return {"theta": self.theta}
@@ -141,6 +142,39 @@ class TestRewardGradient:
         cfg = RewardConfig(reward_fn=reward, rng=np.random.default_rng(0), max_len=1)
         with pytest.raises(Exception):
             reward_gradient_step(policy, None, [], cfg)
+
+
+# variant -> (sampled tokens, float.hex advantage) of one seeded self-critical
+# step, captured when decoding stepped one hypothesis at a time
+PINNED_REWARD_STEPS = {
+    "basic": ([1, 6, 11, 5, 6, 8, 6, 11], "0x1.2492492492494p-3"),
+    "hlstmat_temporal": ([5, 5, 6, 5], "0x0.0p+0"),
+    "conf": ([4, 5, 5, 10, 4, 5, 10, 4], "-0x1.2492492492490p-3"),
+    "para": ([8, 7, 8, 7, 5, 10, 0, 7], "0x1.2492492492492p-3"),
+    "two_stream": ([1, 4, 11, 5, 5, 10, 6, 5], "0x1.2492492492493p-2"),
+    "da": ([5, 0, 3, 0, 3, 0, 3, 0], "0x0.0p+0"),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(PINNED_REWARD_STEPS))
+def test_seeded_reward_step_is_pinned(variant):
+    """A seeded ``reward_gradient_step`` samples the pinned caption and
+    returns the pinned advantage, bit for bit."""
+    dec, dims = tiny_decoder(variant, hidden=8, vocab_size=12, seed=5)
+    wide = np.random.default_rng(1)
+    for p in dec.parameters().values():
+        p.data[...] = wide.standard_normal(p.data.shape) * 2.0
+    feats = tiny_features(np.random.default_rng(11), 4, dims["dim"], dims["motion_dim"],
+                          dims["region_dim"], dims["global_dim"])
+    scored = []
+
+    def reward(tokens, refs):
+        scored.append(list(tokens))
+        return float(sum(tokens) % 7) / 7
+
+    cfg = RewardConfig(reward_fn=reward, rng=np.random.default_rng(3), max_len=8)
+    advantage = reward_gradient_step(dec, feats, ["ref"], cfg)
+    assert (scored[0], float.hex(advantage)) == PINNED_REWARD_STEPS[variant]
 
 
 class TestConfig:
