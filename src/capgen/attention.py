@@ -13,13 +13,13 @@ import numpy as np
 from .errors import EmptyInputError, ShapeError
 from .layers import Module, glorot
 from .tensor import (
-    Tensor, add_rowvec, additive_scores, matmul_t, matvec_rows, mean_rows, reshape, scale_rows,
+    Tensor, additive_scores, affine, matmul_t, matvec_rows, mean_rows, scale_rows,
     sigmoid, softmax, transpose, weighted_sum,
 )
 
 __all__ = [
     "AdditiveAttention", "AdaptiveGate", "TraceRow",
-    "mean_pool",
+    "mean_pool", "pool_rows",
     "adaptive_blend", "parallel_adaptive_blend", "write_trace_csv",
 ]
 
@@ -29,6 +29,15 @@ def mean_pool(feats: Tensor) -> Tensor:
     if feats.data.ndim != 2 or feats.data.shape[0] == 0:
         raise EmptyInputError(f"mean_pool needs a non-empty (n, d) matrix, got {feats.data.shape}")
     return mean_rows(feats)
+
+
+def pool_rows(alpha: Tensor, feats: Tensor) -> Tensor:
+    """The attended rows ``sum_l alpha[i, l] * feats[l]``: (n, D) for n
+    weight rows over one (L, D) feature set, one GEMV per row; (B, D) for
+    (B, L) weights over a (B, L, D) batch, row b over its own set."""
+    if feats.data.ndim == 2:
+        return matvec_rows(alpha, transpose(feats))
+    return weighted_sum(alpha, feats)
 
 
 class AdditiveAttention(Module):
@@ -73,11 +82,7 @@ class AdditiveAttention(Module):
         """The key projection ``feats @ U_a.T``: (n, attn_dim) for (n, D)
         features, (B, L, attn_dim) for a (B, L, D) batch."""
         self._check_feats(feats)
-        if feats.data.ndim == 2:
-            return matmul_t(feats, self.U_a)
-        batch, rows, dim = feats.shape
-        return reshape(matmul_t(reshape(feats, (batch * rows, dim)), self.U_a),
-                       (batch, rows, self.attn_dim))
+        return matmul_t(feats, self.U_a)
 
     def attend(self, h: Tensor, feats: Tensor, keys: Tensor,
                mask=None) -> tuple[Tensor, Tensor]:
@@ -91,14 +96,9 @@ class AdditiveAttention(Module):
                 feats.data.ndim == 3 and h.shape[0] != feats.shape[0]):
             raise ShapeError(f"attention expects (n, {self.query_dim}) query rows, "
                              f"one per feature set of {feats.shape}, got {h.shape}")
-        if feats.data.ndim == 2:
-            shift = matvec_rows(h, self.W_a, self.b_a)                # (n, attn)
-        else:
-            shift = add_rowvec(matmul_t(h, self.W_a), self.b_a)      # (B, attn)
-        alpha = softmax(additive_scores(keys, shift, self.w), mask)  # (n, L)
-        if feats.data.ndim == 2:
-            return matvec_rows(alpha, transpose(feats)), alpha
-        return weighted_sum(alpha, feats), alpha
+        shift = affine(h, self.W_a, self.b_a, per_row=feats.data.ndim == 2)  # (n, attn)
+        alpha = softmax(additive_scores(keys, shift, self.w), mask)        # (n, L)
+        return pool_rows(alpha, feats), alpha
 
 
 class AdaptiveGate(Module):
@@ -116,29 +116,17 @@ class AdaptiveGate(Module):
         self.W_s = glorot(rng, arity, hidden_dim)
 
 
-def _gate_logits(gate: AdaptiveGate, h: Tensor, per_row: bool) -> Tensor:
-    """W_s h for each of the (n, H) rows -> (n, arity)."""
-    return matvec_rows(h, gate.W_s) if per_row else matmul_t(h, gate.W_s)
-
-
 def adaptive_blend(gate: AdaptiveGate, h: Tensor, ctx: Tensor, h_lang: Tensor,
-                   force: float | None = None, per_row: bool = False) -> tuple[Tensor, Tensor]:
+                   per_row: bool = False) -> tuple[Tensor, Tensor]:
     """Convex blend: beta*ctx + (1-beta)*h_lang with beta = sigmoid(W_s h),
     one beta per row of the (n, H) operands, as an (n, 1) column.  With
     ``per_row`` the gate's product is one GEMV per row, as decoding takes
-    it.
-
-    ``force`` overrides beta with a constant (ablation hook); gradients
-    then stop flowing into the gate weights.
-    """
+    it."""
     if gate.arity != 1:
         raise ShapeError("adaptive_blend needs an arity-1 gate")
     if ctx.shape != h_lang.shape:
         raise ShapeError(f"blend operands differ: {ctx.shape} vs {h_lang.shape}")
-    if force is None:
-        beta = sigmoid(_gate_logits(gate, h, per_row))  # (n, 1)
-    else:
-        beta = Tensor(np.full((h.shape[0], 1), float(force)))
+    beta = sigmoid(affine(h, gate.W_s, per_row=per_row))  # (n, 1)
     blended = scale_rows(ctx, beta, 0) + scale_rows(h_lang, 1.0 - beta, 0)
     return blended, beta
 
@@ -158,7 +146,7 @@ def parallel_adaptive_blend(gate: AdaptiveGate, h: Tensor, ctx1: Tensor,
     if not (ctx1.shape == ctx2.shape == h_lang.shape):
         raise ShapeError(
             f"blend operands differ: {ctx1.shape}, {ctx2.shape}, {h_lang.shape}")
-    betas = softmax(_gate_logits(gate, h, per_row))      # (n, 3)
+    betas = softmax(affine(h, gate.W_s, per_row=per_row))  # (n, 3)
     blended = (scale_rows(ctx1, betas, 0) + scale_rows(ctx2, betas, 1)
                + scale_rows(h_lang, betas, 2))
     return blended, betas

@@ -8,29 +8,28 @@ LSTM proofreads: a gated transform of its memory acts as an extra
 word distribution comes from fusing the draft hidden, the refined hidden
 and the second attended vector.
 
-Decoding runs ``da_step`` once per word on a state of n rows over one
-image's regions (the rows protocol of ``decoders.py``): beam search steps
-all its hypotheses in one call, greedy and sampled decoding one row.
-Every product of the step is one GEMV per row (``matvec_rows``), so each
-row equals the step of that row alone bit for bit.  Teacher forcing runs
-a whole batch in one pass on (B, H) states with GEMM products, which
-gives what ``da_step`` gives within rounding and is faster at training
-batch sizes.  The first LSTM reads the previous second-pass hidden,
-so both passes share one loop over the steps, each step on (B, ·) rows.
-Regions are padded to (B, L, D) with a row mask and their keys computed
-once per batch, and the sentinel is one more always-unmasked column of
-the second attention's row softmax.  The fusion ``W_sd``, the word head
-and ``log_softmax`` run once over the B·T rows after the loop.
+One step body runs both passes on a state's rows, for decoding and for
+teacher forcing alike.  ``init_state`` builds either state and computes
+the region keys once.  Decoding (``da_step``) steps n rows over one
+image's (L, D) regions (the rows protocol of ``decoders.py``) with one
+GEMV per row, so each row equals the step of that row alone bit for bit.
+Teacher forcing steps a batch's (B, ·) rows over its regions padded to
+(B, L, D), with GEMM products and a row mask; the sentinel is one more
+always-unmasked column of the second attention's row softmax.  The first
+LSTM reads the previous second-pass hidden, so the passes share one loop
+over the steps.  The fusion ``W_sd``, the word head and ``log_softmax``
+then run once over the B·T rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
-from .attention import TraceRow
+from .attention import TraceRow, pool_rows
 from .data import FeatureSet
 from .decoders import (
     _as_batch, _drop, _dropout_masks, _head_log_probs, _pad_rows, _repeat_row,
@@ -38,8 +37,8 @@ from .decoders import (
 from .errors import ConfigError, ContractError, ShapeError
 from .layers import Embedding, Linear, LstmCell, Module, dropout, glorot
 from .tensor import (
-    Tensor, additive_scores, concat, matmul, matmul_t, matvec_rows, narrow, reshape, scale_rows,
-    sigmoid, softmax, stack_rows, take_row, take_rows, tanh, transpose, weighted_sum, zeros,
+    Tensor, additive_scores, affine, concat, matmul_t, narrow, reshape, scale_rows, sigmoid,
+    softmax, stack_rows, take_row, take_rows, tanh, zeros,
 )
 
 __all__ = ["DaConfig", "DaState", "DeliberateDecoder", "da_step",
@@ -70,7 +69,7 @@ class DaState:
     m1: Tensor
     h2: Tensor
     m2: Tensor
-    feats: tuple                   # ((1, G) global row, regions, attn1 keys, attn2 keys)
+    feats: tuple                   # (global rows, regions, attn1 keys, attn2 keys, mask)
     draft: Optional[tuple] = None  # (h1_tilde, v1_hat) rows of the latest step
     row: Optional[TraceRow] = None  # the latest step's trace rows
 
@@ -92,18 +91,13 @@ class _ScoredAttention(Module):
 
     def keys(self, feats: Tensor) -> Tensor:
         """(L, attn) keys of (L, D) regions; (B, L, attn) of a batch."""
-        if feats.data.ndim == 2:
-            return matmul_t(feats, self.W_v)
-        batch, rows, dim = feats.shape
-        return reshape(matmul_t(reshape(feats, (batch * rows, dim)), self.W_v),
-                       (batch, rows, self.W_v.shape[0]))
+        return matmul_t(feats, self.W_v)
 
     def scores(self, h: Tensor, keys: Tensor) -> Tensor:
         """(n, L) scores of n (n, H) queries over one image's (L, attn)
         keys, with per-row GEMVs; (B, L) of (B, H) queries over a batch's
         (B, L, attn) keys."""
-        q = matvec_rows(h, self.W_h) if keys.data.ndim == 2 else matmul_t(h, self.W_h)
-        return additive_scores(keys, q, self.w)
+        return additive_scores(keys, affine(h, self.W_h, per_row=keys.data.ndim == 2), self.w)
 
 
 class DeliberateDecoder(Module):
@@ -144,22 +138,34 @@ class DeliberateDecoder(Module):
             self.W_sd = Linear(2 * c.hidden_dim + c.region_dim, c.hidden_dim, rng, bias=False)
             self.out = Linear(c.hidden_dim, c.vocab_size, rng)
 
-    def init_state(self, features: FeatureSet) -> DaState:
-        v_g = Tensor(features.require("global"))
-        regions = Tensor(features.require("spatial"))
+    def init_state(self, features) -> DaState:
+        """The one-row state over one image's ``FeatureSet``, for decoding;
+        or over a list of B of them, the (B, ·) state of a teacher-forced
+        batch, its regions padded to (B, L, D) with the (B, L) mask of
+        real ones.  The region keys are computed here, once."""
         c = self.config
-        if v_g.shape != (c.global_dim,):
-            raise ConfigError(f"global feature dim {v_g.shape} != configured {c.global_dim}")
+        single = isinstance(features, FeatureSet)
+        sets = [features] if single else list(features)
+        for f in sets:
+            if f.require("global").shape != (c.global_dim,):
+                raise ConfigError(f"global feature dim {f.global_vec.shape} "
+                                  f"!= configured {c.global_dim}")
+            if not single:      # decoding reports a region width at its first step
+                _check_regions(self, f.require("spatial"), "teacher forcing")
+        if single:
+            regions, mask = Tensor(features.require("spatial")), None
+        else:
+            regions, mask = _pad_rows([f.spatial for f in sets])
         keys1 = keys2 = None
-        if regions.shape[1] == c.region_dim:    # else da_step reports the mismatch
+        if regions.shape[-1] == c.region_dim:
             keys1 = self.attn1.keys(regions)
             keys2 = self.attn2.keys(regions) if c.deliberate else None
-        z = zeros(1, c.hidden_dim)
-        return DaState(z, z, z, z, (reshape(v_g, (1, -1)), regions, keys1, keys2))
+        z = zeros(len(sets), c.hidden_dim)
+        v_g = Tensor(np.stack([f.global_vec for f in sets]))
+        return DaState(z, z, z, z, (v_g, regions, keys1, keys2, mask))
 
     def step(self, state: DaState, token_ids, training: bool = False, rng=None):
-        v_g, regions = state.feats[:2]
-        return da_step(self, state, token_ids, v_g, regions, training=training, rng=rng)
+        return da_step(self, state, token_ids, training=training, rng=rng)
 
     def forward_teacher_forced(self, features, tokens, training=False, rng=None,
                                with_aux: bool = False):
@@ -172,41 +178,16 @@ class DeliberateDecoder(Module):
         batch = _as_batch(features, tokens)
         (masks,) = _dropout_masks((self,), batch.steps, 2 if c.deliberate else 1,
                                   training, rng)
-        width, steps = batch.ids.shape[0], batch.ids.shape[1] - 1
-        v_g, regions, mask = _da_inputs(self, batch.feats)
+        state = self.init_state(batch.feats)
         words = self.embed.lookup(batch.ids[:, :-1].T)                  # (T, B, E)
-        keys1 = self.attn1.keys(regions)
-        if c.deliberate:
-            keys2 = self.attn2.keys(regions)
-            mask2 = np.concatenate([mask, np.ones((width, 1), dtype=bool)], axis=1)
-
         need_drafts = with_aux or not c.deliberate
-        h1 = m1 = h2 = m2 = zeros(width, c.hidden_dim)
         drafts, fused = [], []
-        for t in range(steps):
-            w_t = take_row(words, t)
-            y1 = concat([v_g, h2, w_t], axis=1)
-            out1 = self.lstm1.step(self.lstm1.input_products(y1), h1, m1)
-            h1, m1 = out1.h, out1.m
-            h1_tilde = self.W_rd(concat([w_t, _drop(h1, masks, t, 0)], axis=1))
-            alpha1 = softmax(self.attn1.scores(h1_tilde, keys1), mask)
-            v1_hat = weighted_sum(alpha1, regions)
+        for t in range(batch.ids.shape[1] - 1):
+            rows, state = _da_body(self, state, take_row(words, t),
+                                   lambda x, layer: _drop(x, masks, t, layer))
             if need_drafts:
-                drafts.append(concat([h1_tilde, v1_hat], axis=1))
-            if not c.deliberate:
-                continue
-            y2 = concat([v_g, h1_tilde, v1_hat], axis=1)
-            out2 = self.lstm2.step(self.lstm2.input_products(y2), h2, m2)
-            h2_d = _drop(out2.h, masks, t, 1)
-            s = sigmoid(matmul_t(y2, self.W_x) + matmul_t(h2, self.W_h)) * tanh(out2.m)
-            h2, m2 = out2.h, out2.m
-            sent = matmul(tanh(matmul_t(s, self.W_s) + matmul_t(h2_d, self.W_h3)), self.w_a)
-            alpha2 = softmax(concat([self.attn2.scores(h2_d, keys2), reshape(sent, (width, 1))],
-                                    axis=1), mask2)
-            s_vis = self.sentinel_proj(s) if self.sentinel_proj is not None else s
-            v2_hat = weighted_sum(alpha2, concat([regions, reshape(s_vis, (width, 1, -1))],
-                                                 axis=1))
-            fused.append(concat([h1_tilde, h2_d, v2_hat], axis=1))
+                drafts.append(concat(state.draft, axis=1))
+            fused.append(rows)
 
         draft = main = None
         if need_drafts:
@@ -217,72 +198,68 @@ class DeliberateDecoder(Module):
         return (main, draft) if with_aux else main
 
 
-def _da_inputs(dec: DeliberateDecoder, feats: list) -> tuple[Tensor, Tensor, np.ndarray]:
-    """The (B, G) global vectors, the (B, L, D) regions padded to the
-    longest set, and its (B, L) mask of real regions."""
+def _da_body(dec: DeliberateDecoder, state: DaState, w_t: Tensor, drop):
+    """Both passes of one step on the state's n rows, given their (n, E)
+    word rows: returns the fused rows [h1~; h2_d; v2^] that ``W_sd`` and
+    the word head read (None without the second pass) and the new state,
+    whose ``draft`` is (h1~, v1^).  ``drop(x, layer)`` applies dropout to
+    the first (layer 0) or second (layer 1) hidden.  Over one image's
+    (L, D) regions every product is one GEMV per row; over a batch's
+    padded (B, L, D) regions, one GEMM."""
     c = dec.config
-    for f in feats:
-        v_g, regions = f.require("global"), f.require("spatial")
-        if v_g.shape != (c.global_dim,):
-            raise ConfigError(f"global feature dim {v_g.shape} != configured {c.global_dim}")
-        if regions.shape[0] < 1:
-            raise ContractError("teacher forcing needs at least one region")
-        if regions.shape[1] != c.region_dim:
-            raise ShapeError(f"regions have dim {regions.shape[1]}, "
-                             f"the region attention expects {c.region_dim}")
-    regions, mask = _pad_rows([f.spatial for f in feats])
-    return Tensor(np.stack([f.global_vec for f in feats])), regions, mask
-
-
-def da_step(dec: DeliberateDecoder, state: DaState, token_ids,
-            v_g: Tensor, regions: Tensor, training: bool = False, rng=None):
-    """One decoding step of the state's n rows on n token ids; returns
-    the (n, vocab) word distributions and the new state.  ``v_g`` is the
-    image's (1, G) global row and ``regions`` its (L, D) regions, whose
-    attention keys come from ``state.feats``."""
-    c = dec.config
-    L = regions.data.shape[0]
-    if L < 1:
-        raise ContractError("da_step needs at least one region")
-    keys1, keys2 = state.feats[2:]
-    if keys1 is None:
-        raise ShapeError(f"da_step: regions have dim {regions.data.shape[1]}, "
-                         f"the region attention expects {c.region_dim}")
-    n = len(token_ids)
-    w_t = dec.embed.lookup_one(token_ids)
-    g_rows = _repeat_row(v_g, n)
-    regions_t = transpose(regions)
+    v_g, regions, keys1, keys2, mask = state.feats
+    per_row = regions.data.ndim == 2
+    n, L = w_t.shape[0], regions.shape[-2]
+    g_rows = _repeat_row(v_g, n) if per_row else v_g
 
     # first pass: draft hidden with residual word shortcut, region attention
     y1 = concat([g_rows, state.h2, w_t], axis=1)
-    out1 = dec.lstm1.step(y1, state.h1, state.m1)
-    h1_d = dropout(out1.h, c.dropout, training, rng)
-    h1_tilde = dec.W_rd(concat([w_t, h1_d], axis=1), per_row=True)
-    alpha1 = softmax(dec.attn1.scores(h1_tilde, keys1))
-    v1_hat = matvec_rows(alpha1, regions_t)
-
+    out1 = dec.lstm1.step(y1 if per_row else dec.lstm1.input_products(y1),
+                          state.h1, state.m1)
+    h1_tilde = dec.W_rd(concat([w_t, drop(out1.h, 0)], axis=1), per_row)
+    alpha1 = softmax(dec.attn1.scores(h1_tilde, keys1), mask)
+    v1_hat = pool_rows(alpha1, regions)
     if not c.deliberate:
-        p = softmax(dec.first_head(concat([h1_tilde, v1_hat], axis=1), per_row=True))
-        return p, DaState(out1.h, out1.m, state.h2, state.m2, state.feats,
-                          draft=(h1_tilde, v1_hat),
-                          row=TraceRow(alpha1.data, np.ones((n, 1))))
+        return None, DaState(out1.h, out1.m, state.h2, state.m2, state.feats,
+                             draft=(h1_tilde, v1_hat),
+                             row=TraceRow(alpha1.data, np.ones((n, 1))))
 
     # second pass: sentinel-augmented attention over regions + language slot
     y2 = concat([g_rows, h1_tilde, v1_hat], axis=1)
-    out2 = dec.lstm2.step(y2, state.h2, state.m2)
-    h2_d = dropout(out2.h, c.dropout, training, rng)
-    g = sigmoid(matvec_rows(state.h2, dec.W_h, matvec_rows(y2, dec.W_x)))
-    s = g * tanh(out2.m)
-    e2 = dec.attn2.scores(h2_d, keys2)
-    sent_score = matvec_rows(tanh(matvec_rows(h2_d, dec.W_h3, matvec_rows(s, dec.W_s))),
-                             reshape(dec.w_a, (1, -1)))
-    alpha2 = softmax(concat([e2, sent_score], axis=1))
-    s_vis = dec.sentinel_proj(s, per_row=True) if dec.sentinel_proj is not None else s
-    v2_hat = matvec_rows(narrow(alpha2, 0, L), regions_t) + scale_rows(s_vis, alpha2, L)
-    h2_tilde = dec.W_sd(concat([h1_tilde, h2_d, v2_hat], axis=1), per_row=True)
-    p = softmax(dec.out(h2_tilde, per_row=True))
-    return p, DaState(out1.h, out1.m, out2.h, out2.m, state.feats,
-                      draft=(h1_tilde, v1_hat), row=TraceRow(alpha2.data, alpha2.data[:, L:]))
+    out2 = dec.lstm2.step(y2 if per_row else dec.lstm2.input_products(y2),
+                          state.h2, state.m2)
+    h2_d = drop(out2.h, 1)
+    product = partial(affine, per_row=per_row)
+    s = sigmoid(product(state.h2, dec.W_h, product(y2, dec.W_x))) * tanh(out2.m)
+    sent = product(tanh(product(h2_d, dec.W_h3, product(s, dec.W_s))),
+                   reshape(dec.w_a, (1, -1)))
+    mask2 = None if mask is None else np.concatenate([mask, np.ones((n, 1), dtype=bool)], 1)
+    alpha2 = softmax(concat([dec.attn2.scores(h2_d, keys2), sent], axis=1), mask2)
+    s_vis = dec.sentinel_proj(s, per_row) if dec.sentinel_proj is not None else s
+    v2_hat = pool_rows(narrow(alpha2, 0, L), regions) + scale_rows(s_vis, alpha2, L)
+    return concat([h1_tilde, h2_d, v2_hat], axis=1), DaState(
+        out1.h, out1.m, out2.h, out2.m, state.feats,
+        draft=(h1_tilde, v1_hat), row=TraceRow(alpha2.data, alpha2.data[:, L:]))
+
+
+def da_step(dec: DeliberateDecoder, state: DaState, token_ids,
+            training: bool = False, rng=None):
+    """One decoding step of the state's n rows on n token ids, over the
+    image's regions in ``state.feats``; returns the (n, vocab) word
+    distributions and the new state."""
+    c = dec.config
+    _check_regions(dec, state.feats[1].data, "da_step")
+    fused, state = _da_body(dec, state, dec.embed.lookup_one(token_ids),
+                            lambda x, layer: dropout(x, c.dropout, training, rng))
+    if fused is None:
+        return da_first_pass_distribution(dec, state), state
+    return softmax(dec.out(dec.W_sd(fused, per_row=True), per_row=True)), state
+
+
+def _check_regions(dec: DeliberateDecoder, regions: np.ndarray, stage: str) -> None:
+    if regions.shape[1] != dec.config.region_dim:
+        raise ShapeError(f"{stage}: regions have dim {regions.shape[1]}, "
+                         f"the region attention expects {dec.config.region_dim}")
 
 
 def da_first_pass_distribution(dec: DeliberateDecoder, state: DaState) -> Tensor:
@@ -292,5 +269,4 @@ def da_first_pass_distribution(dec: DeliberateDecoder, state: DaState) -> Tensor
         raise ConfigError("the first-pass head is disabled in this configuration")
     if state.draft is None:
         raise ContractError("no step has been taken from this state yet")
-    h1_tilde, v1_hat = state.draft
-    return softmax(dec.first_head(concat([h1_tilde, v1_hat], axis=1), per_row=True))
+    return softmax(dec.first_head(concat(state.draft, axis=1), per_row=True))

@@ -32,25 +32,26 @@ log-probs by about 1e-13.
 caption, a ``FeatureSet`` and its token ids, and returns (T, vocab)
 log-probs; or a batch, a sequence of B ``FeatureSet``s and a
 ``CaptionBatch``, and returns (B, T, vocab) log-probs, T being the
-batch's padded step count.  It gives what running ``step`` once per word
-gives, within rounding, but in phases over the whole batch, because
-every input is known up front.  A leading batch axis runs through it:
-one embedding gather and one GEMM per gate for the input products of an
-LSTM whose input does not feed back, the recurrences on (B, H) states,
-attention once per step over the (B, L, D) feature sets padded to the
-longest (padded rows weigh exactly 0), and one word head and
-``log_softmax`` over all B·T rows.  A single caption is a batch of one.
-Its products stay GEMMs (``matmul_t``): per-row GEMVs would keep bits
-that training does not need, and cost more at training batch sizes.
-Against a (512, 512) weight, on one BLAS thread of a 2-vCPU Xeon, per-row
-GEMVs took 594 µs for 8 rows and 4,006 µs for 64, where one GEMM took 254
-and 1,069 µs.
-Padded steps of a shorter caption run too; the loss masks them, so they
-add exactly 0 to every gradient.  Dropout masks are drawn caption by
-caption in batch order, each caption's as one draw, so a seeded batch
-draws the stream that per-step dropout draws.  The two-stream decoder
-teacher-forces each stream on its own (``stream_teacher_forced``); ``da``
-runs its two passes in one loop (see ``da.py``).
+batch's padded step count.  A single caption is a batch of one.  It
+gives what running ``step`` once per word gives, within rounding, with
+the same layers: ``tensor.affine``, which they are built on, takes one
+GEMM (``matmul_t``) over a batch's rows where a decoding step takes one
+GEMV per row.  Training needs no per-row bits, and GEMMs cost less at
+training batch sizes: against a (512, 512) weight, on one BLAS thread of
+a 2-vCPU Xeon, per-row GEMVs took 594 µs for 8 rows and 4,006 µs for 64,
+where one GEMM took 254 and 1,069 µs.  Every input is known up front,
+so the two-LSTM and basic decoders run in phases: one embedding gather
+and one GEMM per gate for the input products of an LSTM whose input
+does not feed back, the recurrences on (B, H) states, attention once per
+step over the (B, L, D) feature sets padded to the longest (padded rows
+weigh exactly 0), and one word head and ``log_softmax`` over all B·T
+rows.  Padded steps of a shorter caption run too; the loss masks them,
+so they add exactly 0 to every gradient.  Dropout masks are drawn
+caption by caption in batch order, each caption's as one draw, so a
+seeded batch draws the stream that per-step dropout draws.  The
+two-stream decoder teacher-forces each stream on its own
+(``stream_teacher_forced``); ``da`` runs its decoding step's body once
+per step over the batch (see ``da.py``).
 """
 
 from __future__ import annotations
@@ -220,8 +221,6 @@ class HierarchicalDecoder(Module):
         self.gate = AdaptiveGate(c.hidden_dim, rng) if c.use_adaptive_gate else None
         self.out_hidden = Linear(c.hidden_dim + ctx_dim, c.hidden_dim, rng)
         self.out_vocab = Linear(c.hidden_dim, c.vocab_size, rng)
-        # ablation hook: force the gate to a constant (e.g. 1.0 = visual only)
-        self.gate_override: float | None = None
 
     def _source(self, features: FeatureSet) -> np.ndarray:
         if self.attend_kind == "temporal":
@@ -248,8 +247,7 @@ class HierarchicalDecoder(Module):
             ctx, alpha = self.attn.attend(h_d, source, keys, mask)
             if self.gate is None:
                 return ctx, TraceRow(alpha.data, np.ones((alpha.shape[0], 1)))
-            blended, beta = adaptive_blend(self.gate, h_d, ctx, ht_d,
-                                           force=self.gate_override, per_row=per_row)
+            blended, beta = adaptive_blend(self.gate, h_d, ctx, ht_d, per_row=per_row)
             return blended, TraceRow(alpha.data, beta.data)
 
         return attend

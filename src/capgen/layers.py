@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import ContractError, FormatError, ShapeError, VocabularyError
 from .tensor import (
-    Tensor, add_rowvec, matmul_t, matvec_rows, reshape, sigmoid, take_row, take_rows, tanh,
+    Tensor, affine, matmul_t, matvec_rows, reshape, sigmoid, take_row, take_rows, tanh,
 )
 
 __all__ = ["Module", "LstmCell", "LstmOut", "GateInputs", "Embedding", "Linear",
@@ -148,22 +148,16 @@ class LstmCell(Module):
         """One step of (n, H) states from the step's raw (n, input_dim)
         input rows, with per-row GEMV products, or from its (n, H)
         ``GateInputs`` rows, with a GEMM for the recurrent products; each
-        gate's pre-activation is (W y + U h_prev) + b."""
+        gate's pre-activation is (U h_prev + W y) + b (``affine``)."""
         self._check(y, h_prev, m_prev)
-        if isinstance(y, GateInputs):
-            def pre(w_y, u, b):
-                return add_rowvec(w_y + matmul_t(h_prev, u), b)
-        else:
+        per_row = not isinstance(y, GateInputs)
+        if per_row:
             y = GateInputs(matvec_rows(y, self.W_i), matvec_rows(y, self.W_f),
                            matvec_rows(y, self.W_o), matvec_rows(y, self.W_g))
-
-            def pre(w_y, u, b):
-                return matvec_rows(h_prev, u, w_y, b)
-
-        i = sigmoid(pre(y.i, self.U_i, self.b_i))
-        f = sigmoid(pre(y.f, self.U_f, self.b_f))
-        o = sigmoid(pre(y.o, self.U_o, self.b_o))
-        g = tanh(pre(y.g, self.U_g, self.b_g))
+        i = sigmoid(affine(h_prev, self.U_i, y.i, self.b_i, per_row=per_row))
+        f = sigmoid(affine(h_prev, self.U_f, y.f, self.b_f, per_row=per_row))
+        o = sigmoid(affine(h_prev, self.U_o, y.o, self.b_o, per_row=per_row))
+        g = tanh(affine(h_prev, self.U_g, y.g, self.b_g, per_row=per_row))
         m = f * m_prev + i * g
         h = o * tanh(m)
         return LstmOut(h, m, i, f, o, g)
@@ -210,10 +204,7 @@ class Linear(Module):
     def __call__(self, x: Tensor, per_row: bool = False) -> Tensor:
         """The map of (n, in_dim) rows: one GEMM, or with ``per_row`` one
         GEMV per row (``matvec_rows``), as decoding takes it."""
-        if per_row:
-            return matvec_rows(x, self.W, *(() if self.b is None else (self.b,)))
-        y = matmul_t(x, self.W)
-        return add_rowvec(y, self.b) if self.b is not None else y
+        return affine(x, self.W, *(() if self.b is None else (self.b,)), per_row=per_row)
 
 
 def dropout_mask(shape, rate: float, training: bool,

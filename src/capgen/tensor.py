@@ -8,11 +8,10 @@ tape are plain forward arithmetic, which keeps inference and
 finite-difference probing cheap.
 
 Leaf gradients of weight products and row gathers are deferred.  A
-``matmul`` with a vector on one side, and a ``matmul_t`` or
-``matvec_rows`` of a batch of rows against a weight, hand back the two
-factors ``u @ v`` of their weight gradient (rank 1 for a vector, rank B
-for B rows), and ``take_row``/``take_rows`` hand back the gathered row
-ids with their gradient rows.  When the input is a recorded node the
+``matmul_t`` or ``matvec_rows`` of a batch of B rows against a weight
+hands back the two factors ``u @ v`` of its rank-B weight gradient, and
+``take_row``/``take_rows`` hand back the gathered row ids with their
+gradient rows.  When the input is a recorded node the
 factors are expanded into a dense array on the spot, so every other op
 sees plain ndarrays; row gradients of one node are added in place into
 one array.
@@ -36,11 +35,13 @@ Conventions:
     tensor-with-scalar-tensor (size 1).  Everything else raises
     ``ShapeError`` so that a mis-shaped equation fails loudly.  A leading
     batch axis goes through named ops that say how it is combined:
-    ``matmul_t`` (rows against a weight as one GEMM), ``matvec_rows``
-    (the same product as one GEMV per row), ``additive_scores`` (query
-    rows against shared or per-row keys), ``add_rowvec`` (one vector per
-    matrix), ``scale_rows`` (one scale per row), ``softmax`` with a row
-    mask, and ``weighted_sum`` (one weighted row sum per batch entry).
+    ``matmul_t`` (rows, under any leading axes, against a weight as one
+    GEMM), ``matvec_rows`` (the same product as one GEMV per row),
+    ``affine`` (either of the two, then added terms), ``additive_scores``
+    (query rows against shared or per-row keys), ``add_rowvec`` (one
+    vector per matrix), ``scale_rows`` (one scale per row), ``softmax``
+    with a row mask, and ``weighted_sum`` (one weighted row sum per batch
+    entry).
   * a tape and its tensors belong to one thread; independent tapes may
     run concurrently on other threads.
 """
@@ -56,7 +57,7 @@ from .errors import ContractError, DomainError, ShapeError
 
 __all__ = [
     "Tensor", "Tape", "backward", "zeros",
-    "add", "sub", "mul", "neg", "matmul", "matmul_t", "matvec_rows", "additive_scores",
+    "add", "sub", "mul", "neg", "matmul_t", "matvec_rows", "affine", "additive_scores",
     "transpose",
     "sigmoid", "tanh", "log", "softmax", "log_softmax",
     "concat", "sum_all", "mean_rows", "add_rowvec", "scale_rows", "weighted_sum",
@@ -178,9 +179,8 @@ class _Factor:
 
 
 class _Outer(_Factor):
-    """``u @ v``, the gradient of the matrix in a matrix product: a rank-1
-    ``np.outer(u, v)`` for (m,) and (n,) vectors, or a rank-r sum for an
-    (m, r) ``u`` and an (r, n) ``v``."""
+    """``u @ v``, the gradient of the weight in a product of rows against
+    it: a rank-r sum for an (m, r) ``u`` and an (r, n) ``v``."""
 
     __slots__ = ("u", "v")
 
@@ -189,7 +189,7 @@ class _Outer(_Factor):
         self.v = v
 
     def dense(self, shape) -> np.ndarray:
-        return np.outer(self.u, self.v) if self.u.ndim == 1 else self.u @ self.v
+        return self.u @ self.v
 
 
 class _Rows(_Factor):
@@ -215,8 +215,8 @@ def _add_factors(t: Tensor, factors: list) -> None:
     outers = [f for f in factors if type(f) is _Outer]
     rows = [f for f in factors if type(f) is _Rows]
     if outers:
-        ww = (np.concatenate([f.u.reshape(len(f.u), -1) for f in outers], axis=1)
-              @ np.concatenate([f.v.reshape(-1, f.v.shape[-1]) for f in outers]))
+        ww = (np.concatenate([f.u for f in outers], axis=1)
+              @ np.concatenate([f.v for f in outers]))
         if t.grad is None:
             t.grad = ww
         else:
@@ -367,49 +367,24 @@ def neg(a: Tensor) -> Tensor:
     return _record(out, (a,), lambda g: (-g,))
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    ad, bd = a.data, b.data
-    if ad.ndim not in (1, 2) or bd.ndim not in (1, 2):
-        raise ShapeError(f"matmul supports rank 1 or 2 operands, got {ad.shape} @ {bd.shape}")
-    if ad.shape[-1] != bd.shape[0]:
-        raise ShapeError(f"matmul: inner dimensions disagree: {ad.shape} @ {bd.shape}")
-    out = Tensor(ad @ bd)
-
-    def grad_fn(g):
-        ga = gb = None
-        if a.requires_grad:
-            if bd.ndim == 2:
-                ga = g @ bd.T
-            elif ad.ndim == 2:          # (m,k) @ (k,) -> (m,)
-                ga = _Outer(g, bd)
-            else:                       # (k,) @ (k,) -> ()
-                ga = g * bd
-        if b.requires_grad:
-            if ad.ndim == 2:
-                gb = ad.T @ g
-            elif bd.ndim == 2:          # (k,) @ (k,n) -> (n,)
-                gb = _Outer(ad, g)
-            else:
-                gb = g * ad
-        return ga, gb
-
-    return _record(out, (a, b), grad_fn)
-
-
 def matmul_t(a: Tensor, w: Tensor) -> Tensor:
-    """``a @ w.T`` for an (n, k) matrix of rows and an (m, k) weight -> (n, m).
+    """``a @ w.T`` for an (n, k) matrix of rows and an (m, k) weight -> (n, m);
+    rows with more leading axes, such as (B, L, k), give (B, L, m) from
+    one GEMM over all of them.
 
     The weight's gradient ``g.T @ a`` is deferred as a rank-n factor, so
     when ``w`` is a leaf every product of a recurrence, each step and
     each row, adds up in one GEMM at the end of ``backward``."""
     ad, wd = a.data, w.data
-    if ad.ndim != 2 or wd.ndim != 2 or ad.shape[1] != wd.shape[1]:
+    if ad.ndim < 2 or wd.ndim != 2 or ad.shape[-1] != wd.shape[1]:
         raise ShapeError(f"matmul_t: rows {ad.shape} do not match weight {wd.shape}")
-    out = Tensor(ad @ wd.T)
+    rows = ad.reshape(-1, wd.shape[1])
+    out = Tensor((rows @ wd.T).reshape(ad.shape[:-1] + wd.shape[:1]))
 
     def grad_fn(g):
-        return (g @ wd if a.requires_grad else None,
-                _Outer(g.T, ad) if w.requires_grad else None)
+        g = g.reshape(-1, wd.shape[0])
+        return ((g @ wd).reshape(ad.shape) if a.requires_grad else None,
+                _Outer(g.T, rows) if w.requires_grad else None)
 
     return _record(out, (a, w), grad_fn)
 
@@ -443,6 +418,20 @@ def matvec_rows(x: Tensor, w: Tensor, *terms: Tensor) -> Tensor:
                   for t in terms))
 
     return _record(out, (x, w) + terms, grad_fn)
+
+
+def affine(x: Tensor, w: Tensor, *terms: Tensor, per_row: bool = False) -> Tensor:
+    """``x @ w.T`` for (n, k) rows and an (m, k) weight, then each of
+    ``terms`` added in order: an (n, m) matrix, or an (m,) bias added to
+    every row.  With ``per_row`` this is ``matvec_rows``, one GEMV per
+    row, as decoding takes it; otherwise one GEMM (``matmul_t``) and one
+    op per term (``add_rowvec`` for a bias), as teacher forcing takes it."""
+    if per_row:
+        return matvec_rows(x, w, *terms)
+    y = matmul_t(x, w)
+    for t in terms:
+        y = add_rowvec(y, t) if t.data.ndim == 1 else y + t
+    return y
 
 
 def additive_scores(keys: Tensor, q: Tensor, w: Tensor) -> Tensor:

@@ -205,7 +205,7 @@ class TrainConfig:
 class TrainResult:
     history: list[dict]
     best_val: float
-    checkpoint_path: str
+    checkpoint_path: str    # the file that holds ``decoder``'s weights
     decoder: object
     vocab: Vocabulary
 
@@ -287,7 +287,10 @@ def train(cfg: TrainConfig) -> TrainResult:
     """Stage-1 MLE training with early stopping; optional stage-2 rewards.
 
     The reward stage and the returned decoder start from the best
-    checkpoint's weights, not from the last epoch's.  A non-finite batch
+    checkpoint's weights, not from the last epoch's.  The result names
+    the file that holds the returned weights: ``<checkpoint>.rl`` after
+    a reward stage, else the best MLE checkpoint, which is the resumed
+    file when no epoch of this run improved on it.  A non-finite batch
     loss, reward advantage or gradient stops training with ``DomainError``
     before the optimizer steps or a checkpoint is written.  A
     ``batch_size``, ``epochs`` or ``lr_decay_every`` below 1 is a
@@ -418,10 +421,10 @@ def train(cfg: TrainConfig) -> TrainResult:
         decoder.load_arrays(load_checkpoint(best_path)[1])
 
     if cfg.rl_epochs > 0:
-        ckpt_path = _reward_stage(cfg, decoder, params, train_samples, feats_cache, vocab,
+        best_path = _reward_stage(cfg, decoder, params, train_samples, feats_cache, vocab,
                                   history, ckpt_path)
 
-    return TrainResult(history, best_val, ckpt_path, decoder, vocab)
+    return TrainResult(history, best_val, best_path, decoder, vocab)
 
 
 def _reward_stage(cfg, decoder, params, train_samples, feats_cache, vocab, history,

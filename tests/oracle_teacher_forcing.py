@@ -2,10 +2,16 @@
 
 This is the per-step formulation: one ``init_state`` per caption, then
 a one-row ``step`` per ground-truth word, taking the log of each step's
-word distribution.  It shares no code with the decoders' batched passes, whose
-log-probs and gradients must equal it within rounding.  Any decoder of
-the step protocol runs through it, the two-stream decoder's fused
-distribution included.
+word distribution.  Any decoder of the step protocol runs through it,
+the two-stream decoder's fused distribution included.  The batched
+passes' log-probs and gradients must equal it within rounding.
+
+It shares no code with the batched passes of ``decoders.py``.  DA's is
+different: ``DeliberateDecoder.forward_teacher_forced`` and ``da_step``
+run one step body, so for DA this oracle checks the batch padding, the
+GEMM products against the per-row ones and the word head run once over
+the batch, not the equations.  Those are checked by
+``test_da.py::manual_da_step``, an independent numpy replay of the step.
 """
 
 from capgen.data import FeatureSet

@@ -4,6 +4,7 @@ import re
 import shutil
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import capgen.cli
@@ -22,13 +23,17 @@ def workspace(tmp_path_factory):
                  "--samples", "3", "--vocab-size", "5", "--length", "3",
                  "--dim", "8"]) == 0
     ckpt = root / "model.ckpt"
-    assert main(["train", "--data-dir", str(data), "--hidden-dim", "8",
-                 "--embed-dim", "8", "--attn-dim", "6", "--epochs", "2",
-                 "--patience", "0", "--optimizer", "adam", "--lr", "0.003",
-                 "--dropout", "0.0", "--val-metric", "loss", "--max-len", "6",
-                 "--checkpoint", str(ckpt), "--seed", "1",
-                 "--batch-size", "2"]) == 0
+    assert main(train_argv(data, ckpt, epochs=2)) == 0
     return root, data, ckpt
+
+
+def train_argv(data, ckpt, epochs, *extra):
+    """The workspace's ``capgen train`` command line."""
+    return ["train", "--data-dir", str(data), "--hidden-dim", "8",
+            "--embed-dim", "8", "--attn-dim", "6", "--epochs", str(epochs),
+            "--patience", "0", "--optimizer", "adam", "--lr", "0.003",
+            "--dropout", "0.0", "--val-metric", "loss", "--max-len", "6",
+            "--checkpoint", str(ckpt), "--seed", "1", "--batch-size", "2", *extra]
 
 
 def edited_copy(data, dest, name, edit):
@@ -99,6 +104,33 @@ class TestPipeline:
                        f"checkpoint = {tmp_path / 'cfg.ckpt'}\n")
         assert main(["train", "--config", str(cfg), "--epochs", "9999"]) == 0
         assert (tmp_path / "cfg.ckpt").exists()
+
+
+class TestResume:
+    @pytest.mark.parametrize("case", ["no-epoch-left", "no-epoch-improves"])
+    def test_reports_the_file_that_holds_the_weights(self, workspace, tmp_path, capsys,
+                                                     case):
+        """A resumed run that writes no checkpoint names the resumed file,
+        which restores for ``generate``."""
+        _, data, ckpt = workspace
+        variant, arrays = load_checkpoint(ckpt)
+        resumed, epochs = ckpt, 1        # the workspace's run trained epochs 0 and 1
+        if case == "no-epoch-improves":
+            arrays["meta/best_val"] = np.asarray(1e300)
+            resumed, epochs = tmp_path / "unbeatable.ckpt", 3
+            save_checkpoint(resumed, variant, arrays)
+        capsys.readouterr()
+        unwritten = tmp_path / "never.ckpt"
+        assert main(train_argv(data, unwritten, epochs, "--resume", str(resumed))) == 0
+        first = capsys.readouterr().out.splitlines()[0]
+        runs = max(0, epochs - int(arrays["meta/epoch"]) - 1)
+        assert runs == (case == "no-epoch-improves")
+        assert first.startswith(f"trained hlstmat_temporal for {runs} epochs")
+        assert first.endswith(f"checkpoint {resumed}")
+        assert not unwritten.exists()
+        assert main(["generate", "--data-dir", str(data), "--checkpoint", str(resumed),
+                     "--out", str(tmp_path / "gen.jsonl"), "--beam", "1",
+                     "--max-len", "6"]) == 0
 
 
 class TestTrainFlags:

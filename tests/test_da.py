@@ -136,9 +136,8 @@ class TestDaStep:
         dec = small_da()
         feats = da_features(rng, dec.config)
         state = dec.init_state(feats)
-        v_g, regions = state.feats[:2]
         p_m, _ = dec.step(state, [BOS_ID])
-        p_f, _ = da_step(dec, state, [BOS_ID], v_g, regions)
+        p_f, _ = da_step(dec, state, [BOS_ID])
         assert np.array_equal(p_m.data, p_f.data)
 
 
@@ -217,10 +216,11 @@ class TestRegionKeys:
         carried = outputs()
         real = capgen.da.da_step
 
-        def recomputing(dec, state, token_id, v_g, regions, training=False, rng=None):
+        def recomputing(dec, state, token_ids, training=False, rng=None):
+            v_g, regions, _, _, mask = state.feats
             keys = (dec.attn1.keys(regions), dec.attn2.keys(regions))
-            return real(dec, replace(state, feats=(v_g, regions) + keys), token_id, v_g,
-                        regions, training, rng)
+            return real(dec, replace(state, feats=(v_g, regions) + keys + (mask,)), token_ids,
+                        training, rng)
 
         monkeypatch.setattr(capgen.da, "da_step", recomputing)
         assert outputs() == carried

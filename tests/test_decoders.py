@@ -247,15 +247,14 @@ def assert_grads_match(grads, ref_grads):
             assert np.max(np.abs(g - ref_grads[name])) <= 1e-12, name
 
 
-# case -> (variant, config overrides, decoder attributes, with_aux)
+# case -> (variant, config overrides, with_aux)
 PHASED_CASES = {
-    **{v: (v, {}, {}, False) for v in ("basic", "hlstmat_temporal", "hlstmat_spatial", "conf",
-                                       "para", "two_stream/0", "two_stream/1", "da")},
-    "output_hidden_top": ("hlstmat_temporal", {"output_hidden": "top"}, {}, False),
-    "gate_free": ("hlstmat_temporal", {"use_adaptive_gate": False}, {}, False),
-    "gate_override": ("hlstmat_temporal", {}, {"gate_override": 1.0}, False),
-    "da_draft_only": ("da", {"deliberate": False}, {}, False),
-    "da_with_aux": ("da", {}, {}, True),
+    **{v: (v, {}, False) for v in ("basic", "hlstmat_temporal", "hlstmat_spatial", "conf",
+                                   "para", "two_stream/0", "two_stream/1", "da")},
+    "output_hidden_top": ("hlstmat_temporal", {"output_hidden": "top"}, False),
+    "gate_free": ("hlstmat_temporal", {"use_adaptive_gate": False}, False),
+    "da_draft_only": ("da", {"deliberate": False}, False),
+    "da_with_aux": ("da", {}, True),
 }
 
 
@@ -265,10 +264,8 @@ class TestPhasedTeacherForcing:
     @pytest.mark.parametrize("case", sorted(PHASED_CASES))
     @pytest.mark.parametrize("mode", ["eval", "dropout", "padded"])
     def test_matches_stepwise_loop(self, case, mode):
-        variant, cfg, attrs, with_aux = PHASED_CASES[case]
+        variant, cfg, with_aux = PHASED_CASES[case]
         dec, feats = stream_case(variant, **cfg)
-        for name, value in attrs.items():
-            setattr(dec, name, value)
         tokens = [BOS_ID, 5, 7, 4, EOS_ID]
         if mode == "padded":
             tokens += [PAD_ID, PAD_ID]
@@ -331,10 +328,8 @@ class TestBatchedTeacherForcing:
     @pytest.mark.parametrize("case", sorted(PHASED_CASES))
     @pytest.mark.parametrize("mode", ["eval", "dropout"])
     def test_matches_per_caption_loop(self, case, mode):
-        variant, cfg, attrs, with_aux = PHASED_CASES[case]
+        variant, cfg, with_aux = PHASED_CASES[case]
         dec, feats = batch_case(variant, **cfg)
-        for name, value in attrs.items():
-            setattr(dec, name, value)
         training = mode == "dropout"
         if training:
             dec.config.dropout = 0.3
@@ -532,23 +527,6 @@ def test_fused_two_stream_gradcheck():
     batch = CaptionBatch.from_id_seqs([tokens])
     assert check_gradients(lambda: mle_loss(oracle.teacher_forced(dec, feats, tokens), batch),
                            dec.parameters()) < 1e-4
-
-
-class TestGateAblation:
-    def test_forcing_beta_one_equals_gate_free_variant(self, rng):
-        cfg = small_config()
-        full = HierarchicalDecoder(cfg)
-        bare = HierarchicalDecoder(small_config(use_adaptive_gate=False))
-        full_params = full.parameters()
-        for name, p in bare.parameters().items():
-            p.data[...] = full_params[name].data
-        full.gate_override = 1.0
-        for trial in range(20):
-            feats = features_for(rng, "hlstmat_temporal", cfg)
-            token = int(rng.integers(0, cfg.vocab_size))
-            p_full, _ = full.step(full.init_state(feats), [token])
-            p_bare, _ = bare.step(bare.init_state(feats), [token])
-            assert np.max(np.abs(p_full.data - p_bare.data)) <= 1e-12
 
 
 class TestBuildVariant:

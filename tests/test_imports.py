@@ -67,3 +67,52 @@ def test_detects_unnamed_private_definition():
                        "class _Gone:\n    pass\n",
                "b.py": "from a import _kept\n"}
     assert unnamed_private_definitions(sources) == ["a.py: _dead", "a.py: _Gone"]
+
+
+def _bound_names(tree: ast.Module) -> set[str]:
+    """Names a module binds at its top level: definitions, assignments
+    and imports."""
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(a.asname or a.name.split(".")[0] for a in node.names)
+    return bound
+
+
+def stale_exports(sources: dict[str, str]) -> list[str]:
+    """Names that ``sources`` (a package's file name -> text) export but
+    never define: a name of a module's ``__all__`` that the module does
+    not bind, and a name that ``__init__.py`` imports from a sibling
+    module that does not bind it."""
+    trees = {file: ast.parse(source) for file, source in sources.items()}
+    bound = {file: _bound_names(tree) for file, tree in trees.items()}
+    stale = []
+    for file, tree in trees.items():
+        for node in tree.body:
+            if (isinstance(node, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+                stale += [f"{file}: {name}" for name in ast.literal_eval(node.value)
+                          if name not in bound[file]]
+    for node in trees.get("__init__.py", ast.Module(body=[])).body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            source = f"{node.module}.py"
+            stale += [f"__init__.py: {a.name} (from {source})" for a in node.names
+                      if a.name not in bound.get(source, ())]
+    return stale
+
+
+def test_no_stale_exports():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert stale_exports(sources) == []
+
+
+def test_detects_stale_export():
+    sources = {"a.py": "__all__ = ['f', 'gone', 'X', 'Y']\n\ndef f():\n    pass\n\n"
+                       "X: int = 1\nY, Z = 2, 3\n",
+               "__init__.py": "from .a import f, removed\n"}
+    assert stale_exports(sources) == ["a.py: gone", "__init__.py: removed (from a.py)"]

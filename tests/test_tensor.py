@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from capgen.errors import ContractError, DomainError, ShapeError
 from capgen.gradcheck import fd_gradients, max_relative_error
 from capgen.tensor import (
-    Tape, Tensor, add_rowvec, additive_scores, backward, concat, log, log_softmax, matmul,
-    matmul_t, matvec_rows, mean_rows, narrow, pick_per_row, reshape, scale_rows, sigmoid,
+    Tape, Tensor, add_rowvec, additive_scores, backward, concat, log, log_softmax, matmul_t,
+    matvec_rows, mean_rows, narrow, pick_per_row, reshape, scale_rows, sigmoid,
     softmax, stack_rows, sum_all, take_row, take_rows, tanh, transpose, weighted_sum,
 )
 
@@ -36,34 +36,37 @@ def op_gradcheck(build, params, floor=1e-6):
 
 
 class TestMatmul:
+    """Products of rows against a weight: ``matmul_t`` (one GEMM) and
+    ``matvec_rows`` (one GEMV per row)."""
+
     def test_identity(self):
-        out = matmul(Tensor(np.eye(2)), Tensor([[1.0, 2.0], [3.0, 4.0]]))
+        out = matmul_t(Tensor(np.eye(2)), Tensor([[1.0, 3.0], [2.0, 4.0]]))
         np.testing.assert_array_equal(out.data, [[1.0, 2.0], [3.0, 4.0]])
 
     def test_projector(self):
-        out = matmul(Tensor([[1.0, 0.0], [0.0, 0.0]]), Tensor([[5.0], [7.0]]))
+        out = matmul_t(Tensor([[1.0, 0.0], [0.0, 0.0]]), Tensor([[5.0, 7.0]]))
         np.testing.assert_array_equal(out.data, [[5.0], [0.0]])
 
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
-            matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 2))))
+            matmul_t(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 2))))
 
     def test_gradient_vs_finite_differences(self, rng):
         a = leaf(rng.standard_normal((3, 4)))
-        b = leaf(rng.standard_normal((4, 2)))
-        err = op_gradcheck(lambda: matmul(a, b), {"a": a, "b": b})
+        b = leaf(rng.standard_normal((2, 4)))
+        err = op_gradcheck(lambda: matmul_t(a, b), {"a": a, "b": b})
         assert err < 1e-6
 
     def test_matvec_gradient(self, rng):
         a = leaf(rng.standard_normal((3, 4)))
         v = leaf(rng.standard_normal(4))
-        err = op_gradcheck(lambda: matmul(a, v), {"a": a, "v": v})
+        err = op_gradcheck(lambda: matvec_rows(reshape(v, (1, 4)), a), {"a": a, "v": v})
         assert err < 1e-6
 
     def test_transposed_operand_gradient(self, rng):
         x = leaf(rng.standard_normal((3, 4)))
-        w = leaf(rng.standard_normal((5, 4)))
-        assert op_gradcheck(lambda: matmul(x, transpose(w)), {"x": x, "w": w}) < 1e-6
+        w = leaf(rng.standard_normal((4, 5)))
+        assert op_gradcheck(lambda: matmul_t(x, transpose(w)), {"x": x, "w": w}) < 1e-6
 
 
 class TestElementwise:
@@ -270,24 +273,27 @@ class TestBackward:
 
 
 class TestDeferredLeafGradients:
-    """Leaf gradients of matrix @ vector, vector @ matrix and row gathers
-    are summed once per backward; mixed with dense ones they must agree
-    with finite differences."""
+    """Leaf gradients of per-row and GEMM weight products and of row
+    gathers are summed once per backward; mixed with dense ones they must
+    agree with finite differences."""
 
     def test_weight_used_as_matvec_and_matmat(self, rng):
         w = leaf(rng.standard_normal((3, 4)))
         v1, v2 = leaf(rng.standard_normal(4)), leaf(rng.standard_normal(4))
-        u = leaf(rng.standard_normal(3))
-        m = leaf(rng.standard_normal((4, 2)))
+        u = leaf(rng.standard_normal((1, 3)))
+        m = leaf(rng.standard_normal((2, 4)))
         params = {"w": w, "v1": v1, "v2": v2, "u": u, "m": m}
+
+        def row(v):
+            return reshape(v, (1, 4))
 
         def build():
             return concat([
-                matmul(w, v1),                        # deferred, two steps
-                matmul(w, v2),
-                matmul(u, w),                         # deferred, vector on the left
-                reshape(matmul(w, m), (6,)),          # dense
-                matmul(tanh(w), v1),                  # node input: expanded on the spot
+                reshape(matvec_rows(row(v1), w), (3,)),       # deferred, two steps
+                reshape(matvec_rows(row(v2), w), (3,)),
+                reshape(matmul_t(m, w), (6,)),                # deferred, a GEMM of two rows
+                reshape(matmul_t(u, transpose(w)), (4,)),     # dense: the weight is a node
+                reshape(matvec_rows(row(v1), tanh(w)), (3,)),  # node input: expanded on the spot
             ])
 
         assert op_gradcheck(build, params) < 1e-6
@@ -314,8 +320,8 @@ class TestDeferredLeafGradients:
         params = {"w": w, "e": e, "b": b}
 
         def loss():
-            h = tanh(matmul(w, take_row(e, 1)) + b)
-            return sum_all(tanh(matmul(w, take_row(e, 4)) + h))
+            h = tanh(matvec_rows(reshape(take_row(e, 1), (1, 4)), w, b))
+            return sum_all(tanh(matvec_rows(reshape(take_row(e, 4), (1, 4)), w, h)))
 
         with Tape():
             backward(loss())
@@ -455,7 +461,7 @@ class TestBatchedOps:
 
     def test_rank_b_factors_sum_over_steps(self, rng):
         # a recurrence's U gets one rank-B factor per step, summed in one GEMM,
-        # next to a rank-1 factor from a matrix-vector product
+        # next to a rank-1 factor from a one-row GEMV
         u = leaf(rng.standard_normal((4, 4)))
         h0 = leaf(rng.standard_normal((3, 4)))
         v = leaf(rng.standard_normal(4))
@@ -464,7 +470,7 @@ class TestBatchedOps:
             h = h0
             for _ in range(3):
                 h = tanh(matmul_t(h, u))
-            return concat([reshape(h, (12,)), matmul(u, v)])
+            return concat([reshape(h, (12,)), reshape(matvec_rows(reshape(v, (1, 4)), u), (4,))])
 
         assert op_gradcheck(build, {"u": u, "h0": h0, "v": v}) < 1e-6
 
