@@ -7,9 +7,9 @@ BLEU / ROUGE-L / CIDEr evaluation.
 """
 
 from .attention import (
-    AdaptiveGate, AdditiveAttention, adaptive_blend, mean_pool, parallel_adaptive_blend,
+    AdaptiveGate, AdditiveAttention, adaptive_blend, parallel_adaptive_blend,
 )
-from .da import DaConfig, DeliberateDecoder, da_first_pass_distribution, da_step
+from .da import DaConfig, DeliberateDecoder, da_step
 from .data import (
     BOS_ID, EOS_ID, PAD_ID, UNK_ID, CaptionBatch, Dataset, FeatureSet,
     Vocabulary, build_vocab, load_features, synth_dataset,

@@ -1,7 +1,6 @@
 """Attention mechanisms: additive soft attention over feature rows, the
-scalar adaptive gate, its three-way parallel variant, and the mean-pool
-baseline.  All of them are stateless given their parameters and safe for
-concurrent read-only use."""
+scalar adaptive gate and its three-way parallel variant.  All of them are
+stateless given their parameters and safe for concurrent read-only use."""
 
 from __future__ import annotations
 
@@ -13,22 +12,14 @@ import numpy as np
 from .errors import EmptyInputError, ShapeError
 from .layers import Module, glorot
 from .tensor import (
-    Tensor, additive_scores, affine, matmul_t, matvec_rows, mean_rows, scale_rows,
-    sigmoid, softmax, transpose, weighted_sum,
+    Tensor, additive_scores, affine, matmul_t, matvec_rows, scale_rows, sigmoid, softmax,
+    transpose, weighted_sum,
 )
 
 __all__ = [
-    "AdditiveAttention", "AdaptiveGate", "TraceRow",
-    "mean_pool", "pool_rows",
+    "AdditiveAttention", "AdaptiveGate", "TraceRow", "pool_rows",
     "adaptive_blend", "parallel_adaptive_blend", "write_trace_csv",
 ]
-
-
-def mean_pool(feats: Tensor) -> Tensor:
-    """Average of feature rows; the no-attention baseline context."""
-    if feats.data.ndim != 2 or feats.data.shape[0] == 0:
-        raise EmptyInputError(f"mean_pool needs a non-empty (n, d) matrix, got {feats.data.shape}")
-    return mean_rows(feats)
 
 
 def pool_rows(alpha: Tensor, feats: Tensor) -> Tensor:

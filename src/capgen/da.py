@@ -9,8 +9,9 @@ word distribution comes from fusing the draft hidden, the refined hidden
 and the second attended vector.
 
 One step body runs both passes on a state's rows, for decoding and for
-teacher forcing alike.  ``init_state`` builds either state and computes
-the region keys once.  Decoding (``da_step``) steps n rows over one
+teacher forcing alike.  ``init_state`` builds either state, checks each
+feature set's global and region widths, and computes the region keys
+once.  Decoding (``da_step``) steps n rows over one
 image's (L, D) regions (the rows protocol of ``decoders.py``) with one
 GEMV per row, so each row equals the step of that row alone bit for bit.
 Teacher forcing steps a batch's (B, ·) rows over its regions padded to
@@ -34,15 +35,14 @@ from .data import FeatureSet
 from .decoders import (
     _as_batch, _drop, _dropout_masks, _head_log_probs, _pad_rows, _repeat_row,
 )
-from .errors import ConfigError, ContractError, ShapeError
+from .errors import ConfigError, ShapeError
 from .layers import Embedding, Linear, LstmCell, Module, dropout, glorot
 from .tensor import (
     Tensor, additive_scores, affine, concat, matmul_t, narrow, reshape, scale_rows, sigmoid,
     softmax, stack_rows, take_row, take_rows, tanh, zeros,
 )
 
-__all__ = ["DaConfig", "DaState", "DeliberateDecoder", "da_step",
-           "da_first_pass_distribution"]
+__all__ = ["DaConfig", "DaState", "DeliberateDecoder", "da_step"]
 
 
 @dataclass
@@ -53,8 +53,6 @@ class DaConfig:
     attn_dim: int = 512
     region_dim: int = 2048
     global_dim: int = 2048
-    first_pass_head: bool = False  # auxiliary draft-word head
-    deliberate: bool = True        # False drops the whole second pass
     dropout: float = 0.0
     seed: int = 0
 
@@ -69,8 +67,7 @@ class DaState:
     m1: Tensor
     h2: Tensor
     m2: Tensor
-    feats: tuple                   # (global rows, regions, attn1 keys, attn2 keys, mask)
-    draft: Optional[tuple] = None  # (h1_tilde, v1_hat) rows of the latest step
+    feats: tuple                    # (global rows, regions, attn1 keys, attn2 keys, mask)
     row: Optional[TraceRow] = None  # the latest step's trace rows
 
     def take(self, idx) -> "DaState":
@@ -107,42 +104,35 @@ class DeliberateDecoder(Module):
 
     def __init__(self, config: DaConfig):
         c = config
-        if not c.deliberate and not c.first_pass_head:
-            raise ConfigError("disabling deliberation requires the first-pass head")
         self.config = config
         rng = config.rng()
         self.embed = Embedding(c.vocab_size, c.embed_dim, rng)
         self.lstm1 = LstmCell(c.global_dim + c.hidden_dim + c.embed_dim, c.hidden_dim, rng)
         self.W_rd = Linear(c.embed_dim + c.hidden_dim, c.hidden_dim, rng, bias=False)
         self.attn1 = _ScoredAttention(c.hidden_dim, c.region_dim, c.attn_dim, rng)
-        if c.first_pass_head:
-            self.first_head = Linear(c.hidden_dim + c.region_dim, c.vocab_size, rng)
+        y2_dim = c.global_dim + c.hidden_dim + c.region_dim
+        self.lstm2 = LstmCell(y2_dim, c.hidden_dim, rng)
+        self.W_x = glorot(rng, c.hidden_dim, y2_dim)
+        self.W_h = glorot(rng, c.hidden_dim, c.hidden_dim)
+        self.attn2 = _ScoredAttention(c.hidden_dim, c.region_dim, c.attn_dim, rng)
+        # sentinel slot score: w_a . tanh(W_s s + W_h3 h2)
+        self.W_s = glorot(rng, c.attn_dim, c.hidden_dim)
+        self.W_h3 = glorot(rng, c.attn_dim, c.hidden_dim)
+        self.w_a = Tensor(glorot(rng, c.attn_dim, 1).data[:, 0].copy(), requires_grad=True)
+        # the sentinel competes with region rows, so it must share their dim
+        if c.hidden_dim != c.region_dim:
+            self.sentinel_proj = Linear(c.hidden_dim, c.region_dim, rng, bias=False)
         else:
-            self.first_head = None
-        if c.deliberate:
-            y2_dim = c.global_dim + c.hidden_dim + c.region_dim
-            self.lstm2 = LstmCell(y2_dim, c.hidden_dim, rng)
-            self.W_x = glorot(rng, c.hidden_dim, y2_dim)
-            self.W_h = glorot(rng, c.hidden_dim, c.hidden_dim)
-            self.attn2 = _ScoredAttention(c.hidden_dim, c.region_dim, c.attn_dim, rng)
-            # sentinel slot score: w_a . tanh(W_s s + W_h3 h2)
-            self.W_s = glorot(rng, c.attn_dim, c.hidden_dim)
-            self.W_h3 = glorot(rng, c.attn_dim, c.hidden_dim)
-            self.w_a = Tensor(glorot(rng, c.attn_dim, 1).data[:, 0].copy(),
-                              requires_grad=True)
-            # the sentinel competes with region rows, so it must share their dim
-            if c.hidden_dim != c.region_dim:
-                self.sentinel_proj = Linear(c.hidden_dim, c.region_dim, rng, bias=False)
-            else:
-                self.sentinel_proj = None
-            self.W_sd = Linear(2 * c.hidden_dim + c.region_dim, c.hidden_dim, rng, bias=False)
-            self.out = Linear(c.hidden_dim, c.vocab_size, rng)
+            self.sentinel_proj = None
+        self.W_sd = Linear(2 * c.hidden_dim + c.region_dim, c.hidden_dim, rng, bias=False)
+        self.out = Linear(c.hidden_dim, c.vocab_size, rng)
 
     def init_state(self, features) -> DaState:
         """The one-row state over one image's ``FeatureSet``, for decoding;
         or over a list of B of them, the (B, ·) state of a teacher-forced
         batch, its regions padded to (B, L, D) with the (B, L) mask of
-        real ones.  The region keys are computed here, once."""
+        real ones.  Each set's feature widths are checked and the region
+        keys computed here, once."""
         c = self.config
         single = isinstance(features, FeatureSet)
         sets = [features] if single else list(features)
@@ -150,63 +140,45 @@ class DeliberateDecoder(Module):
             if f.require("global").shape != (c.global_dim,):
                 raise ConfigError(f"global feature dim {f.global_vec.shape} "
                                   f"!= configured {c.global_dim}")
-            if not single:      # decoding reports a region width at its first step
-                _check_regions(self, f.require("spatial"), "teacher forcing")
+            width = f.require("spatial").shape[1]
+            if width != c.region_dim:
+                raise ShapeError(f"DA init_state: regions have dim {width}, "
+                                 f"the region attention expects {c.region_dim}")
         if single:
-            regions, mask = Tensor(features.require("spatial")), None
+            regions, mask = Tensor(features.spatial), None
         else:
             regions, mask = _pad_rows([f.spatial for f in sets])
-        keys1 = keys2 = None
-        if regions.shape[-1] == c.region_dim:
-            keys1 = self.attn1.keys(regions)
-            keys2 = self.attn2.keys(regions) if c.deliberate else None
         z = zeros(len(sets), c.hidden_dim)
         v_g = Tensor(np.stack([f.global_vec for f in sets]))
-        return DaState(z, z, z, z, (v_g, regions, keys1, keys2, mask))
+        return DaState(z, z, z, z, (v_g, regions, self.attn1.keys(regions),
+                                    self.attn2.keys(regions), mask))
 
     def step(self, state: DaState, token_ids, training: bool = False, rng=None):
         return da_step(self, state, token_ids, training=training, rng=rng)
 
-    def forward_teacher_forced(self, features, tokens, training=False, rng=None,
-                               with_aux: bool = False):
+    def forward_teacher_forced(self, features, tokens, training=False, rng=None):
         """Teacher-forced log-probs, (T, vocab) for one caption and
-        (B, T, vocab) for a batch (see the module docstring); with_aux
-        also returns the draft head's rows."""
-        c = self.config
-        if with_aux and self.first_head is None:
-            raise ConfigError("the first-pass head is disabled in this configuration")
+        (B, T, vocab) for a batch (see the module docstring)."""
         batch = _as_batch(features, tokens)
-        (masks,) = _dropout_masks((self,), batch.steps, 2 if c.deliberate else 1,
-                                  training, rng)
+        (masks,) = _dropout_masks((self,), batch.steps, 2, training, rng)
         state = self.init_state(batch.feats)
         words = self.embed.lookup(batch.ids[:, :-1].T)                  # (T, B, E)
-        need_drafts = with_aux or not c.deliberate
-        drafts, fused = [], []
+        fused = []
         for t in range(batch.ids.shape[1] - 1):
             rows, state = _da_body(self, state, take_row(words, t),
                                    lambda x, layer: _drop(x, masks, t, layer))
-            if need_drafts:
-                drafts.append(concat(state.draft, axis=1))
             fused.append(rows)
-
-        draft = main = None
-        if need_drafts:
-            draft = main = _head_log_probs(self.first_head, stack_rows(drafts), batch.single)
-        if c.deliberate:
-            main = _head_log_probs(lambda x: self.out(self.W_sd(x)), stack_rows(fused),
-                                   batch.single)
-        return (main, draft) if with_aux else main
+        return _head_log_probs(lambda x: self.out(self.W_sd(x)), stack_rows(fused),
+                               batch.single)
 
 
 def _da_body(dec: DeliberateDecoder, state: DaState, w_t: Tensor, drop):
     """Both passes of one step on the state's n rows, given their (n, E)
     word rows: returns the fused rows [h1~; h2_d; v2^] that ``W_sd`` and
-    the word head read (None without the second pass) and the new state,
-    whose ``draft`` is (h1~, v1^).  ``drop(x, layer)`` applies dropout to
-    the first (layer 0) or second (layer 1) hidden.  Over one image's
-    (L, D) regions every product is one GEMV per row; over a batch's
-    padded (B, L, D) regions, one GEMM."""
-    c = dec.config
+    the word head read, and the new state.  ``drop(x, layer)`` applies
+    dropout to the first (layer 0) or second (layer 1) hidden.  Over one
+    image's (L, D) regions every product is one GEMV per row; over a
+    batch's padded (B, L, D) regions, one GEMM."""
     v_g, regions, keys1, keys2, mask = state.feats
     per_row = regions.data.ndim == 2
     n, L = w_t.shape[0], regions.shape[-2]
@@ -219,10 +191,6 @@ def _da_body(dec: DeliberateDecoder, state: DaState, w_t: Tensor, drop):
     h1_tilde = dec.W_rd(concat([w_t, drop(out1.h, 0)], axis=1), per_row)
     alpha1 = softmax(dec.attn1.scores(h1_tilde, keys1), mask)
     v1_hat = pool_rows(alpha1, regions)
-    if not c.deliberate:
-        return None, DaState(out1.h, out1.m, state.h2, state.m2, state.feats,
-                             draft=(h1_tilde, v1_hat),
-                             row=TraceRow(alpha1.data, np.ones((n, 1))))
 
     # second pass: sentinel-augmented attention over regions + language slot
     y2 = concat([g_rows, h1_tilde, v1_hat], axis=1)
@@ -239,7 +207,7 @@ def _da_body(dec: DeliberateDecoder, state: DaState, w_t: Tensor, drop):
     v2_hat = pool_rows(narrow(alpha2, 0, L), regions) + scale_rows(s_vis, alpha2, L)
     return concat([h1_tilde, h2_d, v2_hat], axis=1), DaState(
         out1.h, out1.m, out2.h, out2.m, state.feats,
-        draft=(h1_tilde, v1_hat), row=TraceRow(alpha2.data, alpha2.data[:, L:]))
+        row=TraceRow(alpha2.data, alpha2.data[:, L:]))
 
 
 def da_step(dec: DeliberateDecoder, state: DaState, token_ids,
@@ -247,26 +215,6 @@ def da_step(dec: DeliberateDecoder, state: DaState, token_ids,
     """One decoding step of the state's n rows on n token ids, over the
     image's regions in ``state.feats``; returns the (n, vocab) word
     distributions and the new state."""
-    c = dec.config
-    _check_regions(dec, state.feats[1].data, "da_step")
     fused, state = _da_body(dec, state, dec.embed.lookup_one(token_ids),
-                            lambda x, layer: dropout(x, c.dropout, training, rng))
-    if fused is None:
-        return da_first_pass_distribution(dec, state), state
+                            lambda x, layer: dropout(x, dec.config.dropout, training, rng))
     return softmax(dec.out(dec.W_sd(fused, per_row=True), per_row=True)), state
-
-
-def _check_regions(dec: DeliberateDecoder, regions: np.ndarray, stage: str) -> None:
-    if regions.shape[1] != dec.config.region_dim:
-        raise ShapeError(f"{stage}: regions have dim {regions.shape[1]}, "
-                         f"the region attention expects {dec.config.region_dim}")
-
-
-def da_first_pass_distribution(dec: DeliberateDecoder, state: DaState) -> Tensor:
-    """Auxiliary (n, vocab) draft-word distributions from the latest
-    step's first pass."""
-    if dec.first_head is None:
-        raise ConfigError("the first-pass head is disabled in this configuration")
-    if state.draft is None:
-        raise ContractError("no step has been taken from this state yet")
-    return softmax(dec.first_head(concat(state.draft, axis=1), per_row=True))

@@ -4,7 +4,10 @@ Variants share one step pipeline: the bottom LSTM reads the previous word
 embedding, the top LSTM refines the bottom hidden state, additive
 attention pools visual features with the bottom hidden as query, a gate
 mixes the attended context with the top hidden state, and a two-layer MLP
-emits the word distribution.  ``build_variant`` wires the six published
+over the bottom hidden and the blended context emits the word
+distribution.  The mean of a feature set, which a two-LSTM initial state
+reads and which ``basic`` reads at every step, needs no gradient, so
+numpy computes it.  ``build_variant`` wires the six published
 configurations: a single-LSTM baseline, temporal/spatial attention,
 concatenation fusion, parallel adaptive attention, and two fused streams.
 
@@ -62,8 +65,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .attention import (
-    AdaptiveGate, AdditiveAttention, TraceRow, adaptive_blend, mean_pool,
-    parallel_adaptive_blend,
+    AdaptiveGate, AdditiveAttention, TraceRow, adaptive_blend, parallel_adaptive_blend,
 )
 from .data import BOS_ID, CaptionBatch, FeatureSet
 from .errors import ConfigError, ContractError, ShapeError
@@ -90,7 +92,6 @@ class DecoderConfig:
     attn_dim: int = 512
     feature_dim: int = 512      # width of the attended (appearance) features
     motion_dim: int | None = None  # second feature width for conf/para/two_stream
-    output_hidden: str = "bottom"  # which hidden feeds the word MLP: bottom|top
     use_adaptive_gate: bool = True  # False realizes the gate-free ablation
     dropout: float = 0.0
     seed: int = 0
@@ -148,7 +149,7 @@ class BasicDecoder(Module):
         self.out_vocab = Linear(c.hidden_dim, c.vocab_size, rng)
 
     def init_state(self, features: FeatureSet) -> DecoderState:
-        vbar = reshape(mean_pool(Tensor(features.require("temporal"))), (1, -1))
+        vbar = Tensor(features.require("temporal").mean(axis=0)[None])
         h = zeros(1, self.config.hidden_dim)
         return DecoderState(h, h, h, h, (vbar,))
 
@@ -171,7 +172,7 @@ class BasicDecoder(Module):
         batch = _as_batch(features, tokens)
         (masks,) = _dropout_masks((self,), batch.steps, 1, training, rng)
         width, steps = batch.ids.shape[0], batch.ids.shape[1] - 1
-        vbar = np.stack([mean_pool(Tensor(f.require("temporal"))).data for f in batch.feats])
+        vbar = np.stack([f.require("temporal").mean(axis=0) for f in batch.feats])
         words = self.embed.lookup(batch.ids[:, :-1].T)                  # (T, B, E)
         gates = self.lstm.input_products(
             concat([words, Tensor(np.broadcast_to(vbar, (steps,) + vbar.shape))], axis=2))
@@ -210,7 +211,6 @@ class HierarchicalDecoder(Module):
             raise ConfigError(
                 f"adaptive gate blends the attended context (dim {ctx_dim}) with the top "
                 f"hidden state (dim {c.hidden_dim}); these must match")
-        self.ctx_dim = ctx_dim
         rng = config.rng()
         self.embed = Embedding(c.vocab_size, c.embed_dim, rng)
         self.bottom = LstmCell(c.embed_dim, c.hidden_dim, rng)
@@ -329,22 +329,19 @@ def _two_lstm_init(dec, features, attentions: tuple) -> DecoderState:
     a teacher-forced batch; each of ``attentions`` attends over the
     matching entry of ``dec._sources``.  A batch pads each source to its
     longest feature set."""
-    c = dec.config
-    if isinstance(features, FeatureSet):
-        sources = [Tensor(a) for a in dec._sources(features)]
-        pooled = reshape(concat([mean_pool(s) for s in sources]), (1, -1))
-        feats = tuple(x for attn, s in zip(attentions, sources) for x in (s, attn.keys(s), None))
-    else:
-        per_caption = [dec._sources(f) for f in features]
-        pooled = Tensor(np.stack([np.concatenate([a.mean(axis=0) for a in sources])
-                                  for sources in per_caption]))
-        feats = ()
-        for k, attn in enumerate(attentions):
+    single = isinstance(features, FeatureSet)
+    per_caption = [dec._sources(f) for f in ([features] if single else features)]
+    pooled = Tensor(np.stack([np.concatenate([a.mean(axis=0) for a in sources])
+                              for sources in per_caption]))
+    feats = ()
+    for k, attn in enumerate(attentions):
+        if single:
+            source, mask = Tensor(per_caption[0][k]), None
+        else:
             source, mask = _pad_rows([sources[k] for sources in per_caption])
-            feats += (source, attn.keys(source), mask)
-    per_row = isinstance(features, FeatureSet)
-    top = zeros(pooled.shape[0], c.hidden_dim)
-    return DecoderState(dec.init_h(pooled, per_row), dec.init_m(pooled, per_row), top, top,
+        feats += (source, attn.keys(source), mask)
+    top = zeros(len(per_caption), dec.config.hidden_dim)
+    return DecoderState(dec.init_h(pooled, single), dec.init_m(pooled, single), top, top,
                         feats)
 
 
@@ -368,7 +365,7 @@ def _pad_rows(arrays: list[np.ndarray]) -> tuple[Tensor, np.ndarray]:
 def _two_lstm_step(dec, state: DecoderState, token_ids, training, rng, attend):
     """One step of a two-LSTM decoder's n rows: embed, bottom LSTM,
     dropout, top LSTM, dropout, then ``attend(h_d, ht_d) -> (blended
-    context, TraceRow)`` and the word head over [output hidden; blended
+    context, TraceRow)`` and the word head over [bottom hidden; blended
     context]."""
     c = dec.config
     y = dec.embed.lookup_one(token_ids)
@@ -377,8 +374,7 @@ def _two_lstm_step(dec, state: DecoderState, token_ids, training, rng, attend):
     top = dec.top.step(h_d, state.h_top, state.m_top)
     ht_d = dropout(top.h, c.dropout, training, rng)
     blended, row = attend(h_d, ht_d)
-    out_h = h_d if c.output_hidden == "bottom" else ht_d
-    p = softmax(_word_logits(dec, concat([out_h, blended], axis=1), per_row=True))
+    p = softmax(_word_logits(dec, concat([h_d, blended], axis=1), per_row=True))
     return p, DecoderState(bot.h, bot.m, top.h, top.m, state.feats, row)
 
 
@@ -399,7 +395,6 @@ def _two_lstm_forward(dec, batch: "_Batch", masks) -> Tensor:
     same over the stacked, dropped-out bottom states, and
     ``dec._attender`` attends once per step.  The word head and
     ``log_softmax`` then run once over the B·T rows."""
-    c = dec.config
     steps = batch.ids.shape[1] - 1
     state = dec.init_state(batch.feats)
 
@@ -413,16 +408,14 @@ def _two_lstm_forward(dec, batch: "_Batch", masks) -> Tensor:
 
     top_in = dec.top.input_products(bottoms)
     attend = dec._attender(state.feats)
-    h, m, ht_d, blended = state.h_top, state.m_top, [], []
+    h, m, blended = state.h_top, state.m_top, []
     for t in range(steps):
         top = dec.top.step(top_in.row(t), h, m)
         h, m = top.h, top.m
-        ht_d.append(_drop(top.h, masks, t, 1))
-        blended.append(attend(h_d[t], ht_d[t])[0])
+        blended.append(attend(h_d[t], _drop(top.h, masks, t, 1))[0])
 
-    out_h = bottoms if c.output_hidden == "bottom" else stack_rows(ht_d)
     return _head_log_probs(lambda x: _word_logits(dec, x),
-                           concat([out_h, stack_rows(blended)], axis=2), batch.single)
+                           concat([bottoms, stack_rows(blended)], axis=2), batch.single)
 
 
 def _drop(x: Tensor, masks, t: int, layer: int) -> Tensor:

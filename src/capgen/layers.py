@@ -62,13 +62,9 @@ class Module:
 
 
 class LstmOut(NamedTuple):
-    """One LSTM step with its gate activations kept for tracing."""
+    """One LSTM step's hidden output and memory."""
     h: Tensor
     m: Tensor
-    i: Tensor
-    f: Tensor
-    o: Tensor
-    g: Tensor
 
 
 class GateInputs(NamedTuple):
@@ -159,8 +155,7 @@ class LstmCell(Module):
         o = sigmoid(affine(h_prev, self.U_o, y.o, self.b_o, per_row=per_row))
         g = tanh(affine(h_prev, self.U_g, y.g, self.b_g, per_row=per_row))
         m = f * m_prev + i * g
-        h = o * tanh(m)
-        return LstmOut(h, m, i, f, o, g)
+        return LstmOut(o * tanh(m), m)
 
 
 class Embedding(Module):
@@ -196,8 +191,6 @@ class Linear(Module):
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator,
                  bias: bool = True):
-        self.in_dim = in_dim
-        self.out_dim = out_dim
         self.W = glorot(rng, out_dim, in_dim)
         self.b = _zeros_param(out_dim) if bias else None
 

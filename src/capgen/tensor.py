@@ -31,10 +31,10 @@ in the block is then a plain constant.
 Conventions:
   * float64 everywhere; at desk scale precision is worth more than speed.
   * no implicit broadcasting.  Binary ops demand identical shapes; the
-    only sanctioned mixed forms are tensor-with-python-number and
-    tensor-with-scalar-tensor (size 1).  Everything else raises
-    ``ShapeError`` so that a mis-shaped equation fails loudly.  A leading
-    batch axis goes through named ops that say how it is combined:
+    only sanctioned mixed form is tensor-with-python-number.  Everything
+    else raises ``ShapeError`` so that a mis-shaped equation fails
+    loudly.  A leading batch axis goes through named ops that say how it
+    is combined:
     ``matmul_t`` (rows, under any leading axes, against a weight as one
     GEMM), ``matvec_rows`` (the same product as one GEMV per row),
     ``affine`` (either of the two, then added terms), ``additive_scores``
@@ -60,7 +60,7 @@ __all__ = [
     "add", "sub", "mul", "neg", "matmul_t", "matvec_rows", "affine", "additive_scores",
     "transpose",
     "sigmoid", "tanh", "log", "softmax", "log_softmax",
-    "concat", "sum_all", "mean_rows", "add_rowvec", "scale_rows", "weighted_sum",
+    "concat", "sum_all", "add_rowvec", "scale_rows", "weighted_sum",
     "take_rows", "take_row", "narrow", "pick_per_row",
     "stack_rows", "reshape",
 ]
@@ -141,18 +141,15 @@ class Tape:
 
     def __init__(self):
         self.nodes: list[_Node] = []
-        self.active = False
 
     def __enter__(self) -> "Tape":
         if _active_tape() is not None:
             raise ContractError("a tape is already active on this thread")
         _STATE.tape = self
-        self.active = True
         return self
 
     def __exit__(self, exc_type, exc, tb):
         _STATE.tape = None
-        self.active = False
         for node in self.nodes:     # break Tensor.node <-> _Node.out cycles
             node.out.node = None
         self.nodes.clear()
@@ -283,17 +280,8 @@ def zeros(*shape, requires_grad: bool = False) -> Tensor:
     return Tensor(np.zeros(shape, dtype=np.float64), requires_grad=requires_grad)
 
 
-def _is_scalar_tensor(t: Tensor) -> bool:
-    return t.data.size == 1
-
-
-def _reduce_to(g: np.ndarray, shape) -> np.ndarray:
-    # collapse a full-shape gradient back onto a size-1 operand
-    return np.sum(g).reshape(shape)
-
-
 def _binary_shapes(name: str, a: Tensor, b: Tensor) -> None:
-    if a.data.shape != b.data.shape and not (_is_scalar_tensor(a) or _is_scalar_tensor(b)):
+    if a.data.shape != b.data.shape:
         raise ShapeError(f"{name}: shapes {a.data.shape} and {b.data.shape} differ")
 
 
@@ -306,15 +294,7 @@ def add(a, b) -> Tensor:
     _binary_shapes("add", a, b)
     out = Tensor(a.data + b.data)
 
-    def grad_fn(g):
-        ga = gb = None
-        if a.requires_grad:
-            ga = g if a.data.shape == g.shape else _reduce_to(g, a.data.shape)
-        if b.requires_grad:
-            gb = g if b.data.shape == g.shape else _reduce_to(g, b.data.shape)
-        return ga, gb
-
-    return _record(out, (a, b), grad_fn)
+    return _record(out, (a, b), lambda g: (g, g))
 
 
 def sub(a, b) -> Tensor:
@@ -327,15 +307,7 @@ def sub(a, b) -> Tensor:
     _binary_shapes("sub", a, b)
     out = Tensor(a.data - b.data)
 
-    def grad_fn(g):
-        ga = gb = None
-        if a.requires_grad:
-            ga = g if a.data.shape == g.shape else _reduce_to(g, a.data.shape)
-        if b.requires_grad:
-            gb = -g if b.data.shape == g.shape else -_reduce_to(g, b.data.shape)
-        return ga, gb
-
-    return _record(out, (a, b), grad_fn)
+    return _record(out, (a, b), lambda g: (g, -g if b.requires_grad else None))
 
 
 def mul(a, b) -> Tensor:
@@ -348,16 +320,8 @@ def mul(a, b) -> Tensor:
     out = Tensor(a.data * b.data)
 
     def grad_fn(g):
-        ga = gb = None
-        if a.requires_grad:
-            ga = g * b.data
-            if a.data.shape != out.data.shape:
-                ga = _reduce_to(ga, a.data.shape)
-        if b.requires_grad:
-            gb = g * a.data
-            if b.data.shape != out.data.shape:
-                gb = _reduce_to(gb, b.data.shape)
-        return ga, gb
+        return (g * b.data if a.requires_grad else None,
+                g * a.data if b.requires_grad else None)
 
     return _record(out, (a, b), grad_fn)
 
@@ -494,25 +458,21 @@ def log(a: Tensor) -> Tensor:
 
 
 def softmax(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
-    """Stable softmax of a 1-D tensor, or of each row of a (B, n) matrix;
-    each output sums to 1 within 1e-12.
+    """Stable softmax of each row of a (B, n) matrix; each row sums to 1
+    within 1e-12.
 
     ``mask``, a (B, n) boolean array, marks the entries that take part:
     the others get weight exactly 0 and no gradient.  Every row needs at
     least one.
     """
     x = a.data
-    if x.ndim not in (1, 2) or (mask is not None and mask.shape != x.shape):
-        raise ShapeError(f"softmax expects a vector or a matrix with a mask of its shape, "
+    if x.ndim != 2 or (mask is not None and mask.shape != x.shape):
+        raise ShapeError(f"softmax expects a matrix with a mask of its shape, "
                          f"got {x.shape}" + ("" if mask is None else f" and mask {mask.shape}"))
     if x.size == 0:
         raise ShapeError("softmax of empty input")
     if not np.isfinite(x).all():
         raise DomainError("softmax input contains non-finite entries")
-    if x.ndim == 1:
-        z = np.exp(x - x.max())
-        y = z / z.sum()
-        return _record(Tensor(y), (a,), lambda g: (y * (g - float(np.dot(g, y))),))
     if mask is not None:
         if not mask.any(axis=1).all():
             raise ShapeError("softmax: a row has no unmasked entry")
@@ -524,15 +484,15 @@ def softmax(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
 
 
 def log_softmax(a: Tensor) -> Tensor:
-    """Row-wise log-softmax of an (n, V) matrix; a 1-D tensor is one row.
+    """Row-wise log-softmax of an (n, V) matrix.
 
     Computed as ``x - max - log(sum(exp(x - max)))``, so an entry whose
     probability underflows to 0 still gets its finite log.  Non-finite
     input raises ``DomainError``, as in ``softmax``.
     """
     x = a.data
-    if x.ndim not in (1, 2):
-        raise ShapeError(f"log_softmax expects a vector or a matrix, got shape {x.shape}")
+    if x.ndim != 2:
+        raise ShapeError(f"log_softmax expects a matrix, got shape {x.shape}")
     if x.size == 0:
         raise ShapeError("log_softmax of empty input")
     if not np.isfinite(x).all():
@@ -578,17 +538,6 @@ def sum_all(a: Tensor) -> Tensor:
     return _record(out, (a,), lambda g: (np.broadcast_to(g, shape),))
 
 
-def mean_rows(a: Tensor) -> Tensor:
-    """Arithmetic mean over the rows of an (n, d) matrix -> (d,)."""
-    if a.data.ndim != 2:
-        raise ShapeError(f"mean_rows expects a matrix, got shape {a.data.shape}")
-    n = a.data.shape[0]
-    if n == 0:
-        raise ShapeError("mean_rows of empty matrix")
-    out = Tensor(a.data.mean(axis=0))
-    return _record(out, (a,), lambda g: (np.broadcast_to(g / n, a.data.shape),))
-
-
 def add_rowvec(m: Tensor, v: Tensor) -> Tensor:
     """Explicitly broadcast: add a (d,) vector to every row of an (n, d)
     matrix, or row b of a (B, d) matrix to every row of matrix b of a
@@ -606,10 +555,9 @@ def add_rowvec(m: Tensor, v: Tensor) -> Tensor:
 
 
 def scale_rows(x: Tensor, s: Tensor, j: int) -> Tensor:
-    """``x * s[j]`` for a (d,) ``x`` and a (k,) ``s``; row b of a (B, d)
-    ``x`` times ``s[b, j]`` for a (B, k) ``s``."""
+    """Row b of a (B, d) ``x`` times ``s[b, j]`` of a (B, k) ``s``."""
     xd, sd = x.data, s.data
-    if xd.ndim not in (1, 2) or sd.ndim != xd.ndim or sd.shape[:-1] != xd.shape[:-1]:
+    if xd.ndim != 2 or sd.ndim != 2 or len(sd) != len(xd):
         raise ShapeError(f"scale_rows: incompatible shapes {xd.shape} and {sd.shape}")
     col = sd[..., j:j + 1]
     out = Tensor(xd * col)
@@ -653,10 +601,9 @@ def take_row(a: Tensor, i: int) -> Tensor:
 
 
 def narrow(a: Tensor, start: int, length: int) -> Tensor:
-    """Contiguous slice [start, start+length) of the last axis of a
-    vector, or of every row of a matrix."""
-    if a.data.ndim not in (1, 2):
-        raise ShapeError(f"narrow expects a vector or a matrix, got shape {a.data.shape}")
+    """Columns [start, start+length) of every row of a matrix."""
+    if a.data.ndim != 2:
+        raise ShapeError(f"narrow expects a matrix, got shape {a.data.shape}")
     out = Tensor(a.data[..., start:start + length])
 
     def grad_fn(g):

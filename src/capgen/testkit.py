@@ -43,7 +43,7 @@ def tiny_decoder(variant: str, hidden: int = 8, vocab_size: int = 12,
     if variant == "da":
         cfg = DaConfig(vocab_size=vocab_size, hidden_dim=hidden, embed_dim=hidden,
                        attn_dim=hidden - 1, region_dim=hidden - 2,
-                       global_dim=hidden - 3, first_pass_head=True, seed=seed)
+                       global_dim=hidden - 3, seed=seed)
         return DeliberateDecoder(cfg), {"dim": hidden, "motion_dim": hidden,
                                         "region_dim": hidden - 2,
                                         "global_dim": hidden - 3}

@@ -18,32 +18,22 @@ from capgen.data import FeatureSet
 from capgen.tensor import concat, log, reshape, stack_rows, zeros
 
 
-def teacher_forced(decoder, features, tokens, training=False, rng=None, aux=None):
+def teacher_forced(decoder, features, tokens, training=False, rng=None):
     """Log-probs (T, vocab): step t consumes ground-truth token t-1.  A
     batch (B ``FeatureSet``s and a ``CaptionBatch``) runs caption by
     caption, sharing ``rng`` in batch order, and returns (B, T, vocab),
     each caption's rows padded with zeros to the batch's T.
-
-    With ``aux``, a distribution-valued function of the state after each
-    step, also returns the log-probs of that distribution.
     """
     if not isinstance(features, FeatureSet):
-        outs = [teacher_forced(decoder, f, ids[:n], training, rng, aux)
-                for f, ids, n in zip(features, tokens.tokens, tokens.lengths)]
-        if aux is None:
-            return _pad_stack(outs, tokens.steps)
-        return (_pad_stack([o[0] for o in outs], tokens.steps),
-                _pad_stack([o[1] for o in outs], tokens.steps))
+        return _pad_stack([teacher_forced(decoder, f, ids[:n], training, rng)
+                           for f, ids, n in zip(features, tokens.tokens, tokens.lengths)],
+                          tokens.steps)
     state = decoder.init_state(features)
-    rows, aux_rows = [], []
+    rows = []
     for t in range(1, len(tokens)):
         p, state = decoder.step(state, [int(tokens[t - 1])], training, rng)
         rows.append(log(p))
-        if aux is not None:
-            aux_rows.append(log(aux(state)))
-    if aux is None:
-        return _unstack(rows)
-    return _unstack(rows), _unstack(aux_rows)
+    return _unstack(rows)
 
 
 def _unstack(rows):

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capgen.attention import (
-    AdaptiveGate, AdditiveAttention, TraceRow, adaptive_blend, mean_pool,
-    parallel_adaptive_blend, write_trace_csv,
+    AdaptiveGate, AdditiveAttention, TraceRow, adaptive_blend, parallel_adaptive_blend,
+    write_trace_csv,
 )
 from capgen.errors import EmptyInputError, ShapeError
 from capgen.gradcheck import check_gradients
@@ -28,26 +28,6 @@ def row(v) -> Tensor:
     return Tensor(np.asarray(v, dtype=np.float64)[None, :])
 
 
-class TestMeanPool:
-    def test_simple_average(self):
-        np.testing.assert_array_equal(mean_pool(Tensor([[2.0, 4.0], [4.0, 8.0]])).data,
-                                      [3.0, 6.0])
-
-    def test_single_row_identity(self):
-        np.testing.assert_array_equal(mean_pool(Tensor([[1.5, -2.0]])).data, [1.5, -2.0])
-
-    def test_matches_manual_accumulation(self, rng):
-        v = rng.standard_normal((5, 3))
-        acc = np.zeros(3)
-        for row in v:
-            acc = acc + row
-        np.testing.assert_allclose(mean_pool(Tensor(v)).data, acc / 5, atol=1e-15)
-
-    def test_empty(self):
-        with pytest.raises(EmptyInputError):
-            mean_pool(Tensor(np.zeros((0, 3))))
-
-
 class TestTemporalAttend:
     def test_single_frame_gets_all_weight(self, rng):
         att = make_attention(rng)
@@ -63,7 +43,7 @@ class TestTemporalAttend:
         v = rng.standard_normal((6, 3))
         ctx, alpha = attend(att, row(rng.standard_normal(4)), Tensor(v))
         np.testing.assert_allclose(alpha.data, np.full((1, 6), 1 / 6), atol=1e-15)
-        np.testing.assert_allclose(ctx.data[0], mean_pool(Tensor(v)).data, atol=1e-15)
+        np.testing.assert_allclose(ctx.data[0], v.mean(axis=0), atol=1e-15)
 
     def test_context_matches_explicit_weighted_sum(self, rng):
         att = make_attention(rng)

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 import capgen.da
-from capgen.da import DaConfig, DeliberateDecoder, da_first_pass_distribution, da_step
-from capgen.data import BOS_ID, EOS_ID, CaptionBatch, FeatureSet
-from capgen.errors import ConfigError, ContractError
+from capgen.da import DaConfig, DeliberateDecoder, da_step
+from capgen.data import BOS_ID, FeatureSet
+from capgen.errors import ShapeError
 from capgen.search import greedy_decode
 from capgen.testkit import decoder_gradcheck
-from capgen.training import mle_loss
 
 
 def small_da(vocab=6, hidden=3, region=3, glob=2, **kw):
@@ -128,9 +127,9 @@ class TestDaStep:
         dec = small_da(region=3)
         feats = FeatureSet(spatial=rng.standard_normal((2, 5)),
                            global_vec=rng.standard_normal(dec.config.global_dim))
-        state = dec.init_state(feats)
-        with pytest.raises(Exception):
-            dec.step(state, [BOS_ID])
+        for features in (feats, [feats]):       # decoding and teacher forcing
+            with pytest.raises(ShapeError, match="regions have dim 5"):
+                dec.init_state(features)
 
     def test_explicit_surface_matches_method(self, rng):
         dec = small_da()
@@ -141,69 +140,14 @@ class TestDaStep:
         assert np.array_equal(p_m.data, p_f.data)
 
 
-class TestFirstPass:
-    def test_head_disabled_is_config_error(self, rng):
-        dec = small_da(first_pass_head=False)
-        feats = da_features(rng, dec.config)
-        state = dec.init_state(feats)
-        _, state = dec.step(state, [BOS_ID])
-        with pytest.raises(ConfigError):
-            da_first_pass_distribution(dec, state)
-
-    def test_before_any_step_is_contract_error(self, rng):
-        dec = small_da(first_pass_head=True)
-        state = dec.init_state(da_features(rng, dec.config))
-        with pytest.raises(ContractError):
-            da_first_pass_distribution(dec, state)
-
-    def test_valid_and_deterministic(self, rng):
-        dec = small_da(first_pass_head=True)
-        feats = da_features(rng, dec.config)
-        _, state = dec.step(dec.init_state(feats), [BOS_ID])
-        p1 = da_first_pass_distribution(dec, state)
-        p2 = da_first_pass_distribution(dec, state)
-        assert abs(p1.data.sum() - 1.0) <= 1e-9
-        assert np.array_equal(p1.data, p2.data)
-
-    def test_draft_only_model_matches_second_pass_free_parameter_count(self):
-        draft_only = small_da(first_pass_head=True, deliberate=False)
-        with_second = small_da(first_pass_head=True, deliberate=True)
-        draft_params = set(draft_only.parameters())
-        full_params = set(with_second.parameters())
-        assert draft_params < full_params
-        second_pass_only = full_params - draft_params
-        assert all(name.startswith(("lstm2", "attn2", "W_x", "W_h", "W_s", "W_h3",
-                                    "w_a", "W_sd", "out", "sentinel_proj"))
-                   for name in second_pass_only)
-        # draft-only decoding runs entirely on the draft parameters
-        rng = np.random.default_rng(0)
-        feats = da_features(rng, draft_only.config)
-        p, _ = draft_only.step(draft_only.init_state(feats), [BOS_ID])
-        assert abs(p.data.sum() - 1.0) <= 1e-9
-
-    def test_disabling_deliberation_without_head_rejected(self):
-        with pytest.raises(ConfigError):
-            small_da(first_pass_head=False, deliberate=False)
-
-
 class TestDaGradients:
     def test_full_chain_gradcheck(self):
         assert decoder_gradcheck("da", hidden=6, vocab_size=8, frames=3) < 1e-4
 
-    def test_teacher_forced_with_aux_head(self, rng):
-        dec = small_da(first_pass_head=True)
-        feats = da_features(rng, dec.config)
-        tokens = [BOS_ID, 4, EOS_ID]
-        main, aux = dec.forward_teacher_forced(feats, tokens, with_aux=True)
-        assert main.data.shape == aux.data.shape == (2, dec.config.vocab_size)
-        batch = CaptionBatch.from_id_seqs([tokens])
-        loss = mle_loss(main, batch) + 0.5 * mle_loss(aux, batch)
-        assert np.isfinite(float(loss.data))
-
 
 class TestRegionKeys:
     def test_carried_keys_match_recomputing_them_each_step(self, rng, monkeypatch):
-        dec = small_da(vocab=9, hidden=4, region=5, glob=3, first_pass_head=True)
+        dec = small_da(vocab=9, hidden=4, region=5, glob=3)
         wide = np.random.default_rng(3)
         for p in dec.parameters().values():
             p.data[...] = wide.standard_normal(p.data.shape)

@@ -5,7 +5,7 @@ import pytest
 
 import oracle_teacher_forcing as oracle
 from capgen import decoders
-from capgen.da import DaConfig, DeliberateDecoder, da_first_pass_distribution
+from capgen.da import DaConfig, DeliberateDecoder
 from capgen.data import BOS_ID, EOS_ID, PAD_ID, CaptionBatch, FeatureSet
 from capgen.decoders import (
     DecoderConfig, HierarchicalDecoder, ParallelDecoder,
@@ -41,9 +41,10 @@ def sigmoid_np(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def manual_hlstmat_step(params, frames, token, h, m, hb, mb, output_hidden="bottom"):
+def manual_hlstmat_step(params, frames, token, h, m, hb, mb, use_adaptive_gate=True):
     """From-scratch numpy replay of one decoder step: bottom LSTM, top LSTM,
-    additive attention, adaptive blend, word MLP."""
+    additive attention, adaptive blend, word MLP.  Without the gate the
+    attended context feeds the word MLP directly, and beta is 1."""
     def lstm(prefix, y, hp, mp):
         gate = {}
         for g in "ifog":
@@ -63,14 +64,16 @@ def manual_hlstmat_step(params, frames, token, h, m, hb, mb, output_hidden="bott
     e = np.exp(scores - scores.max())
     alpha = e / e.sum()
     ctx = alpha @ frames
-    beta = sigmoid_np(params["gate.W_s"] @ h1)[0]
-    blended = beta * ctx + (1.0 - beta) * h2
-    out_h = h1 if output_hidden == "bottom" else h2
-    hidden = np.tanh(params["out_hidden.W"] @ np.concatenate([out_h, blended])
+    if use_adaptive_gate:
+        beta = sigmoid_np(params["gate.W_s"] @ h1)[0]
+        blended = beta * ctx + (1.0 - beta) * h2
+    else:
+        beta, blended = 1.0, ctx
+    hidden = np.tanh(params["out_hidden.W"] @ np.concatenate([h1, blended])
                      + params["out_hidden.b"])
     logits = params["out_vocab.W"] @ hidden + params["out_vocab.b"]
     ez = np.exp(logits - logits.max())
-    return ez / ez.sum(), (h1, m1, h2, m2)
+    return ez / ez.sum(), beta, (h1, m1, h2, m2)
 
 
 class TestInitState:
@@ -125,10 +128,10 @@ class TestStep:
         with pytest.raises(VocabularyError):
             dec.step(state, [99])
 
-    @pytest.mark.parametrize("output_hidden", ["bottom", "top"])
-    def test_matches_independent_hand_evaluation(self, rng, output_hidden):
+    @pytest.mark.parametrize("use_adaptive_gate", [True, False])
+    def test_matches_independent_hand_evaluation(self, rng, use_adaptive_gate):
         cfg = small_config(vocab=4, hidden=2, attn_dim=2, feature_dim=2,
-                           output_hidden=output_hidden)
+                           use_adaptive_gate=use_adaptive_gate)
         dec = HierarchicalDecoder(cfg)
         frames = rng.standard_normal((3, 2))
         params = {k: v.data for k, v in dec.parameters().items()}
@@ -140,9 +143,10 @@ class TestStep:
         mb = np.zeros(2)
         for token in (BOS_ID, 3, 1):
             p, state = dec.step(state, [token])
-            expect, (h, m, hb, mb) = manual_hlstmat_step(
-                params, frames, token, h, m, hb, mb, output_hidden)
+            expect, beta, (h, m, hb, mb) = manual_hlstmat_step(
+                params, frames, token, h, m, hb, mb, use_adaptive_gate)
             np.testing.assert_allclose(p.data[0], expect, atol=1e-9)
+            np.testing.assert_allclose(state.row.beta, [[beta]], atol=1e-12)
             np.testing.assert_allclose(state.h.data[0], h, atol=1e-9)
             np.testing.assert_allclose(state.h_top.data[0], hb, atol=1e-9)
 
@@ -186,12 +190,11 @@ class TestTeacherForcing:
 def stream_case(variant, frames=3, segments=2, feature_seed=4, **kw):
     """A tiny decoder with features for it; ``two_stream/k`` is stream k of
     a two-stream decoder, fed that stream's features, and ``da`` a
-    deliberation decoder with a draft head whose sentinel is projected to
-    the region width."""
+    deliberation decoder whose sentinel is projected to the region width."""
     rng = np.random.default_rng(feature_seed)
     if variant == "da":
         cfg = DaConfig(vocab_size=9, hidden_dim=4, embed_dim=4, attn_dim=3, region_dim=5,
-                       global_dim=3, first_pass_head=True, seed=3, **kw)
+                       global_dim=3, seed=3, **kw)
         return DeliberateDecoder(cfg), FeatureSet(spatial=rng.standard_normal((frames, 5)),
                                                   global_vec=rng.standard_normal(3))
     if variant == "conf":
@@ -205,37 +208,24 @@ def stream_case(variant, frames=3, segments=2, feature_seed=4, **kw):
     return dec.streams[k], decoders._stream_views(feats)[k]
 
 
-def batched(dec, feats, tokens, training, rng, with_aux):
-    """The decoder's own teacher forcing, as a tuple of log-prob tensors."""
-    if with_aux:
-        return dec.forward_teacher_forced(feats, tokens, training, rng, with_aux=True)
-    return (dec.forward_teacher_forced(feats, tokens, training, rng),)
+def batched(dec, feats, tokens, training, rng):
+    """The decoder's own teacher forcing."""
+    return dec.forward_teacher_forced(feats, tokens, training, rng)
 
 
-def stepwise(dec, feats, tokens, training, rng, with_aux):
-    """The per-step oracle, as a tuple of log-prob tensors."""
-    if with_aux:
-        return oracle.teacher_forced(dec, feats, tokens, training, rng,
-                                     aux=lambda state: da_first_pass_distribution(dec, state))
-    return (oracle.teacher_forced(dec, feats, tokens, training, rng),)
-
-
-def logprobs_and_grads(dec, teacher_forced, feats, tokens, training, seed, with_aux=False):
-    """Log-prob arrays and every parameter gradient of the summed MLE
-    losses of one caption (a ``FeatureSet`` and its ids) or of a batch
-    (``FeatureSet``s and a ``CaptionBatch``), under one seeded rng."""
+def logprobs_and_grads(dec, teacher_forced, feats, tokens, training, seed):
+    """Log-probs and every parameter gradient of the MLE loss of one
+    caption (a ``FeatureSet`` and its ids) or of a batch (``FeatureSet``s
+    and a ``CaptionBatch``), under one seeded rng."""
     params = dec.parameters()
     for p in params.values():
         p.grad = None
     rng = np.random.default_rng(seed)
     targets = tokens if isinstance(tokens, CaptionBatch) else CaptionBatch.from_id_seqs([tokens])
     with Tape():
-        lps = teacher_forced(dec, feats, tokens, training, rng, with_aux)
-        loss = mle_loss(lps[0], targets)
-        for lp in lps[1:]:
-            loss = loss + mle_loss(lp, targets)
-        backward(loss)
-    return [lp.data for lp in lps], {name: p.grad for name, p in params.items()}
+        lp = teacher_forced(dec, feats, tokens, training, rng)
+        backward(mle_loss(lp, targets))
+    return lp.data, {name: p.grad for name, p in params.items()}
 
 
 def assert_grads_match(grads, ref_grads):
@@ -247,14 +237,11 @@ def assert_grads_match(grads, ref_grads):
             assert np.max(np.abs(g - ref_grads[name])) <= 1e-12, name
 
 
-# case -> (variant, config overrides, with_aux)
+# case -> (variant, config overrides)
 PHASED_CASES = {
-    **{v: (v, {}, False) for v in ("basic", "hlstmat_temporal", "hlstmat_spatial", "conf",
-                                   "para", "two_stream/0", "two_stream/1", "da")},
-    "output_hidden_top": ("hlstmat_temporal", {"output_hidden": "top"}, False),
-    "gate_free": ("hlstmat_temporal", {"use_adaptive_gate": False}, False),
-    "da_draft_only": ("da", {"deliberate": False}, False),
-    "da_with_aux": ("da", {}, True),
+    **{v: (v, {}) for v in ("basic", "hlstmat_temporal", "hlstmat_spatial", "conf",
+                            "para", "two_stream/0", "two_stream/1", "da")},
+    "gate_free": ("hlstmat_temporal", {"use_adaptive_gate": False}),
 }
 
 
@@ -264,7 +251,7 @@ class TestPhasedTeacherForcing:
     @pytest.mark.parametrize("case", sorted(PHASED_CASES))
     @pytest.mark.parametrize("mode", ["eval", "dropout", "padded"])
     def test_matches_stepwise_loop(self, case, mode):
-        variant, cfg, with_aux = PHASED_CASES[case]
+        variant, cfg = PHASED_CASES[case]
         dec, feats = stream_case(variant, **cfg)
         tokens = [BOS_ID, 5, 7, 4, EOS_ID]
         if mode == "padded":
@@ -272,13 +259,11 @@ class TestPhasedTeacherForcing:
         training = mode == "dropout"
         if training:
             dec.config.dropout = 0.3
-        lps, grads = logprobs_and_grads(dec, batched, feats, tokens, training, 11, with_aux)
-        ref_lps, ref_grads = logprobs_and_grads(dec, stepwise, feats, tokens, training, 11,
-                                                with_aux)
-        assert len(lps) == len(ref_lps) == 1 + with_aux
-        for lp, ref in zip(lps, ref_lps):
-            assert lp.shape == (len(tokens) - 1, dec.config.vocab_size)
-            assert np.max(np.abs(lp - ref)) <= 1e-12
+        lp, grads = logprobs_and_grads(dec, batched, feats, tokens, training, 11)
+        ref, ref_grads = logprobs_and_grads(dec, oracle.teacher_forced, feats, tokens,
+                                            training, 11)
+        assert lp.shape == (len(tokens) - 1, dec.config.vocab_size)
+        assert np.max(np.abs(lp - ref)) <= 1e-12
         assert_grads_match(grads, ref_grads)
 
     @pytest.mark.parametrize("variant", ["hlstmat_temporal", "para", "basic", "da"])
@@ -328,20 +313,18 @@ class TestBatchedTeacherForcing:
     @pytest.mark.parametrize("case", sorted(PHASED_CASES))
     @pytest.mark.parametrize("mode", ["eval", "dropout"])
     def test_matches_per_caption_loop(self, case, mode):
-        variant, cfg, with_aux = PHASED_CASES[case]
+        variant, cfg = PHASED_CASES[case]
         dec, feats = batch_case(variant, **cfg)
         training = mode == "dropout"
         if training:
             dec.config.dropout = 0.3
         batch = CaptionBatch.from_id_seqs(BATCH_CAPTIONS)
-        lps, grads = logprobs_and_grads(dec, batched, feats, batch, training, 11, with_aux)
-        ref_lps, ref_grads = logprobs_and_grads(dec, stepwise, feats, batch, training, 11,
-                                                with_aux)
-        assert len(lps) == len(ref_lps) == 1 + with_aux
-        for lp, ref in zip(lps, ref_lps):
-            assert lp.shape == (len(BATCH_CAPTIONS), batch.steps, dec.config.vocab_size)
-            for b, c in enumerate(BATCH_CAPTIONS):
-                assert np.max(np.abs(lp[b, :len(c) - 1] - ref[b, :len(c) - 1])) <= 1e-12
+        lp, grads = logprobs_and_grads(dec, batched, feats, batch, training, 11)
+        ref, ref_grads = logprobs_and_grads(dec, oracle.teacher_forced, feats, batch,
+                                            training, 11)
+        assert lp.shape == (len(BATCH_CAPTIONS), batch.steps, dec.config.vocab_size)
+        for b, c in enumerate(BATCH_CAPTIONS):
+            assert np.max(np.abs(lp[b, :len(c) - 1] - ref[b, :len(c) - 1])) <= 1e-12
         assert_grads_match(grads, ref_grads)
 
     @pytest.mark.parametrize("variant", ["hlstmat_temporal", "para", "basic", "da"])
@@ -424,11 +407,11 @@ PINNED_DECODES = {
         [1, 11, 11, 11, 11, 11, 11, 11], "-0x1.6469b73641110p+2",
         "9643f47625b828456580110f32cc6df818e825b1f94eb9a3bbf31577156399ee"),
     "da/greedy": (
-        [5, 0, 3, 0, 3, 0, 3, 0], "-0x1.316af7c45c04ep-10",
-        "72b088b483c520af43ef7c9f8252c0935d0faeff935c0e5336eda535c2424e67"),
+        [4, 4, 4, 4, 4, 4, 4, 4], "0x0.0p+0",
+        "77a656080fd1862f10ae2b32d8db1896294272ec43877d0f2f7ba97b3fdd9d96"),
     "da/beam5": (
-        [5, 0, 3, 0, 3, 0, 3, 0], "-0x1.316af7c45c04ep-10",
-        "72b088b483c520af43ef7c9f8252c0935d0faeff935c0e5336eda535c2424e67"),
+        [4, 4, 4, 4, 4, 4, 4, 4], "0x0.0p+0",
+        "77a656080fd1862f10ae2b32d8db1896294272ec43877d0f2f7ba97b3fdd9d96"),
 }
 
 
@@ -451,11 +434,11 @@ PINNED_BEAM_BEATS_GREEDY = {
          "edfecdd336e09b9ad92f2463e0f3fc03175632092e7a5e03c17f2eb9cd004f16"),
         ([1, 4, 11, 5, 11, 11, 11, 11], "-0x1.5b1a27270d2a7p+2",
          "cb8c8a73b2b32f4a1518d35f4192c47e6bbb723b175967f93990b183c98ba5ab")),
-    "da": (11, 1.0,
-        ([6, 0, 1, 6, 0, 1, 6, 0], "-0x1.26cee41279a0bp+0",
-         "b146ec4b825716631d3087bf2db79f3de82d1d4a1c65edaee4cf1368d9d956fd"),
-        ([6, 0, 3, 0, 3, 0, 3, 0], "-0x1.0a8683efc9deap+0",
-         "9bde8dadc33a7c91f2717887b689ff2d6f1fedbf6bf93325b62cfa5db4d41f67")),
+    "da": (6, 1.0,
+        ([4, 4, 4, 4, 4, 4, 4, 4], "-0x1.53f8b0c3e535dp+1",
+         "f6500c85e2ac5a24e3bf1d3f3ac590a4eabf84c2b30f7e8b31080d275dc1a001"),
+        ([4, 4, 4, 4, 8, 7, 4, 4], "-0x1.bf78adf1e7134p+0",
+         "d9a464945ba36dbff9b0a195eee726510ac555912a38225c166f1f17e0752fc3")),
 }
 
 
@@ -537,7 +520,7 @@ class TestBuildVariant:
     def test_conf_fuses_nearest_motion_segment(self, rng):
         cfg = small_config(hidden=6, feature_dim=4, motion_dim=2, attn_dim=3)
         dec = build_variant("conf", cfg)
-        assert dec.ctx_dim == 6
+        assert dec.attn.feature_dim == 6
         frames = rng.standard_normal((4, 4))
         motion = rng.standard_normal((2, 2))
         fused = dec._source(FeatureSet(temporal=frames, motion=motion))

@@ -1,5 +1,6 @@
 """No module of the package or of its tests imports a name it never uses,
-and the package defines no private helper that nothing names."""
+the package defines no private helper that nothing names, and it sets
+no attribute that nothing reads."""
 
 import ast
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "capgen"
+PERFBENCH = TESTS.parent / "perfbench"
 MODULES = (sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
            + sorted(TESTS.glob("*.py")))
 
@@ -67,6 +69,48 @@ def test_detects_unnamed_private_definition():
                        "class _Gone:\n    pass\n",
                "b.py": "from a import _kept\n"}
     assert unnamed_private_definitions(sources) == ["a.py: _dead", "a.py: _Gone"]
+
+
+def unread_attributes(written: dict[str, str], readers: dict[str, str]) -> list[str]:
+    """Attributes that a class of ``written`` (file name -> text) assigns
+    on ``self`` and that no module of ``written`` or ``readers`` reads,
+    on any object: as a loaded attribute or as ``getattr``'s constant
+    name.  Each is listed once, as ``file: Class.attribute``."""
+    assigned, read = {}, set()
+    for file, source in {**readers, **written}.items():
+        tree = ast.parse(source)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "getattr" and len(node.args) > 1
+                  and isinstance(node.args[1], ast.Constant)):
+                read.add(node.args[1].value)
+        if file not in written:
+            continue
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in ast.walk(cls):
+                if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                        and isinstance(node.value, ast.Name) and node.value.id == "self"):
+                    assigned.setdefault(f"{file}: {cls.name}.{node.attr}", node.attr)
+    return [where for where, attr in assigned.items() if attr not in read]
+
+
+def test_no_unread_attributes():
+    written = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    readers = {f"perfbench/{p.name}": p.read_text() for p in sorted(PERFBENCH.glob("*.py"))}
+    assert unread_attributes(written, readers) == []
+
+
+def test_detects_unread_attribute():
+    written = {"a.py": "class A:\n    def __init__(self):\n        self.used = 1\n"
+                       "        self.dead = 2\n        self.dead = 3\n"
+                       "        self.named = 4\n        self.elsewhere = 5\n\n"
+                       "    def f(self):\n        return self.used + getattr(self, 'named')\n"}
+    readers = {"b.py": "def g(a):\n    return a.elsewhere\n"}
+    assert unread_attributes(written, readers) == ["a.py: A.dead"]
 
 
 def _bound_names(tree: ast.Module) -> set[str]:

@@ -16,15 +16,13 @@ PINNED = Path(__file__).parent / "data" / "parameter_names.json"
 
 def _da(**kw):
     cfg = dict(vocab_size=12, hidden_dim=8, embed_dim=8, attn_dim=7, region_dim=6,
-               global_dim=5, first_pass_head=True, seed=0)
+               global_dim=5, seed=0)
     cfg.update(kw)
     return DeliberateDecoder(DaConfig(**cfg))
 
 
 def current_names() -> dict[str, list[str]]:
     decoders = {v: tiny_decoder(v)[0] for v in GRADCHECK_VARIANTS}
-    decoders["da_no_first_pass_head"] = _da(first_pass_head=False)
-    decoders["da_no_deliberate"] = _da(deliberate=False)
     decoders["da_no_sentinel_proj"] = _da(region_dim=8)
     return {k: list(d.parameters()) for k, d in decoders.items()}
 

@@ -6,7 +6,6 @@ import pytest
 
 import capgen.search
 import oracle_search
-from capgen.da import DaConfig, DeliberateDecoder
 from capgen.data import BOS_ID, EOS_ID, FeatureSet
 from capgen.decoders import DecoderConfig, HierarchicalDecoder
 from capgen.errors import ContractError
@@ -55,15 +54,9 @@ class ContextualDecoder:
 
 
 def tiny_case(variant):
-    """A ``tiny_decoder`` of ``variant`` and matching features; "da_plain"
-    is DA without the first-pass head."""
+    """A ``tiny_decoder`` of ``variant`` and matching features."""
     rng = np.random.default_rng(3)
-    if variant == "da_plain":
-        dec = DeliberateDecoder(DaConfig(vocab_size=12, hidden_dim=8, embed_dim=8,
-                                         attn_dim=7, region_dim=6, global_dim=5))
-        dims = {"dim": 8, "motion_dim": 8, "region_dim": 6, "global_dim": 5}
-    else:
-        dec, dims = tiny_decoder(variant)
+    dec, dims = tiny_decoder(variant)
     feats = tiny_features(rng, 4, dims["dim"], dims["motion_dim"],
                           dims["region_dim"], dims["global_dim"])
     return dec, feats
@@ -251,7 +244,7 @@ class TestMatchesOracle:
                 assert (got.tokens, got.logprob) == want, (seed, k)
         assert min(seen.values()) > 0, seen
 
-    @pytest.mark.parametrize("variant", GRADCHECK_VARIANTS + ("da_plain",))
+    @pytest.mark.parametrize("variant", GRADCHECK_VARIANTS)
     def test_tiny_decoders(self, variant):
         dec, feats = tiny_case(variant)
         for k in (2, 5):
@@ -266,7 +259,7 @@ class TestTraceRows:
 
     MAX_LEN = 6
 
-    @pytest.mark.parametrize("variant", GRADCHECK_VARIANTS + ("da_plain",))
+    @pytest.mark.parametrize("variant", GRADCHECK_VARIANTS)
     def test_rows_follow_the_returned_caption(self, variant):
         dec, feats = tiny_case(variant)
         finished = set()
@@ -296,12 +289,11 @@ class TestTraceRows:
 
 
 def state_arrays(state):
-    """The per-row arrays of a decoder state: every tensor field, a
-    two-stream state's two streams, and DA's draft rows."""
+    """The per-row arrays of a decoder state: every tensor field, and a
+    two-stream state's two streams."""
     if hasattr(state, "s1"):
         return state_arrays(state.s1) + state_arrays(state.s2)
     values = [getattr(state, f.name) for f in dataclasses.fields(state)]
-    values += list(getattr(state, "draft", None) or ())
     return [v.data for v in values if isinstance(v, Tensor)]
 
 
@@ -309,7 +301,7 @@ class TestRowsStep:
     """One ``step`` over n rows against n one-row steps, and one ``step``
     call per beam search step."""
 
-    @pytest.mark.parametrize("variant", GRADCHECK_VARIANTS + ("da_plain",))
+    @pytest.mark.parametrize("variant", GRADCHECK_VARIANTS)
     def test_rows_equal_one_row_steps_bit_for_bit(self, variant):
         dec, feats = tiny_case(variant)
         _bias_eos(dec, 0.0)
@@ -327,7 +319,7 @@ class TestRowsStep:
             for rows, row in zip(state_arrays(stepped), state_arrays(alone), strict=True):
                 assert np.array_equal(rows[i], row[0])
 
-    @pytest.mark.parametrize("variant", GRADCHECK_VARIANTS + ("da_plain",))
+    @pytest.mark.parametrize("variant", GRADCHECK_VARIANTS)
     def test_beam_steps_the_decoder_once_per_search_step(self, variant, monkeypatch):
         dec, feats = tiny_case(variant)
         _bias_eos(dec, -40.0)
@@ -347,7 +339,7 @@ class TestRowsStep:
 def _bias_eos(dec, bias):
     """Set the EOS logit bias of every word head of ``dec``."""
     heads = [getattr(d, name) for d in getattr(dec, "streams", (dec,))
-             for name in ("out_vocab", "out", "first_head") if getattr(d, name, None)]
+             for name in ("out_vocab", "out") if getattr(d, name, None)]
     for head in heads:
         head.b.data[EOS_ID] = bias
 

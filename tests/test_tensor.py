@@ -10,7 +10,7 @@ from capgen.errors import ContractError, DomainError, ShapeError
 from capgen.gradcheck import fd_gradients, max_relative_error
 from capgen.tensor import (
     Tape, Tensor, add_rowvec, additive_scores, backward, concat, log, log_softmax, matmul_t,
-    matvec_rows, mean_rows, narrow, pick_per_row, reshape, scale_rows, sigmoid,
+    matvec_rows, narrow, pick_per_row, reshape, scale_rows, sigmoid,
     softmax, stack_rows, sum_all, take_row, take_rows, tanh, transpose, weighted_sum,
 )
 
@@ -113,13 +113,18 @@ class TestElementwise:
         assert op_gradcheck(lambda: log(x), {"x": x}) < 1e-5
 
 
+def row(xs) -> Tensor:
+    """A list of numbers as a (1, n) row, the form the row ops take."""
+    return Tensor(np.asarray(xs, dtype=np.float64).reshape(1, -1))
+
+
 class TestSoftmax:
     def test_symmetry(self):
-        np.testing.assert_array_equal(softmax(Tensor([0.0, 0.0])).data, [0.5, 0.5])
+        np.testing.assert_array_equal(softmax(row([0.0, 0.0])).data, [[0.5, 0.5]])
 
     def test_large_inputs_no_overflow(self):
-        y = softmax(Tensor([1000.0, 1000.0, 1000.0])).data
-        np.testing.assert_allclose(y, [1 / 3] * 3, atol=1e-15)
+        y = softmax(row([1000.0, 1000.0, 1000.0])).data
+        np.testing.assert_allclose(y, [[1 / 3] * 3], atol=1e-15)
 
     def test_matches_high_precision_oracle(self):
         # arbitrary-precision reference for e^x_i / sum_j e^x_j
@@ -128,20 +133,20 @@ class TestSoftmax:
         x = [1.0, 2.0, 3.0]
         es = [mpmath.e ** xi for xi in x]
         expected = np.array([float(e / sum(es)) for e in es])
-        np.testing.assert_allclose(softmax(Tensor(x)).data, expected, atol=1e-12)
+        np.testing.assert_allclose(softmax(row(x)).data[0], expected, atol=1e-12)
 
     def test_empty_input(self):
         with pytest.raises(ShapeError):
-            softmax(Tensor(np.zeros(0)))
+            softmax(Tensor(np.zeros((1, 0))))
 
     def test_nonfinite_input(self):
         with pytest.raises(DomainError):
-            softmax(Tensor([1.0, np.inf]))
+            softmax(row([1.0, np.inf]))
 
     @given(st.lists(st.floats(-50, 50), min_size=1, max_size=8))
     @settings(max_examples=60, deadline=None)
     def test_is_distribution(self, xs):
-        y = softmax(Tensor(xs)).data
+        y = softmax(row(xs)).data
         assert np.all(y > 0)
         assert abs(y.sum() - 1.0) <= 1e-12
 
@@ -150,12 +155,12 @@ class TestSoftmax:
     def test_permutation_equivariant(self, xs, pyrng):
         perm = list(range(len(xs)))
         pyrng.shuffle(perm)
-        base = softmax(Tensor(xs)).data
-        moved = softmax(Tensor([xs[p] for p in perm])).data
+        base = softmax(row(xs)).data[0]
+        moved = softmax(row([xs[p] for p in perm])).data[0]
         np.testing.assert_allclose(moved, base[perm], atol=1e-15)
 
     def test_gradient(self, rng):
-        x = leaf(rng.standard_normal(5))
+        x = leaf(rng.standard_normal((1, 5)))
         assert op_gradcheck(lambda: softmax(x), {"x": x}) < 1e-5
 
 
@@ -163,13 +168,13 @@ class TestLogSoftmax:
     def test_rows_match_log_of_softmax(self, rng):
         x = rng.standard_normal((4, 6)) * 5
         got = log_softmax(Tensor(x)).data
-        for row, expect in zip(got, x):
-            np.testing.assert_allclose(row, np.log(softmax(Tensor(expect)).data), atol=1e-12)
-        np.testing.assert_allclose(log_softmax(Tensor(x[0])).data, got[0], atol=0)
+        for got_row, expect in zip(got, x):
+            np.testing.assert_allclose(got_row, np.log(softmax(row(expect)).data[0]), atol=1e-12)
+        np.testing.assert_allclose(log_softmax(Tensor(x[:1])).data[0], got[0], atol=0)
 
     def test_underflowing_probability_keeps_a_finite_log(self):
         y = log_softmax(Tensor([[0.0, -1000.0, 0.0]])).data
-        assert softmax(Tensor([0.0, -1000.0, 0.0])).data[1] == 0.0
+        assert softmax(row([0.0, -1000.0, 0.0])).data[0, 1] == 0.0
         np.testing.assert_allclose(y[0], [-np.log(2), -1000.0 - np.log(2), -np.log(2)],
                                    atol=1e-12)
 
@@ -339,18 +344,17 @@ class TestStructuralOps:
         m = Tensor([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
         np.testing.assert_array_equal(take_rows(m, [2, 0]).data, [[5.0, 6.0], [1.0, 2.0]])
         np.testing.assert_array_equal(take_row(m, 1).data, [3.0, 4.0])
-        v = Tensor([7.0, 8.0, 9.0])
-        np.testing.assert_array_equal(narrow(v, 1, 2).data, [8.0, 9.0])
+        v = row([7.0, 8.0, 9.0])
+        np.testing.assert_array_equal(narrow(v, 1, 2).data, [[8.0, 9.0]])
         np.testing.assert_array_equal(narrow(m, 1, 1).data, [[2.0], [4.0], [6.0]])
         np.testing.assert_array_equal(pick_per_row(m, [1, 0, 1]).data, [2.0, 3.0, 6.0])
 
     @pytest.mark.parametrize("build_params", [
         lambda rng: ("take_rows", lambda p: take_rows(p, [0, 2, 0]), (4, 3)),
         lambda rng: ("take_row", lambda p: take_row(p, 1), (3, 2)),
-        lambda rng: ("mean_rows", mean_rows, (5, 3)),
         lambda rng: ("transpose", transpose, (3, 4)),
         lambda rng: ("reshape", lambda p: reshape(p, (6,)), (2, 3)),
-        lambda rng: ("narrow", lambda p: narrow(p, 1, 3), (6,)),
+        lambda rng: ("narrow", lambda p: narrow(p, 1, 3), (1, 6)),
         lambda rng: ("pick", lambda p: pick_per_row(p, [2, 0]), (2, 3)),
     ])
     def test_structural_gradients(self, build_params, rng):
@@ -487,11 +491,11 @@ class TestBatchedOps:
         with pytest.raises(ShapeError):
             add_rowvec(m, Tensor(np.zeros(4)))
 
-    @pytest.mark.parametrize("shape", [(5,), (3, 5)])
+    @pytest.mark.parametrize("shape", [(1, 5), (3, 5)])
     def test_scale_rows(self, shape, rng):
         x = leaf(rng.standard_normal(shape))
         s = leaf(rng.standard_normal(shape[:-1] + (3,)))
-        np.testing.assert_array_equal(scale_rows(x, s, 1).data, x.data * s.data[..., 1:2])
+        np.testing.assert_array_equal(scale_rows(x, s, 1).data, x.data * s.data[:, 1:2])
         assert op_gradcheck(lambda: scale_rows(x, s, 1), {"x": x, "s": s}) < 1e-6
 
     def test_weighted_sum(self, rng):
@@ -505,14 +509,14 @@ class TestBatchedOps:
         x = rng.standard_normal((3, 5))
         rows = softmax(Tensor(x)).data
         for b in range(3):
-            np.testing.assert_allclose(rows[b], softmax(Tensor(x[b])).data, rtol=1e-15)
+            np.testing.assert_allclose(rows[b], softmax(Tensor(x[b:b + 1])).data[0], rtol=1e-15)
 
     def test_masked_softmax_gives_padding_exactly_zero(self, rng):
         x = leaf(rng.standard_normal((2, 4)))
         mask = np.array([[True, True, True, True], [True, True, False, False]])
         y = softmax(x, mask).data
         assert np.all(y[1, 2:] == 0.0)
-        np.testing.assert_allclose(y[1, :2], softmax(Tensor(x.data[1, :2])).data, rtol=1e-15)
+        np.testing.assert_allclose(y[1, :2], softmax(Tensor(x.data[1:, :2])).data[0], rtol=1e-15)
         with Tape():
             backward(sum_all(tanh(softmax(x, mask))))
         assert np.all(x.grad[1, 2:] == 0.0)
