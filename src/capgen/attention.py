@@ -12,8 +12,7 @@ import numpy as np
 from .errors import EmptyInputError, ShapeError
 from .layers import Module, glorot
 from .tensor import (
-    Tensor, additive_scores, affine, matmul_t, matvec_rows, scale_rows, sigmoid, softmax,
-    transpose, weighted_sum,
+    Tensor, additive_scores, matmul_t, scale_rows, sigmoid, softmax, transpose, weighted_sum,
 )
 
 __all__ = [
@@ -24,10 +23,10 @@ __all__ = [
 
 def pool_rows(alpha: Tensor, feats: Tensor) -> Tensor:
     """The attended rows ``sum_l alpha[i, l] * feats[l]``: (n, D) for n
-    weight rows over one (L, D) feature set, one GEMV per row; (B, D) for
-    (B, L) weights over a (B, L, D) batch, row b over its own set."""
+    weight rows over one (L, D) feature set, one GEMM; (B, D) for (B, L)
+    weights over a (B, L, D) batch, row b over its own set."""
     if feats.data.ndim == 2:
-        return matvec_rows(alpha, transpose(feats))
+        return matmul_t(alpha, transpose(feats))
     return weighted_sum(alpha, feats)
 
 
@@ -44,11 +43,9 @@ class AdditiveAttention(Module):
     step of a caption reuses one projection.
 
     Decoding attends with n (n, query_dim) query rows over one (L, D)
-    feature set, every product one GEMV per row, so each row's context
-    and weights equal those of that row alone bit for bit.  A batch of
-    teacher-forced captions attends with (B, query_dim) queries over a
-    (B, L, D) tensor of feature sets padded to L rows, with GEMM
-    products; ``mask`` (B, L) marks the real rows, and padded rows get
+    feature set.  A batch of teacher-forced captions attends with
+    (B, query_dim) queries over a (B, L, D) tensor of feature sets padded
+    to L rows; ``mask`` (B, L) marks the real rows, and padded rows get
     weight exactly 0.
     """
 
@@ -87,7 +84,7 @@ class AdditiveAttention(Module):
                 feats.data.ndim == 3 and h.shape[0] != feats.shape[0]):
             raise ShapeError(f"attention expects (n, {self.query_dim}) query rows, "
                              f"one per feature set of {feats.shape}, got {h.shape}")
-        shift = affine(h, self.W_a, self.b_a, per_row=feats.data.ndim == 2)  # (n, attn)
+        shift = matmul_t(h, self.W_a, self.b_a)                            # (n, attn)
         alpha = softmax(additive_scores(keys, shift, self.w), mask)        # (n, L)
         return pool_rows(alpha, feats), alpha
 
@@ -107,37 +104,33 @@ class AdaptiveGate(Module):
         self.W_s = glorot(rng, arity, hidden_dim)
 
 
-def adaptive_blend(gate: AdaptiveGate, h: Tensor, ctx: Tensor, h_lang: Tensor,
-                   per_row: bool = False) -> tuple[Tensor, Tensor]:
+def adaptive_blend(gate: AdaptiveGate, h: Tensor, ctx: Tensor,
+                   h_lang: Tensor) -> tuple[Tensor, Tensor]:
     """Convex blend: beta*ctx + (1-beta)*h_lang with beta = sigmoid(W_s h),
-    one beta per row of the (n, H) operands, as an (n, 1) column.  With
-    ``per_row`` the gate's product is one GEMV per row, as decoding takes
-    it."""
+    one beta per row of the (n, H) operands, as an (n, 1) column."""
     if gate.arity != 1:
         raise ShapeError("adaptive_blend needs an arity-1 gate")
     if ctx.shape != h_lang.shape:
         raise ShapeError(f"blend operands differ: {ctx.shape} vs {h_lang.shape}")
-    beta = sigmoid(affine(h, gate.W_s, per_row=per_row))  # (n, 1)
+    beta = sigmoid(matmul_t(h, gate.W_s))  # (n, 1)
     blended = scale_rows(ctx, beta, 0) + scale_rows(h_lang, 1.0 - beta, 0)
     return blended, beta
 
 
 def parallel_adaptive_blend(gate: AdaptiveGate, h: Tensor, ctx1: Tensor,
-                            ctx2: Tensor, h_lang: Tensor,
-                            per_row: bool = False) -> tuple[Tensor, Tensor]:
+                            ctx2: Tensor, h_lang: Tensor) -> tuple[Tensor, Tensor]:
     """Three-way blend of two attended contexts and the language state.
 
     The weights are a softmax over W_s h, so they are positive and sum
     to one; the result stays inside the coordinate-wise hull of its
-    three inputs.  (n, H) rows get (n, 3) weights; ``per_row`` is as in
-    ``adaptive_blend``.
+    three inputs.  (n, H) rows get (n, 3) weights.
     """
     if gate.arity != 3:
         raise ShapeError("parallel_adaptive_blend needs an arity-3 gate")
     if not (ctx1.shape == ctx2.shape == h_lang.shape):
         raise ShapeError(
             f"blend operands differ: {ctx1.shape}, {ctx2.shape}, {h_lang.shape}")
-    betas = softmax(affine(h, gate.W_s, per_row=per_row))  # (n, 3)
+    betas = softmax(matmul_t(h, gate.W_s))  # (n, 3)
     blended = (scale_rows(ctx1, betas, 0) + scale_rows(ctx2, betas, 1)
                + scale_rows(h_lang, betas, 2))
     return blended, betas

@@ -9,23 +9,21 @@ word distribution comes from fusing the draft hidden, the refined hidden
 and the second attended vector.
 
 One step body runs both passes on a state's rows, for decoding and for
-teacher forcing alike.  ``init_state`` builds either state, checks each
-feature set's global and region widths, and computes the region keys
-once.  Decoding (``da_step``) steps n rows over one
-image's (L, D) regions (the rows protocol of ``decoders.py``) with one
-GEMV per row, so each row equals the step of that row alone bit for bit.
-Teacher forcing steps a batch's (B, ·) rows over its regions padded to
-(B, L, D), with GEMM products and a row mask; the sentinel is one more
-always-unmasked column of the second attention's row softmax.  The first
-LSTM reads the previous second-pass hidden, so the passes share one loop
-over the steps.  The fusion ``W_sd``, the word head and ``log_softmax``
-then run once over the B·T rows.
+teacher forcing alike, with the same products (``tensor.matmul_t``).
+``init_state`` builds either state, checks each feature set's global and
+region widths, and computes the region keys once.  Decoding
+(``da_step``) steps n rows over one image's (L, D) regions (the rows
+protocol of ``decoders.py``).  Teacher forcing steps a batch's (B, ·)
+rows over its regions padded to (B, L, D), with a row mask; the
+sentinel is one more always-unmasked column of the second attention's
+row softmax.  The first LSTM reads the previous second-pass hidden, so
+the passes share one loop over the steps.  The fusion ``W_sd``, the word
+head and ``log_softmax`` then run once over the B·T rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -36,10 +34,10 @@ from .decoders import (
     _as_batch, _drop, _dropout_masks, _head_log_probs, _pad_rows, _repeat_row,
 )
 from .errors import ConfigError, ShapeError
-from .layers import Embedding, Linear, LstmCell, Module, dropout, glorot
+from .layers import Embedding, Linear, LstmCell, Module, dropout_mask, glorot
 from .tensor import (
-    Tensor, additive_scores, affine, concat, matmul_t, narrow, reshape, scale_rows, sigmoid,
-    softmax, stack_rows, take_row, take_rows, tanh, zeros,
+    Tensor, additive_scores, concat, matmul_t, narrow, reshape, scale_rows, sigmoid, softmax,
+    stack_rows, take_row, take_rows, tanh, zeros,
 )
 
 __all__ = ["DaConfig", "DaState", "DeliberateDecoder", "da_step"]
@@ -92,9 +90,8 @@ class _ScoredAttention(Module):
 
     def scores(self, h: Tensor, keys: Tensor) -> Tensor:
         """(n, L) scores of n (n, H) queries over one image's (L, attn)
-        keys, with per-row GEMVs; (B, L) of (B, H) queries over a batch's
-        (B, L, attn) keys."""
-        return additive_scores(keys, affine(h, self.W_h, per_row=keys.data.ndim == 2), self.w)
+        keys; (B, L) of (B, H) queries over a batch's (B, L, attn) keys."""
+        return additive_scores(keys, matmul_t(h, self.W_h), self.w)
 
 
 class DeliberateDecoder(Module):
@@ -165,45 +162,39 @@ class DeliberateDecoder(Module):
         words = self.embed.lookup(batch.ids[:, :-1].T)                  # (T, B, E)
         fused = []
         for t in range(batch.ids.shape[1] - 1):
-            rows, state = _da_body(self, state, take_row(words, t),
-                                   lambda x, layer: _drop(x, masks, t, layer))
+            rows, state = _da_body(self, state, take_row(words, t), masks, t)
             fused.append(rows)
         return _head_log_probs(lambda x: self.out(self.W_sd(x)), stack_rows(fused),
                                batch.single)
 
 
-def _da_body(dec: DeliberateDecoder, state: DaState, w_t: Tensor, drop):
+def _da_body(dec: DeliberateDecoder, state: DaState, w_t: Tensor, masks, t: int):
     """Both passes of one step on the state's n rows, given their (n, E)
     word rows: returns the fused rows [h1~; h2_d; v2^] that ``W_sd`` and
-    the word head read, and the new state.  ``drop(x, layer)`` applies
-    dropout to the first (layer 0) or second (layer 1) hidden.  Over one
-    image's (L, D) regions every product is one GEMV per row; over a
-    batch's padded (B, L, D) regions, one GEMM."""
+    the word head read, and the new state.  Step ``t`` of the
+    (T, n, 2, H) dropout ``masks`` (None: no dropout) drops the first
+    (layer 0) and second (layer 1) hidden."""
     v_g, regions, keys1, keys2, mask = state.feats
-    per_row = regions.data.ndim == 2
     n, L = w_t.shape[0], regions.shape[-2]
-    g_rows = _repeat_row(v_g, n) if per_row else v_g
+    g_rows = _repeat_row(v_g, n)
 
     # first pass: draft hidden with residual word shortcut, region attention
     y1 = concat([g_rows, state.h2, w_t], axis=1)
-    out1 = dec.lstm1.step(y1 if per_row else dec.lstm1.input_products(y1),
-                          state.h1, state.m1)
-    h1_tilde = dec.W_rd(concat([w_t, drop(out1.h, 0)], axis=1), per_row)
+    out1 = dec.lstm1.step(dec.lstm1.input_products(y1), state.h1, state.m1)
+    h1_tilde = dec.W_rd(concat([w_t, _drop(out1.h, masks, t, 0)], axis=1))
     alpha1 = softmax(dec.attn1.scores(h1_tilde, keys1), mask)
     v1_hat = pool_rows(alpha1, regions)
 
     # second pass: sentinel-augmented attention over regions + language slot
     y2 = concat([g_rows, h1_tilde, v1_hat], axis=1)
-    out2 = dec.lstm2.step(y2 if per_row else dec.lstm2.input_products(y2),
-                          state.h2, state.m2)
-    h2_d = drop(out2.h, 1)
-    product = partial(affine, per_row=per_row)
-    s = sigmoid(product(state.h2, dec.W_h, product(y2, dec.W_x))) * tanh(out2.m)
-    sent = product(tanh(product(h2_d, dec.W_h3, product(s, dec.W_s))),
-                   reshape(dec.w_a, (1, -1)))
+    out2 = dec.lstm2.step(dec.lstm2.input_products(y2), state.h2, state.m2)
+    h2_d = _drop(out2.h, masks, t, 1)
+    s = sigmoid(matmul_t(state.h2, dec.W_h, matmul_t(y2, dec.W_x))) * tanh(out2.m)
+    sent = matmul_t(tanh(matmul_t(h2_d, dec.W_h3, matmul_t(s, dec.W_s))),
+                    reshape(dec.w_a, (1, -1)))
     mask2 = None if mask is None else np.concatenate([mask, np.ones((n, 1), dtype=bool)], 1)
     alpha2 = softmax(concat([dec.attn2.scores(h2_d, keys2), sent], axis=1), mask2)
-    s_vis = dec.sentinel_proj(s, per_row) if dec.sentinel_proj is not None else s
+    s_vis = dec.sentinel_proj(s) if dec.sentinel_proj is not None else s
     v2_hat = pool_rows(narrow(alpha2, 0, L), regions) + scale_rows(s_vis, alpha2, L)
     return concat([h1_tilde, h2_d, v2_hat], axis=1), DaState(
         out1.h, out1.m, out2.h, out2.m, state.feats,
@@ -214,7 +205,10 @@ def da_step(dec: DeliberateDecoder, state: DaState, token_ids,
             training: bool = False, rng=None):
     """One decoding step of the state's n rows on n token ids, over the
     image's regions in ``state.feats``; returns the (n, vocab) word
-    distributions and the new state."""
-    fused, state = _da_body(dec, state, dec.embed.lookup_one(token_ids),
-                            lambda x, layer: dropout(x, dec.config.dropout, training, rng))
-    return softmax(dec.out(dec.W_sd(fused, per_row=True), per_row=True)), state
+    distributions and the new state.  Training-mode dropout draws the
+    first hidden's (n, H) mask, then the second's."""
+    c = dec.config
+    drawn = dropout_mask((2, 1, len(token_ids), c.hidden_dim), c.dropout, training, rng)
+    masks = None if drawn is None else np.moveaxis(drawn, 0, 2)     # (1, n, 2, H)
+    fused, state = _da_body(dec, state, dec.embed.lookup_one(token_ids), masks, 0)
+    return softmax(dec.out(dec.W_sd(fused))), state

@@ -105,6 +105,8 @@ class Vocabulary:
             raise FormatError(f"vocabulary {path}: not JSON: {exc.msg}") from None
         if not isinstance(payload, dict) or "words" not in payload:
             raise FormatError(f"vocabulary {path}: expected an object with 'words'")
+        if not _is_string_list(payload["words"]):
+            raise FormatError(f"vocabulary {path}: 'words' is not a list of strings")
         return cls(payload["words"], payload.get("min_count", 1))
 
 
@@ -237,6 +239,10 @@ class Sample:
     refs: list[str]
 
 
+def _is_string_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
 @dataclass
 class Dataset:
     """Split manifests binding sample ids to feature files and references."""
@@ -262,10 +268,13 @@ class Dataset:
             samples = []
             for e in entries:
                 try:
-                    s = Sample(e["id"], dict(e["features"]), list(e["refs"]))
+                    s = Sample(e["id"], dict(e["features"]), e["refs"])
                 except (KeyError, TypeError, ValueError):
                     raise FormatError(f"manifest {manifest}: an entry of split {split!r} is not "
                                       "an object with 'id', 'features' and 'refs'") from None
+                if not _is_string_list(s.refs):
+                    raise FormatError(f"manifest {manifest}: entry {s.id!r} of split {split!r}: "
+                                      "'refs' is not a list of strings")
                 for kind, rel in s.feature_paths.items():
                     p = root / rel
                     if not p.exists():

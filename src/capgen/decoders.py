@@ -25,11 +25,14 @@ step one row.  States never collect trace rows; the search in
 features they project, and the mask of real feature rows: ``init_state``
 computes the keys once, and every row of every step reuses them.
 
-Every product of a decoding step is one GEMV per row (``matvec_rows``),
-so row i of a step over n rows equals the step of row i alone bit for
-bit, and a beam-5 decode gives the captions and log-probs of stepping
-each hypothesis on its own.  A GEMM over n rows would not: it moves
-log-probs by about 1e-13.
+Decoding and teacher forcing take every weight product the same way:
+one ``tensor.matmul_t`` over the rows at hand, a GEMM with its addends
+folded in.  A GEMM of one row is that row's GEMV bit for bit, so a
+one-row step (greedy decoding, self-critical sampling) has the bits of a
+step taken with matrix-vector products.  Row i of a step over n rows
+agrees with the step of row i alone within rounding, not bit for bit: a
+beam-5 decode's log-probs move by about 1e-15 against stepping each
+hypothesis alone.
 
 ``forward_teacher_forced(features, tokens, training, rng)`` takes one
 caption, a ``FeatureSet`` and its token ids, and returns (T, vocab)
@@ -37,15 +40,10 @@ log-probs; or a batch, a sequence of B ``FeatureSet``s and a
 ``CaptionBatch``, and returns (B, T, vocab) log-probs, T being the
 batch's padded step count.  A single caption is a batch of one.  It
 gives what running ``step`` once per word gives, within rounding, with
-the same layers: ``tensor.affine``, which they are built on, takes one
-GEMM (``matmul_t``) over a batch's rows where a decoding step takes one
-GEMV per row.  Training needs no per-row bits, and GEMMs cost less at
-training batch sizes: against a (512, 512) weight, on one BLAS thread of
-a 2-vCPU Xeon, per-row GEMVs took 594 µs for 8 rows and 4,006 µs for 64,
-where one GEMM took 254 and 1,069 µs.  Every input is known up front,
-so the two-LSTM and basic decoders run in phases: one embedding gather
-and one GEMM per gate for the input products of an LSTM whose input
-does not feed back, the recurrences on (B, H) states, attention once per
+the same layers.  Every input is known up front, so the two-LSTM and
+basic decoders run in phases: one embedding gather and one GEMM per gate
+for the input products of an LSTM whose input does not feed back, the
+recurrences on (B, H) states, attention once per
 step over the (B, L, D) feature sets padded to the longest (padded rows
 weigh exactly 0), and one word head and ``log_softmax`` over all B·T
 rows.  Padded steps of a shorter caption run too; the loss masks them,
@@ -126,11 +124,10 @@ def _nearest_segment_rows(frames: np.ndarray, segments: np.ndarray) -> np.ndarra
     return segments[idx]
 
 
-def _word_logits(dec, x: Tensor, per_row: bool = False) -> Tensor:
+def _word_logits(dec, x: Tensor) -> Tensor:
     """Word MLP logits U_p tanh(W_p x + b_p) + d over the decoder's
-    ``out_hidden`` and ``out_vocab`` layers, for (n, d) rows ``x``; with
-    ``per_row``, one GEMV per row, as decoding takes them."""
-    return dec.out_vocab(tanh(dec.out_hidden(x, per_row)), per_row)
+    ``out_hidden`` and ``out_vocab`` layers, for (n, d) rows ``x``."""
+    return dec.out_vocab(tanh(dec.out_hidden(x)))
 
 
 class BasicDecoder(Module):
@@ -158,9 +155,9 @@ class BasicDecoder(Module):
         (vbar,) = state.feats
         n = len(token_ids)
         y = concat([self.embed.lookup_one(token_ids), _repeat_row(vbar, n)], axis=1)
-        out = self.lstm.step(y, state.h, state.m)
+        out = self.lstm.step(self.lstm.input_products(y), state.h, state.m)
         h_d = dropout(out.h, c.dropout, training, rng)
-        p = softmax(_word_logits(self, h_d, per_row=True))
+        p = softmax(_word_logits(self, h_d))
         row = TraceRow(np.ones((n, 1)), np.ones((n, 1)))
         return p, DecoderState(out.h, out.m, out.h, out.m, state.feats, row)
 
@@ -241,13 +238,12 @@ class HierarchicalDecoder(Module):
         """Attend-and-gate over ``DecoderState.feats``:
         ``attend(h_d, ht_d) -> (blended context, TraceRow)``."""
         source, keys, mask = feats
-        per_row = source.data.ndim == 2     # decoding one clip, not a padded batch
 
         def attend(h_d, ht_d):
             ctx, alpha = self.attn.attend(h_d, source, keys, mask)
             if self.gate is None:
                 return ctx, TraceRow(alpha.data, np.ones((alpha.shape[0], 1)))
-            blended, beta = adaptive_blend(self.gate, h_d, ctx, ht_d, per_row=per_row)
+            blended, beta = adaptive_blend(self.gate, h_d, ctx, ht_d)
             return blended, TraceRow(alpha.data, beta.data)
 
         return attend
@@ -302,13 +298,11 @@ class ParallelDecoder(Module):
         """Attend-and-gate over ``DecoderState.feats``:
         ``attend(h_d, ht_d) -> (blended context, TraceRow)``."""
         static, static_keys, static_mask, motion, motion_keys, motion_mask = feats
-        per_row = static.data.ndim == 2     # decoding one clip, not a padded batch
 
         def attend(h_d, ht_d):
             ctx1, alpha1 = self.attn_static.attend(h_d, static, static_keys, static_mask)
             ctx2, _ = self.attn_motion.attend(h_d, motion, motion_keys, motion_mask)
-            blended, betas = parallel_adaptive_blend(self.gate, h_d, ctx1, ctx2, ht_d,
-                                                     per_row=per_row)
+            blended, betas = parallel_adaptive_blend(self.gate, h_d, ctx1, ctx2, ht_d)
             return blended, TraceRow(alpha1.data, betas.data)
 
         return attend
@@ -341,13 +335,13 @@ def _two_lstm_init(dec, features, attentions: tuple) -> DecoderState:
             source, mask = _pad_rows([sources[k] for sources in per_caption])
         feats += (source, attn.keys(source), mask)
     top = zeros(len(per_caption), dec.config.hidden_dim)
-    return DecoderState(dec.init_h(pooled, single), dec.init_m(pooled, single), top, top,
-                        feats)
+    return DecoderState(dec.init_h(pooled), dec.init_m(pooled), top, top, feats)
 
 
 def _repeat_row(x: Tensor, n: int) -> Tensor:
-    """A constant (1, d) row of a clip's features as n rows."""
-    return x if n == 1 else Tensor(np.repeat(x.data, n, axis=0))
+    """A constant (1, d) row of a clip's features as n rows; a batch's
+    (n, d) rows, one per caption, as they are."""
+    return x if len(x.data) == n else Tensor(np.repeat(x.data, n, axis=0))
 
 
 def _pad_rows(arrays: list[np.ndarray]) -> tuple[Tensor, np.ndarray]:
@@ -369,12 +363,12 @@ def _two_lstm_step(dec, state: DecoderState, token_ids, training, rng, attend):
     context]."""
     c = dec.config
     y = dec.embed.lookup_one(token_ids)
-    bot = dec.bottom.step(y, state.h, state.m)
+    bot = dec.bottom.step(dec.bottom.input_products(y), state.h, state.m)
     h_d = dropout(bot.h, c.dropout, training, rng)
-    top = dec.top.step(h_d, state.h_top, state.m_top)
+    top = dec.top.step(dec.top.input_products(h_d), state.h_top, state.m_top)
     ht_d = dropout(top.h, c.dropout, training, rng)
     blended, row = attend(h_d, ht_d)
-    p = softmax(_word_logits(dec, concat([h_d, blended], axis=1), per_row=True))
+    p = softmax(_word_logits(dec, concat([h_d, blended], axis=1)))
     return p, DecoderState(bot.h, bot.m, top.h, top.m, state.feats, row)
 
 

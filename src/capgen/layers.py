@@ -7,9 +7,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ContractError, FormatError, ShapeError, VocabularyError
-from .tensor import (
-    Tensor, affine, matmul_t, matvec_rows, reshape, sigmoid, take_row, take_rows, tanh,
-)
+from .tensor import Tensor, matmul_t, reshape, sigmoid, take_row, take_rows, tanh
 
 __all__ = ["Module", "LstmCell", "LstmOut", "GateInputs", "Embedding", "Linear",
            "dropout", "dropout_mask", "glorot"]
@@ -88,16 +86,13 @@ class LstmCell(Module):
     m_t = f*m_prev + i*g and the output h_t = o*tanh(m_t).  The forget
     bias starts at 1.0 to keep early training stable.
 
-    ``step`` runs n states as (n, H) matrices.  The input products W y
-    do not depend on the recurrence, so when a batch's whole input
-    sequences are known up front ``input_products`` computes them with
-    one GEMM per gate, and ``step`` takes each step's rows in place of
-    the raw input.  Where the input feeds back, ``input_products`` of one
-    step's (B, input_dim) rows gives that step's products.  Decoding
-    hands ``step`` the raw (n, input_dim) rows instead, and every product
-    of the step is then one GEMV per row (``matvec_rows``): row i equals
-    the step of that row alone bit for bit, which beam search relies on
-    to step all its hypotheses at once.
+    ``step`` runs n states as (n, H) matrices on the step's input
+    products W y, which ``input_products`` computes with one GEMM per
+    gate.  They do not depend on the recurrence, so when a batch's whole
+    input sequences are known up front they are computed for all steps at
+    once; where the input feeds back (decoding, DA's first LSTM),
+    ``input_products`` of one step's (n, input_dim) rows gives that
+    step's products.
     """
 
     GATES = ("i", "f", "o", "g")
@@ -111,20 +106,16 @@ class LstmCell(Module):
             setattr(self, f"b_{gate}", _zeros_param(hidden_dim))
         self.b_f.data[:] = 1.0
 
-    def _check(self, y, h_prev: Tensor, m_prev: Tensor) -> None:
+    def _check(self, gates, h_prev: Tensor, m_prev: Tensor) -> None:
         if h_prev.data.ndim != 2 or h_prev.shape[1] != self.hidden_dim:
             raise ShapeError(
                 f"recurrent block U_i expects (n, {self.hidden_dim}) hidden rows, "
                 f"got {h_prev.shape}")
         if m_prev.shape != h_prev.shape:
             raise ShapeError(f"memory block expects shape {h_prev.shape}, got {m_prev.shape}")
-        if isinstance(y, GateInputs):
-            if y.i.shape != h_prev.shape:
-                raise ShapeError(f"a step takes GateInputs rows of shape {h_prev.shape}")
-        elif y.shape != (h_prev.shape[0], self.input_dim):
-            raise ShapeError(
-                f"input-gate block W_i expects ({h_prev.shape[0]}, {self.input_dim}) input "
-                f"rows, got {y.shape}")
+        if not isinstance(gates, GateInputs) or gates.i.shape != h_prev.shape:
+            raise ShapeError(f"a step takes the GateInputs of input_products, rows of "
+                             f"shape {h_prev.shape}")
 
     def input_products(self, ys: Tensor) -> GateInputs:
         """``ys @ W_gate.T`` for a (T, B, input_dim) batch of input
@@ -138,22 +129,18 @@ class LstmCell(Module):
             steps, batch, _ = ys.shape
             flat = self.input_products(reshape(ys, (steps * batch, self.input_dim)))
             return GateInputs(*(reshape(p, (steps, batch, self.hidden_dim)) for p in flat))
-        return GateInputs(*(matmul_t(ys, getattr(self, f"W_{gate}")) for gate in self.GATES))
+        return GateInputs(matmul_t(ys, self.W_i), matmul_t(ys, self.W_f),
+                          matmul_t(ys, self.W_o), matmul_t(ys, self.W_g))
 
-    def step(self, y, h_prev: Tensor, m_prev: Tensor) -> LstmOut:
-        """One step of (n, H) states from the step's raw (n, input_dim)
-        input rows, with per-row GEMV products, or from its (n, H)
-        ``GateInputs`` rows, with a GEMM for the recurrent products; each
-        gate's pre-activation is (U h_prev + W y) + b (``affine``)."""
-        self._check(y, h_prev, m_prev)
-        per_row = not isinstance(y, GateInputs)
-        if per_row:
-            y = GateInputs(matvec_rows(y, self.W_i), matvec_rows(y, self.W_f),
-                           matvec_rows(y, self.W_o), matvec_rows(y, self.W_g))
-        i = sigmoid(affine(h_prev, self.U_i, y.i, self.b_i, per_row=per_row))
-        f = sigmoid(affine(h_prev, self.U_f, y.f, self.b_f, per_row=per_row))
-        o = sigmoid(affine(h_prev, self.U_o, y.o, self.b_o, per_row=per_row))
-        g = tanh(affine(h_prev, self.U_g, y.g, self.b_g, per_row=per_row))
+    def step(self, gates: GateInputs, h_prev: Tensor, m_prev: Tensor) -> LstmOut:
+        """One step of (n, H) states from the step's (n, H) input products
+        ``gates``; each gate's pre-activation is (U h_prev + W y) + b, one
+        ``matmul_t`` with the two addends folded in."""
+        self._check(gates, h_prev, m_prev)
+        i = sigmoid(matmul_t(h_prev, self.U_i, gates.i, self.b_i))
+        f = sigmoid(matmul_t(h_prev, self.U_f, gates.f, self.b_f))
+        o = sigmoid(matmul_t(h_prev, self.U_o, gates.o, self.b_o))
+        g = tanh(matmul_t(h_prev, self.U_g, gates.g, self.b_g))
         m = f * m_prev + i * g
         return LstmOut(o * tanh(m), m)
 
@@ -194,10 +181,9 @@ class Linear(Module):
         self.W = glorot(rng, out_dim, in_dim)
         self.b = _zeros_param(out_dim) if bias else None
 
-    def __call__(self, x: Tensor, per_row: bool = False) -> Tensor:
-        """The map of (n, in_dim) rows: one GEMM, or with ``per_row`` one
-        GEMV per row (``matvec_rows``), as decoding takes it."""
-        return affine(x, self.W, *(() if self.b is None else (self.b,)), per_row=per_row)
+    def __call__(self, x: Tensor) -> Tensor:
+        """The map of (n, in_dim) rows: one ``matmul_t`` with the bias."""
+        return matmul_t(x, self.W, *(() if self.b is None else (self.b,)))
 
 
 def dropout_mask(shape, rate: float, training: bool,

@@ -6,9 +6,10 @@ the lowest token id, and beam candidates with equal scores order by token
 sequence.  Decoders follow the rows protocol of ``decoders.py``: greedy
 decoding steps a one-row state; beam search steps all its n <= k live
 hypotheses as the n rows of one state, one ``step`` call per search step,
-and then gathers the survivors' rows with ``state.take``.  Each row's
-distribution equals that of stepping its hypothesis alone, bit for bit,
-because decoding takes every product as one GEMV per row.  Beam search
+and then gathers the survivors' rows with ``state.take``.  A one-row step
+is bit-identical to stepping with matrix-vector products; each row of an
+n-row step agrees with stepping its hypothesis alone within rounding
+(log-probs move by about 1e-15), since its products are GEMMs.  Beam search
 selects each step's k best expansions from the (n, V) log-prob matrix
 with one partition and one lexsort, so no per-candidate Python object is
 built.  The search alone records traces: with ``record_trace`` it

@@ -8,13 +8,12 @@ tape are plain forward arithmetic, which keeps inference and
 finite-difference probing cheap.
 
 Leaf gradients of weight products and row gathers are deferred.  A
-``matmul_t`` or ``matvec_rows`` of a batch of B rows against a weight
-hands back the two factors ``u @ v`` of its rank-B weight gradient, and
-``take_row``/``take_rows`` hand back the gathered row ids with their
-gradient rows.  When the input is a recorded node the
-factors are expanded into a dense array on the spot, so every other op
-sees plain ndarrays; row gradients of one node are added in place into
-one array.
+``matmul_t`` of a batch of B rows against a weight hands back the two
+factors ``u @ v`` of its rank-B weight gradient, and ``take_row``/
+``take_rows`` hand back the gathered row ids with their gradient rows.
+When the input is a recorded node the factors are expanded into a dense
+array on the spot, so every other op sees plain ndarrays; row gradients
+of one node are added in place into one array.
 When the input is a leaf, ``backward()`` collects the factors during the
 reverse sweep and adds them once at the end: one ``(m, K) @ (K, n)``
 product per weight, K summed over every step and row, and one
@@ -36,12 +35,10 @@ Conventions:
     loudly.  A leading batch axis goes through named ops that say how it
     is combined:
     ``matmul_t`` (rows, under any leading axes, against a weight as one
-    GEMM), ``matvec_rows`` (the same product as one GEMV per row),
-    ``affine`` (either of the two, then added terms), ``additive_scores``
-    (query rows against shared or per-row keys), ``add_rowvec`` (one
-    vector per matrix), ``scale_rows`` (one scale per row), ``softmax``
-    with a row mask, and ``weighted_sum`` (one weighted row sum per batch
-    entry).
+    GEMM, then added terms, a bias among them), ``additive_scores`` (query
+    rows against shared or per-row keys), ``scale_rows`` (one scale per
+    row), ``softmax`` with a row mask, and ``weighted_sum`` (one weighted
+    row sum per batch entry).
   * a tape and its tensors belong to one thread; independent tapes may
     run concurrently on other threads.
 """
@@ -57,11 +54,10 @@ from .errors import ContractError, DomainError, ShapeError
 
 __all__ = [
     "Tensor", "Tape", "backward", "zeros",
-    "add", "sub", "mul", "neg", "matmul_t", "matvec_rows", "affine", "additive_scores",
-    "transpose",
+    "add", "sub", "mul", "neg", "matmul_t", "additive_scores", "transpose",
     "sigmoid", "tanh", "log", "softmax", "log_softmax",
-    "concat", "sum_all", "add_rowvec", "scale_rows", "weighted_sum",
-    "take_rows", "take_row", "narrow", "pick_per_row",
+    "concat", "sum_all", "scale_rows", "weighted_sum",
+    "take_rows", "take_row", "narrow", "pick_in_rows",
     "stack_rows", "reshape",
 ]
 
@@ -331,10 +327,18 @@ def neg(a: Tensor) -> Tensor:
     return _record(out, (a,), lambda g: (-g,))
 
 
-def matmul_t(a: Tensor, w: Tensor) -> Tensor:
-    """``a @ w.T`` for an (n, k) matrix of rows and an (m, k) weight -> (n, m);
-    rows with more leading axes, such as (B, L, k), give (B, L, m) from
-    one GEMM over all of them.
+def matmul_t(a: Tensor, w: Tensor, *terms: Tensor) -> Tensor:
+    """``a @ w.T`` for an (n, k) matrix of rows and an (m, k) weight -> (n, m),
+    then each of ``terms`` added in order: a tensor of the output's shape,
+    or an (m,) bias added to every row.  Rows with more leading axes, such
+    as (B, L, k), give (B, L, m) from one GEMM over all of them.
+
+    Decoding and teacher forcing take every weight product here, with its
+    addends folded in, which saves an op per addend.  A GEMM of one row is
+    the GEMV ``w @ a[0]`` bit for bit, so a one-row decoding step has the
+    bits of matrix-vector products; each row of a GEMM over n > 1 rows
+    agrees with its own one-row product within rounding (about 1e-15
+    relative), not bit for bit.
 
     The weight's gradient ``g.T @ a`` is deferred as a rank-n factor, so
     when ``w`` is a leaf every product of a recurrence, each step and
@@ -342,60 +346,23 @@ def matmul_t(a: Tensor, w: Tensor) -> Tensor:
     ad, wd = a.data, w.data
     if ad.ndim < 2 or wd.ndim != 2 or ad.shape[-1] != wd.shape[1]:
         raise ShapeError(f"matmul_t: rows {ad.shape} do not match weight {wd.shape}")
-    rows = ad.reshape(-1, wd.shape[1])
-    out = Tensor((rows @ wd.T).reshape(ad.shape[:-1] + wd.shape[:1]))
-
-    def grad_fn(g):
-        g = g.reshape(-1, wd.shape[0])
-        return ((g @ wd).reshape(ad.shape) if a.requires_grad else None,
-                _Outer(g.T, rows) if w.requires_grad else None)
-
-    return _record(out, (a, w), grad_fn)
-
-
-def matvec_rows(x: Tensor, w: Tensor, *terms: Tensor) -> Tensor:
-    """``w @ x[i]`` for each row of an (n, k) ``x`` and an (m, k) weight
-    -> (n, m), one matrix-vector product per row, then each of ``terms``
-    added in order: an (n, m) matrix, or an (m,) vector added to every
-    row (a bias).
-
-    Row i equals ``w @ x[i] + terms...`` bit for bit, whatever n is,
-    which a GEMM ``x @ w.T`` does not promise: a decoding step over n
-    rows gives each row what a step of that row alone gives.  Folding the
-    additions into the product saves an op per addend on a decoding
-    step.  The weight's gradient is deferred as a rank-n factor, as in
-    ``matmul_t``."""
-    xd, wd = x.data, w.data
-    if xd.ndim != 2 or wd.ndim != 2 or xd.shape[1] != wd.shape[1]:
-        raise ShapeError(f"matvec_rows: rows {xd.shape} do not match weight {wd.shape}")
-    y = (wd @ xd[0])[None] if len(xd) == 1 else np.matmul(wd, xd[:, :, None])[:, :, 0]
+    rows = ad if ad.ndim == 2 else ad.reshape(-1, wd.shape[1])
+    y = np.dot(rows, wd.T)      # the BLAS call of ``@``, with less overhead per call
+    if ad.ndim > 2:
+        y = y.reshape(ad.shape[:-1] + wd.shape[:1])
     for t in terms:
-        if t.data.shape not in (y.shape, y.shape[1:]):
-            raise ShapeError(f"matvec_rows: term {t.data.shape} does not match {y.shape}")
+        if t.data.shape not in (y.shape, y.shape[-1:]):
+            raise ShapeError(f"matmul_t: term {t.data.shape} does not match {y.shape}")
         y += t.data
-    out = Tensor(y)
 
     def grad_fn(g):
-        return (g @ wd if x.requires_grad else None,
-                _Outer(g.T, xd) if w.requires_grad else None,
-                *(None if not t.requires_grad else g if t.data.ndim == 2 else g.sum(axis=0)
-                  for t in terms))
+        flat = g.reshape(-1, wd.shape[0])
+        return ((flat @ wd).reshape(ad.shape) if a.requires_grad else None,
+                _Outer(flat.T, rows) if w.requires_grad else None,
+                *(None if not t.requires_grad else g if t.data.ndim == g.ndim
+                  else flat.sum(axis=0) for t in terms))
 
-    return _record(out, (x, w) + terms, grad_fn)
-
-
-def affine(x: Tensor, w: Tensor, *terms: Tensor, per_row: bool = False) -> Tensor:
-    """``x @ w.T`` for (n, k) rows and an (m, k) weight, then each of
-    ``terms`` added in order: an (n, m) matrix, or an (m,) bias added to
-    every row.  With ``per_row`` this is ``matvec_rows``, one GEMV per
-    row, as decoding takes it; otherwise one GEMM (``matmul_t``) and one
-    op per term (``add_rowvec`` for a bias), as teacher forcing takes it."""
-    if per_row:
-        return matvec_rows(x, w, *terms)
-    y = matmul_t(x, w)
-    for t in terms:
-        y = add_rowvec(y, t) if t.data.ndim == 1 else y + t
-    return y
+    return _record(Tensor(y), (a, w) + terms, grad_fn)
 
 
 def additive_scores(keys: Tensor, q: Tensor, w: Tensor) -> Tensor:
@@ -413,7 +380,7 @@ def additive_scores(keys: Tensor, q: Tensor, w: Tensor) -> Tensor:
         raise ShapeError(f"additive_scores: keys {kd.shape}, queries {qd.shape} "
                          f"and weights {wd.shape} do not match")
     e = np.tanh(kd + qd[:, None, :])                      # (n, L, A)
-    out = Tensor((e[0] @ wd)[None] if len(qd) == 1 else np.matmul(e, wd))
+    out = Tensor(np.matmul(e, wd))
 
     def grad_fn(g):
         gk = gq = None
@@ -538,22 +505,6 @@ def sum_all(a: Tensor) -> Tensor:
     return _record(out, (a,), lambda g: (np.broadcast_to(g, shape),))
 
 
-def add_rowvec(m: Tensor, v: Tensor) -> Tensor:
-    """Explicitly broadcast: add a (d,) vector to every row of an (n, d)
-    matrix, or row b of a (B, d) matrix to every row of matrix b of a
-    (B, n, d) batch."""
-    md, vd = m.data, v.data
-    if md.ndim not in (2, 3) or vd.shape != md.shape[:-2] + md.shape[-1:]:
-        raise ShapeError(f"add_rowvec: incompatible shapes {md.shape} and {vd.shape}")
-    out = Tensor(md + (vd if vd.ndim == 1 else vd[:, None, :]))
-
-    def grad_fn(g):
-        return (g if m.requires_grad else None,
-                g.sum(axis=-2) if v.requires_grad else None)
-
-    return _record(out, (m, v), grad_fn)
-
-
 def scale_rows(x: Tensor, s: Tensor, j: int) -> Tensor:
     """Row b of a (B, d) ``x`` times ``s[b, j]`` of a (B, k) ``s``."""
     xd, sd = x.data, s.data
@@ -614,11 +565,11 @@ def narrow(a: Tensor, start: int, length: int) -> Tensor:
     return _record(out, (a,), grad_fn)
 
 
-def pick_per_row(a: Tensor, cols) -> Tensor:
+def pick_in_rows(a: Tensor, cols) -> Tensor:
     """out[t] = a[t, cols[t]] for a (T, n) matrix -> (T,)."""
     idx = np.asarray(cols, dtype=np.intp)
     if a.data.ndim != 2 or idx.shape != (a.data.shape[0],):
-        raise ShapeError(f"pick_per_row: matrix {a.data.shape} vs {idx.shape} indices")
+        raise ShapeError(f"pick_in_rows: matrix {a.data.shape} vs {idx.shape} indices")
     rows = np.arange(a.data.shape[0])
     out = Tensor(a.data[rows, idx])
 

@@ -31,7 +31,7 @@ from .optim import (
 )
 from .search import greedy_decode
 from .tensor import (
-    Tape, Tensor, backward, log, pick_per_row, reshape, sum_all,
+    Tape, Tensor, backward, log, pick_in_rows, reshape, sum_all,
 )
 
 __all__ = [
@@ -53,7 +53,7 @@ def mle_loss(log_probs: Tensor, targets: CaptionBatch) -> Tensor:
     if (width, steps) != (len(targets), targets.steps):
         raise ShapeError(f"log-probs for {width} captions of {steps} steps, but the "
                          f"batch has {len(targets)} of {targets.steps}")
-    picked = pick_per_row(reshape(log_probs, (width * steps, vocab)),
+    picked = pick_in_rows(reshape(log_probs, (width * steps, vocab)),
                           targets.tokens[:, 1:].reshape(-1))
     mask = np.arange(steps) < targets.lengths[:, None] - 1
     return -sum_all(picked * Tensor(mask.reshape(-1).astype(np.float64))) * (1.0 / width)
@@ -101,7 +101,7 @@ def _sample_caption(decoder, features, rng, max_len):
         p, state = decoder.step(state, [tok])
         probs = p.data[0] / p.data[0].sum()
         nxt = int(rng.choice(len(probs), p=probs))
-        terms.append(log(pick_per_row(p, [nxt])))
+        terms.append(log(pick_in_rows(p, [nxt])))
         if nxt == EOS_ID:
             break
         tokens.append(nxt)
@@ -283,6 +283,10 @@ def _check_finite(epoch: int, params: dict[str, Tensor], **scalars: float) -> No
                               "no update was made")
 
 
+# the per-parameter state slots of each optimizer, as checkpoints store them
+_OPTIMIZER_SLOTS = {"adadelta": {"Eg", "Ex"}, "adam": {"m", "v"}}
+
+
 def train(cfg: TrainConfig) -> TrainResult:
     """Stage-1 MLE training with early stopping; optional stage-2 rewards.
 
@@ -295,7 +299,9 @@ def train(cfg: TrainConfig) -> TrainResult:
     before the optimizer steps or a checkpoint is written.  A
     ``batch_size``, ``epochs`` or ``lr_decay_every`` below 1 is a
     ``ConfigError``, and a missing directory for ``checkpoint`` or
-    ``log_path`` an ``OSError``, both raised before any data loads.
+    ``log_path`` an ``OSError``, both raised before any data loads.  A
+    ``resume`` checkpoint whose optimizer state is another optimizer's
+    is a ``ConfigError`` raised before any epoch runs.
 
     Training runs over every (sample, reference) pair; each batch of
     ``batch_size`` pairs is one forward and one ``backward`` under one
@@ -316,7 +322,7 @@ def train(cfg: TrainConfig) -> TrainResult:
     """
     if not cfg.data_dir:
         raise ConfigError("config must set data_dir")
-    if cfg.optimizer not in ("adadelta", "adam"):
+    if cfg.optimizer not in _OPTIMIZER_SLOTS:
         raise ConfigError(f"unknown optimizer {cfg.optimizer!r}")
     if cfg.val_metric not in ("cider", "bleu4", "loss"):
         raise ConfigError(f"unknown val_metric {cfg.val_metric!r}")
@@ -344,6 +350,10 @@ def train(cfg: TrainConfig) -> TrainResult:
         decoder.load_arrays(arrays)
         opt_state = opt_state_from_arrays(
             {k[len("opt/"):]: v for k, v in arrays.items() if k.startswith("opt/")})
+        slots = {slot for st in opt_state.values() if isinstance(st, dict) for slot in st}
+        if not slots <= _OPTIMIZER_SLOTS[cfg.optimizer]:
+            raise ConfigError(f"checkpoint {cfg.resume} holds optimizer state {sorted(slots)}, "
+                              f"which optimizer {cfg.optimizer!r} cannot resume")
         start_epoch = int(arrays["meta/epoch"]) + 1
         best_val = float(arrays["meta/best_val"])
         stale = int(arrays["meta/stale"])

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import capgen.cli
+import capgen.training
 from capgen.checkpoint import load_checkpoint, save_checkpoint
 from capgen.cli import main
 from capgen.data import Dataset
@@ -321,6 +322,37 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(other / "manifest.json") in err
         assert message in err
+
+    @pytest.mark.parametrize("name,edit,entry", [
+        ("manifest.json", lambda m: m["splits"]["train"][0].update(refs=[1, 2]), "'refs'"),
+        ("manifest.json", lambda m: m["splits"]["train"][0].update(refs="a cat"), "'refs'"),
+        ("vocab.json", lambda v: v.update(words=5), "'words'"),
+    ], ids=["refs_of_numbers", "refs_string", "words_number"])
+    def test_refs_and_words_not_lists_of_strings_fail_cleanly(self, workspace, tmp_path,
+                                                              capsys, name, edit, entry):
+        _, data, _ = workspace
+        other = tmp_path / "data"
+        payload = edited_copy(data, other, name, edit)
+        assert main(["train", "--data-dir", str(other), "--epochs", "1",
+                     "--checkpoint", str(tmp_path / "model.ckpt")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(other / name) in err and entry in err
+        if name == "manifest.json":     # the entry is named by its id
+            assert repr(payload["splits"]["train"][0]["id"]) in err
+        assert not (tmp_path / "model.ckpt").exists()
+
+    def test_resume_with_another_optimizers_state_fails_cleanly(self, workspace, tmp_path,
+                                                                capsys, monkeypatch):
+        _, data, ckpt = workspace      # trained with adam
+        ran = []
+        monkeypatch.setattr(capgen.training, "_epoch_rng",
+                            lambda *a: ran.append(a) or np.random.default_rng(0))
+        argv = train_argv(data, tmp_path / "model.ckpt", 4, "--resume", str(ckpt))
+        argv[argv.index("adam")] = "adadelta"
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(ckpt) in err and "'adadelta'" in err
+        assert ran == [] and not (tmp_path / "model.ckpt").exists()
 
     @pytest.mark.parametrize("flag,key", [("--val-metric", "val_metric"),
                                           ("--optimizer", "optimizer")])

@@ -1,6 +1,7 @@
 """No module of the package or of its tests imports a name it never uses,
-the package defines no private helper that nothing names, and it sets
-no attribute that nothing reads."""
+the package defines no private helper that nothing names, it sets no
+attribute that nothing reads, and none of its functions takes a
+parameter that it never reads."""
 
 import ast
 from pathlib import Path
@@ -111,6 +112,60 @@ def test_detects_unread_attribute():
                        "    def f(self):\n        return self.used + getattr(self, 'named')\n"}
     readers = {"b.py": "def g(a):\n    return a.elsewhere\n"}
     assert unread_attributes(written, readers) == ["a.py: A.dead"]
+
+
+def unread_parameters(sources: dict[str, str]) -> list[str]:
+    """Parameters of a function or lambda in ``sources`` (file name ->
+    text) that its body, nested functions included, never loads; ``self``
+    and ``cls`` aside.  Each is listed as ``file: qualname(parameter)``,
+    a lambda's name being ``<lambda>`` and its line."""
+    unread = []
+
+    def visit(node, prefix, file):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.", file)
+                continue
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                visit(child, prefix, file)
+                continue
+            is_lambda = isinstance(child, ast.Lambda)
+            name = f"<lambda>:{child.lineno}" if is_lambda else child.name
+            args = child.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+            params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+            loaded = {n.id for stmt in ([child.body] if is_lambda else child.body)
+                      for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+            unread.extend(f"{file}: {prefix}{name}({p})" for p in params
+                          if p not in loaded and p not in ("self", "cls"))
+            visit(child, f"{prefix}{name}.", file)
+
+    for file, source in sources.items():
+        visit(ast.parse(source), "", file)
+    return unread
+
+
+# parameters that an interface fixes, with the reason each goes unread
+PROTOCOL_PARAMETERS = {
+    "tensor.py: Tape.__exit__(exc_type)": "the context-manager protocol",
+    "tensor.py: Tape.__exit__(exc)": "the context-manager protocol",
+    "tensor.py: Tape.__exit__(tb)": "the context-manager protocol",
+    "tensor.py: _Outer.dense(shape)": "backward calls dense(shape) on _Rows and _Outer alike",
+}
+
+
+def test_no_unread_parameters():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert [p for p in unread_parameters(sources) if p not in PROTOCOL_PARAMETERS] == []
+
+
+def test_detects_unread_parameter():
+    sources = {"a.py": "def f(a, b, *args, c=1, **kw):\n    return a + kw['x']\n\n"
+                       "class K:\n    def m(self, x, y):\n        def inner():\n"
+                       "            return x\n        return inner\n\n"
+                       "g = lambda u, v: u\n"}
+    assert unread_parameters(sources) == [
+        "a.py: f(b)", "a.py: f(c)", "a.py: f(args)", "a.py: K.m(y)", "a.py: <lambda>:10(v)"]
 
 
 def _bound_names(tree: ast.Module) -> set[str]:

@@ -7,7 +7,7 @@ from capgen.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from capgen.errors import ContractError, FormatError, ShapeError, VocabularyError
 from capgen.gradcheck import check_gradients
 from capgen.layers import Embedding, Linear, LstmCell, Module, dropout
-from capgen.tensor import Tape, Tensor, backward, matvec_rows, sum_all, zeros
+from capgen.tensor import Tape, Tensor, backward, sum_all, zeros
 
 
 def zeroed_cell(input_dim=1, hidden=1):
@@ -20,7 +20,7 @@ def zeroed_cell(input_dim=1, hidden=1):
 class TestLstmCell:
     def test_all_zero_weights(self):
         cell = zeroed_cell()
-        out = cell.step(Tensor([[0.3]]), zeros(1, 1), zeros(1, 1))
+        out = cell.step(cell.input_products(Tensor([[0.3]])), zeros(1, 1), zeros(1, 1))
         # i = f = o = 0.5, g = 0 so both outputs vanish
         np.testing.assert_array_equal(out.h.data, [[0.0]])
         np.testing.assert_array_equal(out.m.data, [[0.0]])
@@ -28,7 +28,7 @@ class TestLstmCell:
     def test_saturated_forget_gate_preserves_memory(self):
         cell = zeroed_cell()
         cell.b_f.data[:] = 50.0
-        out = cell.step(Tensor([[0.0]]), zeros(1, 1), Tensor([[1.0]]))
+        out = cell.step(cell.input_products(Tensor([[0.0]])), zeros(1, 1), Tensor([[1.0]]))
         np.testing.assert_allclose(out.m.data, [[1.0]], atol=1e-3)
 
     def test_forget_bias_initialized_to_one(self, rng):
@@ -39,9 +39,12 @@ class TestLstmCell:
     def test_dimension_error_names_gate_block(self):
         cell = LstmCell(3, 4, np.random.default_rng(0))
         with pytest.raises(ShapeError, match="W_i"):
-            cell.step(Tensor([[1.0, 2.0]]), zeros(1, 4), zeros(1, 4))
+            cell.input_products(Tensor([[1.0, 2.0]]))
+        gates = cell.input_products(Tensor([[1.0, 2.0, 3.0]]))
         with pytest.raises(ShapeError, match="U_i"):
-            cell.step(Tensor([[1.0, 2.0, 3.0]]), zeros(1, 3), zeros(1, 4))
+            cell.step(gates, zeros(1, 3), zeros(1, 4))
+        with pytest.raises(ShapeError, match="GateInputs"):
+            cell.step(Tensor([[1.0, 2.0, 3.0]]), zeros(1, 4), zeros(1, 4))
 
     def test_input_products_of_a_sequence_batch_match_each_step(self, rng):
         cell = LstmCell(3, 4, rng)
@@ -57,7 +60,7 @@ class TestLstmCell:
     def test_hidden_output_strictly_inside_unit_interval(self, rng):
         cell = LstmCell(5, 7, rng)
         for _ in range(20):
-            out = cell.step(Tensor(rng.standard_normal((2, 5)) * 3),
+            out = cell.step(cell.input_products(Tensor(rng.standard_normal((2, 5)) * 3)),
                             Tensor(rng.standard_normal((2, 7))),
                             Tensor(rng.standard_normal((2, 7))))
             assert np.all(np.abs(out.h.data) < 1.0)
@@ -71,7 +74,7 @@ class TestLstmCell:
         assert len(params) == 12
 
         def loss():
-            out = cell.step(y, h0, m0)
+            out = cell.step(cell.input_products(y), h0, m0)
             return sum_all(out.h)
 
         assert check_gradients(loss, params) < 1e-4
@@ -121,16 +124,6 @@ class TestDropout:
         assert 0.95 <= y.data.mean() <= 1.05
         survivors = y.data[y.data != 0.0]
         np.testing.assert_allclose(survivors, 2.0)
-
-
-class TestLinear:
-    def test_per_row_and_gemm_application_agree(self, rng):
-        lin = Linear(3, 2, rng)
-        x = rng.standard_normal((4, 3))
-        per_row = lin(Tensor(x), matvec_rows).data
-        single = np.concatenate([lin(Tensor(r[None, :]), matvec_rows).data for r in x])
-        assert np.array_equal(per_row, single)
-        np.testing.assert_allclose(lin(Tensor(x)).data, per_row, atol=1e-15)
 
 
 class TestCheckpoint:

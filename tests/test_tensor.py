@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from capgen.errors import ContractError, DomainError, ShapeError
 from capgen.gradcheck import fd_gradients, max_relative_error
 from capgen.tensor import (
-    Tape, Tensor, add_rowvec, additive_scores, backward, concat, log, log_softmax, matmul_t,
-    matvec_rows, narrow, pick_per_row, reshape, scale_rows, sigmoid,
-    softmax, stack_rows, sum_all, take_row, take_rows, tanh, transpose, weighted_sum,
+    Tape, Tensor, additive_scores, backward, concat, log, log_softmax, matmul_t, narrow,
+    pick_in_rows, reshape, scale_rows, sigmoid, softmax, stack_rows, sum_all, take_row,
+    take_rows, tanh, transpose, weighted_sum,
 )
 
 
@@ -36,8 +36,8 @@ def op_gradcheck(build, params, floor=1e-6):
 
 
 class TestMatmul:
-    """Products of rows against a weight: ``matmul_t`` (one GEMM) and
-    ``matvec_rows`` (one GEMV per row)."""
+    """Products of rows against a weight, ``matmul_t``: one GEMM, then its
+    added terms."""
 
     def test_identity(self):
         out = matmul_t(Tensor(np.eye(2)), Tensor([[1.0, 3.0], [2.0, 4.0]]))
@@ -60,7 +60,7 @@ class TestMatmul:
     def test_matvec_gradient(self, rng):
         a = leaf(rng.standard_normal((3, 4)))
         v = leaf(rng.standard_normal(4))
-        err = op_gradcheck(lambda: matvec_rows(reshape(v, (1, 4)), a), {"a": a, "v": v})
+        err = op_gradcheck(lambda: matmul_t(reshape(v, (1, 4)), a), {"a": a, "v": v})
         assert err < 1e-6
 
     def test_transposed_operand_gradient(self, rng):
@@ -278,7 +278,7 @@ class TestBackward:
 
 
 class TestDeferredLeafGradients:
-    """Leaf gradients of per-row and GEMM weight products and of row
+    """Leaf gradients of one-row and many-row weight products and of row
     gathers are summed once per backward; mixed with dense ones they must
     agree with finite differences."""
 
@@ -294,11 +294,11 @@ class TestDeferredLeafGradients:
 
         def build():
             return concat([
-                reshape(matvec_rows(row(v1), w), (3,)),       # deferred, two steps
-                reshape(matvec_rows(row(v2), w), (3,)),
+                reshape(matmul_t(row(v1), w), (3,)),          # deferred, two steps
+                reshape(matmul_t(row(v2), w), (3,)),
                 reshape(matmul_t(m, w), (6,)),                # deferred, a GEMM of two rows
                 reshape(matmul_t(u, transpose(w)), (4,)),     # dense: the weight is a node
-                reshape(matvec_rows(row(v1), tanh(w)), (3,)),  # node input: expanded on the spot
+                reshape(matmul_t(row(v1), tanh(w)), (3,)),    # node input: expanded on the spot
             ])
 
         assert op_gradcheck(build, params) < 1e-6
@@ -325,8 +325,8 @@ class TestDeferredLeafGradients:
         params = {"w": w, "e": e, "b": b}
 
         def loss():
-            h = tanh(matvec_rows(reshape(take_row(e, 1), (1, 4)), w, b))
-            return sum_all(tanh(matvec_rows(reshape(take_row(e, 4), (1, 4)), w, h)))
+            h = tanh(matmul_t(reshape(take_row(e, 1), (1, 4)), w, b))
+            return sum_all(tanh(matmul_t(reshape(take_row(e, 4), (1, 4)), w, h)))
 
         with Tape():
             backward(loss())
@@ -347,7 +347,7 @@ class TestStructuralOps:
         v = row([7.0, 8.0, 9.0])
         np.testing.assert_array_equal(narrow(v, 1, 2).data, [[8.0, 9.0]])
         np.testing.assert_array_equal(narrow(m, 1, 1).data, [[2.0], [4.0], [6.0]])
-        np.testing.assert_array_equal(pick_per_row(m, [1, 0, 1]).data, [2.0, 3.0, 6.0])
+        np.testing.assert_array_equal(pick_in_rows(m, [1, 0, 1]).data, [2.0, 3.0, 6.0])
 
     @pytest.mark.parametrize("build_params", [
         lambda rng: ("take_rows", lambda p: take_rows(p, [0, 2, 0]), (4, 3)),
@@ -355,17 +355,14 @@ class TestStructuralOps:
         lambda rng: ("transpose", transpose, (3, 4)),
         lambda rng: ("reshape", lambda p: reshape(p, (6,)), (2, 3)),
         lambda rng: ("narrow", lambda p: narrow(p, 1, 3), (1, 6)),
-        lambda rng: ("pick", lambda p: pick_per_row(p, [2, 0]), (2, 3)),
+        lambda rng: ("pick", lambda p: pick_in_rows(p, [2, 0]), (2, 3)),
     ])
     def test_structural_gradients(self, build_params, rng):
         name, fn, shape = build_params(rng)
         p = leaf(rng.standard_normal(shape))
         assert op_gradcheck(lambda: fn(p), {name: p}) < 1e-5
 
-    def test_add_rowvec_and_stack_gradients(self, rng):
-        m = leaf(rng.standard_normal((4, 3)))
-        v = leaf(rng.standard_normal(3))
-        assert op_gradcheck(lambda: add_rowvec(m, v), {"m": m, "v": v}) < 1e-5
+    def test_stack_gradients(self, rng):
         rows = [leaf(rng.standard_normal(3)) for _ in range(3)]
         params = {f"r{i}": r for i, r in enumerate(rows)}
         assert op_gradcheck(lambda: stack_rows(rows), params) < 1e-5
@@ -379,22 +376,33 @@ class TestStructuralOps:
 
 
 class TestPerRowProducts:
-    """Decoding steps n rows at once and relies on row i of every op
-    equalling that op on row i alone, bit for bit, for any n.  Checked
-    here at the op, so a numpy or BLAS change that breaks it fails here
-    rather than inside a pinned decode."""
+    """What a decoding step over n rows owes each row.  Greedy decoding and
+    sampling step one row, and their pins rest on a one-row product being
+    the GEMV of that row bit for bit; beam search steps n rows, each within
+    rounding of the row alone.  The additive scores and the softmax work
+    row by row, so their rows equal the row alone bit for bit for any n.
+    Checked here at the op, so a numpy or BLAS change that breaks it fails
+    here rather than inside a pinned decode."""
 
     # (m, k): paper and desk word heads, paper LSTM blocks, a tiny decoder's head
     SHAPES = [(5000, 512), (500, 64), (2048, 512), (512, 512), (12, 8)]
+
+    @staticmethod
+    def assert_rows_match(out, want):
+        """One row bit for bit, each of n > 1 rows within rounding."""
+        if len(out) == 1:
+            assert np.array_equal(out[0], want[0])
+        for got, row in zip(out, want, strict=True):
+            np.testing.assert_allclose(got, row, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     @pytest.mark.parametrize("m, k", SHAPES)
     def test_rows_equal_their_own_gemv(self, rng, n, m, k):
         w = rng.standard_normal((m, k))
         x = rng.standard_normal((n, k))
-        out = matvec_rows(Tensor(x), Tensor(w)).data
+        out = matmul_t(Tensor(x), Tensor(w)).data
         assert out.shape == (n, m)
-        assert all(np.array_equal(out[i], w @ x[i]) for i in range(n))
+        self.assert_rows_match(out, [w @ x[i] for i in range(n)])
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     @pytest.mark.parametrize("dim", [64, 512])
@@ -403,26 +411,21 @@ class TestPerRowProducts:
         # transpose of the features; DA's takes the first L columns of (n, L + 1)
         feats = rng.standard_normal((28, dim))
         for alpha in (rng.standard_normal((n, 28)), rng.standard_normal((n, 29))[:, :28]):
-            out = matvec_rows(Tensor(alpha), transpose(Tensor(feats))).data
-            assert all(np.array_equal(out[i], feats.T @ alpha[i]) for i in range(n))
+            out = matmul_t(Tensor(alpha), transpose(Tensor(feats))).data
+            assert np.array_equal(out, alpha @ feats)
+            self.assert_rows_match(out, [feats.T @ alpha[i] for i in range(n)])
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_terms_add_after_the_product_in_order(self, rng, n):
         w, x = rng.standard_normal((7, 4)), rng.standard_normal((n, 4))
         base, bias = rng.standard_normal((n, 7)), rng.standard_normal(7)
-        out = matvec_rows(Tensor(x), Tensor(w), Tensor(base), Tensor(bias)).data
-        assert all(np.array_equal(out[i], (base[i] + w @ x[i]) + bias) for i in range(n))
+        out = matmul_t(Tensor(x), Tensor(w), Tensor(base), Tensor(bias)).data
+        assert np.array_equal(out, (x @ w.T + base) + bias)
+        self.assert_rows_match(out, [(base[i] + w @ x[i]) + bias for i in range(n)])
         with pytest.raises(ShapeError):
-            matvec_rows(Tensor(x), Tensor(w), Tensor(np.zeros(6)))
+            matmul_t(Tensor(x), Tensor(w), Tensor(np.zeros(6)))
         with pytest.raises(ShapeError):
-            matvec_rows(Tensor(x), Tensor(w.T))
-
-    @pytest.mark.parametrize("n", [1, 3])
-    def test_matvec_rows_gradient(self, rng, n):
-        x, w = leaf(rng.standard_normal((n, 4))), leaf(rng.standard_normal((5, 4)))
-        base, bias = leaf(rng.standard_normal((n, 5))), leaf(rng.standard_normal(5))
-        params = {"x": x, "w": w, "base": base, "bias": bias}
-        assert op_gradcheck(lambda: matvec_rows(x, w, base, bias), params) < 1e-6
+            matmul_t(Tensor(x), Tensor(w.T))
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     @pytest.mark.parametrize("rows, attn", [(28, 512), (28, 64), (4, 7)])
@@ -459,13 +462,27 @@ class TestBatchedOps:
         np.testing.assert_array_equal(matmul_t(a, w).data, a.data @ w.data.T)
         assert op_gradcheck(lambda: matmul_t(a, w), {"a": a, "w": w}) < 1e-6
 
+    @pytest.mark.parametrize("lead", [(1,), (3,), (2, 3)], ids=["1", "3", "2x3"])
+    def test_matmul_t_terms_gradient(self, rng, lead):
+        # halved, so that the sum of four terms does not saturate the probe's tanh
+        x = leaf(rng.standard_normal(lead + (4,)) * 0.5)
+        w = leaf(rng.standard_normal((5, 4)) * 0.5)
+        base, bias = leaf(rng.standard_normal(lead + (5,)) * 0.5), leaf(rng.standard_normal(5) * 0.5)
+        np.testing.assert_array_equal(matmul_t(x, w, base, bias).data,
+                                      (x.data @ w.data.T + base.data) + bias.data)
+        params = {"x": x, "w": w, "base": base, "bias": bias}
+        assert op_gradcheck(lambda: matmul_t(x, w, base, bias), params) < 1e-6
+        for bad in (np.zeros(6), np.zeros(lead + (6,))):
+            with pytest.raises(ShapeError):
+                matmul_t(x, w, Tensor(bad))
+
     def test_matmul_t_shape_mismatch(self):
         with pytest.raises(ShapeError):
             matmul_t(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
 
     def test_rank_b_factors_sum_over_steps(self, rng):
         # a recurrence's U gets one rank-B factor per step, summed in one GEMM,
-        # next to a rank-1 factor from a one-row GEMV
+        # next to a rank-1 factor from a one-row product
         u = leaf(rng.standard_normal((4, 4)))
         h0 = leaf(rng.standard_normal((3, 4)))
         v = leaf(rng.standard_normal(4))
@@ -474,7 +491,7 @@ class TestBatchedOps:
             h = h0
             for _ in range(3):
                 h = tanh(matmul_t(h, u))
-            return concat([reshape(h, (12,)), reshape(matvec_rows(reshape(v, (1, 4)), u), (4,))])
+            return concat([reshape(h, (12,)), reshape(matmul_t(reshape(v, (1, 4)), u), (4,))])
 
         assert op_gradcheck(build, {"u": u, "h0": h0, "v": v}) < 1e-6
 
@@ -482,14 +499,6 @@ class TestBatchedOps:
         x = leaf(rng.standard_normal((2, 3, 4)))
         np.testing.assert_array_equal(transpose(x, (1, 0, 2)).data, x.data.transpose(1, 0, 2))
         assert op_gradcheck(lambda: transpose(x, (1, 2, 0)), {"x": x}) < 1e-6
-
-    def test_add_rowvec_batch(self, rng):
-        m = leaf(rng.standard_normal((2, 3, 4)))
-        v = leaf(rng.standard_normal((2, 4)))
-        np.testing.assert_array_equal(add_rowvec(m, v).data, m.data + v.data[:, None, :])
-        assert op_gradcheck(lambda: add_rowvec(m, v), {"m": m, "v": v}) < 1e-6
-        with pytest.raises(ShapeError):
-            add_rowvec(m, Tensor(np.zeros(4)))
 
     @pytest.mark.parametrize("shape", [(1, 5), (3, 5)])
     def test_scale_rows(self, shape, rng):
