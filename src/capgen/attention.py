@@ -12,22 +12,13 @@ import numpy as np
 from .errors import EmptyInputError, ShapeError
 from .layers import Module, glorot
 from .tensor import (
-    Tensor, additive_scores, matmul_t, scale_rows, sigmoid, softmax, transpose, weighted_sum,
+    Tensor, additive_scores, matmul_t, scale_rows, sigmoid, softmax, weighted_sum,
 )
 
 __all__ = [
-    "AdditiveAttention", "AdaptiveGate", "TraceRow", "pool_rows",
+    "AdditiveAttention", "AdaptiveGate", "TraceRow",
     "adaptive_blend", "parallel_adaptive_blend", "write_trace_csv",
 ]
-
-
-def pool_rows(alpha: Tensor, feats: Tensor) -> Tensor:
-    """The attended rows ``sum_l alpha[i, l] * feats[l]``: (n, D) for n
-    weight rows over one (L, D) feature set, one GEMM; (B, D) for (B, L)
-    weights over a (B, L, D) batch, row b over its own set."""
-    if feats.data.ndim == 2:
-        return matmul_t(alpha, transpose(feats))
-    return weighted_sum(alpha, feats)
 
 
 class AdditiveAttention(Module):
@@ -42,11 +33,10 @@ class AdditiveAttention(Module):
     them once per feature set, and ``attend`` takes them so that every
     step of a caption reuses one projection.
 
-    Decoding attends with n (n, query_dim) query rows over one (L, D)
-    feature set.  A batch of teacher-forced captions attends with
-    (B, query_dim) queries over a (B, L, D) tensor of feature sets padded
-    to L rows; ``mask`` (B, L) marks the real rows, and padded rows get
-    weight exactly 0.
+    Attention runs over a batch: n (n, query_dim) query rows, row i over
+    its own feature set, the i-th of an (n, L, D) tensor of feature sets
+    padded to L rows.  ``mask`` (n, L) marks the real rows, and padded
+    rows get weight exactly 0; None means every row is real.
     """
 
     def __init__(self, query_dim: int, feature_dim: int, attn_dim: int,
@@ -60,33 +50,31 @@ class AdditiveAttention(Module):
         self.w = Tensor(glorot(rng, attn_dim, 1).data[:, 0].copy(), requires_grad=True)
 
     def _check_feats(self, feats: Tensor) -> None:
-        if feats.data.ndim not in (2, 3) or feats.data.shape[-2] == 0:
-            raise EmptyInputError(f"attention over empty feature set {feats.data.shape}")
-        if feats.data.shape[-1] != self.feature_dim:
-            raise ShapeError(
-                f"attention expects features of dim {self.feature_dim}, got {feats.data.shape}")
+        if feats.data.ndim != 3 or feats.data.shape[-1] != self.feature_dim:
+            raise ShapeError(f"attention expects (n, L, {self.feature_dim}) feature sets, "
+                             f"got {feats.data.shape}")
+        if feats.data.shape[1] == 0:
+            raise EmptyInputError(f"attention over empty feature sets {feats.data.shape}")
 
     def keys(self, feats: Tensor) -> Tensor:
-        """The key projection ``feats @ U_a.T``: (n, attn_dim) for (n, D)
-        features, (B, L, attn_dim) for a (B, L, D) batch."""
+        """The key projection ``feats @ U_a.T``: (n, L, attn_dim) for
+        (n, L, D) feature sets."""
         self._check_feats(feats)
         return matmul_t(feats, self.U_a)
 
     def attend(self, h: Tensor, feats: Tensor, keys: Tensor,
                mask=None) -> tuple[Tensor, Tensor]:
-        """Return (context, alpha) for the query rows h over feature rows;
-        ``keys`` is ``self.keys(feats)``.  For n queries over (L, D)
-        features, context is (n, D) and alpha (n, L); for a (B, L, D)
-        batch, context is (B, D), alpha (B, L), and ``mask`` the (B, L)
-        real rows (None: all of them)."""
+        """Return (context, alpha) for the n query rows h, row i over the
+        feature set ``feats[i]``; ``keys`` is ``self.keys(feats)``.
+        Context is (n, D), alpha (n, L), and ``mask`` the (n, L) real rows
+        (None: all of them)."""
         self._check_feats(feats)
-        if h.data.ndim != 2 or h.shape[1] != self.query_dim or (
-                feats.data.ndim == 3 and h.shape[0] != feats.shape[0]):
+        if h.data.ndim != 2 or h.shape[1] != self.query_dim or h.shape[0] != feats.shape[0]:
             raise ShapeError(f"attention expects (n, {self.query_dim}) query rows, "
                              f"one per feature set of {feats.shape}, got {h.shape}")
         shift = matmul_t(h, self.W_a, self.b_a)                            # (n, attn)
         alpha = softmax(additive_scores(keys, shift, self.w), mask)        # (n, L)
-        return pool_rows(alpha, feats), alpha
+        return weighted_sum(alpha, feats), alpha
 
 
 class AdaptiveGate(Module):

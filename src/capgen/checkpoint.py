@@ -62,13 +62,15 @@ def _write(fh, variant: str, arrays: dict[str, np.ndarray]) -> None:
         fh.write(arr.reshape(-1).view(np.uint8))
 
 
-def _read_exact(fh, n: int, what: str) -> bytes:
-    buf = fh.read(n)
-    if len(buf) != n:
-        raise FormatError(
-            f"truncated checkpoint while reading {what}: expected {n} bytes, got {len(buf)} "
-            f"(at byte offset {fh.tell() - len(buf)})")
-    return buf
+def _read_exact(fh, n: int, what: str, size: int) -> bytes:
+    """The next ``n`` bytes of a file of ``size`` bytes.  A count larger
+    than what is left fails before any read, so a corrupt length or dims
+    never makes the reader allocate for it."""
+    at = fh.tell()
+    if n > size - at:
+        raise FormatError(f"truncated checkpoint while reading {what}: expected {n} bytes, "
+                          f"got {size - at} (at byte offset {at})")
+    return fh.read(n)
 
 
 def load_checkpoint(path) -> tuple[str, dict[str, np.ndarray]]:
@@ -77,21 +79,22 @@ def load_checkpoint(path) -> tuple[str, dict[str, np.ndarray]]:
     except OSError as exc:
         raise FormatError(f"checkpoint {path}: {exc.strerror}") from None
     with fh:
+        size = os.fstat(fh.fileno()).st_size
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
             raise FormatError(f"bad checkpoint magic {magic!r} at byte offset 0")
-        (tag_len,) = struct.unpack("<I", _read_exact(fh, 4, "tag length"))
-        variant = _read_exact(fh, tag_len, "variant tag").decode("utf-8")
-        (count,) = struct.unpack("<I", _read_exact(fh, 4, "record count"))
+        (tag_len,) = struct.unpack("<I", _read_exact(fh, 4, "tag length", size))
+        variant = _read_exact(fh, tag_len, "variant tag", size).decode("utf-8")
+        (count,) = struct.unpack("<I", _read_exact(fh, 4, "record count", size))
         arrays: dict[str, np.ndarray] = {}
         for _ in range(count):
-            (name_len,) = struct.unpack("<I", _read_exact(fh, 4, "name length"))
-            name = _read_exact(fh, name_len, "name").decode("utf-8")
-            (rank,) = struct.unpack("<I", _read_exact(fh, 4, "rank"))
-            dims = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, "dims")) if rank else ()
+            (name_len,) = struct.unpack("<I", _read_exact(fh, 4, "name length", size))
+            name = _read_exact(fh, name_len, "name", size).decode("utf-8")
+            (rank,) = struct.unpack("<I", _read_exact(fh, 4, "rank", size))
+            dims = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, "dims", size))
             n_items = 1
             for d in dims:
                 n_items *= d
-            payload = _read_exact(fh, 8 * n_items, f"payload of {name!r}")
+            payload = _read_exact(fh, 8 * n_items, f"payload of {name!r}", size)
             arrays[name] = np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
     return variant, arrays

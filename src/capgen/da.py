@@ -10,15 +10,14 @@ and the second attended vector.
 
 One step body runs both passes on a state's rows, for decoding and for
 teacher forcing alike, with the same products (``tensor.matmul_t``).
-``init_state`` builds either state, checks each feature set's global and
-region widths, and computes the region keys once.  Decoding
-(``da_step``) steps n rows over one image's (L, D) regions (the rows
-protocol of ``decoders.py``).  Teacher forcing steps a batch's (B, ·)
-rows over its regions padded to (B, L, D), with a row mask; the
-sentinel is one more always-unmasked column of the second attention's
-row softmax.  The first LSTM reads the previous second-pass hidden, so
-the passes share one loop over the steps.  The fusion ``W_sd``, the word
-head and ``log_softmax`` then run once over the B·T rows.
+``init_state`` builds the state over n images (the rows protocol of
+``decoders.py``): it checks each feature set's global and region widths,
+pads the regions to (n, L, D) with a row mask, and computes the region
+keys once.  Row i attends over image i's regions; the sentinel is one
+more always-unmasked column of the second attention's row softmax.  The
+first LSTM reads the previous second-pass hidden, so the passes share
+one loop over the steps.  When teacher forcing, the fusion ``W_sd``, the
+word head and ``log_softmax`` then run once over the B·T rows.
 """
 
 from __future__ import annotations
@@ -28,16 +27,15 @@ from typing import Optional
 
 import numpy as np
 
-from .attention import TraceRow, pool_rows
-from .data import FeatureSet
+from .attention import TraceRow
 from .decoders import (
-    _as_batch, _drop, _dropout_masks, _head_log_probs, _pad_rows, _repeat_row,
+    _as_batch, _drop, _dropout_masks, _head_log_probs, _pad_rows, _take_feats,
 )
 from .errors import ConfigError, ShapeError
 from .layers import Embedding, Linear, LstmCell, Module, dropout_mask, glorot
 from .tensor import (
     Tensor, additive_scores, concat, matmul_t, narrow, reshape, scale_rows, sigmoid, softmax,
-    stack_rows, take_row, take_rows, tanh, zeros,
+    stack_rows, take_row, take_rows, tanh, weighted_sum, zeros,
 )
 
 __all__ = ["DaConfig", "DaState", "DeliberateDecoder", "da_step"]
@@ -69,15 +67,16 @@ class DaState:
     row: Optional[TraceRow] = None  # the latest step's trace rows
 
     def take(self, idx) -> "DaState":
-        """The state of rows ``idx``, ready to step."""
+        """The state of rows ``idx``, with their features, ready to step."""
         return DaState(take_rows(self.h1, idx), take_rows(self.m1, idx),
-                       take_rows(self.h2, idx), take_rows(self.m2, idx), self.feats)
+                       take_rows(self.h2, idx), take_rows(self.m2, idx),
+                       _take_feats(self.feats, idx))
 
 
 class _ScoredAttention(Module):
     """Bias-free additive scorer w . tanh(W_v v + W_h h) over region rows;
-    the keys W_v v are computed once per caption, or once per batch of
-    (B, L, D) padded regions, by ``keys``."""
+    the keys W_v v of (n, L, D) padded regions are computed once per
+    state by ``keys``."""
 
     def __init__(self, query_dim, feature_dim, attn_dim, rng):
         self.W_v = glorot(rng, attn_dim, feature_dim)
@@ -85,12 +84,12 @@ class _ScoredAttention(Module):
         self.w = Tensor(glorot(rng, attn_dim, 1).data[:, 0].copy(), requires_grad=True)
 
     def keys(self, feats: Tensor) -> Tensor:
-        """(L, attn) keys of (L, D) regions; (B, L, attn) of a batch."""
+        """(n, L, attn) keys of (n, L, D) regions."""
         return matmul_t(feats, self.W_v)
 
     def scores(self, h: Tensor, keys: Tensor) -> Tensor:
-        """(n, L) scores of n (n, H) queries over one image's (L, attn)
-        keys; (B, L) of (B, H) queries over a batch's (B, L, attn) keys."""
+        """(n, L) scores of n (n, H) queries, row i over its image's
+        (L, attn) keys in the (n, L, attn) ``keys``."""
         return additive_scores(keys, matmul_t(h, self.W_h), self.w)
 
 
@@ -125,14 +124,12 @@ class DeliberateDecoder(Module):
         self.out = Linear(c.hidden_dim, c.vocab_size, rng)
 
     def init_state(self, features) -> DaState:
-        """The one-row state over one image's ``FeatureSet``, for decoding;
-        or over a list of B of them, the (B, ·) state of a teacher-forced
-        batch, its regions padded to (B, L, D) with the (B, L) mask of
-        real ones.  Each set's feature widths are checked and the region
-        keys computed here, once."""
+        """The (n, ·) state over n images' ``FeatureSet``s, their regions
+        padded to (n, L, D) with the (n, L) mask of real ones (None when
+        none is padded).  Each set's feature widths are checked and the
+        region keys computed here, once."""
         c = self.config
-        single = isinstance(features, FeatureSet)
-        sets = [features] if single else list(features)
+        sets = list(features)
         for f in sets:
             if f.require("global").shape != (c.global_dim,):
                 raise ConfigError(f"global feature dim {f.global_vec.shape} "
@@ -141,10 +138,7 @@ class DeliberateDecoder(Module):
             if width != c.region_dim:
                 raise ShapeError(f"DA init_state: regions have dim {width}, "
                                  f"the region attention expects {c.region_dim}")
-        if single:
-            regions, mask = Tensor(features.spatial), None
-        else:
-            regions, mask = _pad_rows([f.spatial for f in sets])
+        regions, mask = _pad_rows([f.spatial for f in sets])
         z = zeros(len(sets), c.hidden_dim)
         v_g = Tensor(np.stack([f.global_vec for f in sets]))
         return DaState(z, z, z, z, (v_g, regions, self.attn1.keys(regions),
@@ -175,18 +169,17 @@ def _da_body(dec: DeliberateDecoder, state: DaState, w_t: Tensor, masks, t: int)
     (T, n, 2, H) dropout ``masks`` (None: no dropout) drops the first
     (layer 0) and second (layer 1) hidden."""
     v_g, regions, keys1, keys2, mask = state.feats
-    n, L = w_t.shape[0], regions.shape[-2]
-    g_rows = _repeat_row(v_g, n)
+    n, L = w_t.shape[0], regions.shape[1]
 
     # first pass: draft hidden with residual word shortcut, region attention
-    y1 = concat([g_rows, state.h2, w_t], axis=1)
+    y1 = concat([v_g, state.h2, w_t], axis=1)
     out1 = dec.lstm1.step(dec.lstm1.input_products(y1), state.h1, state.m1)
     h1_tilde = dec.W_rd(concat([w_t, _drop(out1.h, masks, t, 0)], axis=1))
     alpha1 = softmax(dec.attn1.scores(h1_tilde, keys1), mask)
-    v1_hat = pool_rows(alpha1, regions)
+    v1_hat = weighted_sum(alpha1, regions)
 
     # second pass: sentinel-augmented attention over regions + language slot
-    y2 = concat([g_rows, h1_tilde, v1_hat], axis=1)
+    y2 = concat([v_g, h1_tilde, v1_hat], axis=1)
     out2 = dec.lstm2.step(dec.lstm2.input_products(y2), state.h2, state.m2)
     h2_d = _drop(out2.h, masks, t, 1)
     s = sigmoid(matmul_t(state.h2, dec.W_h, matmul_t(y2, dec.W_x))) * tanh(out2.m)
@@ -195,7 +188,7 @@ def _da_body(dec: DeliberateDecoder, state: DaState, w_t: Tensor, masks, t: int)
     mask2 = None if mask is None else np.concatenate([mask, np.ones((n, 1), dtype=bool)], 1)
     alpha2 = softmax(concat([dec.attn2.scores(h2_d, keys2), sent], axis=1), mask2)
     s_vis = dec.sentinel_proj(s) if dec.sentinel_proj is not None else s
-    v2_hat = pool_rows(narrow(alpha2, 0, L), regions) + scale_rows(s_vis, alpha2, L)
+    v2_hat = weighted_sum(narrow(alpha2, 0, L), regions) + scale_rows(s_vis, alpha2, L)
     return concat([h1_tilde, h2_d, v2_hat], axis=1), DaState(
         out1.h, out1.m, out2.h, out2.m, state.feats,
         row=TraceRow(alpha2.data, alpha2.data[:, L:]))

@@ -275,6 +275,9 @@ class Dataset:
                 if not _is_string_list(s.refs):
                     raise FormatError(f"manifest {manifest}: entry {s.id!r} of split {split!r}: "
                                       "'refs' is not a list of strings")
+                if not _is_string_list(list(s.feature_paths.values())):
+                    raise FormatError(f"manifest {manifest}: entry {s.id!r} of split {split!r}: "
+                                      "'features' does not map each kind to a path string")
                 for kind, rel in s.feature_paths.items():
                     p = root / rel
                     if not p.exists():

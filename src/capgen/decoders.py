@@ -12,18 +12,22 @@ configurations: a single-LSTM baseline, temporal/spatial attention,
 concatenation fusion, parallel adaptive attention, and two fused streams.
 
 Every decoder (``da.DeliberateDecoder`` too) follows one protocol, the
-rows protocol.  ``init_state(features)`` builds a one-row state over one
-clip's features.  ``step(state, token_ids, training, rng) -> (p, state)``
-steps a state of n rows on n token ids, one per row, and returns the
-(n, vocab) word distributions and a fresh state whose ``row`` is that
+rows protocol, and every state is a batch of clips.
+``init_state(features)`` takes a sequence of n ``FeatureSet``s and builds
+the n-row state whose row i reads clip i.  Its ``feats`` hold each row's
+own features: a two-LSTM state the (n, L, D) features padded to the
+longest clip, the attention keys ``feats @ U_a.T`` next to them, and the
+(n, L) mask of real feature rows, None when no clip is padded; ``basic``
+the (n, D) mean frames.  ``init_state`` computes the keys once, and
+every step reuses them.  ``step(state, token_ids, training, rng) -> (p,
+state)`` steps a state of n rows on n token ids, one per row, and returns
+the (n, vocab) word distributions and a fresh state whose ``row`` is that
 step's ``TraceRow(alpha, beta)`` of (n, ·) arrays.  ``state.take(idx)``
-gathers rows by index, so beam search steps all its live hypotheses as
-one state and keeps the survivors' rows; greedy and sampled decoding
-step one row.  States never collect trace rows; the search in
-``search.py`` gathers them along a caption.  A two-LSTM state's
-``feats`` carries the attention keys ``feats @ U_a.T`` next to the
-features they project, and the mask of real feature rows: ``init_state``
-computes the keys once, and every row of every step reuses them.
+gathers rows by index, each with its features, so beam search steps all
+its live hypotheses as one state and keeps the survivors' rows; greedy
+and sampled decoding step the one-row state of ``init_state([features])``.
+States never collect trace rows; the search in ``search.py`` gathers
+them along a caption.
 
 Decoding and teacher forcing take every weight product the same way:
 one ``tensor.matmul_t`` over the rows at hand, a GEMM with its addends
@@ -43,16 +47,15 @@ gives what running ``step`` once per word gives, within rounding, with
 the same layers.  Every input is known up front, so the two-LSTM and
 basic decoders run in phases: one embedding gather and one GEMM per gate
 for the input products of an LSTM whose input does not feed back, the
-recurrences on (B, H) states, attention once per
-step over the (B, L, D) feature sets padded to the longest (padded rows
-weigh exactly 0), and one word head and ``log_softmax`` over all B·T
-rows.  Padded steps of a shorter caption run too; the loss masks them,
-so they add exactly 0 to every gradient.  Dropout masks are drawn
-caption by caption in batch order, each caption's as one draw, so a
-seeded batch draws the stream that per-step dropout draws.  The
-two-stream decoder teacher-forces each stream on its own
-(``stream_teacher_forced``); ``da`` runs its decoding step's body once
-per step over the batch (see ``da.py``).
+recurrences on (B, H) states from ``init_state``, attention once per
+step over its (B, L, D) feature sets (padded rows weigh exactly 0), and
+one word head and ``log_softmax`` over all B·T rows.  Padded steps of a
+shorter caption run too; the loss masks them, so they add exactly 0 to
+every gradient.  Dropout masks are drawn caption by caption in batch
+order, each caption's as one draw, so a seeded batch draws the stream
+that per-step dropout draws.  The two-stream decoder teacher-forces each
+stream on its own (``stream_teacher_forced``); ``da`` runs its decoding
+step's body once per step over the batch (see ``da.py``).
 """
 
 from __future__ import annotations
@@ -109,9 +112,17 @@ class DecoderState:
     row: Optional[TraceRow] = None  # the latest step's trace rows
 
     def take(self, idx) -> "DecoderState":
-        """The state of rows ``idx``, ready to step."""
+        """The state of rows ``idx``, with their features, ready to step."""
         return DecoderState(take_rows(self.h, idx), take_rows(self.m, idx),
-                            take_rows(self.h_top, idx), take_rows(self.m_top, idx), self.feats)
+                            take_rows(self.h_top, idx), take_rows(self.m_top, idx),
+                            _take_feats(self.feats, idx))
+
+
+def _take_feats(feats: tuple, idx) -> tuple:
+    """Rows ``idx`` of each entry of a state's ``feats``: the per-row
+    feature and key tensors, and the row masks (None stays None)."""
+    return tuple(f if f is None else f[idx] if isinstance(f, np.ndarray) else take_rows(f, idx)
+                 for f in feats)
 
 
 def _nearest_segment_rows(frames: np.ndarray, segments: np.ndarray) -> np.ndarray:
@@ -145,16 +156,18 @@ class BasicDecoder(Module):
         self.out_hidden = Linear(c.hidden_dim, c.hidden_dim, rng)
         self.out_vocab = Linear(c.hidden_dim, c.vocab_size, rng)
 
-    def init_state(self, features: FeatureSet) -> DecoderState:
-        vbar = Tensor(features.require("temporal").mean(axis=0)[None])
-        h = zeros(1, self.config.hidden_dim)
+    def init_state(self, features) -> DecoderState:
+        """The state over n clips' ``FeatureSet``s; its one feature is the
+        (n, D) mean frame of each clip."""
+        vbar = Tensor(np.stack([f.require("temporal").mean(axis=0) for f in features]))
+        h = zeros(len(vbar.data), self.config.hidden_dim)
         return DecoderState(h, h, h, h, (vbar,))
 
     def step(self, state: DecoderState, token_ids, training: bool = False, rng=None):
         c = self.config
         (vbar,) = state.feats
         n = len(token_ids)
-        y = concat([self.embed.lookup_one(token_ids), _repeat_row(vbar, n)], axis=1)
+        y = concat([self.embed.lookup_one(token_ids), vbar], axis=1)
         out = self.lstm.step(self.lstm.input_products(y), state.h, state.m)
         h_d = dropout(out.h, c.dropout, training, rng)
         p = softmax(_word_logits(self, h_d))
@@ -163,17 +176,17 @@ class BasicDecoder(Module):
 
     def forward_teacher_forced(self, features, tokens, training=False, rng=None):
         """Teacher-forced log-probs (see the module docstring): the pooled
-        features join the words in one GEMM per gate, then T batched LSTM
-        steps and one word head over the B·T rows."""
-        c = self.config
+        features of ``init_state`` join the words in one GEMM per gate,
+        then T batched LSTM steps and one word head over the B·T rows."""
         batch = _as_batch(features, tokens)
         (masks,) = _dropout_masks((self,), batch.steps, 1, training, rng)
-        width, steps = batch.ids.shape[0], batch.ids.shape[1] - 1
-        vbar = np.stack([f.require("temporal").mean(axis=0) for f in batch.feats])
+        steps = batch.ids.shape[1] - 1
+        state = self.init_state(batch.feats)
+        (vbar,) = state.feats
         words = self.embed.lookup(batch.ids[:, :-1].T)                  # (T, B, E)
         gates = self.lstm.input_products(
-            concat([words, Tensor(np.broadcast_to(vbar, (steps,) + vbar.shape))], axis=2))
-        h = m = zeros(width, c.hidden_dim)
+            concat([words, Tensor(np.broadcast_to(vbar.data, (steps,) + vbar.shape))], axis=2))
+        h, m = state.h, state.m
         rows = []
         for t in range(steps):
             out = self.lstm.step(gates.row(t), h, m)
@@ -316,44 +329,31 @@ class ParallelDecoder(Module):
 
 
 def _two_lstm_init(dec, features, attentions: tuple) -> DecoderState:
-    """Bottom LSTM from projections of the pooled features, top from zeros.
-
-    ``features`` is one ``FeatureSet``, which gives a one-row state for
-    decoding, or a sequence of B of them, which gives the (B, H) state of
-    a teacher-forced batch; each of ``attentions`` attends over the
-    matching entry of ``dec._sources``.  A batch pads each source to its
-    longest feature set."""
-    single = isinstance(features, FeatureSet)
-    per_caption = [dec._sources(f) for f in ([features] if single else features)]
+    """The state over n clips' ``FeatureSet``s: the bottom LSTM from
+    projections of each clip's pooled features, the top from zeros.  Each
+    of ``attentions`` attends over the matching entry of ``dec._sources``,
+    padded to the longest clip."""
+    per_clip = [dec._sources(f) for f in features]
     pooled = Tensor(np.stack([np.concatenate([a.mean(axis=0) for a in sources])
-                              for sources in per_caption]))
+                              for sources in per_clip]))
     feats = ()
     for k, attn in enumerate(attentions):
-        if single:
-            source, mask = Tensor(per_caption[0][k]), None
-        else:
-            source, mask = _pad_rows([sources[k] for sources in per_caption])
+        source, mask = _pad_rows([sources[k] for sources in per_clip])
         feats += (source, attn.keys(source), mask)
-    top = zeros(len(per_caption), dec.config.hidden_dim)
+    top = zeros(len(per_clip), dec.config.hidden_dim)
     return DecoderState(dec.init_h(pooled), dec.init_m(pooled), top, top, feats)
 
 
-def _repeat_row(x: Tensor, n: int) -> Tensor:
-    """A constant (1, d) row of a clip's features as n rows; a batch's
-    (n, d) rows, one per caption, as they are."""
-    return x if len(x.data) == n else Tensor(np.repeat(x.data, n, axis=0))
-
-
-def _pad_rows(arrays: list[np.ndarray]) -> tuple[Tensor, np.ndarray]:
+def _pad_rows(arrays: list[np.ndarray]) -> tuple[Tensor, Optional[np.ndarray]]:
     """Stack (L_b, D) feature matrices into a zero-padded (B, L, D) tensor
-    and the (B, L) mask of its real rows."""
+    and the (B, L) mask of its real rows, None when no row is padded."""
     rows = max(a.shape[0] for a in arrays)
     padded = np.zeros((len(arrays), rows, arrays[0].shape[1]))
     mask = np.zeros((len(arrays), rows), dtype=bool)
     for b, a in enumerate(arrays):
         padded[b, :a.shape[0]] = a
         mask[b, :a.shape[0]] = True
-    return Tensor(padded), mask
+    return Tensor(padded), None if mask.all() else mask
 
 
 def _two_lstm_step(dec, state: DecoderState, token_ids, training, rng, attend):
@@ -513,8 +513,8 @@ class TwoStreamDecoder(Module):
     def streams(self) -> tuple[HierarchicalDecoder, HierarchicalDecoder]:
         return self.stream1, self.stream2
 
-    def init_state(self, features: FeatureSet) -> TwoStreamState:
-        f1, f2 = _stream_views(features)
+    def init_state(self, features) -> TwoStreamState:
+        f1, f2 = zip(*(_stream_views(f) for f in features))
         return TwoStreamState(self.stream1.init_state(f1), self.stream2.init_state(f2))
 
     def step(self, state: TwoStreamState, token_ids, training: bool = False, rng=None):

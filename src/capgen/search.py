@@ -4,17 +4,19 @@ Scores are plain cumulative log-probabilities, with no length
 normalization.  Both procedures are deterministic: argmax ties resolve to
 the lowest token id, and beam candidates with equal scores order by token
 sequence.  Decoders follow the rows protocol of ``decoders.py``: greedy
-decoding steps a one-row state; beam search steps all its n <= k live
-hypotheses as the n rows of one state, one ``step`` call per search step,
-and then gathers the survivors' rows with ``state.take``.  A one-row step
-is bit-identical to stepping with matrix-vector products; each row of an
-n-row step agrees with stepping its hypothesis alone within rounding
-(log-probs move by about 1e-15), since its products are GEMMs.  Beam search
-selects each step's k best expansions from the (n, V) log-prob matrix
-with one partition and one lexsort, so no per-candidate Python object is
-built.  The search alone records traces: with ``record_trace`` it
-collects each step's trace row along the returned caption, the EOS step
-included, into ``GenerationResult.trace``.
+decoding steps the one-row state of ``init_state([features])``; beam
+search steps all its n <= k live hypotheses as the n rows of one state,
+one ``step`` call per search step, and then gathers the survivors' rows,
+each with its copy of the clip's features, with ``state.take``.  A
+one-row step is bit-identical to stepping with matrix-vector products;
+each row of an n-row step agrees with stepping its hypothesis alone
+within rounding (log-probs move by about 1e-15), since its weight
+products are GEMMs.  Beam search selects each step's k best expansions
+from the (n, V) log-prob matrix with one partition and one lexsort, so
+no per-candidate Python object is built.  The search alone records
+traces: with ``record_trace`` it collects each step's trace row along
+the returned caption, the EOS step included, into
+``GenerationResult.trace``.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ def greedy_decode(decoder, features, max_len: int = 30,
     probability, as ``beam_search`` does."""
     if max_len < 1:
         raise ContractError(f"max_len must be >= 1, got {max_len}")
-    state = decoder.init_state(features)
+    state = decoder.init_state([features])
     tok = BOS_ID
     tokens: list[int] = []
     rows = []
@@ -137,7 +139,7 @@ def beam_search(decoder, features, k: int = 5, max_len: int = 30,
     if max_len < 1:
         raise ContractError(f"max_len must be >= 1, got {max_len}")
 
-    state = decoder.init_state(features)
+    state = decoder.init_state([features])
     live = [_Hyp((), 0.0, () if record_trace else None)]
     completed: list[_Hyp] = []
     stopped_early = False

@@ -35,10 +35,11 @@ Conventions:
     loudly.  A leading batch axis goes through named ops that say how it
     is combined:
     ``matmul_t`` (rows, under any leading axes, against a weight as one
-    GEMM, then added terms, a bias among them), ``additive_scores`` (query
-    rows against shared or per-row keys), ``scale_rows`` (one scale per
-    row), ``softmax`` with a row mask, and ``weighted_sum`` (one weighted
-    row sum per batch entry).
+    GEMM, then added terms, a bias among them), ``additive_scores`` (each
+    query row against its own keys), ``scale_rows`` (one scale per row),
+    ``softmax`` with a row mask, and ``weighted_sum`` (one weighted row
+    sum per batch entry).  Attention is always over a batch: n query rows,
+    each over its own (L, ·) rows of an (n, L, ·) tensor.
   * a tape and its tensors belong to one thread; independent tapes may
     run concurrently on other threads.
 """
@@ -366,17 +367,16 @@ def matmul_t(a: Tensor, w: Tensor, *terms: Tensor) -> Tensor:
 
 
 def additive_scores(keys: Tensor, q: Tensor, w: Tensor) -> Tensor:
-    """``tanh(keys + q[i]) @ w`` for each row of an (n, A) ``q`` -> (n, L)
-    additive-attention scores, against one (L, A) set of keys that every
-    row shares (decoding one clip), or against row i's own keys of an
-    (n, L, A) batch (teacher forcing).
+    """``tanh(keys[i] + q[i]) @ w`` for each row of an (n, A) ``q`` against
+    its own (L, A) keys of an (n, L, A) ``keys`` -> (n, L)
+    additive-attention scores.
 
     One op for the key add, the ``tanh`` and the score product, and one
     GEMV per row for the product: row i's scores equal
-    ``tanh(keys + q[i]) @ w`` bit for bit, whatever n is."""
+    ``tanh(keys[i] + q[i]) @ w`` bit for bit, whatever n is."""
     kd, qd, wd = keys.data, q.data, w.data
-    if (kd.ndim not in (2, 3) or qd.ndim != 2 or not wd.shape == kd.shape[-1:] == qd.shape[1:]
-            or kd.ndim == 3 and len(kd) != len(qd)):
+    if (kd.ndim != 3 or qd.ndim != 2 or not wd.shape == kd.shape[-1:] == qd.shape[1:]
+            or len(kd) != len(qd)):
         raise ShapeError(f"additive_scores: keys {kd.shape}, queries {qd.shape} "
                          f"and weights {wd.shape} do not match")
     e = np.tanh(kd + qd[:, None, :])                      # (n, L, A)
@@ -386,8 +386,7 @@ def additive_scores(keys: Tensor, q: Tensor, w: Tensor) -> Tensor:
         gk = gq = None
         if keys.requires_grad or q.requires_grad:
             pre = g[:, :, None] * wd * (1.0 - e * e)         # (n, L, A)
-            if keys.requires_grad:
-                gk = pre if kd.ndim == 3 else pre.sum(axis=0)
+            gk = pre if keys.requires_grad else None
             gq = pre.sum(axis=1) if q.requires_grad else None
         return gk, gq, (g.reshape(-1) @ e.reshape(-1, wd.shape[0]) if w.requires_grad else None)
 
@@ -539,7 +538,8 @@ def weighted_sum(alpha: Tensor, v: Tensor) -> Tensor:
 
 
 def take_rows(a: Tensor, ids) -> Tensor:
-    """Gather rows of a matrix; backward scatter-adds into the source."""
+    """Gather rows (entries of the first axis) of a tensor; backward
+    scatter-adds into the source."""
     idx = np.asarray(ids, dtype=np.intp)
     out = Tensor(a.data[idx])
     return _record(out, (a,), lambda g: (_Rows(idx, g),))

@@ -43,16 +43,13 @@ __all__ = [
 def mle_loss(log_probs: Tensor, targets: CaptionBatch) -> Tensor:
     """Negative log-likelihood over unmasked steps, averaged over the batch.
 
-    ``log_probs`` is one (B, T, vocab) tensor for the whole batch, or one
-    (T, vocab) tensor for a single-sample batch.  All B·T rows are picked
-    at once; padded steps contribute exactly 0.
+    ``log_probs`` is one (B, T, vocab) tensor for the whole batch.  All B·T
+    rows are picked at once; padded steps contribute exactly 0.
     """
-    if log_probs.data.ndim == 2:
-        log_probs = reshape(log_probs, (1,) + log_probs.shape)
+    if log_probs.data.ndim != 3 or log_probs.shape[:2] != (len(targets), targets.steps):
+        raise ShapeError(f"log-probs of shape {log_probs.shape} do not fit a batch of "
+                         f"{len(targets)} captions of {targets.steps} steps")
     width, steps, vocab = log_probs.shape
-    if (width, steps) != (len(targets), targets.steps):
-        raise ShapeError(f"log-probs for {width} captions of {steps} steps, but the "
-                         f"batch has {len(targets)} of {targets.steps}")
     picked = pick_in_rows(reshape(log_probs, (width * steps, vocab)),
                           targets.tokens[:, 1:].reshape(-1))
     mask = np.arange(steps) < targets.lengths[:, None] - 1
@@ -93,7 +90,7 @@ def make_cider_reward(vocab: Vocabulary, corpus_refs: list[list[str]]):
 
 def _sample_caption(decoder, features, rng, max_len):
     """Ancestral sampling; returns (tokens, list of per-step log-prob tensors)."""
-    state = decoder.init_state(features)
+    state = decoder.init_state([features])
     tok = BOS_ID
     tokens: list[int] = []
     terms = []

@@ -20,7 +20,7 @@ class _Hyp:
 
 def beam_search(decoder, features, k=5, max_len=30):
     """Return (tokens, logprob) of the best caption."""
-    live = [_Hyp((), 0.0, decoder.init_state(features))]
+    live = [_Hyp((), 0.0, decoder.init_state([features]))]
     completed = []
     for _ in range(max_len):
         candidates = []

@@ -28,7 +28,7 @@ def teacher_forced(decoder, features, tokens, training=False, rng=None):
         return _pad_stack([teacher_forced(decoder, f, ids[:n], training, rng)
                            for f, ids, n in zip(features, tokens.tokens, tokens.lengths)],
                           tokens.steps)
-    state = decoder.init_state(features)
+    state = decoder.init_state([features])
     rows = []
     for t in range(1, len(tokens)):
         p, state = decoder.step(state, [int(tokens[t - 1])], training, rng)

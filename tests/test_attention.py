@@ -28,11 +28,17 @@ def row(v) -> Tensor:
     return Tensor(np.asarray(v, dtype=np.float64)[None, :])
 
 
+def sets(v, n=1) -> Tensor:
+    """One (L, D) feature set as the (n, L, D) sets of n query rows, each
+    row over its own copy."""
+    return Tensor(np.repeat(np.asarray(v, dtype=np.float64)[None], n, axis=0))
+
+
 class TestTemporalAttend:
     def test_single_frame_gets_all_weight(self, rng):
         att = make_attention(rng)
         v = rng.standard_normal((1, 3))
-        ctx, alpha = attend(att, row(rng.standard_normal(4)), Tensor(v))
+        ctx, alpha = attend(att, row(rng.standard_normal(4)), sets(v))
         np.testing.assert_array_equal(alpha.data, [[1.0]])
         np.testing.assert_allclose(ctx.data[0], v[0], atol=1e-15)
 
@@ -41,7 +47,7 @@ class TestTemporalAttend:
         for p in att.parameters().values():
             p.data[:] = 0.0
         v = rng.standard_normal((6, 3))
-        ctx, alpha = attend(att, row(rng.standard_normal(4)), Tensor(v))
+        ctx, alpha = attend(att, row(rng.standard_normal(4)), sets(v))
         np.testing.assert_allclose(alpha.data, np.full((1, 6), 1 / 6), atol=1e-15)
         np.testing.assert_allclose(ctx.data[0], v.mean(axis=0), atol=1e-15)
 
@@ -49,7 +55,7 @@ class TestTemporalAttend:
         att = make_attention(rng)
         v = rng.standard_normal((5, 3))
         h = rng.standard_normal((3, 4))
-        ctx, alpha = attend(att, Tensor(h), Tensor(v))
+        ctx, alpha = attend(att, Tensor(h), sets(v, 3))
         for i in range(3):
             manual = sum(alpha.data[i, l] * v[l] for l in range(5))
             np.testing.assert_allclose(ctx.data[i], manual, atol=1e-12)
@@ -57,34 +63,46 @@ class TestTemporalAttend:
     def test_gradcheck(self, rng):
         att = make_attention(rng)
         h = Tensor(rng.standard_normal((2, 4)))
-        v = Tensor(rng.standard_normal((5, 3)))
+        v = Tensor(rng.standard_normal((2, 5, 3)))
         assert check_gradients(lambda: sum_all(attend(att, h, v)[0] * attend(att, h, v)[0]),
                                att.parameters()) < 1e-4
 
     def test_precomputed_keys_give_the_same_bits(self, rng):
         att = make_attention(rng)
         h = Tensor(rng.standard_normal((3, 4)))
-        v = Tensor(rng.standard_normal((5, 3)))
+        v = Tensor(rng.standard_normal((3, 5, 3)))
         keys = att.keys(v)
-        assert np.array_equal(keys.data, v.data @ att.U_a.data.T)
-        ctx, alpha = att.attend(h, v, Tensor(v.data @ att.U_a.data.T))
+        product = (v.data.reshape(15, 3) @ att.U_a.data.T).reshape(3, 5, -1)  # one GEMM
+        assert np.array_equal(keys.data, product)
+        ctx, alpha = att.attend(h, v, Tensor(product))
         ctx_k, alpha_k = att.attend(h, v, keys)
         assert np.array_equal(ctx_k.data, ctx.data) and np.array_equal(alpha_k.data, alpha.data)
 
     def test_empty_frames(self, rng):
         att = make_attention(rng)
         with pytest.raises(EmptyInputError):
-            attend(att, row(rng.standard_normal(4)), Tensor(np.zeros((0, 3))))
+            attend(att, row(rng.standard_normal(4)), Tensor(np.zeros((1, 0, 3))))
         with pytest.raises(EmptyInputError):
-            att.keys(Tensor(np.zeros((0, 3))))
+            att.keys(Tensor(np.zeros((1, 0, 3))))
+
+    def test_one_shared_feature_set_is_a_shape_error(self, rng):
+        att = make_attention(rng)
+        v = Tensor(rng.standard_normal((5, 3)))
+        with pytest.raises(ShapeError, match=r"\(n, L, 3\) feature sets"):
+            att.keys(v)
+        with pytest.raises(ShapeError, match=r"\(n, L, 3\) feature sets"):
+            att.attend(row(rng.standard_normal(4)), v, att.keys(sets(v.data)))
+        with pytest.raises(ShapeError):   # (L, A) keys shared by every row
+            att.attend(row(rng.standard_normal(4)), sets(v.data),
+                       Tensor(v.data @ att.U_a.data.T))
 
     def test_permutation_equivariance(self, rng):
         att = make_attention(rng)
         h = Tensor(rng.standard_normal((2, 4)))
         v = rng.standard_normal((7, 3))
         perm = rng.permutation(7)
-        ctx, alpha = attend(att, h, Tensor(v))
-        ctx_p, alpha_p = attend(att, h, Tensor(v[perm]))
+        ctx, alpha = attend(att, h, sets(v, 2))
+        ctx_p, alpha_p = attend(att, h, sets(v[perm], 2))
         np.testing.assert_allclose(alpha_p.data, alpha.data[:, perm], atol=1e-12)
         np.testing.assert_allclose(ctx_p.data, ctx.data, atol=1e-12)
 
@@ -92,19 +110,19 @@ class TestTemporalAttend:
 class TestBatchedAttend:
     def test_padded_rows_weigh_exactly_zero(self, rng):
         att = make_attention(rng)
-        sets = [rng.standard_normal((n, 3)) for n in (5, 2, 4)]
+        arrays = [rng.standard_normal((n, 3)) for n in (5, 2, 4)]
         h = rng.standard_normal((3, 4))
         padded = np.zeros((3, 5, 3))
         mask = np.zeros((3, 5), dtype=bool)
-        for b, v in enumerate(sets):
+        for b, v in enumerate(arrays):
             padded[b, :len(v)] = v
             mask[b, :len(v)] = True
         feats = Tensor(padded)
         ctx, alpha = att.attend(Tensor(h), feats, att.keys(feats), mask)
         assert ctx.shape == (3, 3) and alpha.shape == (3, 5)
         assert np.all(alpha.data[~mask] == 0.0)
-        for b, v in enumerate(sets):
-            ctx1, alpha1 = attend(att, row(h[b]), Tensor(v))
+        for b, v in enumerate(arrays):
+            ctx1, alpha1 = attend(att, row(h[b]), sets(v))
             np.testing.assert_allclose(alpha.data[b, :len(v)], alpha1.data[0], rtol=0, atol=1e-15)
             np.testing.assert_allclose(ctx.data[b], ctx1.data[0], rtol=0, atol=1e-14)
 
@@ -130,7 +148,7 @@ class TestSpatialAttend:
     def test_single_region(self, rng):
         att = make_attention(rng)
         r = rng.standard_normal((1, 3))
-        ctx, alpha = attend(att, row(rng.standard_normal(4)), Tensor(r))
+        ctx, alpha = attend(att, row(rng.standard_normal(4)), sets(r))
         np.testing.assert_array_equal(alpha.data, [[1.0]])
         np.testing.assert_allclose(ctx.data[0], r[0], atol=1e-15)
 

@@ -2,6 +2,7 @@ import csv
 import json
 import re
 import shutil
+import struct
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 import capgen.cli
 import capgen.training
-from capgen.checkpoint import load_checkpoint, save_checkpoint
+from capgen.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from capgen.cli import main
 from capgen.data import Dataset
 from capgen.training import _CONFIG_DEFAULTS
@@ -215,6 +216,26 @@ class TestErrors:
         assert not (tmp_path / "model.ckpt").exists()
 
     @pytest.mark.parametrize("command", ["generate", "trace", "train"])
+    def test_checkpoint_dims_past_its_end_fail_cleanly(self, workspace, tmp_path, capsys,
+                                                       command):
+        _, data, _ = workspace
+        bad = tmp_path / "huge.ckpt"   # one record of 0xFFFFFFFF x 0xFFFFFFFF and no payload
+        tag, name = b"hlstmat_temporal", b"embed.E"
+        bad.write_bytes(MAGIC + struct.pack("<I", len(tag)) + tag + struct.pack("<I", 1)
+                        + struct.pack("<I", len(name)) + name
+                        + struct.pack("<3I", 2, 0xFFFFFFFF, 0xFFFFFFFF))
+        argv = {"generate": ["generate", "--checkpoint", str(bad),
+                             "--out", str(tmp_path / "gen.jsonl")],
+                "trace": ["trace", "--checkpoint", str(bad),
+                          "--out-dir", str(tmp_path / "traces")],
+                "train": train_argv(data, tmp_path / "model.ckpt", 1, "--resume", str(bad))
+                }[command]
+        assert main(argv + ["--data-dir", str(data)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: truncated checkpoint") and "'embed.E'" in err
+        assert not (tmp_path / "model.ckpt").exists()
+
+    @pytest.mark.parametrize("command", ["generate", "trace", "train"])
     def test_dataset_without_vocabulary_fails_cleanly(self, workspace, tmp_path, capsys,
                                                       command):
         _, data, ckpt = workspace
@@ -327,7 +348,9 @@ class TestErrors:
         ("manifest.json", lambda m: m["splits"]["train"][0].update(refs=[1, 2]), "'refs'"),
         ("manifest.json", lambda m: m["splits"]["train"][0].update(refs="a cat"), "'refs'"),
         ("vocab.json", lambda v: v.update(words=5), "'words'"),
-    ], ids=["refs_of_numbers", "refs_string", "words_number"])
+        ("manifest.json", lambda m: m["splits"]["train"][0]["features"].update(temporal=5),
+         "'features'"),
+    ], ids=["refs_of_numbers", "refs_string", "words_number", "feature_path_number"])
     def test_refs_and_words_not_lists_of_strings_fail_cleanly(self, workspace, tmp_path,
                                                               capsys, name, edit, entry):
         _, data, _ = workspace
@@ -337,8 +360,8 @@ class TestErrors:
                      "--checkpoint", str(tmp_path / "model.ckpt")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(other / name) in err and entry in err
-        if name == "manifest.json":     # the entry is named by its id
-            assert repr(payload["splits"]["train"][0]["id"]) in err
+        if name == "manifest.json":     # the entry is named by its id, and its split
+            assert repr(payload["splits"]["train"][0]["id"]) in err and "'train'" in err
         assert not (tmp_path / "model.ckpt").exists()
 
     def test_resume_with_another_optimizers_state_fails_cleanly(self, workspace, tmp_path,

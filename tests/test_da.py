@@ -71,7 +71,7 @@ class TestDaStep:
     def test_alpha2_covers_regions_plus_sentinel(self, rng):
         dec = small_da()
         feats = da_features(rng, dec.config, regions=4)
-        state = dec.init_state(feats)
+        state = dec.init_state([feats])
         p, state = dec.step(state, [BOS_ID])
         alpha = state.row.alpha
         assert alpha.shape == (1, 5)
@@ -86,13 +86,13 @@ class TestDaStep:
         # the saturated vector by -50/attn; the sentinel score stays 0
         attn = dec.attn2.w.data.shape[0]
         dec.attn2.W_v.data[:] = 0.0
-        _, probe = dec.step(dec.init_state(feats), [BOS_ID])  # h2 ignores attn2 params
+        _, probe = dec.step(dec.init_state([feats]), [BOS_ID])  # h2 ignores attn2 params
         h2 = probe.h2.data[0]
         dec.attn2.W_h.data[:] = 500.0 * np.sign(h2)[None, :] / max(np.abs(h2).sum(), 1e-9)
         dec.attn2.w.data[:] = -50.0 / attn
         dec.W_s.data[:] = 0.0
         dec.W_h3.data[:] = 0.0
-        state = dec.init_state(feats)
+        state = dec.init_state([feats])
         _, state = dec.step(state, [BOS_ID])
         alpha = state.row.alpha[0]
         assert alpha[-1] > 1.0 - 1e-9
@@ -109,7 +109,7 @@ class TestDaStep:
         cfg = dec.config
         feats = da_features(rng, cfg, regions=2)
         ps = {k: v.data for k, v in dec.parameters().items()}
-        state = dec.init_state(feats)
+        state = dec.init_state([feats])
         h1 = m1 = h2 = m2 = np.zeros(2)
         for token in (BOS_ID, 2, 1):
             p, state = dec.step(state, [token])
@@ -127,14 +127,13 @@ class TestDaStep:
         dec = small_da(region=3)
         feats = FeatureSet(spatial=rng.standard_normal((2, 5)),
                            global_vec=rng.standard_normal(dec.config.global_dim))
-        for features in (feats, [feats]):       # decoding and teacher forcing
-            with pytest.raises(ShapeError, match="regions have dim 5"):
-                dec.init_state(features)
+        with pytest.raises(ShapeError, match="regions have dim 5"):
+            dec.init_state([feats])
 
     def test_explicit_surface_matches_method(self, rng):
         dec = small_da()
         feats = da_features(rng, dec.config)
-        state = dec.init_state(feats)
+        state = dec.init_state([feats])
         p_m, _ = dec.step(state, [BOS_ID])
         p_f, _ = da_step(dec, state, [BOS_ID])
         assert np.array_equal(p_m.data, p_f.data)

@@ -102,7 +102,7 @@ def enumerate_best(decoder, length, vocab):
     for seq in itertools.product(range(vocab), repeat=length):
         if any(tok < 4 for tok in seq):  # specials are impossible in the toys
             continue
-        state = decoder.init_state(None)
+        state = decoder.init_state([None])
         prev = BOS_ID
         score = 0.0
         for tok in seq:
@@ -157,7 +157,7 @@ class TestBeam:
     def test_score_matches_stepwise_replay(self, rng):
         dec, feats = real_decoder(rng)
         gen = beam_search(dec, feats, k=4, max_len=6)
-        state = dec.init_state(feats)
+        state = dec.init_state([feats])
         prev = BOS_ID
         total = 0.0
         for tok in gen.tokens:
@@ -311,15 +311,34 @@ def state_arrays(state):
     return [v.data for v in values if isinstance(v, Tensor)]
 
 
+def state_feats(state):
+    """The entries of a decoder state's ``feats``, a two-stream state's
+    two streams' alike."""
+    if hasattr(state, "s1"):
+        return state_feats(state.s1) + state_feats(state.s2)
+    return state.feats
+
+
+def many_clips(variant, frames=(3, 7, 5, 4, 6)):
+    """Feature sets for ``tiny_case(variant)``'s decoder, one per entry of
+    ``frames``, with 2 to 4 motion segments."""
+    rng = np.random.default_rng(8)
+    _, dims = tiny_decoder(variant)
+    return [tiny_features(rng, n, dims["dim"], dims["motion_dim"], dims["region_dim"],
+                          dims["global_dim"], segments=2 + i % 3)
+            for i, n in enumerate(frames)]
+
+
 class TestRowsStep:
     """One ``step`` over n rows against n one-row steps, equal within
-    rounding, and one ``step`` call per beam search step."""
+    rounding; a state over many clips against decoding each clip alone;
+    and one ``step`` call per beam search step."""
 
     @pytest.mark.parametrize("variant", GRADCHECK_VARIANTS)
     def test_rows_agree_with_one_row_steps(self, variant):
         dec, feats = tiny_case(variant)
         _bias_eos(dec, 0.0)
-        _, state = dec.step(dec.init_state(feats), [BOS_ID])
+        _, state = dec.step(dec.init_state([feats]), [BOS_ID])
         _, state = dec.step(state.take([0, 0, 0]), [4, 5, 6])
         state = state.take([2, 0, 1])            # three distinct rows
         tokens = [7, 4, 9]
@@ -335,6 +354,45 @@ class TestRowsStep:
             close(stepped.row.pick(i).beta, alone.row.pick(0).beta)
             for rows, row in zip(state_arrays(stepped), state_arrays(alone), strict=True):
                 close(rows[i], row[0])
+
+    @pytest.mark.parametrize("variant", GRADCHECK_VARIANTS)
+    def test_state_over_many_clips(self, variant):
+        """A state over 5 clips of 3 to 7 frames, padded and masked: each
+        row decodes its own clip, and ``take`` carries each row's features."""
+        dec, _ = tiny_case(variant)
+        _bias_eos(dec, 0.0)
+        clips = many_clips(variant)
+        state = dec.init_state(clips)
+        assert all(f is not None for f in state_feats(state))   # the masks too
+        alone = [greedy_decode(dec, clip, max_len=8) for clip in clips]
+        tokens, logprob, finished = [[] for _ in clips], np.zeros(len(clips)), set()
+        fed = [BOS_ID] * len(clips)
+        for _ in range(8):
+            p, state = dec.step(state, fed)
+            for i, probs in enumerate(p.data):
+                if i not in finished:
+                    nxt = int(np.argmax(probs))
+                    logprob[i] += np.log(probs[nxt])
+                    if nxt == EOS_ID:
+                        finished.add(i)
+                    else:
+                        tokens[i].append(nxt)
+                    fed[i] = nxt
+        assert len({tuple(t) for t in tokens}) > 1   # the clips give different captions
+        for i, gen in enumerate(alone):
+            assert tokens[i] == gen.tokens, i
+            assert abs(logprob[i] - gen.logprob) <= 1e-13, i
+
+        p, stepped = dec.step(state, fed)
+        reverse = [4, 3, 2, 1, 0]
+        taken = state.take(reverse)
+        p_rev, stepped_rev = dec.step(taken, [fed[i] for i in reverse])
+        np.testing.assert_allclose(p_rev.data, p.data[reverse], rtol=0, atol=1e-13)
+        for rows, rev in zip(state_arrays(stepped), state_arrays(stepped_rev), strict=True):
+            np.testing.assert_allclose(rev, rows[reverse], rtol=0, atol=1e-13)
+        for idx in (reverse, [1, 1, 3]):
+            for f in state_feats(state.take(idx)):
+                assert len(f if isinstance(f, np.ndarray) else f.data) == len(idx)
 
     @pytest.mark.parametrize("variant", GRADCHECK_VARIANTS)
     def test_beam_steps_the_decoder_once_per_search_step(self, variant, monkeypatch):
@@ -366,7 +424,7 @@ def _replay(dec, feats, tokens, finished):
     caption's log-prob, with the EOS step when ``finished``."""
     fed = [BOS_ID] + tokens if finished else [BOS_ID] + tokens[:-1]
     targets = tokens + [EOS_ID] if finished else tokens
-    state = dec.init_state(feats)
+    state = dec.init_state([feats])
     rows, logprob = [], 0.0
     for tok, nxt in zip(fed, targets):
         p, state = dec.step(state, [tok])

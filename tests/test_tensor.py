@@ -407,13 +407,17 @@ class TestPerRowProducts:
     @pytest.mark.parametrize("n", [1, 2, 5])
     @pytest.mark.parametrize("dim", [64, 512])
     def test_transposed_weight_and_column_sliced_rows(self, rng, n, dim):
-        # attention's context product takes (n, L) weights against the (D, L)
-        # transpose of the features; DA's takes the first L columns of (n, L + 1)
-        feats = rng.standard_normal((28, dim))
+        # attention's context product, ``weighted_sum``, takes each row's L
+        # weights against that row's own (L, D) features; DA's takes the
+        # first L columns of (n, L + 1).  Every row equals its own GEMV, and
+        # the one-row GEMM against the (D, L) transpose, bit for bit.
+        feats = rng.standard_normal((n, 28, dim))
         for alpha in (rng.standard_normal((n, 28)), rng.standard_normal((n, 29))[:, :28]):
-            out = matmul_t(Tensor(alpha), transpose(Tensor(feats))).data
-            assert np.array_equal(out, alpha @ feats)
-            self.assert_rows_match(out, [feats.T @ alpha[i] for i in range(n)])
+            out = weighted_sum(Tensor(alpha), Tensor(feats)).data
+            for i in range(n):
+                assert np.array_equal(out[i], feats[i].T @ alpha[i])
+                gemm = matmul_t(Tensor(alpha[i:i + 1]), transpose(Tensor(feats[i]))).data
+                assert np.array_equal(out[i], gemm[0])
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_terms_add_after_the_product_in_order(self, rng, n):
@@ -430,18 +434,24 @@ class TestPerRowProducts:
     @pytest.mark.parametrize("n", [1, 2, 5])
     @pytest.mark.parametrize("rows, attn", [(28, 512), (28, 64), (4, 7)])
     def test_scores_equal_their_own_row(self, rng, n, rows, attn):
-        keys, q, w = (rng.standard_normal((rows, attn)), rng.standard_normal((n, attn)),
+        keys, q, w = (rng.standard_normal((n, rows, attn)), rng.standard_normal((n, attn)),
                       rng.standard_normal(attn))
         out = additive_scores(Tensor(keys), Tensor(q), Tensor(w)).data
         assert out.shape == (n, rows)
-        assert all(np.array_equal(out[i], np.tanh(keys + q[i]) @ w) for i in range(n))
+        assert all(np.array_equal(out[i], np.tanh(keys[i] + q[i]) @ w) for i in range(n))
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_additive_scores_gradient(self, rng, n):
-        keys, q, w = (leaf(rng.standard_normal((4, 3))), leaf(rng.standard_normal((n, 3))),
+        keys, q, w = (leaf(rng.standard_normal((n, 4, 3))), leaf(rng.standard_normal((n, 3))),
                       leaf(rng.standard_normal(3)))
         params = {"keys": keys, "q": q, "w": w}
         assert op_gradcheck(lambda: additive_scores(keys, q, w), params) < 1e-6
+
+    def test_additive_scores_take_per_row_keys_only(self, rng):
+        q, w = Tensor(rng.standard_normal((2, 3))), Tensor(rng.standard_normal(3))
+        for keys in (rng.standard_normal((4, 3)), rng.standard_normal((3, 4, 3))):
+            with pytest.raises(ShapeError):     # shared (L, A) keys; a row count off
+                additive_scores(Tensor(keys), q, w)
 
     @pytest.mark.parametrize("n", [2, 5])
     @pytest.mark.parametrize("width", [5, 29, 500, 5000])

@@ -11,7 +11,7 @@ from capgen.data import (
     BOS_ID, EOS_ID, CaptionBatch, Dataset, Vocabulary, synth_dataset, tokenize,
 )
 from capgen.errors import ConfigError, DomainError, ShapeError
-from capgen.tensor import Tensor, softmax
+from capgen.tensor import Tensor, reshape, softmax
 from capgen.testkit import tiny_decoder, tiny_features
 from capgen.training import (
     RewardConfig, TrainConfig, mle_loss, parse_config_file, reward_gradient_step, train,
@@ -22,9 +22,9 @@ class TestMleLoss:
     def test_perfect_model_zero_loss(self):
         tokens = [BOS_ID, 4, EOS_ID]
         batch = CaptionBatch.from_id_seqs([tokens])
-        lp = np.full((2, 6), -50.0)
-        lp[0, 4] = 0.0   # log prob 1 on each target
-        lp[1, EOS_ID] = 0.0
+        lp = np.full((1, 2, 6), -50.0)
+        lp[0, 0, 4] = 0.0   # log prob 1 on each target
+        lp[0, 1, EOS_ID] = 0.0
         loss = mle_loss(Tensor(lp), batch)
         assert float(loss.data) == 0.0
 
@@ -32,7 +32,7 @@ class TestMleLoss:
         vocab = 9
         tokens = [BOS_ID, 4, 5, EOS_ID]
         batch = CaptionBatch.from_id_seqs([tokens])
-        lp = np.full((3, vocab), math.log(1.0 / vocab))
+        lp = np.full((1, 3, vocab), math.log(1.0 / vocab))
         loss = mle_loss(Tensor(lp), batch)
         assert float(loss.data) == pytest.approx(3 * math.log(vocab), rel=1e-12)
 
@@ -43,7 +43,7 @@ class TestMleLoss:
         raw = rng.standard_normal((4, vocab))
         lp = np.log(np.exp(raw) / np.exp(raw).sum(axis=1, keepdims=True))
         manual = -sum(lp[t, tokens[t + 1]] for t in range(4))
-        loss = mle_loss(Tensor(lp), batch)
+        loss = mle_loss(Tensor(lp[None]), batch)
         assert float(loss.data) == pytest.approx(manual, rel=1e-12)
 
     def test_batch_average(self, rng):
@@ -57,8 +57,9 @@ class TestMleLoss:
 
     def test_length_mismatch(self):
         batch = CaptionBatch.from_id_seqs([[BOS_ID, 4, EOS_ID]])
-        with pytest.raises(ShapeError):
-            mle_loss(Tensor(np.zeros((5, 8))), batch)
+        for shape in ((1, 5, 8), (2, 2, 8), (2, 8)):   # steps, captions, no batch axis
+            with pytest.raises(ShapeError):
+                mle_loss(Tensor(np.zeros(shape)), batch)
 
 
 def test_reward_tokenizes_only_references_from_outside_its_corpus(monkeypatch):
@@ -334,7 +335,8 @@ class TestTrainDriver:
                 for ref in s.refs:
                     ids = vocab.wrap(tokenize(ref))
                     lp = decoder.forward_teacher_forced(dataset.features(s), ids)
-                    out.append(float(mle_loss(lp, CaptionBatch.from_id_seqs([ids])).data))
+                    out.append(float(mle_loss(reshape(lp, (1,) + lp.shape),
+                                              CaptionBatch.from_id_seqs([ids])).data))
             return out
 
         initial = tr._build_decoder(cfg, vocab, dataset.features(dataset.splits["train"][0]))
