@@ -27,7 +27,8 @@ class AdditiveAttention(Module):
     Scores each feature row v against a query state h as
     w . tanh(W_a h + U_a v + b_a), normalizes with a softmax, and returns
     the weighted feature sum.  The same scorer serves frame-level
-    (temporal) and region-level (spatial) features.
+    (temporal) and region-level (spatial) features.  ``bias=False`` drops
+    ``b_a``, and ``scores`` is the scoring alone (DA's scorers use both).
 
     The keys U_a v do not depend on the query.  ``keys(feats)`` computes
     them once per feature set, and ``attend`` takes them so that every
@@ -40,13 +41,12 @@ class AdditiveAttention(Module):
     """
 
     def __init__(self, query_dim: int, feature_dim: int, attn_dim: int,
-                 rng: np.random.Generator):
+                 rng: np.random.Generator, bias: bool = True):
         self.query_dim = query_dim
         self.feature_dim = feature_dim
-        self.attn_dim = attn_dim
         self.W_a = glorot(rng, attn_dim, query_dim)
         self.U_a = glorot(rng, attn_dim, feature_dim)
-        self.b_a = Tensor(np.zeros(attn_dim), requires_grad=True)
+        self.b_a = Tensor(np.zeros(attn_dim), requires_grad=True) if bias else None
         self.w = Tensor(glorot(rng, attn_dim, 1).data[:, 0].copy(), requires_grad=True)
 
     def _check_feats(self, feats: Tensor) -> None:
@@ -72,9 +72,13 @@ class AdditiveAttention(Module):
         if h.data.ndim != 2 or h.shape[1] != self.query_dim or h.shape[0] != feats.shape[0]:
             raise ShapeError(f"attention expects (n, {self.query_dim}) query rows, "
                              f"one per feature set of {feats.shape}, got {h.shape}")
-        shift = matmul_t(h, self.W_a, self.b_a)                            # (n, attn)
-        alpha = softmax(additive_scores(keys, shift, self.w), mask)        # (n, L)
+        alpha = softmax(self.scores(h, keys), mask)                        # (n, L)
         return weighted_sum(alpha, feats), alpha
+
+    def scores(self, h: Tensor, keys: Tensor) -> Tensor:
+        """(n, L) scores of the n query rows h, row i against ``keys[i]``."""
+        bias = () if self.b_a is None else (self.b_a,)
+        return additive_scores(keys, matmul_t(h, self.W_a, *bias), self.w)
 
 
 class AdaptiveGate(Module):

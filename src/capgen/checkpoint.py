@@ -13,7 +13,9 @@ Layout, all little-endian:
 
 A save writes a temporary file next to ``path`` and renames it onto
 ``path``, so a save that fails midway leaves the previous checkpoint
-intact and no temporary file behind.
+intact and no temporary file behind.  A load renames the records of DA
+files written before its scorers became ``AdditiveAttention``, and their
+optimizer state ``opt/<name>/<slot>``, from ``_DA_RENAMES``.
 """
 
 from __future__ import annotations
@@ -29,6 +31,11 @@ from .errors import FormatError
 MAGIC = b"HLSTMAT1"
 
 __all__ = ["MAGIC", "save_checkpoint", "load_checkpoint"]
+
+# DA record names of the older layout -> the names its parameters have now
+_DA_RENAMES = {"attn1.W_v": "attn1.U_a", "attn1.W_h": "attn1.W_a",
+               "attn2.W_v": "attn2.U_a", "attn2.W_h": "attn2.W_a",
+               "W_s": "sentinel.U_a", "W_h3": "sentinel.W_a", "w_a": "sentinel.w"}
 
 
 def save_checkpoint(path, variant: str, arrays: dict[str, np.ndarray]) -> None:
@@ -73,6 +80,14 @@ def _read_exact(fh, n: int, what: str, size: int) -> bytes:
     return fh.read(n)
 
 
+def _read_text(fh, n: int, what: str, size: int) -> str:
+    at = fh.tell()
+    try:
+        return _read_exact(fh, n, what, size).decode("utf-8")
+    except UnicodeDecodeError:
+        raise FormatError(f"checkpoint {what} is not UTF-8 (at byte offset {at})") from None
+
+
 def load_checkpoint(path) -> tuple[str, dict[str, np.ndarray]]:
     try:
         fh = open(path, "rb")
@@ -84,12 +99,12 @@ def load_checkpoint(path) -> tuple[str, dict[str, np.ndarray]]:
         if magic != MAGIC:
             raise FormatError(f"bad checkpoint magic {magic!r} at byte offset 0")
         (tag_len,) = struct.unpack("<I", _read_exact(fh, 4, "tag length", size))
-        variant = _read_exact(fh, tag_len, "variant tag", size).decode("utf-8")
+        variant = _read_text(fh, tag_len, "variant tag", size)
         (count,) = struct.unpack("<I", _read_exact(fh, 4, "record count", size))
         arrays: dict[str, np.ndarray] = {}
         for _ in range(count):
             (name_len,) = struct.unpack("<I", _read_exact(fh, 4, "name length", size))
-            name = _read_exact(fh, name_len, "name", size).decode("utf-8")
+            name = _read_text(fh, name_len, "name", size)
             (rank,) = struct.unpack("<I", _read_exact(fh, 4, "rank", size))
             dims = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, "dims", size))
             n_items = 1
@@ -97,4 +112,9 @@ def load_checkpoint(path) -> tuple[str, dict[str, np.ndarray]]:
                 n_items *= d
             payload = _read_exact(fh, 8 * n_items, f"payload of {name!r}", size)
             arrays[name] = np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
+        if fh.tell() != size:
+            raise FormatError(f"trailing bytes after the last record at byte offset {fh.tell()}")
+    if variant == "da":
+        arrays = {"/".join(_DA_RENAMES.get(part, part) for part in name.split("/")): arr
+                  for name, arr in arrays.items()}
     return variant, arrays

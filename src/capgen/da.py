@@ -6,15 +6,18 @@ hidden], and region attention pools a first visual context.  The second
 LSTM proofreads: a gated transform of its memory acts as an extra
 "language" attention slot (the sentinel) next to the regions, and the
 word distribution comes from fusing the draft hidden, the refined hidden
-and the second attended vector.
+and the second attended vector.  Every scorer is a bias-free
+``AdditiveAttention``: ``attn1`` attends over the regions, ``attn2``
+scores them, and ``sentinel`` scores each row's sentinel (the visual
+sentinel of Lu et al. 2017, arXiv:1612.01887) as a one-row feature set.
 
 One step body runs both passes on a state's rows, for decoding and for
 teacher forcing alike, with the same products (``tensor.matmul_t``).
-``init_state`` builds the state over n images (the rows protocol of
-``decoders.py``): it checks each feature set's global and region widths,
-pads the regions to (n, L, D) with a row mask, and computes the region
-keys once.  Row i attends over image i's regions; the sentinel is one
-more always-unmasked column of the second attention's row softmax.  The
+``init_state`` builds the ``DecoderState`` over n images (``h``/``m``
+the first LSTM, ``h_top``/``m_top`` the second): it checks each feature
+set's widths, pads the regions to (n, L, D) with a row mask, and
+computes the region keys once.  Row i attends over image i's regions;
+the sentinel score is one more always-unmasked softmax column.  The
 first LSTM reads the previous second-pass hidden, so the passes share
 one loop over the steps.  When teacher forcing, the fusion ``W_sd``, the
 word head and ``log_softmax`` then run once over the B·T rows.
@@ -23,22 +26,21 @@ word head and ``log_softmax`` then run once over the B·T rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .attention import TraceRow
+from .attention import AdditiveAttention, TraceRow
 from .decoders import (
-    _as_batch, _drop, _dropout_masks, _head_log_probs, _pad_rows, _take_feats,
+    DecoderState, _as_batch, _drop, _dropout_masks, _head_log_probs, _pad_rows,
 )
 from .errors import ConfigError, ShapeError
 from .layers import Embedding, Linear, LstmCell, Module, dropout_mask, glorot
 from .tensor import (
-    Tensor, additive_scores, concat, matmul_t, narrow, reshape, scale_rows, sigmoid, softmax,
-    stack_rows, take_row, take_rows, tanh, weighted_sum, zeros,
+    Tensor, concat, matmul_t, narrow, reshape, scale_rows, sigmoid, softmax, stack_rows,
+    take_row, tanh, weighted_sum, zeros,
 )
 
-__all__ = ["DaConfig", "DaState", "DeliberateDecoder", "da_step"]
+__all__ = ["DaConfig", "DeliberateDecoder", "da_step"]
 
 
 @dataclass
@@ -52,78 +54,33 @@ class DaConfig:
     dropout: float = 0.0
     seed: int = 0
 
-    def rng(self) -> np.random.Generator:
-        return np.random.default_rng(self.seed)
-
-
-@dataclass(frozen=True)
-class DaState:
-    """Immutable decoder state of n rows; ``da_step`` returns a fresh one."""
-    h1: Tensor
-    m1: Tensor
-    h2: Tensor
-    m2: Tensor
-    feats: tuple                    # (global rows, regions, attn1 keys, attn2 keys, mask)
-    row: Optional[TraceRow] = None  # the latest step's trace rows
-
-    def take(self, idx) -> "DaState":
-        """The state of rows ``idx``, with their features, ready to step."""
-        return DaState(take_rows(self.h1, idx), take_rows(self.m1, idx),
-                       take_rows(self.h2, idx), take_rows(self.m2, idx),
-                       _take_feats(self.feats, idx))
-
-
-class _ScoredAttention(Module):
-    """Bias-free additive scorer w . tanh(W_v v + W_h h) over region rows;
-    the keys W_v v of (n, L, D) padded regions are computed once per
-    state by ``keys``."""
-
-    def __init__(self, query_dim, feature_dim, attn_dim, rng):
-        self.W_v = glorot(rng, attn_dim, feature_dim)
-        self.W_h = glorot(rng, attn_dim, query_dim)
-        self.w = Tensor(glorot(rng, attn_dim, 1).data[:, 0].copy(), requires_grad=True)
-
-    def keys(self, feats: Tensor) -> Tensor:
-        """(n, L, attn) keys of (n, L, D) regions."""
-        return matmul_t(feats, self.W_v)
-
-    def scores(self, h: Tensor, keys: Tensor) -> Tensor:
-        """(n, L) scores of n (n, H) queries, row i over its image's
-        (L, attn) keys in the (n, L, attn) ``keys``."""
-        return additive_scores(keys, matmul_t(h, self.W_h), self.w)
-
 
 class DeliberateDecoder(Module):
-    """Deliberate-attention decoder (variant tag "DA" in checkpoints)."""
+    """Deliberate-attention decoder (variant tag "da" in checkpoints)."""
 
     variant = "da"
 
     def __init__(self, config: DaConfig):
         c = config
         self.config = config
-        rng = config.rng()
+        rng = np.random.default_rng(c.seed)
         self.embed = Embedding(c.vocab_size, c.embed_dim, rng)
         self.lstm1 = LstmCell(c.global_dim + c.hidden_dim + c.embed_dim, c.hidden_dim, rng)
         self.W_rd = Linear(c.embed_dim + c.hidden_dim, c.hidden_dim, rng, bias=False)
-        self.attn1 = _ScoredAttention(c.hidden_dim, c.region_dim, c.attn_dim, rng)
+        self.attn1 = AdditiveAttention(c.hidden_dim, c.region_dim, c.attn_dim, rng, bias=False)
         y2_dim = c.global_dim + c.hidden_dim + c.region_dim
         self.lstm2 = LstmCell(y2_dim, c.hidden_dim, rng)
         self.W_x = glorot(rng, c.hidden_dim, y2_dim)
         self.W_h = glorot(rng, c.hidden_dim, c.hidden_dim)
-        self.attn2 = _ScoredAttention(c.hidden_dim, c.region_dim, c.attn_dim, rng)
-        # sentinel slot score: w_a . tanh(W_s s + W_h3 h2)
-        self.W_s = glorot(rng, c.attn_dim, c.hidden_dim)
-        self.W_h3 = glorot(rng, c.attn_dim, c.hidden_dim)
-        self.w_a = Tensor(glorot(rng, c.attn_dim, 1).data[:, 0].copy(), requires_grad=True)
+        self.attn2 = AdditiveAttention(c.hidden_dim, c.region_dim, c.attn_dim, rng, bias=False)
+        self.sentinel = AdditiveAttention(c.hidden_dim, c.hidden_dim, c.attn_dim, rng, bias=False)
         # the sentinel competes with region rows, so it must share their dim
-        if c.hidden_dim != c.region_dim:
-            self.sentinel_proj = Linear(c.hidden_dim, c.region_dim, rng, bias=False)
-        else:
-            self.sentinel_proj = None
+        self.sentinel_proj = (Linear(c.hidden_dim, c.region_dim, rng, bias=False)
+                              if c.hidden_dim != c.region_dim else None)
         self.W_sd = Linear(2 * c.hidden_dim + c.region_dim, c.hidden_dim, rng, bias=False)
         self.out = Linear(c.hidden_dim, c.vocab_size, rng)
 
-    def init_state(self, features) -> DaState:
+    def init_state(self, features) -> DecoderState:
         """The (n, ·) state over n images' ``FeatureSet``s, their regions
         padded to (n, L, D) with the (n, L) mask of real ones (None when
         none is padded).  Each set's feature widths are checked and the
@@ -141,10 +98,10 @@ class DeliberateDecoder(Module):
         regions, mask = _pad_rows([f.spatial for f in sets])
         z = zeros(len(sets), c.hidden_dim)
         v_g = Tensor(np.stack([f.global_vec for f in sets]))
-        return DaState(z, z, z, z, (v_g, regions, self.attn1.keys(regions),
-                                    self.attn2.keys(regions), mask))
+        return DecoderState(z, z, z, z, (v_g, regions, self.attn1.keys(regions),
+                                         self.attn2.keys(regions), mask))
 
-    def step(self, state: DaState, token_ids, training: bool = False, rng=None):
+    def step(self, state: DecoderState, token_ids, training: bool = False, rng=None):
         return da_step(self, state, token_ids, training=training, rng=rng)
 
     def forward_teacher_forced(self, features, tokens, training=False, rng=None):
@@ -162,7 +119,7 @@ class DeliberateDecoder(Module):
                                batch.single)
 
 
-def _da_body(dec: DeliberateDecoder, state: DaState, w_t: Tensor, masks, t: int):
+def _da_body(dec: DeliberateDecoder, state: DecoderState, w_t: Tensor, masks, t: int):
     """Both passes of one step on the state's n rows, given their (n, E)
     word rows: returns the fused rows [h1~; h2_d; v2^] that ``W_sd`` and
     the word head read, and the new state.  Step ``t`` of the
@@ -172,29 +129,27 @@ def _da_body(dec: DeliberateDecoder, state: DaState, w_t: Tensor, masks, t: int)
     n, L = w_t.shape[0], regions.shape[1]
 
     # first pass: draft hidden with residual word shortcut, region attention
-    y1 = concat([v_g, state.h2, w_t], axis=1)
-    out1 = dec.lstm1.step(dec.lstm1.input_products(y1), state.h1, state.m1)
+    y1 = concat([v_g, state.h_top, w_t], axis=1)
+    out1 = dec.lstm1.step(dec.lstm1.input_products(y1), state.h, state.m)
     h1_tilde = dec.W_rd(concat([w_t, _drop(out1.h, masks, t, 0)], axis=1))
-    alpha1 = softmax(dec.attn1.scores(h1_tilde, keys1), mask)
-    v1_hat = weighted_sum(alpha1, regions)
+    v1_hat, _ = dec.attn1.attend(h1_tilde, regions, keys1, mask)
 
     # second pass: sentinel-augmented attention over regions + language slot
     y2 = concat([v_g, h1_tilde, v1_hat], axis=1)
-    out2 = dec.lstm2.step(dec.lstm2.input_products(y2), state.h2, state.m2)
+    out2 = dec.lstm2.step(dec.lstm2.input_products(y2), state.h_top, state.m_top)
     h2_d = _drop(out2.h, masks, t, 1)
-    s = sigmoid(matmul_t(state.h2, dec.W_h, matmul_t(y2, dec.W_x))) * tanh(out2.m)
-    sent = matmul_t(tanh(matmul_t(h2_d, dec.W_h3, matmul_t(s, dec.W_s))),
-                    reshape(dec.w_a, (1, -1)))
+    s = sigmoid(matmul_t(state.h_top, dec.W_h, matmul_t(y2, dec.W_x))) * tanh(out2.m)
+    sent = dec.sentinel.scores(h2_d, dec.sentinel.keys(reshape(s, (n, 1, s.shape[1]))))
     mask2 = None if mask is None else np.concatenate([mask, np.ones((n, 1), dtype=bool)], 1)
     alpha2 = softmax(concat([dec.attn2.scores(h2_d, keys2), sent], axis=1), mask2)
     s_vis = dec.sentinel_proj(s) if dec.sentinel_proj is not None else s
     v2_hat = weighted_sum(narrow(alpha2, 0, L), regions) + scale_rows(s_vis, alpha2, L)
-    return concat([h1_tilde, h2_d, v2_hat], axis=1), DaState(
+    return concat([h1_tilde, h2_d, v2_hat], axis=1), DecoderState(
         out1.h, out1.m, out2.h, out2.m, state.feats,
         row=TraceRow(alpha2.data, alpha2.data[:, L:]))
 
 
-def da_step(dec: DeliberateDecoder, state: DaState, token_ids,
+def da_step(dec: DeliberateDecoder, state: DecoderState, token_ids,
             training: bool = False, rng=None):
     """One decoding step of the state's n rows on n token ids, over the
     image's regions in ``state.feats``; returns the (n, vocab) word

@@ -12,7 +12,8 @@ configurations: a single-LSTM baseline, temporal/spatial attention,
 concatenation fusion, parallel adaptive attention, and two fused streams.
 
 Every decoder (``da.DeliberateDecoder`` too) follows one protocol, the
-rows protocol, and every state is a batch of clips.
+rows protocol, and every state is a batch of clips: a ``DecoderState``,
+or for two streams a ``TwoStreamState`` of two.
 ``init_state(features)`` takes a sequence of n ``FeatureSet``s and builds
 the n-row state whose row i reads clip i.  Its ``feats`` hold each row's
 own features: a two-LSTM state the (n, L, D) features padded to the
@@ -103,7 +104,8 @@ class DecoderConfig:
 
 @dataclass(frozen=True)
 class DecoderState:
-    """Immutable decoder state of n rows; step() returns a fresh one."""
+    """Immutable state of n rows; step() returns a fresh one.  ``h``/``m``
+    is the bottom LSTM (DA: the first), ``h_top``/``m_top`` the top one."""
     h: Tensor
     m: Tensor
     h_top: Tensor
@@ -112,17 +114,12 @@ class DecoderState:
     row: Optional[TraceRow] = None  # the latest step's trace rows
 
     def take(self, idx) -> "DecoderState":
-        """The state of rows ``idx``, with their features, ready to step."""
+        """Rows ``idx`` of the state and of each entry of ``feats`` (a
+        None mask stays None), ready to step."""
+        feats = tuple(f if f is None else f[idx] if isinstance(f, np.ndarray)
+                      else take_rows(f, idx) for f in self.feats)
         return DecoderState(take_rows(self.h, idx), take_rows(self.m, idx),
-                            take_rows(self.h_top, idx), take_rows(self.m_top, idx),
-                            _take_feats(self.feats, idx))
-
-
-def _take_feats(feats: tuple, idx) -> tuple:
-    """Rows ``idx`` of each entry of a state's ``feats``: the per-row
-    feature and key tensors, and the row masks (None stays None)."""
-    return tuple(f if f is None else f[idx] if isinstance(f, np.ndarray) else take_rows(f, idx)
-                 for f in feats)
+                            take_rows(self.h_top, idx), take_rows(self.m_top, idx), feats)
 
 
 def _nearest_segment_rows(frames: np.ndarray, segments: np.ndarray) -> np.ndarray:

@@ -393,12 +393,10 @@ def additive_scores(keys: Tensor, q: Tensor, w: Tensor) -> Tensor:
     return _record(out, (keys, q, w), grad_fn)
 
 
-def transpose(a: Tensor, axes=None) -> Tensor:
-    """Matrix transpose; with ``axes``, that permutation of any tensor's axes."""
-    if axes is None and a.data.ndim != 2:
-        raise ShapeError(f"transpose expects a matrix, got shape {a.data.shape}")
+def transpose(a: Tensor, axes) -> Tensor:
+    """The permutation ``axes`` of a tensor's axes."""
     out = Tensor(np.transpose(a.data, axes))
-    back = None if axes is None else np.argsort(axes)
+    back = np.argsort(axes)
     return _record(out, (a,), lambda g: (np.transpose(g, back),))
 
 

@@ -3,6 +3,7 @@ import json
 import re
 import shutil
 import struct
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -135,6 +136,89 @@ class TestResume:
                      "--max-len", "6"]) == 0
 
 
+LEGACY_DA = Path(__file__).parent / "data" / "da_legacy.ckpt"
+LEGACY_DA_EXPECTED = Path(__file__).parent / "data" / "da_legacy_expected.json"
+
+
+@pytest.fixture(scope="module")
+def legacy_da_data(tmp_path_factory):
+    """The dataset that ``data/da_legacy.ckpt`` was trained on.
+
+    That file was written by ``capgen train`` while DA still named its
+    scorers' records ``attn{1,2}.W_v``, ``attn{1,2}.W_h``, ``W_s``,
+    ``W_h3`` and ``w_a``: ``train --data-dir <this set> --variant da
+    --hidden-dim 4 --embed-dim 4 --attn-dim 3 --epochs 1 --batch-size 2
+    --dropout 0.5 --seed 1 --val-metric loss --max-len 8`` with the
+    default adadelta.  ``data/da_legacy_expected.json`` holds what that
+    code gave: its greedy ``generate`` of the test split at ``--max-len
+    8``, and the loss of one epoch resumed from the file."""
+    data = tmp_path_factory.mktemp("legacy_da") / "data"
+    assert main(["synth-data", "--out", str(data), "--seed", "3", "--samples", "3",
+                 "--vocab-size", "5", "--length", "3", "--dim", "5"]) == 0
+    return data
+
+
+class TestLegacyDaCheckpoint:
+    def test_file_holds_the_older_record_names(self):
+        raw = LEGACY_DA.read_bytes()
+        for name in (b"attn1.W_v", b"attn2.W_h", b"W_h3", b"w_a", b"opt/W_s/Eg"):
+            assert name in raw
+        assert b"sentinel.w" not in raw and b"sentinel.U_a" not in raw
+
+    def test_generate_reproduces_its_greedy_captions(self, legacy_da_data, tmp_path):
+        out = tmp_path / "gen.jsonl"
+        assert main(["generate", "--data-dir", str(legacy_da_data), "--checkpoint",
+                     str(LEGACY_DA), "--split", "test", "--out", str(out), "--beam", "1",
+                     "--max-len", "8"]) == 0
+        rows = [json.loads(line) for line in out.read_text().splitlines()]
+        expected = json.loads(LEGACY_DA_EXPECTED.read_text())["greedy"]
+        assert [(r["id"], r["caption"], r["steps"]) for r in rows] == [
+            (e["id"], e["caption"], e["steps"]) for e in expected]
+        for r, e in zip(rows, expected):
+            assert r["logprob"] == pytest.approx(float.fromhex(e["logprob"]), rel=0, abs=1e-14)
+
+    def test_trace_runs(self, legacy_da_data, tmp_path):
+        assert main(["trace", "--data-dir", str(legacy_da_data), "--checkpoint",
+                     str(LEGACY_DA), "--out-dir", str(tmp_path / "traces"),
+                     "--max-len", "8"]) == 0
+        assert len(list((tmp_path / "traces").glob("*.csv"))) == 3
+
+    def test_resume_picks_up_the_renamed_adadelta_slots(self, legacy_da_data, tmp_path,
+                                                        monkeypatch, capsys):
+        real = capgen.training.adadelta_update
+        first = []
+
+        def spy(params, state, rho, eps):
+            if not first:
+                first.append({k: {slot: a.copy() for slot, a in v.items()}
+                              for k, v in state.items()})
+            return real(params, state, rho, eps)
+
+        monkeypatch.setattr(capgen.training, "adadelta_update", spy)
+        argv = ["train", "--data-dir", str(legacy_da_data), "--variant", "da",
+                "--hidden-dim", "4", "--embed-dim", "4", "--attn-dim", "3", "--epochs", "2",
+                "--batch-size", "2", "--dropout", "0.5", "--seed", "1", "--val-metric",
+                "loss", "--max-len", "8", "--resume", str(LEGACY_DA),
+                "--checkpoint", str(tmp_path / "resumed.ckpt")]
+        capsys.readouterr()
+        assert main(argv) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].startswith("trained da for 1 epochs")
+        _, arrays = load_checkpoint(LEGACY_DA)
+        names = [k for k in arrays if not k.startswith(("opt/", "meta/"))]
+        assert "sentinel.w" in names and "w_a" not in names
+        # the update of the resumed epoch's first batch starts from the file's state
+        assert sorted(first[0]) == sorted(names)
+        for name in names:
+            for slot in ("Eg", "Ex"):
+                saved = arrays[f"opt/{name}/{slot}"]
+                assert np.array_equal(first[0][name][slot], saved), (name, slot)
+                assert saved.any()
+        loss = json.loads(out[1])["loss"]
+        expected = float.fromhex(json.loads(LEGACY_DA_EXPECTED.read_text())["resumed_epoch_loss"])
+        assert loss == pytest.approx(expected, rel=1e-14)
+
+
 class TestTrainFlags:
     def test_every_config_key_has_a_flag_of_its_type(self, capsys, monkeypatch):
         with pytest.raises(SystemExit):
@@ -233,6 +317,30 @@ class TestErrors:
         assert main(argv + ["--data-dir", str(data)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: truncated checkpoint") and "'embed.E'" in err
+        assert not (tmp_path / "model.ckpt").exists()
+
+    @pytest.mark.parametrize("where", ["tag", "name"])
+    @pytest.mark.parametrize("command", ["generate", "trace", "train"])
+    def test_checkpoint_name_not_utf8_fails_cleanly(self, workspace, tmp_path, capsys,
+                                                    command, where):
+        _, data, _ = workspace
+        bad = tmp_path / "bad.ckpt"
+        tag = b"\xff" if where == "tag" else b"hlstmat_temporal"
+        name = b"\xff" if where == "name" else b"embed.E"
+        bad.write_bytes(MAGIC + struct.pack("<I", len(tag)) + tag + struct.pack("<I", 1)
+                        + struct.pack("<I", len(name)) + name
+                        + struct.pack("<2I", 1, 1) + struct.pack("<d", 0.0))
+        argv = {"generate": ["generate", "--checkpoint", str(bad),
+                             "--out", str(tmp_path / "gen.jsonl")],
+                "trace": ["trace", "--checkpoint", str(bad),
+                          "--out-dir", str(tmp_path / "traces")],
+                "train": train_argv(data, tmp_path / "model.ckpt", 1, "--resume", str(bad))
+                }[command]
+        assert main(argv + ["--data-dir", str(data)]) == 1
+        err = capsys.readouterr().err
+        offset = 12 if where == "tag" else 12 + len(tag) + 8
+        assert err.startswith("error:") and "not UTF-8" in err
+        assert f"byte offset {offset}" in err
         assert not (tmp_path / "model.ckpt").exists()
 
     @pytest.mark.parametrize("command", ["generate", "trace", "train"])

@@ -46,7 +46,7 @@ def manual_da_step(ps, cfg, v_g, regions, token, h1, m1, h2, m2):
     y1 = np.concatenate([v_g, h2, w])
     h1n, m1n = lstm("lstm1", y1, h1, m1)
     h1t = ps["W_rd.W"] @ np.concatenate([w, h1n])
-    e1 = np.array([ps["attn1.w"] @ np.tanh(ps["attn1.W_v"] @ v + ps["attn1.W_h"] @ h1t)
+    e1 = np.array([ps["attn1.w"] @ np.tanh(ps["attn1.U_a"] @ v + ps["attn1.W_a"] @ h1t)
                    for v in regions])
     a1 = softmax_np(e1)
     v1 = a1 @ regions
@@ -55,9 +55,9 @@ def manual_da_step(ps, cfg, v_g, regions, token, h1, m1, h2, m2):
     h2n, m2n = lstm("lstm2", y2, h2, m2)
     g = sigmoid_np(ps["W_x"] @ y2 + ps["W_h"] @ h2)
     s = g * np.tanh(m2n)
-    e2 = np.array([ps["attn2.w"] @ np.tanh(ps["attn2.W_v"] @ v + ps["attn2.W_h"] @ h2n)
+    e2 = np.array([ps["attn2.w"] @ np.tanh(ps["attn2.U_a"] @ v + ps["attn2.W_a"] @ h2n)
                    for v in regions])
-    sent = ps["w_a"] @ np.tanh(ps["W_s"] @ s + ps["W_h3"] @ h2n)
+    sent = ps["sentinel.w"] @ np.tanh(ps["sentinel.U_a"] @ s + ps["sentinel.W_a"] @ h2n)
     a2 = softmax_np(np.concatenate([e2, [sent]]))
     s_vis = ps["sentinel_proj.W"] @ s if "sentinel_proj.W" in ps else s
     v2 = a2[:-1] @ regions + a2[-1] * s_vis
@@ -82,16 +82,16 @@ class TestDaStep:
         dec = small_da(hidden=3, region=3)
         feats = da_features(rng, dec.config)
         # push every region score to -50 so the sentinel slot takes the mass:
-        # zero the feature branch, make tanh(W_h h2) saturate to +1, and weigh
+        # zero the feature branch, make tanh(W_a h2) saturate to +1, and weigh
         # the saturated vector by -50/attn; the sentinel score stays 0
         attn = dec.attn2.w.data.shape[0]
-        dec.attn2.W_v.data[:] = 0.0
+        dec.attn2.U_a.data[:] = 0.0
         _, probe = dec.step(dec.init_state([feats]), [BOS_ID])  # h2 ignores attn2 params
-        h2 = probe.h2.data[0]
-        dec.attn2.W_h.data[:] = 500.0 * np.sign(h2)[None, :] / max(np.abs(h2).sum(), 1e-9)
+        h2 = probe.h_top.data[0]
+        dec.attn2.W_a.data[:] = 500.0 * np.sign(h2)[None, :] / max(np.abs(h2).sum(), 1e-9)
         dec.attn2.w.data[:] = -50.0 / attn
-        dec.W_s.data[:] = 0.0
-        dec.W_h3.data[:] = 0.0
+        dec.sentinel.U_a.data[:] = 0.0
+        dec.sentinel.W_a.data[:] = 0.0
         state = dec.init_state([feats])
         _, state = dec.step(state, [BOS_ID])
         alpha = state.row.alpha[0]
@@ -116,8 +116,8 @@ class TestDaStep:
             expect, _, (h1, m1, h2, m2) = manual_da_step(
                 ps, cfg, feats.global_vec, feats.spatial, token, h1, m1, h2, m2)
             np.testing.assert_allclose(p.data[0], expect, atol=1e-9)
-            np.testing.assert_allclose(state.h1.data[0], h1, atol=1e-9)
-            np.testing.assert_allclose(state.h2.data[0], h2, atol=1e-9)
+            np.testing.assert_allclose(state.h.data[0], h1, atol=1e-9)
+            np.testing.assert_allclose(state.h_top.data[0], h2, atol=1e-9)
 
     def test_sentinel_projection_only_when_dims_differ(self):
         assert small_da(hidden=3, region=3).sentinel_proj is None

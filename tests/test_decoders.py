@@ -410,11 +410,11 @@ PINNED_DECODES = {
         [1, 11, 11, 11, 11, 11, 11, 11], "-0x1.6469b73641110p+2",
         "627526117787b9743b46eeb6071a431e1f6bd347acdd8473708d9553d6f45192"),
     "da/greedy": (
-        [4, 4, 10, 0, 10, 4, 10, 10], "-0x1.161da2c121b8dp+2",
-        "24ed6dc8bc84494a09ceb8f11751fb89db29e0fc3acb5bae08ee5d0ff0b7e6c5"),
+        [4, 4, 4, 4, 4, 4, 4, 4], "-0x1.d912eb9e6c2dbp-1",
+        "a10f44534d10cb0571ab5e7fde5e3f7adf3f532c7aef034858380c0bafdf2f7c"),
     "da/beam5": (
-        [4, 4, 10, 0, 10, 4, 10, 10], "-0x1.161da2c121b8dp+2",
-        "aabd403f544bcac588304cad9a822fcf787351c67b5f95b4c55e8760b3880f21"),
+        [4, 4, 4, 4, 4, 4, 4, 4], "-0x1.d912eb9e6c2e4p-1",
+        "32f6730f02bd88c24471163b45570090c94c879c637314a52aa259af2c6c0407"),
 }
 
 
@@ -437,11 +437,11 @@ PINNED_BEAM_BEATS_GREEDY = {
          "edfecdd336e09b9ad92f2463e0f3fc03175632092e7a5e03c17f2eb9cd004f16"),
         ([1, 4, 11, 5, 11, 11, 11, 11], "-0x1.5b1a27270d2a6p+2",
          "95eb0f649acdc36b4f15c1d0b76c9bf441038e27d86e98e10485f5edb95b79f2")),
-    "da": (6, 1.0,
-        ([4, 4, 4, 4, 4, 4, 4, 4], "-0x1.53f8b0c3e535dp+1",
-         "f6500c85e2ac5a24e3bf1d3f3ac590a4eabf84c2b30f7e8b31080d275dc1a001"),
-        ([4, 4, 4, 4, 8, 7, 4, 4], "-0x1.bf78adf1e710cp+0",
-         "82d059213e8310d42e71baef5ab5f493952c9615283d98eeeb66ceced41f3ea2")),
+    "da": (22, 1.0,
+        ([10, 4, 1, 0, 9, 4, 1, 10], "-0x1.01974ccaf031cp+1",
+         "c352335861be10810d270ffd125aefa9e866a88c35e5d0e63dac4dd0af511929"),
+        ([10, 4, 0, 1, 10, 4, 0, 1], "-0x1.d93ad52f1e2b7p+0",
+         "d2cd53baaf8b151367020102c626ad9223a1a29cd064e98c2aa9fa285c9f53d6")),
 }
 
 

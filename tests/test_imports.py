@@ -1,7 +1,8 @@
 """No module of the package or of its tests imports a name it never uses,
 the package defines no private helper that nothing names, it sets no
-attribute that nothing reads, and none of its functions takes a
-parameter that it never reads."""
+attribute that nothing reads, none of its functions takes a parameter
+that it never reads, and only the attention module takes additive
+attention scores from the tensor core."""
 
 import ast
 from pathlib import Path
@@ -215,3 +216,34 @@ def test_detects_stale_export():
                        "X: int = 1\nY, Z = 2, 3\n",
                "__init__.py": "from .a import f, removed\n"}
     assert stale_exports(sources) == ["a.py: gone", "__init__.py: removed (from a.py)"]
+
+
+def modules_naming(sources: dict[str, str], name: str) -> list[str]:
+    """Files of ``sources`` (file name -> text) whose code names ``name``:
+    as a name, an attribute or an imported name."""
+    hits = []
+    for file, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if ((isinstance(node, ast.Name) and node.id == name)
+                    or (isinstance(node, ast.Attribute) and node.attr == name)
+                    or (isinstance(node, ast.alias) and node.name == name)):
+                hits.append(file)
+                break
+    return hits
+
+
+def test_one_attention_scorer():
+    """Every additive score goes through ``AdditiveAttention``: no module
+    but the tensor core, which defines the op, and ``attention.py``
+    names ``additive_scores``."""
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))
+               if p.name not in ("tensor.py", "attention.py")}
+    assert modules_naming(sources, "additive_scores") == []
+
+
+def test_detects_module_naming_a_name():
+    sources = {"a.py": "from t import additive_scores as s\n",
+               "b.py": "import t\nt.additive_scores(1)\n",
+               "c.py": "x = 'additive_scores'  # additive_scores\n",
+               "d.py": "def f(additive_scores):\n    return additive_scores\n"}
+    assert modules_naming(sources, "additive_scores") == ["a.py", "b.py", "d.py"]

@@ -158,6 +158,41 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="expected"):
             load_checkpoint(path)
 
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, "basic", {"w": np.ones(8)})
+        size = len(path.read_bytes())
+        with open(path, "ab") as fh:
+            fh.write(b"trailing junk")
+        with pytest.raises(FormatError, match=f"trailing bytes .* byte offset {size}$"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("tag,name,offset", [(b"\xff", b"w", 12),
+                                                  (b"basic", b"w\xff", 25)])
+    def test_name_not_utf8_rejected(self, tmp_path, tag, name, offset):
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(MAGIC + struct.pack("<I", len(tag)) + tag + struct.pack("<I", 1)
+                         + struct.pack("<I", len(name)) + name + struct.pack("<I", 0)
+                         + struct.pack("<d", 1.0))
+        what = "variant tag" if tag == b"\xff" else "name"
+        with pytest.raises(FormatError, match=f"{what} is not UTF-8 .at byte offset {offset}."):
+            load_checkpoint(path)
+
+    def test_older_da_record_names_are_renamed(self, tmp_path):
+        renames = {"attn1.W_v": "attn1.U_a", "attn1.W_h": "attn1.W_a",
+                   "attn2.W_v": "attn2.U_a", "attn2.W_h": "attn2.W_a",
+                   "W_s": "sentinel.U_a", "W_h3": "sentinel.W_a", "w_a": "sentinel.w"}
+        kept = ["W_h", "attn1.w", "opt/W_h/Eg", "opt/t", "meta/epoch"]
+        old = list(renames) + [f"opt/{k}/Ex" for k in renames] + kept
+        new = list(renames.values()) + [f"opt/{v}/Ex" for v in renames.values()] + kept
+        arrays = {name: np.full(2, float(i)) for i, name in enumerate(old)}
+        for variant, names in (("da", new), ("basic", old)):  # only DA's are renamed
+            save_checkpoint(tmp_path / "model.ckpt", variant, arrays)
+            _, loaded = load_checkpoint(tmp_path / "model.ckpt")
+            assert list(loaded) == names
+            for name, want in zip(names, arrays.values()):
+                assert np.array_equal(loaded[name], want), name
+
     def test_failed_save_keeps_previous_checkpoint(self, tmp_path, rng):
         path = tmp_path / "model.ckpt"
         good = {"w": rng.standard_normal((2, 3))}

@@ -66,7 +66,7 @@ class TestMatmul:
     def test_transposed_operand_gradient(self, rng):
         x = leaf(rng.standard_normal((3, 4)))
         w = leaf(rng.standard_normal((4, 5)))
-        assert op_gradcheck(lambda: matmul_t(x, transpose(w)), {"x": x, "w": w}) < 1e-6
+        assert op_gradcheck(lambda: matmul_t(x, transpose(w, (1, 0))), {"x": x, "w": w}) < 1e-6
 
 
 class TestElementwise:
@@ -297,7 +297,7 @@ class TestDeferredLeafGradients:
                 reshape(matmul_t(row(v1), w), (3,)),          # deferred, two steps
                 reshape(matmul_t(row(v2), w), (3,)),
                 reshape(matmul_t(m, w), (6,)),                # deferred, a GEMM of two rows
-                reshape(matmul_t(u, transpose(w)), (4,)),     # dense: the weight is a node
+                reshape(matmul_t(u, transpose(w, (1, 0))), (4,)),  # dense: the weight is a node
                 reshape(matmul_t(row(v1), tanh(w)), (3,)),    # node input: expanded on the spot
             ])
 
@@ -352,7 +352,7 @@ class TestStructuralOps:
     @pytest.mark.parametrize("build_params", [
         lambda rng: ("take_rows", lambda p: take_rows(p, [0, 2, 0]), (4, 3)),
         lambda rng: ("take_row", lambda p: take_row(p, 1), (3, 2)),
-        lambda rng: ("transpose", transpose, (3, 4)),
+        lambda rng: ("transpose", lambda p: transpose(p, (1, 0)), (3, 4)),
         lambda rng: ("reshape", lambda p: reshape(p, (6,)), (2, 3)),
         lambda rng: ("narrow", lambda p: narrow(p, 1, 3), (1, 6)),
         lambda rng: ("pick", lambda p: pick_in_rows(p, [2, 0]), (2, 3)),
@@ -416,7 +416,7 @@ class TestPerRowProducts:
             out = weighted_sum(Tensor(alpha), Tensor(feats)).data
             for i in range(n):
                 assert np.array_equal(out[i], feats[i].T @ alpha[i])
-                gemm = matmul_t(Tensor(alpha[i:i + 1]), transpose(Tensor(feats[i]))).data
+                gemm = matmul_t(Tensor(alpha[i:i + 1]), transpose(Tensor(feats[i]), (1, 0))).data
                 assert np.array_equal(out[i], gemm[0])
 
     @pytest.mark.parametrize("n", [1, 2, 5])
