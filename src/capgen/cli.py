@@ -15,7 +15,7 @@ from .checkpoint import load_checkpoint
 from .data import Dataset, Vocabulary, build_vocab, synth_dataset
 from .errors import CapgenError, ConfigError, ContractError, FormatError
 from .search import beam_search, greedy_decode, write_generations
-from .training import _CONFIG_DEFAULTS, TrainConfig, train, _build_decoder
+from .training import _CONFIG_DEFAULTS, TrainConfig, build_decoder, train
 
 
 def _add_synth(sub):
@@ -139,18 +139,18 @@ def _dispatch(args) -> int:
 
 
 def _restore(data_dir, checkpoint, split: str):
-    """Dataset, vocabulary, decoder and ``split``'s samples; the decoder is
-    sized from the first sample of the split it decodes."""
+    """Dataset, vocabulary, decoder and ``split``'s samples.  The decoder
+    comes from ``training.build_decoder``, as ``train`` built it: its dims
+    from the checkpoint's ``meta/*`` records (the training defaults where
+    the file has none), its feature widths from the first sample of the
+    split it decodes."""
     dataset = Dataset.load(data_dir)
     vocab = Vocabulary.load(Path(data_dir) / "vocab.json")
     variant, arrays = load_checkpoint(checkpoint)
     samples = dataset.split(split)
-    probe = dataset.features(samples[0])
-    values = {"variant": variant, "data_dir": str(data_dir), "dropout": 0.0}
-    for dim in ("hidden_dim", "embed_dim", "attn_dim"):
-        if f"meta/{dim}" in arrays:
-            values[dim] = int(arrays[f"meta/{dim}"])
-    decoder = _build_decoder(TrainConfig(values), vocab, probe)
+    dims = [int(arrays[f"meta/{d}"]) if f"meta/{d}" in arrays else _CONFIG_DEFAULTS[d]
+            for d in ("hidden_dim", "embed_dim", "attn_dim")]
+    decoder = build_decoder(variant, len(vocab), dataset.features(samples[0]), *dims)
     decoder.load_arrays(arrays)
     return dataset, vocab, decoder, samples
 
@@ -164,19 +164,18 @@ def _generate(args) -> int:
         trace_dir.mkdir(parents=True, exist_ok=True)
     for sample in samples:
         feats = dataset.features(sample)
-        want_trace = trace_dir is not None
         t0 = time.perf_counter()
         if args.beam == 1:
-            gen = greedy_decode(decoder, feats, args.max_len, record_trace=want_trace)
+            gen = greedy_decode(decoder, feats, args.max_len, record_trace=bool(trace_dir))
         else:
             gen = beam_search(decoder, feats, args.beam, args.max_len,
-                              record_trace=want_trace)
+                              record_trace=bool(trace_dir))
         latency_ms = (time.perf_counter() - t0) * 1e3
         words = vocab.decode(gen.tokens)
         entry = {"id": sample.id, "caption": " ".join(words), "logprob": gen.logprob,
                  "latency_ms": latency_ms, "steps": gen.steps,
                  "stopped_early": gen.stopped_early, "finished": gen.finished}
-        if want_trace and gen.trace:
+        if trace_dir and gen.trace:
             path = trace_dir / f"{sample.id}.csv"
             write_trace_csv(path, words + ["<eos>"], gen.trace)
             entry["trace_path"] = str(path)
@@ -253,14 +252,11 @@ def _trace(args) -> int:
     dataset, vocab, decoder, samples = _restore(args.data_dir, args.checkpoint, args.split)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    n = 0
     for sample in samples:
-        feats = dataset.features(sample)
-        gen = greedy_decode(decoder, feats, args.max_len, record_trace=True)
+        gen = greedy_decode(decoder, dataset.features(sample), args.max_len, record_trace=True)
         words = vocab.decode(gen.tokens)
         write_trace_csv(out_dir / f"{sample.id}.csv", words + ["<eos>"], gen.trace)
-        n += 1
-    print(f"wrote {n} trace CSVs to {out_dir}")
+    print(f"wrote {len(samples)} trace CSVs to {out_dir}")
     return 0
 
 

@@ -47,14 +47,15 @@ batch's padded step count.  A single caption is a batch of one.  It
 gives what running ``step`` once per word gives, within rounding, with
 the same layers.  Every input is known up front, so the two-LSTM and
 basic decoders run in phases: one embedding gather and one GEMM per gate
-for the input products of an LSTM whose input does not feed back, the
-recurrences on (B, H) states from ``init_state``, attention once per
-step over its (B, L, D) feature sets (padded rows weigh exactly 0), and
-one word head and ``log_softmax`` over all B·T rows.  Padded steps of a
-shorter caption run too; the loss masks them, so they add exactly 0 to
-every gradient.  Dropout masks are drawn caption by caption in batch
-order, each caption's as one draw, so a seeded batch draws the stream
-that per-step dropout draws.  The two-stream decoder teacher-forces each
+for the input products of an LSTM whose input does not feed back, one
+recurrence (``_recur``) per LSTM on (B, H) states from ``init_state``,
+then attention once per step, after the top recurrence, since neither
+LSTM reads the attended context, over its (B, L, D) feature sets (padded
+rows weigh exactly 0), and one word head and ``log_softmax`` over all B·T
+rows.  Padded steps of a shorter caption run too; the loss masks them, so
+they add exactly 0 to every gradient.  Dropout masks are drawn caption by
+caption in batch order, each caption's as one draw, so a seeded batch
+draws the stream that per-step dropout draws.  The two-stream decoder teacher-forces each
 stream on its own (``stream_teacher_forced``); ``da`` runs its decoding
 step's body once per step over the batch (see ``da.py``).
 """
@@ -183,12 +184,7 @@ class BasicDecoder(Module):
         words = self.embed.lookup(batch.ids[:, :-1].T)                  # (T, B, E)
         gates = self.lstm.input_products(
             concat([words, Tensor(np.broadcast_to(vbar.data, (steps,) + vbar.shape))], axis=2))
-        h, m = state.h, state.m
-        rows = []
-        for t in range(steps):
-            out = self.lstm.step(gates.row(t), h, m)
-            h, m = out.h, out.m
-            rows.append(_drop(h, masks, t, 0))
+        rows = _recur(self.lstm, gates, state.h, state.m, masks, 0)
         return _head_log_probs(lambda x: _word_logits(self, x), stack_rows(rows), batch.single)
 
 
@@ -229,17 +225,12 @@ class HierarchicalDecoder(Module):
         self.out_hidden = Linear(c.hidden_dim + ctx_dim, c.hidden_dim, rng)
         self.out_vocab = Linear(c.hidden_dim, c.vocab_size, rng)
 
-    def _source(self, features: FeatureSet) -> np.ndarray:
-        if self.attend_kind == "temporal":
-            return features.require("temporal")
-        if self.attend_kind == "spatial":
-            return features.require("spatial")
-        frames = features.require("temporal")
-        motion = features.require("motion")
-        return np.concatenate([frames, _nearest_segment_rows(frames, motion)], axis=1)
-
     def _sources(self, features: FeatureSet) -> list[np.ndarray]:
-        return [self._source(features)]
+        if self.attend_kind != "fused":
+            return [features.require(self.attend_kind)]
+        frames = features.require("temporal")
+        motion = _nearest_segment_rows(frames, features.require("motion"))
+        return [np.concatenate([frames, motion], axis=1)]
 
     def init_state(self, features) -> DecoderState:
         return _two_lstm_init(self, features, (self.attn,))
@@ -380,33 +371,32 @@ def _two_lstm_teacher_forced(dec, features, tokens, training=False, rng=None):
 
 def _two_lstm_forward(dec, batch: "_Batch", masks) -> Tensor:
     """(B, T, vocab) log-probs of a batch, (T, vocab) of a single caption,
-    under (T, B, 2, H) dropout ``masks`` (None: no dropout).  One lookup gathers the T·B input words,
-    one GEMM per gate computes the bottom LSTM's input products, and T
-    batched ``step`` calls run its recurrence.  The top LSTM does the
-    same over the stacked, dropped-out bottom states, and
-    ``dec._attender`` attends once per step.  The word head and
-    ``log_softmax`` then run once over the B·T rows."""
-    steps = batch.ids.shape[1] - 1
+    under (T, B, 2, H) dropout ``masks`` (None: no dropout).  One lookup
+    gathers the T·B input words and ``_recur`` runs the bottom LSTM over
+    them; the top LSTM's recurrence runs over the stacked, dropped-out
+    bottom states.  ``dec._attender`` then attends once per step, and the
+    word head and ``log_softmax`` run once over the B·T rows."""
     state = dec.init_state(batch.feats)
-
-    bottom_in = dec.bottom.input_products(dec.embed.lookup(batch.ids[:, :-1].T))
-    h, m, h_d = state.h, state.m, []
-    for t in range(steps):
-        bot = dec.bottom.step(bottom_in.row(t), h, m)
-        h, m = bot.h, bot.m
-        h_d.append(_drop(bot.h, masks, t, 0))
+    h_d = _recur(dec.bottom, dec.bottom.input_products(dec.embed.lookup(batch.ids[:, :-1].T)),
+                 state.h, state.m, masks, 0)
     bottoms = stack_rows(h_d)                       # (T, B, H)
-
-    top_in = dec.top.input_products(bottoms)
+    ht_d = _recur(dec.top, dec.top.input_products(bottoms), state.h_top, state.m_top, masks, 1)
     attend = dec._attender(state.feats)
-    h, m, blended = state.h_top, state.m_top, []
-    for t in range(steps):
-        top = dec.top.step(top_in.row(t), h, m)
-        h, m = top.h, top.m
-        blended.append(attend(h_d[t], _drop(top.h, masks, t, 1))[0])
-
+    blended = [attend(h, ht)[0] for h, ht in zip(h_d, ht_d)]
     return _head_log_probs(lambda x: _word_logits(dec, x),
                            concat([bottoms, stack_rows(blended)], axis=2), batch.single)
+
+
+def _recur(cell: LstmCell, inputs, h: Tensor, m: Tensor, masks, layer: int) -> list[Tensor]:
+    """The T steps of a teacher-forced LSTM from (B, H) states ``h`` and
+    ``m``, on the (T, B, H) ``GateInputs`` of ``cell.input_products``:
+    each step's hidden state under dropout mask ``masks[t, :, layer]``."""
+    out = []
+    for t in range(inputs.i.shape[0]):
+        step = cell.step(inputs.row(t), h, m)
+        h, m = step.h, step.m
+        out.append(_drop(h, masks, t, layer))
+    return out
 
 
 def _drop(x: Tensor, masks, t: int, layer: int) -> Tensor:
@@ -549,14 +539,12 @@ def _caption_ids(tokens) -> list[int]:
 
 def build_variant(kind: str, config: DecoderConfig):
     """Construct one of the published decoder configurations."""
+    attend_kinds = {"hlstmat_temporal": "temporal", "hlstmat_spatial": "spatial",
+                    "conf": "fused"}
     if kind == "basic":
         return BasicDecoder(config)
-    if kind == "hlstmat_temporal":
-        return HierarchicalDecoder(config, "temporal")
-    if kind == "hlstmat_spatial":
-        return HierarchicalDecoder(config, "spatial")
-    if kind == "conf":
-        return HierarchicalDecoder(config, "fused")
+    if kind in attend_kinds:
+        return HierarchicalDecoder(config, attend_kinds[kind])
     if kind == "para":
         return ParallelDecoder(config)
     if kind == "two_stream":

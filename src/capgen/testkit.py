@@ -8,11 +8,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .da import DaConfig, DeliberateDecoder
 from .data import BOS_ID, EOS_ID, CaptionBatch, FeatureSet
-from .decoders import DecoderConfig, build_variant
 from .gradcheck import check_gradients
-from .training import _batch_loss
+from .training import _batch_loss, build_decoder
 
 GRADCHECK_VARIANTS = ("basic", "hlstmat_temporal", "hlstmat_spatial", "conf",
                       "para", "two_stream", "da")
@@ -34,29 +32,25 @@ def tiny_features(rng: np.random.Generator, frames: int, dim: int,
 
 def tiny_decoder(variant: str, hidden: int = 8, vocab_size: int = 12,
                  seed: int = 0):
-    """A desk-scale decoder plus matching feature dims for probing.
+    """A desk-scale decoder plus matching feature dims for probing.  The
+    decoder comes from ``training.build_decoder`` on a ``tiny_features``
+    probe of those dims, as ``train`` builds one.
 
     Feature widths track the blend constraints: variants with the scalar
     gate need the attended context as wide as the hidden state, conf
     splits that width across the two feature kinds.
     """
     if variant == "da":
-        cfg = DaConfig(vocab_size=vocab_size, hidden_dim=hidden, embed_dim=hidden,
-                       attn_dim=hidden - 1, region_dim=hidden - 2,
-                       global_dim=hidden - 3, seed=seed)
-        return DeliberateDecoder(cfg), {"dim": hidden, "motion_dim": hidden,
-                                        "region_dim": hidden - 2,
-                                        "global_dim": hidden - 3}
-    feature_dim, motion_dim = hidden, hidden
-    if variant == "conf":
-        feature_dim = hidden // 2
-        motion_dim = hidden - feature_dim
-    cfg = DecoderConfig(vocab_size=vocab_size, hidden_dim=hidden, embed_dim=hidden,
-                        attn_dim=hidden - 1, feature_dim=feature_dim,
-                        motion_dim=motion_dim, seed=seed)
-    dims = {"dim": feature_dim, "motion_dim": motion_dim,
-            "region_dim": feature_dim, "global_dim": hidden}
-    return build_variant(variant, cfg), dims
+        dims = {"dim": hidden, "motion_dim": hidden, "region_dim": hidden - 2,
+                "global_dim": hidden - 3}
+    elif variant == "conf":
+        dims = {"dim": hidden // 2, "motion_dim": hidden - hidden // 2,
+                "region_dim": hidden // 2, "global_dim": hidden}
+    else:
+        dims = dict.fromkeys(("dim", "motion_dim", "region_dim", "global_dim"), hidden)
+    probe = tiny_features(np.random.default_rng(0), 1, **dims)
+    return build_decoder(variant, vocab_size, probe, hidden, hidden, hidden - 1,
+                         seed=seed), dims
 
 
 def tiny_caption(rng: np.random.Generator, vocab_size: int, words: int = 3) -> list[int]:

@@ -36,7 +36,7 @@ from .tensor import (
 
 __all__ = [
     "mle_loss", "RewardConfig", "reward_gradient_step", "make_cider_reward",
-    "TrainConfig", "TrainResult", "train", "parse_config_file",
+    "TrainConfig", "TrainResult", "train", "build_decoder", "parse_config_file",
 ]
 
 
@@ -115,10 +115,7 @@ def reward_gradient_step(decoder, features, refs, cfg: RewardConfig) -> float:
     with Tape():
         tokens, terms = _sample_caption(decoder, features, cfg.rng, cfg.max_len)
         advantage = cfg.reward_fn(tokens, refs) - cfg.reward_fn(baseline.tokens, refs)
-        total = terms[0]
-        for t in terms[1:]:
-            total = total + t
-        backward(sum_all(total * (-advantage)))
+        backward(sum_all(sum(terms[1:], terms[0]) * (-advantage)))
     return advantage
 
 
@@ -212,21 +209,23 @@ def _epoch_rng(seed: int, epoch: int) -> np.random.Generator:
     return np.random.default_rng([seed, epoch])
 
 
-def _build_decoder(cfg: TrainConfig, vocab: Vocabulary, probe: FeatureSet):
-    if cfg.variant == "da":
-        da = DaConfig(vocab_size=len(vocab), hidden_dim=cfg.hidden_dim,
-                      embed_dim=cfg.embed_dim, attn_dim=cfg.attn_dim,
-                      region_dim=probe.require("spatial").shape[1],
-                      global_dim=probe.require("global").shape[0],
-                      dropout=cfg.dropout, seed=cfg.seed)
-        return DeliberateDecoder(da)
-    feature_dim = probe.require("temporal").shape[1]
-    motion_dim = probe.motion.shape[1] if probe.motion is not None else None
-    dc = DecoderConfig(vocab_size=len(vocab), hidden_dim=cfg.hidden_dim,
-                       embed_dim=cfg.embed_dim, attn_dim=cfg.attn_dim,
-                       feature_dim=feature_dim, motion_dim=motion_dim,
-                       dropout=cfg.dropout, seed=cfg.seed)
-    return build_variant(cfg.variant, dc)
+def build_decoder(variant: str, vocab_size: int, features: FeatureSet, hidden_dim: int,
+                  embed_dim: int, attn_dim: int, dropout: float = 0.0, seed: int = 0):
+    """The ``variant`` decoder, sized from one sample's ``features``: the
+    width of the kind it attends (the regions for ``hlstmat_spatial`` and
+    ``da``, the frames otherwise), the motion width where there are motion
+    features, and DA's global width.  Every decoder is built here."""
+    if variant == "da":
+        return DeliberateDecoder(DaConfig(
+            vocab_size=vocab_size, hidden_dim=hidden_dim, embed_dim=embed_dim,
+            attn_dim=attn_dim, region_dim=features.require("spatial").shape[1],
+            global_dim=features.require("global").shape[0], dropout=dropout, seed=seed))
+    attended = features.require("spatial" if variant == "hlstmat_spatial" else "temporal")
+    return build_variant(variant, DecoderConfig(
+        vocab_size=vocab_size, hidden_dim=hidden_dim, embed_dim=embed_dim,
+        attn_dim=attn_dim, feature_dim=attended.shape[1],
+        motion_dim=None if features.motion is None else features.motion.shape[1],
+        dropout=dropout, seed=seed))
 
 
 def _batch_loss(decoder, features: list[FeatureSet], batch: CaptionBatch, training, rng):
@@ -243,24 +242,29 @@ def _caption_pairs(samples, vocab: Vocabulary) -> list[tuple[int, list[int]]]:
     return [(i, vocab.wrap(tokenize(r))) for i, s in enumerate(samples) for r in s.refs]
 
 
-def _val_score(cfg, decoder, dataset, vocab, split: str) -> float:
+def _val_set(dataset, vocab: Vocabulary, split: str, train_feats: list[FeatureSet]):
+    """``split``'s features (``train_feats`` for the train split), caption
+    pairs and tokenized references, which validation reads every epoch."""
     samples = dataset.splits[split]
+    feats = train_feats if split == "train" else [dataset.features(s) for s in samples]
+    refs = [[tokenize(r) for r in s.refs] for s in samples]
+    return feats, [(i, vocab.wrap(toks)) for i, rs in enumerate(refs) for toks in rs], refs
+
+
+def _val_score(cfg, decoder, vocab, val) -> float:
+    """``cfg.val_metric`` of ``decoder`` over the split that ``_val_set``
+    loaded into ``val``; higher is better."""
+    feats, pairs, refs = val
     if cfg.val_metric == "loss":   # the training loss, over every (sample, reference) pair
-        feats = [dataset.features(s) for s in samples]
-        pairs = _caption_pairs(samples, vocab)
         total = 0.0
         for lo in range(0, len(pairs), cfg.batch_size):
             chunk = pairs[lo:lo + cfg.batch_size]
             batch = CaptionBatch.from_id_seqs([ids for _, ids in chunk])
             loss = _batch_loss(decoder, [feats[i] for i, _ in chunk], batch, False, None)
             total += float(loss.data) * len(chunk)
-        return -total / len(pairs)  # higher is better, like the metrics
-    cands, refs = [], []
-    for s in samples:
-        feats = dataset.features(s)
-        gen = greedy_decode(decoder, feats, max_len=cfg.max_len)
-        cands.append(vocab.decode(gen.tokens))
-        refs.append([tokenize(r) for r in s.refs])
+        return -total / len(pairs)
+    cands = [vocab.decode(greedy_decode(decoder, f, max_len=cfg.max_len).tokens)
+             for f in feats]
     corpus = metrics.TokenizedCorpus(cands, refs)
     if cfg.val_metric == "cider":
         return metrics.cider(corpus)
@@ -302,7 +306,9 @@ def train(cfg: TrainConfig) -> TrainResult:
 
     Training runs over every (sample, reference) pair; each batch of
     ``batch_size`` pairs is one forward and one ``backward`` under one
-    ``Tape``, and features are loaded once per sample.
+    ``Tape``.  Each training sample's features, and the validation
+    split's features and references, are loaded once per call; with no
+    ``val`` split, validation reuses the training features.
 
     Each MLE epoch's history row holds ``epoch``, ``loss`` (per pair),
     ``val_metric`` and the ``val_split`` it scored (``val``, or ``train``
@@ -332,8 +338,9 @@ def train(cfg: TrainConfig) -> TrainResult:
     dataset = Dataset.load(cfg.data_dir)
     vocab = Vocabulary.load(Path(cfg.data_dir) / "vocab.json")
     train_samples = dataset.split("train")
-    probe = dataset.features(train_samples[0])
-    decoder = _build_decoder(cfg, vocab, probe)
+    feats_cache = [dataset.features(s) for s in train_samples]
+    decoder = build_decoder(cfg.variant, len(vocab), feats_cache[0], cfg.hidden_dim,
+                            cfg.embed_dim, cfg.attn_dim, cfg.dropout, cfg.seed)
     params = decoder.parameters()
 
     opt_state: dict = {}
@@ -355,7 +362,6 @@ def train(cfg: TrainConfig) -> TrainResult:
         best_val = float(arrays["meta/best_val"])
         stale = int(arrays["meta/stale"])
 
-    feats_cache = [dataset.features(s) for s in train_samples]
     pairs = _caption_pairs(train_samples, vocab)
 
     history: list[dict] = []
@@ -364,6 +370,7 @@ def train(cfg: TrainConfig) -> TrainResult:
     stale_weights = False           # the weights in params are not the best
 
     val_split = "val" if dataset.splits.get("val") else "train"
+    val = _val_set(dataset, vocab, val_split, feats_cache)
     for epoch in range(start_epoch, cfg.epochs):
         t0 = time.perf_counter()
         rng = _epoch_rng(cfg.seed, epoch)
@@ -399,18 +406,18 @@ def train(cfg: TrainConfig) -> TrainResult:
         epoch_loss /= len(pairs)
         train_s = time.perf_counter() - t0
 
-        val = _val_score(cfg, decoder, dataset, vocab, val_split)
+        score = _val_score(cfg, decoder, vocab, val)
         val_s = time.perf_counter() - t0 - train_s
-        improved = val > best_val
+        improved = score > best_val
         if improved:
-            best_val = val
+            best_val = score
             stale = 0
             _save(ckpt_path, cfg, decoder, params, opt_state, epoch, best_val, stale)
             best_path = ckpt_path
         else:
             stale += 1
         stale_weights = not improved
-        entry = {"epoch": epoch, "loss": epoch_loss, "val_metric": val,
+        entry = {"epoch": epoch, "loss": epoch_loss, "val_metric": score,
                  "lr": lr if cfg.optimizer == "adam" else None,
                  "wall_time": time.perf_counter() - t0,
                  "forward_ms": 1000.0 * forward_s, "backward_ms": 1000.0 * backward_s,

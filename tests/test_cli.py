@@ -13,7 +13,7 @@ import capgen.cli
 import capgen.training
 from capgen.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from capgen.cli import main
-from capgen.data import Dataset
+from capgen.data import Dataset, read_feature_file, write_feature_file
 from capgen.training import _CONFIG_DEFAULTS
 
 
@@ -134,6 +134,48 @@ class TestResume:
         assert main(["generate", "--data-dir", str(data), "--checkpoint", str(resumed),
                      "--out", str(tmp_path / "gen.jsonl"), "--beam", "1",
                      "--max-len", "6"]) == 0
+
+
+def keep_regions_only(manifest):
+    for samples in manifest["splits"].values():
+        for sample in samples:
+            sample["features"] = {"spatial": sample["features"]["spatial"]}
+
+
+class TestSpatialAttentionOverRegions:
+    """``hlstmat_spatial`` attends over the regions, so it is sized from
+    them: it trains, generates and traces on data without frames, and
+    where its regions are wider than its frames."""
+
+    @pytest.mark.parametrize("layout", ["regions-only", "wider-regions"])
+    def test_trains_generates_and_traces(self, workspace, tmp_path, layout):
+        _, data, _ = workspace
+        other = tmp_path / "data"
+        width = 8   # the workspace's feature width
+        if layout == "regions-only":
+            edited_copy(data, other, "manifest.json", keep_regions_only)
+        else:
+            shutil.copytree(data, other)
+            for path in (other / "features").glob("*_spatial.feat"):
+                _, regions = read_feature_file(path)
+                write_feature_file(path, "spatial",
+                                   np.concatenate([regions, regions[:, :4]], axis=1))
+            width += 4
+        ckpt = tmp_path / "spatial.ckpt"
+        # the gate blends the attended regions with the hidden state, so
+        # hidden_dim is the region width (the later flag wins)
+        assert main(train_argv(other, ckpt, 1, "--variant", "hlstmat_spatial",
+                               "--hidden-dim", str(width))) == 0
+        variant, arrays = load_checkpoint(ckpt)
+        assert variant == "hlstmat_spatial" and arrays["attn.U_a"].shape == (6, width)
+        out = tmp_path / "gen.jsonl"
+        assert main(["generate", "--data-dir", str(other), "--checkpoint", str(ckpt),
+                     "--out", str(out), "--beam", "1", "--max-len", "6"]) == 0
+        assert len(out.read_text().splitlines()) == 3
+        traces = tmp_path / "traces"
+        assert main(["trace", "--data-dir", str(other), "--checkpoint", str(ckpt),
+                     "--out-dir", str(traces), "--max-len", "6"]) == 0
+        assert len(list(traces.glob("*.csv"))) == 3
 
 
 LEGACY_DA = Path(__file__).parent / "data" / "da_legacy.ckpt"

@@ -410,11 +410,11 @@ PINNED_DECODES = {
         [1, 11, 11, 11, 11, 11, 11, 11], "-0x1.6469b73641110p+2",
         "627526117787b9743b46eeb6071a431e1f6bd347acdd8473708d9553d6f45192"),
     "da/greedy": (
-        [4, 4, 4, 4, 4, 4, 4, 4], "-0x1.d912eb9e6c2dbp-1",
-        "a10f44534d10cb0571ab5e7fde5e3f7adf3f532c7aef034858380c0bafdf2f7c"),
+        [10, 4, 10, 4, 10, 8, 3, 5], "-0x1.c849732b63544p+1",
+        "128428647adb3849f90f8eac094d2489b201773621566eb184397eda73ab6bf0"),
     "da/beam5": (
-        [4, 4, 4, 4, 4, 4, 4, 4], "-0x1.d912eb9e6c2e4p-1",
-        "32f6730f02bd88c24471163b45570090c94c879c637314a52aa259af2c6c0407"),
+        [10, 4, 10, 4, 10, 8, 3, 5], "-0x1.c849732b63542p+1",
+        "d506be462a25479f9f5d9228b882a9aa16bdf46d4eab4daeac9635a6cd7a5a9c"),
 }
 
 
@@ -459,14 +459,20 @@ def word_heads(dec):
 # word head saturates at 2.0 (every step emits word 4 with p = 1.0) and its
 # reward step samples greedy's caption at 1.0, so it is pinned at 0.75
 PIN_SCALES = {"da": 0.75}
+# features seed of the PINNED_DECODES decoders; at DA's scale, seed 11's
+# greedy caption is word 4 eight times, seed 5's holds five distinct words
+PIN_FEATURES_SEEDS = {"da": 5}
 
 
-def pinned_decode(variant, search, features_seed=11, scale=None):
+def pinned_decode(variant, search, features_seed=None, scale=None):
     """(tokens, float.hex log-prob, trace digest) of a seeded tiny decoder
-    whose weights are drawn at ``scale`` (None: the variant's pin scale),
-    and whose word head's only nonzero bias is -2 on EOS."""
+    whose weights are drawn at ``scale`` on features drawn from
+    ``features_seed`` (None: the variant's pins), and whose word head's
+    only nonzero bias is -2 on EOS."""
     if scale is None:
         scale = PIN_SCALES.get(variant, 2.0)
+    if features_seed is None:
+        features_seed = PIN_FEATURES_SEEDS.get(variant, 11)
     dec, dims = tiny_decoder(variant, hidden=8, vocab_size=12, seed=5)
     wide = np.random.default_rng(1)
     for p in dec.parameters().values():
@@ -491,6 +497,12 @@ class TestPinnedDecoding:
     def test_bit_identical(self, name):
         variant, search = name.split("/")
         assert pinned_decode(variant, search) == PINNED_DECODES[name]
+
+    def test_every_greedy_pin_but_basic_varies(self):
+        """A caption of one repeated word cannot show a change in ranking;
+        ``basic``, which reads no attention, keeps emitting word 9."""
+        assert all(len(set(tokens)) > 1 for name, (tokens, _, _) in PINNED_DECODES.items()
+                   if name.endswith("/greedy") and not name.startswith("basic/"))
 
     @pytest.mark.parametrize("variant", sorted(PINNED_BEAM_BEATS_GREEDY))
     def test_beam_beats_greedy_bit_identical(self, variant):
@@ -533,7 +545,7 @@ class TestBuildVariant:
         assert dec.attn.feature_dim == 6
         frames = rng.standard_normal((4, 4))
         motion = rng.standard_normal((2, 2))
-        fused = dec._source(FeatureSet(temporal=frames, motion=motion))
+        (fused,) = dec._sources(FeatureSet(temporal=frames, motion=motion))
         assert fused.shape == (4, 6)
         # frames 0,1 map to segment 0; frames 2,3 to segment 1
         np.testing.assert_array_equal(fused[0, 4:], motion[0])

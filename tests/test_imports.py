@@ -1,8 +1,9 @@
 """No module of the package or of its tests imports a name it never uses,
 the package defines no private helper that nothing names, it sets no
 attribute that nothing reads, none of its functions takes a parameter
-that it never reads, and only the attention module takes additive
-attention scores from the tensor core."""
+that it never reads, only the attention module takes additive
+attention scores from the tensor core, and only the training module
+builds decoders from their configs."""
 
 import ast
 from pathlib import Path
@@ -247,3 +248,37 @@ def test_detects_module_naming_a_name():
                "c.py": "x = 'additive_scores'  # additive_scores\n",
                "d.py": "def f(additive_scores):\n    return additive_scores\n"}
     assert modules_naming(sources, "additive_scores") == ["a.py", "b.py", "d.py"]
+
+
+def modules_calling(sources: dict[str, str], names: set[str]) -> list[str]:
+    """Files of ``sources`` (file name -> text) whose code calls one of
+    ``names``, as ``name(...)`` or ``module.name(...)``."""
+    hits = []
+    for file, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call) and (
+                    (isinstance(node.func, ast.Name) and node.func.id in names)
+                    or (isinstance(node.func, ast.Attribute) and node.func.attr in names)):
+                hits.append(file)
+                break
+    return hits
+
+
+DECODER_CONSTRUCTORS = {"DecoderConfig", "DaConfig", "DeliberateDecoder"}
+
+
+def test_one_decoder_builder():
+    """Every decoder of the package is sized from its features by
+    ``training.build_decoder``: no other module calls a decoder config
+    or DA's decoder class."""
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))
+               if p.name != "training.py"}
+    assert modules_calling(sources, DECODER_CONSTRUCTORS) == []
+
+
+def test_detects_module_calling_a_name():
+    sources = {"a.py": "from t import DaConfig\nDaConfig(1)\n",
+               "b.py": "import t\nx = [t.DecoderConfig(vocab_size=3)]\n",
+               "c.py": "from t import DaConfig\n\ndef f(c: DaConfig):\n    return c\n",
+               "d.py": "s = 'DaConfig(1)'  # DeliberateDecoder(c)\n"}
+    assert modules_calling(sources, DECODER_CONSTRUCTORS) == ["a.py", "b.py"]

@@ -145,22 +145,21 @@ class TestRewardGradient:
 
 
 # variant -> (sampled tokens, float.hex advantage) of one seeded self-critical
-# step, captured when decoding stepped one hypothesis at a time; DA's weights
-# are drawn at scale 0.75, where its sampled caption differs from greedy's
+# step under a position-weighted toy reward; DA's weights are drawn at scale
+# 0.75, where its sampled caption differs from greedy's
 PINNED_REWARD_STEPS = {
-    "basic": ([1, 6, 11, 5, 6, 8, 6, 11], "0x1.2492492492494p-3"),
+    "basic": ([1, 6, 11, 5, 6, 8, 6, 11], "-0x1.e167030f4c7e8p-3"),
     "hlstmat_temporal": ([5, 5, 6, 5], "0x0.0p+0"),
-    "conf": ([4, 5, 5, 10, 4, 5, 10, 4], "-0x1.2492492492490p-3"),
-    "para": ([8, 7, 8, 7, 5, 10, 0, 7], "0x1.2492492492492p-3"),
-    "two_stream": ([1, 4, 11, 5, 5, 10, 6, 5], "0x1.2492492492493p-2"),
-    "da": ([0, 0, 6, 5, 0, 0, 0, 0], "0x0.0p+0"),
+    "conf": ([4, 5, 5, 10, 4, 5, 10, 4], "0x1.3a22ad62eea95p-1"),
+    "para": ([8, 7, 8, 7, 5, 10, 0, 7], "-0x1.424b795eda435p-2"),
+    "two_stream": ([1, 4, 11, 5, 5, 10, 6, 5], "0x1.0105197f7d734p-2"),
+    "da": ([0, 0, 6, 5, 0, 0, 0, 0], "0x1.cd0105197f7d8p-2"),
 }
 
 
-@pytest.mark.parametrize("variant", sorted(PINNED_REWARD_STEPS))
-def test_seeded_reward_step_is_pinned(variant):
-    """A seeded ``reward_gradient_step`` samples the pinned caption and
-    returns the pinned advantage, bit for bit."""
+def seeded_reward_step(variant):
+    """(sampled tokens, float.hex advantage) of one seeded
+    ``reward_gradient_step`` of a tiny decoder with wide weights."""
     dec, dims = tiny_decoder(variant, hidden=8, vocab_size=12, seed=5)
     wide = np.random.default_rng(1)
     scale = 0.75 if variant == "da" else 2.0   # as test_decoders.PIN_SCALES
@@ -172,11 +171,27 @@ def test_seeded_reward_step_is_pinned(variant):
 
     def reward(tokens, refs):
         scored.append(list(tokens))
-        return float(sum(tokens) % 7) / 7
+        # the tokens as base-16 digits (every id is below 16, so distinct
+        # captions sum apart) modulo the prime 251: few captions score alike
+        return float(sum(t * 16 ** i for i, t in enumerate(tokens)) % 251) / 251
 
     cfg = RewardConfig(reward_fn=reward, rng=np.random.default_rng(3), max_len=8)
     advantage = reward_gradient_step(dec, feats, ["ref"], cfg)
-    assert (scored[0], float.hex(advantage)) == PINNED_REWARD_STEPS[variant]
+    return scored[0], float.hex(advantage)
+
+
+@pytest.mark.parametrize("variant", sorted(PINNED_REWARD_STEPS))
+def test_seeded_reward_step_is_pinned(variant):
+    """A seeded ``reward_gradient_step`` samples the pinned caption and
+    returns the pinned advantage, bit for bit."""
+    assert seeded_reward_step(variant) == PINNED_REWARD_STEPS[variant]
+
+
+def test_pinned_reward_steps_see_the_advantage():
+    """Only a sample that is the greedy caption, as hlstmat_temporal's is
+    at its pin, has an advantage of 0."""
+    assert [v for v, (_, adv) in PINNED_REWARD_STEPS.items()
+            if float.fromhex(adv) == 0.0] == ["hlstmat_temporal"]
 
 
 class TestConfig:
@@ -213,7 +228,7 @@ def poison_training(monkeypatch, fault):
     receives (decoder, its initial parameter values) when train() builds it."""
     import capgen.training as tr
     built = []
-    real_build, real_backward, real_loss = tr._build_decoder, tr.backward, tr.mle_loss
+    real_build, real_backward, real_loss = tr.build_decoder, tr.backward, tr.mle_loss
 
     def build(*args):
         dec = real_build(*args)
@@ -224,7 +239,7 @@ def poison_training(monkeypatch, fault):
         real_backward(loss)
         built[-1][0].top.U_g.grad[0, 0] = np.nan
 
-    monkeypatch.setattr(tr, "_build_decoder", build)
+    monkeypatch.setattr(tr, "build_decoder", build)
     if fault == "loss":
         monkeypatch.setattr(tr, "mle_loss", lambda *a: real_loss(*a) * float("nan"))
     else:
@@ -281,6 +296,37 @@ class TestTrainDriver:
         (data / "manifest.json").write_text(json.dumps(manifest))
         result = train(self.base_config(data, epochs=1, checkpoint=str(tmp_path / "m.ckpt")))
         assert result.history[0]["val_split"] == "train"
+
+    @pytest.mark.parametrize("val_metric", ["loss", "cider"])
+    @pytest.mark.parametrize("has_val", [True, False])
+    def test_loads_each_split_once_per_call(self, tiny_dataset, tmp_path, monkeypatch,
+                                            val_metric, has_val):
+        """However many epochs run, each sample's features are read and each
+        reference is tokenized once per split that uses it; with no ``val``
+        split, validation reads the training features already loaded."""
+        import capgen.training as tr
+        data = tiny_dataset
+        if not has_val:
+            data = tmp_path / "data"
+            shutil.copytree(tiny_dataset, data)
+            manifest = json.loads((data / "manifest.json").read_text())
+            del manifest["splits"]["val"]
+            (data / "manifest.json").write_text(json.dumps(manifest))
+        reads, tokenized = [], []
+        real_features, real_tokenize = Dataset.features, tr.tokenize
+        monkeypatch.setattr(Dataset, "features",
+                            lambda self, s: reads.append(s.id) or real_features(self, s))
+        monkeypatch.setattr(tr, "tokenize",
+                            lambda text: tokenized.append(text) or real_tokenize(text))
+        counts = []
+        for epochs in (1, 3):
+            reads.clear()
+            tokenized.clear()
+            train(self.base_config(data, epochs=epochs, val_metric=val_metric,
+                                   checkpoint=str(tmp_path / f"m{epochs}.ckpt")))
+            counts.append((len(reads), len(tokenized)))
+        # 4 samples of one reference each, in the training and the validation split
+        assert counts == [(8 if has_val else 4, 8)] * 2
 
     @pytest.mark.parametrize("fault", ["loss", "gradient"])
     def test_non_finite_batch_stops_before_the_update(self, tiny_dataset, tmp_path,
@@ -339,7 +385,9 @@ class TestTrainDriver:
                                               CaptionBatch.from_id_seqs([ids])).data))
             return out
 
-        initial = tr._build_decoder(cfg, vocab, dataset.features(dataset.splits["train"][0]))
+        initial = tr.build_decoder(cfg.variant, len(vocab),
+                                   dataset.features(dataset.splits["train"][0]), cfg.hidden_dim,
+                                   cfg.embed_dim, cfg.attn_dim, cfg.dropout, cfg.seed)
         before = pair_losses(initial, "train")
         assert len(before) == 5
         result = train(cfg)
@@ -357,7 +405,9 @@ class TestTrainDriver:
         dataset = Dataset.load(tiny_dataset)
         vocab = Vocabulary.load(tiny_dataset / "vocab.json")
         samples = dataset.splits["val"]
-        decoder = tr._build_decoder(cfg, vocab, dataset.features(samples[0]))
+        decoder = tr.build_decoder(cfg.variant, len(vocab), dataset.features(samples[0]),
+                                   cfg.hidden_dim, cfg.embed_dim, cfg.attn_dim, cfg.dropout,
+                                   cfg.seed)
         # the sum of the two streams' losses, pair by pair
         want = []
         for s in samples:
@@ -365,7 +415,7 @@ class TestTrainDriver:
                 batch = CaptionBatch.from_id_seqs([vocab.wrap(tokenize(ref))])
                 loss = tr._batch_loss(decoder, [dataset.features(s)], batch, False, None)
                 want.append(float(loss.data))
-        got = tr._val_score(cfg, decoder, dataset, vocab, "val")
+        got = tr._val_score(cfg, decoder, vocab, tr._val_set(dataset, vocab, "val", None))
         assert got == pytest.approx(-np.mean(want), rel=1e-12)
 
     def test_loss_decreases(self, tiny_dataset, tmp_path):
