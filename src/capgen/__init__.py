@@ -18,7 +18,7 @@ from .decoders import (
     DecoderConfig, HierarchicalDecoder, TwoStreamDecoder, build_variant,
     two_stream_fuse,
 )
-from .layers import Embedding, Linear, LstmCell, dropout
+from .layers import Embedding, Linear, LstmCell
 from .metrics import TokenizedCorpus, bleu, cider, evaluate_corpus, rouge_l
 from .optim import adadelta_update, adam_lr, adam_update, clip_gradients
 from .search import beam_search, greedy_decode

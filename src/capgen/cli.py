@@ -13,13 +13,16 @@ from . import metrics
 from .attention import write_trace_csv
 from .checkpoint import load_checkpoint
 from .data import Dataset, Vocabulary, build_vocab, synth_dataset
-from .errors import CapgenError, ConfigError, ContractError, FormatError
+from .decoders import VARIANTS
+from .errors import CapgenError, ContractError, FormatError
 from .search import beam_search, greedy_decode, write_generations
+from .testkit import decoder_gradcheck
 from .training import _CONFIG_DEFAULTS, TrainConfig, build_decoder, train
 
 
 def _add_synth(sub):
     p = sub.add_parser("synth-data", help="generate a synthetic desk-scale dataset")
+    p.set_defaults(run=_synth)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=10)
@@ -31,6 +34,7 @@ def _add_synth(sub):
 
 def _add_vocab(sub):
     p = sub.add_parser("build-vocab", help="build a vocabulary from a refs JSONL file")
+    p.set_defaults(run=_build_vocab)
     p.add_argument("--refs", required=True, help="JSONL with {id, refs:[...]} lines")
     p.add_argument("--out", required=True)
     p.add_argument("--min-count", type=int, default=1)
@@ -39,6 +43,7 @@ def _add_vocab(sub):
 
 def _add_train(sub):
     p = sub.add_parser("train", help="run the two-stage training driver")
+    p.set_defaults(run=_train)
     p.add_argument("--config", default=None,
                    help="key = value file; values there override the flags")
     for key, default in _CONFIG_DEFAULTS.items():
@@ -48,6 +53,7 @@ def _add_train(sub):
 
 def _add_generate(sub):
     p = sub.add_parser("generate", help="decode captions for a dataset split")
+    p.set_defaults(run=_generate)
     p.add_argument("--data-dir", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--split", default="test")
@@ -60,6 +66,7 @@ def _add_generate(sub):
 
 def _add_evaluate(sub):
     p = sub.add_parser("evaluate", help="score candidate captions against references")
+    p.set_defaults(run=_evaluate)
     p.add_argument("--candidates", required=True, help="JSONL with {id, caption}")
     p.add_argument("--refs", required=True, help="JSONL with {id, refs:[...]}")
     p.add_argument("--tokenizer", choices=["default", "whitespace"], default="default")
@@ -68,6 +75,7 @@ def _add_evaluate(sub):
 
 def _add_gradcheck(sub):
     p = sub.add_parser("gradcheck", help="finite-difference check of decoder gradients")
+    p.set_defaults(run=_gradcheck)
     p.add_argument("--variant", default="all",
                    help="decoder variant or 'all'")
     p.add_argument("--hidden", type=int, default=8)
@@ -78,6 +86,7 @@ def _add_gradcheck(sub):
 
 def _add_trace(sub):
     p = sub.add_parser("trace", help="emit attention-weight CSVs for a split")
+    p.set_defaults(run=_trace)
     p.add_argument("--data-dir", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--split", default="test")
@@ -93,7 +102,7 @@ def main(argv=None) -> int:
         adder(sub)
     args = parser.parse_args(argv)
     try:
-        return _dispatch(args)
+        return args.run(args)
     except CapgenError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -103,39 +112,33 @@ def main(argv=None) -> int:
         return 1
 
 
-def _dispatch(args) -> int:
-    if args.command == "synth-data":
-        synth_dataset(args.seed, args.samples, args.vocab_size, args.length,
-                      args.dim, args.out, args.motion_segments)
-        print(f"wrote {args.samples} samples to {args.out}")
-        return 0
-    if args.command == "build-vocab":
-        captions = [c for refs in _read_jsonl(args.refs, "refs").values() for c in refs]
-        vocab = build_vocab(captions, args.min_count, args.tokenizer)
-        vocab.save(args.out)
-        print(f"vocabulary of {len(vocab)} ids written to {args.out}")
-        return 0
-    if args.command == "train":
-        overrides = {k.replace("-", "_"): v for k, v in vars(args).items()
-                     if k not in ("command", "config") and v is not None}
-        cfg = (TrainConfig.from_file(args.config, overrides) if args.config
-               else TrainConfig(overrides))
-        result = train(cfg)
-        last = result.history[-1] if result.history else {}
-        print(f"trained {cfg.variant} for {len(result.history)} epochs; "
-              f"best val {result.best_val:.4f}; checkpoint {result.checkpoint_path}")
-        if last:
-            print(json.dumps(last))
-        return 0
-    if args.command == "generate":
-        return _generate(args)
-    if args.command == "evaluate":
-        return _evaluate(args)
-    if args.command == "gradcheck":
-        return _gradcheck(args)
-    if args.command == "trace":
-        return _trace(args)
-    raise ConfigError(f"unknown command {args.command!r}")
+def _synth(args) -> int:
+    synth_dataset(args.seed, args.samples, args.vocab_size, args.length,
+                  args.dim, args.out, args.motion_segments)
+    print(f"wrote {args.samples} samples to {args.out}")
+    return 0
+
+
+def _build_vocab(args) -> int:
+    captions = [c for refs in _read_jsonl(args.refs, "refs").values() for c in refs]
+    vocab = build_vocab(captions, args.min_count, args.tokenizer)
+    vocab.save(args.out)
+    print(f"vocabulary of {len(vocab)} ids written to {args.out}")
+    return 0
+
+
+def _train(args) -> int:
+    overrides = {k.replace("-", "_"): v for k, v in vars(args).items()
+                 if k not in ("command", "run", "config") and v is not None}
+    cfg = (TrainConfig.from_file(args.config, overrides) if args.config
+           else TrainConfig(overrides))
+    result = train(cfg)
+    last = result.history[-1] if result.history else {}
+    print(f"trained {cfg.variant} for {len(result.history)} epochs; "
+          f"best val {result.best_val:.4f}; checkpoint {result.checkpoint_path}")
+    if last:
+        print(json.dumps(last))
+    return 0
 
 
 def _restore(data_dir, checkpoint, split: str):
@@ -235,9 +238,7 @@ def _evaluate(args) -> int:
 
 
 def _gradcheck(args) -> int:
-    from .testkit import decoder_gradcheck, GRADCHECK_VARIANTS
-
-    variants = GRADCHECK_VARIANTS if args.variant == "all" else (args.variant,)
+    variants = VARIANTS if args.variant == "all" else (args.variant,)
     failed = False
     for variant in variants:
         err = decoder_gradcheck(variant, hidden=args.hidden, vocab_size=args.vocab,

@@ -34,10 +34,10 @@ from .decoders import (
     DecoderState, _as_batch, _drop, _dropout_masks, _head_log_probs, _pad_rows,
 )
 from .errors import ConfigError, ShapeError
-from .layers import Embedding, Linear, LstmCell, Module, dropout_mask, glorot
+from .layers import Embedding, Linear, LstmCell, Module, glorot
 from .tensor import (
     Tensor, concat, matmul_t, narrow, reshape, scale_rows, sigmoid, softmax, stack_rows,
-    take_row, tanh, weighted_sum, zeros,
+    take_rows, tanh, weighted_sum, zeros,
 )
 
 __all__ = ["DaConfig", "DeliberateDecoder", "da_step"]
@@ -113,7 +113,7 @@ class DeliberateDecoder(Module):
         words = self.embed.lookup(batch.ids[:, :-1].T)                  # (T, B, E)
         fused = []
         for t in range(batch.ids.shape[1] - 1):
-            rows, state = _da_body(self, state, take_row(words, t), masks, t)
+            rows, state = _da_body(self, state, take_rows(words, t), masks, t)
             fused.append(rows)
         return _head_log_probs(lambda x: self.out(self.W_sd(x)), stack_rows(fused),
                                batch.single)
@@ -153,10 +153,8 @@ def da_step(dec: DeliberateDecoder, state: DecoderState, token_ids,
             training: bool = False, rng=None):
     """One decoding step of the state's n rows on n token ids, over the
     image's regions in ``state.feats``; returns the (n, vocab) word
-    distributions and the new state.  Training-mode dropout draws the
-    first hidden's (n, H) mask, then the second's."""
-    c = dec.config
-    drawn = dropout_mask((2, 1, len(token_ids), c.hidden_dim), c.dropout, training, rng)
-    masks = None if drawn is None else np.moveaxis(drawn, 0, 2)     # (1, n, 2, H)
+    distributions and the new state.  Training-mode dropout draws each
+    row's two masks as one (1, 2, H) draw of ``_dropout_masks``."""
+    (masks,) = _dropout_masks((dec,), [1] * len(token_ids), 2, training, rng)
     fused, state = _da_body(dec, state, dec.embed.lookup_one(token_ids), masks, 0)
     return softmax(dec.out(dec.W_sd(fused))), state

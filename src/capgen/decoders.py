@@ -53,11 +53,13 @@ then attention once per step, after the top recurrence, since neither
 LSTM reads the attended context, over its (B, L, D) feature sets (padded
 rows weigh exactly 0), and one word head and ``log_softmax`` over all B·T
 rows.  Padded steps of a shorter caption run too; the loss masks them, so
-they add exactly 0 to every gradient.  Dropout masks are drawn caption by
-caption in batch order, each caption's as one draw, so a seeded batch
-draws the stream that per-step dropout draws.  The two-stream decoder teacher-forces each
-stream on its own (``stream_teacher_forced``); ``da`` runs its decoding
-step's body once per step over the batch (see ``da.py``).
+they add exactly 0 to every gradient.  Every dropout mask, a step's too,
+comes from ``_dropout_masks`` (caption by caption, or row by row, in
+batch order, each as one draw) and is applied by ``_drop``, so a seeded
+caption draws one stream whether it is teacher-forced or stepped.  The
+two-stream decoder teacher-forces each stream on its own
+(``stream_teacher_forced``); ``da`` runs its decoding step's body once
+per step over the batch (see ``da.py``).
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ from .attention import (
 )
 from .data import BOS_ID, CaptionBatch, FeatureSet
 from .errors import ConfigError, ContractError, ShapeError
-from .layers import Embedding, Linear, LstmCell, Module, dropout, dropout_mask
+from .layers import Embedding, Linear, LstmCell, Module, dropout_mask
 from .tensor import (
     Tensor, concat, log_softmax, reshape, softmax, stack_rows, take_rows, tanh, transpose,
     zeros,
@@ -81,10 +83,10 @@ from .tensor import (
 __all__ = [
     "DecoderConfig", "DecoderState", "TwoStreamState",
     "BasicDecoder", "HierarchicalDecoder", "ParallelDecoder", "TwoStreamDecoder",
-    "build_variant", "two_stream_fuse", "VARIANTS",
+    "build_variant", "check_variant", "two_stream_fuse", "VARIANTS",
 ]
 
-VARIANTS = ("basic", "hlstmat_temporal", "hlstmat_spatial", "conf", "para", "two_stream")
+VARIANTS = ("basic", "hlstmat_temporal", "hlstmat_spatial", "conf", "para", "two_stream", "da")
 
 
 @dataclass
@@ -98,9 +100,6 @@ class DecoderConfig:
     use_adaptive_gate: bool = True  # False realizes the gate-free ablation
     dropout: float = 0.0
     seed: int = 0
-
-    def rng(self) -> np.random.Generator:
-        return np.random.default_rng(self.seed)
 
 
 @dataclass(frozen=True)
@@ -147,7 +146,7 @@ class BasicDecoder(Module):
 
     def __init__(self, config: DecoderConfig):
         self.config = config
-        rng = config.rng()
+        rng = np.random.default_rng(config.seed)
         c = config
         self.embed = Embedding(c.vocab_size, c.embed_dim, rng)
         self.lstm = LstmCell(c.embed_dim + c.feature_dim, c.hidden_dim, rng)
@@ -162,13 +161,12 @@ class BasicDecoder(Module):
         return DecoderState(h, h, h, h, (vbar,))
 
     def step(self, state: DecoderState, token_ids, training: bool = False, rng=None):
-        c = self.config
         (vbar,) = state.feats
         n = len(token_ids)
+        (masks,) = _dropout_masks((self,), [1] * n, 1, training, rng)
         y = concat([self.embed.lookup_one(token_ids), vbar], axis=1)
         out = self.lstm.step(self.lstm.input_products(y), state.h, state.m)
-        h_d = dropout(out.h, c.dropout, training, rng)
-        p = softmax(_word_logits(self, h_d))
+        p = softmax(_word_logits(self, _drop(out.h, masks, 0, 0)))
         row = TraceRow(np.ones((n, 1)), np.ones((n, 1)))
         return p, DecoderState(out.h, out.m, out.h, out.m, state.feats, row)
 
@@ -214,7 +212,7 @@ class HierarchicalDecoder(Module):
             raise ConfigError(
                 f"adaptive gate blends the attended context (dim {ctx_dim}) with the top "
                 f"hidden state (dim {c.hidden_dim}); these must match")
-        rng = config.rng()
+        rng = np.random.default_rng(c.seed)
         self.embed = Embedding(c.vocab_size, c.embed_dim, rng)
         self.bottom = LstmCell(c.embed_dim, c.hidden_dim, rng)
         self.top = LstmCell(c.hidden_dim, c.hidden_dim, rng)
@@ -250,8 +248,7 @@ class HierarchicalDecoder(Module):
         return attend
 
     def step(self, state: DecoderState, token_ids, training: bool = False, rng=None):
-        return _two_lstm_step(self, state, token_ids, training, rng,
-                              self._attender(state.feats))
+        return _two_lstm_step(self, state, token_ids, training, rng)
 
     def forward_teacher_forced(self, features, tokens, training=False, rng=None):
         return _two_lstm_teacher_forced(self, features, tokens, training, rng)
@@ -277,7 +274,7 @@ class ParallelDecoder(Module):
                 f"para blends appearance (dim {c.feature_dim}), motion (dim {c.motion_dim}) "
                 f"and the top hidden state (dim {c.hidden_dim}); all three must match")
         self.config = config
-        rng = config.rng()
+        rng = np.random.default_rng(c.seed)
         self.embed = Embedding(c.vocab_size, c.embed_dim, rng)
         self.bottom = LstmCell(c.embed_dim, c.hidden_dim, rng)
         self.top = LstmCell(c.hidden_dim, c.hidden_dim, rng)
@@ -309,8 +306,7 @@ class ParallelDecoder(Module):
         return attend
 
     def step(self, state: DecoderState, token_ids, training: bool = False, rng=None):
-        return _two_lstm_step(self, state, token_ids, training, rng,
-                              self._attender(state.feats))
+        return _two_lstm_step(self, state, token_ids, training, rng)
 
     def forward_teacher_forced(self, features, tokens, training=False, rng=None):
         return _two_lstm_teacher_forced(self, features, tokens, training, rng)
@@ -344,18 +340,18 @@ def _pad_rows(arrays: list[np.ndarray]) -> tuple[Tensor, Optional[np.ndarray]]:
     return Tensor(padded), None if mask.all() else mask
 
 
-def _two_lstm_step(dec, state: DecoderState, token_ids, training, rng, attend):
+def _two_lstm_step(dec, state: DecoderState, token_ids, training, rng):
     """One step of a two-LSTM decoder's n rows: embed, bottom LSTM,
-    dropout, top LSTM, dropout, then ``attend(h_d, ht_d) -> (blended
-    context, TraceRow)`` and the word head over [bottom hidden; blended
-    context]."""
-    c = dec.config
+    dropout, top LSTM, dropout, then ``dec._attender``'s ``attend(h_d,
+    ht_d) -> (blended context, TraceRow)`` and the word head over [bottom
+    hidden; blended context]."""
+    (masks,) = _dropout_masks((dec,), [1] * len(token_ids), 2, training, rng)
     y = dec.embed.lookup_one(token_ids)
     bot = dec.bottom.step(dec.bottom.input_products(y), state.h, state.m)
-    h_d = dropout(bot.h, c.dropout, training, rng)
+    h_d = _drop(bot.h, masks, 0, 0)
     top = dec.top.step(dec.top.input_products(h_d), state.h_top, state.m_top)
-    ht_d = dropout(top.h, c.dropout, training, rng)
-    blended, row = attend(h_d, ht_d)
+    ht_d = _drop(top.h, masks, 0, 1)
+    blended, row = dec._attender(state.feats)(h_d, ht_d)
     p = softmax(_word_logits(dec, concat([h_d, blended], axis=1)))
     return p, DecoderState(bot.h, bot.m, top.h, top.m, state.feats, row)
 
@@ -389,8 +385,8 @@ def _two_lstm_forward(dec, batch: "_Batch", masks) -> Tensor:
 
 def _recur(cell: LstmCell, inputs, h: Tensor, m: Tensor, masks, layer: int) -> list[Tensor]:
     """The T steps of a teacher-forced LSTM from (B, H) states ``h`` and
-    ``m``, on the (T, B, H) ``GateInputs`` of ``cell.input_products``:
-    each step's hidden state under dropout mask ``masks[t, :, layer]``."""
+    ``m``, step t on ``inputs.row(t)`` of the (T, B, H) ``GateInputs``
+    ``inputs``: each step's hidden state under dropout mask ``masks[t, :, layer]``."""
     out = []
     for t in range(inputs.i.shape[0]):
         step = cell.step(inputs.row(t), h, m)
@@ -442,8 +438,7 @@ def _dropout_masks(decs, steps: list[int], layers: int, training, rng) -> list:
     """(T, B, layers, H) dropout masks for each of ``decs`` (None where
     dropout is off), T the longest of ``steps``.  Caption b's masks are
     drawn in batch order and, within a caption, decoder by decoder, each
-    as one (steps[b], layers, H) draw: the stream that per-step dropout
-    draws when each step drops its ``layers`` hidden states in order.
+    as one (steps[b], layers, H) draw; a step of n rows passes ``[1] * n``.
     Padded steps get 1."""
     masks = [None] * len(decs)
     for b, n in enumerate(steps):
@@ -537,8 +532,16 @@ def _caption_ids(tokens) -> list[int]:
     return tokens
 
 
+def check_variant(kind: str) -> None:
+    """Raise ``ConfigError`` unless ``kind`` names one of ``VARIANTS``."""
+    if kind not in VARIANTS:
+        raise ConfigError(f"unknown decoder variant {kind!r}; "
+                          f"expected one of {', '.join(VARIANTS)}")
+
+
 def build_variant(kind: str, config: DecoderConfig):
-    """Construct one of the published decoder configurations."""
+    """Construct one of the published decoder configurations but "da"."""
+    check_variant(kind)
     attend_kinds = {"hlstmat_temporal": "temporal", "hlstmat_spatial": "spatial",
                     "conf": "fused"}
     if kind == "basic":
@@ -552,4 +555,4 @@ def build_variant(kind: str, config: DecoderConfig):
                        motion_dim=None, seed=config.seed + 1)
         return TwoStreamDecoder(HierarchicalDecoder(replace(config, motion_dim=None)),
                                 HierarchicalDecoder(cfg2))
-    raise ConfigError(f"unknown decoder variant {kind!r}; expected one of {VARIANTS}")
+    raise ConfigError("variant 'da' is built from a DaConfig, not a DecoderConfig")

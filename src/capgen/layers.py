@@ -1,4 +1,4 @@
-"""Neural building blocks: LSTM cell, word embedding, affine maps, dropout."""
+"""Neural building blocks: LSTM cell, word embedding, affine maps, dropout masks."""
 
 from __future__ import annotations
 
@@ -7,10 +7,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ContractError, FormatError, ShapeError, VocabularyError
-from .tensor import Tensor, matmul_t, reshape, sigmoid, take_row, take_rows, tanh
+from .tensor import Tensor, matmul_t, sigmoid, take_rows, tanh
 
 __all__ = ["Module", "LstmCell", "LstmOut", "GateInputs", "Embedding", "Linear",
-           "dropout", "dropout_mask", "glorot"]
+           "dropout_mask", "glorot"]
 
 
 def glorot(rng: np.random.Generator, rows: int, cols: int) -> Tensor:
@@ -76,7 +76,7 @@ class GateInputs(NamedTuple):
 
     def row(self, t: int) -> "GateInputs":
         """Step ``t``'s (B, H) products from a batch's (T, B, H) tensors."""
-        return GateInputs(*(take_row(p, t) for p in self))
+        return GateInputs(*(take_rows(p, t) for p in self))
 
 
 class LstmCell(Module):
@@ -87,10 +87,10 @@ class LstmCell(Module):
     bias starts at 1.0 to keep early training stable.
 
     ``step`` runs n states as (n, H) matrices on the step's input
-    products W y, which ``input_products`` computes with one GEMM per
-    gate.  They do not depend on the recurrence, so when a batch's whole
-    input sequences are known up front they are computed for all steps at
-    once; where the input feeds back (decoding, DA's first LSTM),
+    products W y, one ``matmul_t`` per gate (``input_products``).  They do
+    not depend on the recurrence, so when a batch's input sequences are
+    known up front, four tape nodes give them for all T steps at once;
+    where the input feeds back (decoding, DA's first LSTM),
     ``input_products`` of one step's (n, input_dim) rows gives that
     step's products.
     """
@@ -118,17 +118,13 @@ class LstmCell(Module):
                              f"shape {h_prev.shape}")
 
     def input_products(self, ys: Tensor) -> GateInputs:
-        """``ys @ W_gate.T`` for a (T, B, input_dim) batch of input
-        sequences, one GEMM per gate -> (T, B, hidden_dim) each; for one
-        step's (B, input_dim) inputs -> (B, hidden_dim) each."""
+        """``ys @ W_gate.T``, one ``matmul_t`` per gate: a (T, B,
+        input_dim) batch of input sequences -> (T, B, hidden_dim) each,
+        one step's (B, input_dim) inputs -> (B, hidden_dim) each."""
         if ys.data.ndim not in (2, 3) or ys.shape[-1] != self.input_dim:
             raise ShapeError(
                 f"input-gate block W_i expects (T, B, {self.input_dim}) or (B, {self.input_dim}) "
                 f"inputs, got {ys.shape}")
-        if ys.data.ndim == 3:
-            steps, batch, _ = ys.shape
-            flat = self.input_products(reshape(ys, (steps * batch, self.input_dim)))
-            return GateInputs(*(reshape(p, (steps, batch, self.hidden_dim)) for p in flat))
         return GateInputs(matmul_t(ys, self.W_i), matmul_t(ys, self.W_f),
                           matmul_t(ys, self.W_o), matmul_t(ys, self.W_g))
 
@@ -197,13 +193,3 @@ def dropout_mask(shape, rate: float, training: bool,
     if rng is None:
         raise ContractError("training-mode dropout needs an rng")
     return (rng.random(shape) >= rate) / (1.0 - rate)
-
-
-def dropout(x: Tensor, rate: float, training: bool,
-            rng: np.random.Generator | None = None) -> Tensor:
-    """Inverted dropout: zero entries with prob ``rate`` and scale survivors.
-
-    At inference (training=False) this is the exact identity.
-    """
-    mask = dropout_mask(x.data.shape, rate, training, rng)
-    return x if mask is None else x * Tensor(mask)

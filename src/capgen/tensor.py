@@ -9,8 +9,8 @@ finite-difference probing cheap.
 
 Leaf gradients of weight products and row gathers are deferred.  A
 ``matmul_t`` of a batch of B rows against a weight hands back the two
-factors ``u @ v`` of its rank-B weight gradient, and ``take_row``/
-``take_rows`` hand back the gathered row ids with their gradient rows.
+factors ``u @ v`` of its rank-B weight gradient, and ``take_rows``
+hands back the gathered row ids with their gradient rows.
 When the input is a recorded node the factors are expanded into a dense
 array on the spot, so every other op sees plain ndarrays; row gradients
 of one node are added in place into one array.
@@ -58,15 +58,11 @@ __all__ = [
     "add", "sub", "mul", "neg", "matmul_t", "additive_scores", "transpose",
     "sigmoid", "tanh", "log", "softmax", "log_softmax",
     "concat", "sum_all", "scale_rows", "weighted_sum",
-    "take_rows", "take_row", "narrow", "pick_in_rows",
+    "take_rows", "narrow", "pick_in_rows",
     "stack_rows", "reshape",
 ]
 
 _STATE = threading.local()
-
-
-def _active_tape():
-    return getattr(_STATE, "tape", None)
 
 
 class Tensor:
@@ -140,7 +136,7 @@ class Tape:
         self.nodes: list[_Node] = []
 
     def __enter__(self) -> "Tape":
-        if _active_tape() is not None:
+        if getattr(_STATE, "tape", None) is not None:
             raise ContractError("a tape is already active on this thread")
         _STATE.tape = self
         return self
@@ -536,17 +532,12 @@ def weighted_sum(alpha: Tensor, v: Tensor) -> Tensor:
 
 
 def take_rows(a: Tensor, ids) -> Tensor:
-    """Gather rows (entries of the first axis) of a tensor; backward
-    scatter-adds into the source."""
+    """Gather rows (entries of the first axis) of a tensor: an array of
+    ids keeps its axes, an int drops one, as ``a[t]`` of a (T, B, H)
+    tensor is step t's (B, H) matrix.  Backward scatter-adds into ``a``."""
     idx = np.asarray(ids, dtype=np.intp)
     out = Tensor(a.data[idx])
     return _record(out, (a,), lambda g: (_Rows(idx, g),))
-
-
-def take_row(a: Tensor, i: int) -> Tensor:
-    """Single row of a matrix as a (d,) vector."""
-    out = Tensor(a.data[i])
-    return _record(out, (a,), lambda g: (_Rows(i, g),))
 
 
 def narrow(a: Tensor, start: int, length: int) -> Tensor:

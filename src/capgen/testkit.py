@@ -12,11 +12,7 @@ from .data import BOS_ID, EOS_ID, CaptionBatch, FeatureSet
 from .gradcheck import check_gradients
 from .training import _batch_loss, build_decoder
 
-GRADCHECK_VARIANTS = ("basic", "hlstmat_temporal", "hlstmat_spatial", "conf",
-                      "para", "two_stream", "da")
-
-__all__ = ["GRADCHECK_VARIANTS", "tiny_decoder", "tiny_features", "tiny_caption",
-           "decoder_gradcheck"]
+__all__ = ["tiny_decoder", "tiny_features", "tiny_caption", "decoder_gradcheck"]
 
 
 def tiny_features(rng: np.random.Generator, frames: int, dim: int,

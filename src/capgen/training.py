@@ -23,7 +23,7 @@ from .da import DaConfig, DeliberateDecoder
 from .data import (
     BOS_ID, EOS_ID, CaptionBatch, Dataset, FeatureSet, Vocabulary, tokenize,
 )
-from .decoders import DecoderConfig, TwoStreamDecoder, build_variant
+from .decoders import DecoderConfig, TwoStreamDecoder, build_variant, check_variant
 from .errors import ConfigError, DomainError, EmptyInputError, ShapeError
 from .optim import (
     adadelta_update, adam_lr, adam_update, clip_gradients, opt_state_arrays,
@@ -214,7 +214,10 @@ def build_decoder(variant: str, vocab_size: int, features: FeatureSet, hidden_di
     """The ``variant`` decoder, sized from one sample's ``features``: the
     width of the kind it attends (the regions for ``hlstmat_spatial`` and
     ``da``, the frames otherwise), the motion width where there are motion
-    features, and DA's global width.  Every decoder is built here."""
+    features, and DA's global width.  Every decoder is built here.  An
+    unknown ``variant`` is a ``ConfigError``, raised before any feature is
+    read."""
+    check_variant(variant)
     if variant == "da":
         return DeliberateDecoder(DaConfig(
             vocab_size=vocab_size, hidden_dim=hidden_dim, embed_dim=embed_dim,
@@ -325,6 +328,7 @@ def train(cfg: TrainConfig) -> TrainResult:
     """
     if not cfg.data_dir:
         raise ConfigError("config must set data_dir")
+    check_variant(cfg.variant)
     if cfg.optimizer not in _OPTIMIZER_SLOTS:
         raise ConfigError(f"unknown optimizer {cfg.optimizer!r}")
     if cfg.val_metric not in ("cider", "bleu4", "loss"):

@@ -142,6 +142,10 @@ def keep_regions_only(manifest):
             sample["features"] = {"spatial": sample["features"]["spatial"]}
 
 
+UNKNOWN_VARIANT = ("unknown decoder variant {!r}; expected one of basic, hlstmat_temporal, "
+                   "hlstmat_spatial, conf, para, two_stream, da")
+
+
 class TestSpatialAttentionOverRegions:
     """``hlstmat_spatial`` attends over the regions, so it is sized from
     them: it trains, generates and traces on data without frames, and
@@ -556,6 +560,29 @@ class TestErrors:
         key = flag[2:].replace("-", "_")
         assert capsys.readouterr().err == f"error: {key} must be at least 1, got {value}\n"
         assert loaded == [] and not ckpt.exists()
+
+    @pytest.mark.parametrize("variant", ["hlstmat_spatail", "bogus"])
+    def test_unknown_variant_fails_before_loading_features(self, workspace, tmp_path, capsys,
+                                                           monkeypatch, variant):
+        _, data, _ = workspace
+        other = tmp_path / "data"
+        edited_copy(data, other, "manifest.json", keep_regions_only)
+        loaded, features = [], Dataset.features
+        monkeypatch.setattr(Dataset, "features",
+                            lambda self, sample: loaded.append(sample) or features(self, sample))
+        ckpt = tmp_path / "model.ckpt"
+        assert main(train_argv(other, ckpt, 1, "--variant", variant)) == 1
+        assert capsys.readouterr().err == f"error: {UNKNOWN_VARIANT.format(variant)}\n"
+        assert loaded == [] and not ckpt.exists()
+
+    def test_generate_checkpoint_of_an_unknown_variant_fails_cleanly(self, workspace,
+                                                                     tmp_path, capsys):
+        _, data, ckpt = workspace
+        bogus = tmp_path / "bogus.ckpt"
+        save_checkpoint(bogus, "bogus", load_checkpoint(ckpt)[1])
+        assert main(["generate", "--data-dir", str(data), "--checkpoint", str(bogus),
+                     "--out", str(tmp_path / "gen.jsonl"), "--beam", "1"]) == 1
+        assert capsys.readouterr().err == f"error: {UNKNOWN_VARIANT.format('bogus')}\n"
 
     @pytest.mark.parametrize("case", ["generate --out", "generate --trace-dir",
                                       "trace --out-dir", "train --checkpoint",

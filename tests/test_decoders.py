@@ -8,14 +8,14 @@ from capgen import decoders
 from capgen.da import DaConfig, DeliberateDecoder
 from capgen.data import BOS_ID, EOS_ID, PAD_ID, CaptionBatch, FeatureSet
 from capgen.decoders import (
-    DecoderConfig, HierarchicalDecoder, ParallelDecoder,
+    VARIANTS, DecoderConfig, HierarchicalDecoder, ParallelDecoder,
     build_variant, two_stream_fuse,
 )
 from capgen.errors import ConfigError, ContractError, ShapeError, VocabularyError
 from capgen.gradcheck import check_gradients
 from capgen.search import beam_search, greedy_decode
 from capgen.tensor import Tape, Tensor, backward, reshape
-from capgen.testkit import GRADCHECK_VARIANTS, decoder_gradcheck, tiny_decoder, tiny_features
+from capgen.testkit import decoder_gradcheck, tiny_decoder, tiny_features
 from capgen.training import mle_loss
 
 
@@ -513,12 +513,12 @@ class TestPinnedDecoding:
         assert pinned_decode(variant, "beam5", features_seed, scale) == beam
 
 
-@pytest.mark.parametrize("variant", GRADCHECK_VARIANTS)
+@pytest.mark.parametrize("variant", VARIANTS)
 def test_teacher_forced_gradcheck(variant):
     assert decoder_gradcheck(variant, hidden=4, vocab_size=6, frames=3) < 1e-4
 
 
-@pytest.mark.parametrize("variant", GRADCHECK_VARIANTS)
+@pytest.mark.parametrize("variant", VARIANTS)
 def test_batched_teacher_forced_gradcheck(variant):
     assert decoder_gradcheck(variant, hidden=4, vocab_size=6, frames=2, batch=3) < 1e-4
 

@@ -276,6 +276,14 @@ def test_one_decoder_builder():
     assert modules_calling(sources, DECODER_CONSTRUCTORS) == []
 
 
+def test_one_dropout_source():
+    """Every dropout mask, a decoding step's too, is drawn by
+    ``decoders._dropout_masks``: no other module calls ``dropout_mask``."""
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))
+               if p.name != "decoders.py"}
+    assert modules_calling(sources, {"dropout_mask"}) == []
+
+
 def test_detects_module_calling_a_name():
     sources = {"a.py": "from t import DaConfig\nDaConfig(1)\n",
                "b.py": "import t\nx = [t.DecoderConfig(vocab_size=3)]\n",

@@ -6,7 +6,7 @@ import pytest
 from capgen.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from capgen.errors import ContractError, FormatError, ShapeError, VocabularyError
 from capgen.gradcheck import check_gradients
-from capgen.layers import Embedding, Linear, LstmCell, Module, dropout
+from capgen.layers import Embedding, Linear, LstmCell, Module, dropout_mask
 from capgen.tensor import Tape, Tensor, backward, sum_all, zeros
 
 
@@ -57,6 +57,14 @@ class TestLstmCell:
         with pytest.raises(ShapeError, match="W_i"):
             cell.input_products(Tensor(rng.standard_normal(3)))
 
+    def test_input_products_of_a_sequence_batch_record_one_node_per_gate(self, rng):
+        cell = LstmCell(3, 4, rng)
+        ys = Tensor(rng.standard_normal((5, 2, 3)), requires_grad=True)
+        with Tape() as tape:
+            gates = cell.input_products(ys)
+            assert len(tape.nodes) == 4
+        assert [p.shape for p in gates] == [(5, 2, 4)] * 4
+
     def test_hidden_output_strictly_inside_unit_interval(self, rng):
         cell = LstmCell(5, 7, rng)
         for _ in range(20):
@@ -105,24 +113,20 @@ class TestEmbedding:
 
 
 class TestDropout:
-    def test_inference_identity_bitwise(self, rng):
-        x = Tensor(rng.standard_normal(100))
-        assert dropout(x, 0.9, training=False) is x
+    def test_inference_identity_bitwise(self):
+        assert dropout_mask((100,), 0.9, training=False) is None
 
     def test_rate_zero_identity(self, rng):
-        x = Tensor(rng.standard_normal(10))
-        assert dropout(x, 0.0, training=True, rng=rng) is x
+        assert dropout_mask((10,), 0.0, training=True, rng=rng) is None
 
     def test_invalid_rate(self):
         with pytest.raises(ContractError):
-            dropout(Tensor([1.0]), 1.0, training=True, rng=np.random.default_rng(0))
+            dropout_mask((1,), 1.0, training=True, rng=np.random.default_rng(0))
 
     def test_inverted_scaling_keeps_mean(self):
-        rng = np.random.default_rng(7)
-        x = Tensor(np.ones(10_000))
-        y = dropout(x, 0.5, training=True, rng=rng)
-        assert 0.95 <= y.data.mean() <= 1.05
-        survivors = y.data[y.data != 0.0]
+        mask = dropout_mask((10_000,), 0.5, training=True, rng=np.random.default_rng(7))
+        assert 0.95 <= mask.mean() <= 1.05
+        survivors = mask[mask != 0.0]
         np.testing.assert_allclose(survivors, 2.0)
 
 

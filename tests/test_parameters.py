@@ -9,7 +9,8 @@ import json
 from pathlib import Path
 
 from capgen.da import DaConfig, DeliberateDecoder
-from capgen.testkit import GRADCHECK_VARIANTS, tiny_decoder
+from capgen.decoders import VARIANTS
+from capgen.testkit import tiny_decoder
 
 PINNED = Path(__file__).parent / "data" / "parameter_names.json"
 
@@ -22,7 +23,7 @@ def _da(**kw):
 
 
 def current_names() -> dict[str, list[str]]:
-    decoders = {v: tiny_decoder(v)[0] for v in GRADCHECK_VARIANTS}
+    decoders = {v: tiny_decoder(v)[0] for v in VARIANTS}
     decoders["da_no_sentinel_proj"] = _da(region_dim=8)
     return {k: list(d.parameters()) for k, d in decoders.items()}
 

@@ -7,11 +7,11 @@ import pytest
 import capgen.search
 import oracle_search
 from capgen.data import BOS_ID, EOS_ID, FeatureSet
-from capgen.decoders import DecoderConfig, HierarchicalDecoder
+from capgen.decoders import VARIANTS, DecoderConfig, HierarchicalDecoder
 from capgen.errors import ContractError
 from capgen.search import beam_search, greedy_decode, write_generations
 from capgen.tensor import Tensor
-from capgen.testkit import GRADCHECK_VARIANTS, tiny_decoder, tiny_features
+from capgen.testkit import tiny_decoder, tiny_features
 
 
 class Steps:
@@ -244,7 +244,7 @@ class TestMatchesOracle:
                 assert (got.tokens, got.logprob) == want, (seed, k)
         assert min(seen.values()) > 0, seen
 
-    @pytest.mark.parametrize("variant", GRADCHECK_VARIANTS)
+    @pytest.mark.parametrize("variant", VARIANTS)
     def test_tiny_decoders(self, variant):
         dec, feats = tiny_case(variant)
         for k in (2, 5):
@@ -288,11 +288,11 @@ class TestTraceRows:
                     np.testing.assert_allclose(got.beta, row.beta, rtol=0, atol=1e-12)
         assert finished == {True, False}  # both row counts were checked
 
-    @pytest.mark.parametrize("variant", GRADCHECK_VARIANTS)
+    @pytest.mark.parametrize("variant", VARIANTS)
     def test_rows_follow_the_returned_caption(self, variant):
         self.check(variant, "greedy")
 
-    @pytest.mark.parametrize("variant", GRADCHECK_VARIANTS)
+    @pytest.mark.parametrize("variant", VARIANTS)
     def test_beam_rows_follow_the_returned_caption(self, variant):
         self.check(variant, "beam")
 
@@ -334,7 +334,7 @@ class TestRowsStep:
     rounding; a state over many clips against decoding each clip alone;
     and one ``step`` call per beam search step."""
 
-    @pytest.mark.parametrize("variant", GRADCHECK_VARIANTS)
+    @pytest.mark.parametrize("variant", VARIANTS)
     def test_rows_agree_with_one_row_steps(self, variant):
         dec, feats = tiny_case(variant)
         _bias_eos(dec, 0.0)
@@ -355,7 +355,7 @@ class TestRowsStep:
             for rows, row in zip(state_arrays(stepped), state_arrays(alone), strict=True):
                 close(rows[i], row[0])
 
-    @pytest.mark.parametrize("variant", GRADCHECK_VARIANTS)
+    @pytest.mark.parametrize("variant", VARIANTS)
     def test_state_over_many_clips(self, variant):
         """A state over 5 clips of 3 to 7 frames, padded and masked: each
         row decodes its own clip, and ``take`` carries each row's features."""
@@ -394,7 +394,7 @@ class TestRowsStep:
             for f in state_feats(state.take(idx)):
                 assert len(f if isinstance(f, np.ndarray) else f.data) == len(idx)
 
-    @pytest.mark.parametrize("variant", GRADCHECK_VARIANTS)
+    @pytest.mark.parametrize("variant", VARIANTS)
     def test_beam_steps_the_decoder_once_per_search_step(self, variant, monkeypatch):
         dec, feats = tiny_case(variant)
         _bias_eos(dec, -40.0)

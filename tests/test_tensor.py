@@ -10,7 +10,7 @@ from capgen.errors import ContractError, DomainError, ShapeError
 from capgen.gradcheck import fd_gradients, max_relative_error
 from capgen.tensor import (
     Tape, Tensor, additive_scores, backward, concat, log, log_softmax, matmul_t, narrow,
-    pick_in_rows, reshape, scale_rows, sigmoid, softmax, stack_rows, sum_all, take_row,
+    pick_in_rows, reshape, scale_rows, sigmoid, softmax, stack_rows, sum_all,
     take_rows, tanh, transpose, weighted_sum,
 )
 
@@ -309,10 +309,10 @@ class TestDeferredLeafGradients:
 
         def build():
             return concat([
-                take_row(e, 2),
+                take_rows(e, 2),
                 reshape(take_rows(e, [2, 0, 2]), (9,)),
-                take_row(e, 4),
-                take_row(tanh(e), 2),                 # node input: expanded on the spot
+                take_rows(e, 4),
+                take_rows(tanh(e), 2),                # node input: expanded on the spot
                 reshape(take_rows(e, [1]) * take_rows(e, [3]), (3,)),
             ])
 
@@ -325,8 +325,8 @@ class TestDeferredLeafGradients:
         params = {"w": w, "e": e, "b": b}
 
         def loss():
-            h = tanh(matmul_t(reshape(take_row(e, 1), (1, 4)), w, b))
-            return sum_all(tanh(matmul_t(reshape(take_row(e, 4), (1, 4)), w, h)))
+            h = tanh(matmul_t(reshape(take_rows(e, 1), (1, 4)), w, b))
+            return sum_all(tanh(matmul_t(reshape(take_rows(e, 4), (1, 4)), w, h)))
 
         with Tape():
             backward(loss())
@@ -343,7 +343,7 @@ class TestStructuralOps:
     def test_indexing_ops_values(self):
         m = Tensor([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
         np.testing.assert_array_equal(take_rows(m, [2, 0]).data, [[5.0, 6.0], [1.0, 2.0]])
-        np.testing.assert_array_equal(take_row(m, 1).data, [3.0, 4.0])
+        np.testing.assert_array_equal(take_rows(m, 1).data, [3.0, 4.0])
         v = row([7.0, 8.0, 9.0])
         np.testing.assert_array_equal(narrow(v, 1, 2).data, [[8.0, 9.0]])
         np.testing.assert_array_equal(narrow(m, 1, 1).data, [[2.0], [4.0], [6.0]])
@@ -351,7 +351,7 @@ class TestStructuralOps:
 
     @pytest.mark.parametrize("build_params", [
         lambda rng: ("take_rows", lambda p: take_rows(p, [0, 2, 0]), (4, 3)),
-        lambda rng: ("take_row", lambda p: take_row(p, 1), (3, 2)),
+        lambda rng: ("take_rows/int", lambda p: take_rows(p, 1), (3, 2)),
         lambda rng: ("transpose", lambda p: transpose(p, (1, 0)), (3, 4)),
         lambda rng: ("reshape", lambda p: reshape(p, (6,)), (2, 3)),
         lambda rng: ("narrow", lambda p: narrow(p, 1, 3), (1, 6)),
@@ -557,9 +557,9 @@ class TestBatchedOps:
 
         def build():
             y = tanh(x)
-            h = take_row(y, 0)
+            h = take_rows(y, 0)
             for t in (1, 2, 1):
-                h = tanh(h + take_row(y, t))
+                h = tanh(h + take_rows(y, t))
             return h
 
         assert op_gradcheck(build, {"x": x}) < 1e-6
