@@ -5,7 +5,7 @@ stateless given their parameters and safe for concurrent read-only use."""
 from __future__ import annotations
 
 import csv
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -130,12 +130,17 @@ def parallel_adaptive_blend(gate: AdaptiveGate, h: Tensor, ctx1: Tensor,
 
 class TraceRow(NamedTuple):
     """Attention internals recorded for one decoding step: a step over n
-    rows records (n, ·) arrays, and ``pick(i)`` is row i's own row."""
+    rows records (n, ·) arrays, and ``pick(i)`` is row i's own row.  Over
+    clips padded to a common length, ``mask`` marks each row's real
+    columns of ``alpha``, and ``pick`` keeps only those, so a clip's row
+    has the width it has when decoded alone."""
     alpha: np.ndarray
     beta: np.ndarray
+    mask: Optional[np.ndarray] = None
 
     def pick(self, i: int) -> "TraceRow":
-        return TraceRow(self.alpha[i], self.beta[i])
+        alpha = self.alpha[i] if self.mask is None else self.alpha[i][self.mask[i]]
+        return TraceRow(alpha, self.beta[i])
 
 
 def write_trace_csv(path, tokens: list[str], rows) -> None:

@@ -15,7 +15,7 @@ from .checkpoint import load_checkpoint
 from .data import Dataset, Vocabulary, build_vocab, synth_dataset
 from .decoders import VARIANTS
 from .errors import CapgenError, ContractError, FormatError
-from .search import beam_search, greedy_decode, write_generations
+from .search import GREEDY_CHUNK, beam_search, greedy_decode, write_generations
 from .testkit import decoder_gradcheck
 from .training import _CONFIG_DEFAULTS, TrainConfig, build_decoder, train
 
@@ -158,25 +158,40 @@ def _restore(data_dir, checkpoint, split: str):
     return dataset, vocab, decoder, samples
 
 
+def _decoded(dataset, decoder, samples, beam: int, max_len: int, record_trace: bool):
+    """``(sample, result, ms, clips)`` for each of ``samples``: ``beam``
+    1 greedy-decodes ``GREEDY_CHUNK`` clips per ``greedy_decode`` call,
+    and a wider beam searches one clip per call.  ``clips`` is the number
+    of clips its call decoded, and ``ms`` that call's wall time divided by
+    ``clips``."""
+    chunk = GREEDY_CHUNK if beam == 1 else 1
+    for lo in range(0, len(samples), chunk):
+        part = samples[lo:lo + chunk]
+        feats = [dataset.features(s) for s in part]
+        t0 = time.perf_counter()
+        gens = (greedy_decode(decoder, feats, max_len, record_trace) if beam == 1
+                else [beam_search(decoder, feats[0], beam, max_len, record_trace)])
+        ms = (time.perf_counter() - t0) * 1e3 / len(part)
+        for sample, gen in zip(part, gens):
+            yield sample, gen, ms, len(part)
+
+
 def _generate(args) -> int:
+    """Decode a split to JSONL (see ``_decoded``).  Each entry's
+    ``batch_clips`` is the number of clips decoded together, and its
+    ``latency_ms`` the wall time of their decode call divided by
+    ``batch_clips``."""
     dataset, vocab, decoder, samples = _restore(args.data_dir, args.checkpoint, args.split)
     open(args.out, "a").close()     # an unwritable output fails before any decoding
     results = []
     trace_dir = Path(args.trace_dir) if args.trace_dir else None
     if trace_dir:
         trace_dir.mkdir(parents=True, exist_ok=True)
-    for sample in samples:
-        feats = dataset.features(sample)
-        t0 = time.perf_counter()
-        if args.beam == 1:
-            gen = greedy_decode(decoder, feats, args.max_len, record_trace=bool(trace_dir))
-        else:
-            gen = beam_search(decoder, feats, args.beam, args.max_len,
-                              record_trace=bool(trace_dir))
-        latency_ms = (time.perf_counter() - t0) * 1e3
+    for sample, gen, latency_ms, clips in _decoded(dataset, decoder, samples, args.beam,
+                                                   args.max_len, bool(trace_dir)):
         words = vocab.decode(gen.tokens)
         entry = {"id": sample.id, "caption": " ".join(words), "logprob": gen.logprob,
-                 "latency_ms": latency_ms, "steps": gen.steps,
+                 "latency_ms": latency_ms, "batch_clips": clips, "steps": gen.steps,
                  "stopped_early": gen.stopped_early, "finished": gen.finished}
         if trace_dir and gen.trace:
             path = trace_dir / f"{sample.id}.csv"
@@ -253,10 +268,9 @@ def _trace(args) -> int:
     dataset, vocab, decoder, samples = _restore(args.data_dir, args.checkpoint, args.split)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for sample in samples:
-        gen = greedy_decode(decoder, dataset.features(sample), args.max_len, record_trace=True)
-        words = vocab.decode(gen.tokens)
-        write_trace_csv(out_dir / f"{sample.id}.csv", words + ["<eos>"], gen.trace)
+    for sample, gen, _, _ in _decoded(dataset, decoder, samples, 1, args.max_len, True):
+        write_trace_csv(out_dir / f"{sample.id}.csv", vocab.decode(gen.tokens) + ["<eos>"],
+                        gen.trace)
     print(f"wrote {len(samples)} trace CSVs to {out_dir}")
     return 0
 

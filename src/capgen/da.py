@@ -146,7 +146,7 @@ def _da_body(dec: DeliberateDecoder, state: DecoderState, w_t: Tensor, masks, t:
     v2_hat = weighted_sum(narrow(alpha2, 0, L), regions) + scale_rows(s_vis, alpha2, L)
     return concat([h1_tilde, h2_d, v2_hat], axis=1), DecoderState(
         out1.h, out1.m, out2.h, out2.m, state.feats,
-        row=TraceRow(alpha2.data, alpha2.data[:, L:]))
+        row=TraceRow(alpha2.data, alpha2.data[:, L:], mask2))
 
 
 def da_step(dec: DeliberateDecoder, state: DecoderState, token_ids,

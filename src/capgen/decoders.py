@@ -23,21 +23,25 @@ the (n, D) mean frames.  ``init_state`` computes the keys once, and
 every step reuses them.  ``step(state, token_ids, training, rng) -> (p,
 state)`` steps a state of n rows on n token ids, one per row, and returns
 the (n, vocab) word distributions and a fresh state whose ``row`` is that
-step's ``TraceRow(alpha, beta)`` of (n, ·) arrays.  ``state.take(idx)``
-gathers rows by index, each with its features, so beam search steps all
-its live hypotheses as one state and keeps the survivors' rows; greedy
-and sampled decoding step the one-row state of ``init_state([features])``.
-States never collect trace rows; the search in ``search.py`` gathers
-them along a caption.
+step's ``TraceRow(alpha, beta, mask)`` of (n, ·) arrays, ``mask`` the
+real columns of a padded ``alpha``.  ``state.take(idx)`` gathers rows by
+index, each with its features, so beam search steps all its live
+hypotheses as one state and keeps the survivors' rows.  Greedy decoding
+steps one row per clip, all the clips it is given in one state;
+self-critical sampling steps the one-row state of
+``init_state([features])``.  States never collect trace rows; the search
+in ``search.py`` gathers them along a caption.
 
 Decoding and teacher forcing take every weight product the same way:
 one ``tensor.matmul_t`` over the rows at hand, a GEMM with its addends
 folded in.  A GEMM of one row is that row's GEMV bit for bit, so a
-one-row step (greedy decoding, self-critical sampling) has the bits of a
-step taken with matrix-vector products.  Row i of a step over n rows
-agrees with the step of row i alone within rounding, not bit for bit: a
-beam-5 decode's log-probs move by about 1e-15 against stepping each
-hypothesis alone.
+one-row step (a one-clip greedy decode, self-critical sampling) has the
+bits of a step taken with matrix-vector products.  Row i of a step over
+n rows agrees with the step of row i alone within rounding, not bit for
+bit: a beam-5 decode's log-probs move by about 1e-15 against stepping
+each hypothesis alone, and row i of a many-clip greedy decode agrees
+with clip i decoded alone within rounding, so at a near-tie it may pick
+another token.
 
 ``forward_teacher_forced(features, tokens, training, rng)`` takes one
 caption, a ``FeatureSet`` and its token ids, and returns (T, vocab)
@@ -241,9 +245,9 @@ class HierarchicalDecoder(Module):
         def attend(h_d, ht_d):
             ctx, alpha = self.attn.attend(h_d, source, keys, mask)
             if self.gate is None:
-                return ctx, TraceRow(alpha.data, np.ones((alpha.shape[0], 1)))
+                return ctx, TraceRow(alpha.data, np.ones((alpha.shape[0], 1)), mask)
             blended, beta = adaptive_blend(self.gate, h_d, ctx, ht_d)
-            return blended, TraceRow(alpha.data, beta.data)
+            return blended, TraceRow(alpha.data, beta.data, mask)
 
         return attend
 
@@ -301,7 +305,7 @@ class ParallelDecoder(Module):
             ctx1, alpha1 = self.attn_static.attend(h_d, static, static_keys, static_mask)
             ctx2, _ = self.attn_motion.attend(h_d, motion, motion_keys, motion_mask)
             blended, betas = parallel_adaptive_blend(self.gate, h_d, ctx1, ctx2, ht_d)
-            return blended, TraceRow(alpha1.data, betas.data)
+            return blended, TraceRow(alpha1.data, betas.data, static_mask)
 
         return attend
 

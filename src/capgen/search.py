@@ -3,20 +3,30 @@
 Scores are plain cumulative log-probabilities, with no length
 normalization.  Both procedures are deterministic: argmax ties resolve to
 the lowest token id, and beam candidates with equal scores order by token
-sequence.  Decoders follow the rows protocol of ``decoders.py``: greedy
-decoding steps the one-row state of ``init_state([features])``; beam
-search steps all its n <= k live hypotheses as the n rows of one state,
-one ``step`` call per search step, and then gathers the survivors' rows,
-each with its copy of the clip's features, with ``state.take``.  A
-one-row step is bit-identical to stepping with matrix-vector products;
-each row of an n-row step agrees with stepping its hypothesis alone
-within rounding (log-probs move by about 1e-15), since its weight
-products are GEMMs.  Beam search selects each step's k best expansions
-from the (n, V) log-prob matrix with one partition and one lexsort, so
-no per-candidate Python object is built.  The search alone records
-traces: with ``record_trace`` it collects each step's trace row along
-the returned caption, the EOS step included, into
-``GenerationResult.trace``.
+sequence.  Decoders follow the rows protocol of ``decoders.py``.  Greedy
+decoding steps the n-row state of ``init_state(clips)``, one row per
+clip, one ``step`` call per search step: one clip is the one-row case,
+and a list of clips (validation, ``capgen generate --beam 1`` and
+``capgen trace`` pass ``GREEDY_CHUNK`` at a time) decodes them all
+together.  Beam search steps all its n <= k live hypotheses of one clip
+as the n rows of one state, one ``step`` call per search step, and then
+gathers the survivors' rows, each with its copy of the clip's features,
+with ``state.take``.
+
+Contract.  A one-row step is bit-identical to stepping with
+matrix-vector products, so a one-clip greedy decode keeps its bits.  Row
+i of an n-row step agrees with stepping that row alone within rounding
+(log-probs move by about 1e-15), since its weight products are GEMMs and
+a padded clip's softmax runs over masked columns.  So row i of a
+many-clip greedy decode agrees with clip i decoded alone within
+rounding, and at a near-tie it may pick another token; likewise each
+beam hypothesis.  Beam search selects each step's k best expansions from
+the (n, V) log-prob matrix with one partition and one lexsort, so no
+per-candidate Python object is built.  The search alone records traces:
+with ``record_trace`` it collects each step's trace row along the
+returned caption, the EOS step included, into
+``GenerationResult.trace``; a padded clip's row keeps only its real
+attention columns (``TraceRow.pick``).
 """
 
 from __future__ import annotations
@@ -30,7 +40,12 @@ import numpy as np
 from .data import BOS_ID, EOS_ID
 from .errors import ContractError
 
-__all__ = ["GenerationResult", "greedy_decode", "beam_search", "write_generations"]
+__all__ = ["GREEDY_CHUNK", "GenerationResult", "greedy_decode", "beam_search",
+           "write_generations"]
+
+# Clips per many-clip ``greedy_decode`` call when validation and the CLI
+# decode a split.
+GREEDY_CHUNK = 16
 
 
 @dataclass
@@ -43,38 +58,54 @@ class GenerationResult:
     finished: int = 0            # captions that emitted EOS (beam: pool size)
 
 
-def greedy_decode(decoder, features, max_len: int = 30,
-                  record_trace: bool = False) -> GenerationResult:
+def greedy_decode(decoder, features, max_len: int = 30, record_trace: bool = False):
     """Argmax decoding until EOS or max_len; ties go to the lowest id.
 
-    Fails with ``ContractError`` at a step where no token has positive
-    probability, as ``beam_search`` does."""
+    ``features`` is one clip's ``FeatureSet`` (anything that is not a list
+    or tuple, None included, counts as one clip), which gives one
+    ``GenerationResult``; or a list or tuple of n clips, which gives a
+    list of n, row i for clip i (an empty list for no clips).  The n
+    clips are the n rows of one ``init_state`` state, and one ``step``
+    call per search step advances them all.  A row's result is fixed at
+    the step where it emits EOS; the finished rows keep stepping, their
+    outputs ignored, until every row has finished or max_len steps have
+    run.  Fails with ``ContractError`` at a step where an unfinished row
+    has no token of positive probability, as ``beam_search`` does."""
     if max_len < 1:
         raise ContractError(f"max_len must be >= 1, got {max_len}")
-    state = decoder.init_state([features])
-    tok = BOS_ID
-    tokens: list[int] = []
-    rows = []
-    logprob = 0.0
-    finished = 0
+    many = isinstance(features, (list, tuple))
+    clips = list(features) if many else [features]
+    if not clips:
+        return []
+    state = decoder.init_state(clips)
+    fed = [BOS_ID] * len(clips)
+    results = [GenerationResult([], 0.0) for _ in clips]
+    rows = [[] for _ in clips]
+    live = range(len(clips))
     for steps in range(1, max_len + 1):
-        p, state = decoder.step(state, [tok])
-        if record_trace:
-            rows.append(state.row.pick(0))
-        probs = p.data[0]
-        nxt = int(np.argmax(probs))
-        if not probs[nxt] > 0.0:
-            raise ContractError(f"greedy decode: no token had positive probability at step {steps}, "
-                                "so no caption can be expanded")
-        logprob += float(np.log(probs[nxt]))
-        if nxt == EOS_ID:
-            finished = 1
+        p, state = decoder.step(state, fed)
+        fed = np.argmax(p.data, axis=1).tolist()
+        for i in live:
+            gen, nxt = results[i], fed[i]
+            prob = p.data[i, nxt]
+            if not prob > 0.0:
+                raise ContractError(f"greedy decode: no token had positive probability at "
+                                    f"step {steps}, so no caption can be expanded")
+            gen.logprob += float(np.log(prob))
+            gen.steps = steps
+            if record_trace:
+                rows[i].append(state.row.pick(i))
+            if nxt == EOS_ID:
+                gen.stopped_early, gen.finished = True, 1
+            else:
+                gen.tokens.append(nxt)
+        live = [i for i in live if not results[i].finished]
+        if not live:
             break
-        tokens.append(nxt)
-        tok = nxt
-    return GenerationResult(tokens, logprob, tuple(rows) if record_trace else None,
-                            steps=steps, stopped_early=bool(finished),
-                            finished=finished)
+    if record_trace:
+        for gen, trace in zip(results, rows):
+            gen.trace = tuple(trace)
+    return results if many else results[0]
 
 
 @dataclass

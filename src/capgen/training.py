@@ -29,7 +29,7 @@ from .optim import (
     adadelta_update, adam_lr, adam_update, clip_gradients, opt_state_arrays,
     opt_state_from_arrays, zero_grads,
 )
-from .search import greedy_decode
+from .search import GREEDY_CHUNK, greedy_decode
 from .tensor import (
     Tape, Tensor, backward, log, pick_in_rows, reshape, sum_all,
 )
@@ -240,23 +240,22 @@ def _batch_loss(decoder, features: list[FeatureSet], batch: CaptionBatch, traini
     return mle_loss(decoder.forward_teacher_forced(features, batch, training, rng), batch)
 
 
-def _caption_pairs(samples, vocab: Vocabulary) -> list[tuple[int, list[int]]]:
-    """(sample index, caption ids) for every reference of every sample."""
-    return [(i, vocab.wrap(tokenize(r))) for i, s in enumerate(samples) for r in s.refs]
-
-
 def _val_set(dataset, vocab: Vocabulary, split: str, train_feats: list[FeatureSet]):
-    """``split``'s features (``train_feats`` for the train split), caption
-    pairs and tokenized references, which validation reads every epoch."""
+    """``split``'s features (``train_feats`` for the train split), its
+    (sample index, caption ids) pair for every reference of every sample,
+    and its tokenized references.  Training reads the train split's pairs,
+    and validation reads all three every epoch."""
     samples = dataset.splits[split]
     feats = train_feats if split == "train" else [dataset.features(s) for s in samples]
     refs = [[tokenize(r) for r in s.refs] for s in samples]
     return feats, [(i, vocab.wrap(toks)) for i, rs in enumerate(refs) for toks in rs], refs
 
 
-def _val_score(cfg, decoder, vocab, val) -> float:
+def _val_score(cfg, decoder, vocab, val, decoded: list | None = None) -> float:
     """``cfg.val_metric`` of ``decoder`` over the split that ``_val_set``
-    loaded into ``val``; higher is better."""
+    loaded into ``val``; higher is better.  A caption metric greedy-decodes
+    the split ``GREEDY_CHUNK`` clips at a time, recording traces, and
+    appends each clip's ``GenerationResult`` to ``decoded`` when given."""
     feats, pairs, refs = val
     if cfg.val_metric == "loss":   # the training loss, over every (sample, reference) pair
         total = 0.0
@@ -266,12 +265,31 @@ def _val_score(cfg, decoder, vocab, val) -> float:
             loss = _batch_loss(decoder, [feats[i] for i, _ in chunk], batch, False, None)
             total += float(loss.data) * len(chunk)
         return -total / len(pairs)
-    cands = [vocab.decode(greedy_decode(decoder, f, max_len=cfg.max_len).tokens)
-             for f in feats]
-    corpus = metrics.TokenizedCorpus(cands, refs)
+    gens = [gen for lo in range(0, len(feats), GREEDY_CHUNK)
+            for gen in greedy_decode(decoder, feats[lo:lo + GREEDY_CHUNK], max_len=cfg.max_len,
+                                     record_trace=True)]
+    if decoded is not None:
+        decoded.extend(gens)
+    corpus = metrics.TokenizedCorpus([vocab.decode(gen.tokens) for gen in gens], refs)
     if cfg.val_metric == "cider":
         return metrics.cider(corpus)
     return metrics.bleu(corpus)[3]
+
+
+def _trace_means(gens) -> dict:
+    """``beta_mean``, the mean of each β component, and
+    ``attn_entropy_mean``, the mean entropy of α over its entries above 0,
+    over every trace row of ``gens``; both None when there is no row."""
+    if not gens:
+        return {"beta_mean": None, "attn_entropy_mean": None}
+    betas = np.concatenate([np.stack([r.beta for r in gen.trace]) for gen in gens])
+    entropies = []
+    for gen in gens:
+        alpha = np.stack([r.alpha for r in gen.trace])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            entropies.append(-np.where(alpha > 0, alpha * np.log(alpha), 0.0).sum(axis=1))
+    return {"beta_mean": betas.mean(axis=0).tolist(),
+            "attn_entropy_mean": float(np.concatenate(entropies).mean())}
 
 
 def _check_finite(epoch: int, params: dict[str, Tensor], **scalars: float) -> None:
@@ -309,9 +327,11 @@ def train(cfg: TrainConfig) -> TrainResult:
 
     Training runs over every (sample, reference) pair; each batch of
     ``batch_size`` pairs is one forward and one ``backward`` under one
-    ``Tape``.  Each training sample's features, and the validation
-    split's features and references, are loaded once per call; with no
-    ``val`` split, validation reuses the training features.
+    ``Tape``.  Each training sample's features and tokenized references,
+    and the validation split's, are loaded once per call; with no ``val``
+    split, validation reuses the training split's.  A caption
+    ``val_metric`` greedy-decodes the validation clips ``GREEDY_CHUNK`` at
+    a time (``search.greedy_decode`` over many clips).
 
     Each MLE epoch's history row holds ``epoch``, ``loss`` (per pair),
     ``val_metric`` and the ``val_split`` it scored (``val``, or ``train``
@@ -320,7 +340,14 @@ def train(cfg: TrainConfig) -> TrainResult:
     plus the optimizer) and ``val_ms``, ``samples_per_s`` and
     ``tokens_per_s``: training pairs and unpadded target tokens over the
     time of the epoch's batch loop, and ``clip_frac``, the share of
-    gradient entries that clipping clamped.
+    gradient entries that clipping clamped.  Two fields read the trace
+    rows of the validation decode, every step of every clip's caption,
+    the EOS step included: ``beta_mean``, the mean of each adaptive-gate β
+    component (a list, of 3 for ``para``; DA's β is its sentinel's
+    attention weight, and it is ``[1.0]`` where there is no gate), and ``attn_entropy_mean``, the mean entropy -Σ α log α of the
+    recorded attention weights α over their entries above 0, so padding
+    adds nothing (DA's α includes its sentinel).  Both are None when
+    ``val_metric`` is ``loss``, which decodes nothing.
 
     Seeded end to end: parameter init, pair order and dropout masks all
     derive from cfg.seed, so one configuration reproduces bit-identical
@@ -366,7 +393,8 @@ def train(cfg: TrainConfig) -> TrainResult:
         best_val = float(arrays["meta/best_val"])
         stale = int(arrays["meta/stale"])
 
-    pairs = _caption_pairs(train_samples, vocab)
+    train_set = _val_set(dataset, vocab, "train", feats_cache)
+    pairs = train_set[1]
 
     history: list[dict] = []
     ckpt_path = cfg.checkpoint or str(Path(cfg.data_dir) / "model.ckpt")
@@ -374,7 +402,7 @@ def train(cfg: TrainConfig) -> TrainResult:
     stale_weights = False           # the weights in params are not the best
 
     val_split = "val" if dataset.splits.get("val") else "train"
-    val = _val_set(dataset, vocab, val_split, feats_cache)
+    val = train_set if val_split == "train" else _val_set(dataset, vocab, "val", None)
     for epoch in range(start_epoch, cfg.epochs):
         t0 = time.perf_counter()
         rng = _epoch_rng(cfg.seed, epoch)
@@ -410,7 +438,8 @@ def train(cfg: TrainConfig) -> TrainResult:
         epoch_loss /= len(pairs)
         train_s = time.perf_counter() - t0
 
-        score = _val_score(cfg, decoder, vocab, val)
+        decoded: list = []
+        score = _val_score(cfg, decoder, vocab, val, decoded)
         val_s = time.perf_counter() - t0 - train_s
         improved = score > best_val
         if improved:
@@ -427,7 +456,8 @@ def train(cfg: TrainConfig) -> TrainResult:
                  "forward_ms": 1000.0 * forward_s, "backward_ms": 1000.0 * backward_s,
                  "update_ms": 1000.0 * update_s, "val_ms": 1000.0 * val_s,
                  "samples_per_s": len(pairs) / train_s, "tokens_per_s": tokens / train_s,
-                 "clip_frac": clamped / entries if entries else 0.0, "val_split": val_split}
+                 "clip_frac": clamped / entries if entries else 0.0, "val_split": val_split,
+                 **_trace_means(decoded)}
         history.append(entry)
         if cfg.log_path:
             with open(cfg.log_path, "a") as fh:

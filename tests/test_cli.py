@@ -60,7 +60,7 @@ class TestPipeline:
         assert len(rows) == 3
         assert all({"id", "caption", "logprob"} <= set(r) for r in rows)
         for r in rows:  # per-caption latency and beam statistics
-            assert r["latency_ms"] > 0
+            assert r["latency_ms"] > 0 and r["batch_clips"] == 1
             assert 1 <= r["steps"] <= 6 and isinstance(r["stopped_early"], bool)
             assert 0 <= r["finished"] <= 2
             assert r["stopped_early"] or r["steps"] == 6
@@ -74,6 +74,9 @@ class TestPipeline:
                      "--trace-dir", str(traces)]) == 0
         rows = [json.loads(l) for l in out.read_text().splitlines()]
         assert all("trace_path" in r for r in rows)
+        # the 3 test clips decode in one greedy call, whose time they share
+        assert [r["batch_clips"] for r in rows] == [3] * 3
+        assert len({r["latency_ms"] for r in rows}) == 1 and rows[0]["latency_ms"] > 0
         with open(rows[0]["trace_path"]) as fh:
             header = next(csv.reader(fh))
         assert header[:2] == ["step", "token"]

@@ -365,24 +365,15 @@ class TestRowsStep:
         state = dec.init_state(clips)
         assert all(f is not None for f in state_feats(state))   # the masks too
         alone = [greedy_decode(dec, clip, max_len=8) for clip in clips]
-        tokens, logprob, finished = [[] for _ in clips], np.zeros(len(clips)), set()
-        fed = [BOS_ID] * len(clips)
-        for _ in range(8):
-            p, state = dec.step(state, fed)
-            for i, probs in enumerate(p.data):
-                if i not in finished:
-                    nxt = int(np.argmax(probs))
-                    logprob[i] += np.log(probs[nxt])
-                    if nxt == EOS_ID:
-                        finished.add(i)
-                    else:
-                        tokens[i].append(nxt)
-                    fed[i] = nxt
+        many = greedy_decode(dec, clips, max_len=8)
+        tokens = [gen.tokens for gen in many]
         assert len({tuple(t) for t in tokens}) > 1   # the clips give different captions
         for i, gen in enumerate(alone):
             assert tokens[i] == gen.tokens, i
-            assert abs(logprob[i] - gen.logprob) <= 1e-13, i
+            assert abs(many[i].logprob - gen.logprob) <= 1e-13, i
 
+        fed = [t[0] if t else EOS_ID for t in tokens]
+        _, state = dec.step(state, [BOS_ID] * len(clips))
         p, stepped = dec.step(state, fed)
         reverse = [4, 3, 2, 1, 0]
         taken = state.take(reverse)
@@ -431,6 +422,89 @@ def _replay(dec, feats, tokens, finished):
         rows.append(state.row.pick(0))
         logprob += float(np.log(p.data[0, nxt]))
     return rows, logprob
+
+
+# (decoder seed, EOS bias) per variant at which the rows of
+# ``many_clips(variant)`` emit EOS at different steps and some never do
+MIXED_ENDINGS = {"basic": (5, 0.1), "hlstmat_temporal": (5, 0.3), "hlstmat_spatial": (5, 0.3),
+                 "conf": (3, 0.2), "para": (4, 0.2), "two_stream": (2, 0.2), "da": (4, 0.2)}
+
+
+class TestManyClips:
+    """``greedy_decode`` over a list of clips: row i against clip i decoded
+    alone, and the one-clip form as the one-row case."""
+
+    def case(self, variant):
+        seed, bias = MIXED_ENDINGS[variant]
+        dec, _ = tiny_decoder(variant, seed=seed)
+        _bias_eos(dec, bias)
+        return dec, many_clips(variant)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_rows_match_clips_decoded_alone(self, variant):
+        dec, clips = self.case(variant)
+        many = greedy_decode(dec, clips, max_len=8, record_trace=True)
+        assert len(many) == len(clips)
+        ended = {gen.steps for gen in many if gen.finished}
+        assert len(ended) > 1 and not all(gen.finished for gen in many), ended
+        for i, (gen, clip) in enumerate(zip(many, clips)):
+            alone = greedy_decode(dec, clip, max_len=8, record_trace=True)
+            assert gen.tokens == alone.tokens, i
+            assert (gen.steps, gen.stopped_early, gen.finished) == (
+                alone.steps, alone.stopped_early, alone.finished), i
+            assert abs(gen.logprob - alone.logprob) <= 1e-13, i
+            assert len(gen.trace) == len(alone.trace) == gen.steps
+            for got, want in zip(gen.trace, alone.trace):
+                np.testing.assert_allclose(got.alpha, want.alpha, rtol=0, atol=1e-13)
+                np.testing.assert_allclose(got.beta, want.beta, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_one_clip_is_the_one_row_case(self, variant):
+        dec, clips = self.case(variant)
+        for clip in clips:
+            one = greedy_decode(dec, clip, max_len=8, record_trace=True)
+            (row,) = greedy_decode(dec, [clip], max_len=8, record_trace=True)
+            assert (one.tokens, one.logprob, one.steps, one.stopped_early, one.finished) == (
+                row.tokens, row.logprob, row.steps, row.stopped_early, row.finished)
+            assert one.logprob.hex() == row.logprob.hex()
+            for a, b in zip(one.trace, row.trace, strict=True):
+                assert np.array_equal(a.alpha, b.alpha) and np.array_equal(a.beta, b.beta)
+        assert isinstance(greedy_decode(dec, tuple(clips[:2]), max_len=2), list)
+        assert greedy_decode(dec, [], max_len=2) == []
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_contract_errors(self, variant, monkeypatch):
+        dec, clips = self.case(variant)
+        with pytest.raises(ContractError, match="max_len"):
+            greedy_decode(dec, clips, max_len=0)
+        want = greedy_decode(dec, clips, max_len=8)
+        first = min(gen.steps for gen in want if gen.finished)
+        done = next(i for i, gen in enumerate(want) if gen.finished and gen.steps == first)
+        live = next(i for i, gen in enumerate(want) if not gen.finished)
+        step = dec.step
+
+        def zeroed_after_first(row):
+            """``dec.step`` with ``row``'s distribution all 0 after step ``first``."""
+            calls = []
+
+            def stepped(state, token_ids, *args, **kwargs):
+                p, state = step(state, token_ids, *args, **kwargs)
+                calls.append(None)
+                if len(calls) <= first:
+                    return p, state
+                data = p.data.copy()
+                data[row] = 0.0
+                return Tensor(data), state
+            return stepped
+
+        # a finished row's outputs are ignored; an unfinished row's are not
+        monkeypatch.setattr(dec, "step", zeroed_after_first(done))
+        got = greedy_decode(dec, clips, max_len=8)
+        assert [(g.tokens, g.logprob) for g in got] == [(g.tokens, g.logprob) for g in want]
+        monkeypatch.setattr(dec, "step", zeroed_after_first(live))
+        with pytest.raises(ContractError,
+                           match=f"no token had positive probability at step {first + 1}"):
+            greedy_decode(dec, clips, max_len=8)
 
 
 class TestStatistics:

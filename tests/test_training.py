@@ -11,6 +11,7 @@ from capgen.data import (
     BOS_ID, EOS_ID, CaptionBatch, Dataset, Vocabulary, synth_dataset, tokenize,
 )
 from capgen.errors import ConfigError, DomainError, ShapeError
+from capgen.search import greedy_decode
 from capgen.tensor import Tensor, reshape, softmax
 from capgen.testkit import tiny_decoder, tiny_features
 from capgen.training import (
@@ -275,10 +276,12 @@ class TestTrainDriver:
         assert [l["epoch"] for l in lines] == [0, 1, 2]
         assert all(set(l) == {"epoch", "loss", "val_metric", "lr", "wall_time",
                               "forward_ms", "backward_ms", "update_ms", "val_ms",
-                              "samples_per_s", "tokens_per_s", "clip_frac", "val_split"}
+                              "samples_per_s", "tokens_per_s", "clip_frac", "val_split",
+                              "beta_mean", "attn_entropy_mean"}
                    for l in lines)
         for l in lines:
             assert l["val_split"] == "val"
+            assert l["beta_mean"] is None and l["attn_entropy_mean"] is None  # loss decodes nothing
             assert all(l[k] > 0 for k in ("forward_ms", "backward_ms", "update_ms", "val_ms",
                                           "samples_per_s", "tokens_per_s"))
             # 4 captions of 3 words + EOS: 4 target tokens per pair
@@ -297,13 +300,41 @@ class TestTrainDriver:
         result = train(self.base_config(data, epochs=1, checkpoint=str(tmp_path / "m.ckpt")))
         assert result.history[0]["val_split"] == "train"
 
+    @pytest.mark.parametrize("variant,components", [("hlstmat_temporal", 1), ("para", 3)])
+    def test_validation_logs_gate_and_attention_telemetry(self, tmp_path, variant, components):
+        """``beta_mean`` and ``attn_entropy_mean`` pool every trace row of
+        the validation decode, EOS steps included, as one-clip decodes of
+        the validation split with the returned weights give them."""
+        synth_dataset(seed=9, n_samples=4, vocab_size=6, length=3, dim=10,
+                      out_dir=tmp_path / "data", motion_segments=2)
+        log = tmp_path / "train.jsonl"
+        result = train(self.base_config(tmp_path / "data", variant=variant, epochs=1,
+                                        val_metric="cider", log_path=str(log),
+                                        checkpoint=str(tmp_path / "m.ckpt")))
+        row = result.history[0]
+        assert json.loads(log.read_text())["beta_mean"] == row["beta_mean"]
+        assert len(row["beta_mean"]) == components
+        assert all(0.0 <= b <= 1.0 for b in row["beta_mean"])
+        if components == 3:   # a softmax triple
+            assert sum(row["beta_mean"]) == pytest.approx(1.0, abs=1e-12)
+        assert 0.0 <= row["attn_entropy_mean"] <= math.log(3) + 1e-12   # 3 frames per clip
+        dataset = Dataset.load(tmp_path / "data")
+        rows = [r for s in dataset.split("val")
+                for r in greedy_decode(result.decoder, dataset.features(s), max_len=8,
+                                       record_trace=True).trace]
+        betas = np.array([r.beta for r in rows])
+        entropy = [-sum(a * math.log(a) for a in r.alpha if a > 0) for r in rows]
+        np.testing.assert_allclose(row["beta_mean"], betas.mean(axis=0), rtol=1e-9)
+        assert row["attn_entropy_mean"] == pytest.approx(np.mean(entropy), rel=1e-9)
+
     @pytest.mark.parametrize("val_metric", ["loss", "cider"])
     @pytest.mark.parametrize("has_val", [True, False])
     def test_loads_each_split_once_per_call(self, tiny_dataset, tmp_path, monkeypatch,
                                             val_metric, has_val):
         """However many epochs run, each sample's features are read and each
         reference is tokenized once per split that uses it; with no ``val``
-        split, validation reads the training features already loaded."""
+        split, validation reads the training features and references
+        already loaded."""
         import capgen.training as tr
         data = tiny_dataset
         if not has_val:
@@ -326,7 +357,7 @@ class TestTrainDriver:
                                    checkpoint=str(tmp_path / f"m{epochs}.ckpt")))
             counts.append((len(reads), len(tokenized)))
         # 4 samples of one reference each, in the training and the validation split
-        assert counts == [(8 if has_val else 4, 8)] * 2
+        assert counts == [(8, 8) if has_val else (4, 4)] * 2
 
     @pytest.mark.parametrize("fault", ["loss", "gradient"])
     def test_non_finite_batch_stops_before_the_update(self, tiny_dataset, tmp_path,
