@@ -91,7 +91,6 @@ class AdaptiveGate(Module):
     def __init__(self, hidden_dim: int, rng: np.random.Generator, arity: int = 1):
         if arity not in (1, 3):
             raise ShapeError(f"adaptive gate arity must be 1 or 3, got {arity}")
-        self.hidden_dim = hidden_dim
         self.arity = arity
         self.W_s = glorot(rng, arity, hidden_dim)
 

@@ -14,19 +14,25 @@ Layout, all little-endian:
 A save writes a temporary file next to ``path`` and renames it onto
 ``path``, so a save that fails midway leaves the previous checkpoint
 intact and no temporary file behind.  A load renames the records of DA
-files written before its scorers became ``AdditiveAttention``, and their
-optimizer state ``opt/<name>/<slot>``, from ``_DA_RENAMES``.
+files written before its scorers became ``AdditiveAttention``
+(``_DA_RENAMES``), and stacks the per-gate records of files written
+before an ``LstmCell`` held one weight per input: each complete quartet
+``<p>.W_i`` ... ``<p>.W_g`` (likewise ``U``, ``b``) becomes ``<p>.W``,
+its blocks in ``LstmCell.GATES`` order.  Both apply to optimizer state
+``opt/<name>/<slot>`` too.
 """
 
 from __future__ import annotations
 
 import os
+import re
 import struct
 import threading
 
 import numpy as np
 
 from .errors import FormatError
+from .layers import LstmCell
 
 MAGIC = b"HLSTMAT1"
 
@@ -36,6 +42,8 @@ __all__ = ["MAGIC", "save_checkpoint", "load_checkpoint"]
 _DA_RENAMES = {"attn1.W_v": "attn1.U_a", "attn1.W_h": "attn1.W_a",
                "attn2.W_v": "attn2.U_a", "attn2.W_h": "attn2.W_a",
                "W_s": "sentinel.U_a", "W_h3": "sentinel.W_a", "w_a": "sentinel.w"}
+# a per-gate LSTM record of the older layout: "opt/top.U_f/Eg" is gate f of "opt/top.U/Eg"
+_GATE_RECORD = re.compile(rf"(.+\.[WUb])_([{''.join(LstmCell.GATES)}])(|/[^/]+)")
 
 
 def save_checkpoint(path, variant: str, arrays: dict[str, np.ndarray]) -> None:
@@ -117,4 +125,8 @@ def load_checkpoint(path) -> tuple[str, dict[str, np.ndarray]]:
     if variant == "da":
         arrays = {"/".join(_DA_RENAMES.get(part, part) for part in name.split("/")): arr
                   for name, arr in arrays.items()}
+    for m in filter(None, map(_GATE_RECORD.fullmatch, list(arrays))):
+        quartet = [f"{m[1]}_{g}{m[3]}" for g in LstmCell.GATES]
+        if m[2] == LstmCell.GATES[0] and all(q in arrays for q in quartet):
+            arrays[m[1] + m[3]] = np.concatenate([arrays.pop(q) for q in quartet])
     return variant, arrays

@@ -208,7 +208,8 @@ def read_feature_file(path) -> tuple[str, np.ndarray]:
                 f"got {len(payload)} (payload starts at byte offset 17)")
         extra = fh.read(1)
         if extra:
-            raise FormatError(f"trailing bytes after payload at byte offset {17 + 4 * n_items} in {path}")
+            raise FormatError(f"trailing bytes after payload at byte offset {17 + 4 * n_items} "
+                              f"in {path}")
     arr = np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(count, dim)
     return CODE_KINDS[code], arr
 

@@ -34,14 +34,11 @@ in ``search.py`` gathers them along a caption.
 
 Decoding and teacher forcing take every weight product the same way:
 one ``tensor.matmul_t`` over the rows at hand, a GEMM with its addends
-folded in.  A GEMM of one row is that row's GEMV bit for bit, so a
-one-row step (a one-clip greedy decode, self-critical sampling) has the
-bits of a step taken with matrix-vector products.  Row i of a step over
-n rows agrees with the step of row i alone within rounding, not bit for
-bit: a beam-5 decode's log-probs move by about 1e-15 against stepping
-each hypothesis alone, and row i of a many-clip greedy decode agrees
-with clip i decoded alone within rounding, so at a near-tie it may pick
-another token.
+folded in, and one per LSTM step for all four gates.  So a one-row step
+(a one-clip greedy decode, self-critical sampling) has the bits of
+matrix-vector products, and row i of a step over n rows agrees with row
+i stepped alone within rounding (a beam-5 log-prob by about 1e-15): at
+a near-tie, a many-clip greedy decode may pick another token for a clip.
 
 ``forward_teacher_forced(features, tokens, training, rng)`` takes one
 caption, a ``FeatureSet`` and its token ids, and returns (T, vocab)
@@ -50,8 +47,8 @@ log-probs; or a batch, a sequence of B ``FeatureSet``s and a
 batch's padded step count.  A single caption is a batch of one.  It
 gives what running ``step`` once per word gives, within rounding, with
 the same layers.  Every input is known up front, so the two-LSTM and
-basic decoders run in phases: one embedding gather and one GEMM per gate
-for the input products of an LSTM whose input does not feed back, one
+basic decoders run in phases: one embedding gather and one GEMM for the
+four gates' input products of an LSTM whose input does not feed back, one
 recurrence (``_recur``) per LSTM on (B, H) states from ``init_state``,
 then attention once per step, after the top recurrence, since neither
 LSTM reads the attended context, over its (B, L, D) feature sets (padded
@@ -176,7 +173,7 @@ class BasicDecoder(Module):
 
     def forward_teacher_forced(self, features, tokens, training=False, rng=None):
         """Teacher-forced log-probs (see the module docstring): the pooled
-        features of ``init_state`` join the words in one GEMM per gate,
+        features of ``init_state`` join the words in one GEMM for all gates,
         then T batched LSTM steps and one word head over the B·T rows."""
         batch = _as_batch(features, tokens)
         (masks,) = _dropout_masks((self,), batch.steps, 1, training, rng)
@@ -184,9 +181,8 @@ class BasicDecoder(Module):
         state = self.init_state(batch.feats)
         (vbar,) = state.feats
         words = self.embed.lookup(batch.ids[:, :-1].T)                  # (T, B, E)
-        gates = self.lstm.input_products(
-            concat([words, Tensor(np.broadcast_to(vbar.data, (steps,) + vbar.shape))], axis=2))
-        rows = _recur(self.lstm, gates, state.h, state.m, masks, 0)
+        ys = concat([words, Tensor(np.broadcast_to(vbar.data, (steps,) + vbar.shape))], axis=2)
+        rows = _recur(self.lstm, ys, state.h, state.m, masks, 0)
         return _head_log_probs(lambda x: _word_logits(self, x), stack_rows(rows), batch.single)
 
 
@@ -377,23 +373,24 @@ def _two_lstm_forward(dec, batch: "_Batch", masks) -> Tensor:
     bottom states.  ``dec._attender`` then attends once per step, and the
     word head and ``log_softmax`` run once over the B·T rows."""
     state = dec.init_state(batch.feats)
-    h_d = _recur(dec.bottom, dec.bottom.input_products(dec.embed.lookup(batch.ids[:, :-1].T)),
-                 state.h, state.m, masks, 0)
+    h_d = _recur(dec.bottom, dec.embed.lookup(batch.ids[:, :-1].T), state.h, state.m, masks, 0)
     bottoms = stack_rows(h_d)                       # (T, B, H)
-    ht_d = _recur(dec.top, dec.top.input_products(bottoms), state.h_top, state.m_top, masks, 1)
+    ht_d = _recur(dec.top, bottoms, state.h_top, state.m_top, masks, 1)
     attend = dec._attender(state.feats)
     blended = [attend(h, ht)[0] for h, ht in zip(h_d, ht_d)]
     return _head_log_probs(lambda x: _word_logits(dec, x),
                            concat([bottoms, stack_rows(blended)], axis=2), batch.single)
 
 
-def _recur(cell: LstmCell, inputs, h: Tensor, m: Tensor, masks, layer: int) -> list[Tensor]:
-    """The T steps of a teacher-forced LSTM from (B, H) states ``h`` and
-    ``m``, step t on ``inputs.row(t)`` of the (T, B, H) ``GateInputs``
-    ``inputs``: each step's hidden state under dropout mask ``masks[t, :, layer]``."""
+def _recur(cell: LstmCell, ys: Tensor, h: Tensor, m: Tensor, masks, layer: int) -> list[Tensor]:
+    """The T steps of a teacher-forced LSTM over the (T, B, input_dim)
+    inputs ``ys`` from (B, H) states ``h`` and ``m``, all T steps' input
+    products in one GEMM, step t on its row t: each step's hidden state
+    under dropout mask ``masks[t, :, layer]``."""
     out = []
-    for t in range(inputs.i.shape[0]):
-        step = cell.step(inputs.row(t), h, m)
+    inputs = cell.input_products(ys)                # (T, B, 4H)
+    for t in range(inputs.shape[0]):
+        step = cell.step(take_rows(inputs, t), h, m)
         h, m = step.h, step.m
         out.append(_drop(h, masks, t, layer))
     return out

@@ -7,20 +7,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ContractError, FormatError, ShapeError, VocabularyError
-from .tensor import Tensor, matmul_t, sigmoid, take_rows, tanh
+from .tensor import Tensor, matmul_t, narrow, sigmoid, take_rows, tanh
 
-__all__ = ["Module", "LstmCell", "LstmOut", "GateInputs", "Embedding", "Linear",
-           "dropout_mask", "glorot"]
+__all__ = ["Module", "LstmCell", "LstmOut", "Embedding", "Linear", "dropout_mask", "glorot"]
 
 
 def glorot(rng: np.random.Generator, rows: int, cols: int) -> Tensor:
     """Uniform(-a, a) init with a = sqrt(6 / (fan_in + fan_out))."""
     a = np.sqrt(6.0 / (rows + cols))
     return Tensor(rng.uniform(-a, a, size=(rows, cols)), requires_grad=True)
-
-
-def _zeros_param(n: int) -> Tensor:
-    return Tensor(np.zeros(n), requires_grad=True)
 
 
 class Module:
@@ -65,78 +60,58 @@ class LstmOut(NamedTuple):
     m: Tensor
 
 
-class GateInputs(NamedTuple):
-    """Input products ``W_gate y`` of the four gates: (T, B, H) tensors
-    for a batch of B sequences (``LstmCell.input_products``), whose
-    ``row(t)`` is step t's (B, H) matrices, or one step's (B, H) ones."""
-    i: Tensor
-    f: Tensor
-    o: Tensor
-    g: Tensor
-
-    def row(self, t: int) -> "GateInputs":
-        """Step ``t``'s (B, H) products from a batch's (T, B, H) tensors."""
-        return GateInputs(*(take_rows(p, t) for p in self))
-
-
 class LstmCell(Module):
-    """Single LSTM cell with separate per-gate weight blocks.
+    """Single LSTM cell whose four gates share one weight per input.
 
     i/f/o are sigmoid gates, g the tanh candidate; the memory update is
-    m_t = f*m_prev + i*g and the output h_t = o*tanh(m_t).  The forget
-    bias starts at 1.0 to keep early training stable.
+    m_t = f*m_prev + i*g and the output h_t = o*tanh(m_t).  ``W`` (4H,
+    input_dim), ``U`` (4H, H) and ``b`` (4H) stack the gates' blocks in
+    ``GATES`` order, so rows [k*H, (k+1)*H) belong to gate ``GATES[k]``.
+    The forget slice of ``b`` starts at 1.0 to keep early training stable.
 
-    ``step`` runs n states as (n, H) matrices on the step's input
-    products W y, one ``matmul_t`` per gate (``input_products``).  They do
-    not depend on the recurrence, so when a batch's input sequences are
-    known up front, four tape nodes give them for all T steps at once;
-    where the input feeds back (decoding, DA's first LSTM),
-    ``input_products`` of one step's (n, input_dim) rows gives that
-    step's products.
+    ``step`` runs n states as (n, H) matrices on the step's (n, 4H) input
+    products W y (``input_products``).  They do not depend on the
+    recurrence, so when a batch's input sequences are known up front, one
+    tape node gives them for all T steps at once; where the input feeds
+    back (decoding, DA's first LSTM), ``input_products`` of one step's
+    (n, input_dim) rows gives that step's products.
     """
 
     GATES = ("i", "f", "o", "g")
 
     def __init__(self, input_dim: int, hidden_dim: int, rng: np.random.Generator):
-        self.input_dim = input_dim
-        self.hidden_dim = hidden_dim
-        for gate in self.GATES:
-            setattr(self, f"W_{gate}", glorot(rng, hidden_dim, input_dim))
-            setattr(self, f"U_{gate}", glorot(rng, hidden_dim, hidden_dim))
-            setattr(self, f"b_{gate}", _zeros_param(hidden_dim))
-        self.b_f.data[:] = 1.0
+        # drawn gate by gate, W then U, as the per-gate layout drew them: a seed keeps its weights
+        blocks = [(glorot(rng, hidden_dim, input_dim), glorot(rng, hidden_dim, hidden_dim))
+                  for _ in self.GATES]
+        self.W = Tensor(np.concatenate([w.data for w, _ in blocks]), requires_grad=True)
+        self.U = Tensor(np.concatenate([u.data for _, u in blocks]), requires_grad=True)
+        self.b = Tensor(np.zeros(4 * hidden_dim), requires_grad=True)
+        self.b.data[hidden_dim:2 * hidden_dim] = 1.0
 
-    def _check(self, gates, h_prev: Tensor, m_prev: Tensor) -> None:
-        if h_prev.data.ndim != 2 or h_prev.shape[1] != self.hidden_dim:
-            raise ShapeError(
-                f"recurrent block U_i expects (n, {self.hidden_dim}) hidden rows, "
-                f"got {h_prev.shape}")
+    def input_products(self, ys: Tensor) -> Tensor:
+        """``ys @ W.T``, one ``matmul_t`` for all four gates: a (T, B,
+        input_dim) batch of input sequences -> (T, B, 4H), one step's (B,
+        input_dim) inputs -> (B, 4H)."""
+        if ys.data.ndim not in (2, 3) or ys.shape[-1] != self.W.shape[1]:
+            raise ShapeError(f"input weight W expects (T, B, {self.W.shape[1]}) or "
+                             f"(B, {self.W.shape[1]}) inputs, got {ys.shape}")
+        return matmul_t(ys, self.W)
+
+    def step(self, x: Tensor, h_prev: Tensor, m_prev: Tensor) -> LstmOut:
+        """One step of (n, H) states from the step's (n, 4H) input products
+        ``x``: the pre-activations (U h_prev + W y) + b of all four gates
+        are one ``matmul_t`` with the two addends folded in, and each gate
+        ``narrow``s its H columns out of them."""
+        H = self.U.shape[1]
+        if h_prev.data.ndim != 2 or h_prev.shape[1] != H:
+            raise ShapeError(f"recurrent weight U expects (n, {H}) hidden rows, got {h_prev.shape}")
         if m_prev.shape != h_prev.shape:
             raise ShapeError(f"memory block expects shape {h_prev.shape}, got {m_prev.shape}")
-        if not isinstance(gates, GateInputs) or gates.i.shape != h_prev.shape:
-            raise ShapeError(f"a step takes the GateInputs of input_products, rows of "
-                             f"shape {h_prev.shape}")
-
-    def input_products(self, ys: Tensor) -> GateInputs:
-        """``ys @ W_gate.T``, one ``matmul_t`` per gate: a (T, B,
-        input_dim) batch of input sequences -> (T, B, hidden_dim) each,
-        one step's (B, input_dim) inputs -> (B, hidden_dim) each."""
-        if ys.data.ndim not in (2, 3) or ys.shape[-1] != self.input_dim:
-            raise ShapeError(
-                f"input-gate block W_i expects (T, B, {self.input_dim}) or (B, {self.input_dim}) "
-                f"inputs, got {ys.shape}")
-        return GateInputs(matmul_t(ys, self.W_i), matmul_t(ys, self.W_f),
-                          matmul_t(ys, self.W_o), matmul_t(ys, self.W_g))
-
-    def step(self, gates: GateInputs, h_prev: Tensor, m_prev: Tensor) -> LstmOut:
-        """One step of (n, H) states from the step's (n, H) input products
-        ``gates``; each gate's pre-activation is (U h_prev + W y) + b, one
-        ``matmul_t`` with the two addends folded in."""
-        self._check(gates, h_prev, m_prev)
-        i = sigmoid(matmul_t(h_prev, self.U_i, gates.i, self.b_i))
-        f = sigmoid(matmul_t(h_prev, self.U_f, gates.f, self.b_f))
-        o = sigmoid(matmul_t(h_prev, self.U_o, gates.o, self.b_o))
-        g = tanh(matmul_t(h_prev, self.U_g, gates.g, self.b_g))
+        if x.shape != (h_prev.shape[0], 4 * H):
+            raise ShapeError(f"a step takes (n, 4H) input products, got {x.shape}")
+        z = matmul_t(h_prev, self.U, x, self.b)
+        i, f, o = (sigmoid(narrow(z, k * H, H)) for k in range(3))
+        g = tanh(narrow(z, 3 * H, H))
         m = f * m_prev + i * g
         return LstmOut(o * tanh(m), m)
 
@@ -146,7 +121,6 @@ class Embedding(Module):
 
     def __init__(self, vocab_size: int, dim: int, rng: np.random.Generator):
         self.vocab_size = vocab_size
-        self.dim = dim
         self.E = glorot(rng, vocab_size, dim)
 
     def lookup(self, ids) -> Tensor:
@@ -175,7 +149,7 @@ class Linear(Module):
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator,
                  bias: bool = True):
         self.W = glorot(rng, out_dim, in_dim)
-        self.b = _zeros_param(out_dim) if bias else None
+        self.b = Tensor(np.zeros(out_dim), requires_grad=True) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
         """The map of (n, in_dim) rows: one ``matmul_t`` with the bias."""

@@ -340,13 +340,17 @@ def train(cfg: TrainConfig) -> TrainResult:
     plus the optimizer) and ``val_ms``, ``samples_per_s`` and
     ``tokens_per_s``: training pairs and unpadded target tokens over the
     time of the epoch's batch loop, and ``clip_frac``, the share of
-    gradient entries that clipping clamped.  Two fields read the trace
-    rows of the validation decode, every step of every clip's caption,
-    the EOS step included: ``beta_mean``, the mean of each adaptive-gate β
-    component (a list, of 3 for ``para``; DA's β is its sentinel's
-    attention weight, and it is ``[1.0]`` where there is no gate), and ``attn_entropy_mean``, the mean entropy -Σ α log α of the
-    recorded attention weights α over their entries above 0, so padding
-    adds nothing (DA's α includes its sentinel).  Both are None when
+    gradient entries that clipping clamped.  ``grad_norm`` is the mean
+    over the batches of the gradient's L2 norm before clipping, and
+    ``grad_norm_by_module`` of each module's, keyed by the first part of
+    its parameters' names.  Two fields read the trace rows of the
+    validation decode, every step of every clip's caption, the EOS step
+    included: ``beta_mean``, the mean of each adaptive-gate β component (a
+    list, of 3 for ``para``; DA's β is its sentinel's attention weight,
+    and it is ``[1.0]`` where there is no gate), and
+    ``attn_entropy_mean``, the mean entropy -Σ α log α of the recorded
+    attention weights α over their entries above 0, so padding adds
+    nothing (DA's α includes its sentinel).  Both are None when
     ``val_metric`` is ``loss``, which decodes nothing.
 
     Seeded end to end: parameter init, pair order and dropout masks all
@@ -411,6 +415,7 @@ def train(cfg: TrainConfig) -> TrainResult:
         epoch_loss = 0.0
         forward_s = backward_s = update_s = 0.0
         tokens = clamped = entries = 0
+        norms = []      # per batch: each module's squared gradient norm before clipping
         for lo in range(0, len(order), cfg.batch_size):
             chunk = [pairs[j] for j in order[lo:lo + cfg.batch_size]]
             batch = CaptionBatch.from_id_seqs([ids for _, ids in chunk])
@@ -426,9 +431,14 @@ def train(cfg: TrainConfig) -> TrainResult:
             batch_loss = float(loss.data) * len(chunk)
             tokens += int((batch.lengths - 1).sum())
             _check_finite(epoch, params, loss=batch_loss)
+            norms.append({})
+            for name, p in params.items():
+                if p.grad is not None:
+                    key = name.split(".", 1)[0]
+                    norms[-1][key] = norms[-1].get(key, 0.0) + float(np.vdot(p.grad, p.grad))
+                    entries += p.grad.size
             ta = time.perf_counter()
             clamped += clip_gradients(params, cfg.clip)
-            entries += sum(p.grad.size for p in params.values() if p.grad is not None)
             if cfg.optimizer == "adadelta":
                 adadelta_update(params, opt_state, cfg.rho, cfg.eps)
             else:
@@ -457,6 +467,9 @@ def train(cfg: TrainConfig) -> TrainResult:
                  "update_ms": 1000.0 * update_s, "val_ms": 1000.0 * val_s,
                  "samples_per_s": len(pairs) / train_s, "tokens_per_s": tokens / train_s,
                  "clip_frac": clamped / entries if entries else 0.0, "val_split": val_split,
+                 "grad_norm": float(np.mean([np.sqrt(sum(n.values())) for n in norms])),
+                 "grad_norm_by_module": {k: float(np.sqrt([n[k] for n in norms]).mean())
+                                         for k in norms[0]},
                  **_trace_means(decoded)}
         history.append(entry)
         if cfg.log_path:

@@ -36,8 +36,11 @@ def manual_da_step(ps, cfg, v_g, regions, token, h1, m1, h2, m2):
     """Independent numpy replay of the full two-pass chain."""
     def lstm(prefix, y, hp, mp):
         gate = {}
-        for g in "ifog":
-            pre = ps[f"{prefix}.W_{g}"] @ y + ps[f"{prefix}.U_{g}"] @ hp + ps[f"{prefix}.b_{g}"]
+        H = len(hp)
+        for k, g in enumerate("ifog"):
+            rows = slice(k * H, (k + 1) * H)
+            pre = (ps[f"{prefix}.W"][rows] @ y + ps[f"{prefix}.U"][rows] @ hp
+                   + ps[f"{prefix}.b"][rows])
             gate[g] = np.tanh(pre) if g == "g" else sigmoid_np(pre)
         mn = gate["f"] * mp + gate["i"] * gate["g"]
         return gate["o"] * np.tanh(mn), mn

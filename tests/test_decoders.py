@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracle_teacher_forcing as oracle
+from pinned_weights import wide_decoder
 from capgen import decoders
 from capgen.da import DaConfig, DeliberateDecoder
 from capgen.data import BOS_ID, EOS_ID, PAD_ID, CaptionBatch, FeatureSet
@@ -52,9 +53,11 @@ def manual_hlstmat_step(params, frames, token, h, m, hb, mb, use_adaptive_gate=T
     attended context feeds the word MLP directly, and beta is 1."""
     def lstm(prefix, y, hp, mp):
         gate = {}
-        for g in "ifog":
-            pre = (params[f"{prefix}.W_{g}"] @ y + params[f"{prefix}.U_{g}"] @ hp
-                   + params[f"{prefix}.b_{g}"])
+        H = len(hp)
+        for k, g in enumerate("ifog"):
+            rows = slice(k * H, (k + 1) * H)
+            pre = (params[f"{prefix}.W"][rows] @ y + params[f"{prefix}.U"][rows] @ hp
+                   + params[f"{prefix}.b"][rows])
             gate[g] = np.tanh(pre) if g == "g" else sigmoid_np(pre)
         mn = gate["f"] * mp + gate["i"] * gate["g"]
         return gate["o"] * np.tanh(mn), mn
@@ -374,47 +377,47 @@ def trace_digest(rows) -> str:
 # (tokens, float.hex log-prob, sha256 of the trace rows' alpha and beta bytes)
 PINNED_DECODES = {
     "hlstmat_temporal/greedy": (
-        [5, 5, 6, 5, 5, 5, 10, 4], "-0x1.43d4680e5d3bdp+2",
-        "5a5e5cb00478e244a3900577bde7dc161ec1514ff33cc54cf2f388696b34f9ae"),
+        [10, 0, 1, 5, 1, 5, 1, 5], "-0x1.756cd95e6d136p+1",
+        "8a122bd98a3f4ad4410b903c385283fe65f596254c577a647ea0fae308b3a39e"),
     "hlstmat_temporal/beam5": (
-        [5, 5, 0, 4, 5, 10, 4, 5], "-0x1.de64ca3720b51p+1",
-        "5e11c0bfff9c97f8073eea8a2ae40c7d2aa0fbed87b9b2a322e1dac9db6ebf4c"),
+        [5, 1, 5, 10, 1, 5, 10, 1], "-0x1.755be2363dbfcp+1",
+        "9d6dfbab472659cf10a6a8990702fd2c81b824f311d4a464a4517ebf7a3d3a69"),
     "conf/greedy": (
-        [9, 10, 9, 10, 4, 5, 5, 0], "-0x1.2ff3cdfe5998cp+2",
-        "73e0f3c8ca8006ef78da8a1d30484f9662341f5b26e843cedb61016cf1680ae7"),
+        [5, 5, 5, 5, 1, 5, 3, 10], "-0x1.049c45608e413p+1",
+        "2459b7c6d636d4a0172141981f8092728ebe613658f0f9fac94b9943a5bff926"),
     "conf/beam5": (
-        [7, 5, 9, 3, 5, 0, 8, 5], "-0x1.bd435d74735ddp+1",
-        "a88eddfe4e5077287f74e08416fe3de6505b81229ba3fa84d9c84c722c6f6350"),
+        [5, 5, 5, 5, 1, 0, 5, 7], "-0x1.2bbd5031ecd0ep+0",
+        "e3b2d1b480f51217855b4e48662160d9d3347e77c022545c6e4e76f9b58d8105"),
     "para/greedy": (
-        [8, 7, 11, 11, 11, 8, 11, 8], "-0x1.27d919afcaa24p+2",
-        "2f08dddb361ddc643076d3c861a3555234278c9c778415728a8e406b3fb81540"),
+        [7, 0, 8, 11, 7, 11, 7, 11], "-0x1.47a06465ef834p+1",
+        "70ae4725027658fa363aa307247b9bd0d06452573de78e260b977bd2da3e4f73"),
     "para/beam5": (
-        [8, 7, 11, 7, 1, 5, 8, 7], "-0x1.be603a3a06704p+1",
-        "fde5b303ea28d3ccb27eb163b1c0a3e9a32afa6c36252d9f83ff3f4080d03df0"),
+        [7, 0, 8, 7, 11, 7, 11, 7], "-0x1.40829009dcc2ep+1",
+        "d834fdc1b83fcae641b5b80a0267ff888588cf2c31da3d8eca4fd08df7476c9e"),
     "basic/greedy": (
-        [9, 9, 9, 9, 9, 9, 9, 9], "-0x1.ea09abad7b4d6p-6",
+        [8, 9, 9, 9, 9, 9, 5, 8], "-0x1.027c0ff7f9644p+0",
         "dbd8ebb4d364765882694170cedf5afc7702dd5338a7198705c45b613f6e1c9d"),
     "basic/beam5": (
-        [9, 9, 9, 9, 9, 9, 9, 9], "-0x1.ea09abad7b4d6p-6",
+        [8, 9, 9, 9, 9, 9, 5, 8], "-0x1.027c0ff7f9640p+0",
         "dbd8ebb4d364765882694170cedf5afc7702dd5338a7198705c45b613f6e1c9d"),
     "hlstmat_spatial/greedy": (
-        [4, 7, 5, 5, 5, 5, 10, 5], "-0x1.018d3129cee29p+1",
-        "826d5d32c1aeaef0e649fb378b46e96fc64f333f7755a809d4b470b8932d672f"),
+        [5, 5, 5, 5, 1, 5, 0, 10], "-0x1.2a2d4d78b25f6p+1",
+        "c9e07b831bec8df207c43b806d56728b8a5e1149fc4a85c2630f8657ed8aa8bc"),
     "hlstmat_spatial/beam5": (
-        [4, 7, 5, 5, 5, 5, 10, 5], "-0x1.018d3129cee1fp+1",
-        "5a6c9725617aaab7dfac772524acb8b623a04532d83e9d6558f077ae0b19e9a3"),
+        [5, 5, 5, 0, 7, 3, 3, 3], "-0x1.18d4c40013c53p+1",
+        "019a6773c9623b5fcf8849a1536cd82e330f1aabb8b2035ec541335c03811cb1"),
     "two_stream/greedy": (
-        [1, 11, 11, 11, 11, 11, 11, 11], "-0x1.6469b73641110p+2",
-        "9643f47625b828456580110f32cc6df818e825b1f94eb9a3bbf31577156399ee"),
+        [10, 1, 11, 5, 1, 5, 3, 11], "-0x1.73c679ed1fe66p+2",
+        "9baa37540ba20f0a4e6cf8af863c519ccd644495de00aa9a7a09539579d4ad64"),
     "two_stream/beam5": (
-        [1, 11, 11, 11, 11, 11, 11, 11], "-0x1.6469b73641110p+2",
-        "627526117787b9743b46eeb6071a431e1f6bd347acdd8473708d9553d6f45192"),
+        [1, 5, 3, 11, 5, 1, 5, 3], "-0x1.39fc6598dcc8ap+2",
+        "3c3d7fc4269885bceb7ed6f5f5cbff8d2d351127912e1bf0587edef38509f273"),
     "da/greedy": (
-        [10, 4, 10, 4, 10, 8, 3, 5], "-0x1.c849732b63544p+1",
-        "128428647adb3849f90f8eac094d2489b201773621566eb184397eda73ab6bf0"),
+        [10, 4, 0, 10, 4, 8, 3, 5], "-0x1.5a3eedcb34609p+2",
+        "5b7100818ead5f41a184ec2aaf47455e27bf4c61d23a4e958434e5b0b15a5b7a"),
     "da/beam5": (
-        [10, 4, 10, 4, 10, 8, 3, 5], "-0x1.c849732b63542p+1",
-        "d506be462a25479f9f5d9228b882a9aa16bdf46d4eab4daeac9635a6cd7a5a9c"),
+        [10, 4, 8, 3, 5, 8, 3, 5], "-0x1.63298894fc976p+2",
+        "296532a6cb118e9c3a1b9e833405bfbc7e021b76ccdc73a378c52ad81380feb5"),
 }
 
 
@@ -423,25 +426,25 @@ PINNED_DECODES = {
 # greedy, so that beam's ranking beyond the greedy path is pinned too
 PINNED_BEAM_BEATS_GREEDY = {
     "basic": (14, 2.0,
-        ([9, 9, 9, 1, 9, 9, 9, 9], "-0x1.d13b806a4c5a6p+0",
+        ([9, 9, 9, 9, 9, 9, 9, 9], "-0x1.ad5cb0320219cp+1",
          "dbd8ebb4d364765882694170cedf5afc7702dd5338a7198705c45b613f6e1c9d"),
-        ([9, 9, 1, 9, 9, 9, 9, 9], "-0x1.92c5964e25db5p+0",
+        ([9, 9, 9, 6, 9, 9, 9, 9], "-0x1.c29e0acaafe0dp+0",
          "dbd8ebb4d364765882694170cedf5afc7702dd5338a7198705c45b613f6e1c9d")),
-    "hlstmat_spatial": (12, 2.0,
-        ([5, 5, 5, 5, 5, 5, 5, 5], "-0x1.88df1430cb800p+1",
-         "2752bf43124faa67dbc21231bfcef8907ad41547ffe5bf00dbc02aa4dfe36413"),
-        ([5, 5, 5, 5, 5, 5, 0, 1], "-0x1.6cdf329ea17b3p+1",
-         "4461eb6a71dcc737cae615a65f00f35210f1c7eb90dab41a018d04a3f11a879e")),
-    "two_stream": (13, 2.0,
-        ([1, 4, 11, 11, 11, 11, 11, 11], "-0x1.5df76c5ef4514p+2",
-         "edfecdd336e09b9ad92f2463e0f3fc03175632092e7a5e03c17f2eb9cd004f16"),
-        ([1, 4, 11, 5, 11, 11, 11, 11], "-0x1.5b1a27270d2a6p+2",
-         "95eb0f649acdc36b4f15c1d0b76c9bf441038e27d86e98e10485f5edb95b79f2")),
-    "da": (22, 1.0,
-        ([10, 4, 1, 0, 9, 4, 1, 10], "-0x1.01974ccaf031cp+1",
-         "c352335861be10810d270ffd125aefa9e866a88c35e5d0e63dac4dd0af511929"),
-        ([10, 4, 0, 1, 10, 4, 0, 1], "-0x1.d93ad52f1e2b7p+0",
-         "d2cd53baaf8b151367020102c626ad9223a1a29cd064e98c2aa9fa285c9f53d6")),
+    "hlstmat_spatial": (13, 2.0,
+        ([3, 3, 5, 0, 3, 5, 0, 4], "-0x1.60297c62c29f1p+1",
+         "9f090e973afa512c232f0f40410e911f79bcd174c8c39c7bee00d5a0e2442627"),
+        ([7, 3, 3, 3, 3, 3, 3, 3], "-0x1.2759813c76a86p+1",
+         "a0e30001c689158796be41b213bd3a7bcf95e96a6aea293a546b1a4f9660549f")),
+    "two_stream": (12, 2.0,
+        ([11, 11, 11, 11, 11, 11, 11, 11], "-0x1.6bedc85ad9613p+2",
+         "c30bea8331d03b0b47a528b17257b722622979dc6dca20ba4191c934a8c819b7"),
+        ([5, 11, 5, 1, 5, 11, 5, 1], "-0x1.32054527801d5p+2",
+         "c833dce50b76518d183ef5b017d13d3db9a7354a29968b7a94ae4bb37a331e14")),
+    "da": (17, 1.0,
+        ([4, 0, 5, 9, 4, 0, 5, 5], "-0x1.59473ded18349p+1",
+         "7d57e0e5c60ad2498e9993869e0c09b3ce97504107efe90f5cef26c96fba2e6a"),
+        ([4, 0, 9, 9, 9, 9, 9, 9], "-0x1.0d55b63410671p+1",
+         "967ca2a78d42f597ef7974e0ff70ce98f4c48203d369907eb6e347f57ae2d8b8")),
 }
 
 
@@ -455,28 +458,20 @@ def word_heads(dec):
     return [dec.out_vocab]
 
 
-# weight scale of the PINNED_DECODES and PINNED_REWARD_STEPS decoders; DA's
-# word head saturates at 2.0 (every step emits word 4 with p = 1.0) and its
-# reward step samples greedy's caption at 1.0, so it is pinned at 0.75
-PIN_SCALES = {"da": 0.75}
 # features seed of the PINNED_DECODES decoders; at DA's scale, seed 11's
-# greedy caption is word 4 eight times, seed 5's holds five distinct words
-PIN_FEATURES_SEEDS = {"da": 5}
+# greedy caption is word 4 eight times, seed 20's holds six distinct words,
+# and two-stream's greedy caption is word 11 eight times at seed 11
+PIN_FEATURES_SEEDS = {"da": 20, "two_stream": 9}
 
 
 def pinned_decode(variant, search, features_seed=None, scale=None):
     """(tokens, float.hex log-prob, trace digest) of a seeded tiny decoder
-    whose weights are drawn at ``scale`` on features drawn from
-    ``features_seed`` (None: the variant's pins), and whose word head's
-    only nonzero bias is -2 on EOS."""
-    if scale is None:
-        scale = PIN_SCALES.get(variant, 2.0)
+    (``pinned_weights.wide_decoder``) whose weights are drawn at ``scale``
+    on features drawn from ``features_seed`` (None: the variant's pins),
+    and whose word head's only nonzero bias is -2 on EOS."""
     if features_seed is None:
         features_seed = PIN_FEATURES_SEEDS.get(variant, 11)
-    dec, dims = tiny_decoder(variant, hidden=8, vocab_size=12, seed=5)
-    wide = np.random.default_rng(1)
-    for p in dec.parameters().values():
-        p.data[...] = wide.standard_normal(p.data.shape) * scale
+    dec, dims = wide_decoder(variant, scale)
     for head in word_heads(dec):
         head.b.data[:] = 0.0
         head.b.data[EOS_ID] = -2.0
@@ -499,8 +494,9 @@ class TestPinnedDecoding:
         assert pinned_decode(variant, search) == PINNED_DECODES[name]
 
     def test_every_greedy_pin_but_basic_varies(self):
-        """A caption of one repeated word cannot show a change in ranking;
-        ``basic``, which reads no attention, keeps emitting word 9."""
+        """A caption of one repeated word cannot show a change in ranking.
+        ``basic`` reads no attention, so it is exempt, although its pin
+        varies too."""
         assert all(len(set(tokens)) > 1 for name, (tokens, _, _) in PINNED_DECODES.items()
                    if name.endswith("/greedy") and not name.startswith("basic/"))
 

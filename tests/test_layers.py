@@ -4,10 +4,21 @@ import numpy as np
 import pytest
 
 from capgen.checkpoint import MAGIC, load_checkpoint, save_checkpoint
+from capgen.decoders import VARIANTS
 from capgen.errors import ContractError, FormatError, ShapeError, VocabularyError
 from capgen.gradcheck import check_gradients
-from capgen.layers import Embedding, Linear, LstmCell, Module, dropout_mask
+from capgen.layers import Embedding, Linear, LstmCell, Module, dropout_mask, glorot
 from capgen.tensor import Tape, Tensor, backward, sum_all, zeros
+from capgen.testkit import tiny_decoder
+
+
+def lstm_cells(module, prefix=""):
+    """The parameter-name prefixes of every ``LstmCell`` inside ``module``."""
+    for name, value in vars(module).items():
+        if isinstance(value, LstmCell):
+            yield prefix + name
+        elif isinstance(value, Module):
+            yield from lstm_cells(value, f"{prefix}{name}.")
 
 
 def zeroed_cell(input_dim=1, hidden=1):
@@ -27,23 +38,33 @@ class TestLstmCell:
 
     def test_saturated_forget_gate_preserves_memory(self):
         cell = zeroed_cell()
-        cell.b_f.data[:] = 50.0
+        cell.b.data[1:2] = 50.0     # the forget slice b[H:2H]
         out = cell.step(cell.input_products(Tensor([[0.0]])), zeros(1, 1), Tensor([[1.0]]))
         np.testing.assert_allclose(out.m.data, [[1.0]], atol=1e-3)
 
     def test_forget_bias_initialized_to_one(self, rng):
         cell = LstmCell(3, 4, rng)
-        np.testing.assert_array_equal(cell.b_f.data, np.ones(4))
-        np.testing.assert_array_equal(cell.b_i.data, np.zeros(4))
+        np.testing.assert_array_equal(cell.b.data[4:8], np.ones(4))
+        np.testing.assert_array_equal(cell.b.data[:4], np.zeros(4))
+
+    def test_init_stacks_the_gate_blocks_in_draw_order(self):
+        """Each gate's W and U blocks are drawn in ``GATES`` order, W before
+        U, and stacked, so a seeded cell holds the per-gate weights."""
+        cell = LstmCell(3, 4, np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        blocks = [(glorot(rng, 4, 3).data, glorot(rng, 4, 4).data) for _ in LstmCell.GATES]
+        assert np.array_equal(cell.W.data, np.concatenate([w for w, _ in blocks]))
+        assert np.array_equal(cell.U.data, np.concatenate([u for _, u in blocks]))
+        assert (cell.W.shape, cell.U.shape, cell.b.shape) == ((16, 3), (16, 4), (16,))
 
     def test_dimension_error_names_gate_block(self):
         cell = LstmCell(3, 4, np.random.default_rng(0))
-        with pytest.raises(ShapeError, match="W_i"):
+        with pytest.raises(ShapeError, match="weight W"):
             cell.input_products(Tensor([[1.0, 2.0]]))
-        gates = cell.input_products(Tensor([[1.0, 2.0, 3.0]]))
-        with pytest.raises(ShapeError, match="U_i"):
-            cell.step(gates, zeros(1, 3), zeros(1, 4))
-        with pytest.raises(ShapeError, match="GateInputs"):
+        products = cell.input_products(Tensor([[1.0, 2.0, 3.0]]))
+        with pytest.raises(ShapeError, match="weight U"):
+            cell.step(products, zeros(1, 3), zeros(1, 4))
+        with pytest.raises(ShapeError, match="input products"):
             cell.step(Tensor([[1.0, 2.0, 3.0]]), zeros(1, 4), zeros(1, 4))
 
     def test_input_products_of_a_sequence_batch_match_each_step(self, rng):
@@ -52,18 +73,17 @@ class TestLstmCell:
         seq = cell.input_products(ys)
         for t in range(5):
             step = cell.input_products(Tensor(ys.data[t]))
-            for a, b in zip(seq.row(t), step):
-                np.testing.assert_allclose(a.data, b.data, rtol=1e-14, atol=1e-15)
-        with pytest.raises(ShapeError, match="W_i"):
+            np.testing.assert_allclose(seq.data[t], step.data, rtol=1e-14, atol=1e-15)
+        with pytest.raises(ShapeError, match="weight W"):
             cell.input_products(Tensor(rng.standard_normal(3)))
 
-    def test_input_products_of_a_sequence_batch_record_one_node_per_gate(self, rng):
+    def test_input_products_of_a_sequence_batch_record_one_node(self, rng):
         cell = LstmCell(3, 4, rng)
         ys = Tensor(rng.standard_normal((5, 2, 3)), requires_grad=True)
         with Tape() as tape:
-            gates = cell.input_products(ys)
-            assert len(tape.nodes) == 4
-        assert [p.shape for p in gates] == [(5, 2, 4)] * 4
+            products = cell.input_products(ys)
+            assert len(tape.nodes) == 1
+        assert products.shape == (5, 2, 16)
 
     def test_hidden_output_strictly_inside_unit_interval(self, rng):
         cell = LstmCell(5, 7, rng)
@@ -73,13 +93,13 @@ class TestLstmCell:
                             Tensor(rng.standard_normal((2, 7))))
             assert np.all(np.abs(out.h.data) < 1.0)
 
-    def test_gradcheck_all_twelve_blocks(self, rng):
+    def test_gradcheck_all_three_weights(self, rng):
         cell = LstmCell(4, 4, rng)
         y = Tensor(rng.standard_normal((2, 4)))
         h0 = Tensor(rng.standard_normal((2, 4)))
         m0 = Tensor(rng.standard_normal((2, 4)))
         params = cell.parameters()
-        assert len(params) == 12
+        assert list(params) == ["W", "U", "b"]
 
         def loss():
             out = cell.step(cell.input_products(y), h0, m0)
@@ -196,6 +216,37 @@ class TestCheckpoint:
             assert list(loaded) == names
             for name, want in zip(names, arrays.values()):
                 assert np.array_equal(loaded[name], want), name
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_per_gate_lstm_records_are_stacked(self, tmp_path, rng, variant):
+        """A file written when each LSTM held one record per gate and
+        weight, ``<cell>.W_i`` ... ``<cell>.b_g``, with adadelta state
+        ``opt/<cell>.W_i/Eg`` ..., loads as the stacked records, bit for
+        bit; a lone gate record stays as it is."""
+        dec, _ = tiny_decoder(variant)
+        arrays = {name: p.data for name, p in dec.parameters().items()}
+        for name, p in dec.parameters().items():
+            for slot in ("Eg", "Ex"):
+                arrays[f"opt/{name}/{slot}"] = rng.random(p.shape)
+        arrays["meta/epoch"] = np.asarray(3.0)
+        arrays["extra.W_i"] = rng.standard_normal(3)
+        stacked = {f"{cell}.{leaf}" for cell in lstm_cells(dec) for leaf in ("W", "U", "b")}
+        assert len(stacked) == 3 * {"basic": 1, "two_stream": 4}.get(variant, 2)
+        legacy = {}
+        for name, arr in arrays.items():
+            param = name.split("/")[1] if name.startswith("opt/") else name
+            if param not in stacked:
+                legacy[name] = arr
+                continue
+            for k, block in enumerate(np.split(arr, 4)):
+                legacy[name.replace(param, f"{param}_{'ifog'[k]}")] = block
+        save_checkpoint(tmp_path / "old.ckpt", variant, legacy)
+        loaded_variant, loaded = load_checkpoint(tmp_path / "old.ckpt")
+        assert loaded_variant == variant
+        assert loaded.keys() == arrays.keys()
+        for name, arr in arrays.items():
+            assert np.array_equal(loaded[name], arr), name
+        dec.load_arrays(loaded)
 
     def test_failed_save_keeps_previous_checkpoint(self, tmp_path, rng):
         path = tmp_path / "model.ckpt"
