@@ -5,16 +5,22 @@ sample plus one or more reference token lists.  They are pure functions
 of the match structure, so consistently relabeling tokens leaves every
 score unchanged.
 
-Encoding.  Each call maps every token to a word id once.  The n-grams of
-one order are then coded from those of the order below: an n-gram's code
-is (dense id of its leading (n-1)-gram) * (number of words) + (id of its
-last word), and ``np.unique`` compacts the codes to dense ids before the
-next order.  Both factors are below the token count, so a vocabulary of
-any size stays inside int64.  BLEU and CIDEr-D score ``CHUNK`` samples
-per array pass, so their working arrays grow with the chunk, not with the
-corpus.  ROUGE-L's LCS is bit-parallel over Python ints (Allison & Dix
-1986; Hyyrö 2004), with the candidate's match masks built once and reused
-for every reference.
+Encoding.  A scored corpus is encoded once: its candidates, then its
+references, as one list of sentences.  Every token maps to a word id, and
+the n-grams of one order are coded from those of the order below: an
+n-gram's code is (dense id of its leading (n-1)-gram) * (number of words)
++ (id of its last word), and ``np.unique`` compacts the codes to dense
+ids before the next order.  Both factors are below the token count, so a
+vocabulary of any size stays inside int64.  The same pass counts each
+gram's document frequency over the reference sets.  ``evaluate_corpus``
+hands one encoding to both ``bleu`` and ``cider``; called alone, each
+encodes its own corpus.  The encoding's arrays grow with the corpus and
+live for one call.  BLEU and CIDEr-D then score ``CHUNK`` samples per
+array pass: sentences are contiguous and their grams in text order, so
+a chunk's candidate and reference grams are two slices per order.
+ROUGE-L's LCS is bit-parallel over Python ints (Allison & Dix 1986;
+Hyyrö 2004), with the candidate's match masks built once and reused for
+every reference.
 
 BLEU and the LCS are integer counts, exact by construction.  CIDEr-D's
 floats keep the bits of the scalar per-gram loop (one dict of weights per
@@ -33,10 +39,9 @@ sentence) that this encoding replaced, through three rules:
   ``_ordered_add`` loops over ranks, and each segment holds at most one
   term per rank, so one fancy-indexed ``+=`` adds one term to each sum.
 
-A ``CiderD`` scorer counts its document frequencies once, so the
-self-critical reward builds one over the training references and then
-scores each caption as a batch of one, while ``cider`` scores its whole
-corpus in chunks through the same code.
+A ``CiderD`` scorer encodes its reference sets once and keeps the
+encoding, so the self-critical reward builds one over the training
+references and then encodes only each caption against it.
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,11 +91,6 @@ class TokenizedCorpus:
                    [[tokenize(r, mode) for r in refs] for refs in references])
 
 
-def _chunks(corpus: TokenizedCorpus):
-    for lo in range(0, len(corpus), CHUNK):
-        yield corpus.candidates[lo:lo + CHUNK], corpus.references[lo:lo + CHUNK]
-
-
 def _word_ids(sentences: list[list[str]]):
     """The flattened word ids of ``sentences``, their lengths, and the
     word -> id map (ids in order of first occurrence)."""
@@ -115,17 +116,89 @@ def _grams(ids: np.ndarray, lens: np.ndarray, n_words: int):
         pos, sent, left, gid = pos[keep], sent[keep], left[keep], gid[keep]
 
 
-def _distinct(per_order, n_sent: int):
+class _Batch(NamedTuple):
+    """Samples scored in one array pass: per order, the (sentence, gram id,
+    document frequency) of every n-gram of their candidates, then of their
+    references, in text order with sentences numbered from 0; the number
+    of gram ids per order; every sentence's length; and each sample's
+    reference count."""
+
+    grams: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+    sizes: list[int]
+    lens: np.ndarray
+    n_refs: np.ndarray
+
+
+def _joined(*parts):
+    """Per order, the arrays of each of ``parts`` concatenated in turn."""
+    return [tuple(map(np.concatenate, zip(*per_order))) for per_order in zip(*parts)]
+
+
+class _Encoding:
+    """A corpus's candidates, then its references, encoded once.
+
+    ``grams[k]`` is order k+1's (sentence, gram id) of every n-gram in text
+    order, ``codes[k]`` the sorted distinct codes the ids index, and
+    ``doc_freq[k]`` how many reference sets hold each of them."""
+
+    def __init__(self, cands: list[list[str]], ref_sets: list[list[list[str]]]):
+        self.n_c = len(cands)
+        self.n_refs = np.fromiter(map(len, ref_sets), np.int64, len(ref_sets))
+        # the first sentence of each sample's references, then the end
+        self.ref_start = np.cumsum([self.n_c] + self.n_refs.tolist()).tolist()
+        owner = np.repeat(np.arange(len(ref_sets)), self.n_refs)
+        ids, self.lens, self.words = _word_ids(
+            cands + [ref for refs in ref_sets for ref in refs])
+        self.grams, self.codes, self.doc_freq = [], [], []
+        for sent, gid, codes in _grams(ids, self.lens, len(self.words)):
+            at = np.searchsorted(sent, self.n_c)   # the first reference gram
+            held = np.sort(owner[sent[at:] - self.n_c] * len(codes) + gid[at:])
+            held = held[np.diff(held, prepend=-1) != 0] % len(codes)
+            self.grams.append((sent, gid))
+            self.codes.append(codes)
+            self.doc_freq.append(np.bincount(held, minlength=len(codes)))
+        self.log_n_docs = math.log(len(ref_sets))
+
+    def span(self, lo: int, hi: int, to: int):
+        """Per order, the (sentence, gram id, document frequency) of every
+        gram of sentences lo..hi-1, sentences renumbered from ``to``."""
+        out = []
+        for (sent, gid), doc_freq in zip(self.grams, self.doc_freq):
+            a, b = np.searchsorted(sent, [lo, hi]).tolist()
+            out.append((sent[a:b] + (to - lo), gid[a:b], doc_freq[gid[a:b]]))
+        return out
+
+    def batches(self):
+        """The candidates in ``CHUNK``-sample ``_Batch``es."""
+        sizes = [len(codes) for codes in self.codes]
+        for lo in range(0, self.n_c, CHUNK):
+            hi = min(lo + CHUNK, self.n_c)
+            r_lo, r_hi = self.ref_start[lo], self.ref_start[hi]
+            yield _Batch(_joined(self.span(lo, hi, 0), self.span(r_lo, r_hi, hi - lo)), sizes,
+                         np.concatenate([self.lens[lo:hi], self.lens[r_lo:r_hi]]),
+                         self.n_refs[lo:hi])
+
+
+def _encoded(corpus) -> _Encoding:
+    """``corpus``'s encoding: ``evaluate_corpus`` hands one in, else it is
+    encoded here."""
+    if isinstance(corpus, _Encoding):
+        return corpus
+    return _Encoding(corpus.candidates, corpus.references)
+
+
+def _distinct(batch: _Batch):
     """Each (order, sentence)'s distinct grams in the order they first occur.
 
-    ``per_order`` holds each order's ``(sentence, gram id, gram count)``
-    from ``_grams``.  Returns the segment ``order * n_sent + sentence``,
-    the gram id offset to be distinct across orders, the count in the
-    segment and the rank in that order of every distinct gram, segments
-    ascending, then the number of gram ids."""
-    offsets = np.cumsum([0] + [n for _, _, n in per_order]).tolist()
-    seg = np.concatenate([order * n_sent + sent for order, (sent, _, _) in enumerate(per_order)])
-    gram = np.concatenate([gid + off for (_, gid, _), off in zip(per_order, offsets)])
+    Returns the segment ``order * sentences + sentence``, the gram id
+    offset to be distinct across orders, the count in the segment, the
+    document frequency and the rank in that order of every distinct gram,
+    segments ascending, then the number of gram ids."""
+    n_sent = len(batch.lens)
+    offsets = np.cumsum([0] + batch.sizes).tolist()
+    seg = np.concatenate([order * n_sent + sent
+                          for order, (sent, _, _) in enumerate(batch.grams)])
+    gram = np.concatenate([gid + off for (_, gid, _), off in zip(batch.grams, offsets)])
     key = seg * offsets[-1] + gram
     order = np.argsort(key)
     head = np.flatnonzero(np.diff(key[order], prepend=-1))
@@ -136,7 +209,8 @@ def _distinct(per_order, n_sent: int):
     s = seg[at]
     per_seg = np.bincount(s)
     rank = np.arange(len(at)) - (np.cumsum(per_seg) - per_seg)[s]
-    return s, gram[at], counts[at], rank, offsets[-1]
+    df = np.concatenate([df for _, _, df in batch.grams])[at]
+    return s, gram[at], counts[at], df, rank, offsets[-1]
 
 
 def _ordered_add(out: np.ndarray, seg: np.ndarray, rank: np.ndarray,
@@ -153,22 +227,13 @@ def _ordered_add(out: np.ndarray, seg: np.ndarray, rank: np.ndarray,
         start = end
 
 
-def _batch(cands: list[list[str]], ref_sets: list[list[list[str]]]):
-    """Candidates, then every reference, as one list of sentences, with the
-    sample of each reference."""
-    n_refs = np.array([len(refs) for refs in ref_sets])
-    owner = np.repeat(np.arange(len(cands)), n_refs)
-    return cands + [ref for refs in ref_sets for ref in refs], owner, n_refs
-
-
-def _bleu_counts(cands: list[list[str]], ref_sets: list[list[list[str]]]):
+def _bleu_counts(batch: _Batch):
     """Per order, the clipped matches and the candidate n-grams of one
-    chunk, then its candidate length and closest reference length."""
-    n_c = len(cands)
-    sentences, owner, n_refs = _batch(cands, ref_sets)
-    ids, lens, words = _word_ids(sentences)
-    per_order = [(sent, gid, len(codes)) for sent, gid, codes in _grams(ids, lens, len(words))]
-    s, g, tf, _, n_grams = _distinct(per_order, len(lens))
+    batch, then its candidate length and closest reference length."""
+    lens, n_refs = batch.lens, batch.n_refs
+    n_c = len(n_refs)
+    owner = np.repeat(np.arange(n_c), n_refs)
+    s, g, tf, _, _, n_grams = _distinct(batch)
     order, sent = np.divmod(s, len(lens))
     key = np.concatenate([np.arange(n_c), owner])[sent] * n_grams + g
     in_ref = sent >= n_c
@@ -207,8 +272,8 @@ def bleu(corpus: TokenizedCorpus) -> tuple[float, float, float, float]:
     total = [0] * MAX_N
     cand_len = 0
     ref_len = 0
-    for cands, ref_sets in _chunks(corpus):
-        m, t, c, r = _bleu_counts(cands, ref_sets)
+    for batch in _encoded(corpus).batches():
+        m, t, c, r = _bleu_counts(batch)
         matched = [a + b for a, b in zip(matched, m)]
         total = [a + b for a, b in zip(total, t)]
         cand_len += c
@@ -267,34 +332,110 @@ def rouge_l(corpus: TokenizedCorpus) -> float:
     return float(np.mean(scores))
 
 
+def _weights(tf: np.ndarray, df: np.ndarray, log_n_docs: float):
+    """TF-IDF weights and their squares, as Python scalars once per
+    distinct (term frequency, document frequency) pair."""
+    span = int(df.max(initial=0)) + 1
+    pairs, inv = np.unique(tf * span + df, return_inverse=True)
+    w, sq = [], []
+    for tf_k, df_k in zip(*(a.tolist() for a in np.divmod(pairs, span))):
+        x = tf_k * (log_n_docs - math.log(max(1.0, df_k)))
+        w.append(x)
+        sq.append(x ** 2)
+    return np.array(w)[inv], np.array(sq)[inv]
+
+
+def _cider_batch(batch: _Batch, log_n_docs: float) -> list[float]:
+    """CIDEr-D of each of ``batch``'s candidates against its references."""
+    lens, n_refs = batch.lens, batch.n_refs
+    n_c = len(n_refs)
+    owner = np.repeat(np.arange(n_c), n_refs)
+    s, g, tf, df, rank, n_grams = _distinct(batch)
+    w, sq = _weights(tf, df, log_n_docs)
+    norm = np.zeros(MAX_N * len(lens))
+    _ordered_add(norm, s, rank, sq)
+    norm = np.sqrt(norm).reshape(MAX_N, len(lens))
+    order, sent = np.divmod(s, len(lens))
+    # pair each reference gram with the candidate's same gram
+    cand_at = np.flatnonzero(sent < n_c)
+    cand_key = sent[cand_at] * n_grams + g[cand_at]
+    by_key = np.argsort(cand_key)
+    cand_at, cand_key = cand_at[by_key], cand_key[by_key]
+    ref_at = np.flatnonzero(sent >= n_c)
+    ref_key = owner[sent[ref_at] - n_c] * n_grams + g[ref_at]
+    val = np.zeros(MAX_N * len(owner))
+    if len(cand_key):
+        at = np.minimum(np.searchsorted(cand_key, ref_key), len(cand_key) - 1)
+        hit = cand_key[at] == ref_key
+        c, r = cand_at[at[hit]], ref_at[hit]
+        # count clipping: the candidate's weight capped by the reference's
+        _ordered_add(val, order[r] * len(owner) + sent[r] - n_c, rank[c],
+                     np.minimum(w[c], w[r]) * w[r])
+    val = val.reshape(MAX_N, len(owner))
+    c_norm, r_norm = norm[:, owner], norm[:, n_c:]
+    both = (c_norm != 0) & (r_norm != 0)
+    val[both] /= c_norm[both] * r_norm[both]
+    gaps, gap_at = np.unique(lens[owner] - lens[n_c:], return_inverse=True)
+    penalty = np.array([math.exp(-(float(d) ** 2) / (2 * CIDER_SIGMA ** 2))
+                        for d in gaps.tolist()])[gap_at]
+    # reference by reference, into one sum per (order, sample)
+    ref_rank = np.arange(len(owner)) - np.repeat(np.cumsum(n_refs) - n_refs, n_refs)
+    acc = np.zeros(MAX_N * n_c)
+    _ordered_add(acc, (np.arange(MAX_N)[:, None] * n_c + owner).ravel(),
+                 np.tile(ref_rank, MAX_N), (val * penalty).ravel())
+    acc = np.ascontiguousarray(acc.reshape(MAX_N, n_c).T)
+    return [float(np.mean(row)) / k * 10.0 for row, k in zip(acc, n_refs.tolist())]
+
+
 class CiderD:
     """CIDEr-D with document frequencies counted once over ``ref_sets``.
 
     ``score`` is one sample's TF-IDF n-gram cosine against each reference,
     with candidate count clipping and a Gaussian length penalty, averaged
-    over references and orders, scaled by 10.
+    over references and orders, scaled by 10.  The scorer keeps the
+    encoding of ``ref_sets``, so scoring against one of them encodes only
+    the caption.
     """
 
     def __init__(self, ref_sets: list[list[list[str]]]):
         if len(ref_sets) == 0:
             raise EmptyInputError("CIDEr needs reference sets for document frequencies")
-        owner = np.repeat(np.arange(len(ref_sets)), [len(refs) for refs in ref_sets])
-        ids, lens, self.words = _word_ids([ref for refs in ref_sets for ref in refs])
-        # per order: the sorted gram codes of the references, and how many
-        # reference sets hold each
-        self.codes: list[np.ndarray] = []
-        self.doc_freq: list[np.ndarray] = []
-        for sent, gid, codes in _grams(ids, lens, len(self.words)):
-            held = np.sort(owner[sent] * len(codes) + gid)
-            held = held[np.diff(held, prepend=-1) != 0] % len(codes)
-            self.codes.append(codes)
-            self.doc_freq.append(np.bincount(held, minlength=len(codes)))
-        self.log_n_docs = math.log(len(ref_sets))
+        self.refs = _Encoding([], ref_sets)
 
-    def score(self, cand: list[str], refs: list[list[str]]) -> float:
-        if len(refs) == 0:
+    def score(self, cand: list[str], refs: list[list[str]] | int) -> float:
+        """``cand``'s CIDEr-D against ``refs``: a reference set, or the index
+        of one of the scorer's own, whose encoding is reused."""
+        own = self.refs
+        if isinstance(refs, int):
+            sentences, lo, hi = [cand], own.ref_start[refs], own.ref_start[refs + 1]
+        elif len(refs) == 0:
             raise EmptyInputError("CIDEr needs at least one reference")
-        return self._score_batch([cand], [refs])[0]
+        else:
+            sentences, lo, hi = [cand] + refs, 0, 0
+        grams, sizes, lens = self._code(sentences)
+        batch = _Batch(_joined(grams, own.span(lo, hi, len(sentences))), sizes,
+                       np.concatenate([lens, own.lens[lo:hi]]),
+                       np.array([len(sentences) - 1 + hi - lo]))
+        return _cider_batch(batch, own.log_n_docs)[0]
+
+    def _code(self, sentences: list[list[str]]):
+        """Per order, the (sentence, gram id, document frequency) of every
+        gram of ``sentences`` in the scorer's gram ids, with the grams its
+        references lack numbered past them; the number of gram ids per
+        order; and the sentence lengths."""
+        own = self.refs
+        ids, lens, words = _word_ids(sentences)
+        word_id = np.fromiter((own.words.get(w, -1) for w in words), np.int64, len(words))
+        grams, sizes, known = [], [], None
+        for order, (sent, gid, codes) in enumerate(_grams(ids, lens, len(words))):
+            known = self._known(order, codes, len(words), known, word_id)
+            n_own = len(own.codes[order])
+            df = np.zeros(len(codes), np.int64)
+            df[known >= 0] = own.doc_freq[order][known[known >= 0]]
+            ours = np.where(known >= 0, known, n_own + np.arange(len(codes)))
+            grams.append((sent, ours[gid], df[gid]))
+            sizes.append(n_own + len(codes))
+        return grams, sizes, lens
 
     def _known(self, order: int, codes: np.ndarray, n_words: int,
                below: np.ndarray, word_id: np.ndarray) -> np.ndarray:
@@ -302,88 +443,28 @@ class CiderD:
         over ``n_words`` batch words), or -1 where its references lack it."""
         if order == 0:
             return word_id
-        table = self.codes[order]
+        table = self.refs.codes[order]
         if len(table) == 0:
             return np.full(len(codes), -1)
         prefix, last = below[codes // n_words], word_id[codes % n_words]
-        code = np.where((prefix >= 0) & (last >= 0), prefix * len(self.words) + last, -1)
+        code = np.where((prefix >= 0) & (last >= 0), prefix * len(self.refs.words) + last, -1)
         at = np.minimum(np.searchsorted(table, code), len(table) - 1)
         return np.where(table[at] == code, at, -1)
-
-    def _weights(self, tf: np.ndarray, df: np.ndarray):
-        """TF-IDF weights and their squares, as Python scalars once per
-        distinct (term frequency, document frequency) pair."""
-        span = int(df.max(initial=0)) + 1
-        pairs, inv = np.unique(tf * span + df, return_inverse=True)
-        w, sq = [], []
-        for tf_k, df_k in zip(*(a.tolist() for a in np.divmod(pairs, span))):
-            x = tf_k * (self.log_n_docs - math.log(max(1.0, df_k)))
-            w.append(x)
-            sq.append(x ** 2)
-        return np.array(w)[inv], np.array(sq)[inv]
-
-    def _score_batch(self, cands: list[list[str]],
-                     ref_sets: list[list[list[str]]]) -> list[float]:
-        """``score`` of each candidate against its reference set, in one pass."""
-        n_c = len(cands)
-        sentences, owner, n_refs = _batch(cands, ref_sets)
-        ids, lens, words = _word_ids(sentences)
-        word_id = np.fromiter((self.words.get(w, -1) for w in words), np.int64, len(words))
-        per_order, doc_freq, known = [], [], None
-        for order, (sent, gid, codes) in enumerate(_grams(ids, lens, len(words))):
-            known = self._known(order, codes, len(words), known, word_id)
-            df = np.zeros(len(codes), np.int64)
-            df[known >= 0] = self.doc_freq[order][known[known >= 0]]
-            per_order.append((sent, gid, len(codes)))
-            doc_freq.append(df)
-        s, g, tf, rank, n_grams = _distinct(per_order, len(lens))
-        w, sq = self._weights(tf, np.concatenate(doc_freq)[g])
-        norm = np.zeros(MAX_N * len(lens))
-        _ordered_add(norm, s, rank, sq)
-        norm = np.sqrt(norm).reshape(MAX_N, len(lens))
-        order, sent = np.divmod(s, len(lens))
-        # pair each reference gram with the candidate's same gram
-        cand_at = np.flatnonzero(sent < n_c)
-        cand_key = sent[cand_at] * n_grams + g[cand_at]
-        by_key = np.argsort(cand_key)
-        cand_at, cand_key = cand_at[by_key], cand_key[by_key]
-        ref_at = np.flatnonzero(sent >= n_c)
-        ref_key = owner[sent[ref_at] - n_c] * n_grams + g[ref_at]
-        val = np.zeros(MAX_N * len(owner))
-        if len(cand_key):
-            at = np.minimum(np.searchsorted(cand_key, ref_key), len(cand_key) - 1)
-            hit = cand_key[at] == ref_key
-            c, r = cand_at[at[hit]], ref_at[hit]
-            # count clipping: the candidate's weight capped by the reference's
-            _ordered_add(val, order[r] * len(owner) + sent[r] - n_c, rank[c],
-                         np.minimum(w[c], w[r]) * w[r])
-        val = val.reshape(MAX_N, len(owner))
-        c_norm, r_norm = norm[:, owner], norm[:, n_c:]
-        both = (c_norm != 0) & (r_norm != 0)
-        val[both] /= c_norm[both] * r_norm[both]
-        gaps, gap_at = np.unique(lens[owner] - lens[n_c:], return_inverse=True)
-        penalty = np.array([math.exp(-(float(d) ** 2) / (2 * CIDER_SIGMA ** 2))
-                            for d in gaps.tolist()])[gap_at]
-        # reference by reference, into one sum per (order, sample)
-        ref_rank = np.arange(len(owner)) - np.repeat(np.cumsum(n_refs) - n_refs, n_refs)
-        acc = np.zeros(MAX_N * n_c)
-        _ordered_add(acc, (np.arange(MAX_N)[:, None] * n_c + owner).ravel(),
-                     np.tile(ref_rank, MAX_N), (val * penalty).ravel())
-        acc = np.ascontiguousarray(acc.reshape(MAX_N, n_c).T)
-        return [float(np.mean(row)) / k * 10.0 for row, k in zip(acc, n_refs.tolist())]
 
 
 def cider(corpus: TokenizedCorpus) -> float:
     """Mean CIDEr-D, with document frequencies from the corpus's references."""
-    scorer = CiderD(corpus.references)
+    encoding = _encoded(corpus)
     scores = []
-    for cands, ref_sets in _chunks(corpus):
-        scores += scorer._score_batch(cands, ref_sets)
+    for batch in encoding.batches():
+        scores += _cider_batch(batch, encoding.log_n_docs)
     return float(np.mean(scores))
 
 
 def evaluate_corpus(corpus: TokenizedCorpus) -> dict[str, float]:
-    """The CLI-facing bundle of every implemented metric."""
-    bleu1, bleu2, bleu3, bleu4 = bleu(corpus)
+    """The CLI-facing bundle of every implemented metric, with ``bleu`` and
+    ``cider`` reading one encoding of ``corpus``."""
+    encoding = _Encoding(corpus.candidates, corpus.references)
+    bleu1, bleu2, bleu3, bleu4 = bleu(encoding)
     return {"bleu1": bleu1, "bleu2": bleu2, "bleu3": bleu3, "bleu4": bleu4,
-            "rougeL": rouge_l(corpus), "cider": cider(corpus)}
+            "rougeL": rouge_l(corpus), "cider": cider(encoding)}

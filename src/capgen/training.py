@@ -73,17 +73,16 @@ class RewardConfig:
 def make_cider_reward(vocab: Vocabulary, corpus_refs: list[list[str]]):
     """Reward = CIDEr-D of the caption against its references, with document
     frequencies counted once, here, over the whole reference corpus.  The
-    corpus's reference sets are tokenized once too; a set from outside it
-    is tokenized on each call."""
-    ref_sets = [[tokenize(r) for r in refs] for refs in corpus_refs]
-    scorer = metrics.CiderD(ref_sets)
-    known = {tuple(refs): toks for refs, toks in zip(corpus_refs, ref_sets)}
+    corpus's reference sets are tokenized and encoded once too, so a call
+    encodes only its caption; a set from outside the corpus is tokenized
+    and encoded on each call."""
+    scorer = metrics.CiderD([[tokenize(r) for r in refs] for refs in corpus_refs])
+    known = {tuple(refs): i for i, refs in enumerate(corpus_refs)}
 
     def reward(tokens: list[int], refs: list[str]) -> float:
-        toks = known.get(tuple(refs))
-        if toks is None:
-            toks = [tokenize(r) for r in refs]
-        return scorer.score(vocab.decode(tokens), toks)
+        i = known.get(tuple(refs))
+        return scorer.score(vocab.decode(tokens),
+                            [tokenize(r) for r in refs] if i is None else i)
 
     return reward
 
@@ -305,6 +304,25 @@ def _check_finite(epoch: int, params: dict[str, Tensor], **scalars: float) -> No
                               "no update was made")
 
 
+def _grad_squares(params: dict[str, Tensor]) -> dict[str, float]:
+    """Each module's summed squared gradient entries, keyed by the first
+    part of its parameters' names."""
+    out: dict[str, float] = {}
+    for name, p in params.items():
+        if p.grad is not None:
+            key = name.split(".", 1)[0]
+            out[key] = out.get(key, 0.0) + float(np.vdot(p.grad, p.grad))
+    return out
+
+
+def _grad_norms(squares: list[dict[str, float]]) -> dict:
+    """``grad_norm`` and ``grad_norm_by_module``: the mean over steps of the
+    L2 norms of ``_grad_squares`` rows, all modules and each one."""
+    return {"grad_norm": float(np.mean([np.sqrt(sum(n.values())) for n in squares])),
+            "grad_norm_by_module": {k: float(np.sqrt([n[k] for n in squares]).mean())
+                                    for k in squares[0]}}
+
+
 # the per-parameter state slots of each optimizer, as checkpoints store them
 _OPTIMIZER_SLOTS = {"adadelta": {"Eg", "Ex"}, "adam": {"m", "v"}}
 
@@ -352,6 +370,12 @@ def train(cfg: TrainConfig) -> TrainResult:
     attention weights α over their entries above 0, so padding adds
     nothing (DA's α includes its sentinel).  Both are None when
     ``val_metric`` is ``loss``, which decodes nothing.
+
+    Each reward epoch's row holds ``epoch``, ``loss`` (None),
+    ``val_metric`` (the mean reward advantage over the epoch's steps),
+    ``lr`` and ``wall_time``, and ``grad_norm`` and
+    ``grad_norm_by_module`` as in MLE rows, averaged over its steps, one
+    per training sample.
 
     Seeded end to end: parameter init, pair order and dropout masks all
     derive from cfg.seed, so one configuration reproduces bit-identical
@@ -431,12 +455,8 @@ def train(cfg: TrainConfig) -> TrainResult:
             batch_loss = float(loss.data) * len(chunk)
             tokens += int((batch.lengths - 1).sum())
             _check_finite(epoch, params, loss=batch_loss)
-            norms.append({})
-            for name, p in params.items():
-                if p.grad is not None:
-                    key = name.split(".", 1)[0]
-                    norms[-1][key] = norms[-1].get(key, 0.0) + float(np.vdot(p.grad, p.grad))
-                    entries += p.grad.size
+            norms.append(_grad_squares(params))
+            entries += sum(p.grad.size for p in params.values() if p.grad is not None)
             ta = time.perf_counter()
             clamped += clip_gradients(params, cfg.clip)
             if cfg.optimizer == "adadelta":
@@ -467,10 +487,7 @@ def train(cfg: TrainConfig) -> TrainResult:
                  "update_ms": 1000.0 * update_s, "val_ms": 1000.0 * val_s,
                  "samples_per_s": len(pairs) / train_s, "tokens_per_s": tokens / train_s,
                  "clip_frac": clamped / entries if entries else 0.0, "val_split": val_split,
-                 "grad_norm": float(np.mean([np.sqrt(sum(n.values())) for n in norms])),
-                 "grad_norm_by_module": {k: float(np.sqrt([n[k] for n in norms]).mean())
-                                         for k in norms[0]},
-                 **_trace_means(decoded)}
+                 **_grad_norms(norms), **_trace_means(decoded)}
         history.append(entry)
         if cfg.log_path:
             with open(cfg.log_path, "a") as fh:
@@ -500,16 +517,18 @@ def _reward_stage(cfg, decoder, params, train_samples, feats_cache, vocab, histo
         rcfg = RewardConfig(reward_fn=reward, rng=rng, max_len=cfg.max_len)
         t0 = time.perf_counter()
         adv_sum = 0.0
+        norms = []      # per step: each module's squared gradient norm before clipping
         for i, s in enumerate(train_samples):
             zero_grads(params)
             advantage = reward_gradient_step(decoder, feats_cache[i], s.refs, rcfg)
             _check_finite(cfg.epochs + epoch, params, advantage=advantage)
             adv_sum += advantage
+            norms.append(_grad_squares(params))
             clip_gradients(params, cfg.clip)
             adam_update(params, opt_state, cfg.rl_lr)
         entry = {"epoch": cfg.epochs + epoch, "loss": None,
                  "val_metric": adv_sum / len(train_samples), "lr": cfg.rl_lr,
-                 "wall_time": time.perf_counter() - t0}
+                 "wall_time": time.perf_counter() - t0, **_grad_norms(norms)}
         history.append(entry)
         if cfg.log_path:
             with open(cfg.log_path, "a") as fh:

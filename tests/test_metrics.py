@@ -1,3 +1,4 @@
+import copy
 import hashlib
 
 import numpy as np
@@ -278,6 +279,42 @@ RANDOM_CORPORA = 200
 RANDOM_DIGEST = "958f78e14f3a882549b51be5bd7d68334600be10db2a469d9bad3f53c13f1e99"
 
 
+def multi_chunk_corpus():
+    """A seeded corpus of 2 * CHUNK + 5 samples, so BLEU and CIDEr-D score it
+    in three chunks.  Each sample has 1-20 references of 1-14 Zipf-drawn
+    words; its candidate is one of them with about 30% of the words
+    redrawn, some as words no reference holds.  Sample 5's candidate is
+    empty."""
+    rng = np.random.default_rng(22)
+    words = np.array([f"w{i}" for i in range(60)])
+    freq = 1.0 / np.arange(1, 61)
+    freq /= freq.sum()
+
+    def sentence():
+        return rng.choice(words, size=int(rng.integers(1, 15)), p=freq).tolist()
+
+    refs = [[sentence() for _ in range(int(rng.integers(1, 21)))]
+            for _ in range(2 * metrics.CHUNK + 5)]
+    cands = []
+    for rs in refs:
+        cand = list(rs[int(rng.integers(len(rs)))])
+        for j in np.flatnonzero(rng.random(len(cand)) < 0.3).tolist():
+            cand[j] = (f"new{int(rng.integers(4))}" if rng.random() < 0.3
+                       else str(rng.choice(words, p=freq)))
+        cands.append(cand)
+    cands[5] = []
+    return cands, refs
+
+
+# float.hex of evaluate_corpus(multi_chunk_corpus()), as scored by the
+# earlier implementation that encoded each chunk, and CIDEr-D's references
+# once more, on every call
+PINNED_MULTI_CHUNK = {
+    "bleu1": "0x1.a1111bf67e0c3p-1", "bleu2": "0x1.509c0c48c265cp-1",
+    "bleu3": "0x1.08cde3be1d8ddp-1", "bleu4": "0x1.9e65b7c4438e9p-2",
+    "rougeL": "0x1.7e7978991a1afp-1", "cider": "0x1.0b8930723e93cp-1"}
+
+
 class TestPinnedValues:
     @pytest.mark.parametrize("name", sorted(PINNED))
     def test_evaluate_corpus_bit_identical(self, name):
@@ -288,6 +325,34 @@ class TestPinnedValues:
         got = evaluate_corpus(corpus)
         assert list(got) == ["bleu1", "bleu2", "bleu3", "bleu4", "rougeL", "cider"]
         assert {k: float.hex(v) for k, v in got.items()} == PINNED[name]
+
+    def test_multi_chunk_corpus_bit_identical(self):
+        cands, refs = multi_chunk_corpus()
+        assert len({w for c in cands for w in c} - {w for rs in refs for r in rs for w in r})
+        assert min(len(s) for s in cands + [r for rs in refs for r in rs]) < 4
+        corpus = TokenizedCorpus(cands, refs)
+        got = evaluate_corpus(corpus)
+        assert {k: float.hex(v) for k, v in got.items()} == PINNED_MULTI_CHUNK
+        assert list(got.values()) == [*bleu(corpus), rouge_l(corpus), cider(corpus)]
+
+    def test_no_encoding_outlives_its_call(self):
+        """Corpus B shares corpus A's lists but one candidate.  Scoring A, B,
+        then A again, and then A with that candidate swapped in place and
+        back, gives what fresh copies of the same content score."""
+        cands, refs = multi_chunk_corpus()
+        changed = ["w1", "new1", "w2"]
+        a = TokenizedCorpus(cands, refs)
+        b = TokenizedCorpus(cands[:40] + [changed] + cands[41:], refs)
+
+        def scores(corpus):
+            return evaluate_corpus(corpus), bleu(corpus), cider(corpus)
+
+        assert scores(a) != scores(b)
+        for corpus in (a, b, a):
+            assert scores(corpus) == scores(copy.deepcopy(corpus))
+        for cand in (changed, cands[40]):
+            a.candidates[40] = cand
+            assert scores(a) == scores(copy.deepcopy(a))
 
     def test_cider_reward_bit_identical(self):
         cands, refs = hand_built_corpus(8)

@@ -316,6 +316,36 @@ class TestTrainDriver:
             assert norm == pytest.approx(np.mean([s[module] for s in seen]), rel=1e-12)
         assert row["clip_frac"] > 0     # so the logged norms are the pre-clip ones
 
+    def test_reward_rows_log_the_mean_pre_clip_gradient_norms(self, tiny_dataset, tmp_path,
+                                                              monkeypatch):
+        """A reward epoch's ``grad_norm`` and ``grad_norm_by_module`` are the
+        means over its steps of the L2 norms that clipping is handed."""
+        import capgen.training as tr
+        real_clip, seen = tr.clip_gradients, []
+
+        def clip(params, threshold):
+            squares = {}    # module (None: all) -> summed squared gradient entries
+            for name, p in params.items():
+                for key in (name.split(".")[0], None):
+                    squares[key] = squares.get(key, 0.0) + np.sum(p.grad ** 2)
+            seen.append({key: np.sqrt(sq) for key, sq in squares.items()})
+            return real_clip(params, threshold)
+
+        monkeypatch.setattr(tr, "clip_gradients", clip)
+        log = tmp_path / "train.jsonl"
+        history = train(self.base_config(tiny_dataset, epochs=1, rl_epochs=1, clip=0.01,
+                                         checkpoint=str(tmp_path / "m.ckpt"),
+                                         log_path=str(log))).history
+        steps = seen[2:]            # after the MLE epoch's 2 batches
+        assert len(history) == 2 and len(steps) == 4   # one step per training sample
+        row = history[1]
+        assert row["grad_norm"] > 0     # the sampled and greedy captions differ
+        assert row["grad_norm"] == pytest.approx(np.mean([s[None] for s in steps]), rel=1e-12)
+        assert set(row["grad_norm_by_module"]) == set(history[0]["grad_norm_by_module"])
+        for module, norm in row["grad_norm_by_module"].items():
+            assert norm == pytest.approx(np.mean([s[module] for s in steps]), rel=1e-12)
+        assert json.loads(log.read_text().splitlines()[1]) == row
+
     def test_without_val_split_scores_and_logs_train(self, tiny_dataset, tmp_path):
         data = tmp_path / "data"
         shutil.copytree(tiny_dataset, data)
