@@ -5,19 +5,24 @@ sample plus one or more reference token lists.  They are pure functions
 of the match structure, so consistently relabeling tokens leaves every
 score unchanged.
 
-Encoding.  A scored corpus is encoded once: its candidates, then its
-references, as one list of sentences.  Every token maps to a word id, and
-the n-grams of one order are coded from those of the order below: an
-n-gram's code is (dense id of its leading (n-1)-gram) * (number of words)
-+ (id of its last word), and ``np.unique`` compacts the codes to dense
-ids before the next order.  Both factors are below the token count, so a
-vocabulary of any size stays inside int64.  The same pass counts each
-gram's document frequency over the reference sets.  ``evaluate_corpus``
-hands one encoding to both ``bleu`` and ``cider``; called alone, each
-encodes its own corpus.  The encoding's arrays grow with the corpus and
-live for one call.  BLEU and CIDEr-D then score ``CHUNK`` samples per
-array pass: sentences are contiguous and their grams in text order, so
-a chunk's candidate and reference grams are two slices per order.
+Encoding.  A scored corpus's references are encoded once, as one list of
+sentences.  Every token maps to a word id, and the n-grams of one order
+are coded from those of the order below: an n-gram's code is (dense id
+of its leading (n-1)-gram) * (number of words) + (id of its last word),
+and ``np.unique`` compacts the codes to dense ids before the next order.
+Both factors are below the token count, so a vocabulary of any size
+stays inside int64.  The same pass counts each gram's document frequency
+over the reference sets.  Every candidate is then coded against that
+encoding by one coder: a gram the references hold takes their id and
+document frequency, and one they lack is numbered past them with
+document frequency 0.  ``evaluate_corpus`` hands one encoding to both
+``bleu`` and ``cider``; called alone, each encodes its own corpus.  The
+encoding's arrays grow with the corpus and live for one call.  BLEU and
+CIDEr-D then score ``CHUNK`` samples per array pass: sentences are
+contiguous and their grams in text order, so a chunk's candidate and
+reference grams are one slice each per order.  One pairing (``_pairs``)
+matches each reference's grams with its candidate's, for BLEU's and
+CIDEr-D's clipping alike.
 ROUGE-L's LCS is bit-parallel over Python ints (Allison & Dix 1986;
 Hyyrö 2004), with the candidate's match masks built once and reused for
 every reference.
@@ -41,7 +46,8 @@ sentence) that this encoding replaced, through three rules:
 
 A ``CiderD`` scorer encodes its reference sets once and keeps the
 encoding, so the self-critical reward builds one over the training
-references and then encodes only each caption against it.
+references and then codes only each caption against it, with the coder
+and batch builder that score a corpus.
 """
 
 from __future__ import annotations
@@ -129,54 +135,89 @@ class _Batch(NamedTuple):
     n_refs: np.ndarray
 
 
-def _joined(*parts):
-    """Per order, the arrays of each of ``parts`` concatenated in turn."""
-    return [tuple(map(np.concatenate, zip(*per_order))) for per_order in zip(*parts)]
+def _span(grams, lo: int, hi: int, to: int):
+    """Per order, each per-gram array of ``grams``, sentence first, cut to
+    the grams of sentences lo..hi-1, sentences renumbered from ``to``."""
+    out = []
+    for sent, *rest in grams:
+        a, b = np.searchsorted(sent, [lo, hi]).tolist()
+        out.append((sent[a:b] + (to - lo), *(x[a:b] for x in rest)))
+    return out
 
 
 class _Encoding:
-    """A corpus's candidates, then its references, encoded once.
+    """A corpus's reference sets, encoded once, and its candidates coded
+    against them.
 
-    ``grams[k]`` is order k+1's (sentence, gram id) of every n-gram in text
-    order, ``codes[k]`` the sorted distinct codes the ids index, and
-    ``doc_freq[k]`` how many reference sets hold each of them."""
+    ``grams[k]`` is order k+1's (sentence, gram id) of every reference
+    n-gram in text order, ``codes[k]`` the sorted distinct codes the ids
+    index, and ``doc_freq[k]`` how many reference sets hold each of them.
+    ``cands`` is the corpus's candidates, coded once."""
 
-    def __init__(self, cands: list[list[str]], ref_sets: list[list[list[str]]]):
-        self.n_c = len(cands)
+    def __init__(self, ref_sets: list[list[list[str]]], cands: list[list[str]] = ()):
         self.n_refs = np.fromiter(map(len, ref_sets), np.int64, len(ref_sets))
         # the first sentence of each sample's references, then the end
-        self.ref_start = np.cumsum([self.n_c] + self.n_refs.tolist()).tolist()
+        self.ref_start = np.cumsum([0] + self.n_refs.tolist()).tolist()
         owner = np.repeat(np.arange(len(ref_sets)), self.n_refs)
-        ids, self.lens, self.words = _word_ids(
-            cands + [ref for refs in ref_sets for ref in refs])
+        ids, self.lens, self.words = _word_ids([ref for refs in ref_sets for ref in refs])
         self.grams, self.codes, self.doc_freq = [], [], []
         for sent, gid, codes in _grams(ids, self.lens, len(self.words)):
-            at = np.searchsorted(sent, self.n_c)   # the first reference gram
-            held = np.sort(owner[sent[at:] - self.n_c] * len(codes) + gid[at:])
+            held = np.sort(owner[sent] * len(codes) + gid)
             held = held[np.diff(held, prepend=-1) != 0] % len(codes)
             self.grams.append((sent, gid))
             self.codes.append(codes)
             self.doc_freq.append(np.bincount(held, minlength=len(codes)))
         self.log_n_docs = math.log(len(ref_sets))
+        self.cands = self.code(cands)
 
-    def span(self, lo: int, hi: int, to: int):
+    def code(self, sentences: list[list[str]]):
         """Per order, the (sentence, gram id, document frequency) of every
-        gram of sentences lo..hi-1, sentences renumbered from ``to``."""
-        out = []
-        for (sent, gid), doc_freq in zip(self.grams, self.doc_freq):
-            a, b = np.searchsorted(sent, [lo, hi]).tolist()
-            out.append((sent[a:b] + (to - lo), gid[a:b], doc_freq[gid[a:b]]))
-        return out
+        gram of ``sentences`` in the references' gram ids, with the grams
+        they lack numbered past them; the number of gram ids per order;
+        and the sentence lengths."""
+        ids, lens, words = _word_ids(sentences)
+        word_id = np.fromiter((self.words.get(w, -1) for w in words), np.int64, len(words))
+        grams, sizes, known = [], [], None
+        for order, (sent, gid, codes) in enumerate(_grams(ids, lens, len(words))):
+            known = self._known(order, codes, len(words), known, word_id)
+            n_own = len(self.codes[order])
+            df = np.zeros(len(codes), np.int64)
+            df[known >= 0] = self.doc_freq[order][known[known >= 0]]
+            ours = np.where(known >= 0, known, n_own + np.arange(len(codes)))
+            grams.append((sent, ours[gid], df[gid]))
+            sizes.append(n_own + len(codes))
+        return grams, sizes, lens
+
+    def _known(self, order: int, codes: np.ndarray, n_words: int,
+               below: np.ndarray, word_id: np.ndarray) -> np.ndarray:
+        """The references' id of each coded gram of ``order`` (coded
+        ``codes`` over ``n_words`` words), or -1 where they lack it."""
+        if order == 0:
+            return word_id
+        table = self.codes[order]
+        if len(table) == 0:
+            return np.full(len(codes), -1)
+        prefix, last = below[codes // n_words], word_id[codes % n_words]
+        code = np.where((prefix >= 0) & (last >= 0), prefix * len(self.words) + last, -1)
+        at = np.minimum(np.searchsorted(table, code), len(table) - 1)
+        return np.where(table[at] == code, at, -1)
+
+    def batch(self, coded, lo: int, hi: int) -> _Batch:
+        """``coded`` (``code``'s output for hi - lo candidates) paired with
+        reference sets lo..hi-1, as one ``_Batch``."""
+        grams, sizes, lens = coded
+        a, b = self.ref_start[lo], self.ref_start[hi]
+        refs = [(sent, gid, df[gid]) for (sent, gid), df
+                in zip(_span(self.grams, a, b, len(lens)), self.doc_freq)]
+        return _Batch([tuple(map(np.concatenate, zip(*pair))) for pair in zip(grams, refs)],
+                      sizes, np.concatenate([lens, self.lens[a:b]]), self.n_refs[lo:hi])
 
     def batches(self):
         """The candidates in ``CHUNK``-sample ``_Batch``es."""
-        sizes = [len(codes) for codes in self.codes]
-        for lo in range(0, self.n_c, CHUNK):
-            hi = min(lo + CHUNK, self.n_c)
-            r_lo, r_hi = self.ref_start[lo], self.ref_start[hi]
-            yield _Batch(_joined(self.span(lo, hi, 0), self.span(r_lo, r_hi, hi - lo)), sizes,
-                         np.concatenate([self.lens[lo:hi], self.lens[r_lo:r_hi]]),
-                         self.n_refs[lo:hi])
+        grams, sizes, lens = self.cands
+        for lo in range(0, len(lens), CHUNK):
+            hi = min(lo + CHUNK, len(lens))
+            yield self.batch((_span(grams, lo, hi, 0), sizes, lens[lo:hi]), lo, hi)
 
 
 def _encoded(corpus) -> _Encoding:
@@ -184,7 +225,7 @@ def _encoded(corpus) -> _Encoding:
     encoded here."""
     if isinstance(corpus, _Encoding):
         return corpus
-    return _Encoding(corpus.candidates, corpus.references)
+    return _Encoding(corpus.references, corpus.candidates)
 
 
 def _distinct(batch: _Batch):
@@ -227,33 +268,43 @@ def _ordered_add(out: np.ndarray, seg: np.ndarray, rank: np.ndarray,
         start = end
 
 
+def _pairs(batch: _Batch, sent: np.ndarray, g: np.ndarray, n_grams: int):
+    """Each reference gram that its sample's candidate also holds, paired
+    with that candidate gram: their indices in ``_distinct``'s output
+    (sentence ``sent``, offset gram id ``g``), the candidate's first."""
+    n_c = len(batch.n_refs)
+    owner = np.repeat(np.arange(n_c), batch.n_refs)
+    cand = np.flatnonzero(sent < n_c)
+    cand_key = sent[cand] * n_grams + g[cand]
+    by_key = np.argsort(cand_key)
+    cand, cand_key = cand[by_key], cand_key[by_key]
+    ref = np.flatnonzero(sent >= n_c)
+    ref_key = owner[sent[ref] - n_c] * n_grams + g[ref]
+    if len(cand) == 0:
+        return cand, cand
+    at = np.minimum(np.searchsorted(cand_key, ref_key), len(cand) - 1)
+    hit = cand_key[at] == ref_key
+    return cand[at[hit]], ref[hit]
+
+
 def _bleu_counts(batch: _Batch):
     """Per order, the clipped matches and the candidate n-grams of one
     batch, then its candidate length and closest reference length."""
     lens, n_refs = batch.lens, batch.n_refs
     n_c = len(n_refs)
-    owner = np.repeat(np.arange(n_c), n_refs)
     s, g, tf, _, _, n_grams = _distinct(batch)
     order, sent = np.divmod(s, len(lens))
-    key = np.concatenate([np.arange(n_c), owner])[sent] * n_grams + g
-    in_ref = sent >= n_c
-    # per (sample, gram): the largest count in any one reference
-    ref_key, ref_tf = key[in_ref], tf[in_ref]
-    by_key = np.argsort(ref_key)
-    ref_key, ref_tf = ref_key[by_key], ref_tf[by_key]
-    head = np.flatnonzero(np.diff(ref_key, prepend=-1))
-    cand_key, cand_tf, cand_order = key[~in_ref], tf[~in_ref], order[~in_ref]
-    clipped = np.zeros_like(cand_tf)
-    if len(head) and len(cand_key):
-        ref_key, max_tf = ref_key[head], np.maximum.reduceat(ref_tf, head)
-        at = np.minimum(np.searchsorted(ref_key, cand_key), len(ref_key) - 1)
-        hit = ref_key[at] == cand_key
-        clipped[hit] = np.minimum(cand_tf[hit], max_tf[at[hit]])
+    c, r = _pairs(batch, sent, g, n_grams)
+    # per candidate gram: the largest count in any one reference
+    most = np.zeros_like(tf)
+    np.maximum.at(most, c, tf[r])
+    clipped = np.minimum(tf, most)   # 0 for every reference gram
     c_lens, r_lens = lens[:n_c], lens[n_c:]
-    matched = [int(clipped[cand_order == n].sum()) for n in range(MAX_N)]
+    matched = [int(clipped[order == n].sum()) for n in range(MAX_N)]
     total = [int(np.maximum(c_lens - n, 0).sum()) for n in range(MAX_N)]
     # closest reference length per sample, ties to the shorter
     span = int(r_lens.max()) + 1
+    owner = np.repeat(np.arange(n_c), n_refs)
     closest = np.minimum.reduceat(np.abs(r_lens - c_lens[owner]) * span + r_lens,
                                   np.cumsum(n_refs) - n_refs)
     return matched, total, int(c_lens.sum()), int((closest % span).sum())
@@ -356,21 +407,11 @@ def _cider_batch(batch: _Batch, log_n_docs: float) -> list[float]:
     _ordered_add(norm, s, rank, sq)
     norm = np.sqrt(norm).reshape(MAX_N, len(lens))
     order, sent = np.divmod(s, len(lens))
-    # pair each reference gram with the candidate's same gram
-    cand_at = np.flatnonzero(sent < n_c)
-    cand_key = sent[cand_at] * n_grams + g[cand_at]
-    by_key = np.argsort(cand_key)
-    cand_at, cand_key = cand_at[by_key], cand_key[by_key]
-    ref_at = np.flatnonzero(sent >= n_c)
-    ref_key = owner[sent[ref_at] - n_c] * n_grams + g[ref_at]
+    c, r = _pairs(batch, sent, g, n_grams)
     val = np.zeros(MAX_N * len(owner))
-    if len(cand_key):
-        at = np.minimum(np.searchsorted(cand_key, ref_key), len(cand_key) - 1)
-        hit = cand_key[at] == ref_key
-        c, r = cand_at[at[hit]], ref_at[hit]
-        # count clipping: the candidate's weight capped by the reference's
-        _ordered_add(val, order[r] * len(owner) + sent[r] - n_c, rank[c],
-                     np.minimum(w[c], w[r]) * w[r])
+    # count clipping: the candidate's weight capped by the reference's
+    _ordered_add(val, order[r] * len(owner) + sent[r] - n_c, rank[c],
+                 np.minimum(w[c], w[r]) * w[r])
     val = val.reshape(MAX_N, len(owner))
     c_norm, r_norm = norm[:, owner], norm[:, n_c:]
     both = (c_norm != 0) & (r_norm != 0)
@@ -393,63 +434,27 @@ class CiderD:
     ``score`` is one sample's TF-IDF n-gram cosine against each reference,
     with candidate count clipping and a Gaussian length penalty, averaged
     over references and orders, scaled by 10.  The scorer keeps the
-    encoding of ``ref_sets``, so scoring against one of them encodes only
-    the caption.
+    encoding of ``ref_sets`` and codes each caption against it, as a
+    corpus codes its candidates, so scoring against one of those sets
+    codes only the caption.
     """
 
     def __init__(self, ref_sets: list[list[list[str]]]):
         if len(ref_sets) == 0:
             raise EmptyInputError("CIDEr needs reference sets for document frequencies")
-        self.refs = _Encoding([], ref_sets)
+        self.refs = _Encoding(ref_sets)
 
     def score(self, cand: list[str], refs: list[list[str]] | int) -> float:
-        """``cand``'s CIDEr-D against ``refs``: a reference set, or the index
-        of one of the scorer's own, whose encoding is reused."""
+        """``cand``'s CIDEr-D against ``refs``: the index of one of the
+        scorer's reference sets, or a reference set, coded with ``cand``."""
         own = self.refs
         if isinstance(refs, int):
-            sentences, lo, hi = [cand], own.ref_start[refs], own.ref_start[refs + 1]
+            batch = own.batch(own.code([cand]), refs, refs + 1)
         elif len(refs) == 0:
             raise EmptyInputError("CIDEr needs at least one reference")
         else:
-            sentences, lo, hi = [cand] + refs, 0, 0
-        grams, sizes, lens = self._code(sentences)
-        batch = _Batch(_joined(grams, own.span(lo, hi, len(sentences))), sizes,
-                       np.concatenate([lens, own.lens[lo:hi]]),
-                       np.array([len(sentences) - 1 + hi - lo]))
+            batch = _Batch(*own.code([cand] + refs), np.array([len(refs)]))
         return _cider_batch(batch, own.log_n_docs)[0]
-
-    def _code(self, sentences: list[list[str]]):
-        """Per order, the (sentence, gram id, document frequency) of every
-        gram of ``sentences`` in the scorer's gram ids, with the grams its
-        references lack numbered past them; the number of gram ids per
-        order; and the sentence lengths."""
-        own = self.refs
-        ids, lens, words = _word_ids(sentences)
-        word_id = np.fromiter((own.words.get(w, -1) for w in words), np.int64, len(words))
-        grams, sizes, known = [], [], None
-        for order, (sent, gid, codes) in enumerate(_grams(ids, lens, len(words))):
-            known = self._known(order, codes, len(words), known, word_id)
-            n_own = len(own.codes[order])
-            df = np.zeros(len(codes), np.int64)
-            df[known >= 0] = own.doc_freq[order][known[known >= 0]]
-            ours = np.where(known >= 0, known, n_own + np.arange(len(codes)))
-            grams.append((sent, ours[gid], df[gid]))
-            sizes.append(n_own + len(codes))
-        return grams, sizes, lens
-
-    def _known(self, order: int, codes: np.ndarray, n_words: int,
-               below: np.ndarray, word_id: np.ndarray) -> np.ndarray:
-        """The scorer's id of each batch gram of ``order`` (batch ``codes``
-        over ``n_words`` batch words), or -1 where its references lack it."""
-        if order == 0:
-            return word_id
-        table = self.refs.codes[order]
-        if len(table) == 0:
-            return np.full(len(codes), -1)
-        prefix, last = below[codes // n_words], word_id[codes % n_words]
-        code = np.where((prefix >= 0) & (last >= 0), prefix * len(self.refs.words) + last, -1)
-        at = np.minimum(np.searchsorted(table, code), len(table) - 1)
-        return np.where(table[at] == code, at, -1)
 
 
 def cider(corpus: TokenizedCorpus) -> float:
@@ -464,7 +469,7 @@ def cider(corpus: TokenizedCorpus) -> float:
 def evaluate_corpus(corpus: TokenizedCorpus) -> dict[str, float]:
     """The CLI-facing bundle of every implemented metric, with ``bleu`` and
     ``cider`` reading one encoding of ``corpus``."""
-    encoding = _Encoding(corpus.candidates, corpus.references)
+    encoding = _Encoding(corpus.references, corpus.candidates)
     bleu1, bleu2, bleu3, bleu4 = bleu(encoding)
     return {"bleu1": bleu1, "bleu2": bleu2, "bleu3": bleu3, "bleu4": bleu4,
             "rougeL": rouge_l(corpus), "cider": cider(encoding)}

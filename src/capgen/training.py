@@ -73,9 +73,10 @@ class RewardConfig:
 def make_cider_reward(vocab: Vocabulary, corpus_refs: list[list[str]]):
     """Reward = CIDEr-D of the caption against its references, with document
     frequencies counted once, here, over the whole reference corpus.  The
-    corpus's reference sets are tokenized and encoded once too, so a call
-    encodes only its caption; a set from outside the corpus is tokenized
-    and encoded on each call."""
+    corpus's reference sets are tokenized and encoded once too, and a call
+    codes only its caption against that encoding, as ``metrics.cider``
+    codes a corpus's candidates; a set from outside the corpus is
+    tokenized on each call and coded with the caption."""
     scorer = metrics.CiderD([[tokenize(r) for r in refs] for refs in corpus_refs])
     known = {tuple(refs): i for i, refs in enumerate(corpus_refs)}
 
@@ -337,11 +338,13 @@ def train(cfg: TrainConfig) -> TrainResult:
     file when no epoch of this run improved on it.  A non-finite batch
     loss, reward advantage or gradient stops training with ``DomainError``
     before the optimizer steps or a checkpoint is written.  A
-    ``batch_size``, ``epochs`` or ``lr_decay_every`` below 1 is a
-    ``ConfigError``, and a missing directory for ``checkpoint`` or
-    ``log_path`` an ``OSError``, both raised before any data loads.  A
-    ``resume`` checkpoint whose optimizer state is another optimizer's
-    is a ``ConfigError`` raised before any epoch runs.
+    ``batch_size``, ``epochs``, ``lr_decay_every``, ``hidden_dim``,
+    ``embed_dim`` or ``attn_dim`` below 1, or a ``patience`` or
+    ``rl_epochs`` below 0, is a ``ConfigError`` that names the key, and a
+    missing directory for ``checkpoint`` or ``log_path`` an ``OSError``,
+    both raised before any data loads.  A ``resume`` checkpoint whose
+    optimizer state is another optimizer's is a ``ConfigError`` raised
+    before any epoch runs.
 
     Training runs over every (sample, reference) pair; each batch of
     ``batch_size`` pairs is one forward and one ``backward`` under one
@@ -388,9 +391,11 @@ def train(cfg: TrainConfig) -> TrainResult:
         raise ConfigError(f"unknown optimizer {cfg.optimizer!r}")
     if cfg.val_metric not in ("cider", "bleu4", "loss"):
         raise ConfigError(f"unknown val_metric {cfg.val_metric!r}")
-    for key in ("batch_size", "epochs", "lr_decay_every"):
-        if getattr(cfg, key) < 1:
-            raise ConfigError(f"{key} must be at least 1, got {getattr(cfg, key)}")
+    for key, least in (("batch_size", 1), ("epochs", 1), ("lr_decay_every", 1),
+                       ("hidden_dim", 1), ("embed_dim", 1), ("attn_dim", 1),
+                       ("patience", 0), ("rl_epochs", 0)):
+        if getattr(cfg, key) < least:
+            raise ConfigError(f"{key} must be at least {least}, got {getattr(cfg, key)}")
     for path in (cfg.checkpoint, cfg.log_path):
         if path:    # a missing output directory fails now, with its OSError
             os.scandir(Path(path).parent).close()

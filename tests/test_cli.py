@@ -549,7 +549,9 @@ class TestErrors:
         assert loaded == [] and not log.exists() and not ckpt.exists()
 
     @pytest.mark.parametrize("flag, value", [("--batch-size", "0"), ("--batch-size", "-3"),
-                                             ("--epochs", "0"), ("--lr-decay-every", "0")])
+                                             ("--epochs", "0"), ("--lr-decay-every", "0"),
+                                             ("--hidden-dim", "-3"), ("--embed-dim", "0"),
+                                             ("--attn-dim", "0")])
     def test_non_positive_setting_fails_before_loading_features(self, workspace, tmp_path,
                                                                 capsys, monkeypatch, flag,
                                                                 value):

@@ -2,8 +2,9 @@
 the package defines no private helper that nothing names, it sets no
 attribute that nothing reads, none of its functions takes a parameter
 that it never reads, only the attention module takes additive
-attention scores from the tensor core, and only the training module
-builds decoders from their configs."""
+attention scores from the tensor core, only the training module
+builds decoders from their configs, and only the metrics module's
+encoding codes sentences into n-grams."""
 
 import ast
 from pathlib import Path
@@ -290,3 +291,38 @@ def test_detects_module_calling_a_name():
                "c.py": "from t import DaConfig\n\ndef f(c: DaConfig):\n    return c\n",
                "d.py": "s = 'DaConfig(1)'  # DeliberateDecoder(c)\n"}
     assert modules_calling(sources, DECODER_CONSTRUCTORS) == ["a.py", "b.py"]
+
+
+def calls_outside(source: str, names: set[str], owner: str) -> list[str]:
+    """Calls in ``source`` of one of ``names``, as ``name(...)`` or
+    ``x.name(...)``, outside its top-level definition ``owner``.  Each is
+    listed once per definition as ``definition: name``, module-level code
+    as ``<module>``."""
+    hits = []
+    for top in ast.parse(source).body:
+        where = getattr(top, "name", "<module>")
+        called = {getattr(node.func, "id", getattr(node.func, "attr", None))
+                  for node in ast.walk(top) if isinstance(node, ast.Call)}
+        if where != owner:
+            hits += [f"{where}: {name}" for name in sorted(called & names)]
+    return hits
+
+
+NGRAM_CODER = {"_word_ids", "_grams"}
+
+
+def test_one_ngram_coder():
+    """Every sentence that BLEU or CIDEr-D scores, a corpus's or a reward's,
+    candidate or reference, is coded into n-grams by ``metrics._Encoding``:
+    no other code of ``metrics.py`` calls ``_word_ids`` or ``_grams``."""
+    assert calls_outside((PACKAGE / "metrics.py").read_text(), NGRAM_CODER, "_Encoding") == []
+
+
+def test_detects_call_outside_its_owner():
+    source = ("def _grams(x):\n    return x\n\n"
+              "class _Encoding:\n    def f(self):\n        return _grams(1)\n\n"
+              "class CiderD:\n    def g(self, m):\n        return m._grams(2), _word_ids(3)\n\n"
+              "def h():\n    return [_grams, '_word_ids(5)']\n\n"
+              "X = _word_ids(4)\n")
+    assert calls_outside(source, NGRAM_CODER, "_Encoding") == [
+        "CiderD: _grams", "CiderD: _word_ids", "<module>: _word_ids"]

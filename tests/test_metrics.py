@@ -383,6 +383,23 @@ class TestPinnedValues:
             make_cider_reward(Vocabulary(["a"]), [])
 
 
+def paths_agree(cands, refs) -> bool:
+    """Whether ``cider`` of the corpus is bit for bit the mean of
+    ``CiderD.score`` of each candidate against its own reference set."""
+    scorer = CiderD(refs)
+    by_reward = float(np.mean([scorer.score(c, i) for i, c in enumerate(cands)]))
+    return float.hex(cider(TokenizedCorpus(cands, refs))) == float.hex(by_reward)
+
+
+def test_corpus_and_reward_paths_agree_across_chunks():
+    assert paths_agree(*multi_chunk_corpus())
+
+
+def test_corpus_and_reward_paths_agree_on_random_corpora():
+    assert [seed for seed in range(RANDOM_CORPORA)
+            if not paths_agree(*random_corpus(seed)[:2])] == []
+
+
 def test_evaluate_corpus_reaches_metrics_through_module_globals(monkeypatch):
     calls = []
     for name in ("bleu", "rouge_l", "cider"):

@@ -538,6 +538,21 @@ class TestTrainDriver:
         # first epoch improves over -inf, then exactly `patience` stale epochs
         assert len(result.history) == 4
 
+    def test_zero_patience_trains_every_epoch(self, tiny_dataset, tmp_path, monkeypatch):
+        import capgen.training as tr
+        monkeypatch.setattr(tr, "_val_score", lambda *a, **k: 1.0)  # frozen metric
+        cfg = self.base_config(tiny_dataset, epochs=4, patience=0,
+                               checkpoint=str(tmp_path / "m.ckpt"))
+        assert len(train(cfg).history) == 4
+
+    @pytest.mark.parametrize("key", ["patience", "rl_epochs"])
+    def test_negative_count_is_a_config_error(self, tiny_dataset, tmp_path, key):
+        ckpt = tmp_path / "m.ckpt"
+        cfg = self.base_config(tiny_dataset, epochs=4, checkpoint=str(ckpt), **{key: -1})
+        with pytest.raises(ConfigError, match=f"^{key} must be at least 0, got -1$"):
+            train(cfg)
+        assert not ckpt.exists()
+
     def test_returns_best_checkpoint_weights(self, tiny_dataset, tmp_path, monkeypatch):
         import capgen.training as tr
         scores = iter([0.1, 0.5, 0.3, 0.2])  # best at epoch 1 of 4
