@@ -12,11 +12,11 @@ from pathlib import Path
 from . import metrics
 from .attention import write_trace_csv
 from .checkpoint import load_checkpoint
-from .data import Dataset, Vocabulary, build_vocab, synth_dataset
+from .data import UNK_ID, Dataset, Vocabulary, build_vocab, synth_dataset
 from .decoders import VARIANTS
-from .errors import CapgenError, ContractError, FormatError
+from .errors import CapgenError, ConfigError, ContractError, FormatError
 from .search import GREEDY_CHUNK, beam_search, greedy_decode, write_generations
-from .testkit import decoder_gradcheck
+from .testkit import decoder_gradcheck, tiny_widths
 from .training import _CONFIG_DEFAULTS, TrainConfig, build_decoder, train
 
 
@@ -253,7 +253,18 @@ def _evaluate(args) -> int:
 
 
 def _gradcheck(args) -> int:
+    """Gradcheck each variant's tiny decoder.  A size that leaves any of
+    them a width below 1, or no word to draw, is a ``ConfigError`` naming
+    its flag, raised before the first variant runs."""
     variants = VARIANTS if args.variant == "all" else (args.variant,)
+    for variant in variants:
+        for name, width in tiny_widths(variant, args.hidden).items():
+            if width < 1:
+                raise ConfigError(f"--hidden {args.hidden} leaves {variant}'s {name} at "
+                                  f"{width}; every width must be at least 1")
+    for flag, value, least in (("--vocab", args.vocab, UNK_ID + 2), ("--frames", args.frames, 1)):
+        if value < least:   # a tiny caption draws its words from UNK_ID + 1 up
+            raise ConfigError(f"{flag} must be at least {least}, got {value}")
     failed = False
     for variant in variants:
         err = decoder_gradcheck(variant, hidden=args.hidden, vocab_size=args.vocab,

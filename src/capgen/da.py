@@ -101,14 +101,14 @@ class DeliberateDecoder(Module):
         return DecoderState(z, z, z, z, (v_g, regions, self.attn1.keys(regions),
                                          self.attn2.keys(regions), mask))
 
-    def step(self, state: DecoderState, token_ids, training: bool = False, rng=None):
-        return da_step(self, state, token_ids, training=training, rng=rng)
+    def step(self, state: DecoderState, token_ids, rng=None):
+        return da_step(self, state, token_ids, rng)
 
-    def forward_teacher_forced(self, features, tokens, training=False, rng=None):
+    def forward_teacher_forced(self, features, tokens, rng=None):
         """Teacher-forced log-probs, (T, vocab) for one caption and
         (B, T, vocab) for a batch (see the module docstring)."""
         batch = _as_batch(features, tokens)
-        (masks,) = _dropout_masks((self,), batch.steps, 2, training, rng)
+        (masks,) = _dropout_masks((self,), batch.steps, 2, rng)
         state = self.init_state(batch.feats)
         words = self.embed.lookup(batch.ids[:, :-1].T)                  # (T, B, E)
         fused = []
@@ -149,12 +149,11 @@ def _da_body(dec: DeliberateDecoder, state: DecoderState, w_t: Tensor, masks, t:
         row=TraceRow(alpha2.data, alpha2.data[:, L:], mask2))
 
 
-def da_step(dec: DeliberateDecoder, state: DecoderState, token_ids,
-            training: bool = False, rng=None):
+def da_step(dec: DeliberateDecoder, state: DecoderState, token_ids, rng=None):
     """One decoding step of the state's n rows on n token ids, over the
     image's regions in ``state.feats``; returns the (n, vocab) word
-    distributions and the new state.  Training-mode dropout draws each
-    row's two masks as one (1, 2, H) draw of ``_dropout_masks``."""
-    (masks,) = _dropout_masks((dec,), [1] * len(token_ids), 2, training, rng)
+    distributions and the new state.  Given an ``rng``, dropout draws each
+    row's two masks from it as one (1, 2, H) draw of ``_dropout_masks``."""
+    (masks,) = _dropout_masks((dec,), [1] * len(token_ids), 2, rng)
     fused, state = _da_body(dec, state, dec.embed.lookup_one(token_ids), masks, 0)
     return softmax(dec.out(dec.W_sd(fused))), state

@@ -316,9 +316,11 @@ def synth_dataset(seed: int, n_samples: int, vocab_size: int, length: int,
     carries the prototype of the l-th caption word, so an attention decoder
     can reach zero loss.  Spatial regions mirror the frames, motion segments
     carry prototypes from a second table, and the global vector is the frame
-    mean.  Generation is byte-reproducible for a fixed seed.
+    mean.  Generation is byte-reproducible for a fixed seed.  Each size,
+    ``motion_segments`` too when given, must be at least 1.
     """
-    if min(n_samples, vocab_size, length, dim) < 1:
+    n_seg = motion_segments if motion_segments is not None else max(1, length // 2)
+    if min(n_samples, vocab_size, length, dim, n_seg) < 1:
         raise ContractError("all synth_dataset sizes must be >= 1")
     rng = np.random.default_rng(seed)
     out = Path(out_dir)
@@ -326,7 +328,6 @@ def synth_dataset(seed: int, n_samples: int, vocab_size: int, length: int,
     words = [f"w{i:02d}" for i in range(vocab_size)]
     protos = rng.standard_normal((vocab_size, dim))
     motion_protos = rng.standard_normal((vocab_size, dim))
-    n_seg = motion_segments if motion_segments is not None else max(1, length // 2)
 
     samples = []
     refs_lines = []

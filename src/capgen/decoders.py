@@ -20,7 +20,7 @@ own features: a two-LSTM state the (n, L, D) features padded to the
 longest clip, the attention keys ``feats @ U_a.T`` next to them, and the
 (n, L) mask of real feature rows, None when no clip is padded; ``basic``
 the (n, D) mean frames.  ``init_state`` computes the keys once, and
-every step reuses them.  ``step(state, token_ids, training, rng) -> (p,
+every step reuses them.  ``step(state, token_ids, rng=None) -> (p,
 state)`` steps a state of n rows on n token ids, one per row, and returns
 the (n, vocab) word distributions and a fresh state whose ``row`` is that
 step's ``TraceRow(alpha, beta, mask)`` of (n, ·) arrays, ``mask`` the
@@ -40,7 +40,7 @@ matrix-vector products, and row i of a step over n rows agrees with row
 i stepped alone within rounding (a beam-5 log-prob by about 1e-15): at
 a near-tie, a many-clip greedy decode may pick another token for a clip.
 
-``forward_teacher_forced(features, tokens, training, rng)`` takes one
+``forward_teacher_forced(features, tokens, rng=None)`` takes one
 caption, a ``FeatureSet`` and its token ids, and returns (T, vocab)
 log-probs; or a batch, a sequence of B ``FeatureSet``s and a
 ``CaptionBatch``, and returns (B, T, vocab) log-probs, T being the
@@ -54,13 +54,15 @@ then attention once per step, after the top recurrence, since neither
 LSTM reads the attended context, over its (B, L, D) feature sets (padded
 rows weigh exactly 0), and one word head and ``log_softmax`` over all B·T
 rows.  Padded steps of a shorter caption run too; the loss masks them, so
-they add exactly 0 to every gradient.  Every dropout mask, a step's too,
-comes from ``_dropout_masks`` (caption by caption, or row by row, in
-batch order, each as one draw) and is applied by ``_drop``, so a seeded
-caption draws one stream whether it is teacher-forced or stepped.  The
-two-stream decoder teacher-forces each stream on its own
-(``stream_teacher_forced``); ``da`` runs its decoding step's body once
-per step over the batch (see ``da.py``).
+they add exactly 0 to every gradient.  A decoder drops out only when
+given an ``rng``: training passes its epoch's, decoding and validation
+none.  Every dropout mask, a step's too, comes from ``_dropout_masks``
+(caption by caption, or row by row, in batch order, each as one draw)
+and is applied by ``_drop``, so a seeded caption draws one stream
+whether it is teacher-forced or stepped.  The two-stream decoder
+teacher-forces each stream on its own (``stream_teacher_forced``);
+``da`` runs its decoding step's body once per step over the batch (see
+``da.py``).
 """
 
 from __future__ import annotations
@@ -161,22 +163,22 @@ class BasicDecoder(Module):
         h = zeros(len(vbar.data), self.config.hidden_dim)
         return DecoderState(h, h, h, h, (vbar,))
 
-    def step(self, state: DecoderState, token_ids, training: bool = False, rng=None):
+    def step(self, state: DecoderState, token_ids, rng=None):
         (vbar,) = state.feats
         n = len(token_ids)
-        (masks,) = _dropout_masks((self,), [1] * n, 1, training, rng)
+        (masks,) = _dropout_masks((self,), [1] * n, 1, rng)
         y = concat([self.embed.lookup_one(token_ids), vbar], axis=1)
         out = self.lstm.step(self.lstm.input_products(y), state.h, state.m)
         p = softmax(_word_logits(self, _drop(out.h, masks, 0, 0)))
         row = TraceRow(np.ones((n, 1)), np.ones((n, 1)))
         return p, DecoderState(out.h, out.m, out.h, out.m, state.feats, row)
 
-    def forward_teacher_forced(self, features, tokens, training=False, rng=None):
+    def forward_teacher_forced(self, features, tokens, rng=None):
         """Teacher-forced log-probs (see the module docstring): the pooled
         features of ``init_state`` join the words in one GEMM for all gates,
         then T batched LSTM steps and one word head over the B·T rows."""
         batch = _as_batch(features, tokens)
-        (masks,) = _dropout_masks((self,), batch.steps, 1, training, rng)
+        (masks,) = _dropout_masks((self,), batch.steps, 1, rng)
         steps = batch.ids.shape[1] - 1
         state = self.init_state(batch.feats)
         (vbar,) = state.feats
@@ -247,11 +249,11 @@ class HierarchicalDecoder(Module):
 
         return attend
 
-    def step(self, state: DecoderState, token_ids, training: bool = False, rng=None):
-        return _two_lstm_step(self, state, token_ids, training, rng)
+    def step(self, state: DecoderState, token_ids, rng=None):
+        return _two_lstm_step(self, state, token_ids, rng)
 
-    def forward_teacher_forced(self, features, tokens, training=False, rng=None):
-        return _two_lstm_teacher_forced(self, features, tokens, training, rng)
+    def forward_teacher_forced(self, features, tokens, rng=None):
+        return _two_lstm_teacher_forced(self, features, tokens, rng)
 
 
 class ParallelDecoder(Module):
@@ -305,11 +307,11 @@ class ParallelDecoder(Module):
 
         return attend
 
-    def step(self, state: DecoderState, token_ids, training: bool = False, rng=None):
-        return _two_lstm_step(self, state, token_ids, training, rng)
+    def step(self, state: DecoderState, token_ids, rng=None):
+        return _two_lstm_step(self, state, token_ids, rng)
 
-    def forward_teacher_forced(self, features, tokens, training=False, rng=None):
-        return _two_lstm_teacher_forced(self, features, tokens, training, rng)
+    def forward_teacher_forced(self, features, tokens, rng=None):
+        return _two_lstm_teacher_forced(self, features, tokens, rng)
 
 
 def _two_lstm_init(dec, features, attentions: tuple) -> DecoderState:
@@ -340,12 +342,12 @@ def _pad_rows(arrays: list[np.ndarray]) -> tuple[Tensor, Optional[np.ndarray]]:
     return Tensor(padded), None if mask.all() else mask
 
 
-def _two_lstm_step(dec, state: DecoderState, token_ids, training, rng):
+def _two_lstm_step(dec, state: DecoderState, token_ids, rng):
     """One step of a two-LSTM decoder's n rows: embed, bottom LSTM,
     dropout, top LSTM, dropout, then ``dec._attender``'s ``attend(h_d,
     ht_d) -> (blended context, TraceRow)`` and the word head over [bottom
     hidden; blended context]."""
-    (masks,) = _dropout_masks((dec,), [1] * len(token_ids), 2, training, rng)
+    (masks,) = _dropout_masks((dec,), [1] * len(token_ids), 2, rng)
     y = dec.embed.lookup_one(token_ids)
     bot = dec.bottom.step(dec.bottom.input_products(y), state.h, state.m)
     h_d = _drop(bot.h, masks, 0, 0)
@@ -356,12 +358,12 @@ def _two_lstm_step(dec, state: DecoderState, token_ids, training, rng):
     return p, DecoderState(bot.h, bot.m, top.h, top.m, state.feats, row)
 
 
-def _two_lstm_teacher_forced(dec, features, tokens, training=False, rng=None):
+def _two_lstm_teacher_forced(dec, features, tokens, rng):
     """Teacher-forced log-probs of a two-LSTM decoder, in phases over a
     batch: (T, vocab) for one caption, (B, T, vocab) for a batch (see the
     module docstring)."""
     batch = _as_batch(features, tokens)
-    (masks,) = _dropout_masks((dec,), batch.steps, 2, training, rng)
+    (masks,) = _dropout_masks((dec,), batch.steps, 2, rng)
     return _two_lstm_forward(dec, batch, masks)
 
 
@@ -435,17 +437,18 @@ def _as_batch(features, tokens) -> _Batch:
     return _Batch(features, tokens.tokens, steps, False)
 
 
-def _dropout_masks(decs, steps: list[int], layers: int, training, rng) -> list:
-    """(T, B, layers, H) dropout masks for each of ``decs`` (None where
-    dropout is off), T the longest of ``steps``.  Caption b's masks are
-    drawn in batch order and, within a caption, decoder by decoder, each
-    as one (steps[b], layers, H) draw; a step of n rows passes ``[1] * n``.
+def _dropout_masks(decs, steps: list[int], layers: int, rng) -> list:
+    """(T, B, layers, H) dropout masks from ``rng`` for each of ``decs``
+    (None where dropout is off: no ``rng``, or the decoder's rate is 0),
+    T the longest of ``steps``.  Caption b's masks are drawn in batch
+    order and, within a caption, decoder by decoder, each as one
+    (steps[b], layers, H) draw; a step of n rows passes ``[1] * n``.
     Padded steps get 1."""
     masks = [None] * len(decs)
     for b, n in enumerate(steps):
         for k, dec in enumerate(decs):
             c = dec.config
-            drawn = dropout_mask((n, layers, c.hidden_dim), c.dropout, training, rng)
+            drawn = dropout_mask((n, layers, c.hidden_dim), c.dropout, rng)
             if drawn is None:
                 continue
             if masks[k] is None:
@@ -500,17 +503,17 @@ class TwoStreamDecoder(Module):
         f1, f2 = zip(*(_stream_views(f) for f in features))
         return TwoStreamState(self.stream1.init_state(f1), self.stream2.init_state(f2))
 
-    def step(self, state: TwoStreamState, token_ids, training: bool = False, rng=None):
-        p1, s1 = self.stream1.step(state.s1, token_ids, training, rng)
-        p2, s2 = self.stream2.step(state.s2, token_ids, training, rng)
+    def step(self, state: TwoStreamState, token_ids, rng=None):
+        p1, s1 = self.stream1.step(state.s1, token_ids, rng)
+        p2, s2 = self.stream2.step(state.s2, token_ids, rng)
         return two_stream_fuse(p1, p2), TwoStreamState(s1, s2)
 
-    def stream_teacher_forced(self, features, tokens, training=False, rng=None):
+    def stream_teacher_forced(self, features, tokens, rng=None):
         """One log-prob tensor per stream, for independent training; each
         stream runs the phased path over the batch, and caption b's masks
         for stream 1 are drawn before its masks for stream 2."""
         batch = _as_batch(features, tokens)
-        masks = _dropout_masks(self.streams, batch.steps, 2, training, rng)
+        masks = _dropout_masks(self.streams, batch.steps, 2, rng)
         views = zip(*(_stream_views(f) for f in batch.feats))
         return tuple(_two_lstm_forward(dec, batch._replace(feats=list(feats)), mask)
                      for dec, feats, mask in zip(self.streams, views, masks))

@@ -156,14 +156,12 @@ class Linear(Module):
         return matmul_t(x, self.W, *(() if self.b is None else (self.b,)))
 
 
-def dropout_mask(shape, rate: float, training: bool,
-                 rng: np.random.Generator | None = None) -> np.ndarray | None:
-    """Inverted-dropout mask of ``shape``: 0 with prob ``rate``, else
-    1/(1-rate).  None when dropout is off (inference, or rate 0)."""
+def dropout_mask(shape, rate: float, rng: np.random.Generator | None) -> np.ndarray | None:
+    """Inverted-dropout mask of ``shape`` drawn from ``rng``: 0 with prob
+    ``rate``, else 1/(1-rate).  None when dropout is off: no ``rng``
+    (decoding, validation), or rate 0, which draws nothing."""
     if not 0.0 <= rate < 1.0:
         raise ContractError(f"dropout rate must lie in [0, 1), got {rate}")
-    if not training or rate == 0.0:
+    if rng is None or rate == 0.0:
         return None
-    if rng is None:
-        raise ContractError("training-mode dropout needs an rng")
     return (rng.random(shape) >= rate) / (1.0 - rate)

@@ -30,10 +30,10 @@ in the block is then a plain constant.
 Conventions:
   * float64 everywhere; at desk scale precision is worth more than speed.
   * no implicit broadcasting.  Binary ops demand identical shapes; the
-    only sanctioned mixed form is tensor-with-python-number.  Everything
-    else raises ``ShapeError`` so that a mis-shaped equation fails
-    loudly.  A leading batch axis goes through named ops that say how it
-    is combined:
+    only sanctioned mixed forms are tensor × number and number − tensor,
+    and no other form is defined.  Unequal shapes raise ``ShapeError``
+    so that a mis-shaped equation fails loudly.  A leading batch axis
+    goes through named ops that say how it is combined:
     ``matmul_t`` (rows, under any leading axes, against a weight as one
     GEMM, then added terms, a bias among them), ``additive_scores`` (each
     query row against its own keys), ``scale_rows`` (one scale per row),
@@ -55,7 +55,7 @@ from .errors import ContractError, DomainError, ShapeError
 
 __all__ = [
     "Tensor", "Tape", "backward", "zeros",
-    "add", "sub", "mul", "neg", "matmul_t", "additive_scores", "transpose",
+    "add", "sub", "mul", "matmul_t", "additive_scores", "transpose",
     "sigmoid", "tanh", "log", "softmax", "log_softmax",
     "concat", "sum_all", "scale_rows", "weighted_sum",
     "take_rows", "narrow", "pick_in_rows",
@@ -83,29 +83,15 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def size(self):
-        return self.data.size
-
-    # operator sugar; scalars are the one allowed mixed form
+    # operator sugar: tensor + tensor, tensor * (tensor or number), number - tensor
     def __add__(self, other):
         return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
 
     def __rsub__(self, other):
         return sub(other, self)
 
     def __mul__(self, other):
         return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return neg(self)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -269,8 +255,8 @@ def backward(loss: Tensor) -> None:
         _add_factors(t, factors)
 
 
-def zeros(*shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=np.float64), requires_grad=requires_grad)
+def zeros(*shape) -> Tensor:
+    return Tensor(np.zeros(shape, dtype=np.float64))
 
 
 def _binary_shapes(name: str, a: Tensor, b: Tensor) -> None:
@@ -278,37 +264,20 @@ def _binary_shapes(name: str, a: Tensor, b: Tensor) -> None:
         raise ShapeError(f"{name}: shapes {a.data.shape} and {b.data.shape} differ")
 
 
-def add(a, b) -> Tensor:
-    if isinstance(b, (int, float)) and isinstance(a, Tensor):
-        out = Tensor(a.data + b)
-        return _record(out, (a,), lambda g: (g,))
-    if isinstance(a, (int, float)):
-        return add(b, a)
+def add(a: Tensor, b: Tensor) -> Tensor:
     _binary_shapes("add", a, b)
-    out = Tensor(a.data + b.data)
-
-    return _record(out, (a, b), lambda g: (g, g))
+    return _record(Tensor(a.data + b.data), (a, b), lambda g: (g, g))
 
 
-def sub(a, b) -> Tensor:
-    if isinstance(b, (int, float)) and isinstance(a, Tensor):
-        out = Tensor(a.data - b)
-        return _record(out, (a,), lambda g: (g,))
-    if isinstance(a, (int, float)):
-        out = Tensor(a - b.data)
-        return _record(out, (b,), lambda g: (-g,))
-    _binary_shapes("sub", a, b)
-    out = Tensor(a.data - b.data)
-
-    return _record(out, (a, b), lambda g: (g, -g if b.requires_grad else None))
+def sub(a: float, b: Tensor) -> Tensor:
+    """``a - b`` for a python number ``a``, as in ``1.0 - beta``."""
+    return _record(Tensor(a - b.data), (b,), lambda g: (-g,))
 
 
-def mul(a, b) -> Tensor:
-    if isinstance(b, (int, float)) and isinstance(a, Tensor):
-        out = Tensor(a.data * b)
-        return _record(out, (a,), lambda g: (g * b,))
-    if isinstance(a, (int, float)):
-        return mul(b, a)
+def mul(a: Tensor, b) -> Tensor:
+    """``a * b`` for a tensor ``b`` of ``a``'s shape or a python number."""
+    if isinstance(b, (int, float)):
+        return _record(Tensor(a.data * b), (a,), lambda g: (g * b,))
     _binary_shapes("mul", a, b)
     out = Tensor(a.data * b.data)
 
@@ -317,11 +286,6 @@ def mul(a, b) -> Tensor:
                 g * a.data if b.requires_grad else None)
 
     return _record(out, (a, b), grad_fn)
-
-
-def neg(a: Tensor) -> Tensor:
-    out = Tensor(-a.data)
-    return _record(out, (a,), lambda g: (-g,))
 
 
 def matmul_t(a: Tensor, w: Tensor, *terms: Tensor) -> Tensor:

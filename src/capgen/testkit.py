@@ -12,7 +12,7 @@ from .data import BOS_ID, EOS_ID, CaptionBatch, FeatureSet
 from .gradcheck import check_gradients
 from .training import _batch_loss, build_decoder
 
-__all__ = ["tiny_decoder", "tiny_features", "tiny_caption", "decoder_gradcheck"]
+__all__ = ["tiny_widths", "tiny_decoder", "tiny_features", "tiny_caption", "decoder_gradcheck"]
 
 
 def tiny_features(rng: np.random.Generator, frames: int, dim: int,
@@ -26,11 +26,9 @@ def tiny_features(rng: np.random.Generator, frames: int, dim: int,
     )
 
 
-def tiny_decoder(variant: str, hidden: int = 8, vocab_size: int = 12,
-                 seed: int = 0):
-    """A desk-scale decoder plus matching feature dims for probing.  The
-    decoder comes from ``training.build_decoder`` on a ``tiny_features``
-    probe of those dims, as ``train`` builds one.
+def tiny_widths(variant: str, hidden: int) -> dict:
+    """The widths that a tiny ``variant`` decoder of hidden width ``hidden``
+    derives: its feature dims and, as ``attn_dim``, hidden - 1.
 
     Feature widths track the blend constraints: variants with the scalar
     gate need the attended context as wide as the hidden state, conf
@@ -44,8 +42,18 @@ def tiny_decoder(variant: str, hidden: int = 8, vocab_size: int = 12,
                 "region_dim": hidden // 2, "global_dim": hidden}
     else:
         dims = dict.fromkeys(("dim", "motion_dim", "region_dim", "global_dim"), hidden)
+    return {**dims, "attn_dim": hidden - 1}
+
+
+def tiny_decoder(variant: str, hidden: int = 8, vocab_size: int = 12,
+                 seed: int = 0):
+    """A desk-scale decoder plus matching feature dims (``tiny_widths``)
+    for probing.  The decoder comes from ``training.build_decoder`` on a
+    ``tiny_features`` probe of those dims, as ``train`` builds one."""
+    dims = tiny_widths(variant, hidden)
+    attn_dim = dims.pop("attn_dim")
     probe = tiny_features(np.random.default_rng(0), 1, **dims)
-    return build_decoder(variant, vocab_size, probe, hidden, hidden, hidden - 1,
+    return build_decoder(variant, vocab_size, probe, hidden, hidden, attn_dim,
                          seed=seed), dims
 
 
@@ -70,5 +78,5 @@ def decoder_gradcheck(variant: str, hidden: int = 8, vocab_size: int = 12,
              for b in range(batch)]
     targets = CaptionBatch.from_id_seqs([tiny_caption(rng, vocab_size, 2 + b)
                                          for b in range(batch)])
-    return check_gradients(lambda: _batch_loss(decoder, feats, targets, False, None),
+    return check_gradients(lambda: _batch_loss(decoder, feats, targets),
                            decoder.parameters())

@@ -53,7 +53,7 @@ def mle_loss(log_probs: Tensor, targets: CaptionBatch) -> Tensor:
     picked = pick_in_rows(reshape(log_probs, (width * steps, vocab)),
                           targets.tokens[:, 1:].reshape(-1))
     mask = np.arange(steps) < targets.lengths[:, None] - 1
-    return -sum_all(picked * Tensor(mask.reshape(-1).astype(np.float64))) * (1.0 / width)
+    return sum_all(picked * Tensor(mask.reshape(-1).astype(np.float64))) * (-1.0 / width)
 
 
 @dataclass
@@ -231,13 +231,14 @@ def build_decoder(variant: str, vocab_size: int, features: FeatureSet, hidden_di
         dropout=dropout, seed=seed))
 
 
-def _batch_loss(decoder, features: list[FeatureSet], batch: CaptionBatch, training, rng):
-    """Mean loss tensor of one batch, teacher-forced in one forward pass;
-    two-stream sums its per-stream losses."""
+def _batch_loss(decoder, features: list[FeatureSet], batch: CaptionBatch, rng=None):
+    """Mean loss tensor of one batch, teacher-forced in one forward pass,
+    with dropout drawn from ``rng`` (None: no dropout); two-stream sums its
+    per-stream losses."""
     if isinstance(decoder, TwoStreamDecoder):
-        lps = decoder.stream_teacher_forced(features, batch, training, rng)
+        lps = decoder.stream_teacher_forced(features, batch, rng)
         return mle_loss(lps[0], batch) + mle_loss(lps[1], batch)
-    return mle_loss(decoder.forward_teacher_forced(features, batch, training, rng), batch)
+    return mle_loss(decoder.forward_teacher_forced(features, batch, rng), batch)
 
 
 def _val_set(dataset, vocab: Vocabulary, split: str, train_feats: list[FeatureSet]):
@@ -262,7 +263,7 @@ def _val_score(cfg, decoder, vocab, val, decoded: list | None = None) -> float:
         for lo in range(0, len(pairs), cfg.batch_size):
             chunk = pairs[lo:lo + cfg.batch_size]
             batch = CaptionBatch.from_id_seqs([ids for _, ids in chunk])
-            loss = _batch_loss(decoder, [feats[i] for i, _ in chunk], batch, False, None)
+            loss = _batch_loss(decoder, [feats[i] for i, _ in chunk], batch)
             total += float(loss.data) * len(chunk)
         return -total / len(pairs)
     gens = [gen for lo in range(0, len(feats), GREEDY_CHUNK)
@@ -339,12 +340,14 @@ def train(cfg: TrainConfig) -> TrainResult:
     loss, reward advantage or gradient stops training with ``DomainError``
     before the optimizer steps or a checkpoint is written.  A
     ``batch_size``, ``epochs``, ``lr_decay_every``, ``hidden_dim``,
-    ``embed_dim`` or ``attn_dim`` below 1, or a ``patience`` or
-    ``rl_epochs`` below 0, is a ``ConfigError`` that names the key, and a
-    missing directory for ``checkpoint`` or ``log_path`` an ``OSError``,
-    both raised before any data loads.  A ``resume`` checkpoint whose
-    optimizer state is another optimizer's is a ``ConfigError`` raised
-    before any epoch runs.
+    ``embed_dim``, ``attn_dim`` or ``max_len`` below 1, a ``patience`` or
+    ``rl_epochs`` below 0, a ``clip`` or ``eps`` not above 0, or a
+    ``dropout`` or ``rho`` outside [0, 1), is a ``ConfigError`` that names
+    the key, and a missing directory for ``checkpoint`` or ``log_path`` an
+    ``OSError``, both raised before any data loads.  A ``resume``
+    checkpoint that the reward stage wrote, or whose optimizer state is
+    another optimizer's, is a ``ConfigError`` raised before any epoch
+    runs.
 
     Training runs over every (sample, reference) pair; each batch of
     ``batch_size`` pairs is one forward and one ``backward`` under one
@@ -392,10 +395,15 @@ def train(cfg: TrainConfig) -> TrainResult:
     if cfg.val_metric not in ("cider", "bleu4", "loss"):
         raise ConfigError(f"unknown val_metric {cfg.val_metric!r}")
     for key, least in (("batch_size", 1), ("epochs", 1), ("lr_decay_every", 1),
-                       ("hidden_dim", 1), ("embed_dim", 1), ("attn_dim", 1),
+                       ("hidden_dim", 1), ("embed_dim", 1), ("attn_dim", 1), ("max_len", 1),
                        ("patience", 0), ("rl_epochs", 0)):
         if getattr(cfg, key) < least:
             raise ConfigError(f"{key} must be at least {least}, got {getattr(cfg, key)}")
+    for key, ok, rule in (("clip", cfg.clip > 0, "above 0"), ("eps", cfg.eps > 0, "above 0"),
+                          ("dropout", 0 <= cfg.dropout < 1, "in [0, 1)"),
+                          ("rho", 0 <= cfg.rho < 1, "in [0, 1)")):
+        if not ok:
+            raise ConfigError(f"{key} must be {rule}, got {getattr(cfg, key)}")
     for path in (cfg.checkpoint, cfg.log_path):
         if path:    # a missing output directory fails now, with its OSError
             os.scandir(Path(path).parent).close()
@@ -415,6 +423,9 @@ def train(cfg: TrainConfig) -> TrainResult:
         variant, arrays = load_checkpoint(cfg.resume)
         if variant != decoder.variant:
             raise ConfigError(f"checkpoint variant {variant!r} != configured {cfg.variant!r}")
+        if "meta/reward_stage" in arrays:
+            raise ConfigError(f"checkpoint {cfg.resume} was written by the reward stage and "
+                              "holds no MLE state to resume; resume from its MLE checkpoint")
         decoder.load_arrays(arrays)
         opt_state = opt_state_from_arrays(
             {k[len("opt/"):]: v for k, v in arrays.items() if k.startswith("opt/")})
@@ -451,8 +462,7 @@ def train(cfg: TrainConfig) -> TrainResult:
             zero_grads(params)
             with Tape():
                 ta = time.perf_counter()
-                loss = _batch_loss(decoder, [feats_cache[i] for i, _ in chunk], batch,
-                                   True, rng)
+                loss = _batch_loss(decoder, [feats_cache[i] for i, _ in chunk], batch, rng)
                 tb = time.perf_counter()
                 backward(loss)
                 forward_s += tb - ta
@@ -513,7 +523,8 @@ def train(cfg: TrainConfig) -> TrainResult:
 def _reward_stage(cfg, decoder, params, train_samples, feats_cache, vocab, history,
                   ckpt_path) -> str:
     """Self-critical fine-tuning over the MLE stage's train samples and
-    their loaded features; saves to ``<ckpt_path>.rl`` with its Adam state,
+    their loaded features; saves to ``<ckpt_path>.rl`` with its Adam state
+    and a ``meta/reward_stage`` record, which ``train`` refuses to resume,
     leaving the best MLE checkpoint in place, and returns that path."""
     reward = make_cider_reward(vocab, [s.refs for s in train_samples])
     opt_state: dict = {}
@@ -540,17 +551,20 @@ def _reward_stage(cfg, decoder, params, train_samples, feats_cache, vocab, histo
                 fh.write(json.dumps(entry) + "\n")
     rl_path = f"{ckpt_path}.rl"
     _save(rl_path, cfg, decoder, params, opt_state, cfg.epochs + cfg.rl_epochs - 1,
-          history[-1]["val_metric"], 0)
+          history[-1]["val_metric"], 0, reward_stage=True)
     return rl_path
 
 
-def _save(path, cfg, decoder, params, opt_state, epoch, best_val, stale):
+def _save(path, cfg, decoder, params, opt_state, epoch, best_val, stale,
+          reward_stage: bool = False):
     arrays = {name: p.data for name, p in params.items()}
     for k, v in opt_state_arrays(opt_state).items():
         arrays[f"opt/{k}"] = v
     arrays["meta/epoch"] = np.asarray(float(epoch))
     arrays["meta/best_val"] = np.asarray(float(best_val))
     arrays["meta/stale"] = np.asarray(float(stale))
+    if reward_stage:
+        arrays["meta/reward_stage"] = np.asarray(1.0)
     for dim in ("hidden_dim", "embed_dim", "attn_dim"):
         arrays[f"meta/{dim}"] = np.asarray(float(getattr(cfg, dim)))
     save_checkpoint(path, decoder.variant, arrays)

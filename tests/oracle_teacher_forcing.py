@@ -18,20 +18,20 @@ from capgen.data import FeatureSet
 from capgen.tensor import concat, log, reshape, stack_rows, zeros
 
 
-def teacher_forced(decoder, features, tokens, training=False, rng=None):
+def teacher_forced(decoder, features, tokens, rng=None):
     """Log-probs (T, vocab): step t consumes ground-truth token t-1.  A
     batch (B ``FeatureSet``s and a ``CaptionBatch``) runs caption by
     caption, sharing ``rng`` in batch order, and returns (B, T, vocab),
     each caption's rows padded with zeros to the batch's T.
     """
     if not isinstance(features, FeatureSet):
-        return _pad_stack([teacher_forced(decoder, f, ids[:n], training, rng)
+        return _pad_stack([teacher_forced(decoder, f, ids[:n], rng)
                            for f, ids, n in zip(features, tokens.tokens, tokens.lengths)],
                           tokens.steps)
     state = decoder.init_state([features])
     rows = []
     for t in range(1, len(tokens)):
-        p, state = decoder.step(state, [int(tokens[t - 1])], training, rng)
+        p, state = decoder.step(state, [int(tokens[t - 1])], rng)
         rows.append(log(p))
     return _unstack(rows)
 

@@ -310,6 +310,26 @@ class TestGradcheckCommand:
         assert "basic" in out and "ok" in out
 
 
+class TestGradcheckSizes:
+    @pytest.mark.parametrize("argv, message", [
+        (["--variant", "da", "--hidden", "2"], "--hidden 2 leaves da's region_dim at 0"),
+        (["--variant", "da", "--hidden", "3"], "--hidden 3 leaves da's global_dim at 0"),
+        (["--variant", "hlstmat_temporal", "--hidden", "1"],
+         "--hidden 1 leaves hlstmat_temporal's attn_dim at 0"),
+        (["--hidden", "3"], "--hidden 3 leaves da's global_dim at 0"),
+        (["--vocab", "4"], "--vocab must be at least 5"),
+        (["--frames", "0"], "--frames must be at least 1"),
+    ])
+    def test_size_without_a_decoder_fails_before_any_variant_runs(self, capsys, monkeypatch,
+                                                                  argv, message):
+        ran = []
+        monkeypatch.setattr(capgen.cli, "decoder_gradcheck", lambda *a, **kw: ran.append(a))
+        assert main(["gradcheck", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {message}")
+        assert captured.err.count("\n") == 1 and captured.out == "" and ran == []
+
+
 class TestErrors:
     def test_missing_data_dir_fails_cleanly(self, tmp_path, capsys):
         assert main(["train", "--data-dir", str(tmp_path / "nowhere"),
@@ -521,6 +541,23 @@ class TestErrors:
             assert repr(payload["splits"]["train"][0]["id"]) in err and "'train'" in err
         assert not (tmp_path / "model.ckpt").exists()
 
+    def test_resume_from_a_reward_stage_checkpoint_fails_cleanly(self, workspace, tmp_path,
+                                                                 capsys, monkeypatch):
+        _, data, _ = workspace
+        ckpt = tmp_path / "model.ckpt"
+        assert main(train_argv(data, ckpt, 1, "--rl-epochs", "1")) == 0
+        rl = tmp_path / "model.ckpt.rl"
+        assert "meta/reward_stage" in load_checkpoint(rl)[1]
+        capsys.readouterr()
+        ran = []
+        monkeypatch.setattr(capgen.training, "_epoch_rng",
+                            lambda *a: ran.append(a) or np.random.default_rng(0))
+        resumed = tmp_path / "resumed.ckpt"
+        assert main(train_argv(data, resumed, 4, "--resume", str(rl))) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: checkpoint {rl} was written by the reward stage")
+        assert ran == [] and not resumed.exists()
+
     def test_resume_with_another_optimizers_state_fails_cleanly(self, workspace, tmp_path,
                                                                 capsys, monkeypatch):
         _, data, ckpt = workspace      # trained with adam
@@ -551,7 +588,7 @@ class TestErrors:
     @pytest.mark.parametrize("flag, value", [("--batch-size", "0"), ("--batch-size", "-3"),
                                              ("--epochs", "0"), ("--lr-decay-every", "0"),
                                              ("--hidden-dim", "-3"), ("--embed-dim", "0"),
-                                             ("--attn-dim", "0")])
+                                             ("--attn-dim", "0"), ("--max-len", "0")])
     def test_non_positive_setting_fails_before_loading_features(self, workspace, tmp_path,
                                                                 capsys, monkeypatch, flag,
                                                                 value):
@@ -564,6 +601,24 @@ class TestErrors:
         assert main(argv) == 1
         key = flag[2:].replace("-", "_")
         assert capsys.readouterr().err == f"error: {key} must be at least 1, got {value}\n"
+        assert loaded == [] and not ckpt.exists()
+
+    @pytest.mark.parametrize("flag, value, rule", [
+        ("--clip", "0", "above 0"), ("--eps", "0", "above 0"), ("--eps", "-1", "above 0"),
+        ("--dropout", "1.0", "in [0, 1)"), ("--dropout", "-0.1", "in [0, 1)"),
+        ("--rho", "1.5", "in [0, 1)"), ("--rho", "-1", "in [0, 1)")])
+    def test_out_of_range_setting_fails_before_loading_features(self, workspace, tmp_path,
+                                                                capsys, monkeypatch, flag,
+                                                                value, rule):
+        _, data, _ = workspace
+        loaded = []
+        monkeypatch.setattr(Dataset, "features", lambda self, sample: loaded.append(sample))
+        ckpt = tmp_path / "model.ckpt"
+        argv = ["train", "--data-dir", str(data), "--hidden-dim", "8", "--embed-dim", "8",
+                "--attn-dim", "6", "--epochs", "1", "--checkpoint", str(ckpt), flag, value]
+        assert main(argv) == 1
+        key = flag[2:].replace("-", "_")
+        assert capsys.readouterr().err == f"error: {key} must be {rule}, got {float(value)}\n"
         assert loaded == [] and not ckpt.exists()
 
     @pytest.mark.parametrize("variant", ["hlstmat_spatail", "bogus"])

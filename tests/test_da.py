@@ -162,11 +162,11 @@ class TestRegionKeys:
         carried = outputs()
         real = capgen.da.da_step
 
-        def recomputing(dec, state, token_ids, training=False, rng=None):
+        def recomputing(dec, state, token_ids, rng=None):
             v_g, regions, _, _, mask = state.feats
             keys = (dec.attn1.keys(regions), dec.attn2.keys(regions))
             return real(dec, replace(state, feats=(v_g, regions) + keys + (mask,)), token_ids,
-                        training, rng)
+                        rng)
 
         monkeypatch.setattr(capgen.da, "da_step", recomputing)
         assert outputs() == carried

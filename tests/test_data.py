@@ -171,6 +171,14 @@ class TestSynthDataset:
                 key = tuple(np.round(feats.temporal[l], 5))
                 assert protos.setdefault(key, w) == w
 
+    @pytest.mark.parametrize("segments", [0, -2])
+    def test_no_motion_segment_is_rejected(self, tmp_path, segments):
+        root = tmp_path / "d"
+        with pytest.raises(ContractError, match="sizes must be >= 1"):
+            synth_dataset(seed=0, n_samples=2, vocab_size=4, length=2, dim=4,
+                          out_dir=root, motion_segments=segments)
+        assert not root.exists()
+
     def test_missing_file_detected_at_load(self, tmp_path):
         root = tmp_path / "d"
         synth_dataset(seed=0, n_samples=2, vocab_size=4, length=2, dim=4,

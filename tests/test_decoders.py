@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from capgen.decoders import (
 )
 from capgen.errors import ConfigError, ContractError, ShapeError, VocabularyError
 from capgen.gradcheck import check_gradients
+from capgen.layers import dropout_mask
 from capgen.search import beam_search, greedy_decode
 from capgen.tensor import Tape, Tensor, backward, reshape
 from capgen.testkit import decoder_gradcheck, tiny_decoder, tiny_features
@@ -82,6 +84,23 @@ def manual_hlstmat_step(params, frames, token, h, m, hb, mb, use_adaptive_gate=T
     logits = params["out_vocab.W"] @ hidden + params["out_vocab.b"]
     ez = np.exp(logits - logits.max())
     return ez / ez.sum(), beta, (h1, m1, h2, m2)
+
+
+def parameters_of(fn) -> list:
+    """Each parameter's name, with its default where it has one."""
+    return [p.name if p.default is inspect.Parameter.empty else (p.name, p.default)
+            for p in inspect.signature(fn).parameters.values()]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_dropout_follows_the_rng_in_every_entry_point(variant):
+    """The protocol takes an rng and no training flag: a decoder drops
+    out only when given an rng."""
+    dec, _ = tiny_decoder(variant)
+    forced = dec.stream_teacher_forced if variant == "two_stream" else dec.forward_teacher_forced
+    assert parameters_of(dec.step) == ["state", "token_ids", ("rng", None)]
+    assert parameters_of(forced) == ["features", "tokens", ("rng", None)]
+    assert parameters_of(dropout_mask) == ["shape", "rate", "rng"]
 
 
 class TestInitState:
@@ -215,21 +234,22 @@ def stream_case(variant, frames=3, segments=2, feature_seed=4, **kw):
     return dec.streams[k], decoders._stream_views(feats)[k]
 
 
-def batched(dec, feats, tokens, training, rng):
+def batched(dec, feats, tokens, rng):
     """The decoder's own teacher forcing."""
-    return dec.forward_teacher_forced(feats, tokens, training, rng)
+    return dec.forward_teacher_forced(feats, tokens, rng)
 
 
 def logprobs_and_grads(dec, teacher_forced, feats, tokens, training, seed):
     """Log-probs and every parameter gradient of the MLE loss of one
     caption (a ``FeatureSet`` and its ids) or of a batch (``FeatureSet``s
-    and a ``CaptionBatch``), under one seeded rng."""
+    and a ``CaptionBatch``), under one seeded rng when ``training``, else
+    with dropout off."""
     params = dec.parameters()
     for p in params.values():
         p.grad = None
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed) if training else None
     with Tape():
-        lp = teacher_forced(dec, feats, tokens, training, rng)
+        lp = teacher_forced(dec, feats, tokens, rng)
         backward(mle_loss(lp, tokens) if isinstance(tokens, CaptionBatch)
                  else caption_loss(lp, tokens))
     return lp.data, {name: p.grad for name, p in params.items()}
@@ -279,7 +299,7 @@ class TestPhasedTeacherForcing:
         tokens = [BOS_ID, 5, 7, EOS_ID]
 
         def loss():  # a fresh rng per call fixes the dropout masks
-            lp = dec.forward_teacher_forced(feats, tokens, True, np.random.default_rng(0))
+            lp = dec.forward_teacher_forced(feats, tokens, np.random.default_rng(0))
             return caption_loss(lp, tokens)
 
         assert check_gradients(loss, dec.parameters()) < 1e-4
@@ -337,8 +357,8 @@ class TestBatchedTeacherForcing:
     def test_batch_of_one_is_the_single_caption_path(self, variant):
         dec, feats = stream_case(variant, dropout=0.3)
         tokens = BATCH_CAPTIONS[0]
-        single = dec.forward_teacher_forced(feats, tokens, True, np.random.default_rng(2))
-        batch = dec.forward_teacher_forced([feats], CaptionBatch.from_id_seqs([tokens]), True,
+        single = dec.forward_teacher_forced(feats, tokens, np.random.default_rng(2))
+        batch = dec.forward_teacher_forced([feats], CaptionBatch.from_id_seqs([tokens]),
                                            np.random.default_rng(2))
         assert np.array_equal(batch.data[0], single.data)
 
@@ -348,10 +368,10 @@ class TestBatchedTeacherForcing:
         feats = [features_for(np.random.default_rng(seed), "two_stream", cfg, frames, segments)
                  for frames, segments, seed in BATCH_SHAPES]
         batch = CaptionBatch.from_id_seqs(BATCH_CAPTIONS)
-        both = dec.stream_teacher_forced(feats, batch, True, np.random.default_rng(5))
+        both = dec.stream_teacher_forced(feats, batch, np.random.default_rng(5))
         rng = np.random.default_rng(5)
         for b, (f, c) in enumerate(zip(feats, BATCH_CAPTIONS)):
-            for k, ref in enumerate(dec.stream_teacher_forced(f, c, True, rng)):
+            for k, ref in enumerate(dec.stream_teacher_forced(f, c, rng)):
                 assert np.max(np.abs(both[k].data[b, :len(c) - 1] - ref.data)) <= 1e-12
 
     def test_one_feature_set_per_caption(self):

@@ -134,17 +134,17 @@ class TestEmbedding:
 
 class TestDropout:
     def test_inference_identity_bitwise(self):
-        assert dropout_mask((100,), 0.9, training=False) is None
+        assert dropout_mask((100,), 0.9, None) is None
 
     def test_rate_zero_identity(self, rng):
-        assert dropout_mask((10,), 0.0, training=True, rng=rng) is None
+        assert dropout_mask((10,), 0.0, rng) is None
 
     def test_invalid_rate(self):
         with pytest.raises(ContractError):
-            dropout_mask((1,), 1.0, training=True, rng=np.random.default_rng(0))
+            dropout_mask((1,), 1.0, np.random.default_rng(0))
 
     def test_inverted_scaling_keeps_mean(self):
-        mask = dropout_mask((10_000,), 0.5, training=True, rng=np.random.default_rng(7))
+        mask = dropout_mask((10_000,), 0.5, np.random.default_rng(7))
         assert 0.95 <= mask.mean() <= 1.05
         survivors = mask[mask != 0.0]
         np.testing.assert_allclose(survivors, 2.0)

@@ -95,8 +95,9 @@ class TestElementwise:
             Tensor([1.0, 2.0]) + Tensor([1.0, 2.0, 3.0])
 
     def test_scalar_broadcast_allowed(self):
-        out = Tensor([1.0, 2.0]) * 3.0 + 1.0
-        np.testing.assert_array_equal(out.data, [4.0, 7.0])
+        """The two mixed forms: tensor × number and number − tensor."""
+        out = 1.0 - Tensor([1.0, 2.0]) * 3.0
+        np.testing.assert_array_equal(out.data, [-2.0, -5.0])
 
     def test_log_domain_error(self):
         with pytest.raises(DomainError):

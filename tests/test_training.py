@@ -499,7 +499,7 @@ class TestTrainDriver:
         for s in samples:
             for ref in s.refs:
                 batch = CaptionBatch.from_id_seqs([vocab.wrap(tokenize(ref))])
-                loss = tr._batch_loss(decoder, [dataset.features(s)], batch, False, None)
+                loss = tr._batch_loss(decoder, [dataset.features(s)], batch)
                 want.append(float(loss.data))
         got = tr._val_score(cfg, decoder, vocab, tr._val_set(dataset, vocab, "val", None))
         assert got == pytest.approx(-np.mean(want), rel=1e-12)
