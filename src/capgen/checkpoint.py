@@ -20,10 +20,16 @@ before an ``LstmCell`` held one weight per input: each complete quartet
 ``<p>.W_i`` ... ``<p>.W_g`` (likewise ``U``, ``b``) becomes ``<p>.W``,
 its blocks in ``LstmCell.GATES`` order.  Both apply to optimizer state
 ``opt/<name>/<slot>`` too.
+
+A load reads each payload straight into the array it returns, so the
+file's bytes are copied once, into arrays that own their data.  Every
+length and dims count is still checked against what is left of the file
+before anything is allocated for it.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import re
 import struct
@@ -77,15 +83,33 @@ def _write(fh, variant: str, arrays: dict[str, np.ndarray]) -> None:
         fh.write(arr.reshape(-1).view(np.uint8))
 
 
-def _read_exact(fh, n: int, what: str, size: int) -> bytes:
-    """The next ``n`` bytes of a file of ``size`` bytes.  A count larger
-    than what is left fails before any read, so a corrupt length or dims
-    never makes the reader allocate for it."""
+def _check_left(fh, n: int, what: str, size: int) -> None:
+    """Fail unless ``n`` bytes are left in a file of ``size`` bytes, so a
+    corrupt length or dims never makes the reader allocate for it."""
     at = fh.tell()
     if n > size - at:
         raise FormatError(f"truncated checkpoint while reading {what}: expected {n} bytes, "
                           f"got {size - at} (at byte offset {at})")
+
+
+def _read_exact(fh, n: int, what: str, size: int) -> bytes:
+    """The next ``n`` bytes of a file of ``size`` bytes, checked first."""
+    _check_left(fh, n, what, size)
     return fh.read(n)
+
+
+def _read_payload(fh, dims: tuple[int, ...], name: str, size: int) -> np.ndarray:
+    """The next record payload, read into a new little-endian float64
+    array of shape ``dims`` once its byte count is checked."""
+    what = f"payload of {name!r}"
+    n = 8 * math.prod(dims)
+    _check_left(fh, n, what, size)
+    arr = np.empty(dims, dtype="<f8")
+    got = fh.readinto(arr.reshape(-1).view(np.uint8))
+    if got != n:
+        raise FormatError(f"truncated checkpoint while reading {what}: expected {n} bytes, "
+                          f"got {got}")
+    return arr
 
 
 def _read_text(fh, n: int, what: str, size: int) -> str:
@@ -115,11 +139,7 @@ def load_checkpoint(path) -> tuple[str, dict[str, np.ndarray]]:
             name = _read_text(fh, name_len, "name", size)
             (rank,) = struct.unpack("<I", _read_exact(fh, 4, "rank", size))
             dims = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, "dims", size))
-            n_items = 1
-            for d in dims:
-                n_items *= d
-            payload = _read_exact(fh, 8 * n_items, f"payload of {name!r}", size)
-            arrays[name] = np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
+            arrays[name] = _read_payload(fh, dims, name, size)
         if fh.tell() != size:
             raise FormatError(f"trailing bytes after the last record at byte offset {fh.tell()}")
     if variant == "da":

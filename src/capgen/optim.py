@@ -147,11 +147,18 @@ def opt_state_arrays(state: dict) -> dict[str, np.ndarray]:
 
 
 def opt_state_from_arrays(arrays: dict[str, np.ndarray]) -> dict:
+    """The optimizer state that ``opt_state_arrays`` flattened.
+
+    It takes ownership of the ``<name>/<slot>`` arrays it is given: the
+    state holds those very arrays, not copies, and every update writes
+    into them in place.  So a caller hands over arrays that nothing else
+    uses, writable and C-contiguous, as ``load_checkpoint`` returns them.
+    """
     state: dict = {}
     for key, arr in arrays.items():
         if "/" in key:
             name, slot = key.rsplit("/", 1)
-            state.setdefault(name, {})[slot] = arr.copy()
+            state.setdefault(name, {})[slot] = arr
         else:
             state[key] = int(arr) if float(arr).is_integer() else float(arr)
     return state

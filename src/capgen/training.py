@@ -341,13 +341,21 @@ def train(cfg: TrainConfig) -> TrainResult:
     before the optimizer steps or a checkpoint is written.  A
     ``batch_size``, ``epochs``, ``lr_decay_every``, ``hidden_dim``,
     ``embed_dim``, ``attn_dim`` or ``max_len`` below 1, a ``patience`` or
-    ``rl_epochs`` below 0, a ``clip`` or ``eps`` not above 0, or a
-    ``dropout`` or ``rho`` outside [0, 1), is a ``ConfigError`` that names
-    the key, and a missing directory for ``checkpoint`` or ``log_path`` an
-    ``OSError``, both raised before any data loads.  A ``resume``
+    ``rl_epochs`` below 0, a ``clip``, ``eps``, ``lr`` or ``rl_lr`` not
+    above 0, a ``dropout`` or ``rho`` outside [0, 1), or an ``lr_decay``
+    outside (0, 1], is a ``ConfigError`` that names the key, and a missing
+    directory for ``checkpoint`` or ``log_path`` an ``OSError``, both
+    raised before any data loads.  A ``resume``
     checkpoint that the reward stage wrote, or whose optimizer state is
     another optimizer's, is a ``ConfigError`` raised before any epoch
     runs.
+
+    Each array is held once.  A resumed run copies the file's weights into
+    the decoder and keeps the file's optimizer arrays as its state, then
+    drops the rest of what it loaded.  The last batch's gradients and the
+    MLE optimizer state are released when the MLE epochs end, and the
+    reward stage's gradients when it ends, so the returned decoder holds
+    no gradient.
 
     Training runs over every (sample, reference) pair; each batch of
     ``batch_size`` pairs is one forward and one ``backward`` under one
@@ -400,6 +408,8 @@ def train(cfg: TrainConfig) -> TrainResult:
         if getattr(cfg, key) < least:
             raise ConfigError(f"{key} must be at least {least}, got {getattr(cfg, key)}")
     for key, ok, rule in (("clip", cfg.clip > 0, "above 0"), ("eps", cfg.eps > 0, "above 0"),
+                          ("lr", cfg.lr > 0, "above 0"), ("rl_lr", cfg.rl_lr > 0, "above 0"),
+                          ("lr_decay", 0 < cfg.lr_decay <= 1, "in (0, 1]"),
                           ("dropout", 0 <= cfg.dropout < 1, "in [0, 1)"),
                           ("rho", 0 <= cfg.rho < 1, "in [0, 1)")):
         if not ok:
@@ -414,28 +424,8 @@ def train(cfg: TrainConfig) -> TrainResult:
     decoder = build_decoder(cfg.variant, len(vocab), feats_cache[0], cfg.hidden_dim,
                             cfg.embed_dim, cfg.attn_dim, cfg.dropout, cfg.seed)
     params = decoder.parameters()
-
-    opt_state: dict = {}
-    start_epoch = 0
-    best_val = -np.inf
-    stale = 0
-    if cfg.resume:
-        variant, arrays = load_checkpoint(cfg.resume)
-        if variant != decoder.variant:
-            raise ConfigError(f"checkpoint variant {variant!r} != configured {cfg.variant!r}")
-        if "meta/reward_stage" in arrays:
-            raise ConfigError(f"checkpoint {cfg.resume} was written by the reward stage and "
-                              "holds no MLE state to resume; resume from its MLE checkpoint")
-        decoder.load_arrays(arrays)
-        opt_state = opt_state_from_arrays(
-            {k[len("opt/"):]: v for k, v in arrays.items() if k.startswith("opt/")})
-        slots = {slot for st in opt_state.values() if isinstance(st, dict) for slot in st}
-        if not slots <= _OPTIMIZER_SLOTS[cfg.optimizer]:
-            raise ConfigError(f"checkpoint {cfg.resume} holds optimizer state {sorted(slots)}, "
-                              f"which optimizer {cfg.optimizer!r} cannot resume")
-        start_epoch = int(arrays["meta/epoch"]) + 1
-        best_val = float(arrays["meta/best_val"])
-        stale = int(arrays["meta/stale"])
+    opt_state, start_epoch, best_val, stale = (
+        _resume(cfg, decoder) if cfg.resume else ({}, 0, -np.inf, 0))
 
     train_set = _val_set(dataset, vocab, "train", feats_cache)
     pairs = train_set[1]
@@ -510,14 +500,39 @@ def train(cfg: TrainConfig) -> TrainResult:
         if cfg.patience and stale >= cfg.patience:
             break
 
+    zero_grads(params)
+    opt_state.clear()   # the reward stage keeps its own Adam state
     if stale_weights and best_path:
         decoder.load_arrays(load_checkpoint(best_path)[1])
 
     if cfg.rl_epochs > 0:
         best_path = _reward_stage(cfg, decoder, params, train_samples, feats_cache, vocab,
                                   history, ckpt_path)
+        zero_grads(params)
 
     return TrainResult(history, best_val, best_path, decoder, vocab)
+
+
+def _resume(cfg, decoder) -> tuple[dict, int, float, int]:
+    """Copy the ``cfg.resume`` checkpoint's weights into ``decoder``, and
+    return its optimizer state, which keeps the loaded arrays, with the
+    first epoch to run, the best validation score and the stale count.
+    The rest of the loaded records are dropped on return."""
+    variant, arrays = load_checkpoint(cfg.resume)
+    if variant != decoder.variant:
+        raise ConfigError(f"checkpoint variant {variant!r} != configured {cfg.variant!r}")
+    if "meta/reward_stage" in arrays:
+        raise ConfigError(f"checkpoint {cfg.resume} was written by the reward stage and "
+                          "holds no MLE state to resume; resume from its MLE checkpoint")
+    decoder.load_arrays(arrays)
+    opt_state = opt_state_from_arrays(
+        {k[len("opt/"):]: v for k, v in arrays.items() if k.startswith("opt/")})
+    slots = {slot for st in opt_state.values() if isinstance(st, dict) for slot in st}
+    if not slots <= _OPTIMIZER_SLOTS[cfg.optimizer]:
+        raise ConfigError(f"checkpoint {cfg.resume} holds optimizer state {sorted(slots)}, "
+                          f"which optimizer {cfg.optimizer!r} cannot resume")
+    return (opt_state, int(arrays["meta/epoch"]) + 1, float(arrays["meta/best_val"]),
+            int(arrays["meta/stale"]))
 
 
 def _reward_stage(cfg, decoder, params, train_samples, feats_cache, vocab, history,

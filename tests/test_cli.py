@@ -606,7 +606,10 @@ class TestErrors:
     @pytest.mark.parametrize("flag, value, rule", [
         ("--clip", "0", "above 0"), ("--eps", "0", "above 0"), ("--eps", "-1", "above 0"),
         ("--dropout", "1.0", "in [0, 1)"), ("--dropout", "-0.1", "in [0, 1)"),
-        ("--rho", "1.5", "in [0, 1)"), ("--rho", "-1", "in [0, 1)")])
+        ("--rho", "1.5", "in [0, 1)"), ("--rho", "-1", "in [0, 1)"),
+        ("--lr", "0", "above 0"), ("--lr", "-1", "above 0"), ("--rl-lr", "0", "above 0"),
+        ("--lr-decay", "0", "in (0, 1]"), ("--lr-decay", "-0.5", "in (0, 1]"),
+        ("--lr-decay", "1.5", "in (0, 1]")])
     def test_out_of_range_setting_fails_before_loading_features(self, workspace, tmp_path,
                                                                 capsys, monkeypatch, flag,
                                                                 value, rule):
@@ -620,6 +623,13 @@ class TestErrors:
         key = flag[2:].replace("-", "_")
         assert capsys.readouterr().err == f"error: {key} must be {rule}, got {float(value)}\n"
         assert loaded == [] and not ckpt.exists()
+
+    def test_unit_lr_decay_keeps_the_rate(self, workspace, tmp_path):
+        _, data, _ = workspace
+        log = tmp_path / "train.jsonl"
+        assert main(train_argv(data, tmp_path / "model.ckpt", 2, "--lr-decay", "1",
+                               "--lr-decay-every", "1", "--log-path", str(log))) == 0
+        assert [json.loads(line)["lr"] for line in log.read_text().splitlines()] == [0.003] * 2
 
     @pytest.mark.parametrize("variant", ["hlstmat_spatail", "bogus"])
     def test_unknown_variant_fails_before_loading_features(self, workspace, tmp_path, capsys,

@@ -182,6 +182,32 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="expected"):
             load_checkpoint(path)
 
+    def test_dims_past_the_end_fail_before_allocating(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(MAGIC + struct.pack("<I", 5) + b"basic" + struct.pack("<I", 1)
+                         + struct.pack("<I", 1) + b"w" + struct.pack("<3I", 2, 2**20, 2**20)
+                         + struct.pack("<d", 1.0))   # 2**40 items claimed, 1 present
+        with pytest.raises(FormatError, match=f"expected {8 * 2**40} bytes, got 8 "):
+            load_checkpoint(path)
+
+    def test_loaded_arrays_own_the_saved_bytes(self, tmp_path, rng):
+        """Every record loads as a new writable, C-contiguous ``<f8``
+        array holding the saved bytes: rank 0, 1 and 2, empty records,
+        renamed DA records and stacked per-gate records alike."""
+        arrays = {"meta/epoch": np.asarray(3.0), "b": rng.standard_normal(5),
+                  "W": rng.standard_normal((3, 4)), "none": np.zeros(0),
+                  "no_rows": np.zeros((0, 4)), "W_s": rng.standard_normal((2, 3))}
+        quartet = {f"lstm.U_{g}": rng.standard_normal((2, 2)) for g in LstmCell.GATES}
+        save_checkpoint(tmp_path / "model.ckpt", "da", {**arrays, **quartet})
+        _, loaded = load_checkpoint(tmp_path / "model.ckpt")
+        want = {"sentinel.U_a" if name == "W_s" else name: arr for name, arr in arrays.items()}
+        want["lstm.U"] = np.concatenate(list(quartet.values()))
+        assert set(loaded) == set(want)
+        for name, arr in loaded.items():
+            assert arr.flags.owndata and arr.flags.writeable and arr.flags.c_contiguous, name
+            assert arr.dtype == np.dtype("<f8") and arr.shape == want[name].shape, name
+            assert arr.tobytes() == want[name].tobytes(), name
+
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, "basic", {"w": np.ones(8)})

@@ -184,6 +184,12 @@ class TestStateSerialization:
         np.testing.assert_array_equal(restored["p"]["m"], state["p"]["m"])
         np.testing.assert_array_equal(restored["p"]["v"], state["p"]["v"])
 
+    def test_from_arrays_keeps_the_arrays_it_is_given(self, rng):
+        arrays = {"p/m": rng.standard_normal(4), "p/v": rng.random(4), "step": np.asarray(3.0)}
+        state = opt_state_from_arrays(arrays)
+        assert state["p"]["m"] is arrays["p/m"] and state["p"]["v"] is arrays["p/v"]
+        assert state["step"] == 3
+
     def test_zero_grads(self):
         p = param([1.0])
         p.grad = np.ones(1)

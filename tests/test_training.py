@@ -1,6 +1,7 @@
 import json
 import math
 import shutil
+import weakref
 
 import numpy as np
 import pytest
@@ -576,6 +577,40 @@ class TestTrainDriver:
         assert resumed.history[0]["epoch"] == 3
         assert resumed.history[0]["loss"] == pytest.approx(full.history[3]["loss"],
                                                            abs=1e-9)
+
+    @pytest.mark.parametrize("rl_epochs", [0, 1])
+    def test_returned_decoder_holds_no_gradient(self, tiny_dataset, tmp_path, rl_epochs):
+        result = train(self.base_config(tiny_dataset, epochs=1, rl_epochs=rl_epochs,
+                                        checkpoint=str(tmp_path / "m.ckpt")))
+        assert [name for name, p in result.decoder.parameters().items()
+                if p.grad is not None] == []
+
+    def test_resume_keeps_only_the_loaded_optimizer_state(self, tiny_dataset, tmp_path,
+                                                         monkeypatch):
+        """Once a resumed run's first epoch ends, the records it loaded are
+        gone, but for the optimizer arrays it trains on."""
+        import capgen.training as tr
+        part_ckpt = tmp_path / "part.ckpt"
+        train(self.base_config(tiny_dataset, epochs=1, checkpoint=str(part_ckpt)))
+        refs, alive = {}, []
+
+        def load(path):
+            variant, arrays = load_checkpoint(path)
+            refs.update((name, weakref.ref(arr)) for name, arr in arrays.items())
+            return variant, arrays
+
+        def score(*args, **kw):
+            alive.append({name for name, ref in refs.items() if ref() is not None})
+            return val_score(*args, **kw)
+
+        val_score = tr._val_score
+        monkeypatch.setattr(tr, "load_checkpoint", load)
+        monkeypatch.setattr(tr, "_val_score", score)
+        result = train(self.base_config(tiny_dataset, epochs=2, resume=str(part_ckpt),
+                                        checkpoint=str(tmp_path / "resumed.ckpt")))
+        params = result.decoder.parameters()
+        assert set(params) < set(refs)
+        assert alive == [{f"opt/{name}/{slot}" for name in params for slot in ("m", "v")}]
 
     def test_reward_stage_keeps_best_mle_checkpoint(self, tiny_dataset, tmp_path):
         mle = train(self.base_config(tiny_dataset, epochs=2,
