@@ -176,11 +176,21 @@ def _decoded(dataset, decoder, samples, beam: int, max_len: int, record_trace: b
             yield sample, gen, ms, len(part)
 
 
+def _check_least(*checks) -> None:
+    """Raise a ``ConfigError`` naming the first ``(flag, value, least)``
+    whose value is below ``least``."""
+    for flag, value, least in checks:
+        if value < least:
+            raise ConfigError(f"{flag} must be at least {least}, got {value}")
+
+
 def _generate(args) -> int:
     """Decode a split to JSONL (see ``_decoded``).  Each entry's
     ``batch_clips`` is the number of clips decoded together, and its
     ``latency_ms`` the wall time of their decode call divided by
-    ``batch_clips``."""
+    ``batch_clips``.  A ``--beam`` or ``--max-len`` below 1 fails before
+    anything loads or is created."""
+    _check_least(("--beam", args.beam, 1), ("--max-len", args.max_len, 1))
     dataset, vocab, decoder, samples = _restore(args.data_dir, args.checkpoint, args.split)
     open(args.out, "a").close()     # an unwritable output fails before any decoding
     results = []
@@ -262,9 +272,8 @@ def _gradcheck(args) -> int:
             if width < 1:
                 raise ConfigError(f"--hidden {args.hidden} leaves {variant}'s {name} at "
                                   f"{width}; every width must be at least 1")
-    for flag, value, least in (("--vocab", args.vocab, UNK_ID + 2), ("--frames", args.frames, 1)):
-        if value < least:   # a tiny caption draws its words from UNK_ID + 1 up
-            raise ConfigError(f"{flag} must be at least {least}, got {value}")
+    # a tiny caption draws its words from UNK_ID + 1 up
+    _check_least(("--vocab", args.vocab, UNK_ID + 2), ("--frames", args.frames, 1))
     failed = False
     for variant in variants:
         err = decoder_gradcheck(variant, hidden=args.hidden, vocab_size=args.vocab,
@@ -276,6 +285,7 @@ def _gradcheck(args) -> int:
 
 
 def _trace(args) -> int:
+    _check_least(("--max-len", args.max_len, 1))
     dataset, vocab, decoder, samples = _restore(args.data_dir, args.checkpoint, args.split)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

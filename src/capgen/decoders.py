@@ -32,13 +32,17 @@ self-critical sampling steps the one-row state of
 ``init_state([features])``.  States never collect trace rows; the search
 in ``search.py`` gathers them along a caption.
 
-Decoding and teacher forcing take every weight product the same way:
-one ``tensor.matmul_t`` over the rows at hand, a GEMM with its addends
-folded in, and one per LSTM step for all four gates.  So a one-row step
-(a one-clip greedy decode, self-critical sampling) has the bits of
-matrix-vector products, and row i of a step over n rows agrees with row
-i stepped alone within rounding (a beam-5 log-prob by about 1e-15): at
-a near-tie, a many-clip greedy decode may pick another token for a clip.
+Decoding and teacher forcing take every weight product through one op:
+one ``tensor.matmul_t`` over the rows at hand with its addends folded
+in, and one per LSTM step for all four gates.  It is a GEMM, except that
+2 to 8 rows against a paper-size weight (a beam-5 step, a few-clip
+greedy decode) run one GEMM per cache-sized block of the weight.  So a
+one-row step (a one-clip greedy decode, self-critical sampling) has the
+bits of matrix-vector products, and row i of a step over n rows agrees
+with row i stepped alone within rounding (a beam-5 log-prob by about
+1e-15; the blocked products differ in their last bits from one GEMM):
+at a near-tie, a many-clip greedy decode may pick another token for a
+clip.
 
 ``forward_teacher_forced(features, tokens, rng=None)`` takes one
 caption, a ``FeatureSet`` and its token ids, and returns (T, vocab)

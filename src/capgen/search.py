@@ -16,8 +16,10 @@ with ``state.take``.
 Contract.  A one-row step is bit-identical to stepping with
 matrix-vector products, so a one-clip greedy decode keeps its bits.  Row
 i of an n-row step agrees with stepping that row alone within rounding
-(log-probs move by about 1e-15), since its weight products are GEMMs and
-a padded clip's softmax runs over masked columns.  So row i of a
+(log-probs move by about 1e-15), since its weight products are GEMMs
+(against a paper-size weight, 2 to 8 rows take one GEMM per block of the
+weight, whose bits differ from one GEMM's by rounding) and a padded
+clip's softmax runs over masked columns.  So row i of a
 many-clip greedy decode agrees with clip i decoded alone within
 rounding, and at a near-tie it may pick another token; likewise each
 beam hypothesis.  Beam search selects each step's k best expansions from

@@ -34,8 +34,8 @@ Conventions:
     and no other form is defined.  Unequal shapes raise ``ShapeError``
     so that a mis-shaped equation fails loudly.  A leading batch axis
     goes through named ops that say how it is combined:
-    ``matmul_t`` (rows, under any leading axes, against a weight as one
-    GEMM, then added terms, a bias among them), ``additive_scores`` (each
+    ``matmul_t`` (rows, under any leading axes, against a weight, then
+    added terms, a bias among them), ``additive_scores`` (each
     query row against its own keys), ``scale_rows`` (one scale per row),
     ``softmax`` with a row mask, and ``weighted_sum`` (one weighted row
     sum per batch entry).  Attention is always over a batch: n query rows,
@@ -288,6 +288,30 @@ def mul(a: Tensor, b) -> Tensor:
     return _record(out, (a, b), grad_fn)
 
 
+# 2 to _FEW_ROWS rows against a weight of more than _BLOCK_ELEMS / n
+# elements take one GEMM per block of the weight's output rows, sized so
+# that n * block * k <= _BLOCK_ELEMS.  On OpenBLAS 0.3.31 (Haswell kernels,
+# one thread) one GEMM of 2-8 rows against a paper-size weight costs 2-2.5x
+# a one-row GEMV, because its packing copy streams the whole weight; blocks
+# that stay in cache cost 1.0-1.8x.  A sweep of n in {2, 3, 5, 8} against
+# the (2048, 512), (5000, 512), (512, 1024) and (2048, 1024) weights found
+# 2**19 the fastest limit of 2**16..2**20 at every point, and 2**20 no
+# faster than one GEMM.
+_FEW_ROWS = 8
+_BLOCK_ELEMS = 2 ** 19
+
+
+def _product(rows: np.ndarray, wd: np.ndarray) -> np.ndarray:
+    """``rows @ wd.T`` for (n, k) rows: in weight blocks for a few rows
+    against a large weight (see ``_BLOCK_ELEMS``), else one BLAS call."""
+    n, k = rows.shape
+    block = _BLOCK_ELEMS // (n * k)
+    if 2 <= n <= _FEW_ROWS and 0 < block < len(wd):
+        return np.concatenate([np.dot(rows, wd[lo:lo + block].T)
+                               for lo in range(0, len(wd), block)], axis=1)
+    return np.dot(rows, wd.T)      # the BLAS call of ``@``, with less overhead per call
+
+
 def matmul_t(a: Tensor, w: Tensor, *terms: Tensor) -> Tensor:
     """``a @ w.T`` for an (n, k) matrix of rows and an (m, k) weight -> (n, m),
     then each of ``terms`` added in order: a tensor of the output's shape,
@@ -297,9 +321,16 @@ def matmul_t(a: Tensor, w: Tensor, *terms: Tensor) -> Tensor:
     Decoding and teacher forcing take every weight product here, with its
     addends folded in, which saves an op per addend.  A GEMM of one row is
     the GEMV ``w @ a[0]`` bit for bit, so a one-row decoding step has the
-    bits of matrix-vector products; each row of a GEMM over n > 1 rows
+    bits of matrix-vector products.  Each row of a product over n > 1 rows
     agrees with its own one-row product within rounding (about 1e-15
-    relative), not bit for bit.
+    relative; the tests bound it at 1e-12), not bit for bit.  Such a
+    product is one GEMM, except that 2 to 8 rows against a weight of more
+    than ``2**19 / n`` elements (a paper-size beam step or few-clip decode)
+    take one GEMM per block of the weight's output rows: faster there, and
+    within the same rounding of one GEMM, but not its bits.  Teacher
+    forcing's T·B rows and every desk-size product stay one GEMM with
+    unchanged bits, and the backward products are one GEMM each whatever
+    the forward took.
 
     The weight's gradient ``g.T @ a`` is deferred as a rank-n factor, so
     when ``w`` is a leaf every product of a recurrence, each step and
@@ -308,7 +339,7 @@ def matmul_t(a: Tensor, w: Tensor, *terms: Tensor) -> Tensor:
     if ad.ndim < 2 or wd.ndim != 2 or ad.shape[-1] != wd.shape[1]:
         raise ShapeError(f"matmul_t: rows {ad.shape} do not match weight {wd.shape}")
     rows = ad if ad.ndim == 2 else ad.reshape(-1, wd.shape[1])
-    y = np.dot(rows, wd.T)      # the BLAS call of ``@``, with less overhead per call
+    y = _product(rows, wd)
     if ad.ndim > 2:
         y = y.reshape(ad.shape[:-1] + wd.shape[:1])
     for t in terms:

@@ -690,6 +690,25 @@ class TestErrors:
         assert capsys.readouterr().err == f"error: {path}: {reason}\n"
         assert work == []    # failed before decoding, or before training loaded features
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("generate", "--beam", "0"), ("generate", "--beam", "-2"),
+        ("generate", "--max-len", "0"), ("trace", "--max-len", "0"),
+        ("trace", "--max-len", "-1")])
+    def test_search_size_below_one_fails_before_anything_is_made(self, workspace, tmp_path,
+                                                                 capsys, monkeypatch,
+                                                                 command, flag, value):
+        _, data, ckpt = workspace
+        loaded = []
+        monkeypatch.setattr(Dataset, "load", lambda *a: loaded.append(a))
+        monkeypatch.setattr(capgen.cli, "load_checkpoint", lambda *a: loaded.append(a))
+        out, traces = tmp_path / "gen.jsonl", tmp_path / "traces"
+        argv = [command, "--data-dir", str(data), "--checkpoint", str(ckpt), flag, value]
+        argv += (["--out", str(out), "--trace-dir", str(traces)] if command == "generate"
+                 else ["--out-dir", str(traces)])
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {flag} must be at least 1, got {value}\n"
+        assert loaded == [] and list(tmp_path.iterdir()) == []
+
     def test_evaluate_candidate_without_refs_fails_cleanly(self, tmp_path, capsys):
         cands = tmp_path / "cands.jsonl"
         cands.write_text('{"id": "a", "caption": "a dog"}\n'

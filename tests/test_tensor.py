@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import capgen.tensor
 from capgen.errors import ContractError, DomainError, ShapeError
 from capgen.gradcheck import fd_gradients, max_relative_error
 from capgen.tensor import (
@@ -36,8 +37,8 @@ def op_gradcheck(build, params, floor=1e-6):
 
 
 class TestMatmul:
-    """Products of rows against a weight, ``matmul_t``: one GEMM, then its
-    added terms."""
+    """Products of rows against a weight, ``matmul_t``: the product, then
+    its added terms."""
 
     def test_identity(self):
         out = matmul_t(Tensor(np.eye(2)), Tensor([[1.0, 3.0], [2.0, 4.0]]))
@@ -385,8 +386,9 @@ class TestPerRowProducts:
     Checked here at the op, so a numpy or BLAS change that breaks it fails
     here rather than inside a pinned decode."""
 
-    # (m, k): paper and desk word heads, paper LSTM blocks, a tiny decoder's head
-    SHAPES = [(5000, 512), (500, 64), (2048, 512), (512, 512), (12, 8)]
+    # (m, k): paper and desk word heads, paper LSTM blocks, a tiny decoder's
+    # head, the paper word MLP
+    SHAPES = [(5000, 512), (500, 64), (2048, 512), (512, 512), (12, 8), (512, 1024)]
 
     @staticmethod
     def assert_rows_match(out, want):
@@ -396,7 +398,7 @@ class TestPerRowProducts:
         for got, row in zip(out, want, strict=True):
             np.testing.assert_allclose(got, row, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("n", [1, 2, 5])
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
     @pytest.mark.parametrize("m, k", SHAPES)
     def test_rows_equal_their_own_gemv(self, rng, n, m, k):
         w = rng.standard_normal((m, k))
@@ -404,6 +406,48 @@ class TestPerRowProducts:
         out = matmul_t(Tensor(x), Tensor(w)).data
         assert out.shape == (n, m)
         self.assert_rows_match(out, [w @ x[i] for i in range(n)])
+
+    @pytest.mark.parametrize("n, m, k", [
+        *((1, m, k) for m, k in SHAPES),                            # one row: the GEMV
+        *((n, m, k) for n in (2, 5, 8) for m, k in [(500, 64), (256, 64), (12, 8)]),
+        (2, 512, 512),                                              # fits one block
+        (9, 2048, 512), (16, 5000, 512), (104, 2048, 512)])        # beyond a few rows
+    def test_products_left_whole_keep_the_one_call_bits(self, rng, n, m, k):
+        # desk and tiny weights fit the block limit whole, and one row or more
+        # than 8 is never split: each is one np.dot, with its bits
+        w, x = rng.standard_normal((m, k)), rng.standard_normal((n, k))
+        assert np.array_equal(matmul_t(Tensor(x), Tensor(w)).data, np.dot(x, w.T))
+
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    @pytest.mark.parametrize("m, k", [(5000, 512), (2048, 512), (2048, 1024)])
+    def test_few_rows_against_a_large_weight_run_in_blocks(self, rng, n, m, k):
+        # one GEMM per block of 2**19 // (n * k) output rows, joined in order
+        w, x = rng.standard_normal((m, k)), rng.standard_normal((n, k))
+        size = 2 ** 19 // (n * k)
+        want = np.concatenate([np.dot(x, w[lo:lo + size].T) for lo in range(0, m, size)],
+                              axis=1)
+        out = matmul_t(Tensor(x.reshape(n, 1, k)), Tensor(w)).data
+        assert out.shape == (n, 1, m) and np.array_equal(out[:, 0], want)
+
+    def test_blocked_product_gradients_match_one_call(self, rng, monkeypatch):
+        # the backward products never block: the gradients of a blocked
+        # forward are those of the one-call product, bit for bit
+        x0, w0, c = (rng.standard_normal((5, 512)), rng.standard_normal((2048, 512)),
+                     rng.standard_normal((5, 2048)))
+
+        def grads():
+            x, w = leaf(x0), leaf(w0)
+            with Tape():
+                y = matmul_t(x, w)
+                backward(sum_all(y * Tensor(c)))
+            return y.data, x.grad, w.grad
+
+        blocked = grads()
+        monkeypatch.setattr(capgen.tensor, "_BLOCK_ELEMS", 2 ** 40)
+        whole = grads()
+        assert np.array_equal(whole[0], np.dot(x0, w0.T))
+        assert not np.array_equal(blocked[0], whole[0])     # the forward did block
+        assert np.array_equal(blocked[1], whole[1]) and np.array_equal(blocked[2], whole[2])
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     @pytest.mark.parametrize("dim", [64, 512])
