@@ -28,21 +28,24 @@ real columns of a padded ``alpha``.  ``state.take(idx)`` gathers rows by
 index, each with its features, so beam search steps all its live
 hypotheses as one state and keeps the survivors' rows.  Greedy decoding
 steps one row per clip, all the clips it is given in one state;
-self-critical sampling steps the one-row state of
-``init_state([features])``.  States never collect trace rows; the search
-in ``search.py`` gathers them along a caption.
+self-critical training steps the two-row state of
+``init_state([features, features])`` under one tape, row 0 sampling its
+caption and row 1 decoding the greedy baseline.  States never collect
+trace rows; the search in ``search.py`` gathers them along a caption.
 
 Decoding and teacher forcing take every weight product through one op:
 one ``tensor.matmul_t`` over the rows at hand with its addends folded
-in, and one per LSTM step for all four gates.  It is a GEMM, except that
-2 to 8 rows against a paper-size weight (a beam-5 step, a few-clip
-greedy decode) run one GEMM per cache-sized block of the weight.  So a
-one-row step (a one-clip greedy decode, self-critical sampling) has the
-bits of matrix-vector products, and row i of a step over n rows agrees
-with row i stepped alone within rounding (a beam-5 log-prob by about
-1e-15; the blocked products differ in their last bits from one GEMM):
-at a near-tie, a many-clip greedy decode may pick another token for a
-clip.
+in, and one per LSTM step for all four gates, whose gate arithmetic is
+one ``tensor.lstm_cell`` node.  It is a GEMM, except that 2 to 8 rows
+against a paper-size weight (a beam-5 step, a few-clip greedy decode, a
+self-critical step, a teacher-forced recurrence over a batch of up to 8
+captions) run one GEMM per cache-sized block of the weight, backward
+too.  So a one-row step (a one-clip greedy decode) has the bits of
+matrix-vector products, and row i of a step over n rows agrees with row
+i stepped alone within rounding (a beam-5 log-prob by about 1e-15; the
+blocked products differ in their last bits from one GEMM): at a
+near-tie, a many-clip greedy decode, or a self-critical baseline, may
+pick another token than a one-clip decode.
 
 ``forward_teacher_forced(features, tokens, rng=None)`` takes one
 caption, a ``FeatureSet`` and its token ids, and returns (T, vocab)

@@ -7,7 +7,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ContractError, FormatError, ShapeError, VocabularyError
-from .tensor import Tensor, matmul_t, narrow, sigmoid, take_rows, tanh
+from .tensor import Tensor, lstm_cell, matmul_t, narrow, take_rows
 
 __all__ = ["Module", "LstmCell", "LstmOut", "Embedding", "Linear", "dropout_mask", "glorot"]
 
@@ -99,9 +99,10 @@ class LstmCell(Module):
 
     def step(self, x: Tensor, h_prev: Tensor, m_prev: Tensor) -> LstmOut:
         """One step of (n, H) states from the step's (n, 4H) input products
-        ``x``: the pre-activations (U h_prev + W y) + b of all four gates
-        are one ``matmul_t`` with the two addends folded in, and each gate
-        ``narrow``s its H columns out of them."""
+        ``x``, in four tape nodes: the pre-activations (U h_prev + W y) + b
+        of all four gates are one ``matmul_t`` with the two addends folded
+        in, ``tensor.lstm_cell`` runs the gates and the memory update on
+        them as one node, and two ``narrow``s split its [h | m]."""
         H = self.U.shape[1]
         if h_prev.data.ndim != 2 or h_prev.shape[1] != H:
             raise ShapeError(f"recurrent weight U expects (n, {H}) hidden rows, got {h_prev.shape}")
@@ -109,11 +110,8 @@ class LstmCell(Module):
             raise ShapeError(f"memory block expects shape {h_prev.shape}, got {m_prev.shape}")
         if x.shape != (h_prev.shape[0], 4 * H):
             raise ShapeError(f"a step takes (n, 4H) input products, got {x.shape}")
-        z = matmul_t(h_prev, self.U, x, self.b)
-        i, f, o = (sigmoid(narrow(z, k * H, H)) for k in range(3))
-        g = tanh(narrow(z, 3 * H, H))
-        m = f * m_prev + i * g
-        return LstmOut(o * tanh(m), m)
+        hm = lstm_cell(matmul_t(h_prev, self.U, x, self.b), m_prev)
+        return LstmOut(narrow(hm, 0, H), narrow(hm, H, H))
 
 
 class Embedding(Module):

@@ -40,6 +40,9 @@ Conventions:
     ``softmax`` with a row mask, and ``weighted_sum`` (one weighted row
     sum per batch entry).  Attention is always over a batch: n query rows,
     each over its own (L, ·) rows of an (n, L, ·) tensor.
+  * 2 to 8 rows against a large weight (more than 2**19 / n elements)
+    take their product and its input gradient in cache-sized weight
+    blocks (``matmul_t``); every other product is one BLAS call.
   * a tape and its tensors belong to one thread; independent tapes may
     run concurrently on other threads.
 """
@@ -56,7 +59,7 @@ from .errors import ContractError, DomainError, ShapeError
 __all__ = [
     "Tensor", "Tape", "backward", "zeros",
     "add", "sub", "mul", "matmul_t", "additive_scores", "transpose",
-    "sigmoid", "tanh", "log", "softmax", "log_softmax",
+    "sigmoid", "tanh", "lstm_cell", "log", "softmax", "log_softmax",
     "concat", "sum_all", "scale_rows", "weighted_sum",
     "take_rows", "narrow", "pick_in_rows",
     "stack_rows", "reshape",
@@ -290,7 +293,8 @@ def mul(a: Tensor, b) -> Tensor:
 
 # 2 to _FEW_ROWS rows against a weight of more than _BLOCK_ELEMS / n
 # elements take one GEMM per block of the weight's output rows, sized so
-# that n * block * k <= _BLOCK_ELEMS.  On OpenBLAS 0.3.31 (Haswell kernels,
+# that n * block * k <= _BLOCK_ELEMS, and so does their input gradient,
+# whose GEMMs sum over the same blocks.  On OpenBLAS 0.3.31 (Haswell kernels,
 # one thread) one GEMM of 2-8 rows against a paper-size weight costs 2-2.5x
 # a one-row GEMV, because its packing copy streams the whole weight; blocks
 # that stay in cache cost 1.0-1.8x.  A sweep of n in {2, 3, 5, 8} against
@@ -301,15 +305,34 @@ _FEW_ROWS = 8
 _BLOCK_ELEMS = 2 ** 19
 
 
+def _block_rows(n: int, wd: np.ndarray) -> int:
+    """Weight rows per block for n rows against the (m, k) weight ``wd``
+    (see ``_BLOCK_ELEMS``), or 0 when the product is one BLAS call."""
+    block = _BLOCK_ELEMS // (n * wd.shape[1])
+    return block if 2 <= n <= _FEW_ROWS and 0 < block < len(wd) else 0
+
+
 def _product(rows: np.ndarray, wd: np.ndarray) -> np.ndarray:
-    """``rows @ wd.T`` for (n, k) rows: in weight blocks for a few rows
-    against a large weight (see ``_BLOCK_ELEMS``), else one BLAS call."""
-    n, k = rows.shape
-    block = _BLOCK_ELEMS // (n * k)
-    if 2 <= n <= _FEW_ROWS and 0 < block < len(wd):
+    """``rows @ wd.T`` for (n, k) rows: one GEMM per block of the weight's
+    output rows, joined in order, or one BLAS call (``_block_rows``)."""
+    block = _block_rows(len(rows), wd)
+    if block:
         return np.concatenate([np.dot(rows, wd[lo:lo + block].T)
                                for lo in range(0, len(wd), block)], axis=1)
     return np.dot(rows, wd.T)      # the BLAS call of ``@``, with less overhead per call
+
+
+def _product_back(flat: np.ndarray, wd: np.ndarray) -> np.ndarray:
+    """``flat @ wd``, the input gradient of ``_product`` for its (n, m)
+    output gradient: one GEMM per block of the summed axis, the blocks of
+    ``_product`` added in order, or one BLAS call."""
+    block = _block_rows(len(flat), wd)
+    if not block:
+        return flat @ wd
+    out = flat[:, :block] @ wd[:block]
+    for lo in range(block, len(wd), block):
+        out += flat[:, lo:lo + block] @ wd[lo:lo + block]
+    return out
 
 
 def matmul_t(a: Tensor, w: Tensor, *terms: Tensor) -> Tensor:
@@ -327,10 +350,12 @@ def matmul_t(a: Tensor, w: Tensor, *terms: Tensor) -> Tensor:
     product is one GEMM, except that 2 to 8 rows against a weight of more
     than ``2**19 / n`` elements (a paper-size beam step or few-clip decode)
     take one GEMM per block of the weight's output rows: faster there, and
-    within the same rounding of one GEMM, but not its bits.  Teacher
-    forcing's T·B rows and every desk-size product stay one GEMM with
-    unchanged bits, and the backward products are one GEMM each whatever
-    the forward took.
+    within the same rounding of one GEMM, but not its bits.  Their input
+    gradient ``g @ w`` sums over those rows, so it runs as one GEMM per
+    block too, the blocks added in order: within rounding of one GEMM
+    (the tests bound it at 1e-12 relative).  Teacher forcing's T·B rows
+    and every desk-size product stay one GEMM with unchanged bits, forward
+    and backward.
 
     The weight's gradient ``g.T @ a`` is deferred as a rank-n factor, so
     when ``w`` is a leaf every product of a recurrence, each step and
@@ -349,7 +374,7 @@ def matmul_t(a: Tensor, w: Tensor, *terms: Tensor) -> Tensor:
 
     def grad_fn(g):
         flat = g.reshape(-1, wd.shape[0])
-        return ((flat @ wd).reshape(ad.shape) if a.requires_grad else None,
+        return (_product_back(flat, wd).reshape(ad.shape) if a.requires_grad else None,
                 _Outer(flat.T, rows) if w.requires_grad else None,
                 *(None if not t.requires_grad else g if t.data.ndim == g.ndim
                   else flat.sum(axis=0) for t in terms))
@@ -391,9 +416,13 @@ def transpose(a: Tensor, axes) -> Tensor:
     return _record(out, (a,), lambda g: (np.transpose(g, back),))
 
 
-def sigmoid(a: Tensor) -> Tensor:
+def _sigmoid(x: np.ndarray) -> np.ndarray:
     # exp(-log(1+exp(-x))) is stable on both tails
-    y = np.exp(-np.logaddexp(0.0, -a.data))
+    return np.exp(-np.logaddexp(0.0, -x))
+
+
+def sigmoid(a: Tensor) -> Tensor:
+    y = _sigmoid(a.data)
     out = Tensor(y)
     return _record(out, (a,), lambda g: (g * y * (1.0 - y),))
 
@@ -402,6 +431,41 @@ def tanh(a: Tensor) -> Tensor:
     y = np.tanh(a.data)
     out = Tensor(y)
     return _record(out, (a,), lambda g: (g * (1.0 - y * y),))
+
+
+def lstm_cell(z: Tensor, m_prev: Tensor) -> Tensor:
+    """One LSTM step's gate arithmetic as one node: the (n, 4H)
+    pre-activations ``z`` of the i, f, o and g gates, in that order, and
+    the (n, H) memory ``m_prev`` -> (n, 2H) ``[h | m]``, where
+    m = f*m_prev + i*g and h = o*tanh(m), i, f and o sigmoids and g a tanh.
+
+    Value and gradients repeat, operation for operation, what ``narrow``,
+    ``sigmoid``, ``tanh``, ``mul`` and ``add`` compute for the same
+    equations, so they are those ops' bits in one node instead of
+    thirteen."""
+    zd, md = z.data, m_prev.data
+    if md.ndim != 2 or zd.shape != (len(md), 4 * md.shape[1]):
+        raise ShapeError(f"lstm_cell: pre-activations {zd.shape} do not fit memory {md.shape}")
+    H = md.shape[1]
+    i, f, o = (_sigmoid(zd[:, k * H:(k + 1) * H]) for k in range(3))
+    g = np.tanh(zd[:, 3 * H:])
+    m = f * md + i * g
+    tm = np.tanh(m)
+    out = Tensor(np.concatenate([o * tm, m], axis=1))
+
+    def grad_fn(gout):
+        gh = gout[:, :H]
+        gm = gout[:, H:] + gh * o * (1.0 - tm * tm)
+        gz = None
+        if z.requires_grad:
+            gz = np.empty_like(zd)
+            gz[:, :H] = gm * g * i * (1.0 - i)
+            gz[:, H:2 * H] = gm * md * f * (1.0 - f)
+            gz[:, 2 * H:3 * H] = gh * tm * o * (1.0 - o)
+            gz[:, 3 * H:] = gm * i * (1.0 - g * g)
+        return gz, (gm * f if m_prev.requires_grad else None)
+
+    return _record(out, (z, m_prev), grad_fn)
 
 
 def log(a: Tensor) -> Tensor:

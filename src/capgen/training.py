@@ -3,7 +3,9 @@
 Stage 1 minimizes the teacher-forced negative log-likelihood with early
 stopping on a validation metric.  Stage 2 (optional) fine-tunes with a
 policy gradient: sample a caption, score it against a greedy-decoded
-baseline, and push log-probs in proportion to the reward advantage.
+baseline, and push log-probs in proportion to the reward advantage.  The
+sample and the baseline are two rows of one decoder state, stepped
+together under one tape.
 """
 
 from __future__ import annotations
@@ -24,14 +26,14 @@ from .data import (
     BOS_ID, EOS_ID, CaptionBatch, Dataset, FeatureSet, Vocabulary, tokenize,
 )
 from .decoders import DecoderConfig, TwoStreamDecoder, build_variant, check_variant
-from .errors import ConfigError, DomainError, EmptyInputError, ShapeError
+from .errors import ConfigError, ContractError, DomainError, EmptyInputError, ShapeError
 from .optim import (
     adadelta_update, adam_lr, adam_update, clip_gradients, opt_state_arrays,
     opt_state_from_arrays, zero_grads,
 )
 from .search import GREEDY_CHUNK, greedy_decode
 from .tensor import (
-    Tape, Tensor, backward, log, pick_in_rows, reshape, sum_all,
+    Tape, Tensor, backward, log, narrow, pick_in_rows, reshape, stack_rows, sum_all,
 )
 
 __all__ = [
@@ -88,34 +90,62 @@ def make_cider_reward(vocab: Vocabulary, corpus_refs: list[list[str]]):
     return reward
 
 
-def _sample_caption(decoder, features, rng, max_len):
-    """Ancestral sampling; returns (tokens, list of per-step log-prob tensors)."""
-    state = decoder.init_state([features])
-    tok = BOS_ID
-    tokens: list[int] = []
-    terms = []
-    for _ in range(max_len):
-        p, state = decoder.step(state, [tok])
-        probs = p.data[0] / p.data[0].sum()
-        nxt = int(rng.choice(len(probs), p=probs))
-        terms.append(log(pick_in_rows(p, [nxt])))
-        if nxt == EOS_ID:
+def _sample_with_baseline(decoder, features, rng, max_len):
+    """Row 0's sampled caption, row 1's greedy caption, and the (2,)
+    probabilities of the tokens the rows emitted at each step where row 0
+    was live, from one two-row state over ``features``.  Row 0 draws each
+    token with one ``rng.choice`` of its distribution, as ancestral
+    sampling at temperature 1 does; row 1 takes the argmax under
+    ``greedy_decode``'s rules.  Stepping ends once both rows have emitted
+    EOS, or after ``max_len`` steps."""
+    state = decoder.init_state([features, features])
+    fed = [BOS_ID, BOS_ID]
+    captions: tuple[list[int], list[int]] = ([], [])
+    live = [True, True]
+    picked = []
+    for steps in range(1, max_len + 1):
+        p, state = decoder.step(state, fed)
+        fed = np.argmax(p.data, axis=1).tolist()
+        for row, what in ((1, "greedy decode"), (0, "sampled caption")):
+            if live[row] and not p.data[row].max() > 0.0:
+                raise ContractError(f"{what}: no token had positive probability at "
+                                    f"step {steps}, so no caption can be expanded")
+        if live[0]:
+            probs = p.data[0] / p.data[0].sum()
+            fed[0] = int(rng.choice(len(probs), p=probs))
+            picked.append(pick_in_rows(p, fed))
+        for row in (0, 1):
+            if live[row]:
+                if fed[row] == EOS_ID:
+                    live[row] = False
+                else:
+                    captions[row].append(fed[row])
+        if not any(live):
             break
-        tokens.append(nxt)
-        tok = nxt
-    return tokens, terms
+    return captions[0], captions[1], picked
 
 
 def reward_gradient_step(decoder, features, refs, cfg: RewardConfig) -> float:
     """One self-critical update: accumulate the policy gradient, return the
-    reward advantage of the sampled caption over the greedy baseline."""
+    reward advantage of a sampled caption over the greedy baseline.
+
+    Both captions come from one taped pass over the two-row state of
+    ``init_state([features, features])``, one ``step`` per search step
+    (``_sample_with_baseline``).  Row 0 samples, one ``cfg.rng`` draw per
+    sampled token, EOS included; row 1 is ``greedy_decode``'s caption, with
+    its ties and its EOS rule.  The loss is -advantage times the sum of row
+    0's log-probs of its tokens; row 1 takes no term, so its gradient is
+    exactly 0.  A ``max_len`` below 1, or a step where a live row has no
+    token of positive probability, is a ``ContractError``."""
     if refs is not None and len(refs) == 0:
         raise EmptyInputError("reward fine-tuning needs at least one reference")
-    baseline = greedy_decode(decoder, features, max_len=cfg.max_len)
+    if cfg.max_len < 1:
+        raise ContractError(f"max_len must be >= 1, got {cfg.max_len}")
     with Tape():
-        tokens, terms = _sample_caption(decoder, features, cfg.rng, cfg.max_len)
-        advantage = cfg.reward_fn(tokens, refs) - cfg.reward_fn(baseline.tokens, refs)
-        backward(sum_all(sum(terms[1:], terms[0]) * (-advantage)))
+        sampled, baseline, picked = _sample_with_baseline(decoder, features, cfg.rng,
+                                                          cfg.max_len)
+        advantage = cfg.reward_fn(sampled, refs) - cfg.reward_fn(baseline, refs)
+        backward(sum_all(log(narrow(stack_rows(picked), 0, 1))) * (-advantage))
     return advantage
 
 

@@ -18,7 +18,7 @@ from capgen.gradcheck import check_gradients
 from capgen.layers import dropout_mask
 from capgen.search import beam_search, greedy_decode
 from capgen.tensor import Tape, Tensor, backward, reshape
-from capgen.testkit import decoder_gradcheck, tiny_decoder, tiny_features
+from capgen.testkit import decoder_gradcheck, tiny_decoder, tiny_features, tiny_widths
 from capgen.training import mle_loss
 
 
@@ -502,6 +502,28 @@ def pinned_decode(variant, search, features_seed=None, scale=None):
     else:
         got = beam_search(dec, feats, k=5, max_len=8, record_trace=True)
     return got.tokens, float.hex(got.logprob), trace_digest(got.trace)
+
+
+# the most tape nodes that one teacher-forced desk-size training batch may
+# record, loss included: 8 captions of 13 words (14 steps), hidden 64,
+# vocabulary 500, 28 frames, dropout on.  Each LSTM step is 4 nodes.
+DESK_BATCH_NODES = {"basic": 100, "hlstmat_temporal": 329, "para": 400, "da": 575}
+
+
+@pytest.mark.parametrize("variant", sorted(DESK_BATCH_NODES))
+def test_desk_batch_tape_stays_small(variant):
+    import capgen.training as tr
+
+    rng = np.random.default_rng(0)
+    dims = tiny_widths(variant, 64)
+    attn_dim = dims.pop("attn_dim")
+    feats = [tiny_features(rng, 28, **dims, segments=14) for _ in range(8)]
+    dec = tr.build_decoder(variant, 500, feats[0], 64, 64, attn_dim, dropout=0.5)
+    batch = CaptionBatch.from_id_seqs([[BOS_ID, *rng.integers(4, 500, 13).tolist(), EOS_ID]
+                                       for _ in range(8)])
+    with Tape() as tape:
+        tr._batch_loss(dec, feats, batch, np.random.default_rng(1))
+        assert len(tape.nodes) <= DESK_BATCH_NODES[variant]
 
 
 class TestPinnedDecoding:

@@ -10,7 +10,7 @@ import capgen.tensor
 from capgen.errors import ContractError, DomainError, ShapeError
 from capgen.gradcheck import fd_gradients, max_relative_error
 from capgen.tensor import (
-    Tape, Tensor, additive_scores, backward, concat, log, log_softmax, matmul_t, narrow,
+    Tape, Tensor, additive_scores, backward, concat, log, log_softmax, lstm_cell, matmul_t, narrow,
     pick_in_rows, reshape, scale_rows, sigmoid, softmax, stack_rows, sum_all,
     take_rows, tanh, transpose, weighted_sum,
 )
@@ -377,6 +377,56 @@ class TestStructuralOps:
         np.testing.assert_array_equal(e.grad[1], [0.0, 0.0, 0.0])
 
 
+class TestLstmCell:
+    """``lstm_cell``, one node for an LSTM step's gate arithmetic, against
+    the per-gate ops it replaces."""
+
+    @staticmethod
+    def per_gate(z, m_prev):
+        H = m_prev.shape[1]
+        i, f, o = (sigmoid(narrow(z, k * H, H)) for k in range(3))
+        g = tanh(narrow(z, 3 * H, H))
+        m = f * m_prev + i * g
+        return o * tanh(m), m
+
+    @staticmethod
+    def fused(z, m_prev):
+        H = m_prev.shape[1]
+        hm = lstm_cell(z, m_prev)
+        return narrow(hm, 0, H), narrow(hm, H, H)
+
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    @pytest.mark.parametrize("H", [3, 64, 512])
+    def test_value_and_gradients_equal_the_per_gate_ops(self, rng, n, H):
+        z0 = rng.standard_normal((n, 4 * H)) * 3
+        z0[:, ::5], z0[:, 2::5] = 40.0, -40.0       # saturated pre-activations
+        m0 = rng.standard_normal((n, H))
+        wh, wm = rng.standard_normal((n, H)), rng.standard_normal((n, H))
+
+        def run(cell):
+            z, m_prev = leaf(z0), leaf(m0)
+            with Tape():
+                h, m = cell(z, m_prev)
+                # m feeds a later step as well as h, as in a recurrence
+                backward(sum_all(h * Tensor(wh)) + sum_all(m * Tensor(wm)))
+            return h.data, m.data, z.grad, m_prev.grad
+
+        for got, want in zip(run(self.fused), run(self.per_gate), strict=True):
+            assert np.array_equal(got, want)
+
+    def test_records_one_node_and_passes_a_finite_difference_check(self, rng):
+        z, m_prev = leaf(rng.standard_normal((2, 12))), leaf(rng.standard_normal((2, 3)))
+        with Tape() as tape:
+            lstm_cell(z, m_prev)
+            assert len(tape.nodes) == 1
+        assert op_gradcheck(lambda: lstm_cell(z, m_prev), {"z": z, "m_prev": m_prev}) < 1e-6
+
+    def test_shapes_must_fit(self):
+        for z, m in (((2, 12), (2, 4)), ((3, 12), (2, 3)), ((12,), (3,))):
+            with pytest.raises(ShapeError):
+                lstm_cell(Tensor(np.zeros(z)), Tensor(np.zeros(m)))
+
+
 class TestPerRowProducts:
     """What a decoding step over n rows owes each row.  Greedy decoding and
     sampling step one row, and their pins rest on a one-row product being
@@ -430,8 +480,9 @@ class TestPerRowProducts:
         assert out.shape == (n, 1, m) and np.array_equal(out[:, 0], want)
 
     def test_blocked_product_gradients_match_one_call(self, rng, monkeypatch):
-        # the backward products never block: the gradients of a blocked
-        # forward are those of the one-call product, bit for bit
+        # the input gradient of a blocked product adds one GEMM per block of
+        # the summed axis, in order, within rounding of one GEMM; the
+        # deferred weight gradient is the one-call product's, bit for bit
         x0, w0, c = (rng.standard_normal((5, 512)), rng.standard_normal((2048, 512)),
                      rng.standard_normal((5, 2048)))
 
@@ -445,9 +496,15 @@ class TestPerRowProducts:
         blocked = grads()
         monkeypatch.setattr(capgen.tensor, "_BLOCK_ELEMS", 2 ** 40)
         whole = grads()
-        assert np.array_equal(whole[0], np.dot(x0, w0.T))
+        size = 2 ** 19 // (5 * 512)
+        in_order = c[:, :size] @ w0[:size]
+        for lo in range(size, 2048, size):
+            in_order += c[:, lo:lo + size] @ w0[lo:lo + size]
+        assert np.array_equal(whole[0], np.dot(x0, w0.T)) and np.array_equal(whole[1], c @ w0)
         assert not np.array_equal(blocked[0], whole[0])     # the forward did block
-        assert np.array_equal(blocked[1], whole[1]) and np.array_equal(blocked[2], whole[2])
+        assert np.array_equal(blocked[1], in_order)
+        assert np.abs(blocked[1] - whole[1]).max() <= 1e-12 * np.abs(whole[1]).max()
+        assert np.array_equal(blocked[2], whole[2])
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     @pytest.mark.parametrize("dim", [64, 512])

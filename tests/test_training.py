@@ -1,6 +1,7 @@
 import json
 import math
 import shutil
+import warnings
 import weakref
 
 import numpy as np
@@ -12,9 +13,13 @@ from capgen.cli import main
 from capgen.data import (
     BOS_ID, EOS_ID, CaptionBatch, Dataset, Vocabulary, synth_dataset, tokenize,
 )
-from capgen.errors import ConfigError, DomainError, ShapeError
+from capgen.decoders import VARIANTS
+from capgen.errors import ConfigError, ContractError, DomainError, ShapeError
+from capgen.optim import zero_grads
 from capgen.search import greedy_decode
-from capgen.tensor import Tensor, reshape, softmax
+from capgen.tensor import (
+    Tape, Tensor, backward, log, pick_in_rows, reshape, softmax, stack_rows, sum_all, take_rows,
+)
 from capgen.testkit import tiny_features
 from capgen.training import (
     RewardConfig, TrainConfig, mle_loss, parse_config_file, reward_gradient_step, train,
@@ -83,7 +88,8 @@ def test_reward_tokenizes_only_references_from_outside_its_corpus(monkeypatch):
 
 
 class _BanditPolicy:
-    """Minimal decoder-protocol policy: one free (1, vocab) logit row."""
+    """Minimal decoder-protocol policy: one free (1, vocab) logit row,
+    which every row of a state shares."""
 
     def __init__(self, vocab_size, locked):
         logits = np.full((1, vocab_size), -50.0)
@@ -93,8 +99,8 @@ class _BanditPolicy:
     def init_state(self, features):
         return 0
 
-    def step(self, state, token_ids, training=False, rng=None):
-        return softmax(self.theta), state + 1
+    def step(self, state, token_ids, rng=None):
+        return softmax(take_rows(self.theta, [0] * len(token_ids))), state + 1
 
     def parameters(self):
         return {"theta": self.theta}
@@ -160,12 +166,18 @@ PINNED_REWARD_STEPS = {
 }
 
 
-def seeded_reward_step(variant):
-    """(sampled tokens, float.hex advantage) of one seeded
-    ``reward_gradient_step`` of a tiny decoder with wide weights."""
+def pinned_setup(variant):
+    """The decoder and features of the pinned reward steps."""
     dec, dims = wide_decoder(variant)
     feats = tiny_features(np.random.default_rng(11), 4, dims["dim"], dims["motion_dim"],
                           dims["region_dim"], dims["global_dim"])
+    return dec, feats
+
+
+def seeded_reward_step(variant):
+    """(sampled tokens, float.hex advantage) of one seeded
+    ``reward_gradient_step`` of a tiny decoder with wide weights."""
+    dec, feats = pinned_setup(variant)
     scored = []
 
     def reward(tokens, refs):
@@ -191,6 +203,129 @@ def test_pinned_reward_steps_see_the_advantage():
     at its pin, has an advantage of 0."""
     assert [v for v, (_, adv) in PINNED_REWARD_STEPS.items()
             if float.fromhex(adv) == 0.0] == ["hlstmat_temporal"]
+
+
+def forced_log_likelihood(dec, feats, targets):
+    """The summed log-probs of ``targets`` fed one by one through the
+    one-row state of ``init_state([feats])``, as a tape scalar."""
+    state, fed, terms = dec.init_state([feats]), BOS_ID, []
+    for tok in targets:
+        p, state = dec.step(state, [fed])
+        terms.append(log(pick_in_rows(p, [tok])))
+        fed = tok
+    return sum_all(stack_rows(terms))
+
+
+class TestTwoRowRewardStep:
+    """``reward_gradient_step`` samples its caption (row 0) and decodes the
+    greedy baseline (row 1) from one two-row state under one tape."""
+
+    MAX_LEN = 8
+
+    def sampled_targets(self, tokens):
+        # the sampled ids with the EOS that ended them, if it came in time
+        return tokens + [EOS_ID] if len(tokens) < self.MAX_LEN else tokens
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_sampled_row_log_prob_equals_a_forced_replay(self, variant):
+        import capgen.training as tr
+
+        dec, feats = pinned_setup(variant)
+        with Tape():
+            sampled, _, picked = tr._sample_with_baseline(
+                dec, feats, np.random.default_rng(6), self.MAX_LEN)
+            got = float(np.log(np.stack([q.data for q in picked])[:, 0]).sum())
+            want = float(forced_log_likelihood(dec, feats, self.sampled_targets(sampled)).data)
+        assert len(picked) == len(self.sampled_targets(sampled))
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_baseline_is_the_greedy_decode_and_the_rng_draws_once_per_token(self, variant):
+        dec, feats = pinned_setup(variant)
+        scored = []
+        rng = np.random.default_rng(6)
+        cfg = RewardConfig(reward_fn=lambda tokens, refs: scored.append(list(tokens)) or 0.0,
+                           rng=rng, max_len=self.MAX_LEN)
+        reward_gradient_step(dec, feats, ["ref"], cfg)
+        sampled, baseline = scored
+        assert baseline == greedy_decode(dec, feats, max_len=self.MAX_LEN).tokens
+        replay = np.random.default_rng(6)
+        replay.random(len(self.sampled_targets(sampled)))
+        assert rng.bit_generator.state == replay.bit_generator.state
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_gradient_is_the_sampled_caption_likelihood_gradient_times_minus_advantage(
+            self, variant):
+        dec, feats = pinned_setup(variant)
+        params = dec.parameters()
+        scored, rewards = [], iter([1.0, 0.25])     # the sample's, then the baseline's
+        cfg = RewardConfig(reward_fn=lambda tokens, refs: scored.append(list(tokens))
+                           or next(rewards), rng=np.random.default_rng(6), max_len=self.MAX_LEN)
+        zero_grads(params)
+        assert reward_gradient_step(dec, feats, ["ref"], cfg) == 0.75
+        got = {name: p.grad for name, p in params.items()}
+        zero_grads(params)
+        with Tape():
+            backward(forced_log_likelihood(dec, feats, self.sampled_targets(scored[0]))
+                     * -0.75)
+        for name, p in params.items():
+            if p.grad is None:
+                assert got[name] is None or not got[name].any(), name
+                continue
+            scale = max(np.abs(p.grad).max(), 1.0)
+            np.testing.assert_allclose(got[name], p.grad, rtol=0, atol=1e-12 * scale,
+                                       err_msg=name)
+
+
+class _ForkPolicy:
+    """Rows-protocol test double whose distribution follows the fed token:
+    a row fed token t gets ``table[t]``."""
+
+    def __init__(self, table):
+        self.table = np.asarray(table, dtype=np.float64)
+
+    def init_state(self, features):
+        return None
+
+    def step(self, state, token_ids, rng=None):
+        return Tensor(self.table[np.asarray(token_ids)]), state
+
+
+def fork_table(dead_end):
+    """After BOS, greedy takes word 5 and a sample may take word 4; the
+    word ``dead_end`` leads to a row with no positive probability, the
+    other to EOS."""
+    table = np.zeros((6, 6))
+    table[BOS_ID, 4:] = 0.45, 0.55
+    table[9 - dead_end, EOS_ID] = 1.0       # row 9 - dead_end: the other of words 4 and 5
+    return table
+
+
+class TestRewardStepContract:
+    def test_sampled_row_without_a_positive_token_is_a_contract_error(self):
+        # the first draw of seed 2 picks word 4 (p = 0.45), whose next row is
+        # all zero: a draw from it would raise numpy's ValueError and warn
+        assert np.random.default_rng(2).random() < 0.45
+        cfg = RewardConfig(reward_fn=lambda t, r: 0.0, rng=np.random.default_rng(2),
+                           max_len=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractError, match="sampled caption: no token had positive "
+                                                    "probability at step 2"):
+                reward_gradient_step(_ForkPolicy(fork_table(dead_end=4)), None, ["ref"], cfg)
+
+    def test_greedy_row_without_a_positive_token_is_a_contract_error(self):
+        cfg = RewardConfig(reward_fn=lambda t, r: 0.0, rng=np.random.default_rng(0),
+                           max_len=4)
+        with pytest.raises(ContractError, match="greedy decode: no token had positive "
+                                                "probability at step 2"):
+            reward_gradient_step(_ForkPolicy(fork_table(dead_end=5)), None, ["ref"], cfg)
+
+    def test_max_len_below_one_is_a_contract_error(self):
+        cfg = RewardConfig(reward_fn=lambda t, r: 0.0, rng=np.random.default_rng(0),
+                           max_len=0)
+        with pytest.raises(ContractError, match="max_len"):
+            reward_gradient_step(_ForkPolicy(fork_table(dead_end=4)), None, ["ref"], cfg)
 
 
 class TestConfig:
