@@ -20,11 +20,14 @@ own features: a two-LSTM state the (n, L, D) features padded to the
 longest clip, the attention keys ``feats @ U_a.T`` next to them, and the
 (n, L) mask of real feature rows, None when no clip is padded; ``basic``
 the (n, D) mean frames.  ``init_state`` computes the keys once, and
-every step reuses them.  ``step(state, token_ids, rng=None) -> (p,
-state)`` steps a state of n rows on n token ids, one per row, and returns
-the (n, vocab) word distributions and a fresh state whose ``row`` is that
-step's ``TraceRow(alpha, beta, mask)`` of (n, ·) arrays, ``mask`` the
-real columns of a padded ``alpha``.  ``state.take(idx)`` gathers rows by
+every step reuses them.  It first checks each clip's attended features
+(``basic``'s frames) against the width the decoder was built for, and a
+clip that differs is a ``ShapeError`` that names it.
+``step(state, token_ids, rng=None) -> (p, state)`` steps a state of n
+rows on n token ids, one per row, and returns the (n, vocab) word
+distributions and a fresh state whose ``row`` is that step's
+``TraceRow(alpha, beta, mask)`` of (n, ·) arrays, ``mask`` the real
+columns of a padded ``alpha``.  ``state.take(idx)`` gathers rows by
 index, each with its features, so beam search steps all its live
 hypotheses as one state and keeps the survivors' rows.  Greedy decoding
 steps one row per clip, all the clips it is given in one state;
@@ -165,8 +168,10 @@ class BasicDecoder(Module):
 
     def init_state(self, features) -> DecoderState:
         """The state over n clips' ``FeatureSet``s; its one feature is the
-        (n, D) mean frame of each clip."""
-        vbar = Tensor(np.stack([f.require("temporal").mean(axis=0) for f in features]))
+        (n, D) mean frame of each clip (see ``_check_widths``)."""
+        sets = list(features)
+        _check_widths([f.require("temporal").shape[1] for f in sets], self.config.feature_dim)
+        vbar = Tensor(np.stack([f.temporal.mean(axis=0) for f in sets]))
         h = zeros(len(vbar.data), self.config.hidden_dim)
         return DecoderState(h, h, h, h, (vbar,))
 
@@ -321,12 +326,25 @@ class ParallelDecoder(Module):
         return _two_lstm_teacher_forced(self, features, tokens, rng)
 
 
+def _check_widths(widths: list[int], want: int) -> None:
+    """Raise ``ShapeError`` naming the first clip whose features, of
+    ``widths`` (one per clip), are not ``want`` wide; ``init_state`` checks
+    before anything is stacked."""
+    for i, width in enumerate(widths):
+        if width != want:
+            raise ShapeError(f"clip {i} of {len(widths)} has features {width} wide, "
+                             f"the decoder reads {want}")
+
+
 def _two_lstm_init(dec, features, attentions: tuple) -> DecoderState:
     """The state over n clips' ``FeatureSet``s: the bottom LSTM from
     projections of each clip's pooled features, the top from zeros.  Each
     of ``attentions`` attends over the matching entry of ``dec._sources``,
-    padded to the longest clip."""
+    padded to the longest clip, once every clip's entry has its width
+    (see ``_check_widths``)."""
     per_clip = [dec._sources(f) for f in features]
+    for k, attn in enumerate(attentions):
+        _check_widths([sources[k].shape[1] for sources in per_clip], attn.feature_dim)
     pooled = Tensor(np.stack([np.concatenate([a.mean(axis=0) for a in sources])
                               for sources in per_clip]))
     feats = ()

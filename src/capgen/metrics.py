@@ -20,9 +20,10 @@ document frequency 0.  ``evaluate_corpus`` hands one encoding to both
 encoding's arrays grow with the corpus and live for one call.  BLEU and
 CIDEr-D then score ``CHUNK`` samples per array pass: sentences are
 contiguous and their grams in text order, so a chunk's candidate and
-reference grams are one slice each per order.  One pairing (``_pairs``)
-matches each reference's grams with its candidate's, for BLEU's and
-CIDEr-D's clipping alike.
+reference grams are one slice each per order.  One analysis
+(``_analysis``) finds each (order, sentence)'s distinct grams and pairs
+each reference's grams with its candidate's, for BLEU's and CIDEr-D's
+clipping alike.
 ROUGE-L's LCS is bit-parallel over Python ints (Allison & Dix 1986;
 Hyyrö 2004), with the candidate's match masks built once and reused for
 every reference.
@@ -40,9 +41,11 @@ sentence) that this encoding replaced, through three rules:
   length difference; numpy's may round differently.  Arrays look them up.
 * Sums: terms are added in the scalar loop's order, per (sentence, order)
   in the order the grams first occur, then reference by reference.  No
-  pairwise (numpy) or compensated (``sum``, ``fsum``) sum is used:
-  ``_ordered_add`` loops over ranks, and each segment holds at most one
-  term per rank, so one fancy-indexed ``+=`` adds one term to each sum.
+  pairwise (numpy) or compensated (``sum``, ``fsum``) sum is used: every
+  sum is ``_bin_sums``, whose ``np.bincount`` adds each bin's terms one at
+  a time from 0.0 in input order.  The analysis gives its grams in
+  (segment, first occurrence) order and its pairs in candidate order, so
+  the terms arrive in the scalar loop's order.
 
 A ``CiderD`` scorer encodes its reference sets once and keeps the
 encoding, so the self-critical reward builds one over the training
@@ -53,6 +56,7 @@ and batch builder that score a corpus.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple
@@ -228,14 +232,19 @@ def _encoded(corpus) -> _Encoding:
     return _Encoding(corpus.references, corpus.candidates)
 
 
-def _distinct(batch: _Batch):
-    """Each (order, sentence)'s distinct grams in the order they first occur.
+def _analysis(batch: _Batch):
+    """Each (order, sentence)'s distinct grams, and the grams that a
+    sample's candidate shares with each of its references.
 
-    Returns the segment ``order * sentences + sentence``, the gram id
-    offset to be distinct across orders, the count in the segment, the
-    document frequency and the rank in that order of every distinct gram,
-    segments ascending, then the number of gram ids."""
-    n_sent = len(batch.lens)
+    Returns the segment ``order * sentences + sentence``, the count in the
+    segment and the document frequency of every distinct gram, segments
+    ascending and each segment's grams in the order they first occur;
+    then each reference gram that its sample's candidate also holds,
+    paired with that candidate gram, as two index arrays into the first
+    three, the candidate's first.  The pairs are stably sorted by the
+    candidate's index, so each reference's pairs come in the order its
+    candidate's grams first occur."""
+    n_sent, n_c = len(batch.lens), len(batch.n_refs)
     offsets = np.cumsum([0] + batch.sizes).tolist()
     seg = np.concatenate([order * n_sent + sent
                           for order, (sent, _, _) in enumerate(batch.grams)])
@@ -246,45 +255,23 @@ def _distinct(batch: _Batch):
     counts = np.zeros(len(key), np.int64)
     if len(head):   # at the text position of each gram's first occurrence
         counts[np.minimum.reduceat(order, head)] = np.diff(head, append=len(key))
-    at = np.flatnonzero(counts)
-    s = seg[at]
-    per_seg = np.bincount(s)
-    rank = np.arange(len(at)) - (np.cumsum(per_seg) - per_seg)[s]
-    df = np.concatenate([df for _, _, df in batch.grams])[at]
-    return s, gram[at], counts[at], df, rank, offsets[-1]
-
-
-def _ordered_add(out: np.ndarray, seg: np.ndarray, rank: np.ndarray,
-                 terms: np.ndarray) -> None:
-    """``out[seg] += terms``, adding each segment's terms in ``rank`` order.
-
-    A segment holds at most one term per rank, so each fancy-indexed
-    ``+=`` adds one term to each sum, as the scalar loop does."""
-    order = np.argsort(rank)
-    start = 0
-    for end in np.cumsum(np.bincount(rank)).tolist():
-        at = order[start:end]
-        out[seg[at]] += terms[at]
-        start = end
-
-
-def _pairs(batch: _Batch, sent: np.ndarray, g: np.ndarray, n_grams: int):
-    """Each reference gram that its sample's candidate also holds, paired
-    with that candidate gram: their indices in ``_distinct``'s output
-    (sentence ``sent``, offset gram id ``g``), the candidate's first."""
-    n_c = len(batch.n_refs)
-    owner = np.repeat(np.arange(n_c), batch.n_refs)
+    first = np.flatnonzero(counts)
+    s, g = seg[first], gram[first]
+    df = np.concatenate([df for _, _, df in batch.grams])[first]
+    # pair on (sample, gram id); a reference's sample is its owner
+    sent = s % n_sent
     cand = np.flatnonzero(sent < n_c)
-    cand_key = sent[cand] * n_grams + g[cand]
+    cand_key = sent[cand] * offsets[-1] + g[cand]
     by_key = np.argsort(cand_key)
     cand, cand_key = cand[by_key], cand_key[by_key]
     ref = np.flatnonzero(sent >= n_c)
-    ref_key = owner[sent[ref] - n_c] * n_grams + g[ref]
-    if len(cand) == 0:
-        return cand, cand
-    at = np.minimum(np.searchsorted(cand_key, ref_key), len(cand) - 1)
-    hit = cand_key[at] == ref_key
-    return cand[at[hit]], ref[hit]
+    owner = np.repeat(np.arange(n_c), batch.n_refs)
+    ref_key = owner[sent[ref] - n_c] * offsets[-1] + g[ref]
+    at = np.searchsorted(cand_key, ref_key)
+    hit = np.append(cand_key, -1)[at] == ref_key   # the -1 past the end matches no key
+    c, r = cand[at[hit]], ref[hit]
+    by_cand = np.argsort(c, kind="stable")
+    return s, counts[first], df, c[by_cand], r[by_cand]
 
 
 def _bleu_counts(batch: _Batch):
@@ -292,9 +279,8 @@ def _bleu_counts(batch: _Batch):
     batch, then its candidate length and closest reference length."""
     lens, n_refs = batch.lens, batch.n_refs
     n_c = len(n_refs)
-    s, g, tf, _, _, n_grams = _distinct(batch)
-    order, sent = np.divmod(s, len(lens))
-    c, r = _pairs(batch, sent, g, n_grams)
+    s, tf, _, c, r = _analysis(batch)
+    order = s // len(lens)
     # per candidate gram: the largest count in any one reference
     most = np.zeros_like(tf)
     np.maximum.at(most, c, tf[r])
@@ -396,23 +382,24 @@ def _weights(tf: np.ndarray, df: np.ndarray, log_n_docs: float):
     return np.array(w)[inv], np.array(sq)[inv]
 
 
+def _bin_sums(bins: np.ndarray, terms: np.ndarray, n: int) -> np.ndarray:
+    """The float64 sums of ``terms`` into bins 0..n-1, each bin's terms
+    added one at a time from 0.0 in input order (``np.bincount``'s loop)."""
+    return np.bincount(bins, terms, n).astype(np.float64, copy=False)
+
+
 def _cider_batch(batch: _Batch, log_n_docs: float) -> list[float]:
     """CIDEr-D of each of ``batch``'s candidates against its references."""
     lens, n_refs = batch.lens, batch.n_refs
-    n_c = len(n_refs)
+    n_c, n_sent = len(n_refs), len(lens)
     owner = np.repeat(np.arange(n_c), n_refs)
-    s, g, tf, df, rank, n_grams = _distinct(batch)
+    s, tf, df, c, r = _analysis(batch)
     w, sq = _weights(tf, df, log_n_docs)
-    norm = np.zeros(MAX_N * len(lens))
-    _ordered_add(norm, s, rank, sq)
-    norm = np.sqrt(norm).reshape(MAX_N, len(lens))
-    order, sent = np.divmod(s, len(lens))
-    c, r = _pairs(batch, sent, g, n_grams)
-    val = np.zeros(MAX_N * len(owner))
+    norm = np.sqrt(_bin_sums(s, sq, MAX_N * n_sent)).reshape(MAX_N, n_sent)
+    order, sent = np.divmod(s, n_sent)
     # count clipping: the candidate's weight capped by the reference's
-    _ordered_add(val, order[r] * len(owner) + sent[r] - n_c, rank[c],
-                 np.minimum(w[c], w[r]) * w[r])
-    val = val.reshape(MAX_N, len(owner))
+    val = _bin_sums(order[r] * len(owner) + sent[r] - n_c, np.minimum(w[c], w[r]) * w[r],
+                    MAX_N * len(owner)).reshape(MAX_N, len(owner))
     c_norm, r_norm = norm[:, owner], norm[:, n_c:]
     both = (c_norm != 0) & (r_norm != 0)
     val[both] /= c_norm[both] * r_norm[both]
@@ -420,10 +407,8 @@ def _cider_batch(batch: _Batch, log_n_docs: float) -> list[float]:
     penalty = np.array([math.exp(-(float(d) ** 2) / (2 * CIDER_SIGMA ** 2))
                         for d in gaps.tolist()])[gap_at]
     # reference by reference, into one sum per (order, sample)
-    ref_rank = np.arange(len(owner)) - np.repeat(np.cumsum(n_refs) - n_refs, n_refs)
-    acc = np.zeros(MAX_N * n_c)
-    _ordered_add(acc, (np.arange(MAX_N)[:, None] * n_c + owner).ravel(),
-                 np.tile(ref_rank, MAX_N), (val * penalty).ravel())
+    acc = _bin_sums((np.arange(MAX_N)[:, None] * n_c + owner).ravel(),
+                    (val * penalty).ravel(), MAX_N * n_c)
     acc = np.ascontiguousarray(acc.reshape(MAX_N, n_c).T)
     return [float(np.mean(row)) / k * 10.0 for row, k in zip(acc, n_refs.tolist())]
 
@@ -445,11 +430,17 @@ class CiderD:
         self.refs = _Encoding(ref_sets)
 
     def score(self, cand: list[str], refs: list[list[str]] | int) -> float:
-        """``cand``'s CIDEr-D against ``refs``: the index of one of the
-        scorer's reference sets, or a reference set, coded with ``cand``."""
+        """``cand``'s CIDEr-D against ``refs``: the index (any integer) of
+        one of the scorer's reference sets, or a reference set, coded with
+        ``cand``.  An index outside the scorer's sets is a
+        ``ContractError``."""
         own = self.refs
-        if isinstance(refs, int):
-            batch = own.batch(own.code([cand]), refs, refs + 1)
+        if hasattr(refs, "__index__"):
+            at = operator.index(refs)
+            if not 0 <= at < len(own.n_refs):
+                raise ContractError(f"reference set {at} is not one of the scorer's "
+                                    f"{len(own.n_refs)}")
+            batch = own.batch(own.code([cand]), at, at + 1)
         elif len(refs) == 0:
             raise EmptyInputError("CIDEr needs at least one reference")
         else:

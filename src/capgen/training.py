@@ -375,10 +375,12 @@ def train(cfg: TrainConfig) -> TrainResult:
     above 0, a ``dropout`` or ``rho`` outside [0, 1), or an ``lr_decay``
     outside (0, 1], is a ``ConfigError`` that names the key, and a missing
     directory for ``checkpoint`` or ``log_path`` an ``OSError``, both
-    raised before any data loads.  A ``resume``
-    checkpoint that the reward stage wrote, or whose optimizer state is
-    another optimizer's, is a ``ConfigError`` raised before any epoch
-    runs.
+    raised before any data loads.  A sample with no references in the
+    train split, or in the split that validation scores, is a
+    ``ConfigError`` naming the split and the sample, raised before any
+    features load.  A ``resume`` checkpoint that the reward stage wrote,
+    or whose optimizer state is another optimizer's, is a ``ConfigError``
+    raised before any epoch runs.
 
     Each array is held once.  A resumed run copies the file's weights into
     the decoder and keeps the file's optimizer arrays as its state, then
@@ -448,6 +450,11 @@ def train(cfg: TrainConfig) -> TrainResult:
         if path:    # a missing output directory fails now, with its OSError
             os.scandir(Path(path).parent).close()
     dataset = Dataset.load(cfg.data_dir)
+    val_split = "val" if dataset.splits.get("val") else "train"
+    for split in dict.fromkeys(("train", val_split)):
+        for sample in dataset.split(split):
+            if not sample.refs:
+                raise ConfigError(f"sample {sample.id!r} of split {split!r} has no references")
     vocab = Vocabulary.load(Path(cfg.data_dir) / "vocab.json")
     train_samples = dataset.split("train")
     feats_cache = [dataset.features(s) for s in train_samples]
@@ -465,7 +472,6 @@ def train(cfg: TrainConfig) -> TrainResult:
     best_path = cfg.resume or None  # the file that holds the best weights so far
     stale_weights = False           # the weights in params are not the best
 
-    val_split = "val" if dataset.splits.get("val") else "train"
     val = train_set if val_split == "train" else _val_set(dataset, vocab, "val", None)
     for epoch in range(start_epoch, cfg.epochs):
         t0 = time.perf_counter()

@@ -482,6 +482,25 @@ class TestErrors:
         rows = [json.loads(l) for l in out.read_text().splitlines()]
         assert [r["id"] for r in rows] == [e["id"] for e in manifest["splits"]["test"]]
 
+    @pytest.mark.parametrize("beam", [1, 2])
+    def test_generate_clip_of_another_width_fails_cleanly(self, workspace, tmp_path, capsys,
+                                                          beam):
+        _, data, ckpt = workspace
+        other = tmp_path / "data"
+
+        def narrow(m):
+            entry = m["splits"]["test"][1]
+            entry["features"]["temporal"] = "features/narrow_temporal.feat"
+            _, frames = read_feature_file(data / "features" / f"{entry['id']}_temporal.feat")
+            write_feature_file(other / entry["features"]["temporal"], "temporal", frames[:, :6])
+
+        edited_copy(data, other, "manifest.json", narrow)
+        assert main(["generate", "--data-dir", str(other), "--checkpoint", str(ckpt),
+                     "--split", "test", "--out", str(tmp_path / "gen.jsonl"),
+                     "--beam", str(beam), "--max-len", "6"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "has features 6 wide, the decoder reads 8" in err
+
     def test_trace_empty_split_fails_cleanly(self, workspace, tmp_path, capsys):
         _, data, ckpt = workspace
         other = tmp_path / "data"
@@ -504,6 +523,26 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "'train'" in err
         assert not (tmp_path / "model.ckpt").exists()
+
+    @pytest.mark.parametrize("split,emptied,metric", [("train", "all", "loss"),
+                                                      ("val", "all", "loss"),
+                                                      ("val", "one", "cider")])
+    def test_train_with_a_sample_without_references_fails_cleanly(
+            self, workspace, tmp_path, capsys, split, emptied, metric):
+        _, data, _ = workspace
+        other = tmp_path / "data"
+
+        def edit(m):
+            for entry in m["splits"][split][-1 if emptied == "one" else 0:]:
+                entry["refs"] = []
+
+        manifest = edited_copy(data, other, "manifest.json", edit)
+        ckpt = tmp_path / "model.ckpt"
+        assert main(train_argv(other, ckpt, 1, "--val-metric", metric)) == 1
+        err = capsys.readouterr().err
+        first = [e["id"] for e in manifest["splits"][split] if not e["refs"]][0]
+        assert err.startswith("error:") and f"'{split}'" in err and f"'{first}'" in err
+        assert not ckpt.exists()
 
     @pytest.mark.parametrize("text,message", [('{"splits": ', "not JSON"),
                                               ("{}", "expected an object with 'splits'"),

@@ -19,7 +19,7 @@ from capgen.layers import dropout_mask
 from capgen.search import beam_search, greedy_decode
 from capgen.tensor import Tape, Tensor, backward, reshape
 from capgen.testkit import decoder_gradcheck, tiny_decoder, tiny_features, tiny_widths
-from capgen.training import mle_loss
+from capgen.training import _batch_loss, mle_loss
 
 
 def small_config(vocab=8, hidden=4, **kw):
@@ -103,6 +103,12 @@ def test_dropout_follows_the_rng_in_every_entry_point(variant):
     assert parameters_of(dropout_mask) == ["shape", "rate", "rng"]
 
 
+# the feature kinds that each variant but "da" reads
+READS = {"basic": ["temporal"], "hlstmat_temporal": ["temporal"],
+         "hlstmat_spatial": ["spatial"], "conf": ["temporal", "motion"],
+         "para": ["temporal", "motion"], "two_stream": ["temporal", "motion"]}
+
+
 class TestInitState:
     def test_zero_init_matrices_give_zero_state(self, rng):
         dec = HierarchicalDecoder(small_config())
@@ -130,6 +136,20 @@ class TestInitState:
         dec = HierarchicalDecoder(small_config())
         with pytest.raises(Exception):
             dec.init_state([FeatureSet(temporal=np.zeros((0, 4)))])
+
+    @pytest.mark.parametrize("variant,kind", [
+        (variant, kind) for variant, kinds in READS.items() for kind in kinds])
+    def test_clip_of_another_width_is_a_shape_error(self, variant, kind):
+        dec, dims = tiny_decoder(variant)
+        rng = np.random.default_rng(5)
+        clips = [tiny_features(rng, 3 + i, **dims) for i in range(3)]
+        wide = getattr(clips[1], kind)
+        setattr(clips[1], kind, wide[:, :-1])
+        match = r"clip 1 of 3 has features \d+ wide"
+        with pytest.raises(ShapeError, match=match):
+            dec.init_state(clips)
+        with pytest.raises(ShapeError, match=match):
+            _batch_loss(dec, clips, CaptionBatch.from_id_seqs([[BOS_ID, 5, EOS_ID]] * 3))
 
 
 class TestStep:

@@ -3,8 +3,9 @@ the package defines no private helper that nothing names, it sets no
 attribute that nothing reads, none of its functions takes a parameter
 that it never reads, only the attention module takes additive
 attention scores from the tensor core, only the training module
-builds decoders from their configs, and only the metrics module's
-encoding codes sentences into n-grams."""
+builds decoders from their configs, only the metrics module's encoding
+codes sentences into n-grams, and only its ``_bin_sums`` adds floats
+with ``np.bincount``."""
 
 import ast
 from pathlib import Path
@@ -326,3 +327,37 @@ def test_detects_call_outside_its_owner():
               "X = _word_ids(4)\n")
     assert calls_outside(source, NGRAM_CODER, "_Encoding") == [
         "CiderD: _grams", "CiderD: _word_ids", "<module>: _word_ids"]
+
+
+def weighted_bincounts(sources: dict[str, str]) -> list[str]:
+    """Calls of ``bincount`` (``np.bincount`` or a bare ``bincount``) with
+    weights, positional or by keyword, in ``sources`` (file name -> text),
+    each listed as ``file: top-level definition`` (``<module>`` for
+    module-level code)."""
+    hits = []
+    for file, source in sources.items():
+        for top in ast.parse(source).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call)
+                        and getattr(node.func, "attr", getattr(node.func, "id", None)) == "bincount"
+                        and (len(node.args) > 1 or any(k.arg == "weights" for k in node.keywords))):
+                    hits.append(f"{file}: {getattr(top, 'name', '<module>')}")
+    return hits
+
+
+def test_one_float_bin_sum():
+    """Every float sum whose order CIDEr-D's bits depend on is
+    ``metrics._bin_sums``, which ``test_metrics.TestBinSums`` holds to a
+    left-to-right loop: no other code of the package calls ``np.bincount``
+    with weights."""
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert weighted_bincounts(sources) == ["metrics.py: _bin_sums"]
+
+
+def test_detects_weighted_bincount():
+    sources = {"a.py": "import numpy as np\nnp.bincount(x)\nnp.bincount(x, minlength=3)\n",
+               "b.py": "def f(x, w):\n    return np.bincount(x, w)\n",
+               "c.py": "from numpy import bincount\nclass C:\n"
+                       "    def g(self, x, w):\n        return bincount(x, weights=w)\n",
+               "d.py": "s = 'np.bincount(x, w)'  # np.bincount(x, w)\n"}
+    assert weighted_bincounts(sources) == ["b.py: f", "c.py: C"]

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from capgen import metrics
 from capgen.data import Vocabulary
-from capgen.errors import EmptyInputError
+from capgen.errors import ContractError, EmptyInputError
 from capgen.metrics import CiderD, TokenizedCorpus, bleu, cider, evaluate_corpus, rouge_l
 from capgen.training import make_cider_reward
 
@@ -135,6 +135,23 @@ class TestCider:
         cands, _ = hand_built_corpus(8, seed=99)
         score_other = cider(TokenizedCorpus([c[:4] for c in cands], refs))
         assert score_exact >= score_other
+
+
+class TestCiderScoreIndex:
+    def scorer(self):
+        return CiderD([[["a", "dog"], ["the", "dog"]], [["a", "cat"]], [["a", "bird"]]])
+
+    def test_any_integer_names_a_set(self):
+        scorer = self.scorer()
+        want = scorer.score(["a", "dog"], 0)
+        assert scorer.score(["a", "dog"], np.int64(0)) == want
+        assert scorer.score(["a", "dog"], np.uint8(0)) == want
+        assert scorer.score(["a", "cat"], np.int32(1)) == scorer.score(["a", "cat"], 1)
+
+    @pytest.mark.parametrize("index", [-1, 3, np.int64(3)])
+    def test_index_outside_the_sets_is_a_contract_error(self, index):
+        with pytest.raises(ContractError, match="reference set"):
+            self.scorer().score(["a", "dog"], index)
 
 
 class TestLcs:
@@ -381,6 +398,41 @@ class TestPinnedValues:
     def test_reward_needs_a_reference_corpus(self):
         with pytest.raises(EmptyInputError):
             make_cider_reward(Vocabulary(["a"]), [])
+
+
+def loop_sums(bins, terms, n: int) -> list[float]:
+    """Per bin, its terms added left to right from 0.0 by Python floats."""
+    out = [0.0] * n
+    for b, t in zip(bins, terms):
+        out[b] += t
+    return out
+
+
+class TestBinSums:
+    def test_each_bin_adds_its_terms_in_input_order(self):
+        # bin 0 reads 1e16, 1.0, -1e16 (0.0 left to right, 1.0 exactly);
+        # bin 2 the same terms in an order that keeps the 1.0
+        bins = np.array([0, 2, 1, 0, 2, 0, 2, 1])
+        terms = np.array([1e16, -1e16, 3.0, 1.0, 1e16, -1e16, 1.0, 0.5])
+        got = metrics._bin_sums(bins, terms, 4)
+        assert got.dtype == np.float64
+        assert [float.hex(x) for x in got.tolist()] == [
+            float.hex(x) for x in loop_sums(bins.tolist(), terms.tolist(), 4)]
+        assert got.tolist() == [0.0, 3.5, 1.0, 0.0]
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_a_left_to_right_loop_on_interleaved_bins(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 12))
+        bins = rng.integers(0, n, int(rng.integers(1, 200)))
+        terms = rng.standard_normal(len(bins)) * 10.0 ** rng.integers(-8, 17, len(bins))
+        got = metrics._bin_sums(bins, terms, n)
+        assert [float.hex(x) for x in got.tolist()] == [
+            float.hex(x) for x in loop_sums(bins.tolist(), terms.tolist(), n)]
+
+    def test_no_terms_give_float_zeros(self):
+        got = metrics._bin_sums(np.array([], np.int64), np.array([]), 3)
+        assert got.dtype == np.float64 and got.tolist() == [0.0, 0.0, 0.0]
 
 
 def paths_agree(cands, refs) -> bool:
