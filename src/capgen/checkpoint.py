@@ -42,7 +42,7 @@ from .layers import LstmCell
 
 MAGIC = b"HLSTMAT1"
 
-__all__ = ["MAGIC", "save_checkpoint", "load_checkpoint"]
+__all__ = ["save_checkpoint", "load_checkpoint"]
 
 # DA record names of the older layout -> the names its parameters have now
 _DA_RENAMES = {"attn1.W_v": "attn1.U_a", "attn1.W_h": "attn1.W_a",

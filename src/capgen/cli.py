@@ -14,7 +14,8 @@ from .attention import write_trace_csv
 from .checkpoint import load_checkpoint
 from .data import UNK_ID, Dataset, Vocabulary, build_vocab, synth_dataset
 from .decoders import VARIANTS
-from .errors import CapgenError, ConfigError, ContractError, FormatError
+from .errors import (CapgenError, ClipShapeError, ConfigError, ContractError, FormatError,
+                     ShapeError)
 from .search import GREEDY_CHUNK, beam_search, greedy_decode, write_generations
 from .testkit import decoder_gradcheck, tiny_widths
 from .training import _CONFIG_DEFAULTS, TrainConfig, build_decoder, train
@@ -163,14 +164,18 @@ def _decoded(dataset, decoder, samples, beam: int, max_len: int, record_trace: b
     1 greedy-decodes ``GREEDY_CHUNK`` clips per ``greedy_decode`` call,
     and a wider beam searches one clip per call.  ``clips`` is the number
     of clips its call decoded, and ``ms`` that call's wall time divided by
-    ``clips``."""
+    ``clips``.  A clip that does not fit the decoder is a ``ShapeError``
+    that names its sample id."""
     chunk = GREEDY_CHUNK if beam == 1 else 1
     for lo in range(0, len(samples), chunk):
         part = samples[lo:lo + chunk]
         feats = [dataset.features(s) for s in part]
         t0 = time.perf_counter()
-        gens = (greedy_decode(decoder, feats, max_len, record_trace) if beam == 1
-                else [beam_search(decoder, feats[0], beam, max_len, record_trace)])
+        try:
+            gens = (greedy_decode(decoder, feats, max_len, record_trace) if beam == 1
+                    else [beam_search(decoder, feats[0], beam, max_len, record_trace)])
+        except ClipShapeError as exc:
+            raise ShapeError(f"sample {part[exc.clip].id!r} {exc.detail}") from None
         ms = (time.perf_counter() - t0) * 1e3 / len(part)
         for sample, gen in zip(part, gens):
             yield sample, gen, ms, len(part)

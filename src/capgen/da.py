@@ -33,7 +33,7 @@ from .attention import AdditiveAttention, TraceRow
 from .decoders import (
     DecoderState, _as_batch, _drop, _dropout_masks, _head_log_probs, _pad_rows,
 )
-from .errors import ConfigError, ShapeError
+from .errors import ClipShapeError
 from .layers import Embedding, Linear, LstmCell, Module, glorot
 from .tensor import (
     Tensor, concat, matmul_t, narrow, reshape, scale_rows, sigmoid, softmax, stack_rows,
@@ -83,18 +83,19 @@ class DeliberateDecoder(Module):
     def init_state(self, features) -> DecoderState:
         """The (n, ·) state over n images' ``FeatureSet``s, their regions
         padded to (n, L, D) with the (n, L) mask of real ones (None when
-        none is padded).  Each set's feature widths are checked and the
-        region keys computed here, once."""
+        none is padded).  Each set's feature widths are checked, a set that
+        does not fit being a ``ClipShapeError`` that names its place, and
+        the region keys computed here, once."""
         c = self.config
         sets = list(features)
-        for f in sets:
+        for i, f in enumerate(sets):
             if f.require("global").shape != (c.global_dim,):
-                raise ConfigError(f"global feature dim {f.global_vec.shape} "
-                                  f"!= configured {c.global_dim}")
+                raise ClipShapeError(i, len(sets), f"does not fit DA: global vector of shape "
+                                     f"{f.global_vec.shape}, DA reads ({c.global_dim},)")
             width = f.require("spatial").shape[1]
             if width != c.region_dim:
-                raise ShapeError(f"DA init_state: regions have dim {width}, "
-                                 f"the region attention expects {c.region_dim}")
+                raise ClipShapeError(i, len(sets), f"does not fit DA: regions have dim "
+                                     f"{width}, the region attention expects {c.region_dim}")
         regions, mask = _pad_rows([f.spatial for f in sets])
         z = zeros(len(sets), c.hidden_dim)
         v_g = Tensor(np.stack([f.global_vec for f in sets]))

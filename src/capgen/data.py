@@ -35,10 +35,9 @@ CODE_KINDS = {v: k for k, v in KIND_CODES.items()}
 _PUNCT = re.compile(r"[^\w\s]")
 
 __all__ = [
-    "PAD_ID", "BOS_ID", "EOS_ID", "UNK_ID", "PAD", "BOS", "EOS", "UNK",
-    "FEATURE_MAGIC", "KIND_CODES", "tokenize",
+    "PAD_ID", "BOS_ID", "EOS_ID", "UNK_ID", "tokenize",
     "Vocabulary", "CaptionBatch", "FeatureSet",
-    "write_feature_file", "read_feature_file", "load_features",
+    "write_feature_file", "load_features",
     "Sample", "Dataset", "synth_dataset", "build_vocab",
 ]
 

@@ -22,7 +22,7 @@ longest clip, the attention keys ``feats @ U_a.T`` next to them, and the
 the (n, D) mean frames.  ``init_state`` computes the keys once, and
 every step reuses them.  It first checks each clip's attended features
 (``basic``'s frames) against the width the decoder was built for, and a
-clip that differs is a ``ShapeError`` that names it.
+clip that differs is a ``ClipShapeError`` that names its place.
 ``step(state, token_ids, rng=None) -> (p, state)`` steps a state of n
 rows on n token ids, one per row, and returns the (n, vocab) word
 distributions and a fresh state whose ``row`` is that step's
@@ -42,13 +42,16 @@ in, and one per LSTM step for all four gates, whose gate arithmetic is
 one ``tensor.lstm_cell`` node.  It is a GEMM, except that 2 to 8 rows
 against a paper-size weight (a beam-5 step, a few-clip greedy decode, a
 self-critical step, a teacher-forced recurrence over a batch of up to 8
-captions) run one GEMM per cache-sized block of the weight, backward
-too.  So a one-row step (a one-clip greedy decode) has the bits of
-matrix-vector products, and row i of a step over n rows agrees with row
-i stepped alone within rounding (a beam-5 log-prob by about 1e-15; the
-blocked products differ in their last bits from one GEMM): at a
-near-tie, a many-clip greedy decode, or a self-critical baseline, may
-pick another token than a one-clip decode.
+captions) run one GEMM per cache-sized block of the weight's output
+rows.  Their input gradient has its own rule, one GEMM per 64 weight
+rows, which timed inside paper-size self-critical steps costs about 0.4x
+the forward's blocks (the table at ``tensor._BACK_ROWS``).  So a one-row
+step (a one-clip greedy decode) has the bits of matrix-vector products,
+and row i of a step over n rows agrees with row i stepped alone within
+rounding (a beam-5 log-prob by about 1e-15; the blocked products differ
+in their last bits from one GEMM): at a near-tie, a many-clip greedy
+decode, or a self-critical baseline, may pick another token than a
+one-clip decode.
 
 ``forward_teacher_forced(features, tokens, rng=None)`` takes one
 caption, a ``FeatureSet`` and its token ids, and returns (T, vocab)
@@ -86,7 +89,7 @@ from .attention import (
     AdaptiveGate, AdditiveAttention, TraceRow, adaptive_blend, parallel_adaptive_blend,
 )
 from .data import BOS_ID, CaptionBatch, FeatureSet
-from .errors import ConfigError, ContractError, ShapeError
+from .errors import ClipShapeError, ConfigError, ContractError, ShapeError
 from .layers import Embedding, Linear, LstmCell, Module, dropout_mask
 from .tensor import (
     Tensor, concat, log_softmax, reshape, softmax, stack_rows, take_rows, tanh, transpose,
@@ -327,13 +330,13 @@ class ParallelDecoder(Module):
 
 
 def _check_widths(widths: list[int], want: int) -> None:
-    """Raise ``ShapeError`` naming the first clip whose features, of
+    """Raise ``ClipShapeError`` naming the first clip whose features, of
     ``widths`` (one per clip), are not ``want`` wide; ``init_state`` checks
     before anything is stacked."""
     for i, width in enumerate(widths):
         if width != want:
-            raise ShapeError(f"clip {i} of {len(widths)} has features {width} wide, "
-                             f"the decoder reads {want}")
+            raise ClipShapeError(i, len(widths),
+                                 f"has features {width} wide, the decoder reads {want}")
 
 
 def _two_lstm_init(dec, features, attentions: tuple) -> DecoderState:

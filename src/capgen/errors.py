@@ -9,6 +9,17 @@ class ShapeError(CapgenError, ValueError):
     """Operands have incompatible shapes or ranks."""
 
 
+class ClipShapeError(ShapeError):
+    """One clip of a decode call does not fit the decoder.  ``clip`` is its
+    place among the call's clips and ``detail`` says what does not fit, so
+    a caller that knows the clips by name can name it."""
+
+    def __init__(self, clip: int, clips: int, detail: str):
+        super().__init__(f"clip {clip} of {clips} {detail}")
+        self.clip = clip
+        self.detail = detail
+
+
 class EmptyInputError(ShapeError):
     """An operation received an empty feature set or sequence."""
 

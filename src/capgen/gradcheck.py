@@ -13,7 +13,7 @@ import numpy as np
 
 from .tensor import Tensor
 
-__all__ = ["fd_gradients", "max_relative_error", "check_gradients"]
+__all__ = ["check_gradients"]
 
 EPS = 1e-5   # central-difference step
 

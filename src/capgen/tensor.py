@@ -41,8 +41,10 @@ Conventions:
     sum per batch entry).  Attention is always over a batch: n query rows,
     each over its own (L, ·) rows of an (n, L, ·) tensor.
   * 2 to 8 rows against a large weight (more than 2**19 / n elements)
-    take their product and its input gradient in cache-sized weight
-    blocks (``matmul_t``); every other product is one BLAS call.
+    take their product in cache-sized blocks of the weight's output rows,
+    and its input gradient in blocks of 64 weight rows, a rule of its own
+    measured inside self-critical steps (``_BACK_ROWS``, ``matmul_t``);
+    every other product is one BLAS call.
   * a tape and its tensors belong to one thread; independent tapes may
     run concurrently on other threads.
 """
@@ -58,7 +60,7 @@ from .errors import ContractError, DomainError, ShapeError
 
 __all__ = [
     "Tensor", "Tape", "backward", "zeros",
-    "add", "sub", "mul", "matmul_t", "additive_scores", "transpose",
+    "add", "sub", "matmul_t", "additive_scores", "transpose",
     "sigmoid", "tanh", "lstm_cell", "log", "softmax", "log_softmax",
     "concat", "sum_all", "scale_rows", "weighted_sum",
     "take_rows", "narrow", "pick_in_rows",
@@ -293,16 +295,36 @@ def mul(a: Tensor, b) -> Tensor:
 
 # 2 to _FEW_ROWS rows against a weight of more than _BLOCK_ELEMS / n
 # elements take one GEMM per block of the weight's output rows, sized so
-# that n * block * k <= _BLOCK_ELEMS, and so does their input gradient,
-# whose GEMMs sum over the same blocks.  On OpenBLAS 0.3.31 (Haswell kernels,
+# that n * block * k <= _BLOCK_ELEMS.  On OpenBLAS 0.3.31 (Haswell kernels,
 # one thread) one GEMM of 2-8 rows against a paper-size weight costs 2-2.5x
 # a one-row GEMV, because its packing copy streams the whole weight; blocks
 # that stay in cache cost 1.0-1.8x.  A sweep of n in {2, 3, 5, 8} against
 # the (2048, 512), (5000, 512), (512, 1024) and (2048, 1024) weights found
 # 2**19 the fastest limit of 2**16..2**20 at every point, and 2**20 no
 # faster than one GEMM.
+#
+# The input gradient ``g @ w`` of those products sums over the weight's
+# rows, and it has its own rule: one GEMM per _BACK_ROWS weight rows, added
+# in order.  The forward's blocks look fine in a hot loop but not where
+# the products run: timed in place of each backward product inside
+# paper-size self-critical steps (median ms per call, one BLAS thread),
+#
+#   n, weight          one GEMM  forward's blocks  32 rows  64 rows  128 rows
+#   2, (2048, 512)       0.93        1.60           0.66     0.58     1.46
+#   2, (5000, 512)       2.14        3.85           1.62     1.46     3.53
+#   2, (512, 1024)       0.51        0.82           0.30     0.30     0.73
+#   5, (2048, 512)       1.10        1.75           0.80     0.78     1.67
+#   8, (5000, 512)       2.68        4.42           2.22     2.01     4.34
+#
+# 48 rows matched 64 and 16 rows was slower.  From 96 to 512 rows every
+# size was slower than 64 at every point, most as slow as the forward's
+# blocks.  Splitting 2 rows against a (512, 512) weight too, which the
+# forward leaves whole, cut that call from 0.41 to 0.16 ms but no whole
+# step beyond noise (faster in 10 of 24 pairs), so that product stays one
+# BLAS call.
 _FEW_ROWS = 8
 _BLOCK_ELEMS = 2 ** 19
+_BACK_ROWS = 64
 
 
 def _block_rows(n: int, wd: np.ndarray) -> int:
@@ -324,14 +346,13 @@ def _product(rows: np.ndarray, wd: np.ndarray) -> np.ndarray:
 
 def _product_back(flat: np.ndarray, wd: np.ndarray) -> np.ndarray:
     """``flat @ wd``, the input gradient of ``_product`` for its (n, m)
-    output gradient: one GEMM per block of the summed axis, the blocks of
-    ``_product`` added in order, or one BLAS call."""
-    block = _block_rows(len(flat), wd)
-    if not block:
+    output gradient: where ``_product`` blocks, one GEMM per ``_BACK_ROWS``
+    rows of the weight, added in order, else one BLAS call."""
+    if not _block_rows(len(flat), wd):
         return flat @ wd
-    out = flat[:, :block] @ wd[:block]
-    for lo in range(block, len(wd), block):
-        out += flat[:, lo:lo + block] @ wd[lo:lo + block]
+    out = flat[:, :_BACK_ROWS] @ wd[:_BACK_ROWS]
+    for lo in range(_BACK_ROWS, len(wd), _BACK_ROWS):
+        out += flat[:, lo:lo + _BACK_ROWS] @ wd[lo:lo + _BACK_ROWS]
     return out
 
 
@@ -351,11 +372,13 @@ def matmul_t(a: Tensor, w: Tensor, *terms: Tensor) -> Tensor:
     than ``2**19 / n`` elements (a paper-size beam step or few-clip decode)
     take one GEMM per block of the weight's output rows: faster there, and
     within the same rounding of one GEMM, but not its bits.  Their input
-    gradient ``g @ w`` sums over those rows, so it runs as one GEMM per
-    block too, the blocks added in order: within rounding of one GEMM
-    (the tests bound it at 1e-12 relative).  Teacher forcing's T·B rows
-    and every desk-size product stay one GEMM with unchanged bits, forward
-    and backward.
+    gradient ``g @ w`` sums over the weight's rows, and it has a block
+    rule of its own: one GEMM per 64 weight rows, added in order.  Inside
+    a paper-size self-critical step that costs about 0.4x the forward's
+    blocks (see the table at ``_BACK_ROWS``), and it agrees with one GEMM
+    within rounding (the tests bound it at 1e-12 relative).  Teacher
+    forcing's T·B rows and every desk-size product stay one GEMM with
+    unchanged bits, forward and backward.
 
     The weight's gradient ``g.T @ a`` is deferred as a rank-n factor, so
     when ``w`` is a leaf every product of a recurrence, each step and

@@ -12,7 +12,7 @@ from .data import BOS_ID, EOS_ID, CaptionBatch, FeatureSet
 from .gradcheck import check_gradients
 from .training import _batch_loss, build_decoder
 
-__all__ = ["tiny_widths", "tiny_decoder", "tiny_features", "tiny_caption", "decoder_gradcheck"]
+__all__ = ["tiny_widths", "decoder_gradcheck"]
 
 
 def tiny_features(rng: np.random.Generator, frames: int, dim: int,

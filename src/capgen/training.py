@@ -38,7 +38,7 @@ from .tensor import (
 
 __all__ = [
     "mle_loss", "RewardConfig", "reward_gradient_step", "make_cider_reward",
-    "TrainConfig", "TrainResult", "train", "build_decoder", "parse_config_file",
+    "TrainConfig", "TrainResult", "train", "build_decoder",
 ]
 
 

@@ -501,6 +501,32 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "has features 6 wide, the decoder reads 8" in err
 
+    @pytest.mark.parametrize("command", [["generate", "--beam", "1"],
+                                         ["generate", "--beam", "2"], ["trace"]])
+    def test_clip_of_another_width_is_named_by_its_sample_id(self, workspace, tmp_path,
+                                                             capsys, command):
+        # the decoder knows a clip only by its place in one decode call; the
+        # error names the sample, whichever call it was decoded in
+        _, data, ckpt = workspace
+        other = tmp_path / "data"
+        narrowed = []
+
+        def narrow(m):
+            entry = m["splits"]["test"][1]
+            narrowed.append(entry["id"])
+            _, frames = read_feature_file(data / "features" / f"{entry['id']}_temporal.feat")
+            entry["features"]["temporal"] = "features/narrow_temporal.feat"
+            write_feature_file(other / entry["features"]["temporal"], "temporal", frames[:, :5])
+
+        edited_copy(data, other, "manifest.json", narrow)
+        out = (["--out", str(tmp_path / "gen.jsonl")] if command[0] == "generate"
+               else ["--out-dir", str(tmp_path / "traces")])
+        assert main([*command, "--data-dir", str(other), "--checkpoint", str(ckpt),
+                     "--split", "test", "--max-len", "6", *out]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: sample {narrowed[0]!r} has features 5 wide, "
+                       f"the decoder reads 8\n")
+
     def test_trace_empty_split_fails_cleanly(self, workspace, tmp_path, capsys):
         _, data, ckpt = workspace
         other = tmp_path / "data"

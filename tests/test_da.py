@@ -6,7 +6,7 @@ import pytest
 import capgen.da
 from capgen.da import DaConfig, DeliberateDecoder, da_step
 from capgen.data import BOS_ID, FeatureSet
-from capgen.errors import ShapeError
+from capgen.errors import ClipShapeError, ShapeError
 from capgen.search import greedy_decode
 from capgen.testkit import decoder_gradcheck
 
@@ -132,6 +132,17 @@ class TestDaStep:
                            global_vec=rng.standard_normal(dec.config.global_dim))
         with pytest.raises(ShapeError, match="regions have dim 5"):
             dec.init_state([feats])
+
+    @pytest.mark.parametrize("field, shape, detail", [
+        ("spatial", (2, 4), "regions have dim 4"),
+        ("global_vec", (3,), r"global vector of shape \(3,\), DA reads \(2,\)")])
+    def test_clip_that_does_not_fit_is_named_by_its_place(self, rng, field, shape, detail):
+        dec = small_da()
+        clips = [da_features(rng, dec.config) for _ in range(3)]
+        setattr(clips[1], field, rng.standard_normal(shape))
+        with pytest.raises(ClipShapeError, match=f"clip 1 of 3 does not fit DA: {detail}") as err:
+            dec.init_state(clips)
+        assert err.value.clip == 1
 
     def test_explicit_surface_matches_method(self, rng):
         dec = small_da()

@@ -1,11 +1,12 @@
 """No module of the package or of its tests imports a name it never uses,
 the package defines no private helper that nothing names, it sets no
 attribute that nothing reads, none of its functions takes a parameter
-that it never reads, only the attention module takes additive
-attention scores from the tensor core, only the training module
-builds decoders from their configs, only the metrics module's encoding
-codes sentences into n-grams, and only its ``_bin_sums`` adds floats
-with ``np.bincount``."""
+that it never reads, it exports no name that no other module names
+unless the name is listed as public API, only the attention module
+takes additive attention scores from the tensor core, only the training
+module builds decoders from their configs, only the metrics module's
+encoding codes sentences into n-grams, and only its ``_bin_sums`` adds
+floats with ``np.bincount``."""
 
 import ast
 from pathlib import Path
@@ -54,13 +55,7 @@ def unnamed_private_definitions(sources: dict[str, str]) -> list[str]:
             if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
                     and node.name.startswith("_") and not node.name.startswith("__")):
                 defined.append((file, node.name))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                named.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                named.add(node.attr)
-            elif isinstance(node, ast.alias):
-                named.add(node.name)
+        named |= _named(tree)
     return [f"{file}: {name}" for file, name in defined if name not in named]
 
 
@@ -187,6 +182,15 @@ def _bound_names(tree: ast.Module) -> set[str]:
     return bound
 
 
+def _exports(tree: ast.Module) -> list[str]:
+    """The names of a module's ``__all__``, none if it has no ``__all__``."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            return ast.literal_eval(node.value)
+    return []
+
+
 def stale_exports(sources: dict[str, str]) -> list[str]:
     """Names that ``sources`` (a package's file name -> text) export but
     never define: a name of a module's ``__all__`` that the module does
@@ -196,11 +200,7 @@ def stale_exports(sources: dict[str, str]) -> list[str]:
     bound = {file: _bound_names(tree) for file, tree in trees.items()}
     stale = []
     for file, tree in trees.items():
-        for node in tree.body:
-            if (isinstance(node, ast.Assign)
-                    and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
-                stale += [f"{file}: {name}" for name in ast.literal_eval(node.value)
-                          if name not in bound[file]]
+        stale += [f"{file}: {name}" for name in _exports(tree) if name not in bound[file]]
     for node in trees.get("__init__.py", ast.Module(body=[])).body:
         if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
             source = f"{node.module}.py"
@@ -221,18 +221,59 @@ def test_detects_stale_export():
     assert stale_exports(sources) == ["a.py: gone", "__init__.py: removed (from a.py)"]
 
 
+def _named(tree: ast.AST) -> set[str]:
+    """The names that code mentions: as a name, an attribute or an
+    imported name."""
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.alias):
+            named.add(node.name)
+    return named
+
+
+def unmentioned_exports(sources: dict[str, str], readers: dict[str, str]) -> list[str]:
+    """Names of a module's ``__all__`` in ``sources`` (file name -> text)
+    that no other module of ``sources`` or ``readers`` names, each listed
+    as ``file: name``."""
+    named = {file: _named(ast.parse(source)) for file, source in {**readers, **sources}.items()}
+    return [f"{file}: {name}" for file, source in sources.items()
+            for name in _exports(ast.parse(source))
+            if not any(name in names for other, names in named.items() if other != file)]
+
+
+# exported names that no other module names, each with why it is API; any
+# other export that nothing names is taken out of ``__all__``, and stays
+# importable by its module path
+PUBLIC_API = {
+    "decoders.py: TwoStreamState": "what TwoStreamDecoder.init_state returns",
+    "layers.py: LstmOut": "what LstmCell.step returns",
+    "search.py: GenerationResult": "what greedy_decode and beam_search return",
+    "training.py: TrainResult": "what train returns",
+}
+
+
+def test_every_export_is_named_elsewhere_or_public_api():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    readers = {f"perfbench/{p.name}": p.read_text() for p in sorted(PERFBENCH.glob("*.py"))}
+    assert sorted(unmentioned_exports(sources, readers)) == sorted(PUBLIC_API)
+
+
+def test_detects_unmentioned_export():
+    sources = {"a.py": "__all__ = ['f', 'g', 'h', 'K']\n\ndef f():\n    return g()\n",
+               "b.py": "from a import f\n",
+               "__init__.py": "from .a import K\n"}
+    readers = {"r.py": "import a\na.h()\n"}
+    assert unmentioned_exports(sources, readers) == ["a.py: g"]
+
+
 def modules_naming(sources: dict[str, str], name: str) -> list[str]:
     """Files of ``sources`` (file name -> text) whose code names ``name``:
     as a name, an attribute or an imported name."""
-    hits = []
-    for file, source in sources.items():
-        for node in ast.walk(ast.parse(source)):
-            if ((isinstance(node, ast.Name) and node.id == name)
-                    or (isinstance(node, ast.Attribute) and node.attr == name)
-                    or (isinstance(node, ast.alias) and node.name == name)):
-                hits.append(file)
-                break
-    return hits
+    return [file for file, source in sources.items() if name in _named(ast.parse(source))]
 
 
 def test_one_attention_scorer():

@@ -480,8 +480,8 @@ class TestPerRowProducts:
         assert out.shape == (n, 1, m) and np.array_equal(out[:, 0], want)
 
     def test_blocked_product_gradients_match_one_call(self, rng, monkeypatch):
-        # the input gradient of a blocked product adds one GEMM per block of
-        # the summed axis, in order, within rounding of one GEMM; the
+        # the input gradient of a blocked product adds one GEMM per 64 rows
+        # of the weight, in order, within rounding of one GEMM; the
         # deferred weight gradient is the one-call product's, bit for bit
         x0, w0, c = (rng.standard_normal((5, 512)), rng.standard_normal((2048, 512)),
                      rng.standard_normal((5, 2048)))
@@ -496,7 +496,7 @@ class TestPerRowProducts:
         blocked = grads()
         monkeypatch.setattr(capgen.tensor, "_BLOCK_ELEMS", 2 ** 40)
         whole = grads()
-        size = 2 ** 19 // (5 * 512)
+        size = 64
         in_order = c[:, :size] @ w0[:size]
         for lo in range(size, 2048, size):
             in_order += c[:, lo:lo + size] @ w0[lo:lo + size]
@@ -505,6 +505,36 @@ class TestPerRowProducts:
         assert np.array_equal(blocked[1], in_order)
         assert np.abs(blocked[1] - whole[1]).max() <= 1e-12 * np.abs(whole[1]).max()
         assert np.array_equal(blocked[2], whole[2])
+
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    @pytest.mark.parametrize("m, k", [(5000, 512), (2048, 512), (512, 1024)])
+    def test_few_row_input_gradients_sum_64_weight_rows_at_a_time(self, rng, n, m, k):
+        # a blocked product's input gradient is one GEMM per 64 rows of the
+        # weight, added in order, whatever the forward's block size
+        w, x, c = (rng.standard_normal((m, k)), rng.standard_normal((n, k)),
+                   rng.standard_normal((n, m)))
+        in_order = c[:, :64] @ w[:64]
+        for lo in range(64, m, 64):
+            in_order += c[:, lo:lo + 64] @ w[lo:lo + 64]
+        xt = leaf(x)
+        with Tape():
+            backward(sum_all(matmul_t(xt, Tensor(w)) * Tensor(c)))
+        assert np.array_equal(xt.grad, in_order)
+        assert np.abs(xt.grad - c @ w).max() <= 1e-12 * np.abs(c @ w).max()
+
+    @pytest.mark.parametrize("n, m, k", [
+        *((1, m, k) for m, k in SHAPES),                            # one row
+        *((n, m, k) for n in (2, 5, 8) for m, k in [(500, 64), (256, 64), (12, 8)]),
+        (2, 512, 512),                                              # fits one block
+        (9, 2048, 512), (16, 5000, 512), (104, 2048, 512)])        # beyond a few rows
+    def test_input_gradients_left_whole_keep_the_one_call_bits(self, rng, n, m, k):
+        # where the forward is one np.dot, so is the input gradient
+        w, x, c = (rng.standard_normal((m, k)), rng.standard_normal((n, k)),
+                   rng.standard_normal((n, m)))
+        xt = leaf(x)
+        with Tape():
+            backward(sum_all(matmul_t(xt, Tensor(w)) * Tensor(c)))
+        assert np.array_equal(xt.grad, c @ w)
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     @pytest.mark.parametrize("dim", [64, 512])
