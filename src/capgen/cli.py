@@ -220,8 +220,9 @@ def _generate(args) -> int:
 
 def _read_jsonl(path, field: str) -> dict:
     """``{id: record[field]}`` over the non-blank lines of a JSONL file, where
-    ``field`` is ``caption`` (a string) or ``refs`` (a list of strings)."""
-    out = {}
+    ``field`` is ``caption`` (a string) or ``refs`` (a list of strings).
+    An id on two lines is a ``FormatError`` that names both."""
+    out, lines = {}, {}
     try:
         fh = open(path)
     except OSError as exc:
@@ -244,16 +245,22 @@ def _read_jsonl(path, field: str) -> dict:
             if not ok:
                 kind = "a string" if field == "caption" else "a list of strings"
                 raise FormatError(f"{path}:{n}: {field!r} must be {kind}")
-            out[record["id"]] = value
+            key = record["id"]
+            if key in lines:
+                raise FormatError(f"{path}:{n}: id {key!r} repeats line {lines[key]}")
+            out[key], lines[key] = value, n
     return out
 
 
 def _evaluate(args) -> int:
+    """Score each candidate against the references of its id.  A candidate
+    whose id has no references in ``--refs`` is a ``ContractError`` that
+    names the id."""
     cands = _read_jsonl(args.candidates, "caption")
     refs = _read_jsonl(args.refs, "refs")
     ids = sorted(cands, key=lambda i: (isinstance(i, str), i))   # integer ids first
     for i in ids:
-        if i not in refs:
+        if not refs.get(i):
             raise ContractError(f"candidate id {i!r} has no references in {args.refs}")
     corpus = metrics.TokenizedCorpus.from_strings(
         [cands[i] for i in ids], [refs[i] for i in ids], args.tokenizer)

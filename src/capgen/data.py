@@ -67,7 +67,8 @@ class Vocabulary:
         self.id_to_word = list(RESERVED) + list(words)
         self.word_to_id = {w: i for i, w in enumerate(self.id_to_word)}
         if len(self.word_to_id) != len(self.id_to_word):
-            raise ContractError("vocabulary contains duplicate words")
+            word = next(w for i, w in enumerate(self.id_to_word) if self.word_to_id[w] != i)
+            raise ContractError(f"vocabulary repeats the word {word!r}")
 
     def __len__(self) -> int:
         return len(self.id_to_word)
@@ -110,7 +111,9 @@ class Vocabulary:
 
 
 def build_vocab(captions, min_count: int = 1, mode: str = "default") -> Vocabulary:
-    """Count tokens over a caption corpus and keep those above min_count."""
+    """Count tokens over a caption corpus and keep those seen at least
+    min_count times.  A reserved token (``<unk>`` in a pre-tokenized
+    corpus, say) is no new word: it keeps its reserved id."""
     counts = Counter()
     n = 0
     for c in captions:
@@ -118,7 +121,7 @@ def build_vocab(captions, min_count: int = 1, mode: str = "default") -> Vocabula
         counts.update(tokenize(c, mode))
     if n == 0 or not counts:
         raise EmptyInputError("cannot build a vocabulary from an empty corpus")
-    kept = sorted((w for w, c in counts.items() if c >= min_count),
+    kept = sorted((w for w, c in counts.items() if c >= min_count and w not in RESERVED),
                   key=lambda w: (-counts[w], w))
     return Vocabulary(kept, min_count)
 

@@ -29,12 +29,13 @@ distributions and a fresh state whose ``row`` is that step's
 ``TraceRow(alpha, beta, mask)`` of (n, ·) arrays, ``mask`` the real
 columns of a padded ``alpha``.  ``state.take(idx)`` gathers rows by
 index, each with its features, so beam search steps all its live
-hypotheses as one state and keeps the survivors' rows.  Greedy decoding
-steps one row per clip, all the clips it is given in one state;
-self-critical training steps the two-row state of
-``init_state([features, features])`` under one tape, row 0 sampling its
-caption and row 1 decoding the greedy baseline.  States never collect
-trace rows; the search in ``search.py`` gathers them along a caption.
+hypotheses as one state and keeps the survivors' rows.  Decoders only
+step; ``search.py`` holds the loops that step them.  Greedy decoding
+steps one row per clip, all the clips it is given in one state, and
+self-critical training the two-row state of ``init_state([features,
+features])`` under one tape, row 0 sampling its caption and row 1
+decoding the greedy baseline; both run ``search._rows``.  States never
+collect trace rows; the search gathers them along a caption.
 
 Decoding and teacher forcing take every weight product through one op:
 one ``tensor.matmul_t`` over the rows at hand with its addends folded

@@ -1,17 +1,24 @@
-"""Greedy and beam-search caption generation.
+"""Greedy and beam-search caption generation, and the self-critical sample.
 
 Scores are plain cumulative log-probabilities, with no length
-normalization.  Both procedures are deterministic: argmax ties resolve to
+normalization.  Both searches are deterministic: argmax ties resolve to
 the lowest token id, and beam candidates with equal scores order by token
-sequence.  Decoders follow the rows protocol of ``decoders.py``.  Greedy
-decoding steps the n-row state of ``init_state(clips)``, one row per
-clip, one ``step`` call per search step: one clip is the one-row case,
-and a list of clips (validation, ``capgen generate --beam 1`` and
-``capgen trace`` pass ``GREEDY_CHUNK`` at a time) decodes them all
-together.  Beam search steps all its n <= k live hypotheses of one clip
-as the n rows of one state, one ``step`` call per search step, and then
-gathers the survivors' rows, each with its copy of the clip's features,
-with ``state.take``.
+sequence.  Decoders follow the rows protocol of ``decoders.py``.
+
+Two stepping loops cover every caption the package decodes.  ``_rows``
+steps the n-row state of ``init_state(clips)``, one row per clip, one
+``step`` call per search step, and owns the token-picking rules: the
+argmax with its tie rule, the ancestral draw of a sampled row, the EOS
+rule, the ``max_len`` stop and the positive-probability contract.
+``greedy_decode`` keeps only its results over it: one clip is the
+one-row case, and a list of clips (validation, ``capgen generate --beam
+1`` and ``capgen trace`` pass ``GREEDY_CHUNK`` at a time) decodes them
+all together.  ``sample_with_baseline`` is its two-row case with one
+sampled row, the sample and greedy baseline of self-critical training.
+Beam search steps all its n <= k live hypotheses of one clip as the n
+rows of one state, one ``step`` call per search step, and then gathers
+the survivors' rows, each with its copy of the clip's features, with
+``state.take``.
 
 Contract.  A one-row step is bit-identical to stepping with
 matrix-vector products, so a one-clip greedy decode keeps its bits.  Row
@@ -41,9 +48,10 @@ import numpy as np
 
 from .data import BOS_ID, EOS_ID
 from .errors import ContractError
+from .tensor import pick_in_rows
 
-__all__ = ["GREEDY_CHUNK", "GenerationResult", "greedy_decode", "beam_search",
-           "write_generations"]
+__all__ = ["GREEDY_CHUNK", "GenerationResult", "greedy_decode", "sample_with_baseline",
+           "beam_search", "write_generations"]
 
 # Clips per many-clip ``greedy_decode`` call when validation and the CLI
 # decode a split.
@@ -60,6 +68,41 @@ class GenerationResult:
     finished: int = 0            # captions that emitted EOS (beam: pool size)
 
 
+def _rows(decoder, clips, max_len: int, rng=None, sampled: int = 0):
+    """Step the n-row state of ``init_state(clips)`` from BOS, one ``step``
+    call per search step, and yield ``(steps, p, state, fed, live)`` after
+    each: the step count, the (n, V) distributions, the stepped state, the
+    n tokens the rows emitted and the rows that were live at that step.
+
+    Every row takes its argmax, ties going to the lowest id; a live row
+    below ``sampled`` then draws its token instead, with one
+    ``rng.choice`` of its distribution (ancestral sampling at temperature
+    1).  A row is live until it has emitted EOS; finished rows keep
+    stepping on their argmax, their outputs ignored.  Stepping ends once
+    no row is live, or after ``max_len`` steps.  A step where a live row
+    has no token of positive probability is a ``ContractError``; greedy
+    rows are checked before sampled ones."""
+    state = decoder.init_state(clips)
+    fed = [BOS_ID] * len(clips)
+    live = list(range(len(clips)))
+    for steps in range(1, max_len + 1):
+        p, state = decoder.step(state, fed)
+        fed = np.argmax(p.data, axis=1).tolist()
+        for i in reversed(live):    # greedy rows, the higher ids, before sampled ones
+            if not p.data[i, fed[i]] > 0.0:
+                what = "sampled caption" if i < sampled else "greedy decode"
+                raise ContractError(f"{what}: no token had positive probability at "
+                                    f"step {steps}, so no caption can be expanded")
+        for i in live:
+            if i < sampled:
+                probs = p.data[i] / p.data[i].sum()
+                fed[i] = int(rng.choice(len(probs), p=probs))
+        yield steps, p, state, fed, live
+        live = [i for i in live if fed[i] != EOS_ID]
+        if not live:
+            return
+
+
 def greedy_decode(decoder, features, max_len: int = 30, record_trace: bool = False):
     """Argmax decoding until EOS or max_len; ties go to the lowest id.
 
@@ -68,32 +111,24 @@ def greedy_decode(decoder, features, max_len: int = 30, record_trace: bool = Fal
     ``GenerationResult``; or a list or tuple of n clips, which gives a
     list of n, row i for clip i (an empty list for no clips).  The n
     clips are the n rows of one ``init_state`` state, and one ``step``
-    call per search step advances them all.  A row's result is fixed at
-    the step where it emits EOS; the finished rows keep stepping, their
-    outputs ignored, until every row has finished or max_len steps have
-    run.  Fails with ``ContractError`` at a step where an unfinished row
-    has no token of positive probability, as ``beam_search`` does."""
+    call per search step advances them all (``_rows``).  A row's result
+    is fixed at the step where it emits EOS; the finished rows keep
+    stepping, their outputs ignored, until every row has finished or
+    max_len steps have run.  Fails with ``ContractError`` at a step where
+    an unfinished row has no token of positive probability, as
+    ``beam_search`` does."""
     if max_len < 1:
         raise ContractError(f"max_len must be >= 1, got {max_len}")
     many = isinstance(features, (list, tuple))
     clips = list(features) if many else [features]
     if not clips:
         return []
-    state = decoder.init_state(clips)
-    fed = [BOS_ID] * len(clips)
     results = [GenerationResult([], 0.0) for _ in clips]
     rows = [[] for _ in clips]
-    live = range(len(clips))
-    for steps in range(1, max_len + 1):
-        p, state = decoder.step(state, fed)
-        fed = np.argmax(p.data, axis=1).tolist()
+    for steps, p, state, fed, live in _rows(decoder, clips, max_len):
         for i in live:
             gen, nxt = results[i], fed[i]
-            prob = p.data[i, nxt]
-            if not prob > 0.0:
-                raise ContractError(f"greedy decode: no token had positive probability at "
-                                    f"step {steps}, so no caption can be expanded")
-            gen.logprob += float(np.log(prob))
+            gen.logprob += float(np.log(p.data[i, nxt]))
             gen.steps = steps
             if record_trace:
                 rows[i].append(state.row.pick(i))
@@ -101,13 +136,29 @@ def greedy_decode(decoder, features, max_len: int = 30, record_trace: bool = Fal
                 gen.stopped_early, gen.finished = True, 1
             else:
                 gen.tokens.append(nxt)
-        live = [i for i in live if not results[i].finished]
-        if not live:
-            break
     if record_trace:
         for gen, trace in zip(results, rows):
             gen.trace = tuple(trace)
     return results if many else results[0]
+
+
+def sample_with_baseline(decoder, features, rng, max_len: int):
+    """Row 0's sampled caption, row 1's greedy caption, and the (2,)
+    probabilities of the tokens the rows emitted at each step where row 0
+    was live, from the two-row state of ``init_state([features,
+    features])`` (``_rows`` with one sampled row).  Row 0 draws each
+    token, EOS included, with one ``rng.choice``; row 1 is
+    ``greedy_decode``'s caption.  Under a ``Tape`` the probabilities are
+    tape nodes, so a loss over them differentiates the decoder."""
+    captions: tuple[list[int], list[int]] = ([], [])
+    picked = []
+    for _, p, _, fed, live in _rows(decoder, [features, features], max_len, rng, sampled=1):
+        if 0 in live:
+            picked.append(pick_in_rows(p, fed))
+        for i in live:
+            if fed[i] != EOS_ID:
+                captions[i].append(fed[i])
+    return captions[0], captions[1], picked
 
 
 @dataclass

@@ -5,7 +5,10 @@ stopping on a validation metric.  Stage 2 (optional) fine-tunes with a
 policy gradient: sample a caption, score it against a greedy-decoded
 baseline, and push log-probs in proportion to the reward advantage.  The
 sample and the baseline are two rows of one decoder state, stepped
-together under one tape.
+together under one tape by ``search.sample_with_baseline``.  This module
+steps no decoder itself: every decoding loop, greedy and sampled, is
+``search._rows``, and this module keeps only the tape, the rewards and
+the loss.
 """
 
 from __future__ import annotations
@@ -22,16 +25,14 @@ import numpy as np
 from . import metrics
 from .checkpoint import load_checkpoint, save_checkpoint
 from .da import DaConfig, DeliberateDecoder
-from .data import (
-    BOS_ID, EOS_ID, CaptionBatch, Dataset, FeatureSet, Vocabulary, tokenize,
-)
+from .data import CaptionBatch, Dataset, FeatureSet, Vocabulary, tokenize
 from .decoders import DecoderConfig, TwoStreamDecoder, build_variant, check_variant
 from .errors import ConfigError, ContractError, DomainError, EmptyInputError, ShapeError
 from .optim import (
     adadelta_update, adam_lr, adam_update, clip_gradients, opt_state_arrays,
     opt_state_from_arrays, zero_grads,
 )
-from .search import GREEDY_CHUNK, greedy_decode
+from .search import GREEDY_CHUNK, greedy_decode, sample_with_baseline
 from .tensor import (
     Tape, Tensor, backward, log, narrow, pick_in_rows, reshape, stack_rows, sum_all,
 )
@@ -90,60 +91,25 @@ def make_cider_reward(vocab: Vocabulary, corpus_refs: list[list[str]]):
     return reward
 
 
-def _sample_with_baseline(decoder, features, rng, max_len):
-    """Row 0's sampled caption, row 1's greedy caption, and the (2,)
-    probabilities of the tokens the rows emitted at each step where row 0
-    was live, from one two-row state over ``features``.  Row 0 draws each
-    token with one ``rng.choice`` of its distribution, as ancestral
-    sampling at temperature 1 does; row 1 takes the argmax under
-    ``greedy_decode``'s rules.  Stepping ends once both rows have emitted
-    EOS, or after ``max_len`` steps."""
-    state = decoder.init_state([features, features])
-    fed = [BOS_ID, BOS_ID]
-    captions: tuple[list[int], list[int]] = ([], [])
-    live = [True, True]
-    picked = []
-    for steps in range(1, max_len + 1):
-        p, state = decoder.step(state, fed)
-        fed = np.argmax(p.data, axis=1).tolist()
-        for row, what in ((1, "greedy decode"), (0, "sampled caption")):
-            if live[row] and not p.data[row].max() > 0.0:
-                raise ContractError(f"{what}: no token had positive probability at "
-                                    f"step {steps}, so no caption can be expanded")
-        if live[0]:
-            probs = p.data[0] / p.data[0].sum()
-            fed[0] = int(rng.choice(len(probs), p=probs))
-            picked.append(pick_in_rows(p, fed))
-        for row in (0, 1):
-            if live[row]:
-                if fed[row] == EOS_ID:
-                    live[row] = False
-                else:
-                    captions[row].append(fed[row])
-        if not any(live):
-            break
-    return captions[0], captions[1], picked
-
-
 def reward_gradient_step(decoder, features, refs, cfg: RewardConfig) -> float:
     """One self-critical update: accumulate the policy gradient, return the
     reward advantage of a sampled caption over the greedy baseline.
 
-    Both captions come from one taped pass over the two-row state of
-    ``init_state([features, features])``, one ``step`` per search step
-    (``_sample_with_baseline``).  Row 0 samples, one ``cfg.rng`` draw per
-    sampled token, EOS included; row 1 is ``greedy_decode``'s caption, with
-    its ties and its EOS rule.  The loss is -advantage times the sum of row
-    0's log-probs of its tokens; row 1 takes no term, so its gradient is
-    exactly 0.  A ``max_len`` below 1, or a step where a live row has no
-    token of positive probability, is a ``ContractError``."""
+    Both captions come from one taped pass over a two-row state of
+    ``features``, stepped by ``search.sample_with_baseline``.  Row 0
+    samples, one ``cfg.rng`` draw per sampled token, EOS included; row 1
+    is ``greedy_decode``'s caption, with its ties and its EOS rule.  The
+    loss is -advantage times the sum of row 0's log-probs of its tokens;
+    row 1 takes no term, so its gradient is exactly 0.  A ``max_len``
+    below 1, raised before the tape opens, or a step where a live row has
+    no token of positive probability, is a ``ContractError``."""
     if refs is not None and len(refs) == 0:
         raise EmptyInputError("reward fine-tuning needs at least one reference")
     if cfg.max_len < 1:
         raise ContractError(f"max_len must be >= 1, got {cfg.max_len}")
     with Tape():
-        sampled, baseline, picked = _sample_with_baseline(decoder, features, cfg.rng,
-                                                          cfg.max_len)
+        sampled, baseline, picked = sample_with_baseline(decoder, features, cfg.rng,
+                                                         cfg.max_len)
         advantage = cfg.reward_fn(sampled, refs) - cfg.reward_fn(baseline, refs)
         backward(sum_all(log(narrow(stack_rows(picked), 0, 1))) * (-advantage))
     return advantage
@@ -373,7 +339,8 @@ def train(cfg: TrainConfig) -> TrainResult:
     ``embed_dim``, ``attn_dim`` or ``max_len`` below 1, a ``patience`` or
     ``rl_epochs`` below 0, a ``clip``, ``eps``, ``lr`` or ``rl_lr`` not
     above 0, a ``dropout`` or ``rho`` outside [0, 1), or an ``lr_decay``
-    outside (0, 1], is a ``ConfigError`` that names the key, and a missing
+    outside (0, 1], or a ``checkpoint`` or ``log_path`` that is a
+    directory, is a ``ConfigError`` that names the key, and a missing
     directory for ``checkpoint`` or ``log_path`` an ``OSError``, both
     raised before any data loads.  A sample with no references in the
     train split, or in the split that validation scores, is a
@@ -446,9 +413,12 @@ def train(cfg: TrainConfig) -> TrainResult:
                           ("rho", 0 <= cfg.rho < 1, "in [0, 1)")):
         if not ok:
             raise ConfigError(f"{key} must be {rule}, got {getattr(cfg, key)}")
-    for path in (cfg.checkpoint, cfg.log_path):
+    for key in ("checkpoint", "log_path"):
+        path = getattr(cfg, key)
         if path:    # a missing output directory fails now, with its OSError
             os.scandir(Path(path).parent).close()
+            if Path(path).is_dir():
+                raise ConfigError(f"{key} {path!r} is a directory; it must name a file")
     dataset = Dataset.load(cfg.data_dir)
     val_split = "val" if dataset.splits.get("val") else "train"
     for split in dict.fromkeys(("train", val_split)):

@@ -302,6 +302,15 @@ class TestVocabCommand:
         assert words[0] == "a" and "ball" in words
 
 
+    def test_reserved_tokens_of_a_pretokenized_corpus_keep_their_ids(self, tmp_path):
+        refs = tmp_path / "refs.jsonl"
+        refs.write_text('{"id": "a", "refs": ["a <unk> ball <eos>", "<unk> ball"]}\n')
+        out = tmp_path / "vocab.json"
+        assert main(["build-vocab", "--refs", str(refs), "--out", str(out),
+                     "--tokenizer", "whitespace"]) == 0
+        assert json.loads(out.read_text())["words"] == ["ball", "a"]
+
+
 class TestGradcheckCommand:
     def test_single_variant(self, capsys):
         assert main(["gradcheck", "--variant", "basic", "--hidden", "6",
@@ -689,6 +698,23 @@ class TestErrors:
         assert capsys.readouterr().err == f"error: {key} must be {rule}, got {float(value)}\n"
         assert loaded == [] and not ckpt.exists()
 
+    @pytest.mark.parametrize("flag", ["--checkpoint", "--log-path"])
+    def test_output_path_that_is_a_directory_fails_before_loading(self, workspace, tmp_path,
+                                                                  capsys, monkeypatch, flag):
+        _, data, _ = workspace
+        loaded = []
+        monkeypatch.setattr(Dataset, "load", lambda *a: loaded.append(a))
+        ckpt, a_dir = tmp_path / "model.ckpt", tmp_path / "out"
+        a_dir.mkdir()
+        argv = train_argv(data, ckpt, 1)
+        argv += ["--checkpoint", str(a_dir)] if flag == "--checkpoint" else [flag, str(a_dir)]
+        assert main(argv) == 1
+        key = flag[2:].replace("-", "_")
+        assert capsys.readouterr().err == (f"error: {key} {str(a_dir)!r} is a directory; "
+                                           "it must name a file\n")
+        assert loaded == [] and list(tmp_path.iterdir()) == [a_dir]
+        assert list(a_dir.iterdir()) == []
+
     def test_unit_lr_decay_keeps_the_rate(self, workspace, tmp_path):
         _, data, _ = workspace
         log = tmp_path / "train.jsonl"
@@ -783,6 +809,38 @@ class TestErrors:
         assert main(["evaluate", "--candidates", str(cands), "--refs", str(refs)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "'b'" in err
+
+    def test_evaluate_names_a_candidate_with_an_empty_refs_list_by_its_id(self, tmp_path,
+                                                                          capsys):
+        cands = tmp_path / "cands.jsonl"
+        cands.write_text('{"id": "b", "caption": "a cat"}\n{"id": "a", "caption": "a dog"}\n')
+        refs = tmp_path / "refs.jsonl"
+        refs.write_text('{"id": "a", "refs": ["a dog"]}\n{"id": "b", "refs": []}\n')
+        assert main(["evaluate", "--candidates", str(cands), "--refs", str(refs)]) == 1
+        assert capsys.readouterr().err == (f"error: candidate id 'b' has no references "
+                                           f"in {refs}\n")
+
+    @pytest.mark.parametrize("command", ["evaluate", "build-vocab"])
+    def test_repeated_refs_id_fails_cleanly(self, tmp_path, capsys, command):
+        refs = tmp_path / "refs.jsonl"
+        refs.write_text('{"id": "a", "refs": ["a dog"]}\n{"id": 1, "refs": ["a cat"]}\n'
+                        '\n{"id": "a", "refs": ["the dog"]}\n')
+        cands = tmp_path / "cands.jsonl"
+        cands.write_text('{"id": "a", "caption": "a dog"}\n')
+        argv = (["evaluate", "--candidates", str(cands), "--refs", str(refs)]
+                if command == "evaluate" else
+                ["build-vocab", "--refs", str(refs), "--out", str(tmp_path / "v.json")])
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {refs}:4: id 'a' repeats line 1\n"
+        assert not (tmp_path / "v.json").exists()
+
+    def test_repeated_candidate_id_fails_cleanly(self, tmp_path, capsys):
+        cands = tmp_path / "cands.jsonl"
+        cands.write_text('{"id": 7, "caption": "a dog"}\n{"id": 7, "caption": "a cat"}\n')
+        refs = tmp_path / "refs.jsonl"
+        refs.write_text('{"id": 7, "refs": ["a dog"]}\n')
+        assert main(["evaluate", "--candidates", str(cands), "--refs", str(refs)]) == 1
+        assert capsys.readouterr().err == f"error: {cands}:2: id 7 repeats line 1\n"
 
     def test_evaluate_takes_string_and_integer_ids(self, tmp_path):
         cands = tmp_path / "cands.jsonl"

@@ -70,6 +70,17 @@ class TestVocabulary:
         with pytest.raises(VocabularyError):
             vocab.decode([99])
 
+    def test_reserved_tokens_keep_their_ids(self):
+        vocab = build_vocab(["a <unk> cat <eos>", "<unk> a"], mode="whitespace")
+        assert vocab.id_to_word[4:] == ["a", "cat"]
+        assert vocab.encode(["<pad>", "<bos>", "<eos>", "<unk>", "cat"]) == [
+            PAD_ID, BOS_ID, EOS_ID, UNK_ID, 5]
+
+    @pytest.mark.parametrize("words, word", [(["a", "b", "a"], "a"), (["b", "<unk>"], "<unk>")])
+    def test_repeated_word_is_named(self, words, word):
+        with pytest.raises(ContractError, match=f"repeats the word '{word}'"):
+            Vocabulary(words)
+
 
 class TestCaptionBatch:
     def test_padding_and_lengths(self):

@@ -4,7 +4,8 @@ attribute that nothing reads, none of its functions takes a parameter
 that it never reads, it exports no name that no other module names
 unless the name is listed as public API, only the attention module
 takes additive attention scores from the tensor core, only the training
-module builds decoders from their configs, only the metrics module's
+module builds decoders from their configs, only the decoders and the
+search build decoder states, only the metrics module's
 encoding codes sentences into n-grams, and only its ``_bin_sums`` adds
 floats with ``np.bincount``."""
 
@@ -327,12 +328,29 @@ def test_one_dropout_source():
     assert modules_calling(sources, {"dropout_mask"}) == []
 
 
+def test_one_search_loop():
+    """Every caption is stepped by ``search.py``, greedy, sampled or beam:
+    no module but the decoders, which build their states, and the search
+    calls ``init_state``."""
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))
+               if p.name not in ("decoders.py", "da.py", "search.py")}
+    assert modules_calling(sources, {"init_state"}) == []
+
+
 def test_detects_module_calling_a_name():
     sources = {"a.py": "from t import DaConfig\nDaConfig(1)\n",
                "b.py": "import t\nx = [t.DecoderConfig(vocab_size=3)]\n",
                "c.py": "from t import DaConfig\n\ndef f(c: DaConfig):\n    return c\n",
                "d.py": "s = 'DaConfig(1)'  # DeliberateDecoder(c)\n"}
     assert modules_calling(sources, DECODER_CONSTRUCTORS) == ["a.py", "b.py"]
+
+
+def test_detects_module_stepping_a_decoder():
+    sources = {"a.py": "def f(dec, clip):\n    return dec.init_state([clip, clip])\n",
+               "b.py": "class D:\n    def init_state(self, clips):\n        return clips\n",
+               "c.py": "s = 'dec.init_state(x)'  # init_state(x)\n",
+               "d.py": "from search import greedy_decode\ngreedy_decode(dec, [clip])\n"}
+    assert modules_calling(sources, {"init_state"}) == ["a.py"]
 
 
 def calls_outside(source: str, names: set[str], owner: str) -> list[str]:

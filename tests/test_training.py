@@ -16,7 +16,7 @@ from capgen.data import (
 from capgen.decoders import VARIANTS
 from capgen.errors import ConfigError, ContractError, DomainError, ShapeError
 from capgen.optim import zero_grads
-from capgen.search import greedy_decode
+from capgen.search import greedy_decode, sample_with_baseline
 from capgen.tensor import (
     Tape, Tensor, backward, log, pick_in_rows, reshape, softmax, stack_rows, sum_all, take_rows,
 )
@@ -228,11 +228,9 @@ class TestTwoRowRewardStep:
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_sampled_row_log_prob_equals_a_forced_replay(self, variant):
-        import capgen.training as tr
-
         dec, feats = pinned_setup(variant)
         with Tape():
-            sampled, _, picked = tr._sample_with_baseline(
+            sampled, _, picked = sample_with_baseline(
                 dec, feats, np.random.default_rng(6), self.MAX_LEN)
             got = float(np.log(np.stack([q.data for q in picked])[:, 0]).sum())
             want = float(forced_log_likelihood(dec, feats, self.sampled_targets(sampled)).data)
@@ -326,6 +324,23 @@ class TestRewardStepContract:
                            max_len=0)
         with pytest.raises(ContractError, match="max_len"):
             reward_gradient_step(_ForkPolicy(fork_table(dead_end=4)), None, ["ref"], cfg)
+
+    def test_baseline_keeps_its_argmax_after_the_sampled_row_ends(self):
+        # the sample (seed 2 draws word 4 first) emits EOS at step 2; the
+        # greedy row goes on through words 5 and 6, where a draw could leave
+        # the argmax path, and emits EOS at step 3
+        table = np.zeros((8, 8))
+        table[BOS_ID, 4:6] = 0.45, 0.55
+        table[4, EOS_ID] = 1.0
+        table[5, 6:8] = 0.6, 0.4
+        table[6, [EOS_ID, 7]] = 0.7, 0.3
+        table[7, EOS_ID] = 1.0
+        rng = np.random.default_rng(2)
+        sampled, baseline, picked = sample_with_baseline(_ForkPolicy(table), None, rng, 6)
+        assert (sampled, baseline, len(picked)) == ([4], [5, 6], 2)
+        replay = np.random.default_rng(2)
+        replay.random(2)    # one draw per sampled token: word 4, then EOS
+        assert rng.bit_generator.state == replay.bit_generator.state
 
 
 class TestConfig:
