@@ -255,7 +255,10 @@ def _read_jsonl(path, field: str) -> dict:
 def _evaluate(args) -> int:
     """Score each candidate against the references of its id.  A candidate
     whose id has no references in ``--refs`` is a ``ContractError`` that
-    names the id."""
+    names the id.  An unwritable ``--out`` fails before either file is
+    read."""
+    if args.out:
+        open(args.out, "a").close()     # an unwritable output fails before any scoring
     cands = _read_jsonl(args.candidates, "caption")
     refs = _read_jsonl(args.refs, "refs")
     ids = sorted(cands, key=lambda i: (isinstance(i, str), i))   # integer ids first

@@ -15,15 +15,19 @@ stays inside int64.  The same pass counts each gram's document frequency
 over the reference sets.  Every candidate is then coded against that
 encoding by one coder: a gram the references hold takes their id and
 document frequency, and one they lack is numbered past them with
-document frequency 0.  ``evaluate_corpus`` hands one encoding to both
-``bleu`` and ``cider``; called alone, each encodes its own corpus.  The
-encoding's arrays grow with the corpus and live for one call.  BLEU and
-CIDEr-D then score ``CHUNK`` samples per array pass: sentences are
-contiguous and their grams in text order, so a chunk's candidate and
-reference grams are one slice each per order.  One analysis
-(``_analysis``) finds each (order, sentence)'s distinct grams and pairs
-each reference's grams with its candidate's, for BLEU's and CIDEr-D's
-clipping alike.
+document frequency 0.  The encoding's arrays grow with the corpus and
+live for one call.  One chunk loop (``_Encoding.scores``) then scores
+``CHUNK`` samples per array pass: sentences are contiguous and their
+grams in text order, so a chunk's candidate and reference grams are one
+slice each per order.  Each chunk gets one analysis (``_analysis``),
+which finds each (order, sentence)'s distinct grams and pairs each
+reference's grams with its candidate's, for BLEU's and CIDEr-D's
+clipping alike.  Every metric that the encoding's caller reads is
+computed from it, and it is dropped before the next chunk's, so one
+chunk's analysis is alive at a time.  ``evaluate_corpus`` hands one
+encoding, read by BLEU and CIDEr-D, to both ``bleu`` and ``cider``, so
+whichever runs first scores both in one loop; called alone, each
+encodes its own corpus and computes only its own metric.
 ROUGE-L's LCS is bit-parallel over Python ints (Allison & Dix 1986;
 Hyyrö 2004), with the candidate's match masks built once and reused for
 every reference.
@@ -76,7 +80,10 @@ CHUNK = 32         # samples per array pass of BLEU and CIDEr-D
 
 @dataclass
 class TokenizedCorpus:
-    """Aligned candidates and references, already tokenized."""
+    """Aligned candidates and references, already tokenized.  An empty
+    corpus or a sample with no references is an ``EmptyInputError``; a
+    count mismatch, or a candidate or reference given as one string
+    instead of its tokens, is a ``ContractError``."""
 
     candidates: list[list[str]]
     references: list[list[list[str]]]
@@ -87,9 +94,14 @@ class TokenizedCorpus:
                 f"{len(self.candidates)} candidates vs {len(self.references)} reference sets")
         if len(self.candidates) == 0:
             raise EmptyInputError("empty corpus")
-        for i, refs in enumerate(self.references):
+        for i, (cand, refs) in enumerate(zip(self.candidates, self.references)):
             if len(refs) == 0:
                 raise EmptyInputError(f"sample {i} has no references")
+            # a string would be scored as its characters
+            if isinstance(cand, str):
+                raise ContractError(f"sample {i}'s candidate is a string, not a token list")
+            if any(isinstance(ref, str) for ref in refs):
+                raise ContractError(f"sample {i}'s reference is a string, not a token list")
 
     def __len__(self) -> int:
         return len(self.candidates)
@@ -156,9 +168,11 @@ class _Encoding:
     ``grams[k]`` is order k+1's (sentence, gram id) of every reference
     n-gram in text order, ``codes[k]`` the sorted distinct codes the ids
     index, and ``doc_freq[k]`` how many reference sets hold each of them.
-    ``cands`` is the corpus's candidates, coded once."""
+    ``cands`` is the corpus's candidates, coded once, and ``reads`` the
+    metrics (``"bleu"``, ``"cider"``) that the caller reads of them."""
 
-    def __init__(self, ref_sets: list[list[list[str]]], cands: list[list[str]] = ()):
+    def __init__(self, ref_sets: list[list[list[str]]], cands: list[list[str]] = (),
+                 reads: tuple[str, ...] = ()):
         self.n_refs = np.fromiter(map(len, ref_sets), np.int64, len(ref_sets))
         # the first sentence of each sample's references, then the end
         self.ref_start = np.cumsum([0] + self.n_refs.tolist()).tolist()
@@ -173,6 +187,8 @@ class _Encoding:
             self.doc_freq.append(np.bincount(held, minlength=len(codes)))
         self.log_n_docs = math.log(len(ref_sets))
         self.cands = self.code(cands)
+        self.reads = reads
+        self.scored = None
 
     def code(self, sentences: list[list[str]]):
         """Per order, the (sentence, gram id, document frequency) of every
@@ -216,20 +232,33 @@ class _Encoding:
         return _Batch([tuple(map(np.concatenate, zip(*pair))) for pair in zip(grams, refs)],
                       sizes, np.concatenate([lens, self.lens[a:b]]), self.n_refs[lo:hi])
 
-    def batches(self):
-        """The candidates in ``CHUNK``-sample ``_Batch``es."""
-        grams, sizes, lens = self.cands
-        for lo in range(0, len(lens), CHUNK):
-            hi = min(lo + CHUNK, len(lens))
-            yield self.batch((_span(grams, lo, hi, 0), sizes, lens[lo:hi]), lo, hi)
+    def scores(self) -> dict[str, list]:
+        """Per metric of ``reads``, the candidates' results: each chunk's
+        ``_bleu_counts`` for ``"bleu"``, each candidate's CIDEr-D for
+        ``"cider"``.  The first call runs the chunk loop, which analyses
+        each ``CHUNK``-sample ``_Batch`` once and drops the analysis
+        before the next chunk's; later calls return what it kept."""
+        if self.scored is None:
+            self.scored = {metric: [] for metric in self.reads}
+            grams, sizes, lens = self.cands
+            for lo in range(0, len(lens), CHUNK):
+                hi = min(lo + CHUNK, len(lens))
+                batch = self.batch((_span(grams, lo, hi, 0), sizes, lens[lo:hi]), lo, hi)
+                analysis = _analysis(batch)
+                if "bleu" in self.scored:
+                    self.scored["bleu"].append(_bleu_counts(batch, analysis))
+                if "cider" in self.scored:
+                    self.scored["cider"] += _cider_batch(batch, analysis, self.log_n_docs)
+                del batch, analysis
+        return self.scored
 
 
-def _encoded(corpus) -> _Encoding:
+def _encoded(corpus, metric: str) -> _Encoding:
     """``corpus``'s encoding: ``evaluate_corpus`` hands one in, else it is
-    encoded here."""
+    encoded here, read for ``metric`` alone."""
     if isinstance(corpus, _Encoding):
         return corpus
-    return _Encoding(corpus.references, corpus.candidates)
+    return _Encoding(corpus.references, corpus.candidates, (metric,))
 
 
 def _analysis(batch: _Batch):
@@ -274,12 +303,13 @@ def _analysis(batch: _Batch):
     return s, counts[first], df, c[by_cand], r[by_cand]
 
 
-def _bleu_counts(batch: _Batch):
+def _bleu_counts(batch: _Batch, analysis):
     """Per order, the clipped matches and the candidate n-grams of one
-    batch, then its candidate length and closest reference length."""
+    batch with that ``analysis``, then its candidate length and closest
+    reference length."""
     lens, n_refs = batch.lens, batch.n_refs
     n_c = len(n_refs)
-    s, tf, _, c, r = _analysis(batch)
+    s, tf, _, c, r = analysis
     order = s // len(lens)
     # per candidate gram: the largest count in any one reference
     most = np.zeros_like(tf)
@@ -309,8 +339,7 @@ def bleu(corpus: TokenizedCorpus) -> tuple[float, float, float, float]:
     total = [0] * MAX_N
     cand_len = 0
     ref_len = 0
-    for batch in _encoded(corpus).batches():
-        m, t, c, r = _bleu_counts(batch)
+    for m, t, c, r in _encoded(corpus, "bleu").scores()["bleu"]:
         matched = [a + b for a, b in zip(matched, m)]
         total = [a + b for a, b in zip(total, t)]
         cand_len += c
@@ -388,12 +417,13 @@ def _bin_sums(bins: np.ndarray, terms: np.ndarray, n: int) -> np.ndarray:
     return np.bincount(bins, terms, n).astype(np.float64, copy=False)
 
 
-def _cider_batch(batch: _Batch, log_n_docs: float) -> list[float]:
-    """CIDEr-D of each of ``batch``'s candidates against its references."""
+def _cider_batch(batch: _Batch, analysis, log_n_docs: float) -> list[float]:
+    """CIDEr-D of each of ``batch``'s candidates against its references,
+    with that ``analysis`` of the batch."""
     lens, n_refs = batch.lens, batch.n_refs
     n_c, n_sent = len(n_refs), len(lens)
     owner = np.repeat(np.arange(n_c), n_refs)
-    s, tf, df, c, r = _analysis(batch)
+    s, tf, df, c, r = analysis
     w, sq = _weights(tf, df, log_n_docs)
     norm = np.sqrt(_bin_sums(s, sq, MAX_N * n_sent)).reshape(MAX_N, n_sent)
     order, sent = np.divmod(s, n_sent)
@@ -445,22 +475,19 @@ class CiderD:
             raise EmptyInputError("CIDEr needs at least one reference")
         else:
             batch = _Batch(*own.code([cand] + refs), np.array([len(refs)]))
-        return _cider_batch(batch, own.log_n_docs)[0]
+        return _cider_batch(batch, _analysis(batch), own.log_n_docs)[0]
 
 
 def cider(corpus: TokenizedCorpus) -> float:
     """Mean CIDEr-D, with document frequencies from the corpus's references."""
-    encoding = _encoded(corpus)
-    scores = []
-    for batch in encoding.batches():
-        scores += _cider_batch(batch, encoding.log_n_docs)
-    return float(np.mean(scores))
+    return float(np.mean(_encoded(corpus, "cider").scores()["cider"]))
 
 
 def evaluate_corpus(corpus: TokenizedCorpus) -> dict[str, float]:
-    """The CLI-facing bundle of every implemented metric, with ``bleu`` and
-    ``cider`` reading one encoding of ``corpus``."""
-    encoding = _Encoding(corpus.references, corpus.candidates)
+    """The CLI-facing bundle of every implemented metric.  ``bleu`` and
+    ``cider`` read one encoding of ``corpus``, whose one chunk loop
+    analyses each chunk once and scores both metrics from it."""
+    encoding = _Encoding(corpus.references, corpus.candidates, ("bleu", "cider"))
     bleu1, bleu2, bleu3, bleu4 = bleu(encoding)
     return {"bleu1": bleu1, "bleu2": bleu2, "bleu3": bleu3, "bleu4": bleu4,
             "rougeL": rouge_l(corpus), "cider": cider(encoding)}

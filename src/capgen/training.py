@@ -339,15 +339,17 @@ def train(cfg: TrainConfig) -> TrainResult:
     ``embed_dim``, ``attn_dim`` or ``max_len`` below 1, a ``patience`` or
     ``rl_epochs`` below 0, a ``clip``, ``eps``, ``lr`` or ``rl_lr`` not
     above 0, a ``dropout`` or ``rho`` outside [0, 1), or an ``lr_decay``
-    outside (0, 1], or a ``checkpoint`` or ``log_path`` that is a
-    directory, is a ``ConfigError`` that names the key, and a missing
-    directory for ``checkpoint`` or ``log_path`` an ``OSError``, both
-    raised before any data loads.  A sample with no references in the
-    train split, or in the split that validation scores, is a
-    ``ConfigError`` naming the split and the sample, raised before any
-    features load.  A ``resume`` checkpoint that the reward stage wrote,
-    or whose optimizer state is another optimizer's, is a ``ConfigError``
-    raised before any epoch runs.
+    outside (0, 1], is a ``ConfigError`` that names the key.  So is an
+    output path that is a directory: the checkpoint (``checkpoint``, or
+    ``<data_dir>/model.ckpt`` when it is unset), ``log_path``, and with
+    ``rl_epochs`` above 0 the reward stage's ``<checkpoint>.rl``; the
+    error names the path.  A missing directory for any of them is an
+    ``OSError``.  Both are raised before any data loads.  A sample with
+    no references in the train split, or in the split that validation
+    scores, is a ``ConfigError`` naming the split and the sample, raised
+    before any features load.  A ``resume`` checkpoint that the reward
+    stage wrote, or whose optimizer state is another optimizer's, is a
+    ``ConfigError`` raised before any epoch runs.
 
     Each array is held once.  A resumed run copies the file's weights into
     the decoder and keeps the file's optimizer arrays as its state, then
@@ -413,8 +415,11 @@ def train(cfg: TrainConfig) -> TrainResult:
                           ("rho", 0 <= cfg.rho < 1, "in [0, 1)")):
         if not ok:
             raise ConfigError(f"{key} must be {rule}, got {getattr(cfg, key)}")
-    for key in ("checkpoint", "log_path"):
-        path = getattr(cfg, key)
+    ckpt_path = cfg.checkpoint or str(Path(cfg.data_dir) / "model.ckpt")
+    outputs = [("checkpoint", ckpt_path), ("log_path", cfg.log_path)]
+    if cfg.rl_epochs > 0:
+        outputs.append(("reward-stage checkpoint", f"{ckpt_path}.rl"))
+    for key, path in outputs:
         if path:    # a missing output directory fails now, with its OSError
             os.scandir(Path(path).parent).close()
             if Path(path).is_dir():
@@ -438,7 +443,6 @@ def train(cfg: TrainConfig) -> TrainResult:
     pairs = train_set[1]
 
     history: list[dict] = []
-    ckpt_path = cfg.checkpoint or str(Path(cfg.data_dir) / "model.ckpt")
     best_path = cfg.resume or None  # the file that holds the best weights so far
     stale_weights = False           # the weights in params are not the best
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import capgen.cli
+import capgen.metrics
 import capgen.training
 from capgen.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from capgen.cli import main
@@ -715,6 +716,43 @@ class TestErrors:
         assert loaded == [] and list(tmp_path.iterdir()) == [a_dir]
         assert list(a_dir.iterdir()) == []
 
+    def test_default_checkpoint_that_is_a_directory_fails_before_loading(
+            self, workspace, tmp_path, capsys, monkeypatch):
+        _, data, _ = workspace
+        other = tmp_path / "data"
+        shutil.copytree(data, other)
+        (other / "model.ckpt").mkdir()
+        loaded = []
+        monkeypatch.setattr(Dataset, "load", lambda *a: loaded.append(a))
+        argv = train_argv(other, None, 1)
+        at = argv.index("--checkpoint")
+        del argv[at:at + 2]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (f"error: checkpoint {str(other / 'model.ckpt')!r} "
+                                           "is a directory; it must name a file\n")
+        assert loaded == [] and list((other / "model.ckpt").iterdir()) == []
+
+    def test_reward_stage_checkpoint_that_is_a_directory_fails_before_loading(
+            self, workspace, tmp_path, capsys, monkeypatch):
+        _, data, _ = workspace
+        loaded = []
+        monkeypatch.setattr(Dataset, "load", lambda *a: loaded.append(a))
+        ckpt, rl = tmp_path / "model.ckpt", tmp_path / "model.ckpt.rl"
+        rl.mkdir()
+        assert main(train_argv(data, ckpt, 1, "--rl-epochs", "1")) == 1
+        assert capsys.readouterr().err == (f"error: reward-stage checkpoint {str(rl)!r} "
+                                           "is a directory; it must name a file\n")
+        assert loaded == [] and list(tmp_path.iterdir()) == [rl]
+        assert list(rl.iterdir()) == []
+
+    def test_reward_stage_path_is_not_checked_without_reward_epochs(self, workspace,
+                                                                   tmp_path):
+        _, data, _ = workspace
+        ckpt, rl = tmp_path / "model.ckpt", tmp_path / "model.ckpt.rl"
+        rl.mkdir()
+        assert main(train_argv(data, ckpt, 1)) == 0
+        assert ckpt.is_file() and list(rl.iterdir()) == []
+
     def test_unit_lr_decay_keeps_the_rate(self, workspace, tmp_path):
         _, data, _ = workspace
         log = tmp_path / "train.jsonl"
@@ -841,6 +879,21 @@ class TestErrors:
         refs.write_text('{"id": 7, "refs": ["a dog"]}\n')
         assert main(["evaluate", "--candidates", str(cands), "--refs", str(refs)]) == 1
         assert capsys.readouterr().err == f"error: {cands}:2: id 7 repeats line 1\n"
+
+    def test_evaluate_out_that_is_a_directory_fails_before_reading(self, tmp_path, capsys,
+                                                                     monkeypatch):
+        def never(corpus):
+            raise AssertionError("evaluate_corpus was called")
+
+        monkeypatch.setattr(capgen.metrics, "evaluate_corpus", never)
+        cands, refs, out = tmp_path / "cands.jsonl", tmp_path / "refs.jsonl", tmp_path / "out"
+        cands.write_text('{"id": "a", "caption": "a dog"}\n')
+        refs.write_text('{"id": "a", "refs": ["a dog runs"]}\n')
+        out.mkdir()
+        argv = ["evaluate", "--candidates", str(cands), "--refs", str(refs), "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {out}: Is a directory\n"
+        assert list(out.iterdir()) == []
 
     def test_evaluate_takes_string_and_integer_ids(self, tmp_path):
         cands = tmp_path / "cands.jsonl"

@@ -6,8 +6,9 @@ unless the name is listed as public API, only the attention module
 takes additive attention scores from the tensor core, only the training
 module builds decoders from their configs, only the decoders and the
 search build decoder states, only the metrics module's
-encoding codes sentences into n-grams, and only its ``_bin_sums`` adds
-floats with ``np.bincount``."""
+encoding codes sentences into n-grams, only its chunk loop and its
+reward scorer analyse them, and only its ``_bin_sums`` adds floats with
+``np.bincount``."""
 
 import ast
 from pathlib import Path
@@ -353,17 +354,17 @@ def test_detects_module_stepping_a_decoder():
     assert modules_calling(sources, {"init_state"}) == ["a.py"]
 
 
-def calls_outside(source: str, names: set[str], owner: str) -> list[str]:
+def calls_outside(source: str, names: set[str], *owners: str) -> list[str]:
     """Calls in ``source`` of one of ``names``, as ``name(...)`` or
-    ``x.name(...)``, outside its top-level definition ``owner``.  Each is
-    listed once per definition as ``definition: name``, module-level code
-    as ``<module>``."""
+    ``x.name(...)``, outside its top-level definitions ``owners``.  Each
+    is listed once per definition as ``definition: name``, module-level
+    code as ``<module>``."""
     hits = []
     for top in ast.parse(source).body:
         where = getattr(top, "name", "<module>")
         called = {getattr(node.func, "id", getattr(node.func, "attr", None))
                   for node in ast.walk(top) if isinstance(node, ast.Call)}
-        if where != owner:
+        if where not in owners:
             hits += [f"{where}: {name}" for name in sorted(called & names)]
     return hits
 
@@ -378,6 +379,15 @@ def test_one_ngram_coder():
     assert calls_outside((PACKAGE / "metrics.py").read_text(), NGRAM_CODER, "_Encoding") == []
 
 
+def test_one_analysis_per_chunk():
+    """Each chunk that BLEU and CIDEr-D score is analysed once, by the
+    chunk loop that both read (``_Encoding.scores``), and a reward's
+    caption by ``CiderD.score``: no other code of ``metrics.py`` calls
+    ``_analysis``."""
+    assert calls_outside((PACKAGE / "metrics.py").read_text(), {"_analysis"},
+                         "_Encoding", "CiderD") == []
+
+
 def test_detects_call_outside_its_owner():
     source = ("def _grams(x):\n    return x\n\n"
               "class _Encoding:\n    def f(self):\n        return _grams(1)\n\n"
@@ -386,6 +396,18 @@ def test_detects_call_outside_its_owner():
               "X = _word_ids(4)\n")
     assert calls_outside(source, NGRAM_CODER, "_Encoding") == [
         "CiderD: _grams", "CiderD: _word_ids", "<module>: _word_ids"]
+
+
+def test_detects_call_outside_several_owners():
+    source = ("def _analysis(b):\n    return b\n\n"
+              "class _Encoding:\n    def scores(self):\n        return _analysis(1)\n\n"
+              "class CiderD:\n    def score(self):\n        return _analysis(2)\n\n"
+              "def _bleu_counts(b):\n    return _analysis(b)\n\n"
+              "def _cider_batch(b, a):\n    return [_analysis, '_analysis(b)', a]\n")
+    assert calls_outside(source, {"_analysis"}, "_Encoding", "CiderD") == [
+        "_bleu_counts: _analysis"]
+    assert calls_outside(source, {"_analysis"}, "_Encoding") == [
+        "CiderD: _analysis", "_bleu_counts: _analysis"]
 
 
 def weighted_bincounts(sources: dict[str, str]) -> list[str]:

@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import weakref
 
 import numpy as np
 import pytest
@@ -214,6 +215,14 @@ class TestInvariances:
     def test_sample_without_references_rejected(self):
         with pytest.raises(EmptyInputError):
             TokenizedCorpus([["a"]], [[]])
+
+    def test_string_candidate_rejected(self):
+        with pytest.raises(ContractError, match="sample 1's candidate is a string"):
+            TokenizedCorpus([["a", "man"], "a man runs"], [[["a", "man"]], [["a", "man"]]])
+
+    def test_string_reference_rejected(self):
+        with pytest.raises(ContractError, match="sample 0's reference is a string"):
+            TokenizedCorpus([["a", "man", "runs"]], [[["a", "man"], "a man runs"]])
 
 
 class TestTokenization:
@@ -461,3 +470,49 @@ def test_evaluate_corpus_reaches_metrics_through_module_globals(monkeypatch):
         monkeypatch.setattr(metrics, name, spy)
     metrics.evaluate_corpus(TokenizedCorpus(*hand_built_corpus(4)))
     assert calls == ["bleu", "rouge_l", "cider"]
+
+
+class TestOneAnalysisPerChunk:
+    """Each scored chunk is analysed once, whichever metrics read it, and
+    one chunk's analysis is alive at a time."""
+
+    @pytest.fixture
+    def analyses(self, monkeypatch):
+        """Per ``metrics._analysis`` call, weak references to the arrays it
+        returned; each call first checks that every earlier one is dead."""
+        calls, real = [], metrics._analysis
+
+        def spy(batch):
+            assert [ref for refs in calls for ref in refs if ref() is not None] == []
+            out = real(batch)
+            calls.append([weakref.ref(a) for a in out])
+            return out
+
+        monkeypatch.setattr(metrics, "_analysis", spy)
+        return calls
+
+    @pytest.mark.parametrize("score", [evaluate_corpus, bleu, cider],
+                             ids=["evaluate_corpus", "bleu", "cider"])
+    def test_one_analysis_per_chunk(self, analyses, score):
+        corpus = TokenizedCorpus(*multi_chunk_corpus())
+        assert len(corpus) == 69
+        score(corpus)
+        assert len(analyses) == 3
+        assert [ref for refs in analyses for ref in refs if ref() is not None] == []
+
+    def test_alone_each_metric_computes_only_its_own(self, monkeypatch):
+        calls = []
+        for name in ("_bleu_counts", "_cider_batch"):
+            def spy(*args, _name=name, _real=getattr(metrics, name)):
+                calls.append(_name)
+                return _real(*args)
+            monkeypatch.setattr(metrics, name, spy)
+        corpus = TokenizedCorpus(*multi_chunk_corpus())
+        bleu(corpus)
+        assert calls == ["_bleu_counts"] * 3
+        calls.clear()
+        cider(corpus)
+        assert calls == ["_cider_batch"] * 3
+        calls.clear()
+        evaluate_corpus(corpus)
+        assert calls == ["_bleu_counts", "_cider_batch"] * 3
